@@ -1,10 +1,11 @@
 """Command-line front end: phantoms, filtering, configuration runs, reports.
 
 Physical-unit flags end in -mm, voxel-unit flags in -vox; an invocation
-may use one unit system only.  The effective voxel-unit parameters and
-kernel sizes are logged to stderr so two implementations can be compared
-at the parameter level before diffing response maps.  VOXFILT_THREADS
-sets the default --threads value; the thread count never changes results.
+may use one unit system only.  The resolved filter plan (voxel-unit
+parameters and kernel sizes) is logged to stderr so two implementations
+can be compared at the parameter level before diffing response maps.
+VOXFILT_THREADS sets the default --threads value; the thread count never
+changes results.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ from .features import (
     write_feature_csv,
     write_feature_json,
 )
-from .image import RoiMask, VolumeImage
-from .kernels import GaborParams, truncated_support
+from .image import RoiMask, VolumeImage, round_half_away
 from .nifti import DATATYPE_CODES, read_nifti, write_nifti
 from .pipeline import (
     FILTER_KINDS,
     FilterConfig,
-    _scale_param,
     apply_filter,
     load_config,
+    plan_filter,
     run_configuration,
 )
 from .wavelets import RADIAL_KINDS, WAVELET_NAMES, dwt_decimated
@@ -63,10 +63,6 @@ def _load_mask(path):
     return RoiMask(np.asfortranarray(image.data >= 0.5))
 
 
-def _rounded(data):
-    return np.sign(data) * np.floor(np.abs(data) + 0.5)
-
-
 def _log(message):
     print(message, file=sys.stderr)
 
@@ -78,7 +74,6 @@ _PARAM_DESTS = (
     ("sigma_mm", "sigma_mm"),
     ("sigma_vox", "sigma_vox"),
     ("cutoff", "cutoff"),
-    ("via", "via"),
     ("kernels", "kernels"),
     ("energy_delta", "energy_delta"),
     ("lambda_mm", "lambda_mm"),
@@ -117,56 +112,10 @@ def _gather_filter_params(args) -> dict:
     return params
 
 
-def _describe_filter(filt: FilterConfig, spacing, mode: str):
-    """Effective voxel-unit parameters and kernel sizes, for the log."""
-    axes = spacing[:2] if mode == "2d" else spacing
-    kind, params = filt.kind, filt.params
-    lines = []
-    try:
-        if kind == "mean":
-            lines.append(f"mean filter: support {int(params['support'])} voxels per axis")
-        elif kind == "log":
-            sigma = _scale_param(params, "sigma", axes, "the LoG filter")
-            size = truncated_support(sigma, float(params.get("cutoff", 4.0)))
-            lines.append(f"log filter: sigma {sigma:.6g} voxels, kernel size {size}")
-        elif kind == "gabor":
-            sigma = _scale_param(params, "sigma", axes[:2], "the Gabor filter")
-            wavelength = _scale_param(params, "lambda", axes[:2], "the Gabor filter")
-            probe = GaborParams(
-                sigma=sigma, wavelength=wavelength, gamma=float(params.get("gamma", 1.0))
-            )
-            lines.append(
-                f"gabor filter: sigma {sigma:.6g} voxels, wavelength "
-                f"{wavelength:.6g} voxels, kernel size {probe.support}"
-            )
-        elif kind == "laws":
-            delta = params.get("energy_delta")
-            suffix = f", energy delta {delta} voxels" if delta is not None else ""
-            lines.append(f"laws filter: kernels {params.get('kernels')}{suffix}")
-        elif kind == "wavelet":
-            lines.append(
-                f"wavelet filter: {params.get('family')} level {params.get('level')} "
-                f"subband {params.get('subband')}"
-            )
-        elif kind == "nonseparable":
-            lines.append(
-                f"nonseparable filter: {params.get('wavelet')} B map level "
-                f"{params.get('level')}"
-            )
-        elif kind == "riesz":
-            lines.append(
-                f"riesz filter: {params.get('wavelet')} level {params.get('level')} "
-                f"l {tuple(params.get('l', ()))}"
-            )
-    except (ValueError, KeyError, TypeError):
-        pass  # parameter problems surface when the filter actually runs
-    return lines
-
-
 def cmd_phantom(args) -> int:
     image = generate_phantom(args.kind, seed=args.seed)
     if args.datatype in _INTEGER_DATATYPES:
-        image = image.with_data(_rounded(image.data))
+        image = image.with_data(round_half_away(image.data))
     write_nifti(image, args.out, args.datatype)
     data = image.data
     print(
@@ -185,15 +134,13 @@ def cmd_filter(args) -> int:
             raise ValueError("--decimated applies to the wavelet filter only")
         if args.mode != "3d":
             raise ValueError("the decimated transform runs on the full volume; use --mode 3d")
-        params = filt.params
-        for key in ("family", "level", "subband"):
-            if key not in params:
-                raise ValueError(f"the decimated transform needs --{key}".replace("family", "wavelet"))
-        level = int(params["level"])
-        levels = dwt_decimated(
-            image.data, params["family"], level, args.boundary, args.boundary_constant
-        )
-        subband = str(params["subband"]).upper()
+        for flag in ("wavelet", "level", "subband"):
+            if getattr(args, flag) is None:
+                raise ValueError(f"the decimated transform needs --{flag}")
+        level = args.level
+        levels = dwt_decimated(image.data, args.wavelet, level, args.boundary,
+                               args.boundary_constant)
+        subband = args.subband.upper()
         maps = levels[level - 1].subbands
         if subband not in maps:
             raise ValueError(
@@ -201,18 +148,18 @@ def cmd_filter(args) -> int:
             )
         spacing = tuple(s * 2.0**level for s in image.spacing)
         _log(
-            f"decimated {params['family']} level {level} {subband}: dims "
+            f"decimated {args.wavelet} level {level} {subband}: dims "
             f"{maps[subband].shape}, spacing {spacing} mm"
         )
         response = VolumeImage(np.asfortranarray(maps[subband]), spacing)
     else:
-        for line in _describe_filter(filt, image.spacing, args.mode):
-            _log(line)
+        plan = plan_filter(filt, image.spacing, args.mode, args.boundary,
+                           args.boundary_constant)
+        _log(plan.summary)
         data = apply_filter(
             image, filt, args.mode, args.boundary, args.boundary_constant, args.threads
         )
-        kind = "modulus" if args.filter == "gabor" else "real"
-        response = VolumeImage(np.asfortranarray(data), image.spacing, kind)
+        response = image.with_data(data, filt.value_kind)
 
     orientation = view.orientation if response.dims == image.dims else None
     write_nifti(response, args.out, args.datatype, orientation=orientation)
@@ -228,9 +175,9 @@ def cmd_run(args) -> int:
     test_id, config = load_config(args.config)
     image, view = _load_image(args.image, args.round_on_load)
     mask = _load_mask(args.mask)
-    spacing = config.resample_spacing_mm or image.spacing
-    for line in _describe_filter(config.filter, spacing, config.mode):
-        _log(line)
+    plan = plan_filter(config.filter, config.resample_spacing_mm or image.spacing,
+                       config.mode, config.boundary, config.boundary_constant)
+    _log(plan.summary)
 
     response, intensity_mask, features = run_configuration(
         image, mask, config, args.threads
@@ -346,8 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="slice-wise or volumetric filtering")
     p.add_argument("--boundary", default="mirror", choices=tuple(BOUNDARY_MODES))
     p.add_argument("--boundary-constant", type=float, default=0.0)
-    p.add_argument("--via", choices=("spatial", "fourier", "auto"),
-                   help="convolution route for dense kernels")
     p.add_argument("--threads", type=int, default=_default_threads())
     _add_io_flags(p)
     g = p.add_argument_group("filter parameters (unused flags are rejected)")
@@ -370,11 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--wavelet", choices=tuple(sorted(set(WAVELET_NAMES) | set(RADIAL_KINDS))))
     g.add_argument("--level", type=int)
     g.add_argument("--subband", help="letter per axis, e.g. LLH")
-    x = g.add_mutually_exclusive_group()
-    x.add_argument("--decimated", action="store_true",
-                   help="decimated transform (halves dims per level)")
-    x.add_argument("--undecimated", action="store_true",
-                   help="stationary transform (default)")
+    g.add_argument("--decimated", action="store_true",
+                   help="decimated transform (halves dims per level; default stationary)")
     g.add_argument("--riesz", help="Riesz index, comma-separated, e.g. 0,2,0")
     g.add_argument("--align", action="store_true",
                    help="steer the order-2 Riesz set by the structure tensor")

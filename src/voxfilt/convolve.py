@@ -125,11 +125,7 @@ def _dense_valid_fft(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.nd
     The margin absorbs the circular wrap, so the cropped interior matches the
     direct path.
     """
-    buf = np.zeros(padded.shape, dtype=np.complex128 if np.iscomplexobj(kernel) else np.float64)
-    buf[tuple(slice(0, m) for m in kernel.shape)] = kernel
-    buf = np.roll(buf, [-(m // 2) for m in kernel.shape], axis=range(kernel.ndim))
-    spectrum = np.fft.fftn(padded) * np.fft.fftn(buf)
-    out = np.fft.ifftn(spectrum)
+    out = np.fft.ifftn(np.fft.fftn(padded) * kernel_to_transfer(kernel, padded.shape))
     if not np.iscomplexobj(kernel):
         out = out.real
     crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(kernel.shape, out_shape))
@@ -188,27 +184,16 @@ def kernel_to_transfer(kernel, dims) -> np.ndarray:
     return np.fft.fftn(buf)
 
 
-def _conjugate_symmetric(transfer: np.ndarray) -> bool:
-    rev = transfer[np.ix_(*[(-np.arange(n)) % n for n in transfer.shape])]
-    scale = np.max(np.abs(transfer))
-    if scale == 0:
-        return True
-    return bool(np.allclose(np.conj(rev), transfer, rtol=0.0, atol=1e-10 * scale))
-
-
 def convolve_fourier(image, transfer) -> np.ndarray:
     """Filter by Hadamard product in the Fourier domain.
 
-    Periodisation of the image content is implicit.  For conjugate-symmetric
-    transfer functions (real-valued point spread) the real part is returned;
-    otherwise the complex modulus is taken, matching how complex responses
-    are consumed downstream.
+    Periodisation of the image content is implicit.  The real part of the
+    inverse DFT is returned: for conjugate-symmetric transfer functions
+    (real-valued point spread) it is the whole response, and for the odd
+    Riesz orders it drops only the unpairable Nyquist residue.
     """
     image = np.asarray(image, dtype=np.float64)
     transfer = np.asarray(transfer, dtype=np.complex128)
     if transfer.shape != image.shape:
         raise ValueError(f"transfer dims {transfer.shape} do not match image dims {image.shape}")
-    out = np.fft.ifftn(np.fft.fftn(image) * transfer)
-    if _conjugate_symmetric(transfer):
-        return out.real
-    return np.abs(out)
+    return np.fft.ifftn(np.fft.fftn(image) * transfer).real

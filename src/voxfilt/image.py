@@ -17,6 +17,7 @@ __all__ = [
     "RoiMask",
     "create_image",
     "physical_to_voxel",
+    "round_half_away",
     "interior_region",
 ]
 
@@ -115,6 +116,11 @@ def physical_to_voxel(value_mm, spacing_mm):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def round_half_away(data) -> np.ndarray:
+    """Round to the nearest integer, halves away from zero."""
+    return np.sign(data) * np.floor(np.abs(data) + 0.5)
 
 
 def interior_region(dims, margin) -> np.ndarray:

@@ -129,10 +129,9 @@ class GaborParams:
     """Gabor filter parameters, all spatial quantities in voxel units.
 
     theta turns clockwise in the (k1, k2) plane.  The rotated coordinates use
-    the row pair ((cos, sin), (sin, -cos)); ``proper_rotation`` swaps the
-    second row for (-sin, cos).  Both give identical kernels because the
-    second coordinate only enters squared, so the flag is documentation of
-    the convention rather than a behavioural switch.
+    the row pair ((cos, sin), (sin, -cos)).  The proper rotation's second
+    row (-sin, cos) gives the identical kernel, because the second
+    coordinate only enters squared.
     """
 
     sigma: float
@@ -140,7 +139,6 @@ class GaborParams:
     gamma: float = 1.0
     theta: float = 0.0
     d: float = 4.0
-    proper_rotation: bool = False
 
     def __post_init__(self):
         if self.sigma <= 0 or self.wavelength <= 0 or self.gamma <= 0:
@@ -166,10 +164,7 @@ def gabor_kernel(params: GaborParams) -> np.ndarray:
     k1, k2 = np.meshgrid(offsets, offsets, indexing="ij")
     c, s = np.cos(params.theta), np.sin(params.theta)
     kt1 = c * k1 + s * k2
-    if params.proper_rotation:
-        kt2 = -s * k1 + c * k2
-    else:
-        kt2 = s * k1 - c * k2
+    kt2 = s * k1 - c * k2
     envelope = -(kt1**2 + params.gamma**2 * kt2**2) / (2.0 * params.sigma**2)
     phase = 2.0 * np.pi * kt1 / params.wavelength
     return np.exp(envelope + 1j * phase)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import VolumeImage, create_image
+from .image import VolumeImage, create_image, round_half_away
 
 __all__ = [
     "NiftiError",
@@ -169,7 +169,7 @@ def read_nifti(path, round_values: bool = False):
     if slope != 1.0 or scl_inter != 0.0:
         data = data * slope + float(scl_inter)
     if round_values:
-        data = np.sign(data) * np.floor(np.abs(data) + 0.5)
+        data = round_half_away(data)
 
     view = NiftiHeaderView(
         dims=dims,

@@ -12,6 +12,7 @@ slice by slice.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,13 +23,12 @@ from scipy import ndimage
 from .boundary import BOUNDARY_MODES
 from .convolve import convolve_full, convolve_separable
 from .features import diagnostics, intensity_statistics
-from .image import RoiMask, VolumeImage
+from .image import RoiMask, VolumeImage, round_half_away
 from .kernels import (
     GaborParams,
     gabor_response_modulus,
     laws_1d,
     laws_energy,
-    laws_response,
     log_kernel,
     mean_kernel_1d,
 )
@@ -52,26 +52,17 @@ from .wavelets import (
 __all__ = [
     "FILTER_KINDS",
     "FilterConfig",
+    "FilterPlan",
     "ProcessingConfig",
     "load_config",
     "resample_image",
     "resample_mask",
     "round_intensities",
     "resegment",
+    "plan_filter",
     "apply_filter",
     "run_configuration",
 ]
-
-FILTER_KINDS = (
-    "none",
-    "mean",
-    "log",
-    "laws",
-    "gabor",
-    "wavelet",
-    "nonseparable",
-    "riesz",
-)
 
 _INTERPOLATIONS = ("trilinear", "tricubic")
 
@@ -86,6 +77,11 @@ class FilterConfig:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}, expected one of {FILTER_KINDS}")
+
+    @property
+    def value_kind(self) -> str:
+        """Gabor responses are moduli of complex values; the rest are real."""
+        return "modulus" if self.kind == "gabor" else "real"
 
 
 @dataclass(frozen=True)
@@ -140,22 +136,19 @@ def load_config(path):
         raise ValueError("the filter block needs a 'kind' entry")
     params = {k: v for k, v in filt.items() if k != "kind"}
     resample = raw.get("resample")
-    spacing = None
-    interpolation = "tricubic"
-    threshold = 0.5
-    rounding = False
-    if resample is not None:
-        spacing = resample["spacing_mm"]
-        interpolation = resample.get("image_interpolation", "tricubic")
-        threshold = float(resample.get("mask_threshold", 0.5))
-        rounding = bool(resample.get("rounding", False))
+    if resample is None:
+        resample = {"spacing_mm": None}
+    if not isinstance(resample, dict):
+        raise ValueError("the resample block must be a mapping")
+    if "spacing_mm" not in resample:
+        raise ValueError("the resample block is missing the 'spacing_mm' key")
     config = ProcessingConfig(
         mode=mode,
         filter=FilterConfig(str(filt["kind"]).lower(), params),
-        resample_spacing_mm=spacing,
-        image_interpolation=interpolation,
-        mask_threshold=threshold,
-        rounding=rounding,
+        resample_spacing_mm=resample["spacing_mm"],
+        image_interpolation=resample.get("image_interpolation", "tricubic"),
+        mask_threshold=float(resample.get("mask_threshold", 0.5)),
+        rounding=bool(resample.get("rounding", False)),
         reseg_range=raw.get("resegment_hu"),
         boundary=raw.get("boundary", "mirror"),
         boundary_constant=float(raw.get("boundary_constant", 0.0)),
@@ -225,9 +218,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
 
 def round_intensities(image: VolumeImage) -> VolumeImage:
     """Round to the nearest integer, halves away from zero."""
-    data = image.data
-    rounded = np.sign(data) * np.floor(np.abs(data) + 0.5)
-    return image.with_data(rounded)
+    return image.with_data(round_half_away(image.data))
 
 
 def resegment(mask: RoiMask, image: VolumeImage, value_range) -> RoiMask:
@@ -247,16 +238,6 @@ def resegment(mask: RoiMask, image: VolumeImage, value_range) -> RoiMask:
     return RoiMask(keep, kind="intensity")
 
 
-def _check_keys(kind, params, required, optional=()):
-    present = set(params)
-    missing = set(required) - present
-    if missing:
-        raise ValueError(f"{kind} filter is missing parameters {sorted(missing)}")
-    unknown = present - set(required) - set(optional)
-    if unknown:
-        raise ValueError(f"{kind} filter got unknown parameters {sorted(unknown)}")
-
-
 def _isotropic_scale(values_vox, what):
     values = np.asarray(values_vox, dtype=np.float64)
     if values.max() - values.min() > 1e-9 * values.max():
@@ -267,17 +248,7 @@ def _isotropic_scale(values_vox, what):
     return float(values[0])
 
 
-def _unit_mix_guard(kind, params):
-    mm = sorted(k for k in params if k.endswith("_mm"))
-    vox = sorted(k for k in params if k.endswith("_vox"))
-    if mm and vox:
-        raise ValueError(
-            f"{kind} filter mixes physical and voxel units ({mm} with {vox}); "
-            "pick one unit system per invocation"
-        )
-
-
-def _scale_param(params, stem, spacing, what, required=True):
+def _scale_param(params, stem, spacing, what):
     """Resolve a <stem>_mm / <stem>_vox parameter pair to voxel units."""
     vox = params.get(stem + "_vox")
     if vox is not None:
@@ -285,140 +256,196 @@ def _scale_param(params, stem, spacing, what, required=True):
     mm = params.get(stem + "_mm")
     if mm is not None:
         return float(mm) / _isotropic_scale(spacing, what)
-    if required:
-        raise ValueError(f"{what} needs {stem}_mm or {stem}_vox")
-    return None
+    raise ValueError(f"{what} needs {stem}_mm or {stem}_vox")
 
 
-def _laws_names(text, ndim):
-    text = str(text).upper()
+@dataclass(frozen=True)
+class FilterPlan:
+    """One filter resolved against a grid: ``summary`` is the log line with
+    the effective voxel-unit parameters, ``run`` maps a volume (3-D mode) or
+    a (k1, k2) slice (2-D mode, and Gabor in both modes) to its response."""
+
+    kind: str
+    summary: str
+    run: Callable[[np.ndarray], np.ndarray]
+
+
+# Each planner takes the parameters, the spacing of the filtered axes, the
+# boundary mode and its constant, and returns (summary, run).  The run
+# callables look library functions up by name when they execute.
+
+
+def _plan_none(params, axes, boundary, constant):
+    return "none filter: identity", lambda data: data.astype(np.float64, copy=True)
+
+
+def _plan_mean(params, axes, boundary, constant):
+    support = int(params["support"])
+    factors = (mean_kernel_1d(support),) * len(axes)
+    summary = f"mean filter: support {support} voxels per axis"
+    return summary, lambda data: convolve_separable(data, factors, boundary, constant)
+
+
+def _plan_log(params, axes, boundary, constant):
+    sigma = _scale_param(params, "sigma", axes, "the LoG filter")
+    kernel = log_kernel(sigma, len(axes), float(params.get("cutoff", 4.0)))
+    summary = f"log filter: sigma {sigma:.6g} voxels, kernel size {kernel.shape[0]}"
+    return summary, lambda data: convolve_full(data, kernel, boundary, constant)
+
+
+def _plan_laws(params, axes, boundary, constant):
+    ndim = len(axes)
+    text = str(params["kernels"]).upper()
     if len(text) != 2 * ndim:
         raise ValueError(
             f"Laws kernel string {text!r} must name {ndim} kernels of two characters each"
         )
-    return [text[i : i + 2] for i in range(0, len(text), 2)]
-
-
-def _gabor_slice_op(params, spacing2, boundary, constant):
-    sigma = _scale_param(params, "sigma", spacing2, "the Gabor filter")
-    wavelength = _scale_param(params, "lambda", spacing2, "the Gabor filter")
-    gamma = float(params.get("gamma", 1.0))
+    factors = [laws_1d(text[i : i + 2]) for i in range(0, len(text), 2)]
+    kernel_set = [factors]
     if params.get("rotation_invariance", False):
-        thetas = gabor_orientation_set(float(params["dtheta"]))
-    else:
-        thetas = [float(params.get("theta", 0.0))]
-    pool_mode = params.get("pool", "average")
+        kernel_set = equivariant_set_2d(*factors) if ndim == 2 else equivariant_set_3d(*factors)
+    pool_mode = params.get("pool", "max")
+    delta = params.get("energy_delta")
 
-    def op(slice2d):
-        responses = [
-            gabor_response_modulus(
-                slice2d,
-                GaborParams(sigma=sigma, wavelength=wavelength, gamma=gamma, theta=theta),
-                boundary,
-                constant,
-            )
-            for theta in thetas
-        ]
-        return pool(responses, pool_mode)
-
-    return op
-
-
-def _filter_nd(data, spacing, filt: FilterConfig, boundary, constant):
-    """Apply one filter to a full 2-D or 3-D array."""
-    kind, params = filt.kind, filt.params
-    ndim = data.ndim
-    if kind == "none":
-        _check_keys(kind, params, ())
-        return data.astype(np.float64, copy=True)
-    if kind == "mean":
-        _check_keys(kind, params, ("support",))
-        g = mean_kernel_1d(int(params["support"]))
-        return convolve_separable(data, (g,) * ndim, boundary, constant)
-    if kind == "log":
-        _check_keys(kind, params, (), ("sigma_mm", "sigma_vox", "cutoff", "via"))
-        _unit_mix_guard(kind, params)
-        sigma = _scale_param(params, "sigma", spacing, "the LoG filter")
-        cutoff = float(params.get("cutoff", 4.0))
-        kernel = log_kernel(sigma, ndim, cutoff)
-        return convolve_full(data, kernel, boundary, constant,
-                             via=params.get("via", "auto"))
-    if kind == "laws":
-        _check_keys(
-            kind, params, ("kernels",), ("rotation_invariance", "pool", "energy_delta")
-        )
-        names = _laws_names(params["kernels"], ndim)
-        if params.get("rotation_invariance", False):
-            factors = [laws_1d(n) for n in names]
-            kernel_set = (
-                equivariant_set_2d(*factors) if ndim == 2 else equivariant_set_3d(*factors)
-            )
-            responses = [
-                convolve_separable(data, kernels, boundary, constant)
-                for kernels in kernel_set
-            ]
-            out = pool(responses, params.get("pool", "max"))
-        else:
-            out = laws_response(data, names, boundary, constant)
-        delta = params.get("energy_delta")
+    def run(data):
+        responses = [convolve_separable(data, k, boundary, constant) for k in kernel_set]
+        out = pool(responses, pool_mode) if len(responses) > 1 else responses[0]
         if delta is not None:
             out = laws_energy(out, int(delta), boundary, constant)
         return out
-    if kind == "wavelet":
-        _check_keys(
-            kind, params, ("family", "level", "subband"), ("rotation_invariance", "pool")
+
+    suffix = f", energy delta {delta} voxels" if delta is not None else ""
+    return f"laws filter: kernels {text}{suffix}", run
+
+
+def _plan_gabor(params, axes, boundary, constant):
+    sigma = _scale_param(params, "sigma", axes, "the Gabor filter")
+    wavelength = _scale_param(params, "lambda", axes, "the Gabor filter")
+    gamma = float(params.get("gamma", 1.0))
+    if params.get("rotation_invariance", False):
+        if "dtheta" not in params:
+            raise ValueError("the rotation-invariant Gabor filter needs dtheta")
+        thetas = gabor_orientation_set(float(params["dtheta"]))
+    else:
+        thetas = [float(params.get("theta", 0.0))]
+    bank = [GaborParams(sigma, wavelength, gamma, theta) for theta in thetas]
+    pool_mode = params.get("pool", "average")
+
+    def run(slice2d):
+        responses = [gabor_response_modulus(slice2d, p, boundary, constant) for p in bank]
+        return pool(responses, pool_mode)
+
+    return (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
+            f"voxels, kernel size {bank[0].support}, {len(bank)} orientations"), run
+
+
+def _plan_wavelet(params, axes, boundary, constant):
+    family = str(params["family"]).lower()
+    if family not in WAVELET_NAMES:
+        raise ValueError(f"unknown wavelet family {family!r}, expected one of {WAVELET_NAMES}")
+    level = int(params["level"])
+    subband = str(params["subband"])
+    summary = f"wavelet filter: {family} level {level} subband {subband}"
+    if not params.get("rotation_invariance", False):
+        return summary, lambda data: swt_undecimated(
+            data, family, level, subband, boundary, constant)
+    pool_mode = params.get("pool", "average")
+    return f"{summary}, {pool_mode} over rotations", lambda data: swt_rotation_pooled(
+        data, family, level, subband, pool_mode, boundary, constant)
+
+
+def _plan_nonseparable(params, axes, boundary, constant):
+    wavelet = str(params["wavelet"]).lower()
+    if wavelet not in RADIAL_KINDS:
+        raise ValueError(f"unknown radial wavelet {wavelet!r}, expected one of {RADIAL_KINDS}")
+    level = int(params["level"])
+    summary = f"nonseparable filter: {wavelet} B map level {level}"
+    return summary, lambda data: nonseparable_b_map(data, wavelet, level)
+
+
+def _plan_riesz(params, axes, boundary, constant):
+    ndim = len(axes)
+    profile = RadialProfile(str(params["wavelet"]).lower(), int(params["level"]))
+    l = tuple(int(v) for v in params["l"])
+    if len(l) != ndim:
+        raise ValueError(f"Riesz index {l} has {len(l)} entries for a {ndim}-D filter")
+    summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
+    if not params.get("align", False):
+        return summary, lambda data: riesz_filtered_map(data, profile, l)
+    if sum(l) != 2:
+        raise ValueError("alignment is defined for second-order Riesz sets")
+    sigma_mm = params.get("sigma_tensor_mm")
+    if params.get("sigma_tensor_vox") is not None:
+        # The tensor smoother takes mm and handles anisotropy per axis, so
+        # only the voxel-unit variant needs a single scale.
+        scale = _isotropic_scale(axes, "the structure tensor")
+        sigma_mm = float(params["sigma_tensor_vox"]) * scale
+    if sigma_mm is None:
+        raise ValueError("aligned Riesz filtering needs sigma_tensor_mm or sigma_tensor_vox")
+    sigma_mm = float(sigma_mm)
+    indices = riesz_indices(2, ndim)
+
+    def run(data):
+        responses = {idx: riesz_filtered_map(data, profile, idx) for idx in indices}
+        return align_order2(responses, structure_tensor(data, profile, sigma_mm, axes))
+
+    return f"{summary}, aligned with structure tensor sigma {sigma_mm:.6g} mm", run
+
+
+# kind -> (planner, required parameters, optional parameters)
+_PLANNERS = {
+    "none": (_plan_none, (), ()),
+    "mean": (_plan_mean, ("support",), ()),
+    "log": (_plan_log, (), ("sigma_mm", "sigma_vox", "cutoff")),
+    "laws": (_plan_laws, ("kernels",), ("rotation_invariance", "pool", "energy_delta")),
+    "gabor": (_plan_gabor, (), ("sigma_mm", "sigma_vox", "lambda_mm", "lambda_vox", "gamma",
+                                "theta", "rotation_invariance", "dtheta", "pool",
+                                "orthogonal_planes")),
+    "wavelet": (_plan_wavelet, ("family", "level", "subband"), ("rotation_invariance", "pool")),
+    "nonseparable": (_plan_nonseparable, ("wavelet", "level"), ()),
+    "riesz": (_plan_riesz, ("wavelet", "level", "l"),
+              ("align", "sigma_tensor_mm", "sigma_tensor_vox")),
+}
+
+FILTER_KINDS = tuple(_PLANNERS)
+
+
+def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror",
+                constant: float = 0.0) -> FilterPlan:
+    """Check one filter's parameters, convert them to voxels and build its kernels.
+
+    ``spacing`` is the volume's spacing in mm; 2-D mode filters (k1, k2)
+    planes.  The planar Gabor filter needs ``orthogonal_planes`` and an
+    isotropic grid in 3-D mode.
+    """
+    if mode not in ("2d", "3d"):
+        raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
+    kind, params = filt.kind, filt.params
+    planner, required, optional = _PLANNERS[kind]
+    missing = set(required) - set(params)
+    if missing:
+        raise ValueError(f"{kind} filter is missing parameters {sorted(missing)}")
+    unknown = set(params) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{kind} filter got unknown parameters {sorted(unknown)}")
+    mm = sorted(k for k in params if k.endswith("_mm"))
+    vox = sorted(k for k in params if k.endswith("_vox"))
+    if mm and vox:
+        raise ValueError(
+            f"{kind} filter mixes physical and voxel units ({mm} with {vox}); "
+            "pick one unit system per invocation"
         )
-        family = str(params["family"]).lower()
-        if family not in WAVELET_NAMES:
-            raise ValueError(f"unknown wavelet family {family!r}, expected one of {WAVELET_NAMES}")
-        level = int(params["level"])
-        subband = str(params["subband"])
-        if params.get("rotation_invariance", False):
-            return swt_rotation_pooled(
-                data, family, level, subband, params.get("pool", "average"),
-                boundary, constant,
+    axes = tuple(spacing[:2]) if mode == "2d" else tuple(spacing)
+    if kind == "gabor" and mode == "3d":
+        if not params.get("orthogonal_planes", False):
+            raise ValueError(
+                "the Gabor filter is planar; in 3d mode enable orthogonal_planes "
+                "or run it in 2d mode"
             )
-        return swt_undecimated(data, family, level, subband, boundary, constant)
-    if kind == "nonseparable":
-        _check_keys(kind, params, ("wavelet", "level"))
-        wavelet = str(params["wavelet"]).lower()
-        if wavelet not in RADIAL_KINDS:
-            raise ValueError(f"unknown radial wavelet {wavelet!r}, expected one of {RADIAL_KINDS}")
-        return nonseparable_b_map(data, wavelet, int(params["level"]))
-    if kind == "riesz":
-        _check_keys(
-            kind, params, ("wavelet", "level", "l"),
-            ("align", "sigma_tensor_mm", "sigma_tensor_vox"),
-        )
-        _unit_mix_guard(kind, params)
-        profile = RadialProfile(str(params["wavelet"]).lower(), int(params["level"]))
-        l = tuple(int(v) for v in params["l"])
-        if len(l) != ndim:
-            raise ValueError(f"Riesz index {l} has {len(l)} entries for a {ndim}-D filter")
-        if params.get("align", False):
-            if sum(l) != 2:
-                raise ValueError("alignment is defined for second-order Riesz sets")
-            sigma_mm = params.get("sigma_tensor_mm")
-            if sigma_mm is None:
-                # The tensor smoother takes mm and handles anisotropy per
-                # axis, so only the voxel-unit variant needs a single scale.
-                sigma_vox = params.get("sigma_tensor_vox")
-                if sigma_vox is None:
-                    raise ValueError(
-                        "aligned Riesz filtering needs sigma_tensor_mm "
-                        "or sigma_tensor_vox"
-                    )
-                sigma_mm = float(sigma_vox) * _isotropic_scale(
-                    spacing, "the structure tensor"
-                )
-            responses = {
-                idx: riesz_filtered_map(data, profile, idx)
-                for idx in riesz_indices(2, ndim)
-            }
-            tensor = structure_tensor(data, profile, float(sigma_mm), spacing)
-            return align_order2(responses, tensor)
-        return riesz_filtered_map(data, profile, l)
-    raise ValueError(f"unknown filter kind {kind!r}")
+        scale = _isotropic_scale(axes, "the Gabor filter")
+        axes = (scale, scale)
+    summary, run = planner(params, axes, boundary, constant)
+    return FilterPlan(kind, summary, run)
 
 
 def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
@@ -426,48 +453,20 @@ def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
                  threads: int = 1) -> np.ndarray:
     """Run one filter over a volume, slice-wise ("2d") or volumetric ("3d").
 
-    2-D mode treats each (k1, k2) plane as an independent image.  The Gabor
-    filter is planar by construction: 3-D mode requires its
-    ``orthogonal_planes`` option, which averages slice-wise responses over
-    the three plane stacks.
+    2-D mode treats each (k1, k2) plane as an independent image.  3-D mode
+    runs the filter on the whole volume, except the planar Gabor filter,
+    whose slice-wise responses are averaged over the three plane stacks.
     """
-    if mode not in ("2d", "3d"):
-        raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1, got {threads}")
-    data = image.data
-    spacing = image.spacing
-
-    if filt.kind == "gabor":
-        _check_keys(
-            "gabor", filt.params,
-            (),
-            ("sigma_mm", "sigma_vox", "lambda_mm", "lambda_vox", "gamma", "theta",
-             "rotation_invariance", "dtheta", "pool", "orthogonal_planes"),
-        )
-        _unit_mix_guard("gabor", filt.params)
-        if mode == "2d":
-            if data.ndim != 3:
-                raise ValueError("2d mode expects a 3-D volume of slices")
-            op = _gabor_slice_op(filt.params, spacing[:2], boundary, constant)
-            return _map_slices(data, op, threads)
-        if not filt.params.get("orthogonal_planes", False):
-            raise ValueError(
-                "the Gabor filter is planar; in 3d mode enable orthogonal_planes "
-                "or run it in 2d mode"
-            )
-        scale = _isotropic_scale(spacing, "the Gabor filter")
-        op = _gabor_slice_op(filt.params, (scale, scale), boundary, constant)
-        return orthogonal_plane_average(data, op)
-
-    if mode == "3d":
-        return _filter_nd(data, spacing, filt, boundary, constant)
-    if data.ndim != 3:
-        raise ValueError("2d mode expects a 3-D volume of slices")
-    op = lambda slice2d: _filter_nd(  # noqa: E731
-        slice2d, spacing[:2], filt, boundary, constant
-    )
-    return _map_slices(data, op, threads)
+    plan = plan_filter(filt, image.spacing, mode, boundary, constant)
+    if mode == "2d":
+        if image.ndim != 3:
+            raise ValueError("2d mode expects a 3-D volume of slices")
+        return _map_slices(image.data, plan.run, threads)
+    if plan.kind == "gabor":
+        return orthogonal_plane_average(image.data, plan.run)
+    return plan.run(image.data)
 
 
 def _map_slices(volume, op, threads):
@@ -509,8 +508,7 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
         work, config.filter, config.mode, config.boundary, config.boundary_constant,
         threads,
     )
-    kind = "modulus" if config.filter.kind == "gabor" else "real"
-    response = VolumeImage(np.asfortranarray(response_data), work.spacing, kind)
+    response = work.with_data(response_data, config.filter.value_kind)
     features = diagnostics(mask_before.membership, intensity_mask.membership, work.data)
     features = features + intensity_statistics(response_data, intensity_mask.membership)
     return response, intensity_mask, features

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import convolve_separable, fourier_grid
+from .convolve import convolve_fourier, convolve_separable, fourier_grid
 from .image import physical_to_voxel
 from .kernels import gaussian_kernel_1d
 from .wavelets import RadialProfile, radial_transfer
@@ -99,16 +99,11 @@ def riesz_transfer(dims, l) -> np.ndarray:
     return _PHASE[order % 4] * multinomial_coefficient(l) * ratio
 
 
-def _apply_transfer(image: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-    out = np.fft.ifftn(np.fft.fftn(image) * transfer)
-    return out.real
-
-
 def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
     """Riesz-transformed radial band-pass filter applied in one pass."""
     image = np.asarray(image, dtype=np.float64)
     transfer = riesz_transfer(image.shape, l) * radial_transfer(profile, image.shape)
-    return _apply_transfer(image, transfer)
+    return convolve_fourier(image, transfer)
 
 
 def fourier_derivative(image, axis: int, order: int) -> np.ndarray:
@@ -119,7 +114,7 @@ def fourier_derivative(image, axis: int, order: int) -> np.ndarray:
     if order < 1:
         raise ValueError("derivative order must be >= 1")
     axes, _ = fourier_grid(image.shape)
-    return _apply_transfer(image, (1j * axes[axis]) ** order)
+    return convolve_fourier(image, np.broadcast_to((1j * axes[axis]) ** order, image.shape))
 
 
 @dataclass(frozen=True)

@@ -121,31 +121,20 @@ _TABLE_3D = (
 _QUARTER = math.pi / 2.0
 
 
-def _build_set(factors, table, label_fn) -> EquivariantSet:
-    elements = []
-    labels = []
-    for angles, row in table:
-        kernels = tuple(
-            flip_1d(factors[src - 1]) if flipped else factors[src - 1].copy()
-            for src, flipped in row
-        )
-        elements.append(kernels)
-        labels.append(label_fn(angles))
-    return EquivariantSet(tuple(elements), tuple(labels))
+def _single_stage_set(factors) -> EquivariantSet:
+    elements, labels = equivariant_cascades([[g] for g in factors])
+    kernels = tuple(tuple(stages[0] for stages in element) for element in elements)
+    return EquivariantSet(kernels, labels)
 
 
 def equivariant_set_2d(g1, g2) -> EquivariantSet:
     """The four right-angle rotations of the separable kernel g1 (x) g2."""
-    factors = (oddify(g1), oddify(g2))
-    return _build_set(factors, _TABLE_2D, lambda q: q * _QUARTER)
+    return _single_stage_set((g1, g2))
 
 
 def equivariant_set_3d(g1, g2, g3) -> EquivariantSet:
     """All 24 right-angle rotations of the separable kernel g1 (x) g2 (x) g3."""
-    factors = (oddify(g1), oddify(g2), oddify(g3))
-    return _build_set(
-        factors, _TABLE_3D, lambda q: tuple(a * _QUARTER for a in q)
-    )
+    return _single_stage_set((g1, g2, g3))
 
 
 def equivariant_cascades(stage_lists):

@@ -154,6 +154,30 @@ class TestFilterCommand:
         assert code == 1
         assert "comma-separated integers" in capsys.readouterr().err
 
+    def test_gabor_on_anisotropic_grid_fails_before_logging(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        src = tmp_path / "in.nii"
+        _write_volume(src, rng.normal(size=(6, 6, 6)), spacing=(1.0, 1.0, 2.0))
+        code = main([
+            "filter", str(src), "--out", str(tmp_path / "o.nii"), "--filter", "gabor",
+            "--mode", "3d", "--orthogonal-planes", "--sigma-vox", "2", "--lambda-vox", "3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "needs isotropic voxel spacing" in err
+        assert "gabor filter:" not in err
+        assert not (tmp_path / "o.nii").exists()
+
+    @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated"])
+    def test_removed_flags_rejected(self, tmp_path, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "filter", str(tmp_path / "in.nii"), "--out", str(tmp_path / "o.nii"),
+                "--filter", "log", "--sigma-vox", "1", flag,
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_orientation_carried_to_response(self, tmp_path):
         import struct
 
@@ -316,6 +340,33 @@ class TestRunCommand:
         ]) == 0
         for name in ("T_response.nii.gz", "T_features.csv", "T_features.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_logs_plan_on_resampled_grid(self, tmp_path, capsys):
+        src, mask, _ = self._fixture(tmp_path)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "3.B.yaml")
+        code = main([
+            "run", config, "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "log filter: sigma 1.5 voxels, kernel size 13" in err.splitlines()
+
+    @pytest.mark.parametrize("block", [
+        "resample:\n  rounding: true\n",
+        "resample: [1.0, 1.0, 1.0]\n",
+    ])
+    def test_malformed_resample_block_fails_cleanly(self, tmp_path, capsys, block):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text("test_id: T\nmode: 3d\n" + block + "filter:\n  kind: none\n")
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the resample block")
+        assert "Traceback" not in err
 
     def test_empty_roi_fails_cleanly(self, tmp_path, capsys):
         src, mask, config = self._fixture(tmp_path)

@@ -216,9 +216,18 @@ class TestGabor:
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_proper_rotation_flag_identical_kernel(self):
-        p1 = GaborParams(sigma=2.0, wavelength=3.0, gamma=1.4, theta=0.9)
-        p2 = GaborParams(sigma=2.0, wavelength=3.0, gamma=1.4, theta=0.9, proper_rotation=True)
-        np.testing.assert_allclose(gabor_kernel(p1), gabor_kernel(p2), atol=1e-15)
+        # the proper rotation's second row (-sin, cos) only flips the sign of
+        # a coordinate that enters squared, so it builds the same kernel
+        params = GaborParams(sigma=2.0, wavelength=3.0, gamma=1.4, theta=0.9)
+        m = params.support
+        offs = np.arange(m) - m // 2
+        k1, k2 = np.meshgrid(offs, offs, indexing="ij")
+        c, s = np.cos(params.theta), np.sin(params.theta)
+        kt1 = c * k1 + s * k2
+        kt2 = -s * k1 + c * k2
+        envelope = -(kt1**2 + params.gamma**2 * kt2**2) / (2.0 * params.sigma**2)
+        proper = np.exp(envelope + 1j * 2.0 * np.pi * kt1 / params.wavelength)
+        np.testing.assert_allclose(gabor_kernel(params), proper, atol=1e-15)
 
     def test_kernel_rotation_convention(self):
         # g_theta(k) equals g_0 evaluated at R_theta k, to fp precision

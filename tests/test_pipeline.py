@@ -12,6 +12,7 @@ from voxfilt.pipeline import (
     ProcessingConfig,
     apply_filter,
     load_config,
+    plan_filter,
     resample_image,
     resample_mask,
     resegment,
@@ -183,6 +184,47 @@ class TestResegment:
         image = _volume(np.zeros((2, 2, 2)))
         out = resegment(RoiMask(np.zeros((2, 2, 2), dtype=bool)), image, (-1, 1))
         assert out.voxel_count == 0
+
+
+class TestPlanFilter:
+    def test_log_summary_uses_filtered_axes(self):
+        filt = FilterConfig("log", {"sigma_mm": 1.5})
+        plan = plan_filter(filt, (1.0, 1.0, 3.0), "2d")
+        assert plan.kind == "log"
+        assert plan.summary == "log filter: sigma 1.5 voxels, kernel size 13"
+        with pytest.raises(ValueError, match="isotropic"):
+            plan_filter(filt, (1.0, 1.0, 3.0), "3d")
+
+    def test_run_matches_apply_filter(self):
+        rng = np.random.default_rng(21)
+        image = _volume(rng.normal(size=(7, 6, 5)))
+        filt = FilterConfig(
+            "laws", {"kernels": "L5E5E5", "rotation_invariance": True, "energy_delta": 1}
+        )
+        plan = plan_filter(filt, image.spacing, "3d")
+        np.testing.assert_array_equal(plan.run(image.data), apply_filter(image, filt, "3d"))
+
+    def test_gabor_plan_runs_on_slices(self):
+        filt = FilterConfig(
+            "gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0, "orthogonal_planes": True}
+        )
+        plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d")
+        assert plan.summary.startswith("gabor filter: sigma 2 voxels, wavelength 3 voxels")
+        assert plan.run(np.zeros((9, 9))).shape == (9, 9)
+        with pytest.raises(ValueError, match="isotropic"):
+            plan_filter(filt, (1.0, 1.0, 2.0), "3d")
+
+    def test_rotation_invariant_gabor_needs_dtheta(self):
+        filt = FilterConfig(
+            "gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0, "rotation_invariance": True}
+        )
+        with pytest.raises(ValueError, match="dtheta"):
+            plan_filter(filt, (1.0, 1.0, 1.0), "2d")
+
+    def test_route_is_not_a_filter_parameter(self):
+        filt = FilterConfig("log", {"sigma_vox": 1.0, "via": "spatial"})
+        with pytest.raises(ValueError, match="unknown parameters"):
+            plan_filter(filt, (1.0, 1.0, 1.0), "3d")
 
 
 class TestApplyFilter:
@@ -587,6 +629,20 @@ filter:
         path = tmp_path / "bad.yaml"
         path.write_text("mode: 2d\nfilter:\n  support: 5\n")
         with pytest.raises(ValueError, match="kind"):
+            load_config(path)
+
+    def test_resample_without_spacing(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "mode: 3d\nresample:\n  rounding: true\nfilter:\n  kind: none\n"
+        )
+        with pytest.raises(ValueError, match="resample block is missing the 'spacing_mm'"):
+            load_config(path)
+
+    def test_resample_not_a_mapping(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("mode: 3d\nresample: [1.0, 1.0, 1.0]\nfilter:\n  kind: none\n")
+        with pytest.raises(ValueError, match="resample block must be a mapping"):
             load_config(path)
 
 
