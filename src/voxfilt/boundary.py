@@ -10,8 +10,10 @@ Four modes are supported, named as they appear on the command line:
   mirror axis and is not duplicated, so the halo for [1, 2, 3] with margin 2
   reads [3, 2, | 1, 2, 3 |, 2, 1]
 
-Every mode is expressed through a total index map, so margins larger than the
-image itself wrap or fold repeatedly instead of failing.
+:func:`pad` delegates to :func:`numpy.pad` (``edge``, ``wrap``, ``reflect``
+and ``constant`` respectively).  :func:`extended_index` documents the same map
+as a total index function, so margins larger than the image itself wrap or
+fold repeatedly instead of failing.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ BOUNDARY_MODES = ("constant", "nearest", "periodise", "mirror")
 
 # extended_index return value for out-of-range voxels in constant mode
 CONSTANT_SENTINEL = -1
+
+# numpy.pad names of the non-constant modes
+_NUMPY_MODES = {"nearest": "edge", "periodise": "wrap", "mirror": "reflect"}
 
 
 def _check_mode(mode: str):
@@ -64,31 +69,17 @@ def pad(image: np.ndarray, margin, mode: str, constant: float = 0.0) -> np.ndarr
     """Extend ``image`` by ``margin`` voxels on both sides of every axis.
 
     ``margin`` is a scalar or one value per axis.  The interior block of the
-    result equals the input exactly; the halo is imputed per ``mode``.
+    result equals the input exactly; the halo is imputed per ``mode``.  The
+    result is always a new C-contiguous array: the convolution passes sum in
+    an order that depends on memory layout, so it must not vary with the input.
     """
     _check_mode(mode)
     image = np.asarray(image)
     margins = np.broadcast_to(np.asarray(margin, dtype=int), (image.ndim,))
     if np.any(margins < 0):
         raise ValueError(f"margin must be non-negative, got {margin}")
-    if np.all(margins == 0):
-        return image.copy()
-
-    gather_mode = "nearest" if mode == "constant" else mode
-    index_vectors = []
-    outside = []
-    for n, m in zip(image.shape, margins):
-        k = np.arange(-m, n + m)
-        index_vectors.append(extended_index(k, n, gather_mode))
-        outside.append((k < 0) | (k >= n))
-    out = image[np.ix_(*index_vectors)]
-
+    widths = [(int(m), int(m)) for m in margins]
+    image = np.ascontiguousarray(image)
     if mode == "constant":
-        halo = np.zeros(out.shape, dtype=bool)
-        for axis, bad in enumerate(outside):
-            shape = [1] * out.ndim
-            shape[axis] = bad.size
-            halo |= bad.reshape(shape)
-        out = out.astype(image.dtype, copy=True)
-        out[halo] = constant
-    return out
+        return np.pad(image, widths, mode="constant", constant_values=constant)
+    return np.pad(image, widths, mode=_NUMPY_MODES[mode])

@@ -67,35 +67,20 @@ def _log(message):
     print(message, file=sys.stderr)
 
 
-# argparse destination -> filter parameter name; flags not given stay out
-# of the dict, so the filter's own validation reports misuse.
-_PARAM_DESTS = (
-    ("support", "support"),
-    ("sigma_mm", "sigma_mm"),
-    ("sigma_vox", "sigma_vox"),
-    ("cutoff", "cutoff"),
-    ("kernels", "kernels"),
-    ("energy_delta", "energy_delta"),
-    ("lambda_mm", "lambda_mm"),
-    ("lambda_vox", "lambda_vox"),
-    ("gamma", "gamma"),
-    ("theta", "theta"),
-    ("dtheta", "dtheta"),
-    ("orthogonal_planes", "orthogonal_planes"),
-    ("rotinv", "rotation_invariance"),
-    ("pool", "pool"),
-    ("level", "level"),
-    ("subband", "subband"),
-    ("align", "align"),
-    ("sigma_tensor_mm", "sigma_tensor_mm"),
-    ("sigma_tensor_vox", "sigma_tensor_vox"),
+# argparse destinations that are filter parameters of the same name; flags
+# not given stay out of the dict, so the filter's own validation reports misuse.
+_PARAM_NAMES = (
+    "support", "sigma_mm", "sigma_vox", "cutoff", "kernels", "energy_delta",
+    "lambda_mm", "lambda_vox", "gamma", "theta", "dtheta", "orthogonal_planes",
+    "rotation_invariance", "pool", "level", "subband", "align",
+    "sigma_tensor_mm", "sigma_tensor_vox",
 )
 
 
 def _gather_filter_params(args) -> dict:
     params = {}
-    for dest, name in _PARAM_DESTS:
-        value = getattr(args, dest, None)
+    for name in _PARAM_NAMES:
+        value = getattr(args, name, None)
         if value is not None and value is not False:
             params[name] = value
     wavelet = getattr(args, "wavelet", None)
@@ -159,7 +144,7 @@ def cmd_filter(args) -> int:
         data = apply_filter(
             image, filt, args.mode, args.boundary, args.boundary_constant, args.threads
         )
-        response = image.with_data(data, filt.value_kind)
+        response = image.with_data(data)
 
     orientation = view.orientation if response.dims == image.dims else None
     write_nifti(response, args.out, args.datatype, orientation=orientation)
@@ -309,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dtheta", type=float, help="orientation step for --rotinv")
     g.add_argument("--orthogonal-planes", action="store_true",
                    help="average Gabor responses over the three plane stacks")
-    g.add_argument("--rotinv", action="store_true",
+    g.add_argument("--rotinv", action="store_true", dest="rotation_invariance",
                    help="pool over the right-angle rotation set")
     g.add_argument("--pool", choices=("max", "average"))
     g.add_argument("--wavelet", choices=tuple(sorted(set(WAVELET_NAMES) | set(RADIAL_KINDS))))

@@ -46,18 +46,6 @@ def _as_float_or_complex(kernel: np.ndarray) -> np.ndarray:
     return kernel.astype(np.float64, copy=False)
 
 
-def _convolve_axis_valid(padded: np.ndarray, kernel: np.ndarray, axis: int, out_len: int):
-    """Valid-region 1-D convolution along one axis of a pre-padded array."""
-    m = kernel.shape[0]
-    centre = m // 2
-    start = 2 * centre - m + 1  # 0 for odd widths, 1 for even
-    windows = sliding_window_view(padded, m, axis=axis)
-    sel = [slice(None)] * padded.ndim
-    sel[axis] = slice(start, start + out_len)
-    windows = windows[tuple(sel)]
-    return np.einsum("...i,i->...", windows, np.ascontiguousarray(kernel[::-1]))
-
-
 def convolve_separable(image, kernels, boundary: str, constant: float = 0.0) -> np.ndarray:
     """Convolve with an outer-product kernel as successive 1-D passes.
 
@@ -78,7 +66,10 @@ def convolve_separable(image, kernels, boundary: str, constant: float = 0.0) -> 
     if any(np.iscomplexobj(g) for g in kernels):
         out = out.astype(np.complex128)
     for axis, g in enumerate(kernels):
-        out = _convolve_axis_valid(out, g, axis, image.shape[axis])
+        shape = [1] * image.ndim
+        shape[axis] = g.shape[0]
+        out_shape = out.shape[:axis] + (image.shape[axis],) + out.shape[axis + 1:]
+        out = _dense_valid(out, g.reshape(shape), out_shape)
     return out
 
 

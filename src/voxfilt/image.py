@@ -8,6 +8,7 @@ fastest-varying index in memory (the same layout NIfTI uses on disk).
 
 from __future__ import annotations
 
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,20 +20,16 @@ __all__ = [
     "physical_to_voxel",
     "round_half_away",
     "interior_region",
+    "map_slices",
 ]
 
 
 @dataclass(frozen=True)
 class VolumeImage:
-    """A 2-D or 3-D scalar grid with voxel spacing in millimetres.
-
-    ``value_kind`` is ``"real"`` for plain intensity/response data and
-    ``"modulus"`` for magnitudes of complex responses (Gabor).
-    """
+    """A 2-D or 3-D scalar grid with voxel spacing in millimetres."""
 
     data: np.ndarray
     spacing: tuple[float, ...]
-    value_kind: str = "real"
 
     def __post_init__(self):
         if self.data.ndim not in (2, 3):
@@ -52,12 +49,11 @@ class VolumeImage:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def with_data(self, data: np.ndarray, value_kind: str | None = None) -> "VolumeImage":
+    def with_data(self, data: np.ndarray) -> "VolumeImage":
         """Same grid, new voxel values."""
         if data.shape != self.data.shape:
             raise ValueError(f"shape {data.shape} does not match grid {self.data.shape}")
-        kind = self.value_kind if value_kind is None else value_kind
-        return VolumeImage(np.asfortranarray(data, dtype=np.float64), self.spacing, kind)
+        return VolumeImage(np.asfortranarray(data, dtype=np.float64), self.spacing)
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class RoiMask:
         return int(np.count_nonzero(self.membership))
 
 
-def create_image(dims, spacing, data, value_kind: str = "real") -> VolumeImage:
+def create_image(dims, spacing, data) -> VolumeImage:
     """Build an immutable volume from flat or shaped intensity data.
 
     Flat input is unravelled with ``k1`` fastest (Fortran order).  Intensities
@@ -100,7 +96,7 @@ def create_image(dims, spacing, data, value_kind: str = "real") -> VolumeImage:
         arr = arr.reshape(dims, order="F")
     arr = np.asfortranarray(arr)
     arr.flags.writeable = False
-    return VolumeImage(arr, tuple(float(s) for s in spacing), value_kind)
+    return VolumeImage(arr, tuple(float(s) for s in spacing))
 
 
 def physical_to_voxel(value_mm, spacing_mm):
@@ -139,3 +135,28 @@ def interior_region(dims, margin) -> np.ndarray:
     core = tuple(slice(m, n - m) for m, n in zip(margins, dims))
     mask[core] = True
     return mask
+
+
+def map_slices(volume, op, threads: int = 1) -> np.ndarray:
+    """Apply a 2-D operation to every (k1, k2) slice of a 3-D array.
+
+    With ``threads`` > 1 the slices run on a thread pool; each result is
+    stored at its own index, so the output does not depend on the thread
+    count.  A result whose shape differs from the slice is rejected.
+    """
+    out = np.empty(volume.shape, dtype=np.float64, order="F")
+
+    def run(i):
+        piece = op(volume[:, :, i])
+        if np.shape(piece) != volume.shape[:2]:
+            raise ValueError("per-slice operation must preserve slice dimensions")
+        out[:, :, i] = piece
+
+    indices = range(volume.shape[2])
+    if threads > 1:
+        with futures.ThreadPoolExecutor(max_workers=threads) as executor:
+            list(executor.map(run, indices))  # re-raises the first failure
+    else:
+        for i in indices:
+            run(i)
+    return out

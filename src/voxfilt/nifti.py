@@ -10,6 +10,7 @@ Gzip compression is detected from the stream itself, not the filename.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -148,8 +149,13 @@ def read_nifti(path, round_values: bool = False):
         )
 
     pixdim = struct.unpack_from(endian + "8f", raw, 76)
+    for axis in range(1, 1 + len(dims)):
+        if not math.isfinite(pixdim[axis]):
+            raise NiftiMagicError(f"{path}: pixdim[{axis}] {pixdim[axis]} is not finite")
     spacing = tuple(float(p) if p > 0 else 1.0 for p in pixdim[1 : 1 + len(dims)])
     (vox_offset,) = struct.unpack_from(endian + "f", raw, 108)
+    if not math.isfinite(vox_offset):
+        raise NiftiMagicError(f"{path}: vox_offset {vox_offset} is not finite")
     offset = int(round(vox_offset))
     if offset < _HEADER_SIZE:
         raise NiftiMagicError(f"{path}: vox_offset {vox_offset} inside the header")

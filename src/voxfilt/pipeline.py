@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy import ndimage
 from .boundary import BOUNDARY_MODES
 from .convolve import convolve_full, convolve_separable
 from .features import diagnostics, intensity_statistics
-from .image import RoiMask, VolumeImage, round_half_away
+from .image import RoiMask, VolumeImage, map_slices, round_half_away
 from .kernels import (
     GaborParams,
     gabor_response_modulus,
@@ -33,13 +32,7 @@ from .kernels import (
     mean_kernel_1d,
 )
 from .riesz import align_order2, riesz_filtered_map, riesz_indices, structure_tensor
-from .rotinv import (
-    equivariant_set_2d,
-    equivariant_set_3d,
-    gabor_orientation_set,
-    orthogonal_plane_average,
-    pool,
-)
+from .rotinv import gabor_orientation_set, orthogonal_plane_average, pool, pooled_cascades
 from .wavelets import (
     RADIAL_KINDS,
     RadialProfile,
@@ -77,11 +70,6 @@ class FilterConfig:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}, expected one of {FILTER_KINDS}")
-
-    @property
-    def value_kind(self) -> str:
-        """Gabor responses are moduli of complex values; the rest are real."""
-        return "modulus" if self.kind == "gabor" else "real"
 
 
 @dataclass(frozen=True)
@@ -301,15 +289,15 @@ def _plan_laws(params, axes, boundary, constant):
             f"Laws kernel string {text!r} must name {ndim} kernels of two characters each"
         )
     factors = [laws_1d(text[i : i + 2]) for i in range(0, len(text), 2)]
-    kernel_set = [factors]
-    if params.get("rotation_invariance", False):
-        kernel_set = equivariant_set_2d(*factors) if ndim == 2 else equivariant_set_3d(*factors)
+    rotation_invariant = params.get("rotation_invariance", False)
     pool_mode = params.get("pool", "max")
     delta = params.get("energy_delta")
 
     def run(data):
-        responses = [convolve_separable(data, k, boundary, constant) for k in kernel_set]
-        out = pool(responses, pool_mode) if len(responses) > 1 else responses[0]
+        if rotation_invariant:
+            out = pooled_cascades(data, [[f] for f in factors], pool_mode, boundary, constant)
+        else:
+            out = convolve_separable(data, factors, boundary, constant)
         if delta is not None:
             out = laws_energy(out, int(delta), boundary, constant)
         return out
@@ -463,24 +451,10 @@ def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
     if mode == "2d":
         if image.ndim != 3:
             raise ValueError("2d mode expects a 3-D volume of slices")
-        return _map_slices(image.data, plan.run, threads)
+        return map_slices(image.data, plan.run, threads)
     if plan.kind == "gabor":
         return orthogonal_plane_average(image.data, plan.run)
     return plan.run(image.data)
-
-
-def _map_slices(volume, op, threads):
-    out = np.empty(volume.shape, dtype=np.float64, order="F")
-    indices = range(volume.shape[2])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            results = executor.map(lambda i: (i, op(volume[:, :, i])), indices)
-            for i, piece in results:
-                out[:, :, i] = piece
-    else:
-        for i in indices:
-            out[:, :, i] = op(volume[:, :, i])
-    return out
 
 
 def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfig,
@@ -508,7 +482,7 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
         work, config.filter, config.mode, config.boundary, config.boundary_constant,
         threads,
     )
-    response = work.with_data(response_data, config.filter.value_kind)
+    response = work.with_data(response_data)
     features = diagnostics(mask_before.membership, intensity_mask.membership, work.data)
     features = features + intensity_statistics(response_data, intensity_mask.membership)
     return response, intensity_mask, features

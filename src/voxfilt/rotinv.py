@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convolve import convolve_separable
+from .image import map_slices
+
 __all__ = [
     "EquivariantSet",
     "flip_1d",
@@ -27,6 +30,8 @@ __all__ = [
     "equivariant_set_2d",
     "equivariant_set_3d",
     "equivariant_cascades",
+    "cascade",
+    "pooled_cascades",
     "pool",
     "gabor_orientation_set",
     "orthogonal_plane_average",
@@ -176,6 +181,22 @@ def equivariant_cascades(stage_lists):
     return tuple(elements), tuple(labels)
 
 
+def cascade(image, stage_lists, boundary: str, constant: float = 0.0) -> np.ndarray:
+    """Run separable pass m over stage m of every axis, m = 1, 2, ..."""
+    current = image
+    for stages in zip(*stage_lists):
+        current = convolve_separable(current, stages, boundary, constant)
+    return current
+
+
+def pooled_cascades(image, stage_lists, pool_mode: str, boundary: str,
+                    constant: float = 0.0) -> np.ndarray:
+    """Pool the cascade response over all right-angle rotations of its stages."""
+    elements, _ = equivariant_cascades(stage_lists)
+    return pool([cascade(image, element, boundary, constant) for element in elements],
+                pool_mode)
+
+
 def pool(response_set, mode: str) -> np.ndarray:
     """Voxelwise max or mean over a collection of response maps.
 
@@ -231,15 +252,7 @@ def orthogonal_plane_average(volume, per_slice_2d_op) -> np.ndarray:
         raise ValueError("orthogonal-plane averaging needs a 3-D volume")
     acc = np.zeros(vol.shape, dtype=np.float64)
     for stack_axis in (2, 1, 0):
-        part = np.empty(vol.shape, dtype=np.float64)
-        for idx in range(vol.shape[stack_axis]):
-            sel = [slice(None)] * 3
-            sel[stack_axis] = idx
-            sel = tuple(sel)
-            piece = np.asarray(per_slice_2d_op(vol[sel]), dtype=np.float64)
-            if piece.shape != vol[sel].shape:
-                raise ValueError("per-slice operation must preserve slice dimensions")
-            part[sel] = piece
-        acc += part
+        part = map_slices(np.moveaxis(vol, stack_axis, 2), per_slice_2d_op)
+        acc += np.moveaxis(part, 2, stack_axis)
     acc /= 3.0
     return acc

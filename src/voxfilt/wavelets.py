@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import convolve_fourier, convolve_separable, fourier_grid
-from .rotinv import equivariant_cascades, pool
+from .rotinv import cascade, pooled_cascades
 
 __all__ = [
     "WaveletFamily",
@@ -119,6 +119,23 @@ def _check_subband(subband: str, ndim: int) -> str:
     return letters
 
 
+def _swt_stages(family, level: int, subband: str, ndim: int) -> list:
+    """Per-axis a-trous stages of one undecimated subband.
+
+    Levels 1..level-1 use the low-pass on every axis; the last level uses
+    the requested letter, each stage dilated for its level.
+    """
+    fam = _resolve_family(family)
+    letters = _check_subband(subband, ndim)
+    if level < 1:
+        raise ValueError("decomposition level must be >= 1")
+    stage_lists = []
+    for letter in letters:
+        taps = (fam.low_pass,) * (level - 1) + (fam.low_pass if letter == "L" else fam.high_pass,)
+        stage_lists.append([atrous_upsample(g, m) for m, g in enumerate(taps)])
+    return stage_lists
+
+
 def swt_undecimated(image, family, level: int, subband: str, boundary: str,
                     constant: float = 0.0) -> np.ndarray:
     """Stationary (undecimated) wavelet subband at the requested level.
@@ -128,23 +145,7 @@ def swt_undecimated(image, family, level: int, subband: str, boundary: str,
     equal input dims.
     """
     image = np.asarray(image, dtype=np.float64)
-    fam = _resolve_family(family)
-    letters = _check_subband(subband, image.ndim)
-    if level < 1:
-        raise ValueError("decomposition level must be >= 1")
-    current = image
-    for m in range(1, level):
-        low = atrous_upsample(fam.low_pass, m - 1)
-        current = convolve_separable(
-            current, (low,) * image.ndim, boundary, constant
-        )
-    kernels = tuple(
-        atrous_upsample(
-            fam.low_pass if c == "L" else fam.high_pass, level - 1
-        )
-        for c in letters
-    )
-    return convolve_separable(current, kernels, boundary, constant)
+    return cascade(image, _swt_stages(family, level, subband, image.ndim), boundary, constant)
 
 
 def swt_rotation_pooled(image, family, level: int, subband: str,
@@ -157,26 +158,8 @@ def swt_rotation_pooled(image, family, level: int, subband: str,
     like the unrotated transform.
     """
     image = np.asarray(image, dtype=np.float64)
-    fam = _resolve_family(family)
-    letters = _check_subband(subband, image.ndim)
-    if level < 1:
-        raise ValueError("decomposition level must be >= 1")
-    stage_lists = []
-    for letter in letters:
-        stages = []
-        for m in range(1, level + 1):
-            taps = fam.low_pass if m < level or letter == "L" else fam.high_pass
-            stages.append(atrous_upsample(taps, m - 1))
-        stage_lists.append(stages)
-    elements, _ = equivariant_cascades(stage_lists)
-    responses = []
-    for element in elements:
-        current = image
-        for m in range(level):
-            kernels = tuple(element[axis][m] for axis in range(image.ndim))
-            current = convolve_separable(current, kernels, boundary, constant)
-        responses.append(current)
-    return pool(responses, pool_mode)
+    stages = _swt_stages(family, level, subband, image.ndim)
+    return pooled_cascades(image, stages, pool_mode, boundary, constant)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ from oracles import fold_index
 SIGNAL = np.array([1.0, 2.0, 3.0])
 
 
+def _layouts(a):
+    """The same values as a C-ordered, an F-ordered and a strided array."""
+    strided = np.zeros(tuple(2 * n for n in a.shape))
+    strided[tuple(slice(None, None, 2) for _ in a.shape)] = a
+    return (np.ascontiguousarray(a), np.asfortranarray(a),
+            strided[tuple(slice(None, None, 2) for _ in a.shape)])
+
+
 class TestPadFixtures:
     """The four 1-D halos for [1, 2, 3] with margin 2."""
 
@@ -76,17 +84,20 @@ class TestExtendedIndex:
 class TestPadProperties:
     def test_margin_zero_identity(self):
         rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 5))
-        for mode in BOUNDARY_MODES:
-            np.testing.assert_array_equal(pad(a, 0, mode), a)
+        for a in _layouts(rng.normal(size=(4, 5))):
+            for mode in BOUNDARY_MODES:
+                out = pad(a, 0, mode)
+                assert out.flags.c_contiguous and not np.shares_memory(out, a)
+                np.testing.assert_array_equal(out, a)
 
     @pytest.mark.parametrize("mode", BOUNDARY_MODES)
     def test_interior_preserved(self, mode):
         rng = np.random.default_rng(1)
-        a = rng.normal(size=(5, 4, 3))
-        out = pad(a, (2, 1, 3), mode, constant=-4.0)
-        assert out.shape == (9, 6, 9)
-        np.testing.assert_array_equal(out[2:7, 1:5, 3:6], a)
+        for a in _layouts(rng.normal(size=(5, 4, 3))):
+            out = pad(a, (2, 1, 3), mode, constant=-4.0)
+            assert out.shape == (9, 6, 9)
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out[2:7, 1:5, 3:6], a)
 
     @pytest.mark.parametrize("mode,np_mode", [
         ("mirror", "reflect"),
@@ -95,8 +106,10 @@ class TestPadProperties:
     ])
     def test_matches_numpy_pad(self, mode, np_mode):
         rng = np.random.default_rng(2)
-        a = rng.normal(size=(6, 5))
-        np.testing.assert_array_equal(pad(a, (3, 2), mode), np.pad(a, [(3, 3), (2, 2)], np_mode))
+        for a in _layouts(rng.normal(size=(6, 5))):
+            out = pad(a, (3, 2), mode)
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out, np.pad(a, [(3, 3), (2, 2)], np_mode))
 
     def test_margin_exceeding_size(self):
         # index maps are total, so folding/wrapping repeats as needed

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -366,6 +367,22 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the resample block")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("offset,field", [(80, "pixdim[1]"), (108, "vox_offset")])
+    def test_non_finite_header_fails_cleanly(self, tmp_path, capsys, offset, field):
+        src, mask, _ = self._fixture(tmp_path)
+        raw = bytearray(src.read_bytes())
+        struct.pack_into("<f", raw, offset, float("inf"))
+        src.write_bytes(bytes(raw))
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "3.B.yaml")
+        code = main([
+            "run", config, "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
     def test_empty_roi_fails_cleanly(self, tmp_path, capsys):

@@ -125,6 +125,12 @@ class TestConvolveSeparable:
         dense = np.multiply.outer(np.multiply.outer(gs[0], gs[1]), gs[2])
         np.testing.assert_allclose(convolve_separable(img, gs, mode),
                                    convolve_full(img, dense, mode, via="spatial"), atol=1e-10)
+        # the summation order must not depend on the input's memory layout
+        fortran = np.asfortranarray(img)
+        assert convolve_separable(fortran, gs, mode).tobytes() == \
+            convolve_separable(img, gs, mode).tobytes()
+        assert convolve_full(fortran, dense, mode, via="spatial").tobytes() == \
+            convolve_full(img, dense, mode, via="spatial").tobytes()
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(9)

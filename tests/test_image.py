@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from voxfilt.image import VolumeImage, RoiMask, create_image, physical_to_voxel, interior_region
+from voxfilt.image import (
+    VolumeImage,
+    RoiMask,
+    create_image,
+    interior_region,
+    map_slices,
+    physical_to_voxel,
+)
 
 
 class TestCreateImage:
@@ -110,3 +117,11 @@ class TestWithData:
         img = create_image((2, 3), (1, 2), np.arange(6))
         with pytest.raises(ValueError):
             img.with_data(np.ones((3, 2)))
+
+
+class TestMapSlices:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rejects_shape_changing_op(self, threads):
+        # a (k1, 1) result would broadcast into the slice if it were not checked
+        with pytest.raises(ValueError, match="slice dimensions"):
+            map_slices(np.zeros((4, 3, 2)), lambda s: s[:, :1], threads)

@@ -265,6 +265,17 @@ class TestApplyFilter:
         serial = apply_filter(image, filt, "2d", threads=1)
         threaded = apply_filter(image, filt, "2d", threads=4)
         np.testing.assert_array_equal(serial, threaded)
+        # every shipped 2-D configuration: response bytes and feature tuple
+        image = _volume(rng.normal(loc=-100.0, scale=300.0, size=(12, 11, 5)))
+        mask = RoiMask(np.ones(image.dims, dtype=bool))
+        names = sorted(n for n in os.listdir(TestShippedConfigs._DIR) if n.endswith(".A.yaml"))
+        assert len(names) == 11
+        for name in names:
+            _, config = load_config(os.path.join(TestShippedConfigs._DIR, name))
+            serial, _, serial_features = run_configuration(image, mask, config, threads=1)
+            threaded, _, threaded_features = run_configuration(image, mask, config, threads=2)
+            assert threaded.data.tobytes() == serial.data.tobytes(), name
+            assert threaded_features == serial_features, name
 
     def test_laws_mode_mismatch(self):
         image = _volume(np.zeros((4, 4, 4)))
