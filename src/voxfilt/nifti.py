@@ -2,6 +2,11 @@
 
 Only the fields that affect voxel data are interpreted: dimensions,
 voxel spacing, datatype, and the scl_slope/scl_inter value scaling.
+Scaling follows the NIfTI-1 rule: values become value * scl_slope +
+scl_inter only when scl_slope is nonzero; a zero or non-finite slope means
+unscaled data and the intercept is ignored, while a used slope with a
+non-finite intercept is an error.  A negative or non-finite pixdim on a
+used axis is an error; a zero pixdim reads as 1 mm.
 The orientation block is carried through as opaque bytes so that
 response maps written next to an input keep its patient alignment.
 Gzip compression is detected from the stream itself, not the filename.
@@ -100,7 +105,7 @@ def read_nifti(path, round_values: bool = False):
     """Load a NIfTI-1 file as (VolumeImage, NiftiHeaderView).
 
     Intensities are promoted to double precision with scl_slope and
-    scl_inter applied (a slope of 0 means unscaled).  ``round_values``
+    scl_inter applied (a slope of 0 or a non-finite slope means unscaled).  ``round_values``
     additionally rounds half away from zero, for masks and images whose
     integer nature was lost in an earlier conversion.
     """
@@ -152,6 +157,8 @@ def read_nifti(path, round_values: bool = False):
     for axis in range(1, 1 + len(dims)):
         if not math.isfinite(pixdim[axis]):
             raise NiftiMagicError(f"{path}: pixdim[{axis}] {pixdim[axis]} is not finite")
+        if pixdim[axis] < 0:
+            raise NiftiMagicError(f"{path}: pixdim[{axis}] {pixdim[axis]} is negative")
     spacing = tuple(float(p) if p > 0 else 1.0 for p in pixdim[1 : 1 + len(dims)])
     (vox_offset,) = struct.unpack_from(endian + "f", raw, 108)
     if not math.isfinite(vox_offset):
@@ -171,9 +178,11 @@ def read_nifti(path, round_values: bool = False):
         )
     values = np.frombuffer(payload, dtype=dtype.newbyteorder(endian))
     data = values.astype(np.float64).reshape(dims, order="F")
-    slope = float(scl_slope) if scl_slope != 0.0 else 1.0
-    if slope != 1.0 or scl_inter != 0.0:
-        data = data * slope + float(scl_inter)
+    if scl_slope != 0.0 and math.isfinite(scl_slope):
+        if not math.isfinite(scl_inter):
+            raise NiftiMagicError(f"{path}: scl_inter {scl_inter} is not finite")
+        if scl_slope != 1.0 or scl_inter != 0.0:
+            data = data * scl_slope + scl_inter
     if round_values:
         data = round_half_away(data)
 

@@ -11,6 +11,7 @@ slice by slice.
 
 from __future__ import annotations
 
+import difflib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -31,7 +32,13 @@ from .kernels import (
     log_kernel,
     mean_kernel_1d,
 )
-from .riesz import align_order2, riesz_filtered_map, riesz_indices, structure_tensor
+from .riesz import (
+    align_order2,
+    riesz_filtered_map,
+    riesz_filtered_maps,
+    riesz_indices,
+    structure_tensor,
+)
 from .rotinv import gabor_orientation_set, orthogonal_plane_average, pool, pooled_cascades
 from .wavelets import (
     RADIAL_KINDS,
@@ -109,12 +116,30 @@ class ProcessingConfig:
             object.__setattr__(self, "reseg_range", (low, high))
 
 
+_CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
+                "resegment_hu", "filter")
+_RESAMPLE_KEYS = ("spacing_mm", "image_interpolation", "mask_threshold", "rounding")
+
+
+def _reject_unknown_keys(block, allowed, where):
+    for key in block:
+        if key not in allowed:
+            close = difflib.get_close_matches(str(key), allowed, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"expected one of {allowed}"
+            raise ValueError(f"{where} has unknown key {key!r}; {hint}")
+
+
 def load_config(path):
-    """Read a configuration file; returns ``(test_id, ProcessingConfig)``."""
+    """Read a configuration file; returns ``(test_id, ProcessingConfig)``.
+
+    Unknown keys at the top level or in the resample block are rejected, so
+    a misspelt key cannot silently fall back to its default.
+    """
     with open(path) as handle:
         raw = yaml.safe_load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"configuration file {path} must hold a mapping")
+    _reject_unknown_keys(raw, _CONFIG_KEYS, f"configuration file {path}")
     try:
         mode = str(raw["mode"]).lower()
         filt = raw["filter"]
@@ -128,6 +153,7 @@ def load_config(path):
         resample = {"spacing_mm": None}
     if not isinstance(resample, dict):
         raise ValueError("the resample block must be a mapping")
+    _reject_unknown_keys(resample, _RESAMPLE_KEYS, "the resample block")
     if "spacing_mm" not in resample:
         raise ValueError("the resample block is missing the 'spacing_mm' key")
     config = ProcessingConfig(
@@ -342,12 +368,22 @@ def _plan_wavelet(params, axes, boundary, constant):
         data, family, level, subband, pool_mode, boundary, constant)
 
 
+def _fourier_domain(axes, boundary, what):
+    """The Fourier-domain filters work on the frequency grid of the filtered
+    axes, so they need those axes isotropic, and they always periodise.
+    Returns the voxel scale and the summary's boundary clause."""
+    scale = _isotropic_scale(axes, what)
+    requested = "" if boundary == "periodise" else f" (requested {boundary})"
+    return scale, f", boundary periodise{requested}"
+
+
 def _plan_nonseparable(params, axes, boundary, constant):
     wavelet = str(params["wavelet"]).lower()
     if wavelet not in RADIAL_KINDS:
         raise ValueError(f"unknown radial wavelet {wavelet!r}, expected one of {RADIAL_KINDS}")
     level = int(params["level"])
-    summary = f"nonseparable filter: {wavelet} B map level {level}"
+    _, applied = _fourier_domain(axes, boundary, "the nonseparable filter")
+    summary = f"nonseparable filter: {wavelet} B map level {level}{applied}"
     return summary, lambda data: nonseparable_b_map(data, wavelet, level)
 
 
@@ -357,16 +393,14 @@ def _plan_riesz(params, axes, boundary, constant):
     l = tuple(int(v) for v in params["l"])
     if len(l) != ndim:
         raise ValueError(f"Riesz index {l} has {len(l)} entries for a {ndim}-D filter")
+    scale, applied = _fourier_domain(axes, boundary, "the Riesz filter")
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
     if not params.get("align", False):
-        return summary, lambda data: riesz_filtered_map(data, profile, l)
+        return summary + applied, lambda data: riesz_filtered_map(data, profile, l)
     if sum(l) != 2:
         raise ValueError("alignment is defined for second-order Riesz sets")
     sigma_mm = params.get("sigma_tensor_mm")
     if params.get("sigma_tensor_vox") is not None:
-        # The tensor smoother takes mm and handles anisotropy per axis, so
-        # only the voxel-unit variant needs a single scale.
-        scale = _isotropic_scale(axes, "the structure tensor")
         sigma_mm = float(params["sigma_tensor_vox"]) * scale
     if sigma_mm is None:
         raise ValueError("aligned Riesz filtering needs sigma_tensor_mm or sigma_tensor_vox")
@@ -374,10 +408,10 @@ def _plan_riesz(params, axes, boundary, constant):
     indices = riesz_indices(2, ndim)
 
     def run(data):
-        responses = {idx: riesz_filtered_map(data, profile, idx) for idx in indices}
-        return align_order2(responses, structure_tensor(data, profile, sigma_mm, axes))
+        return align_order2(riesz_filtered_maps(data, profile, indices),
+                            structure_tensor(data, profile, sigma_mm, axes))
 
-    return f"{summary}, aligned with structure tensor sigma {sigma_mm:.6g} mm", run
+    return f"{summary}, aligned with structure tensor sigma {sigma_mm:.6g} mm{applied}", run
 
 
 # kind -> (planner, required parameters, optional parameters)

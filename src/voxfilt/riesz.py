@@ -14,6 +14,10 @@ odd-order transfer cannot be conjugate-symmetric there; responses take
 the real part of the inverse DFT, which amounts to discarding exactly
 that unpairable imaginary residue, as spectral differentiation usually
 does.
+
+Band-passed Riesz responses have one path, riesz_filtered_maps: one forward
+DFT per image times the radial band, then per index the steering and one
+inverse DFT.  The single map and the structure tensor's gradients use it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "riesz_index_count",
     "riesz_transfer",
     "riesz_filtered_map",
+    "riesz_filtered_maps",
     "fourier_derivative",
     "StructureTensorField",
     "structure_tensor",
@@ -76,11 +81,7 @@ def _check_index(l, ndim) -> tuple:
 
 def multinomial_coefficient(l) -> float:
     """sqrt(L!/(l1!...lD!)) for a multi-index."""
-    order = sum(l)
-    denom = 1
-    for v in l:
-        denom *= math.factorial(v)
-    return math.sqrt(math.factorial(order) / denom)
+    return math.sqrt(math.factorial(sum(l)) / math.prod(math.factorial(v) for v in l))
 
 
 def riesz_transfer(dims, l) -> np.ndarray:
@@ -99,11 +100,18 @@ def riesz_transfer(dims, l) -> np.ndarray:
     return _PHASE[order % 4] * multinomial_coefficient(l) * ratio
 
 
-def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
-    """Riesz-transformed radial band-pass filter applied in one pass."""
+def riesz_filtered_maps(image, profile: RadialProfile, indices) -> dict:
+    """Band-passed Riesz responses keyed by index: (band x spectrum) x steering."""
     image = np.asarray(image, dtype=np.float64)
-    transfer = riesz_transfer(image.shape, l) * radial_transfer(profile, image.shape)
-    return convolve_fourier(image, transfer)
+    indices = [_check_index(l, image.ndim) for l in indices]
+    band = np.fft.fftn(image) * radial_transfer(profile, image.shape)
+    return {l: np.fft.ifftn(band * riesz_transfer(image.shape, l)).real for l in indices}
+
+
+def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
+    """Riesz-transformed radial band-pass filter for one index."""
+    (response,) = riesz_filtered_maps(image, profile, (l,)).values()
+    return response
 
 
 def fourier_derivative(image, axis: int, order: int) -> np.ndarray:
@@ -154,22 +162,12 @@ def structure_tensor(image, profile: RadialProfile, sigma_tensor_mm: float,
         raise ValueError("spacing must be scalar or give one value per axis")
     window = tuple(gaussian_kernel_1d(s) for s in sigma_vox)
 
-    band = radial_transfer(profile, image.shape)
-    spectrum = np.fft.fftn(image) * band
-    components = []
-    for axis in range(ndim):
-        unit = tuple(1 if i == axis else 0 for i in range(ndim))
-        transfer = riesz_transfer(image.shape, unit)
-        components.append(np.fft.ifftn(spectrum * transfer).real)
-
+    components = list(riesz_filtered_maps(image, profile, riesz_indices(1, ndim)).values())
     tensors = np.empty(image.shape + (ndim, ndim), dtype=np.float64)
     for i in range(ndim):
         for j in range(i, ndim):
-            smoothed = convolve_separable(
-                components[i] * components[j], window, "periodise"
-            )
-            tensors[..., i, j] = smoothed
-            tensors[..., j, i] = smoothed
+            tensors[..., i, j] = tensors[..., j, i] = convolve_separable(
+                components[i] * components[j], window, "periodise")
     return StructureTensorField(tensors=tensors, sigma_mm=float(sigma_tensor_mm))
 
 

@@ -385,6 +385,51 @@ class TestRunCommand:
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("offset,value,field", [
+        (80, -2.0, "pixdim[1] -2.0 is negative"),
+        (116, float("inf"), "scl_inter inf is not finite"),
+    ], ids=["pixdim", "scl_inter"])
+    def test_misread_header_fields_fail_cleanly(self, tmp_path, capsys, offset, value, field):
+        src, mask, _ = self._fixture(tmp_path)
+        raw = bytearray(src.read_bytes())
+        struct.pack_into("<f", raw, offset, value)
+        src.write_bytes(bytes(raw))
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "1.A.yaml")
+        code = main([
+            "run", config, "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+    def test_misspelt_config_key_fails_cleanly(self, tmp_path, capsys):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(
+            "test_id: T\nmode: 3d\nresegment_HU: [-1000, 400]\nfilter:\n  kind: none\n"
+        )
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "did you mean 'resegment_hu'?" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_logs_boundary_of_fourier_domain_filter(self, tmp_path, capsys):
+        src, mask, _ = self._fixture(tmp_path)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "8.B.yaml")
+        code = main([
+            "run", config, "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert ("nonseparable filter: simoncelli B map level 1, "
+                "boundary periodise (requested mirror)") in err
+
     def test_empty_roi_fails_cleanly(self, tmp_path, capsys):
         src, mask, config = self._fixture(tmp_path)
         config.write_text(

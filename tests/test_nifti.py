@@ -136,9 +136,19 @@ class TestScaling:
         assert view.scl_inter == -1000.0
 
     def test_zero_slope_means_unscaled(self, tmp_path):
-        path, data = self._patched(tmp_path, 0.0, 0.0)
-        back, _ = read_nifti(path)
-        np.testing.assert_array_equal(back.data, data)
+        # a zero or non-finite slope leaves the data unscaled and the
+        # intercept unused, whatever its value
+        for slope, inter in [(0.0, 0.0), (0.0, 5.0), (float("nan"), 0.0),
+                             (float("inf"), 3.0), (0.0, float("inf"))]:
+            path, data = self._patched(tmp_path, slope, inter)
+            back, _ = read_nifti(path)
+            np.testing.assert_array_equal(back.data, data)
+
+    @pytest.mark.parametrize("inter", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_intercept_rejected(self, tmp_path, inter):
+        path, _ = self._patched(tmp_path, 2.0, inter)
+        with pytest.raises(NiftiMagicError, match="scl_inter"):
+            read_nifti(path)
 
     def test_round_on_load(self, tmp_path):
         data = np.array([[[0.5, -0.5], [2.49, -2.5]], [[1.0, 0.0], [3.5, -0.49]]])
@@ -227,6 +237,23 @@ class TestErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(NiftiMagicError, match=rf"pixdim\[{axis}\]"):
             read_nifti(path)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_negative_pixdim(self, tmp_path, axis):
+        path = self._valid_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 76 + 4 * axis, -2.0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiMagicError, match=rf"pixdim\[{axis}\] -2.0 is negative"):
+            read_nifti(path)
+
+    def test_zero_pixdim_reads_as_one_mm(self, tmp_path):
+        path = self._valid_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 80, 0.0)
+        path.write_bytes(bytes(raw))
+        back, _ = read_nifti(path)
+        assert back.spacing == (1.0, 2.0, 2.0)
 
     def test_unsupported_datatype(self, tmp_path):
         path = self._valid_file(tmp_path)

@@ -445,6 +445,57 @@ class TestApplyFilter:
         want = align_order2(responses, field)
         np.testing.assert_array_equal(out, want)
 
+    def test_riesz_aligned_3d_takes_two_forward_ffts(self, monkeypatch):
+        calls = []
+        fftn = np.fft.fftn
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting)
+        image = _volume(np.random.default_rng(12).normal(size=(8, 8, 8)))
+        apply_filter(
+            image,
+            FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
+                                   "align": True, "sigma_tensor_mm": 2.0}),
+            "3d",
+        )
+        # one spectrum for the six order-2 maps, one inside structure_tensor
+        assert calls == [(8, 8, 8), (8, 8, 8)]
+
+    @pytest.mark.parametrize("kind,params", [
+        ("nonseparable", {"wavelet": "simoncelli", "level": 1}),
+        ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0]}),
+        ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
+                   "sigma_tensor_mm": 2.0}),
+    ], ids=["nonseparable", "riesz", "riesz-aligned"])
+    def test_fourier_domain_filters_need_isotropic_axes(self, kind, params):
+        image = _volume(np.random.default_rng(15).normal(size=(8, 8, 4)),
+                        spacing=(1.0, 1.0, 3.0))
+        with pytest.raises(ValueError, match="needs isotropic voxel spacing"):
+            apply_filter(image, FilterConfig(kind, params), "3d")
+        planar = dict(params, l=[0, 2]) if kind == "riesz" else params
+        assert apply_filter(image, FilterConfig(kind, planar), "2d").shape == (8, 8, 4)
+
+    @pytest.mark.parametrize("kind,params,stem", [
+        ("nonseparable", {"wavelet": "simoncelli", "level": 1},
+         "nonseparable filter: simoncelli B map level 1"),
+        ("riesz", {"wavelet": "shannon", "level": 2, "l": [1, 1, 0]},
+         "riesz filter: shannon level 2 l (1, 1, 0)"),
+        ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
+                   "sigma_tensor_vox": 1.5},
+         "riesz filter: simoncelli level 1 l (0, 2, 0), aligned with structure tensor "
+         "sigma 3 mm"),
+    ], ids=["nonseparable", "riesz", "riesz-aligned"])
+    def test_fourier_domain_summary_names_applied_boundary(self, kind, params, stem):
+        filt = FilterConfig(kind, params)
+        plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d", "periodise")
+        assert plan.summary == f"{stem}, boundary periodise"
+        for requested in ("mirror", "constant", "nearest"):
+            plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d", requested)
+            assert plan.summary == f"{stem}, boundary periodise (requested {requested})"
+
     def test_riesz_align_requires_tensor_scale(self):
         image = _volume(np.zeros((4, 4, 4)))
         filt = FilterConfig(
@@ -648,6 +699,24 @@ filter:
             "mode: 3d\nresample:\n  rounding: true\nfilter:\n  kind: none\n"
         )
         with pytest.raises(ValueError, match="resample block is missing the 'spacing_mm'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("mode: 3d\nresegment_HU: [-1000, 400]\nfilter:\n  kind: none\n",
+         r"unknown key 'resegment_HU'; did you mean 'resegment_hu'\?"),
+        ("mode: 3d\nboundry: periodise\nfilter:\n  kind: none\n",
+         r"unknown key 'boundry'; did you mean 'boundary'\?"),
+        ("mode: 3d\nresample:\n  spacing_mm: [1, 1, 1]\n  interpolation: trilinear\n"
+         "filter:\n  kind: none\n",
+         r"the resample block has unknown key 'interpolation'; "
+         r"did you mean 'image_interpolation'\?"),
+        ("mode: 3d\nnotes: x\nfilter:\n  kind: none\n",
+         r"unknown key 'notes'; expected one of"),
+    ], ids=["top-level", "top-level-boundary", "resample", "no-close-match"])
+    def test_unknown_key_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
             load_config(path)
 
     def test_resample_not_a_mapping(self, tmp_path):

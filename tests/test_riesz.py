@@ -10,6 +10,7 @@ from voxfilt.riesz import (
     fourier_derivative,
     multinomial_coefficient,
     riesz_filtered_map,
+    riesz_filtered_maps,
     riesz_index_count,
     riesz_indices,
     riesz_transfer,
@@ -187,6 +188,26 @@ class TestRieszFilteredMap:
         np.testing.assert_allclose(h20, -wave, rtol=0, atol=1e-10)
         np.testing.assert_allclose(h11, 0.0, atol=1e-10)
         np.testing.assert_allclose(h02, 0.0, atol=1e-10)
+
+
+class TestRieszFilteredMaps:
+    @pytest.mark.parametrize("dims", [(9, 8), (7, 6, 8)])
+    def test_each_map_matches_single_map(self, dims):
+        image = np.random.default_rng(31).normal(size=dims)
+        profile = RadialProfile("simoncelli", 1)
+        indices = riesz_indices(2, len(dims))
+        maps = riesz_filtered_maps(image, profile, indices)
+        assert tuple(maps) == indices
+        for l in indices:
+            assert maps[l].tobytes() == riesz_filtered_map(image, profile, l).tobytes()
+
+    def test_keys_are_integer_tuples(self):
+        maps = riesz_filtered_maps(np.zeros((8, 8)), RadialProfile("shannon", 1), [[1.0, 1]])
+        assert list(maps) == [(1, 1)]
+
+    def test_invalid_index_rejected(self):
+        with pytest.raises(ValueError, match="one entry per image axis"):
+            riesz_filtered_maps(np.zeros((8, 8)), RadialProfile("shannon", 1), [(2, 0, 0)])
 
 
 class TestStructureTensor:
