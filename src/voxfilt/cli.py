@@ -4,8 +4,8 @@ Physical-unit flags end in -mm, voxel-unit flags in -vox; an invocation
 may use one unit system only.  The resolved filter plan (voxel-unit
 parameters and kernel sizes) is logged to stderr so two implementations
 can be compared at the parameter level before diffing response maps.
-VOXFILT_THREADS sets the default --threads value; the thread count never
-changes results.
+VOXFILT_THREADS sets the default --threads value (a positive integer); the
+thread count never changes results.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from .nifti import DATATYPE_CODES, read_nifti, write_nifti
 from .pipeline import (
     FILTER_KINDS,
     FilterConfig,
-    apply_filter,
     load_config,
     plan_filter,
     run_configuration,
 )
+from .rotinv import POOL_MODES
 from .wavelets import RADIAL_KINDS, WAVELET_NAMES, dwt_decimated
 
 __all__ = ["main"]
@@ -47,9 +47,12 @@ _INTEGER_DATATYPES = ("u8", "i16", "i32")
 def _default_threads() -> int:
     raw = os.environ.get(_THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _load_image(path, round_values=False):
@@ -141,10 +144,7 @@ def cmd_filter(args) -> int:
         plan = plan_filter(filt, image.spacing, args.mode, args.boundary,
                            args.boundary_constant)
         _log(plan.summary)
-        data = apply_filter(
-            image, filt, args.mode, args.boundary, args.boundary_constant, args.threads
-        )
-        response = image.with_data(data)
+        response = image.with_data(plan.run(image.data, args.threads))
 
     orientation = view.orientation if response.dims == image.dims else None
     write_nifti(response, args.out, args.datatype, orientation=orientation)
@@ -278,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="slice-wise or volumetric filtering")
     p.add_argument("--boundary", default="mirror", choices=tuple(BOUNDARY_MODES))
     p.add_argument("--boundary-constant", type=float, default=0.0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     _add_io_flags(p)
     g = p.add_argument_group("filter parameters (unused flags are rejected)")
     g.add_argument("--support", type=int, help="mean filter size in voxels")
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="average Gabor responses over the three plane stacks")
     g.add_argument("--rotinv", action="store_true", dest="rotation_invariance",
                    help="pool over the right-angle rotation set")
-    g.add_argument("--pool", choices=("max", "average"))
+    g.add_argument("--pool", choices=POOL_MODES)
     g.add_argument("--wavelet", choices=tuple(sorted(set(WAVELET_NAMES) | set(RADIAL_KINDS))))
     g.add_argument("--level", type=int)
     g.add_argument("--subband", help="letter per axis, e.g. LLH")
@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     _add_io_flags(p)
     p.set_defaults(func=cmd_run)
 
@@ -345,6 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) is None:
+            args.threads = _default_threads()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,7 +202,8 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     """Write a single-file NIfTI-1 image (.nii, or .nii.gz when gzipped).
 
     ``datatype`` is one of u8/i16/i32/f32/f64; values are cast without
-    rescaling, so integer types expect integer-valued data.  A 76-byte
+    rescaling, so integer types expect integer-valued data, and a value
+    outside the integer type's range, or not finite, is an error.  A 76-byte
     ``orientation`` block from a previously read header is embedded
     verbatim.  Gzip output carries no timestamp, so identical volumes
     produce identical files.
@@ -214,6 +215,14 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
             f"{sorted(DATATYPE_CODES)}"
         )
     dtype = _CODE_TO_DTYPE[code]
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        low, high = float(np.min(image.data)), float(np.max(image.data))
+        if not (info.min <= low and high <= info.max):  # NaN fails both
+            raise NiftiDatatypeError(
+                f"datatype {datatype} holds finite values in [{info.min}, {info.max}]; "
+                f"the volume spans [{low:g}, {high:g}]"
+            )
     dims = image.dims
     ndim = len(dims)
 

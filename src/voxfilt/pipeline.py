@@ -26,24 +26,30 @@ from .features import diagnostics, intensity_statistics
 from .image import RoiMask, VolumeImage, map_slices, round_half_away
 from .kernels import (
     GaborParams,
-    gabor_response_modulus,
+    gabor_kernel,
     laws_1d,
     laws_energy,
     log_kernel,
     mean_kernel_1d,
 )
 from .riesz import (
+    _check_index,
     align_order2,
     riesz_filtered_map,
     riesz_filtered_maps,
     riesz_indices,
     structure_tensor,
 )
-from .rotinv import gabor_orientation_set, orthogonal_plane_average, pool, pooled_cascades
+from .rotinv import (
+    _check_pool_mode,
+    gabor_orientation_set,
+    orthogonal_plane_average,
+    pool,
+    pooled_cascades,
+)
 from .wavelets import (
-    RADIAL_KINDS,
     RadialProfile,
-    WAVELET_NAMES,
+    _swt_stages,
     nonseparable_b_map,
     swt_rotation_pooled,
     swt_undecimated,
@@ -276,17 +282,17 @@ def _scale_param(params, stem, spacing, what):
 @dataclass(frozen=True)
 class FilterPlan:
     """One filter resolved against a grid: ``summary`` is the log line with
-    the effective voxel-unit parameters, ``run`` maps a volume (3-D mode) or
-    a (k1, k2) slice (2-D mode, and Gabor in both modes) to its response."""
+    the effective voxel-unit parameters, ``run(volume, threads=1)`` maps a
+    whole volume to its response in either mode."""
 
-    kind: str
     summary: str
-    run: Callable[[np.ndarray], np.ndarray]
+    run: Callable[..., np.ndarray]
 
 
 # Each planner takes the parameters, the spacing of the filtered axes, the
-# boundary mode and its constant, and returns (summary, run).  The run
-# callables look library functions up by name when they execute.
+# boundary mode and its constant, and returns (summary, op); op filters a
+# volume, or one slice in 2-D mode and for Gabor.  The ops look library
+# functions up by name when they execute.
 
 
 def _plan_none(params, axes, boundary, constant):
@@ -316,8 +322,12 @@ def _plan_laws(params, axes, boundary, constant):
         )
     factors = [laws_1d(text[i : i + 2]) for i in range(0, len(text), 2)]
     rotation_invariant = params.get("rotation_invariance", False)
-    pool_mode = params.get("pool", "max")
+    pool_mode = _check_pool_mode(params.get("pool", "max"))
     delta = params.get("energy_delta")
+    if delta is not None:
+        delta = int(delta)
+        if delta < 0:
+            raise ValueError(f"Laws energy_delta must be >= 0, got {delta}")
 
     def run(data):
         if rotation_invariant:
@@ -325,11 +335,15 @@ def _plan_laws(params, axes, boundary, constant):
         else:
             out = convolve_separable(data, factors, boundary, constant)
         if delta is not None:
-            out = laws_energy(out, int(delta), boundary, constant)
+            out = laws_energy(out, delta, boundary, constant)
         return out
 
-    suffix = f", energy delta {delta} voxels" if delta is not None else ""
-    return f"laws filter: kernels {text}{suffix}", run
+    summary = f"laws filter: kernels {text}"
+    if rotation_invariant:
+        summary += f", {pool_mode} over rotations"
+    if delta is not None:
+        summary += f", energy delta {delta} voxels"
+    return summary, run
 
 
 def _plan_gabor(params, axes, boundary, constant):
@@ -342,28 +356,30 @@ def _plan_gabor(params, axes, boundary, constant):
         thetas = gabor_orientation_set(float(params["dtheta"]))
     else:
         thetas = [float(params.get("theta", 0.0))]
-    bank = [GaborParams(sigma, wavelength, gamma, theta) for theta in thetas]
-    pool_mode = params.get("pool", "average")
+    bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
+    pool_mode = _check_pool_mode(params.get("pool", "average"))
 
     def run(slice2d):
-        responses = [gabor_response_modulus(slice2d, p, boundary, constant) for p in bank]
+        responses = [np.abs(convolve_full(slice2d, k, boundary, constant)) for k in bank]
         return pool(responses, pool_mode)
 
-    return (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
-            f"voxels, kernel size {bank[0].support}, {len(bank)} orientations"), run
+    summary = (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
+               f"voxels, kernel size {bank[0].shape[0]}, {len(bank)} orientations")
+    if params.get("rotation_invariance", False):
+        summary += f", {pool_mode} over orientations"
+    return summary, run
 
 
 def _plan_wavelet(params, axes, boundary, constant):
     family = str(params["family"]).lower()
-    if family not in WAVELET_NAMES:
-        raise ValueError(f"unknown wavelet family {family!r}, expected one of {WAVELET_NAMES}")
     level = int(params["level"])
     subband = str(params["subband"])
+    _swt_stages(family, level, subband, len(axes))
+    pool_mode = _check_pool_mode(params.get("pool", "average"))
     summary = f"wavelet filter: {family} level {level} subband {subband}"
     if not params.get("rotation_invariance", False):
         return summary, lambda data: swt_undecimated(
             data, family, level, subband, boundary, constant)
-    pool_mode = params.get("pool", "average")
     return f"{summary}, {pool_mode} over rotations", lambda data: swt_rotation_pooled(
         data, family, level, subband, pool_mode, boundary, constant)
 
@@ -378,21 +394,16 @@ def _fourier_domain(axes, boundary, what):
 
 
 def _plan_nonseparable(params, axes, boundary, constant):
-    wavelet = str(params["wavelet"]).lower()
-    if wavelet not in RADIAL_KINDS:
-        raise ValueError(f"unknown radial wavelet {wavelet!r}, expected one of {RADIAL_KINDS}")
-    level = int(params["level"])
+    profile = RadialProfile(str(params["wavelet"]).lower(), int(params["level"]))
     _, applied = _fourier_domain(axes, boundary, "the nonseparable filter")
-    summary = f"nonseparable filter: {wavelet} B map level {level}{applied}"
-    return summary, lambda data: nonseparable_b_map(data, wavelet, level)
+    summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
+    return summary, lambda data: nonseparable_b_map(data, profile.kind, profile.level)
 
 
 def _plan_riesz(params, axes, boundary, constant):
     ndim = len(axes)
     profile = RadialProfile(str(params["wavelet"]).lower(), int(params["level"]))
-    l = tuple(int(v) for v in params["l"])
-    if len(l) != ndim:
-        raise ValueError(f"Riesz index {l} has {len(l)} entries for a {ndim}-D filter")
+    l = _check_index(params["l"], ndim)
     scale, applied = _fourier_domain(axes, boundary, "the Riesz filter")
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
     if not params.get("align", False):
@@ -430,15 +441,17 @@ _PLANNERS = {
 }
 
 FILTER_KINDS = tuple(_PLANNERS)
+_FLAGS = ("rotation_invariance", "align", "orthogonal_planes")
 
 
 def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror",
                 constant: float = 0.0) -> FilterPlan:
     """Check one filter's parameters, convert them to voxels and build its kernels.
 
-    ``spacing`` is the volume's spacing in mm; 2-D mode filters (k1, k2)
-    planes.  The planar Gabor filter needs ``orthogonal_planes`` and an
-    isotropic grid in 3-D mode.
+    ``spacing`` is the volume's spacing in mm.  The plan's ``run`` filters
+    each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
+    the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
+    grid and averages its slice responses over the three plane stacks.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
@@ -457,6 +470,9 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             f"{kind} filter mixes physical and voxel units ({mm} with {vox}); "
             "pick one unit system per invocation"
         )
+    for key in _FLAGS:
+        if key in params and not isinstance(params[key], bool):
+            raise ValueError(f"{kind} filter {key} must be true or false, got {params[key]!r}")
     axes = tuple(spacing[:2]) if mode == "2d" else tuple(spacing)
     if kind == "gabor" and mode == "3d":
         if not params.get("orthogonal_planes", False):
@@ -466,29 +482,27 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             )
         scale = _isotropic_scale(axes, "the Gabor filter")
         axes = (scale, scale)
-    summary, run = planner(params, axes, boundary, constant)
-    return FilterPlan(kind, summary, run)
+    summary, op = planner(params, axes, boundary, constant)
+
+    def run(volume, threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"thread count must be at least 1, got {threads}")
+        if mode == "2d":
+            if np.ndim(volume) != 3:
+                raise ValueError("2d mode expects a 3-D volume of slices")
+            return map_slices(volume, op, threads)
+        if kind == "gabor":
+            return orthogonal_plane_average(volume, op, threads)
+        return op(volume)
+
+    return FilterPlan(summary, run)
 
 
 def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
                  boundary: str = "mirror", constant: float = 0.0,
                  threads: int = 1) -> np.ndarray:
-    """Run one filter over a volume, slice-wise ("2d") or volumetric ("3d").
-
-    2-D mode treats each (k1, k2) plane as an independent image.  3-D mode
-    runs the filter on the whole volume, except the planar Gabor filter,
-    whose slice-wise responses are averaged over the three plane stacks.
-    """
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads}")
-    plan = plan_filter(filt, image.spacing, mode, boundary, constant)
-    if mode == "2d":
-        if image.ndim != 3:
-            raise ValueError("2d mode expects a 3-D volume of slices")
-        return map_slices(image.data, plan.run, threads)
-    if plan.kind == "gabor":
-        return orthogonal_plane_average(image.data, plan.run)
-    return plan.run(image.data)
+    """Filter a whole volume: ``plan_filter(...).run(image.data, threads)``."""
+    return plan_filter(filt, image.spacing, mode, boundary, constant).run(image.data, threads)
 
 
 def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfig,

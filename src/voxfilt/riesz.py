@@ -71,7 +71,9 @@ def riesz_index_count(order: int, ndim: int) -> int:
 def _check_index(l, ndim) -> tuple:
     l = tuple(int(v) for v in l)
     if len(l) != ndim:
-        raise ValueError(f"index {l} needs one entry per image axis ({ndim})")
+        raise ValueError(
+            f"index {l} has {len(l)} entries; it needs one entry per image axis ({ndim})"
+        )
     if any(v < 0 for v in l):
         raise ValueError(f"index {l} must be non-negative")
     if sum(l) < 1:

@@ -32,6 +32,7 @@ __all__ = [
     "equivariant_cascades",
     "cascade",
     "pooled_cascades",
+    "POOL_MODES",
     "pool",
     "gabor_orientation_set",
     "orthogonal_plane_average",
@@ -197,6 +198,16 @@ def pooled_cascades(image, stage_lists, pool_mode: str, boundary: str,
                 pool_mode)
 
 
+POOL_MODES = ("max", "average")
+
+
+def _check_pool_mode(mode) -> str:
+    """Return ``mode`` if it is one of :data:`POOL_MODES`, else raise."""
+    if mode not in POOL_MODES:
+        raise ValueError(f"pool mode must be one of {POOL_MODES}, not {mode!r}")
+    return mode
+
+
 def pool(response_set, mode: str) -> np.ndarray:
     """Voxelwise max or mean over a collection of response maps.
 
@@ -205,6 +216,7 @@ def pool(response_set, mode: str) -> np.ndarray:
     maps = [np.asarray(m, dtype=np.float64) for m in response_set]
     if not maps:
         raise ValueError("cannot pool an empty response set")
+    _check_pool_mode(mode)
     dims = maps[0].shape
     for m in maps[1:]:
         if m.shape != dims:
@@ -214,13 +226,11 @@ def pool(response_set, mode: str) -> np.ndarray:
         for m in maps[1:]:
             np.maximum(out, m, out=out)
         return out
-    if mode == "average":
-        acc = maps[0].copy()
-        for m in maps[1:]:
-            acc += m
-        acc /= len(maps)
-        return acc
-    raise ValueError(f"pool mode must be 'max' or 'average', not {mode!r}")
+    acc = maps[0].copy()
+    for m in maps[1:]:
+        acc += m
+    acc /= len(maps)
+    return acc
 
 
 def gabor_orientation_set(dtheta: float, full_circle: bool = False) -> list:
@@ -241,18 +251,20 @@ def gabor_orientation_set(dtheta: float, full_circle: bool = False) -> list:
     return [i * dtheta for i in range(count)]
 
 
-def orthogonal_plane_average(volume, per_slice_2d_op) -> np.ndarray:
+def orthogonal_plane_average(volume, per_slice_2d_op, threads: int = 1) -> np.ndarray:
     """Mean of a 2-D operation applied slice-wise in the three plane stacks.
 
     The operation runs on every (k1,k2), (k1,k3) and (k2,k3) slice in
-    turn; the three resulting volumes are averaged voxelwise.
+    turn; the three resulting volumes are averaged voxelwise.  Each stack's
+    slices are mapped with ``threads`` workers, which never changes the
+    result.
     """
     vol = np.asarray(volume, dtype=np.float64)
     if vol.ndim != 3:
         raise ValueError("orthogonal-plane averaging needs a 3-D volume")
     acc = np.zeros(vol.shape, dtype=np.float64)
     for stack_axis in (2, 1, 0):
-        part = map_slices(np.moveaxis(vol, stack_axis, 2), per_slice_2d_op)
+        part = map_slices(np.moveaxis(vol, stack_axis, 2), per_slice_2d_op, threads)
         acc += np.moveaxis(part, 2, stack_axis)
     acc /= 3.0
     return acc

@@ -1,15 +1,20 @@
 import json
+import math
 import os
 import struct
 
 import numpy as np
 import pytest
+import yaml
 
+import voxfilt.cli
+import voxfilt.pipeline
 from voxfilt.cli import _default_threads, main
 from voxfilt.image import create_image
 from voxfilt.kernels import mean_kernel_1d
 from voxfilt.convolve import convolve_separable
 from voxfilt.nifti import read_nifti, write_nifti
+from voxfilt.pipeline import FilterConfig, plan_filter
 
 
 def _write_volume(path, data, spacing=(2.0, 2.0, 2.0), datatype="f32"):
@@ -75,6 +80,24 @@ class TestFilterCommand:
         err = capsys.readouterr().err
         assert "sigma 2.5 voxels" in err
         assert "kernel size 21" in err
+
+    def test_plans_the_filter_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_plan(*args, **kwargs):
+            calls.append(args[0])
+            return plan_filter(*args, **kwargs)
+
+        monkeypatch.setattr(voxfilt.cli, "plan_filter", counting_plan)
+        monkeypatch.setattr(voxfilt.pipeline, "plan_filter", counting_plan)
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(14).normal(size=(6, 6, 4)))
+        code = main([
+            "filter", str(src), "--out", str(tmp_path / "o.nii"), "--filter", "mean",
+            "--mode", "2d", "--support", "3",
+        ])
+        assert code == 0
+        assert calls == [FilterConfig("mean", {"support": 3})]
 
     def test_missing_file(self, tmp_path, capsys):
         code = main([
@@ -353,6 +376,62 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "log filter: sigma 1.5 voxels, kernel size 13" in err.splitlines()
 
+    def test_logs_pooling_of_laws_filter(self, tmp_path, capsys):
+        src, mask, _ = self._fixture(tmp_path)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "4.B.yaml")
+        code = main([
+            "run", config, "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "laws filter: kernels L5E5E5, max over rotations, energy delta 7 voxels" in err
+
+    # Parameters that are wrong whatever the image: each must stop the run
+    # before the plan is logged or the image is resampled.
+    _BAD_FILTERS = {
+        "laws-pool": ({"kind": "laws", "kernels": "L5E5E5", "rotation_invariance": True,
+                       "pool": "maximum"}, "pool mode"),
+        "wavelet-subband": ({"kind": "wavelet", "family": "db2", "level": 1,
+                             "subband": "LLX"}, "subband"),
+        "wavelet-level": ({"kind": "wavelet", "family": "db2", "level": 0,
+                           "subband": "LLH"}, "level must be >= 1"),
+        "nonseparable-level": ({"kind": "nonseparable", "wavelet": "simoncelli",
+                                "level": 0}, "level must be >= 1"),
+        "riesz-order-0": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
+                           "l": [0, 0, 0]}, "order"),
+        "riesz-negative": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
+                            "l": [0, -1, 3]}, "non-negative"),
+        "gabor-pool": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
+                        "rotation_invariance": True, "dtheta": math.pi / 4,
+                        "pool": "median", "orthogonal_planes": True}, "pool mode"),
+        "laws-energy-delta": ({"kind": "laws", "kernels": "L5E5E5", "energy_delta": -2},
+                              "energy_delta"),
+        "laws-string-flag": ({"kind": "laws", "kernels": "L5E5E5",
+                              "rotation_invariance": "false"}, "true or false"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_BAD_FILTERS))
+    def test_bad_filter_parameter_fails_before_logging(self, tmp_path, capsys, case):
+        block, message = self._BAD_FILTERS[case]
+        filt = FilterConfig(block["kind"], {k: v for k, v in block.items() if k != "kind"})
+        with pytest.raises(ValueError, match=message):
+            plan_filter(filt, (2.0, 2.0, 2.0), "3d")
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(yaml.safe_dump({
+            "test_id": "T", "mode": "3d", "resample": {"spacing_mm": [1.0, 1.0, 1.0]},
+            "filter": block,
+        }))
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "filter:" not in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("block", [
         "resample:\n  rounding: true\n",
         "resample: [1.0, 1.0, 1.0]\n",
@@ -443,15 +522,35 @@ class TestRunCommand:
         assert code == 1
         assert "empty ROI" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["filter", "run"])
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_env_var_fails_cleanly(self, tmp_path, monkeypatch, capsys, command,
+                                           value):
+        src, mask, config = self._fixture(tmp_path)
+        monkeypatch.setenv("VOXFILT_THREADS", value)
+        argv = {
+            "filter": ["filter", str(src), "--out", str(tmp_path / "o.nii"),
+                       "--filter", "mean", "--support", "3"],
+            "run": ["run", str(config), "--image", str(src), "--mask", str(mask),
+                    "--out-dir", str(tmp_path / "r")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: VOXFILT_THREADS must be a positive integer")
+        assert "Traceback" not in err
+        assert main(argv + ["--threads", "2"]) == 0
+
 
 class TestThreadDefaults:
     def test_env_var_sets_default(self, monkeypatch):
         monkeypatch.setenv("VOXFILT_THREADS", "3")
         assert _default_threads() == 3
 
-    def test_invalid_env_var_falls_back(self, monkeypatch):
-        monkeypatch.setenv("VOXFILT_THREADS", "lots")
-        assert _default_threads() == 1
+    @pytest.mark.parametrize("value", ["lots", "0", "-2", ""])
+    def test_invalid_env_var_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("VOXFILT_THREADS", value)
+        with pytest.raises(ValueError, match="VOXFILT_THREADS must be a positive integer"):
+            _default_threads()
 
     def test_unset_default_is_one(self, monkeypatch):
         monkeypatch.delenv("VOXFILT_THREADS", raising=False)

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -276,6 +277,28 @@ class TestErrors:
         image = _random_image(rng, dims=(4, 4, 4))
         with pytest.raises(NiftiDatatypeError, match="u16"):
             write_nifti(image, tmp_path / "vol.nii", "u16")
+
+    @pytest.mark.parametrize("datatype,bad,limits", [
+        ("u8", -5.0, "[0, 255]"),
+        ("u8", 256.0, "[0, 255]"),
+        ("u8", float("nan"), "[0, 255]"),
+        ("i16", 70000.0, "[-32768, 32767]"),
+        ("i16", float("-inf"), "[-32768, 32767]"),
+    ])
+    def test_integer_write_rejects_unrepresentable_values(self, tmp_path, datatype, bad,
+                                                           limits):
+        data = np.zeros((4, 4, 4))
+        data[1, 2, 3] = bad
+        image = create_image(data.shape, (2.0, 2.0, 2.0), data)
+        path = tmp_path / "vol.nii"
+        with pytest.raises(NiftiDatatypeError, match=re.escape(
+                f"{datatype} holds finite values in {limits}")):
+            write_nifti(image, path, datatype)
+        assert not path.exists()
+        data[1, 2, 3] = 254.75 if datatype == "u8" else -32767.5
+        write_nifti(create_image(data.shape, (2.0, 2.0, 2.0), data), path, datatype)
+        back, _ = read_nifti(path)
+        assert back.data[1, 2, 3] == np.trunc(data[1, 2, 3])
 
     def test_unwritable_path(self, tmp_path):
         rng = np.random.default_rng(10)

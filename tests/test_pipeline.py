@@ -5,7 +5,7 @@ import pytest
 
 from voxfilt.features import intensity_statistics
 from voxfilt.image import RoiMask, VolumeImage, create_image
-from voxfilt.kernels import laws_energy, mean_kernel_1d
+from voxfilt.kernels import gabor_kernel, laws_energy, mean_kernel_1d
 from voxfilt.convolve import convolve_separable
 from voxfilt.pipeline import (
     FilterConfig,
@@ -190,7 +190,6 @@ class TestPlanFilter:
     def test_log_summary_uses_filtered_axes(self):
         filt = FilterConfig("log", {"sigma_mm": 1.5})
         plan = plan_filter(filt, (1.0, 1.0, 3.0), "2d")
-        assert plan.kind == "log"
         assert plan.summary == "log filter: sigma 1.5 voxels, kernel size 13"
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 3.0), "3d")
@@ -210,9 +209,39 @@ class TestPlanFilter:
         )
         plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d")
         assert plan.summary.startswith("gabor filter: sigma 2 voxels, wavelength 3 voxels")
-        assert plan.run(np.zeros((9, 9))).shape == (9, 9)
+        assert plan.run(np.zeros((9, 9, 9))).shape == (9, 9, 9)
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 2.0), "3d")
+
+    def test_gabor_kernels_built_once_per_orientation(self, monkeypatch):
+        import voxfilt.kernels
+        import voxfilt.pipeline
+
+        built = []
+
+        def counting_kernel(params):
+            built.append(params.theta)
+            return gabor_kernel(params)
+
+        monkeypatch.setattr(voxfilt.kernels, "gabor_kernel", counting_kernel)
+        monkeypatch.setattr(voxfilt.pipeline, "gabor_kernel", counting_kernel, raising=False)
+        filt = FilterConfig("gabor", {
+            "sigma_vox": 2.0, "lambda_vox": 3.0, "gamma": 1.5, "rotation_invariance": True,
+            "dtheta": np.pi / 8, "pool": "average", "orthogonal_planes": True,
+        })
+        image = _volume(np.random.default_rng(22).normal(size=(9, 8, 7)))
+        out = apply_filter(image, filt, "3d", threads=2)
+        assert out.shape == (9, 8, 7)
+        assert built == [i * np.pi / 8 for i in range(8)]
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_run_checks_threads_and_volume(self, mode):
+        plan = plan_filter(FilterConfig("mean", {"support": 3}), (1.0, 1.0, 1.0), mode)
+        with pytest.raises(ValueError, match="thread count"):
+            plan.run(np.zeros((5, 5, 5)), threads=0)
+        if mode == "2d":
+            with pytest.raises(ValueError, match="3-D volume of slices"):
+                plan.run(np.zeros((5, 5)))
 
     def test_rotation_invariant_gabor_needs_dtheta(self):
         filt = FilterConfig(
@@ -270,6 +299,7 @@ class TestApplyFilter:
         mask = RoiMask(np.ones(image.dims, dtype=bool))
         names = sorted(n for n in os.listdir(TestShippedConfigs._DIR) if n.endswith(".A.yaml"))
         assert len(names) == 11
+        names.append("5.B.yaml")  # orthogonal plane stacks
         for name in names:
             _, config = load_config(os.path.join(TestShippedConfigs._DIR, name))
             serial, _, serial_features = run_configuration(image, mask, config, threads=1)
