@@ -165,7 +165,7 @@ def cmd_run(args) -> int:
     _log(plan.summary)
 
     response, intensity_mask, features = run_configuration(
-        image, mask, config, args.threads
+        image, mask, config, args.threads, plan=plan
     )
 
     stem = test_id or "run"
@@ -345,8 +345,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) is None:
-            args.threads = _default_threads()
+        if hasattr(args, "threads"):
+            # checked before any file is read or anything is logged
+            if args.threads is None:
+                args.threads = _default_threads()
+            elif args.threads < 1:
+                raise ValueError(f"--threads must be a positive integer, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,10 @@ Accumulation is in 64-bit floats with a fixed summation order, so repeated
 runs are bit-identical.
 
 The Fourier path multiplies DFTs (Hadamard product), which implies periodise
-boundary handling.
+boundary handling.  :func:`convolve_planes` evaluates the padded spatial
+convolution of a stack of planes the same way: on a block padded like the
+spatial path, the circular wrap stays inside the margin, so the cropped
+result equals the spatial one up to roundoff.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .boundary import pad
 __all__ = [
     "convolve_full",
     "convolve_separable",
+    "convolve_planes",
     "convolve_fourier",
     "fourier_grid",
     "kernel_to_transfer",
@@ -121,6 +125,24 @@ def _dense_valid_fft(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.nd
         out = out.real
     crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(kernel.shape, out_shape))
     return np.ascontiguousarray(out[crop])
+
+
+def convolve_planes(padded, kernels, transfers):
+    """Yield each 2-D kernel's complex response on every plane of a padded block.
+
+    ``padded`` is an (P1, P2, c) block of c planes, each already extended by
+    M // 2 voxels on both sides of both in-plane axes for the M1 x M2
+    ``kernels``.  ``transfers`` holds the kernels' transfers on the (P1, P2)
+    grid (:func:`kernel_to_transfer`), so callers can build them once per
+    plane shape.  One batched FFT over the in-plane axes serves every
+    kernel; each kernel then costs one multiply by its transfer, one batched
+    inverse FFT and a crop back to the unpadded planes.
+    """
+    plane = padded.shape[:2]
+    spectrum = np.fft.fft2(padded, axes=(0, 1))
+    for kernel, transfer in zip(kernels, transfers):
+        crop = tuple(slice(m // 2, n - m // 2) for m, n in zip(kernel.shape, plane))
+        yield np.fft.ifft2(spectrum * transfer[:, :, None], axes=(0, 1))[crop]
 
 
 def fourier_grid(dims):

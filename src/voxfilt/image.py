@@ -137,26 +137,36 @@ def interior_region(dims, margin) -> np.ndarray:
     return mask
 
 
-def map_slices(volume, op, threads: int = 1) -> np.ndarray:
+def map_slices(volume, op, threads: int = 1, chunked: bool = False) -> np.ndarray:
     """Apply a 2-D operation to every (k1, k2) slice of a 3-D array.
 
-    With ``threads`` > 1 the slices run on a thread pool; each result is
-    stored at its own index, so the output does not depend on the thread
-    count.  A result whose shape differs from the slice is rejected.
+    With ``chunked`` the operation takes an (n1, n2, c) block of consecutive
+    slices instead and returns the block's responses; it gets the whole
+    stack at one thread and one contiguous chunk per thread otherwise.
+    With ``threads`` > 1 the slices or chunks run on a thread pool; each
+    result is stored at its own indices, so the output does not depend on
+    the thread count.  A result whose shape differs from its input is
+    rejected.
     """
     out = np.empty(volume.shape, dtype=np.float64, order="F")
+    count = volume.shape[2]
+    if chunked:
+        parts = min(threads, count)
+        indices = [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+    else:
+        indices = range(count)
 
-    def run(i):
-        piece = op(volume[:, :, i])
-        if np.shape(piece) != volume.shape[:2]:
+    def run(index):
+        part = volume[:, :, index]
+        piece = op(part)
+        if np.shape(piece) != part.shape:
             raise ValueError("per-slice operation must preserve slice dimensions")
-        out[:, :, i] = piece
+        out[:, :, index] = piece
 
-    indices = range(volume.shape[2])
     if threads > 1:
         with futures.ThreadPoolExecutor(max_workers=threads) as executor:
             list(executor.map(run, indices))  # re-raises the first failure
     else:
-        for i in indices:
-            run(i)
+        for index in indices:
+            run(index)
     return out

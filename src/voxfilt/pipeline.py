@@ -12,7 +12,9 @@ slice by slice.
 from __future__ import annotations
 
 import difflib
+import functools
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -20,8 +22,8 @@ import numpy as np
 import yaml
 from scipy import ndimage
 
-from .boundary import BOUNDARY_MODES
-from .convolve import convolve_full, convolve_separable
+from .boundary import BOUNDARY_MODES, pad
+from .convolve import convolve_full, convolve_planes, convolve_separable, kernel_to_transfer
 from .features import diagnostics, intensity_statistics
 from .image import RoiMask, VolumeImage, map_slices, round_half_away
 from .kernels import (
@@ -291,8 +293,25 @@ class FilterPlan:
 
 # Each planner takes the parameters, the spacing of the filtered axes, the
 # boundary mode and its constant, and returns (summary, op); op filters a
-# volume, or one slice in 2-D mode and for Gabor.  The ops look library
-# functions up by name when they execute.
+# volume, or one slice in 2-D mode.  The Gabor op filters an (n1, n2, c)
+# stack of slices instead, given a per-run transfer cache.  The ops look
+# library functions up by name when they execute.
+
+
+def _integral(value, what) -> int:
+    """``value`` as an int; a bool, a fraction or a non-number is an error."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not number or not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _needs_switch(params, switch, keys, what):
+    """Reject parameters that only take effect when ``switch`` is true."""
+    if not params.get(switch, False):
+        for key in keys:
+            if key in params:
+                raise ValueError(f"{what} {key} applies only with {switch}: true")
 
 
 def _plan_none(params, axes, boundary, constant):
@@ -300,7 +319,7 @@ def _plan_none(params, axes, boundary, constant):
 
 
 def _plan_mean(params, axes, boundary, constant):
-    support = int(params["support"])
+    support = _integral(params["support"], "mean filter support")
     factors = (mean_kernel_1d(support),) * len(axes)
     summary = f"mean filter: support {support} voxels per axis"
     return summary, lambda data: convolve_separable(data, factors, boundary, constant)
@@ -322,10 +341,11 @@ def _plan_laws(params, axes, boundary, constant):
         )
     factors = [laws_1d(text[i : i + 2]) for i in range(0, len(text), 2)]
     rotation_invariant = params.get("rotation_invariance", False)
+    _needs_switch(params, "rotation_invariance", ("pool",), "laws filter")
     pool_mode = _check_pool_mode(params.get("pool", "max"))
     delta = params.get("energy_delta")
     if delta is not None:
-        delta = int(delta)
+        delta = _integral(delta, "Laws energy_delta")
         if delta < 0:
             raise ValueError(f"Laws energy_delta must be >= 0, got {delta}")
 
@@ -350,7 +370,12 @@ def _plan_gabor(params, axes, boundary, constant):
     sigma = _scale_param(params, "sigma", axes, "the Gabor filter")
     wavelength = _scale_param(params, "lambda", axes, "the Gabor filter")
     gamma = float(params.get("gamma", 1.0))
-    if params.get("rotation_invariance", False):
+    rotation_invariant = params.get("rotation_invariance", False)
+    _needs_switch(params, "rotation_invariance", ("dtheta", "pool"), "gabor filter")
+    if rotation_invariant:
+        if "theta" in params:
+            raise ValueError("the rotation-invariant Gabor filter covers every orientation; "
+                             "drop theta or rotation_invariance")
         if "dtheta" not in params:
             raise ValueError("the rotation-invariant Gabor filter needs dtheta")
         thetas = gabor_orientation_set(float(params["dtheta"]))
@@ -358,23 +383,34 @@ def _plan_gabor(params, axes, boundary, constant):
         thetas = [float(params.get("theta", 0.0))]
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
     pool_mode = _check_pool_mode(params.get("pool", "average"))
+    margin = bank[0].shape[0] // 2
+    filling = threading.Lock()
 
-    def run(slice2d):
-        responses = [np.abs(convolve_full(slice2d, k, boundary, constant)) for k in bank]
-        return pool(responses, pool_mode)
+    def run(stack, transfers):
+        # The bank's transfers are built once per padded plane shape and run;
+        # the lock keeps chunks on concurrent threads from building them twice.
+        padded = pad(np.asarray(stack, dtype=np.float64), (margin, margin, 0),
+                     boundary, constant)
+        plane = padded.shape[:2]
+        with filling:
+            if plane not in transfers:
+                transfers[plane] = [kernel_to_transfer(k, plane) for k in bank]
+        responses = convolve_planes(padded, bank, transfers[plane])
+        return pool((np.abs(r) for r in responses), pool_mode)
 
     summary = (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
-               f"voxels, kernel size {bank[0].shape[0]}, {len(bank)} orientations")
-    if params.get("rotation_invariance", False):
+               f"voxels, kernel size {bank[0].shape[0]}, {len(bank)} orientations, FFT route")
+    if rotation_invariant:
         summary += f", {pool_mode} over orientations"
     return summary, run
 
 
 def _plan_wavelet(params, axes, boundary, constant):
     family = str(params["family"]).lower()
-    level = int(params["level"])
+    level = _integral(params["level"], "wavelet level")
     subband = str(params["subband"])
     _swt_stages(family, level, subband, len(axes))
+    _needs_switch(params, "rotation_invariance", ("pool",), "wavelet filter")
     pool_mode = _check_pool_mode(params.get("pool", "average"))
     summary = f"wavelet filter: {family} level {level} subband {subband}"
     if not params.get("rotation_invariance", False):
@@ -394,7 +430,8 @@ def _fourier_domain(axes, boundary, what):
 
 
 def _plan_nonseparable(params, axes, boundary, constant):
-    profile = RadialProfile(str(params["wavelet"]).lower(), int(params["level"]))
+    profile = RadialProfile(str(params["wavelet"]).lower(),
+                            _integral(params["level"], "nonseparable level"))
     _, applied = _fourier_domain(axes, boundary, "the nonseparable filter")
     summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
     return summary, lambda data: nonseparable_b_map(data, profile.kind, profile.level)
@@ -402,10 +439,12 @@ def _plan_nonseparable(params, axes, boundary, constant):
 
 def _plan_riesz(params, axes, boundary, constant):
     ndim = len(axes)
-    profile = RadialProfile(str(params["wavelet"]).lower(), int(params["level"]))
-    l = _check_index(params["l"], ndim)
+    profile = RadialProfile(str(params["wavelet"]).lower(),
+                            _integral(params["level"], "riesz level"))
+    l = _check_index([_integral(v, "riesz index entry") for v in params["l"]], ndim)
     scale, applied = _fourier_domain(axes, boundary, "the Riesz filter")
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
+    _needs_switch(params, "align", ("sigma_tensor_mm", "sigma_tensor_vox"), "riesz filter")
     if not params.get("align", False):
         return summary + applied, lambda data: riesz_filtered_map(data, profile, l)
     if sum(l) != 2:
@@ -452,6 +491,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
     the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
     grid and averages its slice responses over the three plane stacks.
+    Gabor always runs whole stacks of slices through the FFT.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
@@ -487,12 +527,15 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     def run(volume, threads: int = 1):
         if threads < 1:
             raise ValueError(f"thread count must be at least 1, got {threads}")
-        if mode == "2d":
-            if np.ndim(volume) != 3:
-                raise ValueError("2d mode expects a 3-D volume of slices")
-            return map_slices(volume, op, threads)
+        if mode == "2d" and np.ndim(volume) != 3:
+            raise ValueError("2d mode expects a 3-D volume of slices")
         if kind == "gabor":
-            return orthogonal_plane_average(volume, op, threads)
+            stack_op = functools.partial(op, transfers={})
+            if mode == "2d":
+                return map_slices(volume, stack_op, threads, chunked=True)
+            return orthogonal_plane_average(volume, stack_op, threads)
+        if mode == "2d":
+            return map_slices(volume, op, threads)
         return op(volume)
 
     return FilterPlan(summary, run)
@@ -500,17 +543,24 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
 
 def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
                  boundary: str = "mirror", constant: float = 0.0,
-                 threads: int = 1) -> np.ndarray:
-    """Filter a whole volume: ``plan_filter(...).run(image.data, threads)``."""
-    return plan_filter(filt, image.spacing, mode, boundary, constant).run(image.data, threads)
+                 threads: int = 1, plan: FilterPlan | None = None) -> np.ndarray:
+    """Filter a whole volume: ``plan_filter(...).run(image.data, threads)``.
+
+    A ``plan`` already made from these arguments is run as it is.
+    """
+    if plan is None:
+        plan = plan_filter(filt, image.spacing, mode, boundary, constant)
+    return plan.run(image.data, threads)
 
 
 def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfig,
-                      threads: int = 1):
+                      threads: int = 1, *, plan: FilterPlan | None = None):
     """Execute a full configuration; returns (response, intensity mask, features).
 
     The feature tuple holds the five diagnostics followed by the eighteen
     intensity statistics of the response over the re-segmented ROI.
+    ``plan``, when given, is the configuration's filter planned on the grid
+    the filter sees (after resampling); it spares planning twice.
     """
     if mask.dims != image.dims:
         raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
@@ -528,7 +578,7 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
         raise ValueError("empty ROI after re-segmentation")
     response_data = apply_filter(
         work, config.filter, config.mode, config.boundary, config.boundary_constant,
-        threads,
+        threads, plan,
     )
     response = work.with_data(response_data)
     features = diagnostics(mask_before.membership, intensity_mask.membership, work.data)

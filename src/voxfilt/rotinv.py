@@ -194,7 +194,7 @@ def pooled_cascades(image, stage_lists, pool_mode: str, boundary: str,
                     constant: float = 0.0) -> np.ndarray:
     """Pool the cascade response over all right-angle rotations of its stages."""
     elements, _ = equivariant_cascades(stage_lists)
-    return pool([cascade(image, element, boundary, constant) for element in elements],
+    return pool((cascade(image, element, boundary, constant) for element in elements),
                 pool_mode)
 
 
@@ -209,28 +209,31 @@ def _check_pool_mode(mode) -> str:
 
 
 def pool(response_set, mode: str) -> np.ndarray:
-    """Voxelwise max or mean over a collection of response maps.
+    """Voxelwise max or mean over an iterable of response maps.
 
-    The mean accumulates in list order so repeated runs sum identically.
+    The maps are folded in one at a time, in order, so a generator input
+    keeps only the running result and the current map in memory.  The mean
+    accumulates in that order, so repeated runs sum identically.
     """
-    maps = [np.asarray(m, dtype=np.float64) for m in response_set]
-    if not maps:
-        raise ValueError("cannot pool an empty response set")
     _check_pool_mode(mode)
-    dims = maps[0].shape
-    for m in maps[1:]:
-        if m.shape != dims:
+    out = None
+    count = 0
+    for m in response_set:
+        m = np.asarray(m, dtype=np.float64)
+        if out is None:
+            out = m.copy()
+        elif m.shape != out.shape:
             raise ValueError("pooled response maps must share dimensions")
-    if mode == "max":
-        out = maps[0].copy()
-        for m in maps[1:]:
+        elif mode == "max":
             np.maximum(out, m, out=out)
-        return out
-    acc = maps[0].copy()
-    for m in maps[1:]:
-        acc += m
-    acc /= len(maps)
-    return acc
+        else:
+            out += m
+        count += 1
+    if out is None:
+        raise ValueError("cannot pool an empty response set")
+    if mode == "average":
+        out /= count
+    return out
 
 
 def gabor_orientation_set(dtheta: float, full_circle: bool = False) -> list:
@@ -251,20 +254,21 @@ def gabor_orientation_set(dtheta: float, full_circle: bool = False) -> list:
     return [i * dtheta for i in range(count)]
 
 
-def orthogonal_plane_average(volume, per_slice_2d_op, threads: int = 1) -> np.ndarray:
-    """Mean of a 2-D operation applied slice-wise in the three plane stacks.
+def orthogonal_plane_average(volume, stack_op, threads: int = 1) -> np.ndarray:
+    """Mean of a planar operation over the three plane stacks of a volume.
 
-    The operation runs on every (k1,k2), (k1,k3) and (k2,k3) slice in
-    turn; the three resulting volumes are averaged voxelwise.  Each stack's
-    slices are mapped with ``threads`` workers, which never changes the
-    result.
+    ``stack_op`` maps an (n1, n2, c) stack of c slices to their c planar
+    responses.  It runs on the (k1,k2), (k1,k3) and (k2,k3) stacks in turn,
+    and the three resulting volumes are averaged voxelwise.  With
+    ``threads`` > 1 each stack is split into one contiguous chunk of slices
+    per thread, which must not change the result.
     """
     vol = np.asarray(volume, dtype=np.float64)
     if vol.ndim != 3:
         raise ValueError("orthogonal-plane averaging needs a 3-D volume")
     acc = np.zeros(vol.shape, dtype=np.float64)
     for stack_axis in (2, 1, 0):
-        part = map_slices(np.moveaxis(vol, stack_axis, 2), per_slice_2d_op, threads)
+        part = map_slices(np.moveaxis(vol, stack_axis, 2), stack_op, threads, chunked=True)
         acc += np.moveaxis(part, 2, stack_axis)
     acc /= 3.0
     return acc

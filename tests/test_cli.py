@@ -409,6 +409,41 @@ class TestRunCommand:
                               "energy_delta"),
         "laws-string-flag": ({"kind": "laws", "kernels": "L5E5E5",
                               "rotation_invariance": "false"}, "true or false"),
+        # integer parameters: a fraction or a bool is not silently truncated
+        "mean-fractional-support": ({"kind": "mean", "support": 3.7}, "must be an integer"),
+        "mean-bool-support": ({"kind": "mean", "support": True}, "must be an integer"),
+        "wavelet-fractional-level": ({"kind": "wavelet", "family": "db2", "level": 1.5,
+                                      "subband": "LLH"}, "must be an integer"),
+        "nonseparable-fractional-level": ({"kind": "nonseparable", "wavelet": "simoncelli",
+                                           "level": 1.5}, "must be an integer"),
+        "riesz-fractional-level": ({"kind": "riesz", "wavelet": "simoncelli", "level": 2.5,
+                                    "l": [0, 2, 0]}, "must be an integer"),
+        "riesz-fractional-index": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
+                                    "l": [0, 1.5, 0]}, "must be an integer"),
+        "laws-fractional-delta": ({"kind": "laws", "kernels": "L5E5E5", "energy_delta": 1.5},
+                                  "must be an integer"),
+        # parameters that their switch would ignore
+        "gabor-theta-rotinv": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
+                                "rotation_invariance": True, "dtheta": math.pi / 4,
+                                "theta": 0.3, "orthogonal_planes": True}, "drop theta"),
+        "gabor-dtheta-alone": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
+                                "dtheta": math.pi / 4, "orthogonal_planes": True},
+                               "dtheta applies only with rotation_invariance"),
+        "gabor-pool-alone": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
+                              "pool": "max", "orthogonal_planes": True},
+                             "pool applies only with rotation_invariance"),
+        "laws-pool-alone": ({"kind": "laws", "kernels": "L5E5E5", "pool": "average"},
+                            "pool applies only with rotation_invariance"),
+        "wavelet-pool-alone": ({"kind": "wavelet", "family": "db2", "level": 1,
+                                "subband": "LLH", "pool": "max",
+                                "rotation_invariance": False},
+                               "pool applies only with rotation_invariance"),
+        "riesz-tensor-mm-alone": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
+                                   "l": [0, 2, 0], "sigma_tensor_mm": 1.0},
+                                  "sigma_tensor_mm applies only with align"),
+        "riesz-tensor-vox-alone": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
+                                    "l": [0, 2, 0], "align": False, "sigma_tensor_vox": 1.0},
+                                   "sigma_tensor_vox applies only with align"),
     }
 
     @pytest.mark.parametrize("case", sorted(_BAD_FILTERS))
@@ -431,6 +466,52 @@ class TestRunCommand:
         assert err.startswith("error: ") and message in err
         assert "filter:" not in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "run"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_bad_thread_count_fails_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                   command, threads):
+        src, mask, _ = self._fixture(tmp_path)
+        ran = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                ran.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(voxfilt.cli, "read_nifti",
+                            recording("read_nifti", voxfilt.cli.read_nifti))
+        monkeypatch.setattr(voxfilt.pipeline, "resample_image",
+                            recording("resample_image", voxfilt.pipeline.resample_image))
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "3.B.yaml")
+        argv = {
+            "filter": ["filter", str(src), "--out", str(tmp_path / "o.nii"),
+                       "--filter", "mean", "--support", "3"],
+            "run": ["run", config, "--image", str(src), "--mask", str(mask),
+                    "--out-dir", str(tmp_path / "r")],
+        }[command]
+        assert main(argv + ["--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --threads must be a positive integer, got {threads}\n"
+        assert ran == []
+        assert not (tmp_path / "r").exists() and not (tmp_path / "o.nii").exists()
+
+    def test_run_plans_once(self, tmp_path, monkeypatch):
+        src, mask, _ = self._fixture(tmp_path)
+        plans = []
+        original = voxfilt.pipeline.plan_filter
+
+        def counting(*args, **kwargs):
+            plans.append(args[0].kind)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(voxfilt.pipeline, "plan_filter", counting)
+        monkeypatch.setattr(voxfilt.cli, "plan_filter", counting)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "3.B.yaml")
+        assert main(["run", config, "--image", str(src), "--mask", str(mask),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        assert plans == ["log"]
 
     @pytest.mark.parametrize("block", [
         "resample:\n  rounding: true\n",

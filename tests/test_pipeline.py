@@ -5,8 +5,9 @@ import pytest
 
 from voxfilt.features import intensity_statistics
 from voxfilt.image import RoiMask, VolumeImage, create_image
-from voxfilt.kernels import gabor_kernel, laws_energy, mean_kernel_1d
-from voxfilt.convolve import convolve_separable
+from voxfilt.boundary import BOUNDARY_MODES
+from voxfilt.kernels import GaborParams, gabor_kernel, laws_energy, mean_kernel_1d
+from voxfilt.convolve import convolve_full, convolve_separable, kernel_to_transfer
 from voxfilt.pipeline import (
     FilterConfig,
     ProcessingConfig,
@@ -19,6 +20,7 @@ from voxfilt.pipeline import (
     round_intensities,
     run_configuration,
 )
+from voxfilt.rotinv import gabor_orientation_set, pool
 
 
 def _volume(data, spacing=(2.0, 2.0, 2.0)):
@@ -234,6 +236,30 @@ class TestPlanFilter:
         assert out.shape == (9, 8, 7)
         assert built == [i * np.pi / 8 for i in range(8)]
 
+    @pytest.mark.parametrize("dims,plane_shapes", [((9, 9, 9), 1), ((9, 8, 7), 3)],
+                             ids=["cube", "box"])
+    def test_gabor_transfers_built_once_per_plane_shape(self, monkeypatch, dims,
+                                                        plane_shapes):
+        import voxfilt.pipeline
+
+        grids = []
+
+        def counting_transfer(kernel, grid):
+            grids.append(tuple(grid))
+            return kernel_to_transfer(kernel, grid)
+
+        monkeypatch.setattr(voxfilt.pipeline, "kernel_to_transfer", counting_transfer)
+        filt = FilterConfig("gabor", {
+            "sigma_vox": 1.0, "lambda_vox": 3.0, "rotation_invariance": True,
+            "dtheta": np.pi / 4, "orthogonal_planes": True,
+        })
+        plan = plan_filter(filt, (1.0, 1.0, 1.0), "3d")
+        for threads in (1, 3):
+            grids.clear()
+            plan.run(np.random.default_rng(23).normal(size=dims), threads)
+            assert len(grids) == 4 * plane_shapes
+            assert len(set(grids)) == plane_shapes
+
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_run_checks_threads_and_volume(self, mode):
         plan = plan_filter(FilterConfig("mean", {"support": 3}), (1.0, 1.0, 1.0), mode)
@@ -254,6 +280,73 @@ class TestPlanFilter:
         filt = FilterConfig("log", {"sigma_vox": 1.0, "via": "spatial"})
         with pytest.raises(ValueError, match="unknown parameters"):
             plan_filter(filt, (1.0, 1.0, 1.0), "3d")
+
+
+def _spatial_gabor(volume, bank, pool_mode, boundary, constant):
+    """Per-slice reference: the spatial route of convolve_full, pooled in bank order."""
+    out = np.empty(volume.shape)
+    for i in range(volume.shape[2]):
+        out[:, :, i] = pool([np.abs(convolve_full(volume[:, :, i], k, boundary, constant,
+                                                  via="spatial")) for k in bank], pool_mode)
+    return out
+
+
+class TestGaborRoute:
+    """The Gabor plan's batched FFT route against per-slice spatial convolution."""
+
+    @staticmethod
+    def _case(sigma, wavelength, gamma, dtheta, pool_mode, mode):
+        params = {"sigma_vox": sigma, "lambda_vox": wavelength, "gamma": gamma,
+                  "rotation_invariance": True, "dtheta": dtheta, "pool": pool_mode}
+        if mode == "3d":
+            params["orthogonal_planes"] = True
+        bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta))
+                for theta in gabor_orientation_set(dtheta)]
+        return FilterConfig("gabor", params), bank
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("pool_mode", ["max", "average"])
+    @pytest.mark.parametrize("dims", [(9, 7, 3), (8, 10, 4)], ids=["odd", "even"])
+    @pytest.mark.parametrize("boundary,constant",
+                             [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 0.7)])
+    def test_2d_mode_matches_spatial_route(self, boundary, constant, dims, pool_mode):
+        filt, bank = self._case(1.5, 3.0, 1.2, np.pi / 4, pool_mode, "2d")
+        assert bank[0].shape == (15, 15)
+        volume = np.random.default_rng(24).normal(loc=0.5, size=dims)
+        got = plan_filter(filt, (1.0, 1.0, 1.0), "2d", boundary, constant).run(volume)
+        self._assert_close(got, _spatial_gabor(volume, bank, pool_mode, boundary, constant))
+
+    @pytest.mark.parametrize("pool_mode", ["max", "average"])
+    @pytest.mark.parametrize("boundary,constant", [("mirror", 0.0), ("constant", 0.7)])
+    def test_orthogonal_planes_match_spatial_route(self, boundary, constant, pool_mode):
+        # 5.B's kernel (61 taps) on slices smaller than the kernel, three plane shapes
+        filt, bank = self._case(5.0, 2.0, 1.5, np.pi / 4, pool_mode, "3d")
+        assert bank[0].shape == (61, 61)
+        volume = np.random.default_rng(25).normal(loc=0.5, size=(12, 10, 9))
+        got = plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary, constant).run(volume, 2)
+        want = np.zeros(volume.shape)
+        for axis in (2, 1, 0):
+            stack = np.moveaxis(volume, axis, 2)
+            want += np.moveaxis(_spatial_gabor(stack, bank, pool_mode, boundary, constant),
+                                2, axis)
+        self._assert_close(got, want / 3.0)
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_never_calls_convolve_full(self, monkeypatch, mode):
+        import voxfilt.pipeline
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gabor took the convolve_full route")
+
+        monkeypatch.setattr(voxfilt.pipeline, "convolve_full", refuse)
+        filt, _ = self._case(2.0, 3.0, 1.0, np.pi / 2, "average", mode)
+        plan = plan_filter(filt, (1.0, 1.0, 1.0), mode)
+        assert "FFT route" in plan.summary
+        assert plan.run(np.ones((6, 6, 6)), 2).shape == (6, 6, 6)
 
 
 class TestApplyFilter:
@@ -303,9 +396,12 @@ class TestApplyFilter:
         for name in names:
             _, config = load_config(os.path.join(TestShippedConfigs._DIR, name))
             serial, _, serial_features = run_configuration(image, mask, config, threads=1)
-            threaded, _, threaded_features = run_configuration(image, mask, config, threads=2)
-            assert threaded.data.tobytes() == serial.data.tobytes(), name
-            assert threaded_features == serial_features, name
+            # three threads split the Gabor stacks into uneven chunks
+            for threads in (2, 3) if name.startswith("5.") else (2,):
+                threaded, _, threaded_features = run_configuration(image, mask, config,
+                                                                   threads=threads)
+                assert threaded.data.tobytes() == serial.data.tobytes(), (name, threads)
+                assert threaded_features == serial_features, (name, threads)
 
     def test_laws_mode_mismatch(self):
         image = _volume(np.zeros((4, 4, 4)))

@@ -238,6 +238,34 @@ class TestPool:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             pool([], "max")
+        with pytest.raises(ValueError, match="empty"):
+            pool(iter([]), "average")
+
+    @pytest.mark.parametrize("mode", ["max", "average"])
+    def test_generator_input_matches_list_bytes(self, mode):
+        rng = np.random.default_rng(4)
+        maps = [rng.normal(size=(4, 5, 3)) for _ in range(6)]
+        seen = []
+
+        def stream():
+            for m in maps:
+                seen.append(len(seen))
+                yield m
+
+        out = pool(stream(), mode)
+        assert out.tobytes() == pool(maps, mode).tobytes()
+        assert seen == list(range(6))
+        # the first map seeds the result but is not modified in place
+        np.testing.assert_array_equal(maps[0], np.random.default_rng(4).normal(size=(4, 5, 3)))
+
+    def test_generator_shape_checked_as_maps_arrive(self):
+        def stream():
+            yield np.zeros((2, 2))
+            yield np.zeros((3, 2))
+            raise AssertionError("pool read past the mismatched map")
+
+        with pytest.raises(ValueError, match="share dimensions"):
+            pool(stream(), "max")
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -342,10 +370,10 @@ class TestOrthogonalPlaneAverage:
 
         box = np.ones(5) / 5.0
 
-        def smooth(sl):
-            return convolve_separable(sl, (box, box), "mirror")
+        def smooth(stack):  # the 2-D box on every slice of the stack
+            return convolve_separable(stack, (box, box, np.ones(1)), "mirror")
 
         averaged = orthogonal_plane_average(vol, smooth)
         centre = (n // 2,) * 3
-        single_plane = smooth(vol[:, :, n // 2])[n // 2, n // 2]
+        single_plane = smooth(vol[:, :, n // 2 : n // 2 + 1])[n // 2, n // 2, 0]
         assert averaged[centre] == pytest.approx(single_plane, abs=1e-6)
