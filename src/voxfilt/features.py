@@ -86,36 +86,64 @@ def _ratio_or_zero(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
+def _percentile_sorted(x: np.ndarray, q: float) -> float:
+    """``np.percentile(x, q)`` of sorted finite values, with numpy's "linear"
+    arithmetic and no partition: virtual index (n - 1) * q / 100, then
+    a + (b - a) * t, or b - (b - a) * (1 - t) when t >= 0.5."""
+    n = x.size
+    index = (n - 1) * (q / 100.0)
+    if index >= n - 1:
+        return float(x[-1])
+    below = math.floor(index)
+    a, b = float(x[below]), float(x[below + 1])
+    t = index - below
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _between_sorted(x: np.ndarray, low: float, high: float) -> np.ndarray:
+    """The values of sorted ``x`` in [low, high], as a slice of ``x``."""
+    return x[np.searchsorted(x, low, "left"):np.searchsorted(x, high, "right")]
+
+
+def _moments(centred: np.ndarray) -> tuple[float, float, float]:
+    """Variance, skewness and excess kurtosis of centred values, from
+    products rather than ``**`` powers (whose bytes depend on numpy's SIMD
+    dispatch level).  The squares live only inside this call, so they add
+    no array to the caller's peak memory."""
+    c2 = centred * centred
+    variance = float(np.mean(c2))
+    if not variance > 0.0:
+        return variance, 0.0, 0.0
+    skewness = float(np.mean(c2 * centred)) / variance**1.5
+    kurtosis = float(np.mean(c2 * c2)) / variance**2 - 3.0
+    return variance, skewness, kurtosis
+
+
 def intensity_statistics(response, mask) -> tuple[FeatureValue, ...]:
     """The eighteen intensity-based statistics of a masked response map.
 
     Variance is population-style (divide by N).  Skewness and excess
     kurtosis are defined as 0 for a constant region.  Percentiles use
-    linear interpolation between closest ranks.
+    linear interpolation between closest ranks, read from the sorted ROI
+    values.
     """
     x = _masked_values(response, mask)
     n = x.size
     mean = float(x.mean())
     centred = x - mean
-    variance = float(np.mean(centred**2))
-    if variance > 0.0:
-        skewness = float(np.mean(centred**3)) / variance**1.5
-        kurtosis = float(np.mean(centred**4)) / variance**2 - 3.0
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
+    variance, skewness, kurtosis = _moments(centred)
     p10, p25, median, p75, p90 = (
-        float(v) for v in np.percentile(x, [10.0, 25.0, 50.0, 75.0, 90.0])
+        _percentile_sorted(x, q) for q in (10.0, 25.0, 50.0, 75.0, 90.0)
     )
     minimum = float(x[0])
     maximum = float(x[-1])
     mad = float(np.mean(np.abs(centred)))
-    robust = x[(x >= p10) & (x <= p90)]
+    robust = _between_sorted(x, p10, p90)
     robust_mad = float(np.mean(np.abs(robust - robust.mean()))) if robust.size else 0.0
     median_ad = float(np.mean(np.abs(x - median)))
     cov = _ratio_or_zero(math.sqrt(variance), mean) if variance > 0.0 else 0.0
     qcd = _ratio_or_zero(p75 - p25, p75 + p25)
-    energy = float(np.sum(x**2))
+    energy = float(np.sum(x * x))
     rms = math.sqrt(energy / n)
 
     by_name = {

@@ -137,13 +137,20 @@ def interior_region(dims, margin) -> np.ndarray:
     return mask
 
 
+# A chunked operation gets blocks of at most this many voxels (or one slice,
+# when a slice is larger), which bounds the memory it holds at once.  The
+# budget is fixed, not an option, and a block's bytes do not depend on it.
+_BLOCK_VOXELS = 1 << 16
+
+
 def map_slices(volume, op, threads: int = 1, chunked: bool = False) -> np.ndarray:
     """Apply a 2-D operation to every (k1, k2) slice of a 3-D array.
 
     With ``chunked`` the operation takes an (n1, n2, c) block of consecutive
-    slices instead and returns the block's responses; it gets the whole
-    stack at one thread and one contiguous chunk per thread otherwise.
-    With ``threads`` > 1 the slices or chunks run on a thread pool; each
+    slices instead and returns the block's responses; the stack is split
+    into one contiguous chunk per thread, and each chunk into blocks of at
+    most ``_BLOCK_VOXELS`` voxels.
+    With ``threads`` > 1 the slices or blocks run on a thread pool; each
     result is stored at its own indices, so the output does not depend on
     the thread count.  A result whose shape differs from its input is
     rejected.
@@ -152,7 +159,11 @@ def map_slices(volume, op, threads: int = 1, chunked: bool = False) -> np.ndarra
     count = volume.shape[2]
     if chunked:
         parts = min(threads, count)
-        indices = [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+        step = max(1, _BLOCK_VOXELS // (volume.shape[0] * volume.shape[1]))
+        indices = []
+        for i in range(parts):
+            start, stop = i * count // parts, (i + 1) * count // parts
+            indices += [slice(s, min(s + step, stop)) for s in range(start, stop, step)]
     else:
         indices = range(count)
 

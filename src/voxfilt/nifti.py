@@ -205,8 +205,9 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     rescaling, so integer types expect integer-valued data, and a value
     outside the integer type's range, or not finite, is an error.  A 76-byte
     ``orientation`` block from a previously read header is embedded
-    verbatim.  Gzip output carries no timestamp, so identical volumes
-    produce identical files.
+    verbatim.  Gzip output uses compression level 6 and carries no timestamp,
+    so identical volumes produce identical files with one zlib build; the
+    decompressed payload is the same with any zlib.
     """
     code = DATATYPE_CODES.get(datatype)
     if code is None:
@@ -247,7 +248,7 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     if path.endswith(".gz"):
         with open(path, "wb") as handle:
             with gzip.GzipFile(filename="", mode="wb", fileobj=handle,
-                               mtime=0) as stream:
+                               compresslevel=6, mtime=0) as stream:
                 stream.write(body)
     else:
         with open(path, "wb") as handle:

@@ -115,6 +115,8 @@ class ProcessingConfig:
             if any(s <= 0 for s in spacing):
                 raise ValueError(f"resampled spacing must be positive, got {spacing}")
             object.__setattr__(self, "resample_spacing_mm", spacing)
+        if not isinstance(self.rounding, bool):
+            raise ValueError(f"rounding must be true or false, got {self.rounding!r}")
         if not 0.0 < self.mask_threshold <= 1.0:
             raise ValueError(f"mask threshold must lie in (0, 1], got {self.mask_threshold}")
         if self.reseg_range is not None:
@@ -170,7 +172,7 @@ def load_config(path):
         resample_spacing_mm=resample["spacing_mm"],
         image_interpolation=resample.get("image_interpolation", "tricubic"),
         mask_threshold=float(resample.get("mask_threshold", 0.5)),
-        rounding=bool(resample.get("rounding", False)),
+        rounding=resample.get("rounding", False),
         reseg_range=raw.get("resegment_hu"),
         boundary=raw.get("boundary", "mirror"),
         boundary_constant=float(raw.get("boundary_constant", 0.0)),

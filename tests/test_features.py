@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from voxfilt.features import (
     FEATURE_IDS,
     FeatureValue,
+    _between_sorted,
+    _percentile_sorted,
     aggregate_mean,
     diagnostics,
     format_3sig,
@@ -201,6 +206,110 @@ class TestIntensityStatistics:
     def test_empty_mask(self):
         with pytest.raises(ValueError, match="empty ROI"):
             intensity_statistics(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
+
+
+_QUANTILES = (10.0, 25.0, 50.0, 75.0, 90.0)
+
+
+def _sorted_cases():
+    rng = np.random.default_rng(12)
+    yield "n1", np.array([3.5])
+    yield "n1-negative", np.array([-0.0])
+    yield "n2", np.array([-1.0, 4.0])
+    yield "n3", np.array([0.1, 0.2, 0.7])
+    yield "constant", np.full(17, 2.25)
+    yield "ties", np.sort(np.repeat([1.0, 2.0, 2.0, 5.0], [3, 4, 1, 6]))
+    yield "negative", np.sort(-np.abs(rng.normal(scale=40.0, size=101)))
+    yield "integer-valued", np.sort(np.round(rng.normal(scale=300.0, size=1000)))
+    yield "small-integers", np.sort(rng.integers(-3, 4, size=64).astype(np.float64))
+    for n in (5, 10, 11, 99, 12345):
+        yield f"normal-{n}", np.sort(rng.normal(loc=-2.0, scale=1e3, size=n))
+
+
+class TestSortedHelpers:
+    @pytest.mark.parametrize("case", list(_sorted_cases()), ids=lambda c: c[0])
+    def test_percentile_is_numpys_bitwise(self, case):
+        _, x = case
+        for q in _QUANTILES:
+            got = np.float64(_percentile_sorted(x, q))
+            assert got.tobytes() == np.percentile(x, q).tobytes(), q
+
+    @pytest.mark.parametrize("case", list(_sorted_cases()), ids=lambda c: c[0])
+    def test_robust_slice_is_the_mask_selection(self, case):
+        _, x = case
+        p10, p90 = _percentile_sorted(x, 10.0), _percentile_sorted(x, 90.0)
+        want = x[(x >= p10) & (x <= p90)]
+        assert _between_sorted(x, p10, p90).tobytes() == want.tobytes()
+        # edges that sit on tied values keep every copy, or none
+        for low, high in ((x[0], x[-1]), (x[x.size // 2], x[x.size // 2])):
+            want = x[(x >= low) & (x <= high)]
+            assert _between_sorted(x, low, high).tobytes() == want.tobytes()
+
+    def test_statistics_match_numpy_percentiles(self):
+        rng = np.random.default_rng(13)
+        data = np.round(rng.normal(scale=50.0, size=(9, 8, 7)))
+        mask = rng.uniform(size=data.shape) < 0.7
+        got = _as_dict(intensity_statistics(data, mask))
+        x = np.sort(data[mask])
+        p10, p25, p50, p75, p90 = np.percentile(x, _QUANTILES)
+        assert (got["percentile_10"], got["median"], got["percentile_90"]) == (p10, p50, p90)
+        assert got["interquartile_range"] == p75 - p25
+        robust = x[(x >= p10) & (x <= p90)]
+        assert got["robust_mean_absolute_deviation"] == float(
+            np.mean(np.abs(robust - robust.mean())))
+
+
+# Each level disables what the previous one kept: AVX-512 first (an AVX2
+# machine), then X86_V3 too (an SSE4 machine).
+_DISPATCH_LEVELS = (
+    ("default", None),
+    ("AVX2", "X86_V4 AVX512_ICL AVX512_SPR"),
+    ("SSE4", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"),
+)
+
+_PROBE = """
+import hashlib, sys
+import numpy as np
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+from voxfilt.features import intensity_statistics
+arrays = np.load(sys.argv[1])
+values = tuple(f.value for f in intensity_statistics(arrays["data"], arrays["mask"]))
+enabled = sorted(k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k))
+print(hashlib.sha256(repr(values).encode()).hexdigest())
+print(" ".join(enabled) or "baseline only")
+"""
+
+
+def test_statistics_do_not_depend_on_simd_dispatch(tmp_path):
+    # Computed with centred**4, this fixture's excess kurtosis changed at the
+    # AVX2 level; with products it does not.
+    data = np.random.default_rng(0).normal(size=(40, 40, 20))
+    k = np.indices(data.shape)
+    mask = ((k[0] - 19.5) ** 2 + (k[1] - 19.5) ** 2 + (k[2] - 9.5) ** 2) < 15.0**2
+    fixture = tmp_path / "fixture.npz"
+    np.savez(fixture, data=data, mask=mask)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    results = []
+    for name, disabled in _DISPATCH_LEVELS:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run([sys.executable, "-c", _PROBE, str(fixture)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, f"dispatch level {name}: {done.stderr}"
+        digest, enabled = done.stdout.split("\n")[:2]
+        if results and enabled == results[-1][2]:
+            print(f"dispatch level {name} is not available on this host: "
+                  f"it ran with the same features as {results[-1][0]} ({enabled})")
+        else:
+            print(f"dispatch level {name}: {enabled}")
+        results.append((name, digest, enabled))
+    assert {digest for _, digest, _ in results} == {results[0][1]}, results
 
 
 class TestDiagnostics:

@@ -107,6 +107,16 @@ class TestGzip:
         write_nifti(image, second, "f32")
         assert first.read_bytes() == second.read_bytes()
 
+    def test_gzip_payload_is_the_plain_file(self, tmp_path):
+        # the compressed bytes depend on the zlib build; the payload does not
+        rng = np.random.default_rng(8)
+        image = _random_image(rng)
+        plain = tmp_path / "vol.nii"
+        packed = tmp_path / "vol.nii.gz"
+        write_nifti(image, plain, "f32")
+        write_nifti(image, packed, "f32")
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+
     def test_gzip_detected_by_content_not_name(self, tmp_path):
         rng = np.random.default_rng(7)
         image = _random_image(rng, dims=(4, 4, 4))

@@ -335,6 +335,17 @@ class TestGaborRoute:
                                 2, axis)
         self._assert_close(got, want / 3.0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_budget_does_not_change_bytes(self, monkeypatch, threads):
+        import voxfilt.image
+
+        filt, _ = self._case(2.0, 3.0, 1.0, np.pi / 4, "max", "3d")
+        plan = plan_filter(filt, (1.0, 1.0, 1.0), "3d", "mirror")
+        volume = np.random.default_rng(26).normal(size=(11, 9, 8))
+        whole = plan.run(volume, threads)
+        monkeypatch.setattr(voxfilt.image, "_BLOCK_VOXELS", 2 * 11 * 9)
+        assert plan.run(volume, threads).tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_never_calls_convolve_full(self, monkeypatch, mode):
         import voxfilt.pipeline
@@ -843,6 +854,15 @@ filter:
         path = tmp_path / "bad.yaml"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "1", "0", "null"])
+    def test_rounding_must_be_a_bool(self, tmp_path, value):
+        # a quoted "false" is a non-empty string and used to turn rounding on
+        path = tmp_path / "bad.yaml"
+        path.write_text("mode: 3d\nresample:\n  spacing_mm: [1, 1, 1]\n"
+                        f"  rounding: {value}\nfilter:\n  kind: none\n")
+        with pytest.raises(ValueError, match="rounding must be true or false, got"):
             load_config(path)
 
     def test_resample_not_a_mapping(self, tmp_path):
