@@ -31,8 +31,6 @@ __all__ = [
     "convolve_fourier",
     "fourier_grid",
     "kernel_to_transfer",
-    "dft_to_centred",
-    "centred_to_dft",
 ]
 
 # Route dense spatial jobs above this many multiply-adds to the FFT under
@@ -165,16 +163,6 @@ def fourier_grid(dims):
         axes.append(nu.reshape(shape))
     norm = np.sqrt(sum(nu**2 for nu in axes))
     return axes, norm
-
-
-def dft_to_centred(arr: np.ndarray, axes=None) -> np.ndarray:
-    """Reindex from DFT order (nu=0 first) to centred order (nu ascending)."""
-    return np.fft.fftshift(arr, axes=axes)
-
-
-def centred_to_dft(arr: np.ndarray, axes=None) -> np.ndarray:
-    """Inverse of :func:`dft_to_centred`."""
-    return np.fft.ifftshift(arr, axes=axes)
 
 
 def kernel_to_transfer(kernel, dims) -> np.ndarray:

@@ -84,7 +84,8 @@ def create_image(dims, spacing, data) -> VolumeImage:
     """Build an immutable volume from flat or shaped intensity data.
 
     Flat input is unravelled with ``k1`` fastest (Fortran order).  Intensities
-    are held as 64-bit floats regardless of the input dtype.
+    are held as 64-bit floats regardless of the input dtype; a NaN or
+    infinite voxel is an error.
     """
     dims = tuple(int(n) for n in dims)
     if any(n <= 0 for n in dims):
@@ -92,6 +93,9 @@ def create_image(dims, spacing, data) -> VolumeImage:
     arr = np.asarray(data, dtype=np.float64)
     if arr.size != int(np.prod(dims)):
         raise ValueError(f"data has {arr.size} values, expected {int(np.prod(dims))} for dims {dims}")
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise ValueError(f"{bad} of {arr.size} voxels are not finite (NaN or infinite)")
     if arr.shape != dims:
         arr = arr.reshape(dims, order="F")
     arr = np.asfortranarray(arr)

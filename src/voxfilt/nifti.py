@@ -57,6 +57,7 @@ _VOX_OFFSET = 352.0
 _MAGIC_SINGLE = b"n+1\x00"
 _MAGIC_PAIR = b"ni1\x00"
 _GZIP_MAGIC = b"\x1f\x8b"
+_WRITE_SLICE_BYTES = 1 << 16
 
 # NIfTI-1 datatype codes for the supported voxel types.
 DATATYPE_CODES = {
@@ -107,7 +108,8 @@ def read_nifti(path, round_values: bool = False):
     Intensities are promoted to double precision with scl_slope and
     scl_inter applied (a slope of 0 or a non-finite slope means unscaled).  ``round_values``
     additionally rounds half away from zero, for masks and images whose
-    integer nature was lost in an earlier conversion.
+    integer nature was lost in an earlier conversion.  A NaN or infinite
+    voxel, stored or produced by the scaling, is an error naming their count.
     """
     raw = _read_bytes(path)
     if len(raw) < 4:
@@ -194,7 +196,11 @@ def read_nifti(path, round_values: bool = False):
         scl_inter=float(scl_inter),
         orientation=bytes(raw[_ORIENTATION_SLICE]),
     )
-    return create_image(dims, spacing, data), view
+    try:
+        image = create_image(dims, spacing, data)
+    except ValueError as exc:  # the only one left: non-finite voxels
+        raise NiftiError(f"{path}: {exc}") from None
+    return image, view
 
 
 def write_nifti(image: VolumeImage, path, datatype: str = "f32",
@@ -241,15 +247,23 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
         header[_ORIENTATION_SLICE] = orientation
     header[344:348] = _MAGIC_SINGLE
 
-    payload = np.asarray(image.data, dtype=dtype).tobytes(order="F")
-    body = bytes(header) + b"\x00\x00\x00\x00" + payload
+    # The transpose of a Fortran-ordered array is C-contiguous, so the
+    # payload is a byte view of the cast volume.  It goes out in slices, so
+    # neither the stream nor the compressor holds a second whole copy.
+    payload = memoryview(np.ascontiguousarray(np.asarray(image.data, dtype=dtype).T)).cast("B")
+    header += b"\x00\x00\x00\x00"  # empty extension block up to vox_offset
 
     path = str(path)
-    if path.endswith(".gz"):
-        with open(path, "wb") as handle:
+    with open(path, "wb") as handle:
+        if path.endswith(".gz"):
             with gzip.GzipFile(filename="", mode="wb", fileobj=handle,
                                compresslevel=6, mtime=0) as stream:
-                stream.write(body)
-    else:
-        with open(path, "wb") as handle:
-            handle.write(body)
+                _write_slices(stream, header, payload)
+        else:
+            _write_slices(handle, header, payload)
+
+
+def _write_slices(stream, header, payload) -> None:
+    stream.write(header)
+    for start in range(0, len(payload), _WRITE_SLICE_BYTES):
+        stream.write(payload[start : start + _WRITE_SLICE_BYTES])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import difflib
 import functools
+import itertools
 import math
 import threading
 from collections.abc import Callable
@@ -202,11 +203,47 @@ def _grid_unchanged(spacing, new_spacing):
     return all(float(a) == float(b) for a, b in zip(spacing, new_spacing))
 
 
-def _interpolate(data, coords, order):
-    mesh = np.meshgrid(*coords, indexing="ij")
-    return ndimage.map_coordinates(
-        data, np.stack(mesh), order=order, mode="mirror"
-    )
+def _mirror(x, n):
+    """Fold coordinates onto ``[0, n - 1]`` as scipy.ndimage's "mirror" mode
+    does: whole-sample reflection with period 2(n - 1), a length-1 axis folds
+    to 0, and a value in (n - 1, n) stays where it is."""
+    if n == 1:
+        return np.zeros_like(x)
+    period = 2.0 * (n - 1)
+    u = np.abs(x)
+    u = u - period * np.trunc(u / period)
+    return np.where(u >= np.where(x < 0, n - 1, n), period - u, u)
+
+
+def _axis_taps(coord, n, order):
+    """Tap indices and weights, each (len(coord), order + 1), of one axis.
+
+    These are map_coordinates' own: the folded coordinate c, taps from
+    floor(c) - 1 (cubic) or floor(c) (linear) folded again, the B-spline
+    weights of t = c - floor(c) in products, and the last weight as one
+    minus the others.
+    """
+    c = _mirror(coord, n)
+    floor = np.floor(c)
+    t = c - floor
+    if order == 1:
+        weights = [1.0 - t]
+    else:
+        z = 1.0 - t
+        weights = [z * z * z / 6.0, (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0,
+                   (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0]
+    last = 1.0
+    for w in weights:
+        last = last - w
+    weights.append(last)
+    idx = _mirror(floor[:, None] - order // 2 + np.arange(order + 1), n)
+    return idx.astype(np.intp), np.stack(weights, axis=1)
+
+
+def _along(values, axis, ndim):
+    shape = [1] * ndim
+    shape[axis] = -1
+    return values.reshape(shape)
 
 
 def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
@@ -214,6 +251,14 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
 
     ``method`` is ``"trilinear"`` or ``"tricubic"`` (cubic spline).  An
     output grid identical to the input grid returns the image unchanged.
+
+    The B-spline is a tensor product, so the resample runs one axis at a
+    time: scipy's mirror prefilter (cubic only), then per axis a sum of
+    order + 1 gathered planes times their weights, in tap order.  Axes that
+    shrink go first and axes that grow last, so each pass gathers from the
+    smallest array it can; ties go last axis first, because gathers along
+    the contiguous axis move single values.  The values equal
+    map_coordinates' up to roundoff.
     """
     if method not in _INTERPOLATIONS:
         raise ValueError(f"interpolation must be one of {_INTERPOLATIONS}, got {method!r}")
@@ -223,21 +268,49 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
     if _grid_unchanged(image.spacing, new_spacing):
         return image
     out_dims, coords = _output_coordinates(image.dims, image.spacing, new_spacing)
-    order = 1 if method == "trilinear" else 3
-    data = _interpolate(image.data, coords, order)
-    return VolumeImage(np.asfortranarray(data.reshape(out_dims)), new_spacing)
+    if method == "trilinear":
+        order, data = 1, np.ascontiguousarray(image.data)
+    else:
+        order = 3
+        data = ndimage.spline_filter(image.data, order=3, mode="mirror", output=np.float64)
+    ndim = image.ndim
+    for axis in sorted(range(ndim), key=lambda a: (out_dims[a] / image.dims[a], -a)):
+        idx, weights = _axis_taps(coords[axis], image.dims[axis], order)
+        out = np.take(data, idx[:, 0], axis=axis) * _along(weights[:, 0], axis, ndim)
+        for k in range(1, order + 1):
+            out += np.take(data, idx[:, k], axis=axis) * _along(weights[:, k], axis, ndim)
+        data = out
+    return VolumeImage(np.asfortranarray(data), new_spacing)
 
 
 def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -> RoiMask:
-    """Trilinear mask resampling: voxels with partial volume >= threshold stay in."""
+    """Trilinear mask resampling: voxels with partial volume >= threshold stay in.
+
+    The partial volume repeats map_coordinates' order-1 arithmetic bit for
+    bit: per output voxel the corner taps in C order, each adding its
+    weight product (w1 * w2) * w3 when the corner is in the mask.  A
+    fraction on the threshold therefore lands on the same side as with
+    map_coordinates.
+    """
     new_spacing = tuple(float(s) for s in new_spacing)
-    if len(new_spacing) != mask.membership.ndim or any(s <= 0 for s in new_spacing):
+    membership = mask.membership
+    if len(new_spacing) != membership.ndim or any(s <= 0 for s in new_spacing):
         raise ValueError(f"need one positive spacing per axis, got {new_spacing}")
     if _grid_unchanged(spacing, new_spacing):
-        return RoiMask(mask.membership.copy(), kind=mask.kind)
+        return RoiMask(membership.copy(), kind=mask.kind)
     out_dims, coords = _output_coordinates(mask.dims, spacing, new_spacing)
-    fraction = _interpolate(mask.membership.astype(np.float64), coords, order=1)
-    return RoiMask(np.asfortranarray(fraction.reshape(out_dims) >= threshold), kind=mask.kind)
+    ndim = membership.ndim
+    taps = [_axis_taps(c, n, 1) for c, n in zip(coords, mask.dims)]
+    corners = [np.ascontiguousarray(membership)]
+    for axis, (idx, _) in enumerate(taps):
+        corners = [np.take(c, idx[:, k], axis=axis) for c in corners for k in (0, 1)]
+    fraction = np.zeros(out_dims)
+    for combo, inside in zip(itertools.product((0, 1), repeat=ndim), corners):
+        weight = 1.0
+        for axis, k in enumerate(combo):
+            weight = weight * _along(taps[axis][1][:, k], axis, ndim)
+        np.add(fraction, weight, out=fraction, where=inside)
+    return RoiMask(np.asfortranarray(fraction >= threshold), kind=mask.kind)
 
 
 def round_intensities(image: VolumeImage) -> VolumeImage:

@@ -1,4 +1,4 @@
-"""Riesz transforms, Fourier-domain derivatives and tensor-based alignment.
+"""Riesz transforms and tensor-based alignment.
 
 The order-L Riesz operator for a multi-index l with |l| = L has transfer
 
@@ -27,18 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import convolve_fourier, convolve_separable, fourier_grid
+from .convolve import convolve_separable, fourier_grid
 from .image import physical_to_voxel
 from .kernels import gaussian_kernel_1d
 from .wavelets import RadialProfile, radial_transfer
 
 __all__ = [
     "riesz_indices",
-    "riesz_index_count",
     "riesz_transfer",
     "riesz_filtered_map",
     "riesz_filtered_maps",
-    "fourier_derivative",
     "StructureTensorField",
     "structure_tensor",
     "align_order2",
@@ -61,11 +59,6 @@ def riesz_indices(order: int, ndim: int) -> tuple:
         return out
 
     return tuple(build(order, ndim))
-
-
-def riesz_index_count(order: int, ndim: int) -> int:
-    """(L+D-1 choose D-1) distinct operators of a given order."""
-    return math.comb(order + ndim - 1, ndim - 1)
 
 
 def _check_index(l, ndim) -> tuple:
@@ -114,17 +107,6 @@ def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
     """Riesz-transformed radial band-pass filter for one index."""
     (response,) = riesz_filtered_maps(image, profile, (l,)).values()
     return response
-
-
-def fourier_derivative(image, axis: int, order: int) -> np.ndarray:
-    """Spectral derivative along one axis: multiply by (j nu_i)^order."""
-    image = np.asarray(image, dtype=np.float64)
-    if not 0 <= axis < image.ndim:
-        raise ValueError(f"axis {axis} out of range for {image.ndim}-D image")
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    axes, _ = fourier_grid(image.shape)
-    return convolve_fourier(image, np.broadcast_to((1j * axes[axis]) ** order, image.shape))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -20,6 +17,8 @@ from voxfilt.features import (
     write_feature_json,
 )
 from voxfilt.image import RoiMask
+
+from dispatch import digests_at_dispatch_levels
 
 
 def _pct_brute(sorted_values, q):
@@ -259,27 +258,13 @@ class TestSortedHelpers:
             np.mean(np.abs(robust - robust.mean())))
 
 
-# Each level disables what the previous one kept: AVX-512 first (an AVX2
-# machine), then X86_V3 too (an SSE4 machine).
-_DISPATCH_LEVELS = (
-    ("default", None),
-    ("AVX2", "X86_V4 AVX512_ICL AVX512_SPR"),
-    ("SSE4", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"),
-)
-
 _PROBE = """
 import hashlib, sys
 import numpy as np
-try:
-    from numpy._core import _multiarray_umath as umath
-except ImportError:
-    from numpy.core import _multiarray_umath as umath
 from voxfilt.features import intensity_statistics
 arrays = np.load(sys.argv[1])
 values = tuple(f.value for f in intensity_statistics(arrays["data"], arrays["mask"]))
-enabled = sorted(k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k))
 print(hashlib.sha256(repr(values).encode()).hexdigest())
-print(" ".join(enabled) or "baseline only")
 """
 
 
@@ -291,25 +276,8 @@ def test_statistics_do_not_depend_on_simd_dispatch(tmp_path):
     mask = ((k[0] - 19.5) ** 2 + (k[1] - 19.5) ** 2 + (k[2] - 9.5) ** 2) < 15.0**2
     fixture = tmp_path / "fixture.npz"
     np.savez(fixture, data=data, mask=mask)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    results = []
-    for name, disabled in _DISPATCH_LEVELS:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        if disabled:
-            env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        done = subprocess.run([sys.executable, "-c", _PROBE, str(fixture)], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, f"dispatch level {name}: {done.stderr}"
-        digest, enabled = done.stdout.split("\n")[:2]
-        if results and enabled == results[-1][2]:
-            print(f"dispatch level {name} is not available on this host: "
-                  f"it ran with the same features as {results[-1][0]} ({enabled})")
-        else:
-            print(f"dispatch level {name}: {enabled}")
-        results.append((name, digest, enabled))
-    assert {digest for _, digest, _ in results} == {results[0][1]}, results
+    results = digests_at_dispatch_levels(_PROBE, fixture)
+    assert {digest for _, digest in results} == {results[0][1]}, results
 
 
 class TestDiagnostics:

@@ -55,6 +55,14 @@ class TestCreateImage:
         with pytest.raises(ValueError):
             create_image((2, 2), (1, 0), [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxels_rejected(self, bad):
+        data = np.zeros((3, 3, 3))
+        data[0, 1, 2] = bad
+        data[2, 2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"2 of 27 voxels are not finite"):
+            create_image(data.shape, (1, 1, 1), data)
+
 
 class TestPhysicalToVoxel:
     def test_millimetres_over_spacing(self):

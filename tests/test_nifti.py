@@ -1,13 +1,15 @@
 import gzip
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from voxfilt.image import create_image
+from voxfilt.image import VolumeImage, create_image
 from voxfilt.nifti import (
     NiftiDatatypeError,
+    NiftiError,
     NiftiMagicError,
     NiftiTruncatedError,
     read_nifti,
@@ -117,6 +119,20 @@ class TestGzip:
         write_nifti(image, packed, "f32")
         assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
 
+    @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
+    def test_write_holds_one_copy_of_the_payload(self, tmp_path, name):
+        # The cast volume is the only full copy: no bytes copy, no header
+        # concatenation, no whole-payload compressor output.
+        image = _random_image(np.random.default_rng(9), dims=(64, 64, 64))
+        payload = 64**3 * 4
+        tracemalloc.start()
+        try:
+            write_nifti(image, tmp_path / name, "f32")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * payload, f"peak {peak / payload:.2f}x the payload"
+
     def test_gzip_detected_by_content_not_name(self, tmp_path):
         rng = np.random.default_rng(7)
         image = _random_image(rng, dims=(4, 4, 4))
@@ -201,6 +217,18 @@ class TestErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(NiftiTruncatedError):
             read_nifti(path)
+
+    @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
+    def test_non_finite_voxels_rejected(self, tmp_path, name):
+        path = tmp_path / "vol.nii"
+        write_nifti(create_image((4, 4, 4), (1, 1, 1), np.zeros(64)), path, "f32")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 352 + 4 * 5, float("nan"))
+        struct.pack_into("<f", raw, 352 + 4 * 40, float("-inf"))
+        target = tmp_path / name
+        target.write_bytes(gzip.compress(bytes(raw)) if name.endswith(".gz") else bytes(raw))
+        with pytest.raises(NiftiError, match=r"vol\.nii.*2 of 64 voxels are not finite"):
+            read_nifti(target)
 
     def test_bad_magic(self, tmp_path):
         path = self._valid_file(tmp_path)
@@ -299,7 +327,8 @@ class TestErrors:
                                                            limits):
         data = np.zeros((4, 4, 4))
         data[1, 2, 3] = bad
-        image = create_image(data.shape, (2.0, 2.0, 2.0), data)
+        # create_image rejects NaN and inf; a bare VolumeImage can still hold them
+        image = VolumeImage(np.asfortranarray(data), (2.0, 2.0, 2.0))
         path = tmp_path / "vol.nii"
         with pytest.raises(NiftiDatatypeError, match=re.escape(
                 f"{datatype} holds finite values in {limits}")):

@@ -2,9 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from voxfilt.features import intensity_statistics
-from voxfilt.image import RoiMask, VolumeImage, create_image
+from voxfilt.image import RoiMask, VolumeImage, create_image, round_half_away
 from voxfilt.boundary import BOUNDARY_MODES
 from voxfilt.kernels import GaborParams, gabor_kernel, laws_energy, mean_kernel_1d
 from voxfilt.convolve import convolve_full, convolve_separable, kernel_to_transfer
@@ -12,6 +13,8 @@ from voxfilt.pipeline import (
     FilterConfig,
     ProcessingConfig,
     apply_filter,
+    _axis_taps,
+    _output_coordinates,
     load_config,
     plan_filter,
     resample_image,
@@ -21,6 +24,8 @@ from voxfilt.pipeline import (
     run_configuration,
 )
 from voxfilt.rotinv import gabor_orientation_set, pool
+
+from dispatch import digests_at_dispatch_levels
 
 
 def _volume(data, spacing=(2.0, 2.0, 2.0)):
@@ -137,6 +142,111 @@ class TestResampleMask:
         out = resample_mask(RoiMask(membership), (2.0, 2.0, 2.0), (2.0, 2.0, 2.0))
         np.testing.assert_array_equal(out.membership, membership)
         assert out.kind == "morphological"
+
+
+def _meshgrid_oracle(data, coords, order):
+    """The former resampling call: map_coordinates over the full meshgrid."""
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return ndimage.map_coordinates(np.asarray(data, dtype=np.float64), np.stack(mesh),
+                                   order=order, mode="mirror")
+
+
+# (dims, spacing, new spacing): up- and down-sampling, anisotropic grids,
+# axes of length 1 and 2, a 2-D image and an axis whose spacing is kept.
+_GRIDS = [
+    ((6, 7, 5), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0)),
+    ((12, 11, 9), (1.0, 1.0, 1.0), (2.5, 1.7, 3.0)),
+    ((9, 10, 7), (1.5, 1.5, 2.5), (0.7, 2.1, 1.3)),
+    ((14, 12, 6), (0.7, 0.7, 3.0), (1.0, 1.0, 1.0)),
+    ((1, 2, 5), (1.0, 1.0, 1.0), (0.4, 0.3, 0.7)),
+    ((2, 1, 4), (1.2, 2.0, 0.9), (0.5, 0.5, 2.0)),
+    ((12, 9), (1.0, 1.7), (0.6, 2.3)),
+    ((8, 9, 6), (1.0, 1.3, 2.0), (1.0, 0.9, 1.1)),
+]
+
+
+class TestSeparableResample:
+    @pytest.mark.parametrize("dims,spacing,new_spacing", _GRIDS)
+    @pytest.mark.parametrize("method,order", [("trilinear", 1), ("tricubic", 3)])
+    def test_image_matches_meshgrid_oracle(self, dims, spacing, new_spacing, method, order):
+        data = np.random.default_rng(len(dims) * 100 + dims[0]).normal(100.0, 300.0, dims)
+        out = resample_image(create_image(dims, spacing, data), new_spacing, method)
+        out_dims, coords = _output_coordinates(dims, spacing, new_spacing)
+        want = _meshgrid_oracle(data, coords, order)
+        assert out.dims == out_dims == want.shape
+        assert out.data.flags.f_contiguous
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("dims,spacing,new_spacing", _GRIDS)
+    def test_mask_bytes_equal_meshgrid_oracle(self, dims, spacing, new_spacing):
+        # Besides 0.3, 0.5 and 1.0, thresholds equal to partial volumes the
+        # oracle produces: a fraction one ulp off would move its voxel across.
+        rng = np.random.default_rng(dims[0] * 10 + dims[-1])
+        _, coords = _output_coordinates(dims, spacing, new_spacing)
+        for fill in (0.3, 0.6, 0.9):
+            membership = rng.uniform(size=dims) < fill
+            fraction = _meshgrid_oracle(membership, coords, 1)
+            values = np.unique(fraction[(fraction > 0.0) & (fraction <= 1.0)])
+            picked = rng.choice(values, size=min(4, values.size), replace=False)
+            for threshold in (0.3, 0.5, 1.0, *picked):
+                out = resample_mask(RoiMask(membership), spacing, new_spacing, threshold)
+                want = np.asfortranarray(fraction >= threshold)
+                assert out.membership.tobytes() == want.tobytes(), threshold
+                assert out.membership.flags.f_contiguous
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_axis_taps_are_map_coordinates_own(self, order):
+        # In 1-D the tap sum is map_coordinates' sum term for term, so the
+        # indices and weights must reproduce it bit for bit, folds included.
+        rng = np.random.default_rng(order)
+        for n in range(1, 9):
+            data = rng.normal(size=n)
+            # divided by 3 so the fractions use every mantissa bit
+            coord = rng.uniform(-4.5, 3.0 * n + 1.5, size=64) / 3.0
+            coef = ndimage.spline_filter(data, order=3, mode="mirror") if order == 3 else data
+            idx, weights = _axis_taps(coord, n, order)
+            got = coef[idx[:, 0]] * weights[:, 0]
+            for k in range(1, order + 1):
+                got += coef[idx[:, k]] * weights[:, k]
+            want = ndimage.map_coordinates(data, coord[None], order=order, mode="mirror")
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_rounded_ct_noise_matches_oracle(self):
+        # CT-like noise as the benchmark draws it, 28^3 at 2 mm onto 1 mm:
+        # roundoff must not push a resampled value across a .5 boundary.
+        flips, nearest = 0, 1.0
+        for input_set in range(16):
+            rng = np.random.default_rng([input_set, 0])
+            data = np.rint(5.0 * np.clip(rng.normal(127.0, 48.0, (28, 28, 28)), 0.0, 255.0)
+                           - 600.0)
+            out = resample_image(create_image(data.shape, (2.0,) * 3, data), (1.0,) * 3,
+                                 "tricubic")
+            _, coords = _output_coordinates(data.shape, (2.0,) * 3, (1.0,) * 3)
+            want = _meshgrid_oracle(data, coords, 3)
+            flips += int(np.count_nonzero(round_half_away(out.data) != round_half_away(want)))
+            nearest = min(nearest, float(np.min(np.abs(np.abs(want % 1.0) - 0.5))))
+        print(f"rounded voxels flipped: {flips}; nearest value to a .5 boundary: {nearest:.3g}")
+        assert flips == 0
+
+
+_RESAMPLE_PROBE = """
+import hashlib, sys
+import numpy as np
+from voxfilt.image import create_image
+from voxfilt.pipeline import resample_image
+data = np.random.default_rng(5).normal(100.0, 300.0, (13, 11, 9))
+image = create_image(data.shape, (1.5, 1.5, 2.5), data)
+digest = hashlib.sha256()
+for method in ("tricubic", "trilinear"):
+    digest.update(resample_image(image, (0.7, 2.1, 1.3), method).data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_resampling_does_not_depend_on_simd_dispatch():
+    results = digests_at_dispatch_levels(_RESAMPLE_PROBE)
+    assert {digest for _, digest in results} == {results[0][1]}, results
 
 
 class TestRoundIntensities:
