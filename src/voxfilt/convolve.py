@@ -12,9 +12,10 @@ runs are bit-identical.
 
 The Fourier path multiplies DFTs (Hadamard product), which implies periodise
 boundary handling.  :func:`convolve_planes` evaluates the padded spatial
-convolution of a stack of planes the same way: on a block padded like the
-spatial path, the circular wrap stays inside the margin, so the cropped
-result equals the spatial one up to roundoff.
+convolution the same way, for ``convolve_full``'s Fourier route and the
+Gabor bank alike: on a block padded like the spatial path, the circular
+wrap stays inside the margin, so the cropped result equals the spatial one
+up to roundoff.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def convolve_full(image, kernel, boundary: str, constant: float = 0.0,
     padded = pad(image, margins, boundary, constant)
     if via == "spatial":
         return _dense_valid(padded, kernel, image.shape)
-    return _dense_valid_fft(padded, kernel, image.shape)
+    (out,) = convolve_planes(padded, [kernel], [kernel_to_transfer(kernel, padded.shape)])
+    return np.ascontiguousarray(out if np.iscomplexobj(kernel) else out.real)
 
 
 def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarray:
@@ -112,35 +114,21 @@ def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarra
     return np.einsum(f"...{letters},{letters}->...", windows, np.ascontiguousarray(flipped))
 
 
-def _dense_valid_fft(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarray:
-    """Linear convolution of the padded block via circular FFT convolution.
-
-    The margin absorbs the circular wrap, so the cropped interior matches the
-    direct path.
-    """
-    out = np.fft.ifftn(np.fft.fftn(padded) * kernel_to_transfer(kernel, padded.shape))
-    if not np.iscomplexobj(kernel):
-        out = out.real
-    crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(kernel.shape, out_shape))
-    return np.ascontiguousarray(out[crop])
-
-
 def convolve_planes(padded, kernels, transfers):
-    """Yield each 2-D kernel's complex response on every plane of a padded block.
+    """Yield each kernel's complex response on a padded block, from one FFT.
 
-    ``padded`` is an (P1, P2, c) block of c planes, each already extended by
-    M // 2 voxels on both sides of both in-plane axes for the M1 x M2
-    ``kernels``.  ``transfers`` holds the kernels' transfers on the (P1, P2)
-    grid (:func:`kernel_to_transfer`), so callers can build them once per
-    plane shape.  One batched FFT over the in-plane axes serves every
-    kernel; each kernel then costs one multiply by its transfer, one batched
-    inverse FFT and a crop back to the unpadded planes.
+    ``padded`` is a block already extended by M // 2 voxels on both sides
+    of every axis for the ``kernels``, which share one shape.
+    ``transfers`` holds the kernels' transfers on the padded grid
+    (:func:`kernel_to_transfer`), so callers can build them once per grid
+    shape.  One forward FFT serves every kernel; each kernel then costs one
+    multiply by its transfer, one inverse FFT and a crop back to the
+    unpadded block.
     """
-    plane = padded.shape[:2]
-    spectrum = np.fft.fft2(padded, axes=(0, 1))
+    spectrum = np.fft.fftn(padded)
     for kernel, transfer in zip(kernels, transfers):
-        crop = tuple(slice(m // 2, n - m // 2) for m, n in zip(kernel.shape, plane))
-        yield np.fft.ifft2(spectrum * transfer[:, :, None], axes=(0, 1))[crop]
+        crop = tuple(slice(m // 2, n - m // 2) for m, n in zip(kernel.shape, padded.shape))
+        yield np.fft.ifftn(spectrum * transfer)[crop]
 
 
 def fourier_grid(dims):

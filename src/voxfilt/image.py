@@ -141,43 +141,23 @@ def interior_region(dims, margin) -> np.ndarray:
     return mask
 
 
-# A chunked operation gets blocks of at most this many voxels (or one slice,
-# when a slice is larger), which bounds the memory it holds at once.  The
-# budget is fixed, not an option, and a block's bytes do not depend on it.
-_BLOCK_VOXELS = 1 << 16
-
-
-def map_slices(volume, op, threads: int = 1, chunked: bool = False) -> np.ndarray:
+def map_slices(volume, op, threads: int = 1) -> np.ndarray:
     """Apply a 2-D operation to every (k1, k2) slice of a 3-D array.
 
-    With ``chunked`` the operation takes an (n1, n2, c) block of consecutive
-    slices instead and returns the block's responses; the stack is split
-    into one contiguous chunk per thread, and each chunk into blocks of at
-    most ``_BLOCK_VOXELS`` voxels.
-    With ``threads`` > 1 the slices or blocks run on a thread pool; each
-    result is stored at its own indices, so the output does not depend on
-    the thread count.  A result whose shape differs from its input is
-    rejected.
+    With ``threads`` > 1 the slices run on a thread pool, so memory holds
+    one slice's working set per thread.  Each result is stored at its own
+    index, so the output does not depend on the thread count.  A result
+    whose shape differs from its slice is rejected.
     """
     out = np.empty(volume.shape, dtype=np.float64, order="F")
-    count = volume.shape[2]
-    if chunked:
-        parts = min(threads, count)
-        step = max(1, _BLOCK_VOXELS // (volume.shape[0] * volume.shape[1]))
-        indices = []
-        for i in range(parts):
-            start, stop = i * count // parts, (i + 1) * count // parts
-            indices += [slice(s, min(s + step, stop)) for s in range(start, stop, step)]
-    else:
-        indices = range(count)
 
     def run(index):
-        part = volume[:, :, index]
-        piece = op(part)
-        if np.shape(piece) != part.shape:
+        piece = op(volume[:, :, index])
+        if np.shape(piece) != volume.shape[:2]:
             raise ValueError("per-slice operation must preserve slice dimensions")
         out[:, :, index] = piece
 
+    indices = range(volume.shape[2])
     if threads > 1:
         with futures.ThreadPoolExecutor(max_workers=threads) as executor:
             list(executor.map(run, indices))  # re-raises the first failure

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,15 @@ def _read_bytes(path) -> bytes:
     with open(path, "rb") as handle:
         head = handle.read(2)
         handle.seek(0)
-        if head == _GZIP_MAGIC:
+        if head != _GZIP_MAGIC:
+            return handle.read()
+        try:
             with gzip.GzipFile(fileobj=handle) as stream:
                 return stream.read()
-        return handle.read()
+        except EOFError:
+            raise NiftiTruncatedError(f"{path}: gzip stream ends early") from None
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise NiftiError(f"{path}: corrupt gzip stream ({exc})") from None
 
 
 def read_nifti(path, round_values: bool = False):
@@ -166,19 +172,20 @@ def read_nifti(path, round_values: bool = False):
     if not math.isfinite(vox_offset):
         raise NiftiMagicError(f"{path}: vox_offset {vox_offset} is not finite")
     offset = int(round(vox_offset))
-    if offset < _HEADER_SIZE:
+    if offset < _VOX_OFFSET:  # the 348-byte header plus the 4-byte extension flag
         raise NiftiMagicError(f"{path}: vox_offset {vox_offset} inside the header")
     scl_slope, scl_inter = struct.unpack_from(endian + "2f", raw, 112)
 
     count = int(np.prod(dims))
     nbytes = count * dtype.itemsize
-    payload = raw[offset : offset + nbytes]
-    if len(payload) < nbytes:
+    held = max(0, len(raw) - offset)
+    if held < nbytes:
         raise NiftiTruncatedError(
-            f"{path}: payload holds {len(payload)} bytes, {nbytes} expected "
+            f"{path}: payload holds {held} bytes, {nbytes} expected "
             f"for dims {dims}"
         )
-    values = np.frombuffer(payload, dtype=dtype.newbyteorder(endian))
+    # A view into the file bytes: the float64 conversion is the only copy.
+    values = np.frombuffer(raw, dtype.newbyteorder(endian), count, offset)
     data = values.astype(np.float64).reshape(dims, order="F")
     if scl_slope != 0.0 and math.isfinite(scl_slope):
         if not math.isfinite(scl_inter):

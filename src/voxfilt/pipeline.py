@@ -368,9 +368,9 @@ class FilterPlan:
 
 # Each planner takes the parameters, the spacing of the filtered axes, the
 # boundary mode and its constant, and returns (summary, op); op filters a
-# volume, or one slice in 2-D mode.  The Gabor op filters an (n1, n2, c)
-# stack of slices instead, given a per-run transfer cache.  The ops look
-# library functions up by name when they execute.
+# volume, or one slice in 2-D mode.  The Gabor op always filters one slice,
+# given a per-run transfer cache.  The ops look library functions up by
+# name when they execute.
 
 
 def _integral(value, what) -> int:
@@ -461,16 +461,14 @@ def _plan_gabor(params, axes, boundary, constant):
     margin = bank[0].shape[0] // 2
     filling = threading.Lock()
 
-    def run(stack, transfers):
+    def run(plane, transfers):
         # The bank's transfers are built once per padded plane shape and run;
-        # the lock keeps chunks on concurrent threads from building them twice.
-        padded = pad(np.asarray(stack, dtype=np.float64), (margin, margin, 0),
-                     boundary, constant)
-        plane = padded.shape[:2]
+        # the lock keeps slices on concurrent threads from building them twice.
+        padded = pad(np.asarray(plane, dtype=np.float64), margin, boundary, constant)
         with filling:
-            if plane not in transfers:
-                transfers[plane] = [kernel_to_transfer(k, plane) for k in bank]
-        responses = convolve_planes(padded, bank, transfers[plane])
+            if padded.shape not in transfers:
+                transfers[padded.shape] = [kernel_to_transfer(k, padded.shape) for k in bank]
+        responses = convolve_planes(padded, bank, transfers[padded.shape])
         return pool((np.abs(r) for r in responses), pool_mode)
 
     summary = (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
@@ -566,7 +564,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
     the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
     grid and averages its slice responses over the three plane stacks.
-    Gabor always runs whole stacks of slices through the FFT.
+    Gabor filters one slice at a time through the FFT in both modes.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
@@ -604,13 +602,11 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             raise ValueError(f"thread count must be at least 1, got {threads}")
         if mode == "2d" and np.ndim(volume) != 3:
             raise ValueError("2d mode expects a 3-D volume of slices")
-        if kind == "gabor":
-            stack_op = functools.partial(op, transfers={})
-            if mode == "2d":
-                return map_slices(volume, stack_op, threads, chunked=True)
-            return orthogonal_plane_average(volume, stack_op, threads)
+        slice_op = functools.partial(op, transfers={}) if kind == "gabor" else op
+        if kind == "gabor" and mode == "3d":
+            return orthogonal_plane_average(volume, slice_op, threads)
         if mode == "2d":
-            return map_slices(volume, op, threads)
+            return map_slices(volume, slice_op, threads)
         return op(volume)
 
     return FilterPlan(summary, run)

@@ -79,6 +79,16 @@ def multinomial_coefficient(l) -> float:
     return math.sqrt(math.factorial(sum(l)) / math.prod(math.factorial(v) for v in l))
 
 
+def _power(x, n: int):
+    """``x**n`` for n >= 1 as repeated products.  Numpy's real ``**`` above
+    the square rounds differently at each SIMD dispatch level; products do
+    not, and for n <= 2 they give the same bytes as ``**``."""
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
+
+
 def riesz_transfer(dims, l) -> np.ndarray:
     """Order-|l| all-pass transfer on the DFT-ordered frequency grid."""
     dims = tuple(int(n) for n in dims)
@@ -88,9 +98,9 @@ def riesz_transfer(dims, l) -> np.ndarray:
     numerator = np.ones((1,) * len(dims))
     for nu, power in zip(axes, l):
         if power:
-            numerator = numerator * nu**power
+            numerator = numerator * _power(nu, power)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = numerator / norm**order
+        ratio = numerator / _power(norm, order)
     ratio[norm == 0.0] = 0.0
     return _PHASE[order % 4] * multinomial_coefficient(l) * ratio
 
@@ -214,6 +224,6 @@ def align_order2(responses, field: StructureTensorField,
         steer = multinomial_coefficient(l) * np.ones(field.dims)
         for i, power in enumerate(l):
             if power:
-                steer = steer * u[..., i] ** power
+                steer = steer * _power(u[..., i], power)
         aligned += steer * keys[l]
     return aligned

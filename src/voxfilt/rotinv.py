@@ -254,21 +254,20 @@ def gabor_orientation_set(dtheta: float, full_circle: bool = False) -> list:
     return [i * dtheta for i in range(count)]
 
 
-def orthogonal_plane_average(volume, stack_op, threads: int = 1) -> np.ndarray:
-    """Mean of a planar operation over the three plane stacks of a volume.
+def orthogonal_plane_average(volume, per_slice_2d_op, threads: int = 1) -> np.ndarray:
+    """Mean of a 2-D operation applied slice-wise in the three plane stacks.
 
-    ``stack_op`` maps an (n1, n2, c) stack of c slices to their c planar
-    responses.  It runs on the (k1,k2), (k1,k3) and (k2,k3) stacks in turn,
-    and the three resulting volumes are averaged voxelwise.  With
-    ``threads`` > 1 each stack is split into one contiguous chunk of slices
-    per thread, which must not change the result.
+    The operation runs on every (k1,k2), (k1,k3) and (k2,k3) slice in
+    turn; the three resulting volumes are averaged voxelwise.  Each stack's
+    slices are mapped with ``threads`` workers (:func:`map_slices`), which
+    never changes the result.
     """
     vol = np.asarray(volume, dtype=np.float64)
     if vol.ndim != 3:
         raise ValueError("orthogonal-plane averaging needs a 3-D volume")
     acc = np.zeros(vol.shape, dtype=np.float64)
     for stack_axis in (2, 1, 0):
-        part = map_slices(np.moveaxis(vol, stack_axis, 2), stack_op, threads, chunked=True)
+        part = map_slices(np.moveaxis(vol, stack_axis, 2), per_slice_2d_op, threads)
         acc += np.moveaxis(part, 2, stack_axis)
     acc /= 3.0
     return acc

@@ -163,30 +163,16 @@ class TestConvolvePlanes:
     @pytest.mark.parametrize("shape", [(5, 5), (4, 6)], ids=["odd", "even"])
     def test_matches_per_plane_oracle(self, mode, shape):
         rng = np.random.default_rng(31)
-        stack = rng.normal(size=(7, 6, 3))
         kernels = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)]
-        margins = (shape[0] // 2, shape[1] // 2, 0)
-        padded = pad(stack, margins, mode, 0.7)
-        transfers = [kernel_to_transfer(k, padded.shape[:2]) for k in kernels]
-        responses = list(convolve_planes(padded, kernels, transfers))
-        assert len(responses) == 2
-        for kernel, response in zip(kernels, responses):
-            assert response.shape == stack.shape
-            for i in range(stack.shape[2]):
-                want = conv_taploop(stack[:, :, i], kernel, mode, constant=0.7)
-                np.testing.assert_allclose(response[:, :, i], want, rtol=1e-12, atol=1e-12)
-
-    def test_chunks_give_the_same_bytes(self):
-        # a batched FFT over the in-plane axes transforms each plane alone
-        rng = np.random.default_rng(33)
-        padded = pad(rng.normal(size=(12, 11, 7)), (4, 4, 0), "mirror")
-        kernel = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        transfers = [kernel_to_transfer(kernel, padded.shape[:2])]
-        whole = next(convolve_planes(padded, [kernel], transfers))
-        for bounds in ((0, 1), (1, 3), (3, 7)):
-            block = np.ascontiguousarray(padded[:, :, slice(*bounds)])
-            part = next(convolve_planes(block, [kernel], transfers))
-            assert part.tobytes() == np.ascontiguousarray(whole[:, :, slice(*bounds)]).tobytes()
+        for plane in rng.normal(size=(3, 7, 6)):
+            padded = pad(plane, (shape[0] // 2, shape[1] // 2), mode, 0.7)
+            transfers = [kernel_to_transfer(k, padded.shape) for k in kernels]
+            responses = list(convolve_planes(padded, kernels, transfers))
+            assert len(responses) == 2
+            for kernel, response in zip(kernels, responses):
+                want = conv_taploop(plane, kernel, mode, constant=0.7)
+                assert response.shape == plane.shape
+                np.testing.assert_allclose(response, want, rtol=1e-12, atol=1e-12)
 
 
 class TestConvolveFourier:

@@ -133,33 +133,3 @@ class TestMapSlices:
         # a (k1, 1) result would broadcast into the slice if it were not checked
         with pytest.raises(ValueError, match="slice dimensions"):
             map_slices(np.zeros((4, 3, 2)), lambda s: s[:, :1], threads)
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_chunks_split_into_blocks_under_the_budget(self, monkeypatch, threads):
-        import voxfilt.image
-
-        monkeypatch.setattr(voxfilt.image, "_BLOCK_VOXELS", 5 * 4 * 3)
-        volume = np.random.default_rng(8).normal(size=(5, 4, 11))
-        seen = []
-
-        def op(block):
-            seen.append(block.shape[2])
-            return 2.0 * block
-
-        out = map_slices(volume, op, threads, chunked=True)
-        assert max(seen) <= 3 and sum(seen) == 11
-        assert out.tobytes() == (2.0 * volume).tobytes()
-
-    def test_slice_above_the_budget_is_its_own_block(self, monkeypatch):
-        import voxfilt.image
-
-        monkeypatch.setattr(voxfilt.image, "_BLOCK_VOXELS", 7)
-        seen = []
-        map_slices(np.zeros((4, 3, 5)), lambda b: seen.append(b.shape[2]) or b, 1, chunked=True)
-        assert seen == [1] * 5
-
-    def test_planar_gabor_stack_is_one_block(self):
-        # 5.A's stack in the benchmark: 64 x 64 x 4 voxels, padded to 124 x 124 x 4
-        seen = []
-        map_slices(np.zeros((64, 64, 4)), lambda b: seen.append(b.shape) or b, 1, chunked=True)
-        assert seen == [(64, 64, 4)]

@@ -1,10 +1,12 @@
 import gzip
+import math
 import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxfilt.image import VolumeImage, create_image
 from voxfilt.nifti import (
@@ -132,6 +134,22 @@ class TestGzip:
         finally:
             tracemalloc.stop()
         assert peak < 2 * payload, f"peak {peak / payload:.2f}x the payload"
+
+    @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
+    def test_read_holds_no_copy_of_the_payload(self, tmp_path, name):
+        # Beside the float64 result, a read holds the file bytes and the
+        # non-finite check's mask, and no second copy of the payload.
+        data = np.random.default_rng(10).integers(-1000, 1000, size=(64, 64, 64))
+        write_nifti(create_image(data.shape, (1.0, 1.0, 1.0), data), tmp_path / name, "i16")
+        payload = 64**3 * 2
+        tracemalloc.start()
+        try:
+            read_nifti(tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - 64**3 * 8
+        assert extra < 2 * payload, f"{extra / payload:.2f}x the payload beside the result"
 
     def test_gzip_detected_by_content_not_name(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -403,3 +421,105 @@ class TestEndianAndOrientation:
         struct.pack_into("<8h", raw, 40, 4, 3, 3, 3, 1, 1, 1, 1)
         path.write_bytes(bytes(raw))
         return path
+
+
+# A valid 3 x 4 x 5 i16 file (120 payload bytes) that the fuzz tests damage.
+_FUZZ_DIMS = (3, 4, 5)
+_BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64}
+_fuzz = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _fuzz_base(tmp_path) -> bytes:
+    image = create_image(_FUZZ_DIMS, (1.0, 1.0, 2.0), np.arange(60.0) - 30.0)
+    write_nifti(image, tmp_path / "base.nii", "i16")
+    return (tmp_path / "base.nii").read_bytes()
+
+
+def _patched(raw, fmt, offset, *values) -> bytes:
+    out = bytearray(raw)
+    struct.pack_into(fmt, out, offset, *values)
+    return bytes(out)
+
+
+def _read_small(tmp_path, raw, gz):
+    """read_nifti on ``raw`` (gzipped if asked), allocating at most 1 MiB."""
+    path = tmp_path / ("fuzz.nii.gz" if gz else "fuzz.nii")
+    path.write_bytes(gzip.compress(raw, mtime=0) if gz else raw)
+    tracemalloc.start()
+    try:
+        return read_nifti(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20, f"read allocated {peak} bytes for a {len(raw)}-byte file"
+
+
+class TestFuzzedHeaders:
+    """Damaged or lying files raise a NiftiError and never cost a large allocation."""
+
+    @_fuzz
+    @given(st.data(), st.booleans())
+    def test_truncated_file(self, tmp_path, data, gz):
+        raw = _fuzz_base(tmp_path)
+        if gz:  # cut the compressed stream itself; gzip is detected by content
+            raw = gzip.compress(raw, mtime=0)
+        with pytest.raises(NiftiTruncatedError):
+            _read_small(tmp_path, raw[: data.draw(st.integers(0, len(raw) - 1))], False)
+
+    @_fuzz
+    @given(st.integers(-(2**31), 2**31 - 1), st.booleans())
+    def test_lying_sizeof_hdr(self, tmp_path, value, gz):
+        if value in (348, struct.unpack("<i", struct.pack(">i", 348))[0]):
+            return  # the true size, in either byte order
+        raw = _patched(_fuzz_base(tmp_path), "<i", 0, value)
+        with pytest.raises(NiftiMagicError):
+            _read_small(tmp_path, raw, gz)
+
+    @_fuzz
+    @given(st.floats(width=32) | st.floats(340.0, 360.0, width=32), st.booleans())
+    def test_lying_vox_offset(self, tmp_path, value, gz):
+        raw = _patched(_fuzz_base(tmp_path), "<f", 108, value)
+        if math.isfinite(value) and round(value) == 352:
+            image, _ = _read_small(tmp_path, raw, gz)
+            assert image.dims == _FUZZ_DIMS
+        else:
+            with pytest.raises(NiftiError):
+                _read_small(tmp_path, raw, gz)
+
+    @_fuzz
+    @given(st.lists(st.integers(-(2**15), 2**15 - 1), min_size=8, max_size=8),
+           st.booleans())
+    def test_lying_dim(self, tmp_path, dim, gz):
+        raw = _patched(_fuzz_base(tmp_path), "<8h", 40, *dim)
+        claimed = list(dim[1 : 1 + dim[0]]) if 1 <= dim[0] <= 7 else []
+        while len(claimed) > 3 and claimed[-1] == 1:
+            claimed.pop()
+        fits = (len(claimed) in (2, 3) and min(claimed) >= 1
+                and math.prod(claimed) <= math.prod(_FUZZ_DIMS))
+        if fits:
+            image, _ = _read_small(tmp_path, raw, gz)
+            assert image.dims == tuple(claimed)
+        else:
+            with pytest.raises(NiftiError):
+                _read_small(tmp_path, raw, gz)
+
+    @_fuzz
+    @given(st.lists(st.integers(1, 2**15 - 1), min_size=2, max_size=3), st.booleans())
+    def test_oversized_dims_claim(self, tmp_path, dims, gz):
+        if math.prod(dims) <= math.prod(_FUZZ_DIMS):
+            return  # the file holds enough bytes for this claim
+        raw = _patched(_fuzz_base(tmp_path), "<8h", 40, len(dims), *dims,
+                       *([1] * (7 - len(dims))))
+        with pytest.raises(NiftiTruncatedError, match="payload"):
+            _read_small(tmp_path, raw, gz)
+
+    @_fuzz
+    @given(st.integers(-(2**15), 2**15 - 1), st.integers(-(2**15), 2**15 - 1),
+           st.booleans())
+    def test_bitpix_datatype_mismatch(self, tmp_path, datatype, bitpix, gz):
+        if _BITPIX.get(datatype) == bitpix:
+            return  # a consistent pair
+        raw = _patched(_fuzz_base(tmp_path), "<2h", 70, datatype, bitpix)
+        with pytest.raises(NiftiDatatypeError):
+            _read_small(tmp_path, raw, gz)

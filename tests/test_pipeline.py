@@ -402,7 +402,7 @@ def _spatial_gabor(volume, bank, pool_mode, boundary, constant):
 
 
 class TestGaborRoute:
-    """The Gabor plan's batched FFT route against per-slice spatial convolution."""
+    """The Gabor plan's per-slice FFT route against per-slice spatial convolution."""
 
     @staticmethod
     def _case(sigma, wavelength, gamma, dtheta, pool_mode, mode):
@@ -444,17 +444,6 @@ class TestGaborRoute:
             want += np.moveaxis(_spatial_gabor(stack, bank, pool_mode, boundary, constant),
                                 2, axis)
         self._assert_close(got, want / 3.0)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_block_budget_does_not_change_bytes(self, monkeypatch, threads):
-        import voxfilt.image
-
-        filt, _ = self._case(2.0, 3.0, 1.0, np.pi / 4, "max", "3d")
-        plan = plan_filter(filt, (1.0, 1.0, 1.0), "3d", "mirror")
-        volume = np.random.default_rng(26).normal(size=(11, 9, 8))
-        whole = plan.run(volume, threads)
-        monkeypatch.setattr(voxfilt.image, "_BLOCK_VOXELS", 2 * 11 * 9)
-        assert plan.run(volume, threads).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_never_calls_convolve_full(self, monkeypatch, mode):
@@ -517,7 +506,7 @@ class TestApplyFilter:
         for name in names:
             _, config = load_config(os.path.join(TestShippedConfigs._DIR, name))
             serial, _, serial_features = run_configuration(image, mask, config, threads=1)
-            # three threads split the Gabor stacks into uneven chunks
+            # three threads share a Gabor stack's slices unevenly
             for threads in (2, 3) if name.startswith("5.") else (2,):
                 threaded, _, threaded_features = run_configuration(image, mask, config,
                                                                    threads=threads)

@@ -16,6 +16,7 @@ from voxfilt.riesz import (
 )
 from voxfilt.wavelets import RadialProfile
 
+from dispatch import digests_at_dispatch_levels
 from oracles import euler_matrix, rotate_grid
 
 
@@ -373,3 +374,21 @@ class TestAlignedRotationInvariance:
             back = rotate_grid(turned, mat.T)
             diff = np.max(np.abs(back[interior] - reference[interior]))
             assert diff <= 1e-3 * scale
+
+
+_TRANSFER_PROBE = """
+import hashlib
+import numpy as np
+from voxfilt.riesz import riesz_transfer
+digest = hashlib.sha256()
+for dims, l in (((12, 10, 9), (3, 0, 0)), ((12, 10, 9), (1, 2, 1)),
+                ((12, 10, 9), (0, 4, 0)), ((14, 11), (2, 1))):
+    digest.update(riesz_transfer(dims, l).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_transfer_does_not_depend_on_simd_dispatch():
+    # orders 3 and 4: numpy's real ** rounds differently per SIMD level
+    results = digests_at_dispatch_levels(_TRANSFER_PROBE)
+    assert {digest for _, digest in results} == {results[0][1]}, results
