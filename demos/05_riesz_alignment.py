@@ -37,11 +37,13 @@ profile = RadialProfile("simoncelli", 1)
 responses = {l: riesz_filtered_map(sphere.data, profile, l) for l in riesz_indices(2, 3)}
 print("R(2,0,0) peak:", round(max(abs(responses[(2, 0, 0)].min()), responses[(2, 0, 0)].max()), 2))
 
-# The structure tensor smooths gradient-component products and its top
-# eigenvector gives the dominant local orientation; steering the order-2
-# set along it yields one orientation-adaptive map.
-field = structure_tensor(sphere.data, profile, 2.0, sphere.spacing)
-aligned = align_order2(responses, field)
+# The structure tensor smooths products of the first-order responses in
+# the same band (here with a 1-voxel Gaussian, 2 mm on this grid) and its
+# top eigenvector gives the dominant local orientation; steering the
+# order-2 set along it yields one orientation-adaptive map.
+gradients = [riesz_filtered_map(sphere.data, profile, l) for l in riesz_indices(1, 3)]
+tensors = structure_tensor(gradients, 1.0)
+aligned = align_order2(responses, tensors)
 print("aligned map peak:", round(float(np.abs(aligned).max()), 2))
 
 # On a spherically symmetric phantom the aligned response depends only

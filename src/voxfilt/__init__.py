@@ -17,7 +17,7 @@ The package is organised as a small numpy/scipy library:
 * :mod:`voxfilt.cli`       batch command line interface
 """
 
-from .image import VolumeImage, RoiMask, create_image, physical_to_voxel, interior_region
+from .image import VolumeImage, RoiMask, create_image, interior_region
 from .boundary import BOUNDARY_MODES, extended_index, pad
 from .convolve import (
     convolve_full,

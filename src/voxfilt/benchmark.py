@@ -49,6 +49,10 @@ PHANTOM_SPACING_MM = 2.0
 
 _CUBE_DIMS = (64, 64, 64)
 _CENTRE_INDEX = 32
+_CHECKER_EDGE = 16
+_HULL_RADII = (8.0, 16.0, 24.0, 31.0)
+_HULL_HALF_WIDTH = 0.5
+_LINE_OFFSET = 16
 _NOISE_MEAN = 127.0
 _NOISE_SD = 48.0
 
@@ -57,20 +61,10 @@ def _index_grids(dims):
     return np.indices(dims, dtype=np.float64)
 
 
-def generate_phantom(
-    kind,
-    seed=None,
-    *,
-    cube_edge: int = 16,
-    hull_radii=(8.0, 16.0, 24.0, 31.0),
-    hull_half_width: float = 0.5,
-    line_offset: int = 16,
-) -> VolumeImage:
+def generate_phantom(kind, seed=None) -> VolumeImage:
     """Generate one of the nine test phantoms.
 
-    ``seed`` is required for (and only used by) the noise phantom.  The
-    keyword parameters tune the generators whose geometry is not fixed by a
-    published formula.
+    ``seed`` is required for (and only used by) the noise phantom.
     """
     if kind not in PHANTOM_KINDS:
         raise ValueError(f"unknown phantom kind {kind!r}, expected one of {PHANTOM_KINDS}")
@@ -84,10 +78,8 @@ def generate_phantom(
     elif kind == "impulse":
         data[_CENTRE_INDEX, _CENTRE_INDEX, _CENTRE_INDEX] = 255.0
     elif kind == "checkerboard":
-        if cube_edge <= 0:
-            raise ValueError(f"cube_edge must be positive, got {cube_edge}")
         k1, k2, k3 = np.indices(dims)
-        even = (k1 // cube_edge + k2 // cube_edge + k3 // cube_edge) % 2 == 0
+        even = (k1 // _CHECKER_EDGE + k2 // _CHECKER_EDGE + k3 // _CHECKER_EDGE) % 2 == 0
         data[even] = 255.0
     elif kind == "noise":
         if seed is None:
@@ -102,8 +94,8 @@ def generate_phantom(
         radius = np.sqrt(
             (k1 - centre[0]) ** 2 + (k2 - centre[1]) ** 2 + (k3 - centre[2]) ** 2
         )
-        for r in hull_radii:
-            data[np.abs(radius - r) <= hull_half_width] = 255.0
+        for r in _HULL_RADII:
+            data[np.abs(radius - r) <= _HULL_HALF_WIDTH] = 255.0
     elif kind == "pattern1":
         # Three perpendicular lines crossing at the centre voxel.
         c = _CENTRE_INDEX
@@ -113,13 +105,13 @@ def generate_phantom(
     elif kind == "pattern2":
         # Three parallel lines along k3.
         c = _CENTRE_INDEX
-        for off in (-line_offset, 0, line_offset):
+        for off in (-_LINE_OFFSET, 0, _LINE_OFFSET):
             data[c + off, c + off, :] = 255.0
     elif kind == "pattern3":
         # Two parallel lines along k3 plus one perpendicular line along k1.
         c = _CENTRE_INDEX
-        data[c - line_offset, c, :] = 255.0
-        data[c + line_offset, c, :] = 255.0
+        data[c - _LINE_OFFSET, c, :] = 255.0
+        data[c + _LINE_OFFSET, c, :] = 255.0
         data[:, c, c] = 255.0
     elif kind == "orientation":
         k1, k2, k3 = _index_grids(dims)

@@ -17,7 +17,6 @@ __all__ = [
     "VolumeImage",
     "RoiMask",
     "create_image",
-    "physical_to_voxel",
     "round_half_away",
     "interior_region",
     "map_slices",
@@ -101,21 +100,6 @@ def create_image(dims, spacing, data) -> VolumeImage:
     arr = np.asfortranarray(arr)
     arr.flags.writeable = False
     return VolumeImage(arr, tuple(float(s) for s in spacing))
-
-
-def physical_to_voxel(value_mm, spacing_mm):
-    """Convert a physical length (mm) into voxel units, per axis if needed.
-
-    Filter scale parameters are specified in millimetres but every kernel is
-    built in voxel units, so this conversion sits in front of all builders.
-    """
-    spacing = np.asarray(spacing_mm, dtype=np.float64)
-    if np.any(spacing <= 0):
-        raise ValueError(f"spacing must be strictly positive, got {spacing_mm}")
-    out = np.asarray(value_mm, dtype=np.float64) / spacing
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def round_half_away(data) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Kernel builders: mean, Laplacian-of-Gaussian, Laws and Gabor filters.
 
-All scale parameters are in voxel units here; millimetre flags are converted
-by the caller through :func:`voxfilt.image.physical_to_voxel`.
+All scale parameters are in voxel units here; millimetre parameters are
+converted once, when :func:`voxfilt.pipeline.plan_filter` plans the filter.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ Gzip compression is detected from the stream itself, not the filename.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
 import struct
@@ -58,7 +59,7 @@ _VOX_OFFSET = 352.0
 _MAGIC_SINGLE = b"n+1\x00"
 _MAGIC_PAIR = b"ni1\x00"
 _GZIP_MAGIC = b"\x1f\x8b"
-_WRITE_SLICE_BYTES = 1 << 16
+_PIECE_BYTES = 1 << 16
 
 # NIfTI-1 datatype codes for the supported voxel types.
 DATATYPE_CODES = {
@@ -93,31 +94,47 @@ class NiftiHeaderView:
     orientation: bytes
 
 
-def _read_bytes(path) -> bytes:
+@contextlib.contextmanager
+def _opened(path):
+    """The file as a byte stream, inflated when gzipped.
+
+    A gzip stream is read to its end on exit, a piece at a time, so its
+    check sum covers the whole file and a stream that is cut or corrupt
+    after the payload is still an error.
+    """
     with open(path, "rb") as handle:
-        head = handle.read(2)
+        gzipped = handle.read(2) == _GZIP_MAGIC
         handle.seek(0)
-        if head != _GZIP_MAGIC:
-            return handle.read()
+        if not gzipped:
+            yield handle
+            return
         try:
             with gzip.GzipFile(fileobj=handle) as stream:
-                return stream.read()
+                yield stream
+                while stream.read(_PIECE_BYTES):
+                    pass
         except EOFError:
             raise NiftiTruncatedError(f"{path}: gzip stream ends early") from None
         except (gzip.BadGzipFile, zlib.error) as exc:
             raise NiftiError(f"{path}: corrupt gzip stream ({exc})") from None
 
 
-def read_nifti(path, round_values: bool = False):
-    """Load a NIfTI-1 file as (VolumeImage, NiftiHeaderView).
+def _read_upto(stream, size) -> bytes:
+    """At most ``size`` bytes, fewer where the stream ends.  They are read a
+    piece at a time, so a size that a header claims costs no more memory
+    than the file holds."""
+    pieces = []
+    while size > 0:
+        piece = stream.read(min(size, _PIECE_BYTES))
+        if not piece:
+            break
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
 
-    Intensities are promoted to double precision with scl_slope and
-    scl_inter applied (a slope of 0 or a non-finite slope means unscaled).  ``round_values``
-    additionally rounds half away from zero, for masks and images whose
-    integer nature was lost in an earlier conversion.  A NaN or infinite
-    voxel, stored or produced by the scaling, is an error naming their count.
-    """
-    raw = _read_bytes(path)
+
+def _parse_header(path, raw):
+    """The checked header as (view, byte order, payload offset)."""
     if len(raw) < 4:
         raise NiftiTruncatedError(f"{path}: file too short for a NIfTI header")
     for endian in ("<", ">"):
@@ -175,26 +192,6 @@ def read_nifti(path, round_values: bool = False):
     if offset < _VOX_OFFSET:  # the 348-byte header plus the 4-byte extension flag
         raise NiftiMagicError(f"{path}: vox_offset {vox_offset} inside the header")
     scl_slope, scl_inter = struct.unpack_from(endian + "2f", raw, 112)
-
-    count = int(np.prod(dims))
-    nbytes = count * dtype.itemsize
-    held = max(0, len(raw) - offset)
-    if held < nbytes:
-        raise NiftiTruncatedError(
-            f"{path}: payload holds {held} bytes, {nbytes} expected "
-            f"for dims {dims}"
-        )
-    # A view into the file bytes: the float64 conversion is the only copy.
-    values = np.frombuffer(raw, dtype.newbyteorder(endian), count, offset)
-    data = values.astype(np.float64).reshape(dims, order="F")
-    if scl_slope != 0.0 and math.isfinite(scl_slope):
-        if not math.isfinite(scl_inter):
-            raise NiftiMagicError(f"{path}: scl_inter {scl_inter} is not finite")
-        if scl_slope != 1.0 or scl_inter != 0.0:
-            data = data * scl_slope + scl_inter
-    if round_values:
-        data = round_half_away(data)
-
     view = NiftiHeaderView(
         dims=dims,
         pixdim=spacing,
@@ -203,8 +200,47 @@ def read_nifti(path, round_values: bool = False):
         scl_inter=float(scl_inter),
         orientation=bytes(raw[_ORIENTATION_SLICE]),
     )
+    return view, endian, offset
+
+
+def read_nifti(path, round_values: bool = False):
+    """Load a NIfTI-1 file as (VolumeImage, NiftiHeaderView).
+
+    Intensities are promoted to double precision with scl_slope and
+    scl_inter applied (a slope of 0 or a non-finite slope means unscaled).  ``round_values``
+    additionally rounds half away from zero, for masks and images whose
+    integer nature was lost in an earlier conversion.  A NaN or infinite
+    voxel, stored or produced by the scaling, is an error naming their count.
+    Only the file's bytes up to the end of the payload that the header
+    describes are held in memory.
+    """
+    with _opened(path) as stream:
+        view, endian, offset = _parse_header(path, stream.read(_HEADER_SIZE))
+        dims = view.dims
+        dtype = _CODE_TO_DTYPE[view.datatype]
+        count = math.prod(dims)
+        nbytes = count * dtype.itemsize
+        start = offset - _HEADER_SIZE
+        rest = _read_upto(stream, start + nbytes)
+    held = max(0, len(rest) - start)
+    if held < nbytes:
+        raise NiftiTruncatedError(
+            f"{path}: payload holds {held} bytes, {nbytes} expected "
+            f"for dims {dims}"
+        )
+    # A view into the file bytes: the float64 conversion is the only copy.
+    values = np.frombuffer(rest, dtype.newbyteorder(endian), count, start)
+    data = values.astype(np.float64).reshape(dims, order="F")
+    scl_slope, scl_inter = view.scl_slope, view.scl_inter
+    if scl_slope != 0.0 and math.isfinite(scl_slope):
+        if not math.isfinite(scl_inter):
+            raise NiftiMagicError(f"{path}: scl_inter {scl_inter} is not finite")
+        if scl_slope != 1.0 or scl_inter != 0.0:
+            data = data * scl_slope + scl_inter
+    if round_values:
+        data = round_half_away(data)
     try:
-        image = create_image(dims, spacing, data)
+        image = create_image(dims, view.pixdim, data)
     except ValueError as exc:  # the only one left: non-finite voxels
         raise NiftiError(f"{path}: {exc}") from None
     return image, view
@@ -272,5 +308,5 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
 
 def _write_slices(stream, header, payload) -> None:
     stream.write(header)
-    for start in range(0, len(payload), _WRITE_SLICE_BYTES):
-        stream.write(payload[start : start + _WRITE_SLICE_BYTES])
+    for start in range(0, len(payload), _PIECE_BYTES):
+        stream.write(payload[start : start + _PIECE_BYTES])

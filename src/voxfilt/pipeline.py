@@ -30,6 +30,7 @@ from .image import RoiMask, VolumeImage, map_slices, round_half_away
 from .kernels import (
     GaborParams,
     gabor_kernel,
+    gaussian_kernel_1d,
     laws_1d,
     laws_energy,
     log_kernel,
@@ -76,6 +77,26 @@ __all__ = [
 _INTERPOLATIONS = ("trilinear", "tricubic")
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _number(value, what) -> float:
+    """``value`` as a float; a bool, a string or a list is an error naming ``what``."""
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what, count=None) -> tuple:
+    """``value`` as a tuple of floats, of ``count`` entries when given."""
+    if not isinstance(value, (list, tuple)) or (count is not None and len(value) != count):
+        entries = "a list of numbers" if count is None else f"a list of {count} numbers"
+        raise ValueError(f"{what} must be {entries}, got {value!r}")
+    return tuple(_number(v, what) for v in value)
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """One benchmark filter: a kind plus its kind-specific parameters."""
@@ -112,19 +133,23 @@ class ProcessingConfig:
                 f"interpolation must be one of {_INTERPOLATIONS}, got {self.image_interpolation!r}"
             )
         if self.resample_spacing_mm is not None:
-            spacing = tuple(float(s) for s in self.resample_spacing_mm)
+            spacing = _numbers(self.resample_spacing_mm, "resample spacing_mm")
             if any(s <= 0 for s in spacing):
                 raise ValueError(f"resampled spacing must be positive, got {spacing}")
             object.__setattr__(self, "resample_spacing_mm", spacing)
         if not isinstance(self.rounding, bool):
             raise ValueError(f"rounding must be true or false, got {self.rounding!r}")
-        if not 0.0 < self.mask_threshold <= 1.0:
-            raise ValueError(f"mask threshold must lie in (0, 1], got {self.mask_threshold}")
+        threshold = _number(self.mask_threshold, "mask_threshold")
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"mask threshold must lie in (0, 1], got {threshold}")
+        object.__setattr__(self, "mask_threshold", threshold)
         if self.reseg_range is not None:
-            low, high = (float(v) for v in self.reseg_range)
+            low, high = _numbers(self.reseg_range, "resegment_hu", 2)
             if low > high:
                 raise ValueError(f"re-segmentation range is inverted: [{low}, {high}]")
             object.__setattr__(self, "reseg_range", (low, high))
+        object.__setattr__(self, "boundary_constant",
+                           _number(self.boundary_constant, "boundary_constant"))
 
 
 _CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
@@ -172,11 +197,11 @@ def load_config(path):
         filter=FilterConfig(str(filt["kind"]).lower(), params),
         resample_spacing_mm=resample["spacing_mm"],
         image_interpolation=resample.get("image_interpolation", "tricubic"),
-        mask_threshold=float(resample.get("mask_threshold", 0.5)),
+        mask_threshold=resample.get("mask_threshold", 0.5),
         rounding=resample.get("rounding", False),
         reseg_range=raw.get("resegment_hu"),
         boundary=raw.get("boundary", "mirror"),
-        boundary_constant=float(raw.get("boundary_constant", 0.0)),
+        boundary_constant=raw.get("boundary_constant", 0.0),
     )
     return str(raw.get("test_id", "")), config
 
@@ -375,8 +400,7 @@ class FilterPlan:
 
 def _integral(value, what) -> int:
     """``value`` as an int; a bool, a fraction or a non-number is an error."""
-    number = isinstance(value, (int, float, np.integer, np.floating))
-    if isinstance(value, bool) or not number or not float(value).is_integer():
+    if not _is_number(value) or not float(value).is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -515,26 +539,24 @@ def _plan_riesz(params, axes, boundary, constant):
     profile = RadialProfile(str(params["wavelet"]).lower(),
                             _integral(params["level"], "riesz level"))
     l = _check_index([_integral(v, "riesz index entry") for v in params["l"]], ndim)
-    scale, applied = _fourier_domain(axes, boundary, "the Riesz filter")
+    _, applied = _fourier_domain(axes, boundary, "the Riesz filter")
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
     _needs_switch(params, "align", ("sigma_tensor_mm", "sigma_tensor_vox"), "riesz filter")
     if not params.get("align", False):
         return summary + applied, lambda data: riesz_filtered_map(data, profile, l)
     if sum(l) != 2:
         raise ValueError("alignment is defined for second-order Riesz sets")
-    sigma_mm = params.get("sigma_tensor_mm")
-    if params.get("sigma_tensor_vox") is not None:
-        sigma_mm = float(params["sigma_tensor_vox"]) * scale
-    if sigma_mm is None:
-        raise ValueError("aligned Riesz filtering needs sigma_tensor_mm or sigma_tensor_vox")
-    sigma_mm = float(sigma_mm)
-    indices = riesz_indices(2, ndim)
+    sigma = _scale_param(params, "sigma_tensor", axes, "aligned Riesz filtering")
+    window = gaussian_kernel_1d(sigma)
+    order2, order1 = riesz_indices(2, ndim), riesz_indices(1, ndim)
 
     def run(data):
-        return align_order2(riesz_filtered_maps(data, profile, indices),
-                            structure_tensor(data, profile, sigma_mm, axes))
+        maps = riesz_filtered_maps(data, profile, order2 + order1)
+        tensors = structure_tensor([maps.pop(k) for k in order1], sigma)
+        return align_order2(maps, tensors)
 
-    return f"{summary}, aligned with structure tensor sigma {sigma_mm:.6g} mm{applied}", run
+    return (f"{summary}, aligned with structure tensor sigma {sigma:.6g} voxels, "
+            f"kernel size {window.size}{applied}"), run
 
 
 # kind -> (planner, required parameters, optional parameters)

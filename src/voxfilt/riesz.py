@@ -17,18 +17,17 @@ does.
 
 Band-passed Riesz responses have one path, riesz_filtered_maps: one forward
 DFT per image times the radial band, then per index the steering and one
-inverse DFT.  The single map and the structure tensor's gradients use it.
+inverse DFT.  An aligned filter asks it for the order-2 set and the
+first-order gradients together, so the image is transformed once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .convolve import convolve_separable, fourier_grid
-from .image import physical_to_voxel
 from .kernels import gaussian_kernel_1d
 from .wavelets import RadialProfile, radial_transfer
 
@@ -37,7 +36,6 @@ __all__ = [
     "riesz_transfer",
     "riesz_filtered_map",
     "riesz_filtered_maps",
-    "StructureTensorField",
     "structure_tensor",
     "align_order2",
 ]
@@ -119,59 +117,32 @@ def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
     return response
 
 
-@dataclass(frozen=True)
-class StructureTensorField:
-    """Per-voxel symmetric D x D tensors, shape dims + (D, D)."""
+def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
+    """Gaussian-regularised gradient-energy tensors, shape dims + (D, D).
 
-    tensors: np.ndarray
-    sigma_mm: float
-
-    @property
-    def ndim(self) -> int:
-        return self.tensors.shape[-1]
-
-    @property
-    def dims(self) -> tuple:
-        return self.tensors.shape[:-2]
-
-
-def structure_tensor(image, profile: RadialProfile, sigma_tensor_mm: float,
-                     spacing) -> StructureTensorField:
-    """Gaussian-regularised gradient-energy tensors of a band-passed image.
-
-    The gradient components are the first-order Riesz responses in the
-    chosen band.  Each product r_i r_j is smoothed with a unit-sum
-    Gaussian of sigma_tensor (mm, converted per axis); the smoothing uses
-    the periodise boundary, matching the Fourier-domain origin of the
-    components.
+    ``gradients`` are the D first-order Riesz responses of one band, in axis
+    order.  Each product r_i r_j is smoothed with a unit-sum Gaussian of
+    ``sigma_vox`` voxels on every axis; the smoothing uses the periodise
+    boundary, matching the Fourier-domain origin of the components.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if sigma_tensor_mm <= 0:
-        raise ValueError(f"sigma_tensor must be positive, got {sigma_tensor_mm}")
-    ndim = image.ndim
-    sigma_vox = np.atleast_1d(physical_to_voxel(sigma_tensor_mm, spacing))
-    if sigma_vox.size == 1:
-        sigma_vox = np.repeat(sigma_vox, ndim)
-    if sigma_vox.size != ndim:
-        raise ValueError("spacing must be scalar or give one value per axis")
-    window = tuple(gaussian_kernel_1d(s) for s in sigma_vox)
-
-    components = list(riesz_filtered_maps(image, profile, riesz_indices(1, ndim)).values())
-    tensors = np.empty(image.shape + (ndim, ndim), dtype=np.float64)
+    gradients = [np.asarray(g, dtype=np.float64) for g in gradients]
+    ndim = len(gradients)
+    if ndim < 1 or any(g.shape != gradients[0].shape or g.ndim != ndim for g in gradients):
+        raise ValueError(f"need one gradient map per axis, all of one shape; got {ndim} maps")
+    dims = gradients[0].shape
+    window = (gaussian_kernel_1d(sigma_vox),) * ndim
+    tensors = np.empty(dims + (ndim, ndim), dtype=np.float64)
     for i in range(ndim):
         for j in range(i, ndim):
             tensors[..., i, j] = tensors[..., j, i] = convolve_separable(
-                components[i] * components[j], window, "periodise")
-    return StructureTensorField(tensors=tensors, sigma_mm=float(sigma_tensor_mm))
+                gradients[i] * gradients[j], window, "periodise")
+    return tensors
 
 
-def _dominant_directions(field: StructureTensorField, select: str) -> np.ndarray:
-    if select not in ("largest", "smallest"):
-        raise ValueError("select must be 'largest' or 'smallest'")
-    t = field.tensors
-    ndim = field.ndim
+def _dominant_directions(t) -> np.ndarray:
+    ndim = t.shape[-1]
     _, vectors = np.linalg.eigh(t)
-    u = vectors[..., :, -1] if select == "largest" else vectors[..., :, 0]
+    u = vectors[..., :, -1]
 
     # Isotropic tensors leave the direction undefined; fall back to k1 so
     # repeated runs (and rotated reruns) agree.
@@ -193,16 +164,18 @@ def _dominant_directions(field: StructureTensorField, select: str) -> np.ndarray
     return u * sign[..., None]
 
 
-def align_order2(responses, field: StructureTensorField,
-                 select: str = "largest") -> np.ndarray:
+def align_order2(responses, tensors) -> np.ndarray:
     """Steer the order-2 response set along the dominant tensor direction.
 
+    ``tensors`` is a :func:`structure_tensor` result, shape dims + (D, D).
     The steered value is the second directional derivative along u,
     recovered from the multinomial expansion
     sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k]; it is even in u, so the
     eigenvector sign never matters.
     """
-    ndim = field.ndim
+    tensors = np.asarray(tensors, dtype=np.float64)
+    ndim = tensors.shape[-1]
+    dims = tensors.shape[:-2]
     wanted = riesz_indices(2, ndim)
     keys = {tuple(int(v) for v in k): np.asarray(m, dtype=np.float64)
             for k, m in responses.items()}
@@ -213,15 +186,15 @@ def align_order2(responses, field: StructureTensorField,
     if extra:
         raise ValueError(f"unexpected response indices {extra}")
     for l, m in keys.items():
-        if m.shape != field.dims:
+        if m.shape != dims:
             raise ValueError(
-                f"response {l} dims {m.shape} do not match tensor grid {field.dims}"
+                f"response {l} dims {m.shape} do not match tensor grid {dims}"
             )
 
-    u = _dominant_directions(field, select)
-    aligned = np.zeros(field.dims, dtype=np.float64)
+    u = _dominant_directions(tensors)
+    aligned = np.zeros(dims, dtype=np.float64)
     for l in wanted:
-        steer = multinomial_coefficient(l) * np.ones(field.dims)
+        steer = multinomial_coefficient(l) * np.ones(dims)
         for i, power in enumerate(l):
             if power:
                 steer = steer * _power(u[..., i], power)

@@ -236,20 +236,18 @@ def pool(response_set, mode: str) -> np.ndarray:
     return out
 
 
-def gabor_orientation_set(dtheta: float, full_circle: bool = False) -> list:
+def gabor_orientation_set(dtheta: float) -> list:
     """Orientations {0, dtheta, 2*dtheta, ...} covering [0, pi).
 
     Modulus maps of the complex kernel repeat with period pi on real
-    images, so the half turn is the default span; ``full_circle``
-    extends it to 2*pi for conformance comparisons.
+    images, so the half turn is the whole span.
     """
     if not math.isfinite(dtheta) or dtheta <= 0.0:
         raise ValueError("orientation step must be a positive finite angle")
-    span = 2.0 * math.pi if full_circle else math.pi
-    count = round(span / dtheta)
-    if count < 1 or abs(count * dtheta - span) > 1e-9 * span:
+    count = round(math.pi / dtheta)
+    if count < 1 or abs(count * dtheta - math.pi) > 1e-9 * math.pi:
         raise ValueError(
-            f"orientation step {dtheta!r} does not divide the span {span!r} evenly"
+            f"orientation step {dtheta!r} does not divide the span {math.pi!r} evenly"
         )
     return [i * dtheta for i in range(count)]
 

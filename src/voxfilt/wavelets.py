@@ -90,12 +90,6 @@ def wavelet_family(name: str) -> WaveletFamily:
     return WaveletFamily(name=name, low_pass=low, high_pass=_qmf_high_pass(low))
 
 
-def _resolve_family(family) -> WaveletFamily:
-    if isinstance(family, WaveletFamily):
-        return family
-    return wavelet_family(family)
-
-
 def atrous_upsample(kernel, level: int) -> np.ndarray:
     """Dilate a kernel by 2^level: zeros between taps, zeros trailing."""
     g = np.asarray(kernel, dtype=np.float64)
@@ -125,7 +119,7 @@ def _swt_stages(family, level: int, subband: str, ndim: int) -> list:
     Levels 1..level-1 use the low-pass on every axis; the last level uses
     the requested letter, each stage dilated for its level.
     """
-    fam = _resolve_family(family)
+    fam = wavelet_family(family)
     letters = _check_subband(subband, ndim)
     if level < 1:
         raise ValueError("decomposition level must be >= 1")
@@ -168,7 +162,6 @@ class DecimatedLevel:
 
     level: int
     subbands: dict
-    mask: np.ndarray | None = None
 
 
 def _decimate(arr: np.ndarray) -> np.ndarray:
@@ -176,15 +169,14 @@ def _decimate(arr: np.ndarray) -> np.ndarray:
 
 
 def dwt_decimated(image, family, levels: int, boundary: str,
-                  constant: float = 0.0, mask=None) -> tuple:
+                  constant: float = 0.0) -> tuple:
     """Mallat cascade: filter, keep even-indexed samples, recurse on LL...L.
 
     Every level yields all 2^D letter combinations at half the previous
-    dims; the all-low map is the next level's input.  A region mask, if
-    given, is decimated alongside so it stays aligned with the maps.
+    dims; the all-low map is the next level's input.
     """
     image = np.asarray(image, dtype=np.float64)
-    fam = _resolve_family(family)
+    fam = wavelet_family(family)
     if levels < 1:
         raise ValueError("decomposition level must be >= 1")
     factor = 2 ** levels
@@ -193,24 +185,18 @@ def dwt_decimated(image, family, levels: int, boundary: str,
             f"image dims {image.shape} must be divisible by 2^levels = {factor}; "
             f"pad each axis to a multiple of {factor} first"
         )
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != image.shape:
-            raise ValueError("mask dims must match image dims")
 
     bank = {"L": fam.low_pass, "H": fam.high_pass}
     out = []
     current = image
     for j in range(1, levels + 1):
-        if mask is not None:
-            mask = _decimate(mask)
         subbands = {}
         for combo in itertools.product("LH", repeat=image.ndim):
             letters = "".join(combo)
             kernels = tuple(bank[c] for c in combo)
             full = convolve_separable(current, kernels, boundary, constant)
             subbands[letters] = _decimate(full)
-        out.append(DecimatedLevel(level=j, subbands=subbands, mask=mask))
+        out.append(DecimatedLevel(level=j, subbands=subbands))
         current = subbands["L" * image.ndim]
     return tuple(out)
 

@@ -32,13 +32,8 @@ from voxfilt.kernels import (
     truncated_support,
 )
 from voxfilt.nifti import write_nifti
-from voxfilt.riesz import (
-    align_order2,
-    riesz_filtered_map,
-    riesz_indices,
-    riesz_transfer,
-    structure_tensor,
-)
+from voxfilt.pipeline import FilterConfig, plan_filter
+from voxfilt.riesz import riesz_indices, riesz_transfer
 from voxfilt.rotinv import equivariant_set_2d, equivariant_set_3d, oddify
 from voxfilt.wavelets import RadialProfile, atrous_upsample, radial_transfer, wavelet_family
 
@@ -279,26 +274,19 @@ def test_criterion_09_radial_transfer_checks():
     assert partition_ok
 
 
-def _aligned_map(image, profile, sigma_mm, spacing):
-    responses = {
-        l: riesz_filtered_map(image, profile, l)
-        for l in riesz_indices(2, image.ndim)
-    }
-    field = structure_tensor(image, profile, sigma_mm, spacing)
-    return align_order2(responses, field)
-
-
 def test_criterion_10_aligned_riesz_right_angle_invariance():
     phantom = generate_phantom("sphere")
-    profile = RadialProfile("simoncelli", 1)
+    filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [2, 0, 0],
+                                  "align": True, "sigma_tensor_mm": 2.0})
+    aligned = plan_filter(filt, phantom.spacing, "3d", "periodise").run
     start = time.monotonic()
-    reference = _aligned_map(phantom.data, profile, 2.0, phantom.spacing)
+    reference = aligned(phantom.data)
     scale = float(np.max(np.abs(reference)))
     interior = interior_region(phantom.dims, 8)
     worst = 0.0
     for quarters in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         mat = euler_matrix(quarters)
-        turned = _aligned_map(rotate_grid(phantom.data, mat), profile, 2.0, phantom.spacing)
+        turned = aligned(rotate_grid(phantom.data, mat))
         back = rotate_grid(turned, mat.T)
         worst = max(worst, float(np.max(np.abs(back[interior] - reference[interior]))))
     elapsed = time.monotonic() - start

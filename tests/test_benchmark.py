@@ -51,15 +51,6 @@ class TestCheckerboard:
         assert np.all(data[16:32, :16, :16] == 0.0)
         assert np.all(data[16:32, 16:32, :16] == 255.0)
 
-    def test_custom_edge(self):
-        data = generate_phantom("checkerboard", cube_edge=8).data
-        assert np.all(data[:8, :8, :8] == 255.0)
-        assert np.all(data[8:16, :8, :8] == 0.0)
-
-    def test_invalid_edge(self):
-        with pytest.raises(ValueError):
-            generate_phantom("checkerboard", cube_edge=0)
-
 
 class TestNoise:
     def test_seed_required(self):
@@ -93,11 +84,6 @@ class TestSphere:
         # The exact centre is far from every hull.
         assert data[31, 31, 31] == 0.0
         assert data[32, 32, 32] == 0.0
-
-    def test_custom_radii(self):
-        data = generate_phantom("sphere", hull_radii=(4.0,)).data
-        outer = generate_phantom("sphere").data
-        assert np.count_nonzero(data) < np.count_nonzero(outer)
 
 
 class TestPatterns:

@@ -444,6 +444,13 @@ class TestRunCommand:
         "riesz-tensor-vox-alone": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                     "l": [0, 2, 0], "align": False, "sigma_tensor_vox": 1.0},
                                    "sigma_tensor_vox applies only with align"),
+        # a tensor scale that the smoothing cannot use
+        "riesz-tensor-mm-zero": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
+                                  "l": [0, 2, 0], "align": True, "sigma_tensor_mm": 0},
+                                 "sigma must be positive"),
+        "riesz-tensor-vox-negative": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
+                                       "l": [0, 2, 0], "align": True, "sigma_tensor_vox": -1},
+                                      "sigma must be positive"),
     }
 
     @pytest.mark.parametrize("case", sorted(_BAD_FILTERS))
@@ -527,6 +534,24 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the resample block")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("block,key", [
+        ("resample:\n  spacing_mm: 1.0\n", "spacing_mm"),
+        ("resegment_hu: -1000\n", "resegment_hu"),
+        ("resample:\n  spacing_mm: [1, 1, 1]\n  mask_threshold: true\n", "mask_threshold"),
+        ("boundary_constant: yes\n", "boundary_constant"),
+    ], ids=["scalar-spacing", "scalar-range", "bool-threshold", "bool-constant"])
+    def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, block, key):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text("test_id: T\nmode: 3d\n" + block + "filter:\n  kind: none\n")
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("offset,field", [(80, "pixdim[1]"), (108, "vox_offset")])

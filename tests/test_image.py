@@ -1,8 +1,7 @@
-"""Volume container, unit conversion and interior-region tests."""
+"""Volume container, interior-region and slice-mapping tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from voxfilt.image import (
     VolumeImage,
@@ -10,7 +9,6 @@ from voxfilt.image import (
     create_image,
     interior_region,
     map_slices,
-    physical_to_voxel,
 )
 
 
@@ -62,28 +60,6 @@ class TestCreateImage:
         data[2, 2, 0] = np.nan
         with pytest.raises(ValueError, match=r"2 of 27 voxels are not finite"):
             create_image(data.shape, (1, 1, 1), data)
-
-
-class TestPhysicalToVoxel:
-    def test_millimetres_over_spacing(self):
-        assert physical_to_voxel(5.0, 2.0) == 2.5
-
-    def test_unit_spacing(self):
-        assert physical_to_voxel(3.0, 1.0) == 3.0
-        assert physical_to_voxel(1.5, 1.0) == 1.5
-
-    def test_per_axis(self):
-        np.testing.assert_allclose(physical_to_voxel(6.0, (1.0, 2.0, 3.0)), [6.0, 3.0, 2.0])
-
-    def test_bad_spacing(self):
-        with pytest.raises(ValueError):
-            physical_to_voxel(1.0, 0.0)
-        with pytest.raises(ValueError):
-            physical_to_voxel(1.0, -2.0)
-
-    @given(st.floats(0.01, 1e3), st.floats(0.01, 1e3))
-    def test_round_trip(self, x, s):
-        assert physical_to_voxel(x * s, s) == pytest.approx(x, rel=1e-15)
 
 
 class TestInteriorRegion:

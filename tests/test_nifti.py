@@ -151,6 +151,12 @@ class TestGzip:
         extra = peak - 64**3 * 8
         assert extra < 2 * payload, f"{extra / payload:.2f}x the payload beside the result"
 
+    @pytest.mark.parametrize("gz", [False, True], ids=["nii", "nii.gz"])
+    def test_read_holds_only_what_the_header_describes(self, tmp_path, gz):
+        # 120 payload bytes followed by 20 MB of zeros read in under 1 MiB
+        image, _ = _read_small(tmp_path, _fuzz_base(tmp_path) + bytes(20 << 20), gz)
+        assert image.dims == _FUZZ_DIMS
+
     def test_gzip_detected_by_content_not_name(self, tmp_path):
         rng = np.random.default_rng(7)
         image = _random_image(rng, dims=(4, 4, 4))

@@ -652,7 +652,8 @@ class TestApplyFilter:
         )
         np.testing.assert_array_equal(out, want)
 
-    def test_riesz_aligned_dispatch_matches_library_chain(self):
+    @staticmethod
+    def _aligned_chain(data, sigma_vox):
         from voxfilt.riesz import (
             RadialProfile,
             align_order2,
@@ -661,6 +662,12 @@ class TestApplyFilter:
             structure_tensor,
         )
 
+        profile = RadialProfile("simoncelli", 1)
+        responses = {l: riesz_filtered_map(data, profile, l) for l in riesz_indices(2, 3)}
+        gradients = [riesz_filtered_map(data, profile, l) for l in riesz_indices(1, 3)]
+        return align_order2(responses, structure_tensor(gradients, sigma_vox))
+
+    def test_riesz_aligned_dispatch_matches_library_chain(self):
         rng = np.random.default_rng(12)
         image = _volume(rng.normal(size=(8, 8, 8)))
         out = apply_filter(
@@ -672,16 +679,19 @@ class TestApplyFilter:
             ),
             "3d",
         )
-        profile = RadialProfile("simoncelli", 1)
-        responses = {
-            l: riesz_filtered_map(image.data, profile, l)
-            for l in riesz_indices(2, 3)
-        }
-        field = structure_tensor(image.data, profile, 2.0, image.spacing)
-        want = align_order2(responses, field)
-        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(out, self._aligned_chain(image.data, 1.0))
 
-    def test_riesz_aligned_3d_takes_two_forward_ffts(self, monkeypatch):
+    def test_riesz_aligned_voxel_sigma_is_used_as_given(self):
+        # 1.5 voxels on a 0.7 mm grid must not pass through millimetres,
+        # where 1.5 * 0.7 / 0.7 rounds to 1.4999999999999998
+        data = np.random.default_rng(13).normal(size=(8, 8, 8))
+        filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
+                                      "align": True, "sigma_tensor_vox": 1.5})
+        plan = plan_filter(filt, (0.7, 0.7, 0.7), "3d", "periodise")
+        assert "sigma 1.5 voxels" in plan.summary
+        np.testing.assert_array_equal(plan.run(data), self._aligned_chain(data, 1.5))
+
+    def test_riesz_aligned_3d_takes_one_forward_fft(self, monkeypatch):
         calls = []
         fftn = np.fft.fftn
 
@@ -697,8 +707,16 @@ class TestApplyFilter:
                                    "align": True, "sigma_tensor_mm": 2.0}),
             "3d",
         )
-        # one spectrum for the six order-2 maps, one inside structure_tensor
-        assert calls == [(8, 8, 8), (8, 8, 8)]
+        # one spectrum for the six order-2 maps and the three gradients
+        assert calls == [(8, 8, 8)]
+        calls.clear()
+        apply_filter(
+            _volume(image.data[:, :, :3]),
+            FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2],
+                                   "align": True, "sigma_tensor_mm": 2.0}),
+            "2d",
+        )
+        assert calls == [(8, 8)] * 3
 
     @pytest.mark.parametrize("kind,params", [
         ("nonseparable", {"wavelet": "simoncelli", "level": 1}),
@@ -722,7 +740,7 @@ class TestApplyFilter:
         ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
                    "sigma_tensor_vox": 1.5},
          "riesz filter: simoncelli level 1 l (0, 2, 0), aligned with structure tensor "
-         "sigma 3 mm"),
+         "sigma 1.5 voxels, kernel size 13"),
     ], ids=["nonseparable", "riesz", "riesz-aligned"])
     def test_fourier_domain_summary_names_applied_boundary(self, kind, params, stem):
         filt = FilterConfig(kind, params)

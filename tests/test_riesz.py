@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from voxfilt.convolve import convolve_fourier, fourier_grid
+from voxfilt.pipeline import FilterConfig, plan_filter
 from voxfilt.riesz import (
-    StructureTensorField,
     align_order2,
     multinomial_coefficient,
     riesz_filtered_map,
@@ -20,7 +20,7 @@ from dispatch import digests_at_dispatch_levels
 from oracles import euler_matrix, rotate_grid
 
 
-def _steer_brute(responses, tensors, select="largest"):
+def _steer_brute(responses, tensors):
     """Per-voxel python reimplementation of the alignment rule."""
     dims = tensors.shape[:-2]
     ndim = tensors.shape[-1]
@@ -33,7 +33,7 @@ def _steer_brute(responses, tensors, select="largest"):
             u[0] = 1.0
         else:
             _, v = np.linalg.eigh(t)
-            u = v[:, -1] if select == "largest" else v[:, 0]
+            u = v[:, -1]
         acc = 0.0
         for l in riesz_indices(2, ndim):
             denom = 1
@@ -211,21 +211,22 @@ class TestRieszFilteredMaps:
             riesz_filtered_maps(np.zeros((8, 8)), RadialProfile("shannon", 1), [(2, 0, 0)])
 
 
+def _gradients(image, profile):
+    return list(riesz_filtered_maps(image, profile, riesz_indices(1, image.ndim)).values())
+
+
 class TestStructureTensor:
     def test_constant_image_zero_tensors(self):
-        field = structure_tensor(
-            np.full((8, 8), 5.0), RadialProfile("shannon", 1), 1.0, 1.0
-        )
-        np.testing.assert_allclose(field.tensors, 0.0, atol=1e-12)
-        assert field.dims == (8, 8)
-        assert field.ndim == 2
+        gradients = _gradients(np.full((8, 8), 5.0), RadialProfile("shannon", 1))
+        tensors = structure_tensor(gradients, 1.0)
+        np.testing.assert_allclose(tensors, 0.0, atol=1e-12)
+        assert tensors.shape == (8, 8, 2, 2)
 
     def test_single_axis_variation(self):
         n = 16
         wave = np.sin(2 * math.pi * 6 * np.arange(n) / n)
         image = wave[:, None, None] * np.ones((1, n, n))
-        field = structure_tensor(image, RadialProfile("shannon", 1), 2.0, 2.0)
-        t = field.tensors
+        t = structure_tensor(_gradients(image, RadialProfile("shannon", 1)), 1.0)
         trace = np.trace(t, axis1=-2, axis2=-1)
         peak = trace.max()
         assert peak > 0
@@ -237,22 +238,25 @@ class TestStructureTensor:
     def test_symmetric_positive_semidefinite(self):
         rng = np.random.default_rng(8)
         image = rng.normal(size=(12, 12))
-        field = structure_tensor(image, RadialProfile("simoncelli", 1), 1.5, 1.0)
-        t = field.tensors
+        t = structure_tensor(_gradients(image, RadialProfile("simoncelli", 1)), 1.5)
         np.testing.assert_array_equal(t, np.swapaxes(t, -1, -2))
         eigenvalues = np.linalg.eigvalsh(t)
         assert eigenvalues.min() >= -1e-8 * max(eigenvalues.max(), 1e-300)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            structure_tensor(np.zeros((8, 8)), RadialProfile("shannon", 1), 0.0, 1.0)
+            structure_tensor([np.zeros((8, 8))] * 2, 0.0)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_gradient_per_axis(self, count):
+        with pytest.raises(ValueError, match="one gradient map per axis"):
+            structure_tensor([np.zeros((8, 8))] * count, 1.0)
 
 
 def _constant_tensor_field(dims, u):
     u = np.asarray(u, dtype=np.float64)
     t = np.multiply.outer(u, u)
-    tensors = np.broadcast_to(t, dims + t.shape).copy()
-    return StructureTensorField(tensors=tensors, sigma_mm=1.0)
+    return np.broadcast_to(t, dims + t.shape).copy()
 
 
 class TestAlignOrder2:
@@ -270,8 +274,7 @@ class TestAlignOrder2:
         rng = np.random.default_rng(2)
         responses = {l: rng.normal(size=dims) for l in riesz_indices(2, 2)}
         tensors = np.broadcast_to(np.eye(2), dims + (2, 2)).copy()
-        field = StructureTensorField(tensors=tensors, sigma_mm=1.0)
-        out = align_order2(responses, field)
+        out = align_order2(responses, tensors)
         np.testing.assert_allclose(out, responses[(2, 0)], atol=1e-12)
 
     def test_diagonal_steering_mixture(self):
@@ -291,11 +294,8 @@ class TestAlignOrder2:
         responses = {l: rng.normal(size=dims) for l in riesz_indices(2, ndim)}
         g = rng.normal(size=dims + (ndim, ndim))
         tensors = g @ np.swapaxes(g, -1, -2)
-        field = StructureTensorField(tensors=tensors, sigma_mm=1.0)
-        for select in ("largest", "smallest"):
-            got = align_order2(responses, field, select=select)
-            want = _steer_brute(responses, tensors, select=select)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        got = align_order2(responses, tensors)
+        np.testing.assert_allclose(got, _steer_brute(responses, tensors), rtol=0, atol=1e-10)
 
     def test_plane_wave_steered_value(self):
         # Diagonal wave: steering along the wave vector reproduces the
@@ -337,21 +337,10 @@ class TestAlignOrder2:
         with pytest.raises(ValueError, match="dims"):
             align_order2(responses, _constant_tensor_field((5, 5), (1.0, 0.0)))
 
-    def test_bad_select_rejected(self):
-        dims = (4, 4)
-        responses = {l: np.zeros(dims) for l in riesz_indices(2, 2)}
-        with pytest.raises(ValueError, match="select"):
-            align_order2(responses, _constant_tensor_field(dims, (1.0, 0.0)),
-                         select="middle")
-
-
-def _aligned_map(image, profile, sigma_mm, spacing):
-    responses = {
-        l: riesz_filtered_map(image, profile, l)
-        for l in riesz_indices(2, image.ndim)
-    }
-    field = structure_tensor(image, profile, sigma_mm, spacing)
-    return align_order2(responses, field)
+def _aligned_map(image):
+    filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [2, 0, 0],
+                                  "align": True, "sigma_tensor_mm": 2.0})
+    return plan_filter(filt, (2.0, 2.0, 2.0), "3d", "periodise").run(image)
 
 
 class TestAlignedRotationInvariance:
@@ -364,13 +353,12 @@ class TestAlignedRotationInvariance:
             + axis[None, None, :] ** 2
         )
         shell = np.exp(-((r - 5.0) ** 2) / 4.0)
-        profile = RadialProfile("simoncelli", 1)
-        reference = _aligned_map(shell, profile, 2.0, 2.0)
+        reference = _aligned_map(shell)
         scale = np.max(np.abs(reference))
         interior = (slice(3, n - 3),) * 3
         for quarters in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 2, 1)]:
             mat = euler_matrix(quarters)
-            turned = _aligned_map(rotate_grid(shell, mat), profile, 2.0, 2.0)
+            turned = _aligned_map(rotate_grid(shell, mat))
             back = rotate_grid(turned, mat.T)
             diff = np.max(np.abs(back[interior] - reference[interior]))
             assert diff <= 1e-3 * scale

@@ -323,18 +323,10 @@ class TestGaborOrientationSet:
             [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4],
         )
 
-    def test_full_circle_flag_doubles_span(self):
-        thetas = gabor_orientation_set(math.pi / 4, full_circle=True)
-        assert len(thetas) == 8
-        assert max(thetas) == pytest.approx(7 * math.pi / 4)
-
     @pytest.mark.parametrize("bad", [0.7, 0.0, -math.pi / 4, math.nan, 2 * math.pi])
     def test_invalid_steps_rejected(self, bad):
         with pytest.raises(ValueError):
             gabor_orientation_set(bad)
-
-    def test_two_pi_valid_over_full_circle(self):
-        assert gabor_orientation_set(2 * math.pi, full_circle=True) == [0.0]
 
 
 class TestOrthogonalPlaneAverage:

@@ -145,10 +145,10 @@ class TestUndecimated:
         fam = wavelet_family("haar")
         image = np.zeros((8, 8))
         image[4, 4] = 1.0
-        lh = swt_undecimated(image, fam, 1, "LH", "periodise")
+        lh = swt_undecimated(image, "haar", 1, "LH", "periodise")
         want = convolve_separable(image, (fam.low_pass, fam.high_pass), "periodise")
         np.testing.assert_allclose(lh, want, atol=1e-12)
-        hl = swt_undecimated(image, fam, 1, "HL", "periodise")
+        hl = swt_undecimated(image, "haar", 1, "HL", "periodise")
         assert not np.allclose(lh, hl)
 
     @pytest.mark.parametrize("boundary", ["periodise", "mirror", "constant"])
@@ -163,7 +163,7 @@ class TestUndecimated:
         hi1 = atrous_upsample(fam.high_pass, 1)
         dense_lhh = np.multiply.outer(np.multiply.outer(lo1, hi1), hi1)
         want = conv_taploop(smoothed, dense_lhh, boundary)
-        got = swt_undecimated(image, fam, 2, "LHH", boundary)
+        got = swt_undecimated(image, "haar", 2, "LHH", boundary)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_output_dims_preserved(self):
@@ -224,24 +224,6 @@ class TestDecimated:
     def test_non_divisible_dims_error_hints_padding(self):
         with pytest.raises(ValueError, match="multiple of 8"):
             dwt_decimated(np.zeros((12, 12)), "haar", 3, "periodise")
-
-    def test_mask_decimated_alongside(self):
-        rng = np.random.default_rng(1)
-        image = rng.normal(size=(8, 8))
-        mask = rng.random((8, 8)) > 0.4
-        levels = dwt_decimated(image, "haar", 2, "periodise", mask=mask)
-        np.testing.assert_array_equal(levels[0].mask, mask[::2, ::2])
-        np.testing.assert_array_equal(levels[1].mask, mask[::2, ::2][::2, ::2])
-        assert levels[1].mask.shape == (2, 2)
-
-    def test_mask_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mask"):
-            dwt_decimated(np.zeros((8, 8)), "haar", 1, "periodise",
-                          mask=np.ones((4, 4), dtype=bool))
-
-    def test_no_mask_gives_none(self):
-        levels = dwt_decimated(np.zeros((4, 4)), "haar", 1, "periodise")
-        assert levels[0].mask is None
 
     @pytest.mark.parametrize("name", ["haar", "db2"])
     def test_level1_transform_matrix_is_orthonormal(self, name):
