@@ -35,7 +35,7 @@ from .pipeline import (
     run_configuration,
 )
 from .rotinv import POOL_MODES
-from .wavelets import RADIAL_KINDS, WAVELET_NAMES, dwt_decimated
+from .wavelets import RADIAL_KINDS, WAVELET_NAMES
 
 __all__ = ["main"]
 
@@ -75,7 +75,7 @@ def _log(message):
 _PARAM_NAMES = (
     "support", "sigma_mm", "sigma_vox", "cutoff", "kernels", "energy_delta",
     "lambda_mm", "lambda_vox", "gamma", "theta", "dtheta", "orthogonal_planes",
-    "rotation_invariance", "pool", "level", "subband", "align",
+    "rotation_invariance", "pool", "level", "subband", "decimated", "align",
     "sigma_tensor_mm", "sigma_tensor_vox",
 )
 
@@ -116,39 +116,15 @@ def cmd_phantom(args) -> int:
 def cmd_filter(args) -> int:
     image, view = _load_image(args.image, args.round_on_load)
     filt = FilterConfig(args.filter, _gather_filter_params(args))
-
-    if args.decimated:
-        if args.filter != "wavelet":
-            raise ValueError("--decimated applies to the wavelet filter only")
-        if args.mode != "3d":
-            raise ValueError("the decimated transform runs on the full volume; use --mode 3d")
-        for flag in ("wavelet", "level", "subband"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"the decimated transform needs --{flag}")
-        level = args.level
-        levels = dwt_decimated(image.data, args.wavelet, level, args.boundary,
-                               args.boundary_constant)
-        subband = args.subband.upper()
-        maps = levels[level - 1].subbands
-        if subband not in maps:
-            raise ValueError(
-                f"unknown subband {subband!r}; level {level} holds {sorted(maps)}"
-            )
-        spacing = tuple(s * 2.0**level for s in image.spacing)
-        _log(
-            f"decimated {args.wavelet} level {level} {subband}: dims "
-            f"{maps[subband].shape}, spacing {spacing} mm"
-        )
-        response = VolumeImage(np.asfortranarray(maps[subband]), spacing)
-    else:
-        plan = plan_filter(filt, image.spacing, args.mode, args.boundary,
-                           args.boundary_constant)
-        _log(plan.summary)
-        response = image.with_data(plan.run(image.data, args.threads))
+    plan = plan_filter(filt, image.spacing, args.mode, args.boundary, args.boundary_constant)
+    _log(plan.summary)
+    data = np.asfortranarray(plan.run(image.data, args.threads), dtype=np.float64)
+    # a decimated response covers the same extent with n // m times the spacing
+    spacing = tuple(s * (n // m) for s, n, m in zip(image.spacing, image.dims, data.shape))
+    response = VolumeImage(data, spacing)
 
     orientation = view.orientation if response.dims == image.dims else None
     write_nifti(response, args.out, args.datatype, orientation=orientation)
-    data = response.data
     print(
         f"{args.out}: dims {response.dims}, min {data.min():.6g}, "
         f"max {data.max():.6g}, mean {data.mean():.6g}"
@@ -160,8 +136,12 @@ def cmd_run(args) -> int:
     test_id, config = load_config(args.config)
     image, view = _load_image(args.image, args.round_on_load)
     mask = _load_mask(args.mask)
-    plan = plan_filter(config.filter, config.resample_spacing_mm or image.spacing,
-                       config.mode, config.boundary, config.boundary_constant)
+    grid = config.resample_spacing_mm or image.spacing
+    if len(grid) != image.ndim:
+        raise ValueError(f"resample spacing_mm {list(grid)} needs one entry per image axis "
+                         f"({image.ndim})")
+    plan = plan_filter(config.filter, grid, config.mode, config.boundary,
+                       config.boundary_constant)
     _log(plan.summary)
 
     response, intensity_mask, features = run_configuration(

@@ -54,6 +54,7 @@ from .rotinv import (
 from .wavelets import (
     RadialProfile,
     _swt_stages,
+    dwt_decimated,
     nonseparable_b_map,
     swt_rotation_pooled,
     swt_undecimated,
@@ -150,6 +151,10 @@ class ProcessingConfig:
             object.__setattr__(self, "reseg_range", (low, high))
         object.__setattr__(self, "boundary_constant",
                            _number(self.boundary_constant, "boundary_constant"))
+        if self.filter.params.get("decimated") is True:
+            raise ValueError("a decimated wavelet response lies on a coarser grid than the "
+                             "ROI, so features cannot be aggregated over it; run it with "
+                             "voxfilt filter")
 
 
 _CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
@@ -374,10 +379,10 @@ def _scale_param(params, stem, spacing, what):
     """Resolve a <stem>_mm / <stem>_vox parameter pair to voxel units."""
     vox = params.get(stem + "_vox")
     if vox is not None:
-        return float(vox)
+        return _number(vox, stem + "_vox")
     mm = params.get(stem + "_mm")
     if mm is not None:
-        return float(mm) / _isotropic_scale(spacing, what)
+        return _number(mm, stem + "_mm") / _isotropic_scale(spacing, what)
     raise ValueError(f"{what} needs {stem}_mm or {stem}_vox")
 
 
@@ -385,7 +390,9 @@ def _scale_param(params, stem, spacing, what):
 class FilterPlan:
     """One filter resolved against a grid: ``summary`` is the log line with
     the effective voxel-unit parameters, ``run(volume, threads=1)`` maps a
-    whole volume to its response in either mode."""
+    whole volume to its response in either mode.  The response has the
+    volume's dims, except a decimated wavelet's, which has them divided by
+    2^level."""
 
     summary: str
     run: Callable[..., np.ndarray]
@@ -426,7 +433,7 @@ def _plan_mean(params, axes, boundary, constant):
 
 def _plan_log(params, axes, boundary, constant):
     sigma = _scale_param(params, "sigma", axes, "the LoG filter")
-    kernel = log_kernel(sigma, len(axes), float(params.get("cutoff", 4.0)))
+    kernel = log_kernel(sigma, len(axes), _number(params.get("cutoff", 4.0), "cutoff"))
     summary = f"log filter: sigma {sigma:.6g} voxels, kernel size {kernel.shape[0]}"
     return summary, lambda data: convolve_full(data, kernel, boundary, constant)
 
@@ -468,7 +475,7 @@ def _plan_laws(params, axes, boundary, constant):
 def _plan_gabor(params, axes, boundary, constant):
     sigma = _scale_param(params, "sigma", axes, "the Gabor filter")
     wavelength = _scale_param(params, "lambda", axes, "the Gabor filter")
-    gamma = float(params.get("gamma", 1.0))
+    gamma = _number(params.get("gamma", 1.0), "gamma")
     rotation_invariant = params.get("rotation_invariance", False)
     _needs_switch(params, "rotation_invariance", ("dtheta", "pool"), "gabor filter")
     if rotation_invariant:
@@ -477,9 +484,9 @@ def _plan_gabor(params, axes, boundary, constant):
                              "drop theta or rotation_invariance")
         if "dtheta" not in params:
             raise ValueError("the rotation-invariant Gabor filter needs dtheta")
-        thetas = gabor_orientation_set(float(params["dtheta"]))
+        thetas = gabor_orientation_set(_number(params["dtheta"], "dtheta"))
     else:
-        thetas = [float(params.get("theta", 0.0))]
+        thetas = [_number(params.get("theta", 0.0), "theta")]
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
     pool_mode = _check_pool_mode(params.get("pool", "average"))
     margin = bank[0].shape[0] // 2
@@ -510,6 +517,12 @@ def _plan_wavelet(params, axes, boundary, constant):
     _needs_switch(params, "rotation_invariance", ("pool",), "wavelet filter")
     pool_mode = _check_pool_mode(params.get("pool", "average"))
     summary = f"wavelet filter: {family} level {level} subband {subband}"
+    if params.get("decimated", False):
+        if params.get("rotation_invariance", False):
+            raise ValueError("the decimated wavelet transform has no rotation-invariant form; "
+                             "drop decimated or rotation_invariance")
+        return f"{summary}, decimated by {2 ** level} per axis", lambda data: dwt_decimated(
+            data, family, level, boundary, constant)[level - 1].subbands[subband.upper()]
     if not params.get("rotation_invariance", False):
         return summary, lambda data: swt_undecimated(
             data, family, level, subband, boundary, constant)
@@ -568,14 +581,15 @@ _PLANNERS = {
     "gabor": (_plan_gabor, (), ("sigma_mm", "sigma_vox", "lambda_mm", "lambda_vox", "gamma",
                                 "theta", "rotation_invariance", "dtheta", "pool",
                                 "orthogonal_planes")),
-    "wavelet": (_plan_wavelet, ("family", "level", "subband"), ("rotation_invariance", "pool")),
+    "wavelet": (_plan_wavelet, ("family", "level", "subband"),
+                ("rotation_invariance", "pool", "decimated")),
     "nonseparable": (_plan_nonseparable, ("wavelet", "level"), ()),
     "riesz": (_plan_riesz, ("wavelet", "level", "l"),
               ("align", "sigma_tensor_mm", "sigma_tensor_vox")),
 }
 
 FILTER_KINDS = tuple(_PLANNERS)
-_FLAGS = ("rotation_invariance", "align", "orthogonal_planes")
+_FLAGS = ("rotation_invariance", "align", "orthogonal_planes", "decimated")
 
 
 def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror",
@@ -586,7 +600,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
     the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
     grid and averages its slice responses over the three plane stacks.
-    Gabor filters one slice at a time through the FFT in both modes.
+    Gabor filters one slice at a time through the FFT in both modes.  The
+    decimated wavelet runs in 3-D mode only, without rotation invariance.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
@@ -595,9 +610,14 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     missing = set(required) - set(params)
     if missing:
         raise ValueError(f"{kind} filter is missing parameters {sorted(missing)}")
-    unknown = set(params) - set(required) - set(optional)
+    unknown = sorted(set(params) - set(required) - set(optional))
     if unknown:
-        raise ValueError(f"{kind} filter got unknown parameters {sorted(unknown)}")
+        hints = ""
+        for key in unknown:
+            owners = [k for k, (_, req, opt) in _PLANNERS.items() if key in req + opt]
+            if owners:
+                hints += f" ({key} applies to: {', '.join(owners)})"
+        raise ValueError(f"{kind} filter got unknown parameters {unknown}{hints}")
     mm = sorted(k for k in params if k.endswith("_mm"))
     vox = sorted(k for k in params if k.endswith("_vox"))
     if mm and vox:
@@ -608,6 +628,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     for key in _FLAGS:
         if key in params and not isinstance(params[key], bool):
             raise ValueError(f"{kind} filter {key} must be true or false, got {params[key]!r}")
+    if mode == "2d" and params.get("decimated", False):
+        raise ValueError("the decimated transform runs on the full volume; use mode 3d")
     axes = tuple(spacing[:2]) if mode == "2d" else tuple(spacing)
     if kind == "gabor" and mode == "3d":
         if not params.get("orthogonal_planes", False):

@@ -108,7 +108,9 @@ def riesz_filtered_maps(image, profile: RadialProfile, indices) -> dict:
     image = np.asarray(image, dtype=np.float64)
     indices = [_check_index(l, image.ndim) for l in indices]
     band = np.fft.fftn(image) * radial_transfer(profile, image.shape)
-    return {l: np.fft.ifftn(band * riesz_transfer(image.shape, l)).real for l in indices}
+    # copied out of the complex inverse, so each map owns 8 bytes per voxel
+    return {l: np.fft.ifftn(band * riesz_transfer(image.shape, l)).real.copy()
+            for l in indices}
 
 
 def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
@@ -153,15 +155,7 @@ def _dominant_directions(t) -> np.ndarray:
     isotropic = dev_norm <= 1e-8 * np.maximum(scale, np.finfo(np.float64).tiny)
     e1 = np.zeros(ndim)
     e1[0] = 1.0
-    u = np.where(isotropic[..., None], e1, u)
-
-    # first nonzero component made positive
-    pivot = np.zeros(u.shape[:-1])
-    for i in range(ndim):
-        component = u[..., i]
-        pivot = np.where((pivot == 0.0) & (component != 0.0), component, pivot)
-    sign = np.where(pivot < 0.0, -1.0, 1.0)
-    return u * sign[..., None]
+    return np.where(isotropic[..., None], e1, u)
 
 
 def align_order2(responses, tensors) -> np.ndarray:
@@ -170,8 +164,9 @@ def align_order2(responses, tensors) -> np.ndarray:
     ``tensors`` is a :func:`structure_tensor` result, shape dims + (D, D).
     The steered value is the second directional derivative along u,
     recovered from the multinomial expansion
-    sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k]; it is even in u, so the
-    eigenvector sign never matters.
+    sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k]; it is even in u, and
+    IEEE products are sign-symmetric, so the eigenvector's sign changes no
+    bit of the result.
     """
     tensors = np.asarray(tensors, dtype=np.float64)
     ndim = tensors.shape[-1]

@@ -15,6 +15,7 @@ from voxfilt.kernels import mean_kernel_1d
 from voxfilt.convolve import convolve_separable
 from voxfilt.nifti import read_nifti, write_nifti
 from voxfilt.pipeline import FilterConfig, plan_filter
+from voxfilt.wavelets import dwt_decimated
 
 
 def _write_volume(path, data, spacing=(2.0, 2.0, 2.0), datatype="f32"):
@@ -166,6 +167,87 @@ class TestFilterCommand:
         ])
         assert code == 1
         assert "wavelet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,owners", [
+        (["--filter", "log", "--sigma-vox", "1", "--support", "3"],
+         "(support applies to: mean)"),
+        (["--filter", "mean", "--support", "3", "--pool", "max"],
+         "(pool applies to: laws, gabor, wavelet)"),
+    ], ids=["support-on-log", "pool-on-mean"])
+    def test_unknown_parameter_names_the_kinds_taking_it(self, tmp_path, capsys,
+                                                         argv, owners):
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(15).normal(size=(6, 6, 6)))
+        code = main(["filter", str(src), "--out", str(tmp_path / "o.nii"), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown parameters" in err and owners in err
+        assert not (tmp_path / "o.nii").exists()
+
+    def test_decimated_logs_its_plan_before_the_transform(self, tmp_path, capsys,
+                                                          monkeypatch):
+        events = []
+        original_log, original_dwt = voxfilt.cli._log, voxfilt.pipeline.dwt_decimated
+
+        def logging(message):
+            events.append(("log", message))
+            original_log(message)
+
+        def transform(*args, **kwargs):
+            events.append(("dwt", None))
+            return original_dwt(*args, **kwargs)
+
+        monkeypatch.setattr(voxfilt.cli, "_log", logging)
+        monkeypatch.setattr(voxfilt.pipeline, "dwt_decimated", transform)
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(16).normal(size=(8, 8, 8)))
+        code = main([
+            "filter", str(src), "--out", str(tmp_path / "o.nii"), "--filter", "wavelet",
+            "--wavelet", "haar", "--level", "2", "--subband", "LLH", "--decimated",
+        ])
+        assert code == 0
+        summary = "wavelet filter: haar level 2 subband LLH, decimated by 4 per axis"
+        assert events == [("log", summary), ("dwt", None)]
+        assert summary in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--rotinv"], "no rotation-invariant form"),
+        (["--rotinv", "--pool", "max"], "no rotation-invariant form"),
+        (["--pool", "max"], "pool applies only with rotation_invariance"),
+        (["--sigma-mm", "3"], "unknown parameters ['sigma_mm']"),
+        (["--mode", "2d"], "use mode 3d"),
+    ], ids=["rotinv", "rotinv-pool", "pool", "sigma-mm", "mode-2d"])
+    def test_decimated_rejects_other_options_before_logging(self, tmp_path, capsys,
+                                                            extra, message):
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(17).normal(size=(8, 8, 8)))
+        out = tmp_path / "o.nii"
+        code = main([
+            "filter", str(src), "--out", str(out), "--filter", "wavelet", "--wavelet", "haar",
+            "--level", "1", "--subband", "LLL", "--decimated", *extra,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "wavelet filter:" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_decimated_matches_library_transform(self, tmp_path, level):
+        spacing = (1.0, 1.5, 2.5)
+        src = tmp_path / "in.nii"
+        data = _write_volume(src, np.random.default_rng(18).normal(size=(8, 12, 4)), spacing)
+        out = tmp_path / "o.nii"
+        code = main([
+            "filter", str(src), "--out", str(out), "--filter", "wavelet", "--wavelet", "db2",
+            "--level", str(level), "--subband", "HLH", "--decimated", "--datatype", "f64",
+        ])
+        assert code == 0
+        response, _ = read_nifti(out)
+        expected = dwt_decimated(data, "db2", level, "mirror")[level - 1].subbands["HLH"]
+        assert response.data.shape == expected.shape
+        assert response.data.tobytes() == np.asfortranarray(expected).tobytes()
+        assert response.spacing == tuple(s * 2**level for s in spacing)
 
     def test_bad_riesz_string(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
@@ -444,6 +526,13 @@ class TestRunCommand:
         "riesz-tensor-vox-alone": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                     "l": [0, 2, 0], "align": False, "sigma_tensor_vox": 1.0},
                                    "sigma_tensor_vox applies only with align"),
+        # float parameters: a bool or a string is not read as a number
+        "log-bool-sigma": ({"kind": "log", "sigma_mm": True}, "sigma_mm must be a number"),
+        "log-string-cutoff": ({"kind": "log", "sigma_mm": 2.0, "cutoff": "3"},
+                              "cutoff must be a number"),
+        "gabor-bool-gamma": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
+                              "gamma": True, "orthogonal_planes": True},
+                             "gamma must be a number"),
         # a tensor scale that the smoothing cannot use
         "riesz-tensor-mm-zero": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                   "l": [0, 2, 0], "align": True, "sigma_tensor_mm": 0},
@@ -471,6 +560,41 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "filter:" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_spacing_count_checked_before_logging(self, tmp_path, capsys):
+        src, mask, config = self._fixture(tmp_path)
+        _write_volume(src, np.random.default_rng(19).normal(size=(8, 8, 8)))
+        _write_volume(mask, np.ones((8, 8, 8)), datatype="u8")
+        config.write_text(yaml.safe_dump({
+            "test_id": "T", "mode": "3d", "resample": {"spacing_mm": [1, 1]},
+            "filter": {"kind": "log", "sigma_mm": 1.0},
+        }))
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "one entry per image axis (3)" in err
+        assert "log filter:" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_decimated_wavelet_rejected_by_run(self, tmp_path, capsys):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(yaml.safe_dump({
+            "test_id": "T", "mode": "3d",
+            "filter": {"kind": "wavelet", "family": "haar", "level": 1, "subband": "LLL",
+                       "decimated": True},
+        }))
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run it with voxfilt filter" in err
         assert "filter:" not in err
         assert not (tmp_path / "r").exists()
 

@@ -202,6 +202,14 @@ class TestRieszFilteredMaps:
         for l in indices:
             assert maps[l].tobytes() == riesz_filtered_map(image, profile, l).tobytes()
 
+    def test_each_map_owns_its_data(self):
+        image = np.random.default_rng(32).normal(size=(6, 7, 8))
+        indices = riesz_indices(2, 3) + riesz_indices(1, 3)
+        maps = riesz_filtered_maps(image, RadialProfile("simoncelli", 1), indices)
+        for l in indices:
+            assert maps[l].dtype == np.float64
+            assert maps[l].flags.owndata and maps[l].base is None, l
+
     def test_keys_are_integer_tuples(self):
         maps = riesz_filtered_maps(np.zeros((8, 8)), RadialProfile("shannon", 1), [[1.0, 1]])
         assert list(maps) == [(1, 1)]
