@@ -29,6 +29,7 @@ from .image import RoiMask, VolumeImage, round_half_away
 from .nifti import DATATYPE_CODES, read_nifti, write_nifti
 from .pipeline import (
     FILTER_KINDS,
+    REQUIRED_PARAMETERS,
     FilterConfig,
     load_config,
     plan_filter,
@@ -78,6 +79,8 @@ _PARAM_NAMES = (
     "rotation_invariance", "pool", "level", "subband", "decimated", "align",
     "sigma_tensor_mm", "sigma_tensor_vox",
 )
+# required parameters whose flag is not the parameter name with dashes
+_FLAG_OF = {"family": "--wavelet", "wavelet": "--wavelet", "l": "--riesz"}
 
 
 def _gather_filter_params(args) -> dict:
@@ -97,6 +100,10 @@ def _gather_filter_params(args) -> dict:
             raise ValueError(
                 f"--riesz expects comma-separated integers like 0,2,0; got {riesz!r}"
             ) from None
+    missing = [_FLAG_OF.get(name, "--" + name.replace("_", "-"))
+               for name in REQUIRED_PARAMETERS[args.filter] if name not in params]
+    if missing:
+        raise ValueError(f"{args.filter} filter is missing parameters {sorted(missing)}")
     return params
 
 
@@ -114,8 +121,8 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    image, view = _load_image(args.image, args.round_on_load)
     filt = FilterConfig(args.filter, _gather_filter_params(args))
+    image, view = _load_image(args.image, args.round_on_load)
     plan = plan_filter(filt, image.spacing, args.mode, args.boundary, args.boundary_constant)
     _log(plan.summary)
     data = np.asfortranarray(plan.run(image.data, args.threads), dtype=np.float64)

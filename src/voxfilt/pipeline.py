@@ -62,6 +62,7 @@ from .wavelets import (
 
 __all__ = [
     "FILTER_KINDS",
+    "REQUIRED_PARAMETERS",
     "FilterConfig",
     "FilterPlan",
     "ProcessingConfig",
@@ -589,6 +590,7 @@ _PLANNERS = {
 }
 
 FILTER_KINDS = tuple(_PLANNERS)
+REQUIRED_PARAMETERS = {kind: required for kind, (_, required, _) in _PLANNERS.items()}
 _FLAGS = ("rotation_invariance", "align", "orthogonal_planes", "decimated")
 
 

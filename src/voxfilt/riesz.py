@@ -141,35 +141,172 @@ def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
     return tensors
 
 
-def _dominant_directions(t) -> np.ndarray:
-    ndim = t.shape[-1]
-    _, vectors = np.linalg.eigh(t)
-    u = vectors[..., :, -1]
+# Voxels per block of the direction and steering pass.  Every step is
+# elementwise, so the bytes do not depend on it; it only bounds the
+# temporaries to a few MB whatever the volume.
+_BLOCK_VOXELS = 1 << 15
 
-    # Isotropic tensors leave the direction undefined; fall back to k1 so
-    # repeated runs (and rotated reruns) agree.
-    trace = np.trace(t, axis1=-2, axis2=-1)
-    deviation = t - trace[..., None, None] / ndim * np.eye(ndim)
-    dev_norm = np.sqrt(np.sum(deviation**2, axis=(-2, -1)))
-    scale = np.sqrt(np.sum(t**2, axis=(-2, -1)))
-    isotropic = dev_norm <= 1e-8 * np.maximum(scale, np.finfo(np.float64).tiny)
-    e1 = np.zeros(ndim)
-    e1[0] = 1.0
-    return np.where(isotropic[..., None], e1, u)
+# A tensor whose deviator is this small against the tensor itself is
+# isotropic: its direction is undefined, and the fallback e1 is used so that
+# repeated (and rotated) runs agree.
+_ISOTROPIC = 1e-8
+_TINY = np.finfo(np.float64).tiny
+
+
+def _isotropic(deviation, scale):
+    return deviation <= _ISOTROPIC * np.maximum(scale, _TINY)
+
+
+def _direction_2d(t):
+    """Unnormalised dominant eigenvector of 2x2 symmetric tensors, closed form.
+
+    With h = (a - c)/2 and r = sqrt(h^2 + b^2) the top eigenvalue is
+    (a + c)/2 + r.  Of the two null vectors (b, r - h) and (r + h, b) of
+    the rows of T - lambda I the larger is taken, the second exactly when
+    h >= 0, which avoids the cancellation in r - h.  The deviator's norm is
+    sqrt(2) r.
+    """
+    a, b, c = t[:, 0, 0], t[:, 0, 1], t[:, 1, 1]
+    h = 0.5 * (a - c)
+    bb = b * b
+    r = np.sqrt(h * h + bb)
+    isotropic = _isotropic(math.sqrt(2.0) * r, np.sqrt(a * a + 2.0 * bb + c * c))
+    upper = h >= 0.0
+    u0 = np.where(upper, r + h, b)
+    u1 = np.where(upper, b, r - h)
+    u0[isotropic] = 1.0
+    u1[isotropic] = 0.0
+    return u0, u1
+
+
+def _newton_top_root(lam, q, det, active):
+    """Largest root of x^3 - q x - det by Newton's method, in place at ``active``.
+
+    ``lam`` starts at an upper bound of the root.  Above the largest root
+    the cubic is increasing and convex, so the iterates decrease
+    monotonically; each voxel stops when its iterate stops decreasing, and
+    the remaining ones are compacted.
+    """
+    x, q, det = lam[active], q[active], det[active]
+    while active.size:
+        xx = x * x
+        slope = 3.0 * xx - q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ((xx - q) * x - det) / slope
+        moved = x - step
+        going = (slope > 0.0) & (moved < x)
+        active, x, q, det = active[going], moved[going], q[going], det[going]
+        lam[active] = x
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _largest(vectors):
+    """Per voxel, the 3-vector of largest norm (first on ties) and its squared norm."""
+    best = size = None
+    for v in vectors:
+        v_size = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+        if best is None:
+            best, size = v, v_size
+            continue
+        larger = v_size > size
+        best = tuple(np.where(larger, x, y) for x, y in zip(v, best))
+        size = np.where(larger, v_size, size)
+    return best, size
+
+
+def _null_vector(rows, skip):
+    """A null vector of the (nearly) singular symmetric matrices with these rows.
+
+    The largest of the three cross products of the rows.  Where all three
+    vanish (outside ``skip``) the matrix has rank one, as T - lambda I does
+    for a repeated top eigenvalue; the pick there is r x e_k for the row r
+    of largest norm and the axis k of its smallest-magnitude entry, both
+    first on ties.  That vector is orthogonal to the row space, so it lies
+    in the top eigenspace.
+    """
+    r0, r1, r2 = rows
+    u, size = _largest((_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)))
+    flat = np.flatnonzero((size == 0.0) & ~skip)
+    if flat.size:
+        (x, y, z), _ = _largest([tuple(v[flat] for v in row) for row in rows])
+        k = np.argmin(np.abs([x, y, z]), axis=0)
+        zero = np.zeros(flat.size)
+        picks = ((zero, z, -y), (-z, zero, x), (y, -x, zero))  # r x e_k
+        for axis, ui in enumerate(u):
+            ui[flat] = np.choose(k, [pick[axis] for pick in picks])
+    return u
+
+
+def _direction_3d(t):
+    """Unnormalised dominant eigenvector of 3x3 symmetric tensors.
+
+    Works on the deviator D = T - (tr T / 3) I, whose characteristic
+    polynomial is x^3 - q x - det D with q = |D|^2 / 2.  Newton from the
+    Gershgorin bound finds its top root and the largest cross product of two
+    rows of D - lambda I gives the vector.  The Rayleigh quotient of that
+    vector then sharpens lambda for a second cross product: the cubic's
+    root is only as accurate as the gap to the second eigenvalue allows,
+    the quotient is not.  On rotated diag(1 + g, 1, x) tensors the vector is
+    as accurate as eigh's down to g = 1e-5.
+    """
+    a0, d0, f0 = t[:, 0, 0], t[:, 1, 1], t[:, 2, 2]
+    b, c, e = t[:, 0, 1], t[:, 0, 2], t[:, 1, 2]
+    mean = (a0 + d0 + f0) / 3.0
+    a, d, f = a0 - mean, d0 - mean, f0 - mean
+    off = b * b + c * c + e * e
+    q = 0.5 * (a * a + d * d + f * f) + off
+    isotropic = _isotropic(np.sqrt(2.0 * q),
+                           np.sqrt(a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * off))
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    ab, ac, ae = np.abs(b), np.abs(c), np.abs(e)
+    lam = np.maximum(np.maximum(a + ab + ac, d + ab + ae), f + ac + ae)
+    _newton_top_root(lam, q, det, np.flatnonzero(~isotropic))
+
+    def null_vector(lam):
+        u = _null_vector(((a - lam, b, c), (b, d - lam, e), (c, e, f - lam)), isotropic)
+        for ui, fallback in zip(u, (1.0, 0.0, 0.0)):
+            ui[isotropic] = fallback
+        return u
+
+    u0, u1, u2 = null_vector(lam)
+    lam = (a * u0 * u0 + d * u1 * u1 + f * u2 * u2
+           + 2.0 * (b * u0 * u1 + c * u0 * u2 + e * u1 * u2)) / (u0 * u0 + u1 * u1 + u2 * u2)
+    return null_vector(lam)
+
+
+_DIRECTIONS = {
+    1: lambda t: (np.ones(t.shape[0]),),
+    2: _direction_2d,
+    3: _direction_3d,
+}
 
 
 def align_order2(responses, tensors) -> np.ndarray:
     """Steer the order-2 response set along the dominant tensor direction.
 
-    ``tensors`` is a :func:`structure_tensor` result, shape dims + (D, D).
-    The steered value is the second directional derivative along u,
-    recovered from the multinomial expansion
-    sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k]; it is even in u, and
-    IEEE products are sign-symmetric, so the eigenvector's sign changes no
-    bit of the result.
+    ``tensors`` is a :func:`structure_tensor` result, shape dims + (D, D),
+    D <= 3.  The steered value is the second directional derivative along
+    u, sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u, computed straight
+    from the unnormalised eigenvector u; it is even in u, and IEEE products
+    are sign-symmetric, so no sign or length rule is needed.  u comes from
+    +, -, x, /, sqrt, abs and maximum only (closed form in 2-D, Newton and
+    cross products in 3-D), so the bytes do not depend on a LAPACK build.
+
+    Isotropic tensors (deviator norm <= 1e-8 of the tensor norm) use e1.
+    A repeated top eigenvalue in 3-D, where every cross product of rows of
+    T - lambda I vanishes, uses u = r x e_k: r is the row of T - lambda I
+    with the largest norm, k the axis of r's smallest-magnitude entry,
+    first on ties.  For diag(2, 2, 1) that is u = (0, -1, 0).
     """
     tensors = np.asarray(tensors, dtype=np.float64)
+    if tensors.ndim < 2 or tensors.shape[-1] != tensors.shape[-2]:
+        raise ValueError(f"tensors need shape dims + (D, D), got {tensors.shape}")
     ndim = tensors.shape[-1]
+    if ndim not in _DIRECTIONS:
+        raise ValueError(f"alignment needs 1-, 2- or 3-D tensors, got {ndim}-D")
     dims = tensors.shape[:-2]
     wanted = riesz_indices(2, ndim)
     keys = {tuple(int(v) for v in k): np.asarray(m, dtype=np.float64)
@@ -186,12 +323,15 @@ def align_order2(responses, tensors) -> np.ndarray:
                 f"response {l} dims {m.shape} do not match tensor grid {dims}"
             )
 
-    u = _dominant_directions(tensors)
-    aligned = np.zeros(dims, dtype=np.float64)
-    for l in wanted:
-        steer = multinomial_coefficient(l) * np.ones(dims)
-        for i, power in enumerate(l):
-            if power:
-                steer = steer * _power(u[..., i], power)
-        aligned += steer * keys[l]
-    return aligned
+    count = math.prod(dims)
+    field = tensors.reshape(count, ndim, ndim)
+    # each u^l h_l as the two axes u^l multiplies, its coefficient and h_l
+    terms = [(*[i for i, p in enumerate(l) for _ in range(p)], multinomial_coefficient(l),
+              keys[l].reshape(count)) for l in wanted]
+    aligned = np.empty(count, dtype=np.float64)
+    for start in range(0, count, _BLOCK_VOXELS):
+        block = slice(start, start + _BLOCK_VOXELS)
+        u = _DIRECTIONS[ndim](field[block])
+        total = sum(coefficient * u[i] * u[j] * h[block] for i, j, coefficient, h in terms)
+        aligned[block] = total / sum(ui * ui for ui in u)
+    return aligned.reshape(dims)

@@ -1,9 +1,11 @@
-"""Run a probe script at several numpy SIMD dispatch levels.
+"""Run a probe script at several numpy SIMD dispatch levels and OpenBLAS cores.
 
 numpy picks its SIMD kernels at import time; ``NPY_DISABLE_CPU_FEATURES``
-makes a fresh interpreter behave like an older CPU.  A probe prints the
-SHA-256 of what it computed on its first line; the helper adds a second
-line with the features that were enabled, so a level this host cannot
+makes a fresh interpreter behave like an older CPU.  A DYNAMIC_ARCH OpenBLAS
+picks its kernels when it loads; ``OPENBLAS_CORETYPE`` forces an older core.
+A probe prints the SHA-256 of what it computed on its first line; the helper
+adds a line with the numpy features that were enabled and one with the
+OpenBLAS core that actually loaded, so a level or core this host cannot
 reach is reported instead of silently passing.
 """
 
@@ -19,6 +21,8 @@ _DISPATCH_LEVELS = (
     ("SSE4", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"),
 )
 
+_CORE_TYPES = ("default", "Sandybridge", "Prescott")
+
 _FEATURES = """
 try:
     from numpy._core import _multiarray_umath as umath
@@ -26,27 +30,57 @@ except ImportError:
     from numpy.core import _multiarray_umath as umath
 enabled = sorted(k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k))
 print(" ".join(enabled) or "baseline only")
+
+import ctypes, glob, os
+import numpy
+core = "unknown (no bundled OpenBLAS found)"
+here = os.path.dirname(numpy.__file__)
+for path in sorted(glob.glob(os.path.join(here, "..", "numpy.libs", "*openblas*"))
+                   + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        if hasattr(lib, name):
+            getter = getattr(lib, name)
+            getter.restype = ctypes.c_char_p
+            core = getter().decode()
+            break
+print(core)
 """
 
 
-def digests_at_dispatch_levels(probe, *args):
-    """Run ``probe`` (Python source) once per level; returns (level, digest) pairs."""
+def digests_at_dispatch_levels(probe, *args, core_types=False):
+    """Run ``probe`` (Python source) once per numpy level; returns (label, digest)
+    pairs.  With ``core_types`` it runs once per level and OpenBLAS core type,
+    labelled ``level/core``."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     results = []
-    for name, disabled in _DISPATCH_LEVELS:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        if disabled:
-            env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        done = subprocess.run([sys.executable, "-c", probe + _FEATURES, *map(str, args)],
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, f"dispatch level {name}: {done.stderr}"
-        digest, enabled = done.stdout.split("\n")[:2]
-        if results and enabled == results[-1][2]:
-            print(f"dispatch level {name} is not available on this host: "
-                  f"it ran with the same features as {results[-1][0]} ({enabled})")
-        else:
-            print(f"dispatch level {name}: {enabled}")
-        results.append((name, digest, enabled))
-    return [(name, digest) for name, digest, _ in results]
+    for core_type in _CORE_TYPES if core_types else ("default",):
+        baseline = None
+        for name, disabled in _DISPATCH_LEVELS:
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            if core_type != "default":
+                env["OPENBLAS_CORETYPE"] = core_type
+            done = subprocess.run([sys.executable, "-c", probe + _FEATURES,
+                                   *map(str, args)], env=env, capture_output=True, text=True)
+            label = f"{name}/{core_type}" if core_types else name
+            assert done.returncode == 0, f"{label}: {done.stderr}"
+            digest, enabled, core = done.stdout.split("\n")[:3]
+            if baseline and enabled == baseline[1]:
+                print(f"dispatch level {name} is not available on this host: "
+                      f"it ran with the same features as {baseline[0]} ({enabled})")
+            else:
+                print(f"dispatch level {name}: {enabled}")
+            baseline = (name, enabled)
+            if core_types:
+                default_core = results[0][2] if results else core
+                honoured = core_type == "default" or core != default_core
+                print(f"OpenBLAS core type {core_type}: loaded {core}"
+                      + ("" if honoured else " (not honoured: same as the default)"))
+            results.append((label, digest, core))
+    return [(label, digest) for label, digest, _ in results]

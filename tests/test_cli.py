@@ -184,6 +184,18 @@ class TestFilterCommand:
         assert "unknown parameters" in err and owners in err
         assert not (tmp_path / "o.nii").exists()
 
+    @pytest.mark.parametrize("argv,flags", [
+        (["--filter", "wavelet", "--level", "1", "--subband", "LLL"], "['--wavelet']"),
+        (["--filter", "riesz", "--wavelet", "simoncelli", "--level", "1"], "['--riesz']"),
+    ], ids=["wavelet-family", "riesz-index"])
+    def test_missing_parameter_names_its_flag(self, tmp_path, capsys, argv, flags):
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(19).normal(size=(6, 6, 6)))
+        code = main(["filter", str(src), "--out", str(tmp_path / "o.nii"), *argv])
+        assert code == 1
+        assert f"missing parameters {flags}" in capsys.readouterr().err
+        assert not (tmp_path / "o.nii").exists()
+
     def test_decimated_logs_its_plan_before_the_transform(self, tmp_path, capsys,
                                                           monkeypatch):
         events = []

@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import voxfilt.riesz
 from voxfilt.convolve import convolve_fourier, fourier_grid
 from voxfilt.pipeline import FilterConfig, plan_filter
 from voxfilt.riesz import (
@@ -345,10 +348,108 @@ class TestAlignOrder2:
         with pytest.raises(ValueError, match="dims"):
             align_order2(responses, _constant_tensor_field((5, 5), (1.0, 0.0)))
 
+    def test_one_dimensional_field_returns_the_single_response(self):
+        response = np.random.default_rng(5).normal(size=7)
+        out = align_order2({(2,): response}, np.full((7, 1, 1), 3.0))
+        assert out.tobytes() == response.tobytes()
+
+    def test_more_than_three_axes_rejected(self):
+        responses = {l: np.zeros((2,) * 4) for l in riesz_indices(2, 4)}
+        with pytest.raises(ValueError, match="4-D"):
+            align_order2(responses, np.zeros((2,) * 4 + (4, 4)))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 2, 3), (3,)])
+    def test_non_square_tensors_rejected(self, shape):
+        responses = {l: np.zeros((4, 4)) for l in riesz_indices(2, 2)}
+        with pytest.raises(ValueError, match="dims \\+ \\(D, D\\)"):
+            align_order2(responses, np.zeros(shape))
+
+
+def _repeated_top_tensors():
+    """Exact tensors with eigenvalues (2, 2, 1): diag(2, 2, 1) and
+    2I - w w'/2 for w = (1, 1, 0), under every axis permutation and sign flip."""
+    bases = (np.diag([2.0, 2.0, 1.0]),
+             np.array([[1.5, -0.5, 0.0], [-0.5, 1.5, 0.0], [0.0, 0.0, 2.0]]))
+    for base in bases:
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                turn = np.eye(3)[list(perm)] * np.array(signs)[:, None]
+                yield turn @ base @ turn.T
+
+
+def _documented_pick(t):
+    """The documented rule: r x e_k for the largest row r of T - 2I (first on
+    ties) and the axis k of r's smallest-magnitude entry (first on ties)."""
+    rows = t - 2.0 * np.eye(3)
+    r = rows[int(np.argmax(np.sum(rows * rows, axis=1)))]
+    return np.cross(r, np.eye(3)[int(np.argmin(np.abs(r)))])
+
+
+class TestRepeatedTopEigenvalue:
+    def test_pick_follows_the_documented_rule(self):
+        tensors = np.array(list(_repeated_top_tensors()))  # 96 exact tensors
+        responses = {l: np.random.default_rng(6).normal(size=len(tensors))
+                     for l in riesz_indices(2, 3)}
+        got = align_order2(responses, tensors)
+        for k, t in enumerate(tensors):
+            u = _documented_pick(t)
+            np.testing.assert_array_equal(t @ u, 2.0 * u)  # a top eigenvector
+            assert np.any(u != 0.0)
+            want = sum(multinomial_coefficient(l) * np.prod(u ** np.array(l)) * responses[l][k]
+                       for l in riesz_indices(2, 3)) / (u @ u)
+            assert got[k] == pytest.approx(want, rel=1e-14, abs=1e-14), t
+
+    def test_diag_221_steers_along_the_second_axis(self):
+        responses = {l: np.random.default_rng(7).normal(size=(3, 2)) for l in riesz_indices(2, 3)}
+        out = align_order2(responses, np.broadcast_to(np.diag([2.0, 2.0, 1.0]), (3, 2, 3, 3)))
+        assert out.tobytes() == responses[(0, 2, 0)].tobytes()
+
+
+def _psd_field(dims, ndim, seed):
+    rng = np.random.default_rng(seed)
+    responses = {l: rng.normal(size=dims) for l in riesz_indices(2, ndim)}
+    g = rng.normal(size=dims + (ndim, ndim))
+    return responses, np.einsum("...ij,...kj->...ik", g, g)
+
+
+class TestAgainstEigenSolver:
+    # measured max |got - ref| / max |ref|: 4.7e-16 (128^2) and 6.0e-15 (24^3)
+    @pytest.mark.parametrize("dims", [(128, 128), (24, 24, 24)])
+    def test_matches_eigh_oracle_within_recorded_bound(self, dims):
+        responses, tensors = _psd_field(dims, len(dims), 40)
+        got = align_order2(responses, tensors)
+        ref = _steer_brute(responses, tensors)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dims", [(37, 41), (13, 11, 9)])
+    def test_bytes_do_not_depend_on_block_size(self, dims, monkeypatch):
+        responses, tensors = _psd_field(dims, len(dims), 41)
+        whole = align_order2(responses, tensors)
+        assert math.prod(dims) % 100 and math.prod(dims) < voxfilt.riesz._BLOCK_VOXELS
+        monkeypatch.setattr(voxfilt.riesz, "_BLOCK_VOXELS", 100)
+        assert align_order2(responses, tensors).tobytes() == whole.tobytes()
+
 def _aligned_map(image):
     filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [2, 0, 0],
                                   "align": True, "sigma_tensor_mm": 2.0})
     return plan_filter(filt, (2.0, 2.0, 2.0), "3d", "periodise").run(image)
+
+
+def test_aligned_op_peak_memory():
+    # the 11.B op (maps -> tensor -> align) at 56^3 spans several alignment
+    # blocks; with whole-field eigh the peak was 48.0x the float64 input
+    image = np.random.default_rng(42).normal(size=(56, 56, 56))
+    filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
+                                  "align": True, "sigma_tensor_mm": 1.0})
+    plan = plan_filter(filt, (1.0, 1.0, 1.0), "3d", "periodise")
+    assert image.size > 5 * voxfilt.riesz._BLOCK_VOXELS
+    tracemalloc.start()
+    try:
+        plan.run(image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * image.nbytes, peak / image.nbytes
 
 
 class TestAlignedRotationInvariance:
@@ -387,4 +488,28 @@ print(digest.hexdigest())
 def test_transfer_does_not_depend_on_simd_dispatch():
     # orders 3 and 4: numpy's real ** rounds differently per SIMD level
     results = digests_at_dispatch_levels(_TRANSFER_PROBE)
+    assert {digest for _, digest in results} == {results[0][1]}, results
+
+
+_ALIGNED_PROBE = """
+import hashlib
+import numpy as np
+from voxfilt.riesz import align_order2, riesz_indices, structure_tensor
+digest = hashlib.sha256()
+rng = np.random.default_rng(12)
+for dims in ((128, 96), (14, 13, 9)):
+    gradients = [rng.normal(size=dims) for _ in dims]
+    responses = {l: rng.normal(size=dims) for l in riesz_indices(2, len(dims))}
+    digest.update(align_order2(responses, structure_tensor(gradients, 1.0)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_alignment_does_not_depend_on_dispatch_or_blas_core():
+    # tensor and steering of the aligned op on a seeded slice and volume (the
+    # band-pass before them still takes log2, which depends on the dispatch
+    # level).  A LAPACK eigen-solver's bytes change with the OpenBLAS core
+    # type; the closed-form and Newton directions use no BLAS or LAPACK.
+    results = digests_at_dispatch_levels(_ALIGNED_PROBE, core_types=True)
+    assert len(results) == 9
     assert {digest for _, digest in results} == {results[0][1]}, results
