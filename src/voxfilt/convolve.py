@@ -69,11 +69,21 @@ def convolve_separable(image, kernels, boundary: str, constant: float = 0.0) -> 
     if any(np.iscomplexobj(g) for g in kernels):
         out = out.astype(np.complex128)
     for axis, g in enumerate(kernels):
-        shape = [1] * image.ndim
-        shape[axis] = g.shape[0]
-        out_shape = out.shape[:axis] + (image.shape[axis],) + out.shape[axis + 1:]
-        out = _dense_valid(out, g.reshape(shape), out_shape)
+        out = axis_pass(out, axis, g, image.shape[axis])
     return out
+
+
+def axis_pass(block, axis: int, kernel, size: int) -> np.ndarray:
+    """One 1-D pass of a separable convolution: ``kernel`` along ``axis``.
+
+    ``block`` is padded by ``len(kernel) // 2`` voxels on both sides of
+    ``axis``, which the pass consumes: the result has ``size`` voxels there
+    and ``block``'s extent on every other axis.
+    """
+    shape = [1] * block.ndim
+    shape[axis] = kernel.shape[0]
+    out_shape = block.shape[:axis] + (size,) + block.shape[axis + 1:]
+    return _dense_valid(block, kernel.reshape(shape), out_shape)
 
 
 def convolve_full(image, kernel, boundary: str, constant: float = 0.0,

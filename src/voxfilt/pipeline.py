@@ -45,18 +45,17 @@ from .riesz import (
     structure_tensor,
 )
 from .rotinv import (
+    PooledCascade,
     _check_pool_mode,
     gabor_orientation_set,
     orthogonal_plane_average,
     pool,
-    pooled_cascades,
 )
 from .wavelets import (
     RadialProfile,
     _swt_stages,
     dwt_decimated,
     nonseparable_b_map,
-    swt_rotation_pooled,
     swt_undecimated,
 )
 
@@ -455,10 +454,12 @@ def _plan_laws(params, axes, boundary, constant):
         delta = _integral(delta, "Laws energy_delta")
         if delta < 0:
             raise ValueError(f"Laws energy_delta must be >= 0, got {delta}")
+    pooled = (PooledCascade([[f] for f in factors], pool_mode, boundary, constant)
+              if rotation_invariant else None)
 
     def run(data):
-        if rotation_invariant:
-            out = pooled_cascades(data, [[f] for f in factors], pool_mode, boundary, constant)
+        if pooled is not None:
+            out = pooled(data)
         else:
             out = convolve_separable(data, factors, boundary, constant)
         if delta is not None:
@@ -514,7 +515,7 @@ def _plan_wavelet(params, axes, boundary, constant):
     family = str(params["family"]).lower()
     level = _integral(params["level"], "wavelet level")
     subband = str(params["subband"])
-    _swt_stages(family, level, subband, len(axes))
+    stages = _swt_stages(family, level, subband, len(axes))
     _needs_switch(params, "rotation_invariance", ("pool",), "wavelet filter")
     pool_mode = _check_pool_mode(params.get("pool", "average"))
     summary = f"wavelet filter: {family} level {level} subband {subband}"
@@ -527,8 +528,8 @@ def _plan_wavelet(params, axes, boundary, constant):
     if not params.get("rotation_invariance", False):
         return summary, lambda data: swt_undecimated(
             data, family, level, subband, boundary, constant)
-    return f"{summary}, {pool_mode} over rotations", lambda data: swt_rotation_pooled(
-        data, family, level, subband, pool_mode, boundary, constant)
+    return f"{summary}, {pool_mode} over rotations", PooledCascade(
+        stages, pool_mode, boundary, constant)
 
 
 def _fourier_domain(axes, boundary, what):

@@ -120,12 +120,15 @@ def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
 
 
 def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
-    """Gaussian-regularised gradient-energy tensors, shape dims + (D, D).
+    """Gaussian-regularised gradient-energy tensors, packed: dims + (D(D+1)/2,).
 
     ``gradients`` are the D first-order Riesz responses of one band, in axis
     order.  Each product r_i r_j is smoothed with a unit-sum Gaussian of
     ``sigma_vox`` voxels on every axis; the smoothing uses the periodise
-    boundary, matching the Fourier-domain origin of the components.
+    boundary, matching the Fourier-domain origin of the components.  The
+    tensors are symmetric, so only the distinct products are stored, row by
+    row of the upper triangle: (T11, T12, T22) in 2-D and (T11, T12, T13,
+    T22, T23, T33) in 3-D.
     """
     gradients = [np.asarray(g, dtype=np.float64) for g in gradients]
     ndim = len(gradients)
@@ -133,11 +136,10 @@ def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
         raise ValueError(f"need one gradient map per axis, all of one shape; got {ndim} maps")
     dims = gradients[0].shape
     window = (gaussian_kernel_1d(sigma_vox),) * ndim
-    tensors = np.empty(dims + (ndim, ndim), dtype=np.float64)
-    for i in range(ndim):
-        for j in range(i, ndim):
-            tensors[..., i, j] = tensors[..., j, i] = convolve_separable(
-                gradients[i] * gradients[j], window, "periodise")
+    pairs = [(i, j) for i in range(ndim) for j in range(i, ndim)]
+    tensors = np.empty(dims + (len(pairs),), dtype=np.float64)
+    for k, (i, j) in enumerate(pairs):
+        tensors[..., k] = convolve_separable(gradients[i] * gradients[j], window, "periodise")
     return tensors
 
 
@@ -158,7 +160,7 @@ def _isotropic(deviation, scale):
 
 
 def _direction_2d(t):
-    """Unnormalised dominant eigenvector of 2x2 symmetric tensors, closed form.
+    """Unnormalised dominant eigenvector of packed 2x2 symmetric tensors, closed form.
 
     With h = (a - c)/2 and r = sqrt(h^2 + b^2) the top eigenvalue is
     (a + c)/2 + r.  Of the two null vectors (b, r - h) and (r + h, b) of
@@ -166,7 +168,7 @@ def _direction_2d(t):
     h >= 0, which avoids the cancellation in r - h.  The deviator's norm is
     sqrt(2) r.
     """
-    a, b, c = t[:, 0, 0], t[:, 0, 1], t[:, 1, 1]
+    a, b, c = t[:, 0], t[:, 1], t[:, 2]
     h = 0.5 * (a - c)
     bb = b * b
     r = np.sqrt(h * h + bb)
@@ -241,7 +243,7 @@ def _null_vector(rows, skip):
 
 
 def _direction_3d(t):
-    """Unnormalised dominant eigenvector of 3x3 symmetric tensors.
+    """Unnormalised dominant eigenvector of packed 3x3 symmetric tensors.
 
     Works on the deviator D = T - (tr T / 3) I, whose characteristic
     polynomial is x^3 - q x - det D with q = |D|^2 / 2.  Newton from the
@@ -252,8 +254,7 @@ def _direction_3d(t):
     the quotient is not.  On rotated diag(1 + g, 1, x) tensors the vector is
     as accurate as eigh's down to g = 1e-5.
     """
-    a0, d0, f0 = t[:, 0, 0], t[:, 1, 1], t[:, 2, 2]
-    b, c, e = t[:, 0, 1], t[:, 0, 2], t[:, 1, 2]
+    a0, b, c, d0, e, f0 = (t[:, k] for k in range(6))
     mean = (a0 + d0 + f0) / 3.0
     a, d, f = a0 - mean, d0 - mean, f0 - mean
     off = b * b + c * c + e * e
@@ -287,13 +288,14 @@ _DIRECTIONS = {
 def align_order2(responses, tensors) -> np.ndarray:
     """Steer the order-2 response set along the dominant tensor direction.
 
-    ``tensors`` is a :func:`structure_tensor` result, shape dims + (D, D),
-    D <= 3.  The steered value is the second directional derivative along
-    u, sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u, computed straight
-    from the unnormalised eigenvector u; it is even in u, and IEEE products
-    are sign-symmetric, so no sign or length rule is needed.  u comes from
-    +, -, x, /, sqrt, abs and maximum only (closed form in 2-D, Newton and
-    cross products in 3-D), so the bytes do not depend on a LAPACK build.
+    ``tensors`` is a packed :func:`structure_tensor` result, shape
+    dims + (D(D+1)/2,), D <= 3.  The steered value is the second directional
+    derivative along u, sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u,
+    computed straight from the unnormalised eigenvector u; it is even in u,
+    and IEEE products are sign-symmetric, so no sign or length rule is
+    needed.  u comes from +, -, x, /, sqrt, abs and maximum only (closed
+    form in 2-D, Newton and cross products in 3-D), so the bytes do not
+    depend on a LAPACK build.
 
     Isotropic tensors (deviator norm <= 1e-8 of the tensor norm) use e1.
     A repeated top eigenvalue in 3-D, where every cross product of rows of
@@ -302,12 +304,13 @@ def align_order2(responses, tensors) -> np.ndarray:
     first on ties.  For diag(2, 2, 1) that is u = (0, -1, 0).
     """
     tensors = np.asarray(tensors, dtype=np.float64)
-    if tensors.ndim < 2 or tensors.shape[-1] != tensors.shape[-2]:
-        raise ValueError(f"tensors need shape dims + (D, D), got {tensors.shape}")
-    ndim = tensors.shape[-1]
+    packed = tensors.shape[-1] if tensors.ndim >= 2 else 0
+    ndim = math.isqrt(2 * packed)
+    if ndim == 0 or ndim * (ndim + 1) // 2 != packed:
+        raise ValueError(f"packed tensors need shape dims + (D(D+1)/2,), got {tensors.shape}")
     if ndim not in _DIRECTIONS:
         raise ValueError(f"alignment needs 1-, 2- or 3-D tensors, got {ndim}-D")
-    dims = tensors.shape[:-2]
+    dims = tensors.shape[:-1]
     wanted = riesz_indices(2, ndim)
     keys = {tuple(int(v) for v in k): np.asarray(m, dtype=np.float64)
             for k, m in responses.items()}
@@ -324,7 +327,7 @@ def align_order2(responses, tensors) -> np.ndarray:
             )
 
     count = math.prod(dims)
-    field = tensors.reshape(count, ndim, ndim)
+    field = tensors.reshape(count, packed)
     # each u^l h_l as the two axes u^l multiplies, its coefficient and h_l
     terms = [(*[i for i, p in enumerate(l) for _ in range(p)], multinomial_coefficient(l),
               keys[l].reshape(count)) for l in wanted]

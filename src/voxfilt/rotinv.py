@@ -11,6 +11,21 @@ Even-length factors get a trailing zero first.  Reversal must keep the
 centre tap at floor(M/2); without the padding the flipped kernel would
 shift its response by one voxel and the set would stop matching actual
 rotations of the image.
+
+Pooling over the rotations (:class:`PooledCascade`) runs each distinct
+rotated pass once.  Every rotated stage is matched by value, up to sign,
+against the stages met before it in the table: a reversed symmetric stage
+is the stage itself, a reversed antisymmetric one is the stage with sign -1,
+and equal per-axis cascades (HHH) collapse.  Rotations with the same
+sequence of stages form one group, whose response h is computed once on a
+depth-first walk of a trie over the stage prefixes, padding once per level
+and prefix.  A group holding n+ rotations of sign +1 and n- of sign -1
+enters max pooling as |h| when it holds both signs and as +h or -h
+otherwise, which is exact up to the sign of exact zeros; it enters average
+pooling as (n+ - n-) h.  The groups are folded in as the walk finishes
+them (depth first, each node's children in the order they first occur in
+the table) and the average is then divided by the number of rotations, so
+averages move by ulps against summing every rotation in table order.
 """
 
 from __future__ import annotations
@@ -20,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import convolve_separable
+from .boundary import pad
+from .convolve import axis_pass, convolve_separable
 from .image import map_slices
 
 __all__ = [
@@ -31,6 +47,7 @@ __all__ = [
     "equivariant_set_3d",
     "equivariant_cascades",
     "cascade",
+    "PooledCascade",
     "pooled_cascades",
     "POOL_MODES",
     "pool",
@@ -190,12 +207,118 @@ def cascade(image, stage_lists, boundary: str, constant: float = 0.0) -> np.ndar
     return current
 
 
+class PooledCascade:
+    """A cascade pooled over all right-angle rotations, grouped once.
+
+    Building it groups the rotations (see the module docstring); calling it
+    runs each distinct pass once.  The grouping is read-only afterwards, so
+    slice threads can share one object.  A sign taken out of an early level
+    must pass through the later padding, so with a non-zero constant only
+    the last level's stages are matched up to sign.
+    """
+
+    def __init__(self, stage_lists, pool_mode: str, boundary: str, constant: float = 0.0):
+        self.pool_mode = _check_pool_mode(pool_mode)
+        self.boundary, self.constant = boundary, constant
+        elements, _ = equivariant_cascades(stage_lists)
+        self.ndim, self.rotations = len(stage_lists), len(elements)
+        depth = len(stage_lists[0])
+        odd_padding = boundary != "constant" or constant == 0.0
+        self.kernels = []
+        index = {}  # kernel bytes, zeros unsigned -> position in self.kernels
+        # stage sequence -> [rotations of sign +1, rotations of sign -1]
+        self.groups = {}
+        for element in elements:
+            sequence, sign = [], 1
+            for level in range(depth):
+                signed = odd_padding or level == depth - 1
+                step = []
+                for stages in element:
+                    key = (stages[level] + 0.0).tobytes()
+                    negated = (0.0 - stages[level]).tobytes()
+                    if key not in index and signed and negated in index:
+                        key, sign = negated, -sign
+                    elif key not in index:
+                        index[key] = len(self.kernels)
+                        self.kernels.append(stages[level])
+                    step.append(index[key])
+                sequence.append(tuple(step))
+            self.groups.setdefault(tuple(sequence), [0, 0])[sign < 0] += 1
+        # Trie over the steps, in order: each level's pad (keyed by its
+        # margins), then one pass per axis (keyed by axis and kernel).  Leaves
+        # hold a group's sign counts.
+        self._trie = {}
+        for sequence, counts in self.groups.items():
+            steps = []
+            for level in sequence:
+                steps.append(("pad", tuple(self.kernels[k].size // 2 for k in level)))
+                steps.extend(enumerate(level))
+            node = self._trie
+            for step in steps[:-1]:
+                node = node.setdefault(step, {})
+            node[steps[-1]] = tuple(counts)
+
+    def __call__(self, image) -> np.ndarray:
+        image = np.asarray(image, dtype=np.float64)
+        if image.ndim != self.ndim:
+            raise ValueError(f"a {self.ndim}-D cascade cannot filter a {image.ndim}-D image")
+        pooled = []
+        self._walk(self._trie, [image], image.shape, pooled)
+        out = pooled[0] if pooled else np.zeros(image.shape)
+        if self.pool_mode == "average":
+            out /= self.rotations
+        return out
+
+    def _walk(self, node, blocks, shape, pooled):
+        """Run ``node``'s steps on ``blocks[0]``, depth first.
+
+        The block travels in a list so that the last child can take it out:
+        from then on no frame holds it, and a chain of single steps keeps one
+        intermediate alive at a time.
+        """
+        last = len(node) - 1
+        for position, (step, child) in enumerate(node.items()):
+            block = blocks.pop() if position == last else blocks[0]
+            if step[0] == "pad":
+                out = [pad(block, step[1], self.boundary, self.constant)]
+            else:
+                axis, kernel = step
+                out = [axis_pass(block, axis, self.kernels[kernel], shape[axis])]
+            del block
+            if isinstance(child, dict):
+                self._walk(child, out, shape, pooled)
+            else:
+                self._fold(out.pop(), *child, pooled)
+
+    def _fold(self, response, plus, minus, pooled):
+        """Fold one group's response (owned, so changed in place) into the pool."""
+        if self.pool_mode == "max":
+            if plus and minus:
+                np.abs(response, out=response)
+            elif minus:
+                np.negative(response, out=response)
+            if pooled:
+                np.maximum(pooled[0], response, out=pooled[0])
+                return
+        else:
+            if plus == minus:
+                return
+            if plus - minus != 1:
+                response *= plus - minus
+            if pooled:
+                pooled[0] += response
+                return
+        pooled.append(response)
+
+
 def pooled_cascades(image, stage_lists, pool_mode: str, boundary: str,
                     constant: float = 0.0) -> np.ndarray:
-    """Pool the cascade response over all right-angle rotations of its stages."""
-    elements, _ = equivariant_cascades(stage_lists)
-    return pool((cascade(image, element, boundary, constant) for element in elements),
-                pool_mode)
+    """Pool the cascade response over all right-angle rotations of its stages.
+
+    Builds the grouping on every call; a filter applied to many images or
+    slices builds one :class:`PooledCascade` instead.
+    """
+    return PooledCascade(stage_lists, pool_mode, boundary, constant)(image)
 
 
 POOL_MODES = ("max", "average")

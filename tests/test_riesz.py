@@ -226,18 +226,43 @@ def _gradients(image, profile):
     return list(riesz_filtered_maps(image, profile, riesz_indices(1, image.ndim)).values())
 
 
+def _pack(full):
+    """Full symmetric tensors dims + (D, D) in structure_tensor's packed
+    layout dims + (D(D+1)/2,): the upper triangle, row by row."""
+    rows, cols = np.triu_indices(full.shape[-1])
+    return np.ascontiguousarray(full[..., rows, cols])
+
+
+def _unpack(packed, ndim):
+    full = np.empty(packed.shape[:-1] + (ndim, ndim))
+    rows, cols = np.triu_indices(ndim)
+    full[..., rows, cols] = full[..., cols, rows] = packed
+    return full
+
+
 class TestStructureTensor:
     def test_constant_image_zero_tensors(self):
         gradients = _gradients(np.full((8, 8), 5.0), RadialProfile("shannon", 1))
         tensors = structure_tensor(gradients, 1.0)
         np.testing.assert_allclose(tensors, 0.0, atol=1e-12)
-        assert tensors.shape == (8, 8, 2, 2)
+        assert tensors.shape == (8, 8, 3)
+
+    def test_stores_each_distinct_product_once(self):
+        rng = np.random.default_rng(9)
+        gradients = [rng.normal(size=(6, 5, 4)) for _ in range(3)]
+        tensors = structure_tensor(gradients, 1.0)
+        assert tensors.shape == (6, 5, 4, 6)
+        window = (voxfilt.riesz.gaussian_kernel_1d(1.0),) * 3
+        for k, (i, j) in enumerate(zip(*np.triu_indices(3))):
+            smoothed = voxfilt.riesz.convolve_separable(gradients[i] * gradients[j], window,
+                                                        "periodise")
+            assert tensors[..., k].tobytes() == smoothed.tobytes()
 
     def test_single_axis_variation(self):
         n = 16
         wave = np.sin(2 * math.pi * 6 * np.arange(n) / n)
         image = wave[:, None, None] * np.ones((1, n, n))
-        t = structure_tensor(_gradients(image, RadialProfile("shannon", 1)), 1.0)
+        t = _unpack(structure_tensor(_gradients(image, RadialProfile("shannon", 1)), 1.0), 3)
         trace = np.trace(t, axis1=-2, axis2=-1)
         peak = trace.max()
         assert peak > 0
@@ -249,8 +274,7 @@ class TestStructureTensor:
     def test_symmetric_positive_semidefinite(self):
         rng = np.random.default_rng(8)
         image = rng.normal(size=(12, 12))
-        t = structure_tensor(_gradients(image, RadialProfile("simoncelli", 1)), 1.5)
-        np.testing.assert_array_equal(t, np.swapaxes(t, -1, -2))
+        t = _unpack(structure_tensor(_gradients(image, RadialProfile("simoncelli", 1)), 1.5), 2)
         eigenvalues = np.linalg.eigvalsh(t)
         assert eigenvalues.min() >= -1e-8 * max(eigenvalues.max(), 1e-300)
 
@@ -267,7 +291,7 @@ class TestStructureTensor:
 def _constant_tensor_field(dims, u):
     u = np.asarray(u, dtype=np.float64)
     t = np.multiply.outer(u, u)
-    return np.broadcast_to(t, dims + t.shape).copy()
+    return _pack(np.broadcast_to(t, dims + t.shape))
 
 
 class TestAlignOrder2:
@@ -284,8 +308,7 @@ class TestAlignOrder2:
         dims = (4, 4)
         rng = np.random.default_rng(2)
         responses = {l: rng.normal(size=dims) for l in riesz_indices(2, 2)}
-        tensors = np.broadcast_to(np.eye(2), dims + (2, 2)).copy()
-        out = align_order2(responses, tensors)
+        out = align_order2(responses, _pack(np.broadcast_to(np.eye(2), dims + (2, 2))))
         np.testing.assert_allclose(out, responses[(2, 0)], atol=1e-12)
 
     def test_diagonal_steering_mixture(self):
@@ -305,7 +328,7 @@ class TestAlignOrder2:
         responses = {l: rng.normal(size=dims) for l in riesz_indices(2, ndim)}
         g = rng.normal(size=dims + (ndim, ndim))
         tensors = g @ np.swapaxes(g, -1, -2)
-        got = align_order2(responses, tensors)
+        got = align_order2(responses, _pack(tensors))
         np.testing.assert_allclose(got, _steer_brute(responses, tensors), rtol=0, atol=1e-10)
 
     def test_plane_wave_steered_value(self):
@@ -350,19 +373,25 @@ class TestAlignOrder2:
 
     def test_one_dimensional_field_returns_the_single_response(self):
         response = np.random.default_rng(5).normal(size=7)
-        out = align_order2({(2,): response}, np.full((7, 1, 1), 3.0))
+        out = align_order2({(2,): response}, _pack(np.full((7, 1, 1), 3.0)))
         assert out.tobytes() == response.tobytes()
 
     def test_more_than_three_axes_rejected(self):
         responses = {l: np.zeros((2,) * 4) for l in riesz_indices(2, 4)}
         with pytest.raises(ValueError, match="4-D"):
-            align_order2(responses, np.zeros((2,) * 4 + (4, 4)))
+            align_order2(responses, _pack(np.zeros((2,) * 4 + (4, 4))))
 
-    @pytest.mark.parametrize("shape", [(4, 4, 2, 3), (3,)])
+    # a last axis of 4 is the upper triangle of no square tensor
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (3,)])
     def test_non_square_tensors_rejected(self, shape):
         responses = {l: np.zeros((4, 4)) for l in riesz_indices(2, 2)}
-        with pytest.raises(ValueError, match="dims \\+ \\(D, D\\)"):
+        with pytest.raises(ValueError, match="dims \\+ \\(D\\(D\\+1\\)/2,\\)"):
             align_order2(responses, np.zeros(shape))
+
+    def test_unpacked_tensors_rejected(self):
+        responses = {l: np.zeros((4, 4)) for l in riesz_indices(2, 2)}
+        with pytest.raises(ValueError, match="packed tensors"):
+            align_order2(responses, np.zeros((4, 4, 2, 2)))
 
 
 def _repeated_top_tensors():
@@ -390,7 +419,7 @@ class TestRepeatedTopEigenvalue:
         tensors = np.array(list(_repeated_top_tensors()))  # 96 exact tensors
         responses = {l: np.random.default_rng(6).normal(size=len(tensors))
                      for l in riesz_indices(2, 3)}
-        got = align_order2(responses, tensors)
+        got = align_order2(responses, _pack(tensors))
         for k, t in enumerate(tensors):
             u = _documented_pick(t)
             np.testing.assert_array_equal(t @ u, 2.0 * u)  # a top eigenvector
@@ -401,7 +430,8 @@ class TestRepeatedTopEigenvalue:
 
     def test_diag_221_steers_along_the_second_axis(self):
         responses = {l: np.random.default_rng(7).normal(size=(3, 2)) for l in riesz_indices(2, 3)}
-        out = align_order2(responses, np.broadcast_to(np.diag([2.0, 2.0, 1.0]), (3, 2, 3, 3)))
+        out = align_order2(responses,
+                           _pack(np.broadcast_to(np.diag([2.0, 2.0, 1.0]), (3, 2, 3, 3))))
         assert out.tobytes() == responses[(0, 2, 0)].tobytes()
 
 
@@ -417,13 +447,14 @@ class TestAgainstEigenSolver:
     @pytest.mark.parametrize("dims", [(128, 128), (24, 24, 24)])
     def test_matches_eigh_oracle_within_recorded_bound(self, dims):
         responses, tensors = _psd_field(dims, len(dims), 40)
-        got = align_order2(responses, tensors)
+        got = align_order2(responses, _pack(tensors))
         ref = _steer_brute(responses, tensors)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dims", [(37, 41), (13, 11, 9)])
     def test_bytes_do_not_depend_on_block_size(self, dims, monkeypatch):
         responses, tensors = _psd_field(dims, len(dims), 41)
+        tensors = _pack(tensors)
         whole = align_order2(responses, tensors)
         assert math.prod(dims) % 100 and math.prod(dims) < voxfilt.riesz._BLOCK_VOXELS
         monkeypatch.setattr(voxfilt.riesz, "_BLOCK_VOXELS", 100)
@@ -437,7 +468,8 @@ def _aligned_map(image):
 
 def test_aligned_op_peak_memory():
     # the 11.B op (maps -> tensor -> align) at 56^3 spans several alignment
-    # blocks; with whole-field eigh the peak was 48.0x the float64 input
+    # blocks; with whole-field eigh the peak was 48.0x the float64 input,
+    # with full D x D tensors 23.2x, with packed tensors 20.2x
     image = np.random.default_rng(42).normal(size=(56, 56, 56))
     filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
                                   "align": True, "sigma_tensor_mm": 1.0})

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxfilt.rotinv
 from voxfilt.convolve import convolve_full, convolve_separable
+from voxfilt.kernels import laws_1d
 from voxfilt.rotinv import (
+    PooledCascade,
+    cascade,
+    equivariant_cascades,
     equivariant_set_2d,
     equivariant_set_3d,
     flip_1d,
@@ -14,8 +19,11 @@ from voxfilt.rotinv import (
     oddify,
     orthogonal_plane_average,
     pool,
+    pooled_cascades,
 )
+from voxfilt.wavelets import _swt_stages
 
+from dispatch import digests_at_dispatch_levels
 from oracles import euler_matrix, planar_matrix, rotate_grid
 
 ROOT2 = math.sqrt(2.0)
@@ -306,6 +314,127 @@ class TestPool:
         dense /= len(s)
         direct = convolve_full(image, dense, "periodise", via="spatial")
         np.testing.assert_allclose(pooled, direct, rtol=0, atol=1e-10)
+
+
+def _laws_stages(text):
+    return [[laws_1d(text[i : i + 2])] for i in range(0, len(text), 2)]
+
+
+# (name, per-axis stage lists) of every grouping case: symmetric,
+# antisymmetric and neither stages, equal axis lists, mixed lengths, cascades
+_STAGE_SETS = {
+    "L5E5E5": _laws_stages("L5E5E5"),
+    "L3E5S5": _laws_stages("L3E5S5"),
+    "W5E3L5": _laws_stages("W5E3L5"),
+    "S5S5S5": _laws_stages("S5S5S5"),
+    "L5E5": _laws_stages("L5E5"),
+    "E3R5": _laws_stages("E3R5"),
+    "db3-LLH-1": _swt_stages("db3", 1, "LLH", 3),
+    "db3-HHH-2": _swt_stages("db3", 2, "HHH", 3),
+    "haar-LH-1": _swt_stages("haar", 1, "LH", 2),
+    "db2-LH-2": _swt_stages("db2", 2, "LH", 2),
+    "db3-LH-1": _swt_stages("db3", 1, "LH", 2),
+    "db3-HH-2": _swt_stages("db3", 2, "HH", 2),
+    # an antisymmetric stage before the last level, whose sign cannot pass a
+    # constant pad with C != 0
+    "E5L5-L5E5": [[laws_1d("E5"), laws_1d("L5")], [laws_1d("L5"), laws_1d("E5")]],
+}
+
+_BOUNDARIES = [("mirror", 0.0), ("nearest", 0.0), ("periodise", 0.0), ("constant", 0.0),
+               ("constant", -7.25)]
+
+
+class TestPooledCascade:
+    """Grouped pooling against running every rotation's cascade in table order."""
+
+    @pytest.mark.parametrize("mode", ["max", "average"])
+    @pytest.mark.parametrize("boundary, constant", _BOUNDARIES)
+    @pytest.mark.parametrize("name", list(_STAGE_SETS))
+    def test_matches_naive_pool(self, name, boundary, constant, mode):
+        stages = _STAGE_SETS[name]
+        image = np.random.default_rng(len(name)).normal(size=(9, 8, 7)[: len(stages)]) * 100
+        responses = [cascade(image, element, boundary, constant)
+                     for element in equivariant_cascades(stages)[0]]
+        want = pool(responses, mode)
+        got = pooled_cascades(image, stages, mode, boundary, constant)
+        if mode == "max":
+            # exact; |h| = max(h, -h) may differ from the table order in the
+            # sign of exact zeros only
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        else:
+            # the groups sum in another order; antisymmetric Laws averages are
+            # zero, so the bound is set by the single-rotation responses
+            scale = max(np.max(np.abs(h)) for h in responses)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_cancelling_average_is_exactly_zero(self):
+        image = np.random.default_rng(5).normal(size=(9, 8, 7))
+        out = pooled_cascades(image, _STAGE_SETS["L5E5E5"], "average", "mirror")
+        assert not np.any(out)
+
+    # (stage set, distinct groups, 1-D passes, pads) per call; every rotation
+    # as its own cascade takes rotations x axes x levels passes and
+    # rotations x levels pads
+    @pytest.mark.parametrize("name, groups, passes, pads", [
+        ("L5E5E5", 3, 8, 1),      # 4.B: 72 passes, 24 pads one rotation at a time
+        ("db3-LLH-1", 24, 40, 1),  # 6.B: 72 and 24
+        ("db3-HHH-2", 8, 38, 9),   # 7.B: 144 and 48
+        ("L5E5", 2, 4, 1),         # 4.A: 8 and 4
+        ("db3-LH-1", 4, 8, 1),     # 6.A: 8 and 4
+        ("db3-HH-2", 4, 14, 5),    # 7.A: 16 and 8
+    ])
+    def test_work_count(self, name, groups, passes, pads, monkeypatch):
+        stages = _STAGE_SETS[name]
+        counts = {"pad": 0, "pass": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(voxfilt.rotinv, "pad", counted("pad", voxfilt.rotinv.pad))
+        monkeypatch.setattr(voxfilt.rotinv, "axis_pass",
+                            counted("pass", voxfilt.rotinv.axis_pass))
+        pooled = PooledCascade(stages, "average", "mirror")
+        pooled(np.random.default_rng(6).normal(size=(10,) * len(stages)))
+        assert (len(pooled.groups), counts["pass"], counts["pad"]) == (groups, passes, pads)
+
+    def test_grouping_is_built_once(self, monkeypatch):
+        pooled = PooledCascade(_STAGE_SETS["db3-HHH-2"], "max", "mirror")
+        monkeypatch.setattr(voxfilt.rotinv, "equivariant_cascades", None)
+        image = np.random.default_rng(7).normal(size=(6, 7, 8))
+        assert pooled(image).tobytes() == pooled(image).tobytes()
+
+    def test_wrong_dimensionality_rejected(self):
+        with pytest.raises(ValueError, match="3-D cascade"):
+            PooledCascade(_STAGE_SETS["L5E5E5"], "max", "mirror")(np.zeros((5, 5)))
+
+    def test_bad_pool_mode_rejected(self):
+        with pytest.raises(ValueError, match="pool mode"):
+            PooledCascade(_STAGE_SETS["L5E5"], "median", "mirror")
+
+
+_POOLED_PROBE = """
+import hashlib
+import numpy as np
+from voxfilt.kernels import laws_1d
+from voxfilt.rotinv import pooled_cascades
+from voxfilt.wavelets import _swt_stages
+image = np.random.default_rng(13).normal(size=(12, 12, 12)) * 100
+digest = hashlib.sha256()
+for stages in ([[laws_1d(k)] for k in ("L5", "E5", "E5")], _swt_stages("db3", 1, "LLH", 3),
+               _swt_stages("db3", 2, "HHH", 3)):
+    for mode in ("max", "average"):
+        digest.update(pooled_cascades(image, stages, mode, "mirror").tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_pooled_cascades_do_not_depend_on_simd_dispatch():
+    # the 4.B, 6.B and 7.B stage sets, both pools
+    results = digests_at_dispatch_levels(_POOLED_PROBE)
+    assert {digest for _, digest in results} == {results[0][1]}, results
 
 
 class TestGaborOrientationSet:
