@@ -11,14 +11,23 @@ Accumulation is in 64-bit floats with a fixed summation order, so repeated
 runs are bit-identical.
 
 The Fourier path multiplies DFTs (Hadamard product), which implies periodise
-boundary handling.  :func:`convolve_planes` evaluates the padded spatial
-convolution the same way, for ``convolve_full``'s Fourier route and the
-Gabor bank alike: on a block padded like the spatial path, the circular
-wrap stays inside the margin, so the cropped result equals the spatial one
-up to roundoff.
+boundary handling.  Every DFT in voxfilt goes through one helper here:
+:func:`fft_forward` and :func:`fft_inverse`, on ``numpy.fft`` with explicit
+axes.  Spatial kernels (``convolve_full``'s Fourier route and the Gabor
+bank) are convolved on a block padded like the spatial path; the circular
+wrap stays inside the margin on any grid at least as large as that block,
+so the helper zero-fills it up to :func:`fast_grid`'s 2^a 3^b 5^c lengths
+and the cropped result equals the spatial one up to roundoff.  The inverse
+transforms one axis at a time and crops each axis as soon as it is done.
+A real kernel's transfer, and the Fourier-domain filters' transfers on the
+image grid, are conjugate-symmetric, so they are stored on the half grid of
+the last axis and applied with real-input transforms.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,13 +40,107 @@ __all__ = [
     "convolve_planes",
     "convolve_fourier",
     "fourier_grid",
+    "half_shape",
+    "fast_grid",
+    "fft_forward",
+    "fft_inverse",
     "kernel_to_transfer",
+    "TransferCache",
+    "cached_transfer",
 ]
 
-# Route dense spatial jobs above this many multiply-adds to the FFT under
-# via="auto".  Derived from the cost crossover between direct accumulation
-# and three FFT passes; deliberately conservative.
-_AUTO_MAC_LIMIT = 1 << 28
+# Under via="auto", a dense job takes the FFT route when its multiply-adds
+# per point of the FFT grid exceed this, by image dimensionality (4-D uses
+# the 3-D value).  Measured crossovers of the two routes for real kernels,
+# medians of 7 alternating timings on a 2-core x86-64 host: 1-D none up to
+# 57 (n <= 1024, M <= 63); 2-D between 20 and 44 (64^2 to 256^2); 3-D
+# between 14 and 19 (12^3 to 48^3).  Small images lean spatial, where the
+# FFT's fixed cost dominates.
+_AUTO_MACS_PER_POINT = {1: 64, 2: 32, 3: 16}
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c that is at least ``n`` (``n`` >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fast_grid(shape) -> tuple:
+    """Per axis, the smallest 2^a 3^b 5^c length that holds ``shape``."""
+    return tuple(_fast_length(int(n)) for n in shape)
+
+
+def half_shape(dims) -> tuple:
+    """Shape of a half spectrum on ``dims``: the last axis keeps n // 2 + 1 bins."""
+    dims = tuple(int(n) for n in dims)
+    return dims[:-1] + (dims[-1] // 2 + 1,)
+
+
+class TransferCache:
+    """Transfers built once per key, for one run of one filter.
+
+    The slices of one run may execute on several threads: the first to ask
+    for a missing key builds it while the others wait for it.
+    """
+
+    def __init__(self):
+        self._built = {}
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            if key not in self._built:
+                self._built[key] = build()
+            return self._built[key]
+
+
+def cached_transfer(transfers: TransferCache | None, key, build):
+    """``build()``, kept in ``transfers`` under ``key`` when a cache is given.
+
+    Without one nothing outlives the caller's use of the transfer, which is
+    what a whole-volume op, run once, needs.
+    """
+    return build() if transfers is None else transfers.get(key, build)
+
+
+def fft_forward(block, grid, real: bool = False) -> np.ndarray:
+    """DFT of ``block`` zero-filled to ``grid`` at the high end of each axis.
+
+    With ``real`` the block must be real and only the half spectrum of the
+    last axis is computed (:func:`half_shape`).
+    """
+    axes = tuple(range(len(grid)))
+    return (np.fft.rfftn if real else np.fft.fftn)(block, s=tuple(grid), axes=axes)
+
+
+def fft_inverse(spectrum, grid, crop=None, real: bool = False) -> np.ndarray:
+    """Inverse DFT on ``grid``, kept only on the per-axis slices ``crop``.
+
+    The axes are inverted one at a time, in the order of ``numpy.fft``'s
+    ``ifftn`` (last axis first) or, with ``real``, ``irfftn`` (the leading
+    axes in order, then the real inverse of the last), and each axis is
+    cropped as soon as it is done, so later axes transform only the rows
+    that are kept.  Every row meets the arithmetic of the full inverse, so
+    the result has the bytes of the full inverse cropped afterwards.
+    """
+    ndim = len(grid)
+
+    def kept(out, axis):
+        return out if crop is None else out[(slice(None),) * axis + (crop[axis],)]
+
+    out = spectrum
+    for axis in range(ndim - 1) if real else reversed(range(ndim)):
+        out = kept(np.fft.ifft(out, axis=axis), axis)
+    if real:
+        out = kept(np.fft.irfft(out, n=grid[-1], axis=ndim - 1), ndim - 1)
+    return out
 
 
 def _as_float_or_complex(kernel: np.ndarray) -> np.ndarray:
@@ -100,16 +203,22 @@ def convolve_full(image, kernel, boundary: str, constant: float = 0.0,
         raise ValueError(f"kernel ndim {kernel.ndim} does not match image ndim {image.ndim}")
     if via not in ("auto", "spatial", "fourier"):
         raise ValueError(f"unknown convolution route {via!r}")
-    if via == "auto":
-        macs = image.size * kernel.size
-        via = "fourier" if macs > _AUTO_MAC_LIMIT else "spatial"
-
     margins = [m // 2 for m in kernel.shape]
+    grid = fast_grid(n + 2 * m for n, m in zip(image.shape, margins))
+    if via == "auto":
+        per_point = _AUTO_MACS_PER_POINT[min(image.ndim, 3)]
+        via = "fourier" if image.size * kernel.size > per_point * math.prod(grid) else "spatial"
     padded = pad(image, margins, boundary, constant)
     if via == "spatial":
         return _dense_valid(padded, kernel, image.shape)
-    (out,) = convolve_planes(padded, [kernel], [kernel_to_transfer(kernel, padded.shape)])
-    return np.ascontiguousarray(out if np.iscomplexobj(kernel) else out.real)
+    transfer = kernel_to_transfer(kernel, grid)
+    if np.iscomplexobj(kernel):
+        (out,) = convolve_planes(padded, [kernel], [transfer])
+    else:
+        spectrum = fft_forward(padded, grid, real=True)
+        spectrum *= transfer
+        out = fft_inverse(spectrum, grid, _valid_crop(kernel.shape, image.shape), real=True)
+    return np.ascontiguousarray(out)
 
 
 def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarray:
@@ -124,40 +233,49 @@ def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarra
     return np.einsum(f"...{letters},{letters}->...", windows, np.ascontiguousarray(flipped))
 
 
+def _valid_crop(kernel_shape, out_shape) -> tuple:
+    return tuple(slice(m // 2, m // 2 + n) for m, n in zip(kernel_shape, out_shape))
+
+
 def convolve_planes(padded, kernels, transfers):
     """Yield each kernel's complex response on a padded block, from one FFT.
 
     ``padded`` is a block already extended by M // 2 voxels on both sides
     of every axis for the ``kernels``, which share one shape.
-    ``transfers`` holds the kernels' transfers on the padded grid
-    (:func:`kernel_to_transfer`), so callers can build them once per grid
-    shape.  One forward FFT serves every kernel; each kernel then costs one
-    multiply by its transfer, one inverse FFT and a crop back to the
+    ``transfers`` holds the kernels' full (complex) transfers on one grid
+    at least as large as the block (:func:`kernel_to_transfer` on
+    :func:`fast_grid` of the block's shape), so callers can build them once
+    per block shape.  One forward FFT serves every kernel; each kernel then
+    costs one multiply by its transfer and one inverse FFT pruned to the
     unpadded block.
     """
-    spectrum = np.fft.fftn(padded)
+    grid = transfers[0].shape
+    spectrum = fft_forward(padded, grid)
+    out_shape = [n - 2 * (m // 2) for m, n in zip(kernels[0].shape, padded.shape)]
     for kernel, transfer in zip(kernels, transfers):
-        crop = tuple(slice(m // 2, n - m // 2) for m, n in zip(kernel.shape, padded.shape))
-        yield np.fft.ifftn(spectrum * transfer)[crop]
+        yield fft_inverse(spectrum * transfer, grid, _valid_crop(kernel.shape, out_shape))
 
 
-def fourier_grid(dims):
+def fourier_grid(dims, half: bool = False):
     """Per-axis angular frequency coordinates and the radial norm.
 
     Axis i is sampled with step 2*pi/N_i on [-pi, pi), returned in DFT index
     order (nu = 0 first).  The normalised Nyquist frequency is pi; corners of
     the grid exceed it in norm and are attenuated by radial profiles rather
     than here.  Each coordinate array is shaped for broadcasting; the radial
-    norm has the full given shape.
+    norm has the full given shape, or with ``half`` the half-spectrum shape
+    (:func:`half_shape`): the first N // 2 + 1 samples of the last axis, so
+    every value equals the full grid's at the same index.
     """
     dims = tuple(int(n) for n in dims)
     if any(n < 1 for n in dims):
         raise ValueError(f"dims must be >= 1, got {dims}")
+    kept = half_shape(dims) if half else dims
     axes = []
-    for i, n in enumerate(dims):
-        nu = 2.0 * np.pi * np.fft.fftfreq(n)
+    for i, (n, k) in enumerate(zip(dims, kept)):
+        nu = 2.0 * np.pi * np.fft.fftfreq(n)[:k]
         shape = [1] * len(dims)
-        shape[i] = n
+        shape[i] = k
         axes.append(nu.reshape(shape))
     norm = np.sqrt(sum(nu**2 for nu in axes))
     return axes, norm
@@ -169,7 +287,9 @@ def kernel_to_transfer(kernel, dims) -> np.ndarray:
     The kernel is placed with its centre tap (index M//2 per axis) on voxel 0,
     wrapping negative offsets around, so that multiplication in the Fourier
     domain reproduces spatial convolution with periodise boundary without a
-    phase ramp.
+    phase ramp.  A real kernel's transfer is conjugate-symmetric and is
+    returned on the half grid (:func:`half_shape`); a complex kernel's on
+    the whole grid.
     """
     kernel = _as_float_or_complex(kernel)
     dims = tuple(int(n) for n in dims)
@@ -180,19 +300,30 @@ def kernel_to_transfer(kernel, dims) -> np.ndarray:
     buf = np.zeros(dims, dtype=np.complex128 if np.iscomplexobj(kernel) else np.float64)
     buf[tuple(slice(0, m) for m in kernel.shape)] = kernel
     buf = np.roll(buf, [-(m // 2) for m in kernel.shape], axis=range(kernel.ndim))
-    return np.fft.fftn(buf)
+    return fft_forward(buf, dims, real=not np.iscomplexobj(kernel))
 
 
 def convolve_fourier(image, transfer) -> np.ndarray:
     """Filter by Hadamard product in the Fourier domain.
 
-    Periodisation of the image content is implicit.  The real part of the
-    inverse DFT is returned: for conjugate-symmetric transfer functions
-    (real-valued point spread) it is the whole response, and for the odd
-    Riesz orders it drops only the unpairable Nyquist residue.
+    Periodisation of the image content is implicit.  ``transfer`` is given
+    on the image's whole DFT grid or on its half grid (:func:`half_shape`).
+    On the whole grid the real part of the inverse DFT is returned: for
+    conjugate-symmetric transfer functions (real-valued point spread) it is
+    the whole response, and for the odd Riesz orders it drops only the
+    unpairable Nyquist residue.  On the half grid the transfer is taken as
+    conjugate-symmetric and applied with real-input transforms, which is
+    the same response up to roundoff wherever the transfer is; when the
+    last axis has at most two samples the two grids coincide and so do the
+    two readings.
     """
     image = np.asarray(image, dtype=np.float64)
-    transfer = np.asarray(transfer, dtype=np.complex128)
-    if transfer.shape != image.shape:
-        raise ValueError(f"transfer dims {transfer.shape} do not match image dims {image.shape}")
-    return np.fft.ifftn(np.fft.fftn(image) * transfer).real
+    transfer = np.asarray(transfer)
+    real = transfer.shape != image.shape
+    if real and transfer.shape != half_shape(image.shape):
+        raise ValueError(f"transfer dims {transfer.shape} fit neither the grid {image.shape} "
+                         f"nor its half grid {half_shape(image.shape)}")
+    spectrum = fft_forward(image, image.shape, real)
+    spectrum *= transfer
+    out = fft_inverse(spectrum, image.shape, real=real)
+    return out if real else out.real

@@ -15,7 +15,6 @@ import difflib
 import functools
 import itertools
 import math
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -24,7 +23,14 @@ import yaml
 from scipy import ndimage
 
 from .boundary import BOUNDARY_MODES, pad
-from .convolve import convolve_full, convolve_planes, convolve_separable, kernel_to_transfer
+from .convolve import (
+    TransferCache,
+    convolve_full,
+    convolve_planes,
+    convolve_separable,
+    fast_grid,
+    kernel_to_transfer,
+)
 from .features import diagnostics, intensity_statistics
 from .image import RoiMask, VolumeImage, map_slices, round_half_away
 from .kernels import (
@@ -400,9 +406,12 @@ class FilterPlan:
 
 # Each planner takes the parameters, the spacing of the filtered axes, the
 # boundary mode and its constant, and returns (summary, op); op filters a
-# volume, or one slice in 2-D mode.  The Gabor op always filters one slice,
-# given a per-run transfer cache.  The ops look library functions up by
+# volume, or one slice in 2-D mode.  The Gabor op always filters one slice.
+# The ops of _CACHED_KINDS take ``transfers``: a per-run TransferCache when
+# they run once per slice, so their transfers are built once per grid and
+# run, and None for a whole volume.  The ops look library functions up by
 # name when they execute.
+_CACHED_KINDS = ("gabor", "nonseparable", "riesz")
 
 
 def _integral(value, what) -> int:
@@ -492,16 +501,12 @@ def _plan_gabor(params, axes, boundary, constant):
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
     pool_mode = _check_pool_mode(params.get("pool", "average"))
     margin = bank[0].shape[0] // 2
-    filling = threading.Lock()
 
     def run(plane, transfers):
-        # The bank's transfers are built once per padded plane shape and run;
-        # the lock keeps slices on concurrent threads from building them twice.
         padded = pad(np.asarray(plane, dtype=np.float64), margin, boundary, constant)
-        with filling:
-            if padded.shape not in transfers:
-                transfers[padded.shape] = [kernel_to_transfer(k, padded.shape) for k in bank]
-        responses = convolve_planes(padded, bank, transfers[padded.shape])
+        grid = fast_grid(padded.shape)
+        responses = convolve_planes(padded, bank, transfers.get(
+            grid, lambda: [kernel_to_transfer(k, grid) for k in bank]))
         return pool((np.abs(r) for r in responses), pool_mode)
 
     summary = (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
@@ -546,7 +551,8 @@ def _plan_nonseparable(params, axes, boundary, constant):
                             _integral(params["level"], "nonseparable level"))
     _, applied = _fourier_domain(axes, boundary, "the nonseparable filter")
     summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
-    return summary, lambda data: nonseparable_b_map(data, profile.kind, profile.level)
+    return summary, lambda data, transfers: nonseparable_b_map(
+        data, profile.kind, profile.level, transfers)
 
 
 def _plan_riesz(params, axes, boundary, constant):
@@ -558,15 +564,16 @@ def _plan_riesz(params, axes, boundary, constant):
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
     _needs_switch(params, "align", ("sigma_tensor_mm", "sigma_tensor_vox"), "riesz filter")
     if not params.get("align", False):
-        return summary + applied, lambda data: riesz_filtered_map(data, profile, l)
+        return summary + applied, lambda data, transfers: riesz_filtered_map(
+            data, profile, l, transfers)
     if sum(l) != 2:
         raise ValueError("alignment is defined for second-order Riesz sets")
     sigma = _scale_param(params, "sigma_tensor", axes, "aligned Riesz filtering")
     window = gaussian_kernel_1d(sigma)
     order2, order1 = riesz_indices(2, ndim), riesz_indices(1, ndim)
 
-    def run(data):
-        maps = riesz_filtered_maps(data, profile, order2 + order1)
+    def run(data, transfers):
+        maps = riesz_filtered_maps(data, profile, order2 + order1, transfers)
         tensors = structure_tensor([maps.pop(k) for k in order1], sigma)
         return align_order2(maps, tensors)
 
@@ -649,12 +656,15 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             raise ValueError(f"thread count must be at least 1, got {threads}")
         if mode == "2d" and np.ndim(volume) != 3:
             raise ValueError("2d mode expects a 3-D volume of slices")
-        slice_op = functools.partial(op, transfers={}) if kind == "gabor" else op
+        per_slice = mode == "2d" or kind == "gabor"
+        run_op = op
+        if kind in _CACHED_KINDS:
+            run_op = functools.partial(op, transfers=TransferCache() if per_slice else None)
         if kind == "gabor" and mode == "3d":
-            return orthogonal_plane_average(volume, slice_op, threads)
+            return orthogonal_plane_average(volume, run_op, threads)
         if mode == "2d":
-            return map_slices(volume, slice_op, threads)
-        return op(volume)
+            return map_slices(volume, run_op, threads)
+        return run_op(volume)
 
     return FilterPlan(summary, run)
 

@@ -10,10 +10,14 @@ to zero (the expression is 0/0 there and the first-order components are
 zero-mean).
 
 On even grids the Nyquist bins are their own conjugate partners, so an
-odd-order transfer cannot be conjugate-symmetric there; responses take
-the real part of the inverse DFT, which amounts to discarding exactly
-that unpairable imaginary residue, as spectral differentiation usually
-does.
+odd-order transfer cannot be conjugate-symmetric there.  Band-passed
+responses run on the half spectrum of the last axis and end in a real
+inverse DFT, which keeps the real part on the planes whose last frequency
+is 0 or Nyquist: it discards exactly that unpairable imaginary residue, as
+spectral differentiation usually does, and as the real part of a full
+inverse DFT would.  The only other unpaired bins (Nyquist on another axis,
+last frequency in between) have ||nu|| > pi, where every radial band is
+zero, so the half and the full spectrum give one response up to roundoff.
 
 Band-passed Riesz responses have one path, riesz_filtered_maps: one forward
 DFT per image times the radial band, then per index the steering and one
@@ -27,7 +31,14 @@ import math
 
 import numpy as np
 
-from .convolve import convolve_separable, fourier_grid
+from .convolve import (
+    TransferCache,
+    cached_transfer,
+    convolve_separable,
+    fft_forward,
+    fft_inverse,
+    fourier_grid,
+)
 from .kernels import gaussian_kernel_1d
 from .wavelets import RadialProfile, radial_transfer
 
@@ -87,11 +98,12 @@ def _power(x, n: int):
     return out
 
 
-def riesz_transfer(dims, l) -> np.ndarray:
-    """Order-|l| all-pass transfer on the DFT-ordered frequency grid."""
+def riesz_transfer(dims, l, half: bool = False) -> np.ndarray:
+    """Order-|l| all-pass transfer on the DFT-ordered frequency grid, or with
+    ``half`` on its half grid of the last axis."""
     dims = tuple(int(n) for n in dims)
     l = _check_index(l, len(dims))
-    axes, norm = fourier_grid(dims)
+    axes, norm = fourier_grid(dims, half)
     order = sum(l)
     numerator = np.ones((1,) * len(dims))
     for nu, power in zip(axes, l):
@@ -103,19 +115,30 @@ def riesz_transfer(dims, l) -> np.ndarray:
     return _PHASE[order % 4] * multinomial_coefficient(l) * ratio
 
 
-def riesz_filtered_maps(image, profile: RadialProfile, indices) -> dict:
-    """Band-passed Riesz responses keyed by index: (band x spectrum) x steering."""
+def riesz_filtered_maps(image, profile: RadialProfile, indices,
+                        transfers: TransferCache | None = None) -> dict:
+    """Band-passed Riesz responses keyed by index: (band x spectrum) x steering.
+
+    Everything runs on the half spectrum of the last axis, so each map is
+    real from its inverse DFT on.  A filter run's cache ``transfers`` builds
+    the band and each steering transfer once per image shape.
+    """
     image = np.asarray(image, dtype=np.float64)
     indices = [_check_index(l, image.ndim) for l in indices]
-    band = np.fft.fftn(image) * radial_transfer(profile, image.shape)
-    # copied out of the complex inverse, so each map owns 8 bytes per voxel
-    return {l: np.fft.ifftn(band * riesz_transfer(image.shape, l)).real.copy()
+    dims = image.shape
+    band = fft_forward(image, dims, real=True)
+    band *= cached_transfer(transfers, ("radial", profile, dims),
+                            lambda: radial_transfer(profile, dims, half=True))
+    return {l: fft_inverse(band * cached_transfer(transfers, ("riesz", dims, l),
+                                                  lambda: riesz_transfer(dims, l, half=True)),
+                           dims, real=True)
             for l in indices}
 
 
-def riesz_filtered_map(image, profile: RadialProfile, l) -> np.ndarray:
+def riesz_filtered_map(image, profile: RadialProfile, l,
+                       transfers: TransferCache | None = None) -> np.ndarray:
     """Riesz-transformed radial band-pass filter for one index."""
-    (response,) = riesz_filtered_maps(image, profile, (l,)).values()
+    (response,) = riesz_filtered_maps(image, profile, (l,), transfers).values()
     return response
 
 

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import convolve_fourier, convolve_separable, fourier_grid
+from .convolve import (
+    TransferCache,
+    cached_transfer,
+    convolve_fourier,
+    convolve_separable,
+    fourier_grid,
+)
 from .rotinv import cascade, pooled_cascades
 
 __all__ = [
@@ -218,14 +224,15 @@ class RadialProfile:
             raise ValueError("radial profile level must be >= 1")
 
 
-def radial_transfer(profile: RadialProfile, dims) -> np.ndarray:
+def radial_transfer(profile: RadialProfile, dims, half: bool = False) -> np.ndarray:
     """Band-pass transfer values on the DFT-ordered Fourier grid.
 
     Shannon: 1 on (nu_B'/2, nu_B'], else 0.  Simoncelli:
     cos(pi/2 * log2(2 ||nu|| / nu_B')) on [nu_B'/4, nu_B'], else 0.
-    Grid corners with ||nu|| > nu_B stay zero by construction.
+    Grid corners with ||nu|| > nu_B stay zero by construction.  With
+    ``half`` only the half grid of the last axis is built.
     """
-    _, norm = fourier_grid(dims)
+    _, norm = fourier_grid(dims, half)
     band_edge = NYQUIST / 2.0 ** (profile.level - 1)
     if profile.kind == "shannon":
         transfer = ((norm > band_edge / 2.0) & (norm <= band_edge)).astype(np.float64)
@@ -243,8 +250,16 @@ def radial_transfer(profile: RadialProfile, dims) -> np.ndarray:
     return transfer
 
 
-def nonseparable_b_map(image, kind: str, level: int) -> np.ndarray:
-    """Band-pass response map computed directly in the Fourier domain."""
+def nonseparable_b_map(image, kind: str, level: int,
+                       transfers: TransferCache | None = None) -> np.ndarray:
+    """Band-pass response map computed directly in the Fourier domain.
+
+    The radial transfer is real and even, so it is applied on the half
+    spectrum.  A filter run's cache ``transfers`` builds it once per image
+    shape.
+    """
     image = np.asarray(image, dtype=np.float64)
-    transfer = radial_transfer(RadialProfile(kind=kind, level=level), image.shape)
+    profile = RadialProfile(kind=kind, level=level)
+    transfer = cached_transfer(transfers, ("radial", profile, image.shape),
+                               lambda: radial_transfer(profile, image.shape, half=True))
     return convolve_fourier(image, transfer)

@@ -1,20 +1,31 @@
 """Convolution tests: oracle equivalence, fixtures, algebraic properties."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from voxfilt.boundary import BOUNDARY_MODES
 from voxfilt.convolve import (
+    TransferCache,
+    _fast_length,
     convolve_fourier,
     convolve_full,
     convolve_planes,
     convolve_separable,
+    fast_grid,
+    fft_forward,
+    fft_inverse,
     fourier_grid,
+    half_shape,
     kernel_to_transfer,
 )
 
 from voxfilt.boundary import pad
+from voxfilt.kernels import GaborParams, gabor_kernel
 
+from dispatch import digests_at_dispatch_levels
 from oracles import conv_brute, conv_taploop
 
 
@@ -173,6 +184,135 @@ class TestConvolvePlanes:
                 want = conv_taploop(plane, kernel, mode, constant=0.7)
                 assert response.shape == plane.shape
                 np.testing.assert_allclose(response, want, rtol=1e-12, atol=1e-12)
+
+
+class TestFFTHelper:
+    def test_fast_length_matches_brute_force(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for n in range(1, 1001):
+            want = next(k for k in range(n, 2 * n + 1) if smooth(k))
+            assert _fast_length(n) == want, n
+        assert fast_grid((94, 68, 1)) == (96, 72, 1)
+
+    @pytest.mark.parametrize("dims,widths", [
+        ((20, 17), (5, 4)), ((9, 12, 10), (3, 6, 5)),
+    ], ids=["2d", "3d"])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_pruned_inverse_is_full_inverse_cropped(self, dims, widths, real):
+        # crops as a convolution with odd and even kernel widths keeps them
+        rng = np.random.default_rng(41)
+        crop = tuple(slice(m // 2, n - m // 2) for m, n in zip(widths, dims))
+        block = rng.normal(size=dims)
+        if real:
+            spectrum = np.fft.rfftn(block)
+            full = np.fft.irfftn(spectrum, s=dims, axes=range(len(dims)))
+        else:
+            spectrum = np.fft.fftn(block + 1j * rng.normal(size=dims))
+            full = np.fft.ifftn(spectrum)
+        np.testing.assert_array_equal(fft_inverse(spectrum, dims, crop, real), full[crop])
+        np.testing.assert_array_equal(fft_inverse(spectrum, dims, real=real), full)
+
+    def test_forward_zero_fills_to_the_grid(self):
+        rng = np.random.default_rng(42)
+        block = rng.normal(size=(7, 9))
+        filled = np.zeros((8, 10))
+        filled[:7, :9] = block
+        np.testing.assert_array_equal(fft_forward(block, (8, 10)), np.fft.fftn(filled))
+        real = fft_forward(block, (8, 10), real=True)
+        assert real.shape == half_shape((8, 10)) == (8, 6)
+        np.testing.assert_array_equal(real, np.fft.rfftn(filled))
+
+    def test_gabor_slice_on_fast_grid_matches_spatial(self):
+        # a 64^2 slice padded by a 31^2 kernel's margin is 94^2, transformed on 96^2
+        rng = np.random.default_rng(43)
+        plane = rng.normal(size=(64, 64))
+        kernel = gabor_kernel(GaborParams(sigma=2.5, wavelength=2.0, gamma=1.5, theta=0.4))
+        assert kernel.shape == (31, 31)
+        padded = pad(plane, 15, "mirror")
+        grid = fast_grid(padded.shape)
+        assert grid == (96, 96)
+        (response,) = convolve_planes(padded, [kernel], [kernel_to_transfer(kernel, grid)])
+        spatial = convolve_full(plane, kernel, "mirror", via="spatial")
+        assert response.shape == plane.shape
+        assert np.max(np.abs(response - spatial)) <= 1e-13 * np.max(np.abs(spatial))
+
+    def test_real_kernel_transfer_is_the_half_spectrum(self):
+        rng = np.random.default_rng(44)
+        kernel = rng.normal(size=(3, 4))
+        half = kernel_to_transfer(kernel, (8, 9))
+        full = kernel_to_transfer(kernel.astype(complex), (8, 9))
+        assert half.shape == (8, 5) and full.shape == (8, 9)
+        np.testing.assert_allclose(half, full[:, :5], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(9, 8), (6, 7, 10), (5, 2), (4, 1)])
+    def test_half_transfer_matches_full_transfer(self, dims):
+        rng = np.random.default_rng(45)
+        img = rng.normal(size=dims)
+        kernel = rng.normal(size=tuple(min(3, n) for n in dims))
+        full = kernel_to_transfer(kernel.astype(complex), dims)
+        np.testing.assert_allclose(convolve_fourier(img, kernel_to_transfer(kernel, dims)),
+                                   convolve_fourier(img, full), rtol=0, atol=1e-13)
+
+
+def test_transfer_cache_builds_each_key_once_across_threads():
+    cache = TransferCache()
+    built = []
+    seen = [[] for _ in range(8)]
+
+    def build(key):
+        built.append(key)
+        return object()
+
+    def worker(index):
+        for i in range(300):
+            key = (index + i) % 3
+            seen[index].append((key, cache.get(key, lambda: build(key))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == [0, 1, 2]
+    first = {key: value for key, value in seen[0]}
+    assert all(first[key] is value for pairs in seen for key, value in pairs)
+
+
+_FFT_PROBE = """
+import hashlib
+import numpy as np
+from voxfilt.convolve import fast_grid, fft_forward, fft_inverse
+digest = hashlib.sha256()
+rng = np.random.default_rng(46)
+for dims, widths in (((94, 94), (31, 31)), ((72, 72), (61, 61)), ((23, 18, 20), (7, 6, 7))):
+    block = rng.normal(size=dims)
+    grid = fast_grid(dims)
+    crop = tuple(slice(m // 2, n - m // 2) for m, n in zip(widths, dims))
+    spectrum = fft_forward(block, grid)
+    half = fft_forward(block, grid, real=True)
+    for out in (spectrum, fft_inverse(spectrum, grid, crop), half,
+                fft_inverse(half, grid, crop, real=True), fft_inverse(half, grid, real=True)):
+        digest.update(out.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fft_helper_does_not_depend_on_simd_dispatch():
+    # forward, pruned-inverse and real transforms of the helper; the numpy
+    # build's pocketfft SIMD code cannot be switched from a process here
+    results = digests_at_dispatch_levels(_FFT_PROBE)
+    assert {digest for _, digest in results} == {results[0][1]}, results
 
 
 class TestConvolveFourier:

@@ -370,6 +370,39 @@ class TestPlanFilter:
             assert len(grids) == 4 * plane_shapes
             assert len(set(grids)) == plane_shapes
 
+    @pytest.mark.parametrize("params,built_per_shape", [
+        ({"kind": "nonseparable", "wavelet": "shannon", "level": 1}, 1),
+        ({"kind": "riesz", "wavelet": "simoncelli", "level": 1, "l": [1, 1]}, 2),
+        ({"kind": "riesz", "wavelet": "shannon", "level": 1, "l": [0, 2], "align": True,
+          "sigma_tensor_vox": 1.0}, 1 + 5),
+    ], ids=["nonseparable", "riesz", "riesz-aligned"])
+    def test_fourier_domain_transfers_built_once_per_slice_shape(self, monkeypatch, params,
+                                                                 built_per_shape):
+        import voxfilt.riesz
+        import voxfilt.wavelets
+
+        built = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(voxfilt.wavelets, "radial_transfer")
+        counting(voxfilt.riesz, "radial_transfer")
+        counting(voxfilt.riesz, "riesz_transfer")
+        params = dict(params)
+        plan = plan_filter(FilterConfig(params.pop("kind"), params), (1.0, 1.0, 3.0), "2d")
+        volume = np.random.default_rng(24).normal(size=(8, 9, 5))
+        reference = plan.run(volume, 1)
+        for threads in (1, 3):
+            built.clear()
+            np.testing.assert_array_equal(plan.run(volume, threads), reference)
+            assert len(built) == built_per_shape
+
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_run_checks_threads_and_volume(self, mode):
         plan = plan_filter(FilterConfig("mean", {"support": 3}), (1.0, 1.0, 1.0), mode)
@@ -693,13 +726,16 @@ class TestApplyFilter:
 
     def test_riesz_aligned_3d_takes_one_forward_fft(self, monkeypatch):
         calls = []
-        fftn = np.fft.fftn
 
-        def counting(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return fftn(*args, **kwargs)
+        def counting(transform):
+            def wrapper(*args, **kwargs):
+                calls.append(np.shape(args[0]))
+                return transform(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.fft, "fftn", counting)
+        # forward transforms of either kind: the maps run on the half spectrum
+        for name in ("fftn", "rfftn"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         image = _volume(np.random.default_rng(12).normal(size=(8, 8, 8)))
         apply_filter(
             image,

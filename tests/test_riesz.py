@@ -17,7 +17,7 @@ from voxfilt.riesz import (
     riesz_transfer,
     structure_tensor,
 )
-from voxfilt.wavelets import RadialProfile
+from voxfilt.wavelets import RadialProfile, radial_transfer
 
 from dispatch import digests_at_dispatch_levels
 from oracles import euler_matrix, rotate_grid
@@ -220,6 +220,30 @@ class TestRieszFilteredMaps:
     def test_invalid_index_rejected(self):
         with pytest.raises(ValueError, match="one entry per image axis"):
             riesz_filtered_maps(np.zeros((8, 8)), RadialProfile("shannon", 1), [(2, 0, 0)])
+
+    @pytest.mark.parametrize("kind", ["shannon", "simoncelli"])
+    def test_half_spectrum_matches_full_spectrum(self, kind):
+        # 56 is even on a leading axis, so its Nyquist plane is in play; the
+        # full-spectrum reference is the real part of the complex inverse
+        dims = (55, 56, 57)
+        image = np.random.default_rng(33).normal(size=dims)
+        profile = RadialProfile(kind, 1)
+        indices = riesz_indices(1, 3) + riesz_indices(2, 3)
+        maps = riesz_filtered_maps(image, profile, indices)
+        band = np.fft.fftn(image) * radial_transfer(profile, dims)
+        for l in indices:
+            ref = np.fft.ifftn(band * riesz_transfer(dims, l)).real
+            assert np.max(np.abs(maps[l] - ref)) <= 1e-13 * np.max(np.abs(ref)), l
+
+    def test_half_grid_transfers_are_the_full_ones_cut(self):
+        for dims in ((8, 9), (7, 6, 10)):
+            h = dims[-1] // 2 + 1
+            for l in riesz_indices(1, len(dims)) + riesz_indices(3, len(dims)):
+                np.testing.assert_array_equal(riesz_transfer(dims, l, half=True),
+                                              riesz_transfer(dims, l)[..., :h])
+            profile = RadialProfile("simoncelli", 1)
+            np.testing.assert_array_equal(radial_transfer(profile, dims, half=True),
+                                          radial_transfer(profile, dims)[..., :h])
 
 
 def _gradients(image, profile):
