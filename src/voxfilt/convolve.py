@@ -13,12 +13,13 @@ runs are bit-identical.
 The Fourier path multiplies DFTs (Hadamard product), which implies periodise
 boundary handling.  Every DFT in voxfilt goes through one helper here:
 :func:`fft_forward` and :func:`fft_inverse`, on ``numpy.fft`` with explicit
-axes.  Spatial kernels (``convolve_full``'s Fourier route and the Gabor
-bank) are convolved on a block padded like the spatial path; the circular
-wrap stays inside the margin on any grid at least as large as that block,
-so the helper zero-fills it up to :func:`fast_grid`'s 2^a 3^b 5^c lengths
-and the cropped result equals the spatial one up to roundoff.  The inverse
-transforms one axis at a time and crops each axis as soon as it is done.
+axes.  Spatial kernels reach it through one function, :func:`convolve_bank`,
+which ``convolve_full``'s Fourier route and the Gabor bank both call: it pads
+the image like the spatial path, zero-fills the block up to
+:func:`fast_grid`'s 2^a 3^b 5^c lengths (the circular wrap stays inside the
+margin on any grid at least as large as the block, so the cropped result
+equals the spatial one up to roundoff), fetches the transfers from the
+caller's cache, and crops each axis of the inverse as soon as it is done.
 A real kernel's transfer, and the Fourier-domain filters' transfers on the
 image grid, are conjugate-symmetric, so they are stored on the half grid of
 the last axis and applied with real-input transforms.
@@ -37,7 +38,7 @@ from .boundary import pad
 __all__ = [
     "convolve_full",
     "convolve_separable",
-    "convolve_planes",
+    "convolve_bank",
     "convolve_fourier",
     "fourier_grid",
     "half_shape",
@@ -204,20 +205,13 @@ def convolve_full(image, kernel, boundary: str, constant: float = 0.0,
     if via not in ("auto", "spatial", "fourier"):
         raise ValueError(f"unknown convolution route {via!r}")
     margins = [m // 2 for m in kernel.shape]
-    grid = fast_grid(n + 2 * m for n, m in zip(image.shape, margins))
     if via == "auto":
+        grid = fast_grid(n + 2 * m for n, m in zip(image.shape, margins))
         per_point = _AUTO_MACS_PER_POINT[min(image.ndim, 3)]
         via = "fourier" if image.size * kernel.size > per_point * math.prod(grid) else "spatial"
-    padded = pad(image, margins, boundary, constant)
     if via == "spatial":
-        return _dense_valid(padded, kernel, image.shape)
-    transfer = kernel_to_transfer(kernel, grid)
-    if np.iscomplexobj(kernel):
-        (out,) = convolve_planes(padded, [kernel], [transfer])
-    else:
-        spectrum = fft_forward(padded, grid, real=True)
-        spectrum *= transfer
-        out = fft_inverse(spectrum, grid, _valid_crop(kernel.shape, image.shape), real=True)
+        return _dense_valid(pad(image, margins, boundary, constant), kernel, image.shape)
+    (out,) = convolve_bank(image, [kernel], boundary, constant)
     return np.ascontiguousarray(out)
 
 
@@ -233,27 +227,32 @@ def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarra
     return np.einsum(f"...{letters},{letters}->...", windows, np.ascontiguousarray(flipped))
 
 
-def _valid_crop(kernel_shape, out_shape) -> tuple:
-    return tuple(slice(m // 2, m // 2 + n) for m, n in zip(kernel_shape, out_shape))
+def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
+                  transfers: TransferCache | None = None):
+    """Yield each kernel's response to ``image`` through FFTs, from one forward DFT.
 
-
-def convolve_planes(padded, kernels, transfers):
-    """Yield each kernel's complex response on a padded block, from one FFT.
-
-    ``padded`` is a block already extended by M // 2 voxels on both sides
-    of every axis for the ``kernels``, which share one shape.
-    ``transfers`` holds the kernels' full (complex) transfers on one grid
-    at least as large as the block (:func:`kernel_to_transfer` on
-    :func:`fast_grid` of the block's shape), so callers can build them once
-    per block shape.  One forward FFT serves every kernel; each kernel then
-    costs one multiply by its transfer and one inverse FFT pruned to the
-    unpadded block.
+    The ``kernels`` share one shape and are all real or all complex.  The
+    image is padded as on the spatial route, by M // 2 voxels per axis, and
+    transformed on :func:`fast_grid` of the padded block: on the half grid
+    for real kernels, with real responses, else on the whole grid, with
+    complex ones.  Each kernel then costs one product with its transfer and
+    one inverse DFT pruned to the image.  The transfers depend only on the
+    kernels and the grid, so with a ``transfers`` cache they are built once
+    per grid (:func:`cached_transfer`).
     """
-    grid = transfers[0].shape
-    spectrum = fft_forward(padded, grid)
-    out_shape = [n - 2 * (m // 2) for m, n in zip(kernels[0].shape, padded.shape)]
-    for kernel, transfer in zip(kernels, transfers):
-        yield fft_inverse(spectrum * transfer, grid, _valid_crop(kernel.shape, out_shape))
+    image = np.asarray(image, dtype=np.float64)
+    shape = np.shape(kernels[0])
+    if any(np.shape(k) != shape for k in kernels):
+        raise ValueError("the kernels of a bank must share one shape")
+    real = not np.iscomplexobj(kernels[0])
+    padded = pad(image, [m // 2 for m in shape], boundary, constant)
+    grid = fast_grid(padded.shape)
+    bank = cached_transfer(transfers, grid,
+                           lambda: [kernel_to_transfer(k, grid) for k in kernels])
+    spectrum = fft_forward(padded, grid, real)
+    crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(shape, image.shape))
+    for transfer in bank:
+        yield fft_inverse(spectrum * transfer, grid, crop, real)
 
 
 def fourier_grid(dims, half: bool = False):

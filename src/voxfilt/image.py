@@ -107,6 +107,18 @@ def round_half_away(data) -> np.ndarray:
     return np.sign(data) * np.floor(np.abs(data) + 0.5)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _integral(value, what) -> int:
+    """``value`` as an int; a bool, a fraction or a non-number is an error."""
+    if not _is_number(value) or not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def interior_region(dims, margin) -> np.ndarray:
     """Boolean mask of voxels at distance >= margin from every face.
 

@@ -22,17 +22,10 @@ import numpy as np
 import yaml
 from scipy import ndimage
 
-from .boundary import BOUNDARY_MODES, pad
-from .convolve import (
-    TransferCache,
-    convolve_full,
-    convolve_planes,
-    convolve_separable,
-    fast_grid,
-    kernel_to_transfer,
-)
+from .boundary import BOUNDARY_MODES
+from .convolve import TransferCache, convolve_bank, convolve_full, convolve_separable
 from .features import diagnostics, intensity_statistics
-from .image import RoiMask, VolumeImage, map_slices, round_half_away
+from .image import RoiMask, VolumeImage, _integral, _is_number, map_slices, round_half_away
 from .kernels import (
     GaborParams,
     gabor_kernel,
@@ -82,11 +75,6 @@ __all__ = [
 ]
 
 _INTERPOLATIONS = ("trilinear", "tricubic")
-
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
 
 
 def _number(value, what) -> float:
@@ -414,13 +402,6 @@ class FilterPlan:
 _CACHED_KINDS = ("gabor", "nonseparable", "riesz")
 
 
-def _integral(value, what) -> int:
-    """``value`` as an int; a bool, a fraction or a non-number is an error."""
-    if not _is_number(value) or not float(value).is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _needs_switch(params, switch, keys, what):
     """Reject parameters that only take effect when ``switch`` is true."""
     if not params.get(switch, False):
@@ -500,14 +481,10 @@ def _plan_gabor(params, axes, boundary, constant):
         thetas = [_number(params.get("theta", 0.0), "theta")]
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
     pool_mode = _check_pool_mode(params.get("pool", "average"))
-    margin = bank[0].shape[0] // 2
 
     def run(plane, transfers):
-        padded = pad(np.asarray(plane, dtype=np.float64), margin, boundary, constant)
-        grid = fast_grid(padded.shape)
-        responses = convolve_planes(padded, bank, transfers.get(
-            grid, lambda: [kernel_to_transfer(k, grid) for k in bank]))
-        return pool((np.abs(r) for r in responses), pool_mode)
+        return pool((np.abs(r) for r in convolve_bank(plane, bank, boundary, constant, transfers)),
+                    pool_mode)
 
     summary = (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
                f"voxels, kernel size {bank[0].shape[0]}, {len(bank)} orientations, FFT route")
@@ -540,16 +517,16 @@ def _plan_wavelet(params, axes, boundary, constant):
 def _fourier_domain(axes, boundary, what):
     """The Fourier-domain filters work on the frequency grid of the filtered
     axes, so they need those axes isotropic, and they always periodise.
-    Returns the voxel scale and the summary's boundary clause."""
-    scale = _isotropic_scale(axes, what)
+    Returns the summary's boundary clause."""
+    _isotropic_scale(axes, what)
     requested = "" if boundary == "periodise" else f" (requested {boundary})"
-    return scale, f", boundary periodise{requested}"
+    return f", boundary periodise{requested}"
 
 
 def _plan_nonseparable(params, axes, boundary, constant):
     profile = RadialProfile(str(params["wavelet"]).lower(),
                             _integral(params["level"], "nonseparable level"))
-    _, applied = _fourier_domain(axes, boundary, "the nonseparable filter")
+    applied = _fourier_domain(axes, boundary, "the nonseparable filter")
     summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
     return summary, lambda data, transfers: nonseparable_b_map(
         data, profile.kind, profile.level, transfers)
@@ -559,8 +536,8 @@ def _plan_riesz(params, axes, boundary, constant):
     ndim = len(axes)
     profile = RadialProfile(str(params["wavelet"]).lower(),
                             _integral(params["level"], "riesz level"))
-    l = _check_index([_integral(v, "riesz index entry") for v in params["l"]], ndim)
-    _, applied = _fourier_domain(axes, boundary, "the Riesz filter")
+    l = _check_index(params["l"], ndim)
+    applied = _fourier_domain(axes, boundary, "the Riesz filter")
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
     _needs_switch(params, "align", ("sigma_tensor_mm", "sigma_tensor_vox"), "riesz filter")
     if not params.get("align", False):

@@ -39,6 +39,7 @@ from .convolve import (
     fft_inverse,
     fourier_grid,
 )
+from .image import _integral
 from .kernels import gaussian_kernel_1d
 from .wavelets import RadialProfile, radial_transfer
 
@@ -71,7 +72,7 @@ def riesz_indices(order: int, ndim: int) -> tuple:
 
 
 def _check_index(l, ndim) -> tuple:
-    l = tuple(int(v) for v in l)
+    l = tuple(_integral(v, "riesz index entry") for v in l)
     if len(l) != ndim:
         raise ValueError(
             f"index {l} has {len(l)} entries; it needs one entry per image axis ({ndim})"

@@ -48,7 +48,6 @@ __all__ = [
     "equivariant_cascades",
     "cascade",
     "PooledCascade",
-    "pooled_cascades",
     "POOL_MODES",
     "pool",
     "gabor_orientation_set",
@@ -309,16 +308,6 @@ class PooledCascade:
                 pooled[0] += response
                 return
         pooled.append(response)
-
-
-def pooled_cascades(image, stage_lists, pool_mode: str, boundary: str,
-                    constant: float = 0.0) -> np.ndarray:
-    """Pool the cascade response over all right-angle rotations of its stages.
-
-    Builds the grouping on every call; a filter applied to many images or
-    slices builds one :class:`PooledCascade` instead.
-    """
-    return PooledCascade(stage_lists, pool_mode, boundary, constant)(image)
 
 
 POOL_MODES = ("max", "average")

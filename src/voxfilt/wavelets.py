@@ -28,7 +28,8 @@ from .convolve import (
     convolve_separable,
     fourier_grid,
 )
-from .rotinv import cascade, pooled_cascades
+from .image import _integral
+from .rotinv import PooledCascade, cascade
 
 __all__ = [
     "WaveletFamily",
@@ -159,7 +160,7 @@ def swt_rotation_pooled(image, family, level: int, subband: str,
     """
     image = np.asarray(image, dtype=np.float64)
     stages = _swt_stages(family, level, subband, image.ndim)
-    return pooled_cascades(image, stages, pool_mode, boundary, constant)
+    return PooledCascade(stages, pool_mode, boundary, constant)(image)
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ class RadialProfile:
             raise ValueError(
                 f"radial profile kind must be one of {RADIAL_KINDS}, not {self.kind!r}"
             )
-        if self.level < 1:
+        if _integral(self.level, "radial profile level") < 1:
             raise ValueError("radial profile level must be >= 1")
 
 

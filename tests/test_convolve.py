@@ -10,9 +10,9 @@ from voxfilt.boundary import BOUNDARY_MODES
 from voxfilt.convolve import (
     TransferCache,
     _fast_length,
+    convolve_bank,
     convolve_fourier,
     convolve_full,
-    convolve_planes,
     convolve_separable,
     fast_grid,
     fft_forward,
@@ -21,8 +21,7 @@ from voxfilt.convolve import (
     half_shape,
     kernel_to_transfer,
 )
-
-from voxfilt.boundary import pad
+import voxfilt.convolve
 from voxfilt.kernels import GaborParams, gabor_kernel
 
 from dispatch import digests_at_dispatch_levels
@@ -176,14 +175,69 @@ class TestConvolvePlanes:
         rng = np.random.default_rng(31)
         kernels = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)]
         for plane in rng.normal(size=(3, 7, 6)):
-            padded = pad(plane, (shape[0] // 2, shape[1] // 2), mode, 0.7)
-            transfers = [kernel_to_transfer(k, padded.shape) for k in kernels]
-            responses = list(convolve_planes(padded, kernels, transfers))
+            responses = list(convolve_bank(plane, kernels, mode, 0.7))
             assert len(responses) == 2
             for kernel, response in zip(kernels, responses):
                 want = conv_taploop(plane, kernel, mode, constant=0.7)
                 assert response.shape == plane.shape
                 np.testing.assert_allclose(response, want, rtol=1e-12, atol=1e-12)
+
+
+class TestConvolveBank:
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    @pytest.mark.parametrize("shape", [(3, 5, 3), (4, 2, 6)], ids=["odd", "even"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_tap_loop_3d(self, mode, shape, kind):
+        rng = np.random.default_rng(32)
+        image = rng.normal(size=(7, 6, 8))
+        kernels = [rng.normal(size=shape) for _ in range(2)]
+        if kind == "complex":
+            kernels = [k + 1j * rng.normal(size=shape) for k in kernels]
+        responses = list(convolve_bank(image, kernels, mode, -1.5))
+        for kernel, response in zip(kernels, responses):
+            assert np.iscomplexobj(response) == (kind == "complex")
+            want = conv_taploop(image, kernel, mode, constant=-1.5)
+            np.testing.assert_allclose(response, want, rtol=1e-12, atol=1e-12)
+
+    def test_kernels_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            list(convolve_bank(np.zeros((6, 6)), [np.ones((3, 3)), np.ones((3, 5))], "mirror"))
+
+    def test_shared_cache_builds_once_per_grid_across_threads(self, monkeypatch):
+        built = []
+        original = voxfilt.convolve.kernel_to_transfer
+
+        def counting(kernel, grid):
+            built.append(tuple(grid))
+            return original(kernel, grid)
+
+        monkeypatch.setattr(voxfilt.convolve, "kernel_to_transfer", counting)
+        rng = np.random.default_rng(34)
+        kernels = [rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(3)]
+        planes = [rng.normal(size=shape) for shape in ((8, 9), (11, 7)) * 6]
+        cache = TransferCache()
+        results = [None] * len(planes)
+
+        def worker(index):
+            results[index] = list(convolve_bank(planes[index], kernels, "mirror",
+                                                transfers=cache))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(planes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        # 8x9 and 11x7 padded by 2 give 12x13 -> 12x15 and 15x11 -> 15x12
+        assert sorted(built) == [(12, 15)] * 3 + [(15, 12)] * 3
+        for plane, got in zip(planes, results):
+            uncached = list(convolve_bank(plane, kernels, "mirror"))
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in uncached]
 
 
 class TestFFTHelper:
@@ -233,10 +287,8 @@ class TestFFTHelper:
         plane = rng.normal(size=(64, 64))
         kernel = gabor_kernel(GaborParams(sigma=2.5, wavelength=2.0, gamma=1.5, theta=0.4))
         assert kernel.shape == (31, 31)
-        padded = pad(plane, 15, "mirror")
-        grid = fast_grid(padded.shape)
-        assert grid == (96, 96)
-        (response,) = convolve_planes(padded, [kernel], [kernel_to_transfer(kernel, grid)])
+        assert fast_grid(np.add(plane.shape, 30)) == (96, 96)
+        (response,) = convolve_bank(plane, [kernel], "mirror")
         spatial = convolve_full(plane, kernel, "mirror", via="spatial")
         assert response.shape == plane.shape
         assert np.max(np.abs(response - spatial)) <= 1e-13 * np.max(np.abs(spatial))

@@ -350,7 +350,7 @@ class TestPlanFilter:
                              ids=["cube", "box"])
     def test_gabor_transfers_built_once_per_plane_shape(self, monkeypatch, dims,
                                                         plane_shapes):
-        import voxfilt.pipeline
+        import voxfilt.convolve
 
         grids = []
 
@@ -358,7 +358,7 @@ class TestPlanFilter:
             grids.append(tuple(grid))
             return kernel_to_transfer(kernel, grid)
 
-        monkeypatch.setattr(voxfilt.pipeline, "kernel_to_transfer", counting_transfer)
+        monkeypatch.setattr(voxfilt.convolve, "kernel_to_transfer", counting_transfer)
         filt = FilterConfig("gabor", {
             "sigma_vox": 1.0, "lambda_vox": 3.0, "rotation_invariance": True,
             "dtheta": np.pi / 4, "orthogonal_planes": True,

@@ -115,6 +115,12 @@ class TestRieszTransfer:
         with pytest.raises(ValueError):
             riesz_transfer((8, 8), bad)
 
+    @pytest.mark.parametrize("bad", [(0.9, 1.2), (True, 1), (1, "1")])
+    def test_fractional_or_bool_entries_rejected(self, bad):
+        # int() would read (0.9, 1.2) as (0, 1) and True as 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            riesz_transfer((8, 8), bad)
+
 
 def fourier_derivative(image, axis, order):
     """Spectral derivative along one axis: fourier_grid's frequencies give the

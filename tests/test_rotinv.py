@@ -19,7 +19,6 @@ from voxfilt.rotinv import (
     oddify,
     orthogonal_plane_average,
     pool,
-    pooled_cascades,
 )
 from voxfilt.wavelets import _swt_stages
 
@@ -356,7 +355,7 @@ class TestPooledCascade:
         responses = [cascade(image, element, boundary, constant)
                      for element in equivariant_cascades(stages)[0]]
         want = pool(responses, mode)
-        got = pooled_cascades(image, stages, mode, boundary, constant)
+        got = PooledCascade(stages, mode, boundary, constant)(image)
         if mode == "max":
             # exact; |h| = max(h, -h) may differ from the table order in the
             # sign of exact zeros only
@@ -369,7 +368,7 @@ class TestPooledCascade:
 
     def test_cancelling_average_is_exactly_zero(self):
         image = np.random.default_rng(5).normal(size=(9, 8, 7))
-        out = pooled_cascades(image, _STAGE_SETS["L5E5E5"], "average", "mirror")
+        out = PooledCascade(_STAGE_SETS["L5E5E5"], "average", "mirror")(image)
         assert not np.any(out)
 
     # (stage set, distinct groups, 1-D passes, pads) per call; every rotation
@@ -419,14 +418,14 @@ _POOLED_PROBE = """
 import hashlib
 import numpy as np
 from voxfilt.kernels import laws_1d
-from voxfilt.rotinv import pooled_cascades
+from voxfilt.rotinv import PooledCascade
 from voxfilt.wavelets import _swt_stages
 image = np.random.default_rng(13).normal(size=(12, 12, 12)) * 100
 digest = hashlib.sha256()
 for stages in ([[laws_1d(k)] for k in ("L5", "E5", "E5")], _swt_stages("db3", 1, "LLH", 3),
                _swt_stages("db3", 2, "HHH", 3)):
     for mode in ("max", "average"):
-        digest.update(pooled_cascades(image, stages, mode, "mirror").tobytes())
+        digest.update(PooledCascade(stages, mode, "mirror")(image).tobytes())
 print(digest.hexdigest())
 """
 

@@ -1,0 +1,110 @@
+"""Static checks of two rules that keep output bytes machine-independent.
+
+* Every ``numpy.fft`` transform runs inside ``convolve.fft_forward`` or
+  ``convolve.fft_inverse``, so grid choice, half spectra and pruning are
+  decided in one place (``np.fft.fftfreq`` builds coordinates and is free).
+* No BLAS or LAPACK on an output path: no ``np.linalg``, ``@``, ``dot``,
+  ``tensordot``, ``matmul`` or ``einsum(optimize=...)``, whose results
+  depend on the machine, the OpenBLAS core type and the thread count.
+  ``benchmark.consensus`` is allowed until it is rewritten without them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "voxfilt"
+
+FFT_HOMES = {("convolve", "fft_forward"), ("convolve", "fft_inverse")}
+FFT_FREE = {"fftfreq"}
+BLAS_HOMES = {("benchmark", "consensus")}
+BLAS_NAMES = {"dot", "tensordot", "matmul"}
+NUMPY = {"np", "numpy"}
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def violations(source: str, module: str) -> set:
+    """(rule, line) for every breach of the two rules in one module's source."""
+    found = set()
+
+    def visit(node, functions):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = functions | {(module, node.name)}
+        fft_ok = bool(functions & FFT_HOMES)
+        blas_ok = bool(functions & BLAS_HOMES)
+        if isinstance(node, ast.Attribute):
+            path = _dotted(node).split(".")
+            if path[0] in NUMPY and path[1:2] == ["fft"] and len(path) == 3:
+                if path[2] not in FFT_FREE and not fft_ok:
+                    found.add(("fft", node.lineno))
+            if path[0] in NUMPY and path[1:2] == ["linalg"] and not blas_ok:
+                found.add(("blas", node.lineno))
+            if node.attr in BLAS_NAMES and not blas_ok:
+                found.add(("blas", node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else []) + [
+                alias.name for alias in node.names]
+            for name in names:
+                if name.split(".")[-1] in ("fft", "fftpack") or ".fft." in name + ".":
+                    found.add(("fft", node.lineno))
+                if "linalg" in name.split(".") or name in BLAS_NAMES:
+                    found.add(("blas", node.lineno))
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES and not blas_ok:
+            found.add(("blas", node.lineno))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            if not blas_ok:
+                found.add(("blas", node.lineno))
+        elif (isinstance(node, ast.Call) and _dotted(node.func).endswith("einsum")
+              and any(k.arg == "optimize" for k in node.keywords) and not blas_ok):
+            found.add(("blas", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_package_keeps_fft_and_blas_rules(path):
+    assert violations(path.read_text(), path.stem) == set()
+
+
+def test_checker_sees_each_breach():
+    sample = """
+import numpy as np
+from numpy.fft import rfftn
+import scipy.linalg
+
+def fft_forward(x):
+    return np.fft.fftn(x)
+
+def helper(a, b):
+    f = np.fft.fftfreq(8)
+    y = np.fft.ifft(a)
+    z = a @ b
+    a @= b
+    w = np.dot(a, b)
+    w = a.dot(b)
+    w = np.tensordot(a, b, 1)
+    w = np.matmul(a, b)
+    v = np.linalg.norm(a)
+    return np.einsum("ij,jk->ik", a, b, optimize=True) + np.einsum("ij->i", a)
+
+def consensus(a):
+    return np.linalg.svd(a @ a)
+"""
+    breaches = {("fft", 3), ("fft", 11), ("blas", 4)} | {("blas", n) for n in range(12, 20)}
+    # fft_forward's transform is allowed in convolve only, consensus in benchmark only
+    assert violations(sample, "convolve") == breaches | {("blas", 22)}
+    assert violations(sample, "riesz") == breaches | {("blas", 22), ("fft", 7)}
+    assert violations(sample, "benchmark") == breaches | {("fft", 7)}

@@ -263,6 +263,12 @@ class TestRadialTransfer:
         with pytest.raises(ValueError, match="level"):
             RadialProfile("shannon", 0)
 
+    @pytest.mark.parametrize("level", [1.5, True, "1"])
+    def test_fractional_or_bool_level_rejected(self, level):
+        # a level of 1.5 would put the band edge at nu_B / sqrt(2)
+        with pytest.raises(ValueError, match="must be an integer"):
+            RadialProfile("shannon", level)
+
     def test_simoncelli_unity_at_half_band(self):
         t = radial_transfer(RadialProfile("simoncelli", 1), (8,))
         # index 2 on an 8-grid sits at pi/2 exactly
