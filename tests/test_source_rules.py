@@ -1,4 +1,5 @@
-"""Static checks of two rules that keep output bytes machine-independent.
+"""Static checks of rules that keep output bytes machine-independent and on
+one path.
 
 * Every ``numpy.fft`` transform runs inside ``convolve.fft_forward`` or
   ``convolve.fft_inverse``, so grid choice, half spectra and pruning are
@@ -7,6 +8,11 @@
   ``tensordot``, ``matmul`` or ``einsum(optimize=...)``, whose results
   depend on the machine, the OpenBLAS core type and the thread count.
   ``benchmark.consensus`` is allowed until it is rewritten without them.
+* Gzip and zlib compression happen only in ``nifti.write_nifti``: no
+  ``gzip.compress``, no ``gzip.open`` or ``GzipFile`` in a write mode (or
+  a ``GzipFile`` whose mode follows its file object), and no
+  ``zlib.compress`` or ``compressobj`` anywhere else.  Reading through
+  ``GzipFile`` is free.
 """
 
 import ast
@@ -21,6 +27,8 @@ FFT_FREE = {"fftfreq"}
 BLAS_HOMES = {("benchmark", "consensus")}
 BLAS_NAMES = {"dot", "tensordot", "matmul"}
 NUMPY = {"np", "numpy"}
+COMPRESS_HOMES = {("nifti", "write_nifti")}
+COMPRESS_IMPORTS = {"gzip": {"compress", "open"}, "zlib": {"compress", "compressobj"}}
 
 
 def _dotted(node) -> str:
@@ -74,6 +82,49 @@ def violations(source: str, module: str) -> set:
     return found
 
 
+def _gzip_writes(call) -> bool:
+    """Whether a ``gzip.open`` or ``GzipFile`` call can open for writing.
+    A mode that is not a literal, or a ``GzipFile`` without one (it then
+    takes its file object's mode), counts as writing."""
+    name = _dotted(call.func)
+    if name != "gzip.open" and name.split(".")[-1] != "GzipFile":
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return name.split(".")[-1] == "GzipFile"  # gzip.open defaults to "rb"
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax"))
+
+
+def compression_violations(source: str, module: str) -> set:
+    """The lines of one module that compress outside ``nifti.write_nifti``."""
+    found = set()
+
+    def visit(node, functions):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = functions | {(module, node.name)}
+        home = bool(functions & COMPRESS_HOMES)
+        if isinstance(node, ast.Attribute):
+            name = _dotted(node)
+            if name == "gzip.compress" or (not home and (
+                    name == "zlib.compress" or node.attr == "compressobj")):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "compressobj" and not home:
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            banned = COMPRESS_IMPORTS.get(node.module, set())
+            if any(alias.name in banned for alias in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Call) and _gzip_writes(node):
+            found.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_package_keeps_fft_and_blas_rules(path):
     assert violations(path.read_text(), path.stem) == set()
@@ -108,3 +159,38 @@ def consensus(a):
     assert violations(sample, "convolve") == breaches | {("blas", 22)}
     assert violations(sample, "riesz") == breaches | {("blas", 22), ("fft", 7)}
     assert violations(sample, "benchmark") == breaches | {("fft", 7)}
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_package_compresses_only_in_the_nifti_writer(path):
+    assert compression_violations(path.read_text(), path.stem) == set()
+
+
+def test_compression_checker_sees_each_breach():
+    sample = """
+import gzip
+import zlib
+from zlib import compressobj
+from gzip import open as gzip_open
+
+def write_nifti(raw, handle):
+    deflate = zlib.compressobj(6, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+    return deflate.compress(raw) + zlib.compress(raw) + deflate.flush()
+
+def helper(raw, handle, mode):
+    gzip.GzipFile(fileobj=handle, mode="rb").read()
+    gzip.open("a.gz").read()
+    gzip.open("a.gz", "rt").read()
+    zlib.decompress(raw)
+    gzip.compress(raw)
+    gzip.GzipFile(fileobj=handle)
+    gzip.GzipFile("a.gz", "wb")
+    gzip.open("a.gz", mode="ab")
+    gzip.open("a.gz", mode)
+    zlib.compress(raw, 6)
+    compressobj()
+"""
+    breaches = {4, 5} | set(range(16, 23))
+    # the writer's compressobj and zlib.compress are allowed in nifti only
+    assert compression_violations(sample, "nifti") == breaches
+    assert compression_violations(sample, "cli") == breaches | {8, 9}
