@@ -64,7 +64,7 @@ def _load_image(path, round_values=False):
 
 def _load_mask(path):
     image, _ = _load_image(path)
-    return RoiMask(np.asfortranarray(image.data >= 0.5))
+    return RoiMask(image.data >= 0.5)
 
 
 def _log(message):

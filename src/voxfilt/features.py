@@ -2,9 +2,14 @@
 
 The eighteen intensity statistics summarise the response-map values inside
 the ROI intensity mask; five diagnostic values describe the mask itself.
-Masked values are sorted before any reduction, which makes every feature
-independent of voxel enumeration order (bitwise, not just numerically) and
-feeds the rank-based statistics directly.
+Both read the ROI through one gather in memory order (``k1`` fastest) that
+adds ``0.0`` to every value, which turns -0.0 into +0.0 and leaves every
+other value as it is.  The statistics sort the gathered values before any
+reduction, which makes each of them independent of voxel enumeration order
+(bitwise, not just numerically: numpy's sort is not stable, so without the
+zero fix the sign of a zero median or extreme would depend on voxel order)
+and feeds the rank-based statistics directly.  The diagnostics' mean sums
+in ``k1``-fastest order.
 """
 
 from __future__ import annotations
@@ -61,16 +66,26 @@ FEATURE_IDS = (
 )
 
 
-def _masked_values(response, mask) -> np.ndarray:
-    data = response.data if isinstance(response, VolumeImage) else np.asarray(response)
+def _roi_values(image, mask) -> np.ndarray:
+    """The voxels of ``image`` inside ``mask`` as a new float64 array, in
+    ``k1``-fastest order and with -0.0 made +0.0.  For Fortran-ordered
+    arrays both are read in memory order and nothing else is copied."""
+    data = image.data if isinstance(image, VolumeImage) else np.asarray(image)
     member = mask.membership if isinstance(mask, RoiMask) else np.asarray(mask)
     if member.dtype != np.bool_:
         raise ValueError("mask must be boolean")
     if member.shape != data.shape:
         raise ValueError(f"mask dims {member.shape} do not match map dims {data.shape}")
-    values = np.sort(data[member].astype(np.float64, copy=False))
+    values = data.ravel("F")[member.ravel("F")].astype(np.float64, copy=False)
+    values += 0.0
+    return values
+
+
+def _masked_values(response, mask) -> np.ndarray:
+    values = _roi_values(response, mask)
     if values.size == 0:
         raise ValueError("empty ROI")
+    values.sort()
     return values
 
 
@@ -105,18 +120,24 @@ def _between_sorted(x: np.ndarray, low: float, high: float) -> np.ndarray:
     return x[np.searchsorted(x, low, "left"):np.searchsorted(x, high, "right")]
 
 
-def _moments(centred: np.ndarray) -> tuple[float, float, float]:
+def _moments(centred: np.ndarray, scratch: np.ndarray) -> tuple[float, float, float]:
     """Variance, skewness and excess kurtosis of centred values, from
     products rather than ``**`` powers (whose bytes depend on numpy's SIMD
-    dispatch level).  The squares live only inside this call, so they add
-    no array to the caller's peak memory."""
-    c2 = centred * centred
+    dispatch level).  The squares go to ``scratch`` and the cubes overwrite
+    ``centred``."""
+    c2 = np.multiply(centred, centred, out=scratch)
     variance = float(np.mean(c2))
     if not variance > 0.0:
         return variance, 0.0, 0.0
-    skewness = float(np.mean(c2 * centred)) / variance**1.5
-    kurtosis = float(np.mean(c2 * c2)) / variance**2 - 3.0
+    skewness = float(np.mean(np.multiply(c2, centred, out=centred))) / variance**1.5
+    kurtosis = float(np.mean(np.multiply(c2, c2, out=c2))) / variance**2 - 3.0
     return variance, skewness, kurtosis
+
+
+def _mean_abs_deviation(x: np.ndarray, centre, scratch: np.ndarray) -> float:
+    """mean(|x - centre|), worked out in the head of ``scratch``."""
+    deviation = np.subtract(x, centre, out=scratch[:x.size])
+    return float(np.mean(np.abs(deviation, out=deviation)))
 
 
 def intensity_statistics(response, mask) -> tuple[FeatureValue, ...]:
@@ -125,26 +146,29 @@ def intensity_statistics(response, mask) -> tuple[FeatureValue, ...]:
     Variance is population-style (divide by N).  Skewness and excess
     kurtosis are defined as 0 for a constant region.  Percentiles use
     linear interpolation between closest ranks, read from the sorted ROI
-    values.
+    values.  Besides the gathered values the work needs one ROI-sized
+    scratch array: whatever reads the sorted values comes first, then they
+    are centred in place for the moments.
     """
     x = _masked_values(response, mask)
     n = x.size
+    scratch = np.empty_like(x)
     mean = float(x.mean())
-    centred = x - mean
-    variance, skewness, kurtosis = _moments(centred)
     p10, p25, median, p75, p90 = (
         _percentile_sorted(x, q) for q in (10.0, 25.0, 50.0, 75.0, 90.0)
     )
     minimum = float(x[0])
     maximum = float(x[-1])
-    mad = float(np.mean(np.abs(centred)))
     robust = _between_sorted(x, p10, p90)
-    robust_mad = float(np.mean(np.abs(robust - robust.mean()))) if robust.size else 0.0
-    median_ad = float(np.mean(np.abs(x - median)))
+    robust_mad = _mean_abs_deviation(robust, robust.mean(), scratch) if robust.size else 0.0
+    median_ad = _mean_abs_deviation(x, median, scratch)
+    energy = float(np.sum(np.multiply(x, x, out=scratch)))
+    rms = math.sqrt(energy / n)
+    centred = np.subtract(x, mean, out=x)
+    mad = float(np.mean(np.abs(centred, out=scratch)))
+    variance, skewness, kurtosis = _moments(centred, scratch)
     cov = _ratio_or_zero(math.sqrt(variance), mean) if variance > 0.0 else 0.0
     qcd = _ratio_or_zero(p75 - p25, p75 + p25)
-    energy = float(np.sum(x * x))
-    rms = math.sqrt(energy / n)
 
     by_name = {
         "mean": mean,
@@ -176,14 +200,10 @@ def diagnostics(mask_before, mask_after, image_after) -> tuple[FeatureValue, ...
     intensity entries are flagged as NaN.
     """
     before = mask_before.membership if isinstance(mask_before, RoiMask) else mask_before
-    after = mask_after.membership if isinstance(mask_after, RoiMask) else mask_after
-    data = image_after.data if isinstance(image_after, VolumeImage) else image_after
-    if after.shape != data.shape:
-        raise ValueError(f"mask dims {after.shape} do not match image dims {data.shape}")
+    values = _roi_values(image_after, mask_after)
     count_before = int(np.count_nonzero(before))
-    count_after = int(np.count_nonzero(after))
+    count_after = values.size
     if count_after:
-        values = data[after]
         mean, high, low = float(values.mean()), float(values.max()), float(values.min())
     else:
         mean = high = low = math.nan

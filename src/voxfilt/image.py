@@ -59,6 +59,8 @@ class VolumeImage:
 class RoiMask:
     """Boolean voxel membership aligned to a companion :class:`VolumeImage` grid.
 
+    ``membership`` is stored Fortran-contiguous, like ``VolumeImage.data``,
+    so a mask built in C order still meets its image in the same layout.
     ``kind`` distinguishes the geometric (morphological) mask from the
     intensity mask that remains after range re-segmentation.
     """
@@ -69,6 +71,7 @@ class RoiMask:
     def __post_init__(self):
         if self.membership.dtype != np.bool_:
             raise ValueError("mask membership must be boolean")
+        object.__setattr__(self, "membership", np.asfortranarray(self.membership))
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -334,7 +334,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
         for axis, k in enumerate(combo):
             weight = weight * _along(taps[axis][1][:, k], axis, ndim)
         np.add(fraction, weight, out=fraction, where=inside)
-    return RoiMask(np.asfortranarray(fraction >= threshold), kind=mask.kind)
+    return RoiMask(fraction >= threshold, kind=mask.kind)
 
 
 def round_intensities(image: VolumeImage) -> VolumeImage:

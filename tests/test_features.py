@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestAggregateMean:
             aggregate_mean(np.ones((2, 2)), np.ones((3, 3), dtype=bool))
 
 
+def _signed_zeros():
+    """Values in {-1, 0, 1} where a random half of the zeros are -0.0."""
+    data = np.random.default_rng(0).integers(-1, 2, (8, 8, 8)).astype(float)
+    zeros = np.random.default_rng(1).permutation(np.flatnonzero(data == 0.0))
+    data.flat[zeros[:zeros.size // 2]] = -0.0
+    return data
+
+
 class TestIntensityStatistics:
     def test_ids_and_order(self):
         mask = np.ones((2, 2), dtype=bool)
@@ -181,10 +190,48 @@ class TestIntensityStatistics:
         data = rng.normal(size=(5, 8))
         mask = rng.uniform(size=(5, 8)) < 0.5
         mask[0, 0] = True
-        a = intensity_statistics(data, mask)
-        b = intensity_statistics(data.T.copy(), mask.T.copy())
-        for fa, fb in zip(a, b):
-            assert fa.value == fb.value, fa.name
+        # -0.0 == 0.0, so a sort keeps whichever zero came first (the pair,
+        # on every sort kernel) or either one (the 8^3 fixture, depending on
+        # the kernel numpy dispatches to)
+        zeros = _signed_zeros()
+        pair = np.array([[1.0, -0.0, 2.0], [0.0, 3.0, 4.0]])
+        cases = {"normal": (data, mask),
+                 "signed-zeros": (zeros, np.ones(zeros.shape, dtype=bool)),
+                 "signed-zero-pair": (pair, np.ones(pair.shape, dtype=bool))}
+        for case, (data, mask) in cases.items():
+            a = intensity_statistics(data, mask)
+            b = intensity_statistics(data.T.copy(), mask.T.copy())
+            for fa, fb in zip(a, b):
+                assert repr(fa.value) == repr(fb.value), (case, fa.name)
+
+    def test_signed_zeros_read_as_positive(self):
+        data = _signed_zeros()
+        mask = np.ones(data.shape, dtype=bool)
+        got = _as_dict(intensity_statistics(data, mask))
+        assert repr(got["median"]) == "0.0"
+        assert got["minimum"] == -1.0 and got["maximum"] == 1.0
+        negative = np.full((3, 3), -0.0)
+        stats = intensity_statistics(negative, np.ones((3, 3), dtype=bool))
+        assert all(repr(f.value) == "0.0" for f in stats), stats
+        extremes = diagnostics(negative > 0, np.ones((3, 3), dtype=bool), negative)
+        assert [repr(f.value) for f in extremes[2:]] == ["0.0"] * 3
+
+    @pytest.mark.parametrize("dims", [(9, 7), (9, 7, 5)])
+    def test_memory_layout_bitwise_irrelevant(self, dims):
+        rng = np.random.default_rng(14)
+        data = rng.normal(scale=30.0, size=dims)
+        data[data < -20.0] = -0.0
+        mask = rng.uniform(size=dims) < 0.6
+        mask.flat[0] = True
+        layouts = (np.ascontiguousarray, np.asfortranarray)
+        results = {
+            (as_data.__name__, as_mask.__name__): [
+                repr(f.value) for f in intensity_statistics(as_data(data), as_mask(mask))
+                + diagnostics(mask, as_mask(mask), as_data(data))]
+            for as_data in layouts for as_mask in layouts
+        }
+        first = next(iter(results.values()))
+        assert all(got == first for got in results.values()), results
 
     def test_energy_rms_identity(self):
         rng = np.random.default_rng(10)
@@ -261,9 +308,11 @@ class TestSortedHelpers:
 _PROBE = """
 import hashlib, sys
 import numpy as np
-from voxfilt.features import intensity_statistics
+from voxfilt.features import diagnostics, intensity_statistics
 arrays = np.load(sys.argv[1])
-values = tuple(f.value for f in intensity_statistics(arrays["data"], arrays["mask"]))
+data, mask = arrays["data"], arrays["mask"]
+features = intensity_statistics(data, mask) + diagnostics(mask, mask, data)
+values = tuple(f.value for f in features)
 print(hashlib.sha256(repr(values).encode()).hexdigest())
 """
 
@@ -278,6 +327,23 @@ def test_statistics_do_not_depend_on_simd_dispatch(tmp_path):
     np.savez(fixture, data=data, mask=mask)
     results = digests_at_dispatch_levels(_PROBE, fixture)
     assert {digest for _, digest in results} == {results[0][1]}, results
+
+
+def test_statistics_peak_memory():
+    # 128 x 128 x 32 map, 80% ROI: the gathered values and one scratch
+    # array hold 2.0x the ROI's float64 bytes (a new array per statistic
+    # held 4.0x)
+    rng = np.random.default_rng(15)
+    data = np.asfortranarray(rng.normal(size=(128, 128, 32)))
+    mask = RoiMask(rng.uniform(size=data.shape) < 0.8)
+    roi_bytes = mask.voxel_count * 8
+    tracemalloc.start()
+    try:
+        intensity_statistics(data, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * roi_bytes, peak / roi_bytes
 
 
 class TestDiagnostics:

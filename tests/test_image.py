@@ -89,6 +89,15 @@ class TestRoiMask:
         m = RoiMask(interior_region((4, 4, 4), 1), kind="morphological")
         assert m.voxel_count == 8
 
+    @pytest.mark.parametrize("dims", [(5, 4), (5, 4, 3)])
+    def test_membership_stored_fortran_ordered(self, dims):
+        membership = np.random.default_rng(3).uniform(size=dims) < 0.5
+        assert membership.flags.c_contiguous
+        m = RoiMask(membership)
+        assert m.membership.flags.f_contiguous
+        np.testing.assert_array_equal(m.membership, membership)
+        assert RoiMask(m.membership).membership is m.membership
+
 
 class TestWithData:
     def test_same_grid(self):

@@ -903,6 +903,25 @@ class TestRunConfiguration:
         want = laws_energy(pooled, 2, "mirror")
         np.testing.assert_array_equal(response.data, want)
 
+    @pytest.mark.parametrize("config", [
+        ProcessingConfig(mode="2d", filter=FilterConfig("none"),
+                         reseg_range=(-1000.0, 400.0)),
+        ProcessingConfig(mode="3d", filter=FilterConfig("mean", {"support": 3}),
+                         resample_spacing_mm=(1.0, 1.0, 1.0),
+                         image_interpolation="trilinear", rounding=True,
+                         reseg_range=(-1000.0, 400.0)),
+    ], ids=["2d-none", "3d-resampled-mean"])
+    def test_features_do_not_depend_on_mask_layout(self, config):
+        image, mask = self._ct_like(dims=(9, 8, 7))
+        membership = mask.membership.copy()
+        membership[3, 2:5, 1] = False
+        features = [
+            [repr(f.value) for f in run_configuration(image, RoiMask(layout(membership)),
+                                                      config)[2]]
+            for layout in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        assert features[0] == features[1]
+
     def test_mask_dim_mismatch(self):
         image, _ = self._ct_like()
         bad_mask = RoiMask(np.ones((3, 3, 3), dtype=bool))
