@@ -29,6 +29,7 @@ from .image import RoiMask, VolumeImage, round_half_away
 from .nifti import DATATYPE_CODES, read_nifti, write_nifti
 from .pipeline import (
     FILTER_KINDS,
+    FILTER_PARAMETERS,
     REQUIRED_PARAMETERS,
     FilterConfig,
     load_config,
@@ -71,22 +72,16 @@ def _log(message):
     print(message, file=sys.stderr)
 
 
-# argparse destinations that are filter parameters of the same name; flags
-# not given stay out of the dict, so the filter's own validation reports misuse.
-_PARAM_NAMES = (
-    "support", "sigma_mm", "sigma_vox", "cutoff", "kernels", "energy_delta",
-    "lambda_mm", "lambda_vox", "gamma", "theta", "dtheta", "orthogonal_planes",
-    "rotation_invariance", "pool", "level", "subband", "decimated", "align",
-    "sigma_tensor_mm", "sigma_tensor_vox",
-)
-# required parameters whose flag is not the parameter name with dashes
+# parameters whose flag is not the parameter name with dashes; every other
+# filter parameter is the argparse destination of the same name.  Flags not
+# given stay out of the dict, so the filter's own validation reports misuse.
 _FLAG_OF = {"family": "--wavelet", "wavelet": "--wavelet", "l": "--riesz"}
 
 
 def _gather_filter_params(args) -> dict:
     params = {}
-    for name in _PARAM_NAMES:
-        value = getattr(args, name, None)
+    for name in FILTER_PARAMETERS:
+        value = None if name in _FLAG_OF else getattr(args, name, None)
         if value is not None and value is not False:
             params[name] = value
     wavelet = getattr(args, "wavelet", None)

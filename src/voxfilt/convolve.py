@@ -238,7 +238,9 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
     complex ones.  Each kernel then costs one product with its transfer and
     one inverse DFT pruned to the image.  The transfers depend only on the
     kernels and the grid, so with a ``transfers`` cache they are built once
-    per grid (:func:`cached_transfer`).
+    per bank and grid (:func:`cached_transfer`).  The entry is keyed by the
+    identity of ``kernels`` and holds that object, so the identity cannot
+    pass to another bank while the cache lives; mutate no bank in place.
     """
     image = np.asarray(image, dtype=np.float64)
     shape = np.shape(kernels[0])
@@ -247,8 +249,8 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
     real = not np.iscomplexobj(kernels[0])
     padded = pad(image, [m // 2 for m in shape], boundary, constant)
     grid = fast_grid(padded.shape)
-    bank = cached_transfer(transfers, grid,
-                           lambda: [kernel_to_transfer(k, grid) for k in kernels])
+    _, bank = cached_transfer(transfers, ("bank", id(kernels), grid),
+                              lambda: (kernels, [kernel_to_transfer(k, grid) for k in kernels]))
     spectrum = fft_forward(padded, grid, real)
     crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(shape, image.shape))
     for transfer in bank:

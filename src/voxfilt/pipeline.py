@@ -12,7 +12,6 @@ slice by slice.
 from __future__ import annotations
 
 import difflib
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -46,6 +45,7 @@ from .riesz import (
 from .rotinv import (
     PooledCascade,
     _check_pool_mode,
+    cascade,
     gabor_orientation_set,
     orthogonal_plane_average,
     pool,
@@ -55,11 +55,11 @@ from .wavelets import (
     _swt_stages,
     dwt_decimated,
     nonseparable_b_map,
-    swt_undecimated,
 )
 
 __all__ = [
     "FILTER_KINDS",
+    "FILTER_PARAMETERS",
     "REQUIRED_PARAMETERS",
     "FilterConfig",
     "FilterPlan",
@@ -314,7 +314,9 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     bit: per output voxel the corner taps in C order, each adding its
     weight product (w1 * w2) * w3 when the corner is in the mask.  A
     fraction on the threshold therefore lands on the same side as with
-    map_coordinates.
+    map_coordinates.  The work runs on the C-contiguous transpose of the
+    Fortran-ordered membership (mask axis ``a`` is its axis ``ndim - 1 -
+    a``), so no layout copy is made.
     """
     new_spacing = tuple(float(s) for s in new_spacing)
     membership = mask.membership
@@ -325,16 +327,16 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     out_dims, coords = _output_coordinates(mask.dims, spacing, new_spacing)
     ndim = membership.ndim
     taps = [_axis_taps(c, n, 1) for c, n in zip(coords, mask.dims)]
-    corners = [np.ascontiguousarray(membership)]
+    corners = [membership.T]
     for axis, (idx, _) in enumerate(taps):
-        corners = [np.take(c, idx[:, k], axis=axis) for c in corners for k in (0, 1)]
-    fraction = np.zeros(out_dims)
+        corners = [np.take(c, idx[:, k], axis=ndim - 1 - axis) for c in corners for k in (0, 1)]
+    fraction = np.zeros(out_dims[::-1])
     for combo, inside in zip(itertools.product((0, 1), repeat=ndim), corners):
         weight = 1.0
         for axis, k in enumerate(combo):
-            weight = weight * _along(taps[axis][1][:, k], axis, ndim)
+            weight = weight * _along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
         np.add(fraction, weight, out=fraction, where=inside)
-    return RoiMask(fraction >= threshold, kind=mask.kind)
+    return RoiMask(fraction.T >= threshold, kind=mask.kind)
 
 
 def round_intensities(image: VolumeImage) -> VolumeImage:
@@ -393,13 +395,12 @@ class FilterPlan:
 
 
 # Each planner takes the parameters, the spacing of the filtered axes, the
-# boundary mode and its constant, and returns (summary, op); op filters a
-# volume, or one slice in 2-D mode.  The Gabor op always filters one slice.
-# The ops of _CACHED_KINDS take ``transfers``: a per-run TransferCache when
-# they run once per slice, so their transfers are built once per grid and
-# run, and None for a whole volume.  The ops look library functions up by
-# name when they execute.
-_CACHED_KINDS = ("gabor", "nonseparable", "riesz")
+# boundary mode and its constant, and returns (summary, op).  Every op is
+# ``op(data, transfers)``: it filters a volume, or one slice when plan_filter
+# runs it slice by slice.  ``transfers`` is one TransferCache per per-slice
+# run, so the Fourier-domain and Gabor ops build their transfers once per
+# grid and run, and None for a whole volume; the spatial ops ignore it (``_``).
+# The ops look library functions up by name when they execute.
 
 
 def _needs_switch(params, switch, keys, what):
@@ -410,22 +411,36 @@ def _needs_switch(params, switch, keys, what):
                 raise ValueError(f"{what} {key} applies only with {switch}: true")
 
 
+def _cascade_op(params, stages, default_pool, boundary, constant, what):
+    """The Laws or wavelet op over the per-axis ``stages`` and its summary suffix.
+
+    Without rotation_invariance the op runs the cascade; with it, the
+    cascade pooled over every right-angle rotation.
+    """
+    _needs_switch(params, "rotation_invariance", ("pool",), what)
+    pool_mode = _check_pool_mode(params.get("pool", default_pool))
+    if not params.get("rotation_invariance", False):
+        return lambda data, _: cascade(data, stages, boundary, constant), ""
+    pooled = PooledCascade(stages, pool_mode, boundary, constant)
+    return lambda data, _: pooled(data), f", {pool_mode} over rotations"
+
+
 def _plan_none(params, axes, boundary, constant):
-    return "none filter: identity", lambda data: data.astype(np.float64, copy=True)
+    return "none filter: identity", lambda data, _: data.astype(np.float64, copy=True)
 
 
 def _plan_mean(params, axes, boundary, constant):
     support = _integral(params["support"], "mean filter support")
     factors = (mean_kernel_1d(support),) * len(axes)
     summary = f"mean filter: support {support} voxels per axis"
-    return summary, lambda data: convolve_separable(data, factors, boundary, constant)
+    return summary, lambda data, _: convolve_separable(data, factors, boundary, constant)
 
 
 def _plan_log(params, axes, boundary, constant):
     sigma = _scale_param(params, "sigma", axes, "the LoG filter")
     kernel = log_kernel(sigma, len(axes), _number(params.get("cutoff", 4.0), "cutoff"))
     summary = f"log filter: sigma {sigma:.6g} voxels, kernel size {kernel.shape[0]}"
-    return summary, lambda data: convolve_full(data, kernel, boundary, constant)
+    return summary, lambda data, _: convolve_full(data, kernel, boundary, constant)
 
 
 def _plan_laws(params, axes, boundary, constant):
@@ -435,33 +450,16 @@ def _plan_laws(params, axes, boundary, constant):
         raise ValueError(
             f"Laws kernel string {text!r} must name {ndim} kernels of two characters each"
         )
-    factors = [laws_1d(text[i : i + 2]) for i in range(0, len(text), 2)]
-    rotation_invariant = params.get("rotation_invariance", False)
-    _needs_switch(params, "rotation_invariance", ("pool",), "laws filter")
-    pool_mode = _check_pool_mode(params.get("pool", "max"))
+    stages = [[laws_1d(text[i : i + 2])] for i in range(0, len(text), 2)]
+    op, pooling = _cascade_op(params, stages, "max", boundary, constant, "laws filter")
     delta = params.get("energy_delta")
-    if delta is not None:
-        delta = _integral(delta, "Laws energy_delta")
-        if delta < 0:
-            raise ValueError(f"Laws energy_delta must be >= 0, got {delta}")
-    pooled = (PooledCascade([[f] for f in factors], pool_mode, boundary, constant)
-              if rotation_invariant else None)
-
-    def run(data):
-        if pooled is not None:
-            out = pooled(data)
-        else:
-            out = convolve_separable(data, factors, boundary, constant)
-        if delta is not None:
-            out = laws_energy(out, delta, boundary, constant)
-        return out
-
-    summary = f"laws filter: kernels {text}"
-    if rotation_invariant:
-        summary += f", {pool_mode} over rotations"
-    if delta is not None:
-        summary += f", energy delta {delta} voxels"
-    return summary, run
+    if delta is None:
+        return f"laws filter: kernels {text}{pooling}", op
+    delta = _integral(delta, "Laws energy_delta")
+    if delta < 0:
+        raise ValueError(f"Laws energy_delta must be >= 0, got {delta}")
+    return (f"laws filter: kernels {text}{pooling}, energy delta {delta} voxels",
+            lambda data, transfers: laws_energy(op(data, transfers), delta, boundary, constant))
 
 
 def _plan_gabor(params, axes, boundary, constant):
@@ -498,20 +496,17 @@ def _plan_wavelet(params, axes, boundary, constant):
     level = _integral(params["level"], "wavelet level")
     subband = str(params["subband"])
     stages = _swt_stages(family, level, subband, len(axes))
-    _needs_switch(params, "rotation_invariance", ("pool",), "wavelet filter")
-    pool_mode = _check_pool_mode(params.get("pool", "average"))
+    decimated = params.get("decimated", False)
+    if decimated and params.get("rotation_invariance", False):
+        raise ValueError("the decimated wavelet transform has no rotation-invariant form; "
+                         "drop decimated or rotation_invariance")
+    op, pooling = _cascade_op(params, stages, "average", boundary, constant, "wavelet filter")
     summary = f"wavelet filter: {family} level {level} subband {subband}"
-    if params.get("decimated", False):
-        if params.get("rotation_invariance", False):
-            raise ValueError("the decimated wavelet transform has no rotation-invariant form; "
-                             "drop decimated or rotation_invariance")
-        return f"{summary}, decimated by {2 ** level} per axis", lambda data: dwt_decimated(
-            data, family, level, boundary, constant)[level - 1].subbands[subband.upper()]
-    if not params.get("rotation_invariance", False):
-        return summary, lambda data: swt_undecimated(
-            data, family, level, subband, boundary, constant)
-    return f"{summary}, {pool_mode} over rotations", PooledCascade(
-        stages, pool_mode, boundary, constant)
+    if not decimated:
+        return summary + pooling, op
+    return f"{summary}, decimated by {2 ** level} per axis", lambda data, _: (
+        dwt_decimated(data, family, level, boundary, constant)[level - 1]
+        .subbands[subband.upper()])
 
 
 def _fourier_domain(axes, boundary, what):
@@ -576,6 +571,8 @@ _PLANNERS = {
 
 FILTER_KINDS = tuple(_PLANNERS)
 REQUIRED_PARAMETERS = {kind: required for kind, (_, required, _) in _PLANNERS.items()}
+FILTER_PARAMETERS = tuple(dict.fromkeys(
+    name for _, required, optional in _PLANNERS.values() for name in required + optional))
 _FLAGS = ("rotation_invariance", "align", "orthogonal_planes", "decimated")
 
 
@@ -588,7 +585,9 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
     grid and averages its slice responses over the three plane stacks.
     Gabor filters one slice at a time through the FFT in both modes.  The
-    decimated wavelet runs in 3-D mode only, without rotation invariance.
+    layout is fixed here; each per-slice run gives all its slices one
+    TransferCache.  The decimated wavelet runs in 3-D mode only, without
+    rotation invariance.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
@@ -617,7 +616,11 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             raise ValueError(f"{kind} filter {key} must be true or false, got {params[key]!r}")
     if mode == "2d" and params.get("decimated", False):
         raise ValueError("the decimated transform runs on the full volume; use mode 3d")
+    if mode == "2d" and params.get("orthogonal_planes", False):
+        raise ValueError(f"{kind} filter orthogonal_planes applies only in mode 3d; "
+                         "in 2d mode every slice is filtered in its own plane")
     axes = tuple(spacing[:2]) if mode == "2d" else tuple(spacing)
+    slices = map_slices if mode == "2d" else None
     if kind == "gabor" and mode == "3d":
         if not params.get("orthogonal_planes", False):
             raise ValueError(
@@ -626,6 +629,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             )
         scale = _isotropic_scale(axes, "the Gabor filter")
         axes = (scale, scale)
+        slices = orthogonal_plane_average
     summary, op = planner(params, axes, boundary, constant)
 
     def run(volume, threads: int = 1):
@@ -633,15 +637,10 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             raise ValueError(f"thread count must be at least 1, got {threads}")
         if mode == "2d" and np.ndim(volume) != 3:
             raise ValueError("2d mode expects a 3-D volume of slices")
-        per_slice = mode == "2d" or kind == "gabor"
-        run_op = op
-        if kind in _CACHED_KINDS:
-            run_op = functools.partial(op, transfers=TransferCache() if per_slice else None)
-        if kind == "gabor" and mode == "3d":
-            return orthogonal_plane_average(volume, run_op, threads)
-        if mode == "2d":
-            return map_slices(volume, run_op, threads)
-        return run_op(volume)
+        if slices is None:
+            return op(volume, None)
+        transfers = TransferCache()
+        return slices(volume, lambda plane: op(plane, transfers), threads)
 
     return FilterPlan(summary, run)
 
@@ -681,11 +680,10 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
     intensity_mask = resegment(roi, work, config.reseg_range)
     if intensity_mask.voxel_count == 0:
         raise ValueError("empty ROI after re-segmentation")
-    response_data = apply_filter(
+    response = work.with_data(apply_filter(
         work, config.filter, config.mode, config.boundary, config.boundary_constant,
         threads, plan,
-    )
-    response = work.with_data(response_data)
+    ))
     features = diagnostics(mask_before.membership, intensity_mask.membership, work.data)
-    features = features + intensity_statistics(response_data, intensity_mask.membership)
+    features = features + intensity_statistics(response.data, intensity_mask.membership)
     return response, intensity_mask, features

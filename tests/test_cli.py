@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -285,6 +286,30 @@ class TestFilterCommand:
         assert "needs isotropic voxel spacing" in err
         assert "gabor filter:" not in err
         assert not (tmp_path / "o.nii").exists()
+
+    def test_filter_flags_and_parameters_map_one_to_one(self):
+        # every filter parameter is settable by a flag of the filter-parameter
+        # group, and every flag there sets one filter parameter
+        from voxfilt.pipeline import FILTER_PARAMETERS
+
+        parser = voxfilt.cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        (group,) = (g for g in sub.choices["filter"]._action_groups
+                    if g.title.startswith("filter parameters"))
+
+        def gathered(*argv):
+            args = parser.parse_args(["filter", "in.nii", "-o", "out.nii", *argv])
+            return set(voxfilt.cli._gather_filter_params(args))
+
+        # --wavelet sets the wavelet filter's family
+        reached = gathered("--filter", "wavelet", "--wavelet", "db2", "--level", "1",
+                           "--subband", "LLH")
+        for action in group._group_actions:
+            value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "1"]
+            params = gathered("--filter", "none", action.option_strings[0], *value)
+            assert len(params) == 1 and params <= set(FILTER_PARAMETERS), action.option_strings
+            reached |= params
+        assert reached == set(FILTER_PARAMETERS)
 
     @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated"])
     def test_removed_flags_rejected(self, tmp_path, flag, capsys):

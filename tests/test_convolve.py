@@ -203,6 +203,17 @@ class TestConvolveBank:
         with pytest.raises(ValueError, match="share one shape"):
             list(convolve_bank(np.zeros((6, 6)), [np.ones((3, 3)), np.ones((3, 5))], "mirror"))
 
+    def test_banks_sharing_a_cache_keep_their_own_transfers(self):
+        # two banks with one kernel shape give one FFT grid; each must still
+        # meet its own transfers when both go through one cache
+        from voxfilt.kernels import log_kernel
+
+        image = np.random.default_rng(35).normal(size=(20, 20))
+        cache = TransferCache()
+        (first,) = convolve_bank(image, [log_kernel(1.0, 2)], "mirror", transfers=cache)
+        (second,) = convolve_bank(image, [2 * log_kernel(1.0, 2)], "mirror", transfers=cache)
+        np.testing.assert_allclose(second, 2 * first, rtol=1e-12, atol=1e-12)
+
     def test_shared_cache_builds_once_per_grid_across_threads(self, monkeypatch):
         built = []
         original = voxfilt.convolve.kernel_to_transfer

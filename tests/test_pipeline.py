@@ -136,6 +136,28 @@ class TestResampleMask:
         )
         assert not out.membership[1, 1, 1]
 
+    @pytest.mark.parametrize("dims,spacing,new_spacing", [
+        ((9, 8, 5), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0)),
+        ((10, 7, 6), (0.7, 0.9, 3.0), (1.0, 1.0, 1.0)),
+        ((12, 9), (1.0, 1.7), (0.6, 2.3)),
+    ])
+    def test_result_is_built_fortran_ordered(self, monkeypatch, dims, spacing, new_spacing):
+        # the membership reaches RoiMask F-contiguous, so RoiMask copies nothing
+        import voxfilt.pipeline
+
+        passed = []
+
+        class Recording(RoiMask):
+            def __post_init__(self):
+                passed.append(self.membership.flags.f_contiguous)
+                super().__post_init__()
+
+        monkeypatch.setattr(voxfilt.pipeline, "RoiMask", Recording)
+        membership = np.random.default_rng(31).uniform(size=dims) < 0.5
+        out = resample_mask(RoiMask(membership), spacing, new_spacing)
+        assert passed == [True]
+        assert out.membership.flags.f_contiguous
+
     def test_identity_grid(self):
         membership = np.zeros((3, 3, 3), dtype=bool)
         membership[1, 1, 1] = True
@@ -570,6 +592,17 @@ class TestApplyFilter:
         with pytest.raises(ValueError, match="orthogonal_planes"):
             apply_filter(image, filt, "3d")
 
+    def test_orthogonal_planes_rejected_in_2d(self):
+        filt = FilterConfig("gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0,
+                                      "orthogonal_planes": True})
+        with pytest.raises(ValueError, match="orthogonal_planes applies only in mode 3d"):
+            plan_filter(filt, (1.0, 1.0, 1.0), "2d")
+        filt = FilterConfig("gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0,
+                                      "orthogonal_planes": False})
+        assert plan_filter(filt, (1.0, 1.0, 1.0), "2d").summary == plan_filter(
+            FilterConfig("gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0}), (1.0, 1.0, 1.0),
+            "2d").summary
+
     def test_gabor_2d_runs(self):
         rng = np.random.default_rng(7)
         image = _volume(rng.normal(size=(8, 8, 3)))
@@ -819,6 +852,25 @@ class TestRunConfiguration:
         got = {f.name: f.value for f in features}
         for fv in want:
             assert got[fv.name] == fv.value
+
+    def test_statistics_read_the_fortran_ordered_response(self, monkeypatch):
+        # a 3-D mean filter returns a C-ordered array; the statistics get the
+        # response's Fortran copy, the one the caller receives
+        import voxfilt.pipeline
+
+        seen = []
+
+        def recording(data, membership):
+            seen.append(data)
+            return intensity_statistics(data, membership)
+
+        monkeypatch.setattr(voxfilt.pipeline, "intensity_statistics", recording)
+        image, mask = self._ct_like()
+        config = ProcessingConfig(mode="3d", filter=FilterConfig("mean", {"support": 3}))
+        response, _, _ = run_configuration(image, mask, config)
+        (data,) = seen
+        assert data is response.data
+        assert data.flags.f_contiguous
 
     def test_diagnostics_reflect_masks(self):
         image, mask = self._ct_like()
