@@ -1,6 +1,6 @@
 """
-Right-angle equivariant filter sets and pooling
-===============================================
+Right-angle rotation sets and pooling
+=====================================
 
 """
 
@@ -8,8 +8,7 @@ import numpy as np
 
 from voxfilt import (
     convolve_separable,
-    equivariant_set_2d,
-    equivariant_set_3d,
+    equivariant_cascades,
     gabor_orientation_set,
     pool,
     generate_phantom,
@@ -17,14 +16,16 @@ from voxfilt import (
 
 # A separable filter responds differently along each axis.  Instead of
 # rotating the image under it, build the set of kernel variants that a
-# right-angle rotation group would produce: 4 in 2-D, 24 in 3-D.
-s2 = equivariant_set_2d([1.0, 2.0, 1.0], [-1.0, 0.0, 1.0])
+# right-angle rotation group would produce: 4 in 2-D, 24 in 3-D.  Each
+# axis holds a list of stages run in sequence; a plain separable kernel is
+# one stage per axis.
+s2, angles = equivariant_cascades([[[1.0, 2.0, 1.0]], [[-1.0, 0.0, 1.0]]])
 print("2-D set size:", len(s2))
-for kernels, angle in zip(s2.elements, s2.labels):
-    taps = [np.asarray(g).astype(int).tolist() for g in kernels]
+for element, angle in zip(s2, angles):
+    taps = [g.astype(int).tolist() for (g,) in element]
     print(f"  angle {angle:+.2f}: axis kernels {taps}")
 
-s3 = equivariant_set_3d([1.0, 2.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+s3, _ = equivariant_cascades([[[1.0, 2.0, 1.0]], [[-1.0, 0.0, 1.0]], [[1.0, 1.0, 1.0]]])
 print("3-D set size:", len(s3))
 
 # Pooling the per-orientation responses yields a locally rotation
@@ -32,7 +33,7 @@ print("3-D set size:", len(s3))
 # sign-changing kernel like the edge probe the plain orientation average
 # cancels, so average the magnitudes instead.
 volume = generate_phantom("pattern2").data
-responses = [convolve_separable(volume, kernels, "mirror") for kernels in s3]
+responses = [convolve_separable(volume, [g for (g,) in element], "mirror") for element in s3]
 pooled_max = pool(responses, "max")
 pooled_avg = pool([np.abs(r) for r in responses], "average")
 print("max-pooled peak:", round(pooled_max.max(), 2))

@@ -9,7 +9,7 @@ The package is organised as a small numpy/scipy library:
 * :mod:`voxfilt.wavelets`  separable wavelet transforms and isotropic
   Fourier-domain wavelets
 * :mod:`voxfilt.riesz`     Riesz transform, structure tensor, alignment
-* :mod:`voxfilt.rotinv`    right-angle equivariant filter sets and pooling
+* :mod:`voxfilt.rotinv`    right-angle rotation sets and pooling
 * :mod:`voxfilt.pipeline`  resampling, re-segmentation and filter execution
 * :mod:`voxfilt.features`  intensity statistics and export
 * :mod:`voxfilt.benchmark` phantoms, response-map comparison, consensus
@@ -40,8 +40,6 @@ from .kernels import (
 )
 from .rotinv import (
     equivariant_cascades,
-    equivariant_set_2d,
-    equivariant_set_3d,
     gabor_orientation_set,
     oddify,
     orthogonal_plane_average,

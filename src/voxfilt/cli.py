@@ -103,6 +103,8 @@ def _gather_filter_params(args) -> dict:
 
 
 def cmd_phantom(args) -> int:
+    if args.seed is not None and args.kind != "noise":
+        raise ValueError(f"--seed applies only to the noise phantom, not {args.kind}")
     image = generate_phantom(args.kind, seed=args.seed)
     if args.datatype in _INTEGER_DATATYPES:
         image = image.with_data(round_half_away(image.data))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import difflib
 import itertools
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -153,7 +154,12 @@ class ProcessingConfig:
 
 _CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
                 "resegment_hu", "filter")
-_RESAMPLE_KEYS = ("spacing_mm", "image_interpolation", "mask_threshold", "rounding")
+# file key -> ProcessingConfig field, at the top level and in the resample block
+_CONFIG_FIELDS = {"boundary": "boundary", "boundary_constant": "boundary_constant",
+                  "resegment_hu": "reseg_range"}
+_RESAMPLE_FIELDS = {"spacing_mm": "resample_spacing_mm",
+                    "image_interpolation": "image_interpolation",
+                    "mask_threshold": "mask_threshold", "rounding": "rounding"}
 
 
 def _reject_unknown_keys(block, allowed, where):
@@ -168,13 +174,21 @@ def load_config(path):
     """Read a configuration file; returns ``(test_id, ProcessingConfig)``.
 
     Unknown keys at the top level or in the resample block are rejected, so
-    a misspelt key cannot silently fall back to its default.
+    a misspelt key cannot silently fall back to its default, and so are
+    ``image_interpolation`` and ``mask_threshold`` without a ``spacing_mm``
+    to resample to.  Keys the file leaves out take the ProcessingConfig
+    defaults.  ``test_id`` names the output files, so it may hold no path
+    separator and may not be ``.`` or ``..``.
     """
     with open(path) as handle:
         raw = yaml.safe_load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"configuration file {path} must hold a mapping")
     _reject_unknown_keys(raw, _CONFIG_KEYS, f"configuration file {path}")
+    test_id = str(raw.get("test_id", ""))
+    if test_id in (".", "..") or any(sep in test_id for sep in ("/", "\\", os.sep)):
+        raise ValueError(f"test_id {test_id!r} names the output files; it cannot hold a "
+                         "path separator or be '.' or '..'")
     try:
         mode = str(raw["mode"]).lower()
         filt = raw["filter"]
@@ -182,27 +196,22 @@ def load_config(path):
         raise ValueError(f"configuration is missing the {exc.args[0]!r} key") from None
     if not isinstance(filt, dict) or "kind" not in filt:
         raise ValueError("the filter block needs a 'kind' entry")
-    params = {k: v for k, v in filt.items() if k != "kind"}
+    fields = {field: raw[key] for key, field in _CONFIG_FIELDS.items() if key in raw}
     resample = raw.get("resample")
-    if resample is None:
-        resample = {"spacing_mm": None}
-    if not isinstance(resample, dict):
-        raise ValueError("the resample block must be a mapping")
-    _reject_unknown_keys(resample, _RESAMPLE_KEYS, "the resample block")
-    if "spacing_mm" not in resample:
-        raise ValueError("the resample block is missing the 'spacing_mm' key")
-    config = ProcessingConfig(
-        mode=mode,
-        filter=FilterConfig(str(filt["kind"]).lower(), params),
-        resample_spacing_mm=resample["spacing_mm"],
-        image_interpolation=resample.get("image_interpolation", "tricubic"),
-        mask_threshold=resample.get("mask_threshold", 0.5),
-        rounding=resample.get("rounding", False),
-        reseg_range=raw.get("resegment_hu"),
-        boundary=raw.get("boundary", "mirror"),
-        boundary_constant=raw.get("boundary_constant", 0.0),
-    )
-    return str(raw.get("test_id", "")), config
+    if resample is not None:
+        if not isinstance(resample, dict):
+            raise ValueError("the resample block must be a mapping")
+        _reject_unknown_keys(resample, tuple(_RESAMPLE_FIELDS), "the resample block")
+        if "spacing_mm" not in resample:
+            raise ValueError("the resample block is missing the 'spacing_mm' key")
+        for key in ("image_interpolation", "mask_threshold"):
+            if resample["spacing_mm"] is None and key in resample:
+                raise ValueError(f"the resample block's {key} applies only with a "
+                                 "spacing_mm to resample to")
+        fields.update((field, resample[key]) for key, field in _RESAMPLE_FIELDS.items()
+                      if key in resample)
+    filt = FilterConfig(str(filt["kind"]).lower(), {k: v for k, v in filt.items() if k != "kind"})
+    return test_id, ProcessingConfig(mode=mode, filter=filt, **fields)
 
 
 def _output_coordinates(dims, spacing, new_spacing):
@@ -587,10 +596,13 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     Gabor filters one slice at a time through the FFT in both modes.  The
     layout is fixed here; each per-slice run gives all its slices one
     TransferCache.  The decimated wavelet runs in 3-D mode only, without
-    rotation invariance.
+    rotation invariance.  A non-zero ``constant`` needs the constant boundary.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
+    if constant != 0.0 and boundary != "constant":
+        raise ValueError(f"boundary_constant {constant!r} applies only with boundary "
+                         f"constant, not {boundary}")
     kind, params = filt.kind, filt.params
     planner, required, optional = _PLANNERS[kind]
     missing = set(required) - set(params)

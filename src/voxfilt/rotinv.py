@@ -1,11 +1,13 @@
-"""Right-angle equivariant kernel sets and orientation pooling.
+"""Right-angle rotation sets and orientation pooling.
 
-Rotating a separable kernel by a right angle keeps it separable: each
-rotation amounts to permuting the 1-D factors and reversing some of
-them.  The tables below enumerate the 4 planar and 24 spatial cases,
-labelled by extrinsic Euler angles (alpha about k3, then beta about k2,
-then gamma about k1), so that element ``(a, b, g)`` equals
-``kernel(R_a R_b R_g x)``.
+Rotating a separable cascade by a right angle keeps it separable: each
+rotation amounts to permuting the per-axis stage lists and reversing some
+of them.  :func:`equivariant_cascades` builds every rotation set, a
+one-stage kernel ``g1 (x) g2 (x) g3`` included as
+``equivariant_cascades([[g1], [g2], [g3]])``.  The tables below enumerate
+the 4 planar and 24 spatial cases, labelled by extrinsic Euler angles
+(alpha about k3, then beta about k2, then gamma about k1), so that element
+``(a, b, g)`` equals ``kernel(R_a R_b R_g x)``.
 
 Even-length factors get a trailing zero first.  Reversal must keep the
 centre tap at floor(M/2); without the padding the flipped kernel would
@@ -26,12 +28,14 @@ pooling as (n+ - n-) h.  The groups are folded in as the walk finishes
 them (depth first, each node's children in the order they first occur in
 the table) and the average is then divided by the number of rotations, so
 averages move by ulps against summing every rotation in table order.
+
+Every other pooling, over Gabor orientations and over the three plane
+stacks of :func:`orthogonal_plane_average`, goes through :func:`pool`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +44,8 @@ from .convolve import axis_pass, convolve_separable
 from .image import map_slices
 
 __all__ = [
-    "EquivariantSet",
     "flip_1d",
     "oddify",
-    "equivariant_set_2d",
-    "equivariant_set_3d",
     "equivariant_cascades",
     "cascade",
     "PooledCascade",
@@ -73,35 +74,6 @@ def oddify(kernel) -> np.ndarray:
     if g.size % 2 == 1:
         return g.copy()
     return np.append(g, 0.0)
-
-
-@dataclass(frozen=True)
-class EquivariantSet:
-    """Separable kernel variants covering a right-angle rotation group.
-
-    ``elements[i]`` holds one 1-D kernel per image axis; ``labels[i]``
-    is the matching rotation angle (2-D) or extrinsic Euler triple
-    (3-D), in radians.
-    """
-
-    elements: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.elements) not in (4, 24):
-            raise ValueError("equivariant sets have 4 (2-D) or 24 (3-D) elements")
-        if len(self.labels) != len(self.elements):
-            raise ValueError("one rotation label per element")
-        for kernels in self.elements:
-            for g in kernels:
-                if g.size % 2 == 0:
-                    raise ValueError("set elements must hold odd-length kernels")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 # Rows give, for each output axis, the source factor (1-based) and
@@ -141,22 +113,6 @@ _TABLE_3D = (
 )
 
 _QUARTER = math.pi / 2.0
-
-
-def _single_stage_set(factors) -> EquivariantSet:
-    elements, labels = equivariant_cascades([[g] for g in factors])
-    kernels = tuple(tuple(stages[0] for stages in element) for element in elements)
-    return EquivariantSet(kernels, labels)
-
-
-def equivariant_set_2d(g1, g2) -> EquivariantSet:
-    """The four right-angle rotations of the separable kernel g1 (x) g2."""
-    return _single_stage_set((g1, g2))
-
-
-def equivariant_set_3d(g1, g2, g3) -> EquivariantSet:
-    """All 24 right-angle rotations of the separable kernel g1 (x) g2 (x) g3."""
-    return _single_stage_set((g1, g2, g3))
 
 
 def equivariant_cascades(stage_lists):
@@ -325,7 +281,8 @@ def pool(response_set, mode: str) -> np.ndarray:
 
     The maps are folded in one at a time, in order, so a generator input
     keeps only the running result and the current map in memory.  The mean
-    accumulates in that order, so repeated runs sum identically.
+    accumulates in that order, so repeated runs sum identically.  The
+    result keeps the memory order of the first map.
     """
     _check_pool_mode(mode)
     out = None
@@ -333,7 +290,7 @@ def pool(response_set, mode: str) -> np.ndarray:
     for m in response_set:
         m = np.asarray(m, dtype=np.float64)
         if out is None:
-            out = m.copy()
+            out = m.copy(order="K")
         elif m.shape != out.shape:
             raise ValueError("pooled response maps must share dimensions")
         elif mode == "max":
@@ -375,9 +332,5 @@ def orthogonal_plane_average(volume, per_slice_2d_op, threads: int = 1) -> np.nd
     vol = np.asarray(volume, dtype=np.float64)
     if vol.ndim != 3:
         raise ValueError("orthogonal-plane averaging needs a 3-D volume")
-    acc = np.zeros(vol.shape, dtype=np.float64)
-    for stack_axis in (2, 1, 0):
-        part = map_slices(np.moveaxis(vol, stack_axis, 2), per_slice_2d_op, threads)
-        acc += np.moveaxis(part, 2, stack_axis)
-    acc /= 3.0
-    return acc
+    return pool((np.moveaxis(map_slices(np.moveaxis(vol, axis, 2), per_slice_2d_op, threads),
+                             2, axis) for axis in (2, 1, 0)), "average")

@@ -34,7 +34,7 @@ from voxfilt.kernels import (
 from voxfilt.nifti import write_nifti
 from voxfilt.pipeline import FilterConfig, plan_filter
 from voxfilt.riesz import riesz_indices, riesz_transfer
-from voxfilt.rotinv import equivariant_set_2d, equivariant_set_3d, oddify
+from voxfilt.rotinv import equivariant_cascades, oddify
 from voxfilt.wavelets import RadialProfile, atrous_upsample, radial_transfer, wavelet_family
 
 from oracles import euler_matrix, planar_matrix, rotate_grid
@@ -202,25 +202,25 @@ def test_criterion_07_filter_flip_equals_image_rotation():
     start = time.monotonic()
     checked = 0
     for g1, g2, g3 in banks:
-        set2 = equivariant_set_2d(g1, g2)
+        set2, labels2 = equivariant_cascades([[g1], [g2]])
         base2 = (oddify(g1), oddify(g2))
         assert len(set2) == 4
         for image in (impulse3[:, :, 32], checker3[:, :, 0]):
-            for kernels, label in zip(set2.elements, set2.labels):
+            for element, label in zip(set2, labels2):
                 mat = planar_matrix(round(label / (math.pi / 2.0)))
-                lhs = convolve_separable(image, kernels, "mirror")
+                lhs = convolve_separable(image, [g for (g,) in element], "mirror")
                 turned = rotate_grid(image, mat)
                 rhs = rotate_grid(convolve_separable(turned, base2, "mirror"), mat.T)
                 np.testing.assert_array_equal(lhs, rhs)
                 checked += 1
 
-        set3 = equivariant_set_3d(g1, g2, g3)
+        set3, labels3 = equivariant_cascades([[g1], [g2], [g3]])
         base3 = (oddify(g1), oddify(g2), oddify(g3))
         assert len(set3) == 24
         for image in (impulse3, checker3):
-            for kernels, label in zip(set3.elements, set3.labels):
+            for element, label in zip(set3, labels3):
                 mat = euler_matrix(tuple(round(a / (math.pi / 2.0)) for a in label))
-                lhs = convolve_separable(image, kernels, "mirror")
+                lhs = convolve_separable(image, [g for (g,) in element], "mirror")
                 turned = rotate_grid(image, mat)
                 rhs = rotate_grid(convolve_separable(turned, base3, "mirror"), mat.T)
                 np.testing.assert_array_equal(lhs, rhs)

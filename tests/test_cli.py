@@ -44,6 +44,13 @@ class TestPhantomCommand:
         assert main(["phantom", "noise", "--out", str(out)]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_seed_rejected_for_other_phantoms(self, tmp_path, capsys):
+        out = tmp_path / "sphere.nii.gz"
+        assert main(["phantom", "sphere", "--out", str(out), "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --seed applies only to the noise phantom, not sphere\n"
+        assert not out.exists()
+
     def test_noise_u8_is_integer_valued(self, tmp_path):
         out = tmp_path / "noise.nii.gz"
         assert main(["phantom", "noise", "--out", str(out), "--seed", "7"]) == 0
@@ -119,6 +126,20 @@ class TestFilterCommand:
         ])
         assert code == 1
         assert "mixes physical and voxel units" in capsys.readouterr().err
+
+    def test_boundary_constant_needs_constant_boundary(self, tmp_path, capsys):
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(3).normal(size=(6, 6, 6)))
+        out = tmp_path / "o.nii"
+        code = main([
+            "filter", str(src), "--out", str(out), "--filter", "mean", "--support", "3",
+            "--boundary", "mirror", "--boundary-constant", "3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: boundary_constant 3.0 applies only with boundary constant, "
+                       "not mirror\n")
+        assert not out.exists()
 
     def test_irrelevant_flag_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -684,6 +705,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("block", [
         "resample:\n  rounding: true\n",
         "resample: [1.0, 1.0, 1.0]\n",
+        "resample:\n  spacing_mm: null\n  image_interpolation: trilinear\n",
+        "resample:\n  spacing_mm: null\n  mask_threshold: 0.25\n",
     ])
     def test_malformed_resample_block_fails_cleanly(self, tmp_path, capsys, block):
         src, mask, config = self._fixture(tmp_path)
@@ -749,6 +772,39 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("test_id", ["../escaped", "sub/T", "sub\\T", ".", ".."])
+    def test_test_id_cannot_leave_out_dir(self, tmp_path, monkeypatch, capsys, test_id):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(yaml.safe_dump({"test_id": test_id, "mode": "3d",
+                                          "filter": {"kind": "none"}}))
+        reads = []
+        monkeypatch.setattr(voxfilt.cli, "read_nifti", lambda *a, **k: reads.append(a))
+        before = sorted(tmp_path.rglob("*"))
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: test_id ") and "path separator" in err
+        assert reads == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_boundary_constant_needs_constant_boundary(self, tmp_path, capsys):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(yaml.safe_dump({"test_id": "T", "mode": "3d", "boundary": "mirror",
+                                          "boundary_constant": 2.5,
+                                          "filter": {"kind": "mean", "support": 3}}))
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: boundary_constant 2.5 applies only with boundary constant, "
+                       "not mirror\n")
+        assert not (tmp_path / "r").exists()
 
     def test_misspelt_config_key_fails_cleanly(self, tmp_path, capsys):
         src, mask, config = self._fixture(tmp_path)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import voxfilt.pipeline
+
 from voxfilt.features import intensity_statistics
 from voxfilt.image import RoiMask, VolumeImage, create_image, round_half_away
 from voxfilt.boundary import BOUNDARY_MODES
@@ -441,6 +443,17 @@ class TestPlanFilter:
         with pytest.raises(ValueError, match="dtheta"):
             plan_filter(filt, (1.0, 1.0, 1.0), "2d")
 
+    @pytest.mark.parametrize("boundary", ["mirror", "nearest", "periodise"])
+    def test_constant_without_constant_boundary_rejected(self, boundary):
+        filt = FilterConfig("mean", {"support": 3})
+        with pytest.raises(ValueError, match="boundary_constant 2.5 applies only with "
+                                             "boundary constant"):
+            plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary, 2.5)
+        with pytest.raises(ValueError, match="boundary_constant"):
+            apply_filter(_volume(np.zeros((4, 4, 4))), filt, "3d", boundary, 2.5)
+        assert plan_filter(filt, (1.0, 1.0, 1.0), "3d", "constant", 2.5).run(
+            np.zeros((4, 4, 4)))[0, 0, 0] == pytest.approx(2.5 * 19 / 27)
+
     def test_route_is_not_a_filter_parameter(self):
         filt = FilterConfig("log", {"sigma_vox": 1.0, "via": "spatial"})
         with pytest.raises(ValueError, match="unknown parameters"):
@@ -512,6 +525,13 @@ class TestGaborRoute:
         plan = plan_filter(filt, (1.0, 1.0, 1.0), mode)
         assert "FFT route" in plan.summary
         assert plan.run(np.ones((6, 6, 6)), 2).shape == (6, 6, 6)
+
+    def test_orthogonal_planes_response_is_fortran_ordered(self):
+        # 5.B's parameters; the run_configuration image it feeds is Fortran-ordered,
+        # so an F-ordered response needs no layout copy there
+        filt, _ = self._case(5.0, 2.0, 1.5, np.pi / 8, "average", "3d")
+        volume = np.random.default_rng(26).normal(size=(7, 6, 5))
+        assert plan_filter(filt, (1, 1, 1), "3d").run(volume).flags.f_contiguous
 
 
 class TestApplyFilter:
@@ -946,11 +966,12 @@ class TestRunConfiguration:
         )
         response, _, _ = run_configuration(image, mask, config)
         from voxfilt.kernels import laws_1d
-        from voxfilt.rotinv import equivariant_set_3d, pool
+        from voxfilt.rotinv import equivariant_cascades, pool
 
-        kernel_set = equivariant_set_3d(laws_1d("L5"), laws_1d("E5"), laws_1d("E5"))
+        kernel_set, _ = equivariant_cascades([[laws_1d("L5")], [laws_1d("E5")], [laws_1d("E5")]])
         pooled = pool(
-            [convolve_separable(image.data, ks, "mirror") for ks in kernel_set], "max"
+            [convolve_separable(image.data, [g for (g,) in element], "mirror")
+             for element in kernel_set], "max"
         )
         want = laws_energy(pooled, 2, "mirror")
         np.testing.assert_array_equal(response.data, want)
@@ -1088,6 +1109,36 @@ filter:
                         f"  rounding: {value}\nfilter:\n  kind: none\n")
         with pytest.raises(ValueError, match="rounding must be true or false, got"):
             load_config(path)
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path, monkeypatch):
+        path = tmp_path / "min.yaml"
+        path.write_text("mode: 2d\nfilter:\n  kind: mean\n  support: 3\n")
+        _, config = load_config(path)
+        assert config == ProcessingConfig(mode="2d", filter=FilterConfig("mean", {"support": 3}))
+        # the defaults live in ProcessingConfig alone: load_config passes only the
+        # keys the file holds
+        passed = []
+        monkeypatch.setattr(voxfilt.pipeline, "ProcessingConfig",
+                            lambda **fields: passed.append(sorted(fields)))
+        load_config(path)
+        assert passed == [["filter", "mode"]]
+
+    @pytest.mark.parametrize("key,value", [("image_interpolation", "trilinear"),
+                                           ("mask_threshold", 0.25)])
+    def test_resample_option_without_spacing_rejected(self, tmp_path, key, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"mode: 3d\nresample:\n  spacing_mm: null\n  {key}: {value}\n"
+                        "filter:\n  kind: none\n")
+        with pytest.raises(ValueError, match=f"resample block's {key} applies only with a "
+                                             "spacing_mm"):
+            load_config(path)
+
+    def test_rounding_without_spacing_accepted(self, tmp_path):
+        path = tmp_path / "round.yaml"
+        path.write_text("mode: 3d\nresample:\n  spacing_mm: null\n  rounding: true\n"
+                        "filter:\n  kind: none\n")
+        _, config = load_config(path)
+        assert config.rounding is True and config.resample_spacing_mm is None
 
     def test_resample_not_a_mapping(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -12,8 +12,6 @@ from voxfilt.rotinv import (
     PooledCascade,
     cascade,
     equivariant_cascades,
-    equivariant_set_2d,
-    equivariant_set_3d,
     flip_1d,
     gabor_orientation_set,
     oddify,
@@ -97,37 +95,43 @@ def _label_quarters(label):
     return tuple(round(a / (math.pi / 2.0)) for a in label)
 
 
+def _single_stage(element):
+    """One rotated kernel per axis from a one-stage cascade element."""
+    return tuple(g for (g,) in element)
+
+
 class TestEquivariantSet2D:
     def test_element_count_and_labels(self):
-        s = equivariant_set_2d([1, 2, 3], [4, 5, 6])
-        assert len(s) == 4
-        assert s.labels == (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+        elements, labels = equivariant_cascades([[[1, 2, 3]], [[4, 5, 6]]])
+        assert len(elements) == 4
+        assert labels == (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
     def test_identity_element(self):
-        s = equivariant_set_2d([1, 2, 3], [4, 5, 6])
-        np.testing.assert_array_equal(s.elements[0][0], [1, 2, 3])
-        np.testing.assert_array_equal(s.elements[0][1], [4, 5, 6])
+        elements, _ = equivariant_cascades([[[1, 2, 3]], [[4, 5, 6]]])
+        np.testing.assert_array_equal(elements[0][0][0], [1, 2, 3])
+        np.testing.assert_array_equal(elements[0][1][0], [4, 5, 6])
 
     def test_quarter_turn_element(self):
-        s = equivariant_set_2d([1, 2, 3], [4, 5, 6])
-        np.testing.assert_array_equal(s.elements[1][0], [6, 5, 4])
-        np.testing.assert_array_equal(s.elements[1][1], [1, 2, 3])
+        elements, _ = equivariant_cascades([[[1, 2, 3]], [[4, 5, 6]]])
+        np.testing.assert_array_equal(elements[1][0][0], [6, 5, 4])
+        np.testing.assert_array_equal(elements[1][1][0], [1, 2, 3])
 
     def test_even_kernels_get_zero_appended(self):
-        s = equivariant_set_2d([1, 2], [3, 4])
-        for kernels in s:
-            for g in kernels:
+        elements, _ = equivariant_cascades([[[1, 2]], [[3, 4]]])
+        for element in elements:
+            for g in _single_stage(element):
                 assert g.size == 3
 
     def test_palindromic_equal_kernels_collapse(self):
-        s = equivariant_set_2d([1, 2, 1], [1, 2, 1])
-        for kernels in s:
+        elements, _ = equivariant_cascades([[[1, 2, 1]], [[1, 2, 1]]])
+        for element in elements:
+            kernels = _single_stage(element)
             np.testing.assert_array_equal(kernels[0], [1, 2, 1])
             np.testing.assert_array_equal(kernels[1], [1, 2, 1])
 
     def test_generic_elements_pairwise_distinct(self):
-        s = equivariant_set_2d([1, 2, 3], [4, 5, 7])
-        seen = [np.concatenate(k) for k in s]
+        elements, _ = equivariant_cascades([[[1, 2, 3]], [[4, 5, 7]]])
+        seen = [np.concatenate(_single_stage(k)) for k in elements]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.array_equal(seen[i], seen[j])
@@ -138,60 +142,60 @@ class TestEquivariantSet2D:
         ids=["impulse", "checkerboard"],
     )
     def test_matches_image_rotation_exactly(self, image, boundary):
-        s = equivariant_set_2d(HAAR_LO, HAAR_HI)
+        elements, labels = equivariant_cascades([[HAAR_LO], [HAAR_HI]])
         base = (oddify(HAAR_LO), oddify(HAAR_HI))
-        for kernels, label in zip(s.elements, s.labels):
+        for element, label in zip(elements, labels):
             mat = planar_matrix(_label_quarters(label))
-            lhs = convolve_separable(image, kernels, boundary)
+            lhs = convolve_separable(image, _single_stage(element), boundary)
             rhs = _rotated_response(image, base, mat, boundary)
             np.testing.assert_array_equal(lhs, rhs)
 
     def test_matches_image_rotation_random_image(self):
         rng = np.random.default_rng(11)
         image = rng.integers(-40, 40, size=(10, 10)).astype(np.float64)
-        s = equivariant_set_2d([1, 2, 3], [1, -1, 0])
+        elements, labels = equivariant_cascades([[[1, 2, 3]], [[1, -1, 0]]])
         base = (np.array([1.0, 2, 3]), np.array([1.0, -1, 0]))
-        for kernels, label in zip(s.elements, s.labels):
+        for element, label in zip(elements, labels):
             mat = planar_matrix(_label_quarters(label))
-            lhs = convolve_separable(image, kernels, "periodise")
+            lhs = convolve_separable(image, _single_stage(element), "periodise")
             rhs = _rotated_response(image, base, mat, "periodise")
             np.testing.assert_array_equal(lhs, rhs)
 
 
 class TestEquivariantSet3D:
     def test_element_count(self):
-        s = equivariant_set_3d([1, 2, 3], [4, 5, 6], [7, 8, 9])
-        assert len(s) == 24
+        elements, _ = equivariant_cascades([[[1, 2, 3]], [[4, 5, 6]], [[7, 8, 9]]])
+        assert len(elements) == 24
 
     def test_identity_element_first(self):
-        s = equivariant_set_3d([1, 2, 3], [4, 5, 6], [7, 8, 9])
-        assert s.labels[0] == (0.0, 0.0, 0.0)
-        for got, want in zip(s.elements[0], ([1, 2, 3], [4, 5, 6], [7, 8, 9])):
+        elements, labels = equivariant_cascades([[[1, 2, 3]], [[4, 5, 6]], [[7, 8, 9]]])
+        assert labels[0] == (0.0, 0.0, 0.0)
+        for got, want in zip(_single_stage(elements[0]), ([1, 2, 3], [4, 5, 6], [7, 8, 9])):
             np.testing.assert_array_equal(got, want)
 
     def test_named_table_row(self):
-        s = equivariant_set_3d([1, 2, 3], [4, 5, 6], [7, 8, 9])
-        i = s.labels.index((0.0, math.pi / 2, 0.0))
-        np.testing.assert_array_equal(s.elements[i][0], [9, 8, 7])
-        np.testing.assert_array_equal(s.elements[i][1], [4, 5, 6])
-        np.testing.assert_array_equal(s.elements[i][2], [1, 2, 3])
+        elements, labels = equivariant_cascades([[[1, 2, 3]], [[4, 5, 6]], [[7, 8, 9]]])
+        i = labels.index((0.0, math.pi / 2, 0.0))
+        np.testing.assert_array_equal(elements[i][0][0], [9, 8, 7])
+        np.testing.assert_array_equal(elements[i][1][0], [4, 5, 6])
+        np.testing.assert_array_equal(elements[i][2][0], [1, 2, 3])
 
     def test_palindromic_equal_kernels_collapse(self):
-        s = equivariant_set_3d([1, 2, 1], [1, 2, 1], [1, 2, 1])
-        for kernels in s:
-            for g in kernels:
+        elements, _ = equivariant_cascades([[[1, 2, 1]], [[1, 2, 1]], [[1, 2, 1]]])
+        for element in elements:
+            for g in _single_stage(element):
                 np.testing.assert_array_equal(g, [1, 2, 1])
 
     def test_generic_elements_pairwise_distinct(self):
-        s = equivariant_set_3d([1, 2, 3], [4, 5, 7], [8, 10, 13])
-        seen = [np.concatenate(k) for k in s]
+        elements, _ = equivariant_cascades([[[1, 2, 3]], [[4, 5, 7]], [[8, 10, 13]]])
+        seen = [np.concatenate(_single_stage(k)) for k in elements]
         for i in range(24):
             for j in range(i + 1, 24):
                 assert not np.array_equal(seen[i], seen[j])
 
     def test_labels_enumerate_the_rotation_group(self):
-        s = equivariant_set_3d([1, 2, 3], [4, 5, 6], [7, 8, 9])
-        mats = [euler_matrix(_label_quarters(lbl)) for lbl in s.labels]
+        _, labels = equivariant_cascades([[[1, 2, 3]], [[4, 5, 6]], [[7, 8, 9]]])
+        mats = [euler_matrix(_label_quarters(lbl)) for lbl in labels]
         for m in mats:
             assert round(np.linalg.det(m)) == 1
             np.testing.assert_array_equal(m @ m.T, np.eye(3, dtype=int))
@@ -204,11 +208,11 @@ class TestEquivariantSet3D:
         ids=["impulse", "checkerboard"],
     )
     def test_matches_image_rotation_exactly(self, image, boundary):
-        s = equivariant_set_3d(HAAR_LO, HAAR_HI, HAAR_LO)
+        elements, labels = equivariant_cascades([[HAAR_LO], [HAAR_HI], [HAAR_LO]])
         base = (oddify(HAAR_LO), oddify(HAAR_HI), oddify(HAAR_LO))
-        for kernels, label in zip(s.elements, s.labels):
+        for element, label in zip(elements, labels):
             mat = euler_matrix(_label_quarters(label))
-            lhs = convolve_separable(image, kernels, boundary)
+            lhs = convolve_separable(image, _single_stage(element), boundary)
             rhs = _rotated_response(image, base, mat, boundary)
             np.testing.assert_array_equal(lhs, rhs)
 
@@ -216,11 +220,11 @@ class TestEquivariantSet3D:
         rng = np.random.default_rng(5)
         image = rng.integers(0, 30, size=(7, 7, 7)).astype(np.float64)
         g1, g2, g3 = [1.0, 2, 3], [1.0, -1, 0], [2.0, 0, 1]
-        s = equivariant_set_3d(g1, g2, g3)
+        elements, labels = equivariant_cascades([[g1], [g2], [g3]])
         base = tuple(np.asarray(g) for g in (g1, g2, g3))
-        for kernels, label in zip(s.elements, s.labels):
+        for element, label in zip(elements, labels):
             mat = euler_matrix(_label_quarters(label))
-            lhs = convolve_separable(image, kernels, "mirror")
+            lhs = convolve_separable(image, _single_stage(element), "mirror")
             rhs = _rotated_response(image, base, mat, "mirror")
             np.testing.assert_array_equal(lhs, rhs)
 
@@ -265,6 +269,14 @@ class TestPool:
         # the first map seeds the result but is not modified in place
         np.testing.assert_array_equal(maps[0], np.random.default_rng(4).normal(size=(4, 5, 3)))
 
+    @pytest.mark.parametrize("mode", ["max", "average"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_keeps_the_memory_order_of_the_first_map(self, mode, order):
+        first = np.asarray(np.random.default_rng(8).normal(size=(4, 5, 3)), order=order)
+        out = pool([first, np.ones((4, 5, 3))], mode)
+        assert out.flags[f"{order}_CONTIGUOUS"]
+        np.testing.assert_array_equal(out, pool([first.copy(order="C"), np.ones((4, 5, 3))], mode))
+
     def test_generator_shape_checked_as_maps_arrive(self):
         def stream():
             yield np.zeros((2, 2))
@@ -283,8 +295,8 @@ class TestPool:
             pool([np.zeros((2, 2))], "median")
 
     def _pooled_map(self, image, mode):
-        s = equivariant_set_3d([1.0, 2, 3], [1.0, -1, 0], [2.0, 0, 1])
-        maps = [convolve_separable(image, k, "periodise") for k in s]
+        elements, _ = equivariant_cascades([[[1.0, 2, 3]], [[1.0, -1, 0]], [[2.0, 0, 1]]])
+        maps = [convolve_separable(image, _single_stage(k), "periodise") for k in elements]
         return pool(maps, mode)
 
     @pytest.mark.parametrize("mode", ["max", "average"])
@@ -304,13 +316,13 @@ class TestPool:
         rng = np.random.default_rng(7)
         image = rng.normal(size=(10, 10, 10))
         g1, g2, g3 = [0.25, 0.5, 0.25], [-1.0, 0, 1.0], [0.4, 0.2, 0.4]
-        s = equivariant_set_3d(g1, g2, g3)
-        maps = [convolve_separable(image, k, "periodise") for k in s]
+        elements, _ = equivariant_cascades([[g1], [g2], [g3]])
+        maps = [convolve_separable(image, _single_stage(k), "periodise") for k in elements]
         pooled = pool(maps, "average")
         dense = np.zeros((3, 3, 3))
-        for a, b, c in s:
+        for a, b, c in map(_single_stage, elements):
             dense += np.multiply.outer(np.multiply.outer(a, b), c)
-        dense /= len(s)
+        dense /= len(elements)
         direct = convolve_full(image, dense, "periodise", via="spatial")
         np.testing.assert_allclose(pooled, direct, rtol=0, atol=1e-10)
 

@@ -13,9 +13,13 @@ one path.
   a ``GzipFile`` whose mode follows its file object), and no
   ``zlib.compress`` or ``compressobj`` anywhere else.  Reading through
   ``GzipFile`` is free.
+* Every name in a module's ``__all__`` resolves, so a deleted function
+  cannot leave a stale export behind.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -194,3 +198,21 @@ def helper(raw, handle, mode):
     # the writer's compressobj and zlib.compress are allowed in nifti only
     assert compression_violations(sample, "nifti") == breaches
     assert compression_violations(sample, "cli") == breaches | {8, 9}
+
+
+def unresolved_exports(module) -> list:
+    """The names in ``module.__all__`` that the module does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "voxfilt" if path.stem == "__init__" else f"voxfilt.{path.stem}"
+    assert unresolved_exports(importlib.import_module(name)) == []
+
+
+def test_export_checker_sees_a_stale_name():
+    module = types.ModuleType("sample")
+    module.kept = object()
+    module.__all__ = ["kept", "deleted"]
+    assert unresolved_exports(module) == ["deleted"]

@@ -371,14 +371,15 @@ class TestRotationPooled:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_level1_matches_single_kernel_set(self):
-        from voxfilt.rotinv import equivariant_set_2d, pool
+        from voxfilt.rotinv import equivariant_cascades, pool
 
         rng = np.random.default_rng(1)
         image = rng.normal(size=(10, 14))
         fam = wavelet_family("db3")
-        kernel_set = equivariant_set_2d(fam.low_pass, fam.high_pass)
+        kernel_set, _ = equivariant_cascades([[fam.low_pass], [fam.high_pass]])
         responses = [
-            convolve_separable(image, kernels, "mirror") for kernels in kernel_set
+            convolve_separable(image, [g for (g,) in element], "mirror")
+            for element in kernel_set
         ]
         want = pool(responses, "average")
         got = swt_rotation_pooled(image, "db3", 1, "LH", "average", "mirror")
