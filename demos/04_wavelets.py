@@ -49,6 +49,6 @@ for entry in levels:
 # no separable factorisation, hence no orientation bias to pool away.
 for kind in ("shannon", "simoncelli"):
     transfer = radial_transfer(RadialProfile(kind, 1), volume.shape)
-    b_map = nonseparable_b_map(volume, kind, 1)
+    b_map = nonseparable_b_map(volume, RadialProfile(kind, 1))
     print(f"{kind} level 1: pass-band fraction {transfer.mean():.3f}, "
           f"map peak {b_map.max():.1f}")

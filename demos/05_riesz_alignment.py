@@ -43,7 +43,7 @@ print("R(2,0,0) peak:", round(max(abs(responses[(2, 0, 0)].min()), responses[(2,
 # order-2 set along it yields one orientation-adaptive map.
 gradients = [riesz_filtered_map(sphere.data, profile, l) for l in riesz_indices(1, 3)]
 tensors = structure_tensor(gradients, 1.0)
-aligned = align_order2(responses, tensors)
+aligned = align_order2(responses.items(), tensors)
 print("aligned map peak:", round(float(np.abs(aligned).max()), 2))
 
 # On a spherically symmetric phantom the aligned response depends only

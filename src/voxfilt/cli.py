@@ -63,9 +63,13 @@ def _load_image(path, round_values=False):
     return read_nifti(path, round_values=round_values)
 
 
-def _load_mask(path):
-    image, _ = _load_image(path)
-    return RoiMask(image.data >= 0.5)
+def _load_mask(path, image):
+    """The mask at ``path``, which must lie on ``image``'s grid as read."""
+    mask, _ = _load_image(path)
+    if (mask.dims, mask.spacing) != (image.dims, image.spacing):
+        raise ValueError(f"mask {path} has dims {mask.dims} and spacing {mask.spacing} mm; "
+                         f"the image has dims {image.dims} and spacing {image.spacing} mm")
+    return RoiMask(mask.data >= 0.5)
 
 
 def _log(message):
@@ -139,7 +143,7 @@ def cmd_filter(args) -> int:
 def cmd_run(args) -> int:
     test_id, config = load_config(args.config)
     image, view = _load_image(args.image, args.round_on_load)
-    mask = _load_mask(args.mask)
+    mask = _load_mask(args.mask, image)
     grid = config.resample_spacing_mm or image.spacing
     if len(grid) != image.ndim:
         raise ValueError(f"resample spacing_mm {list(grid)} needs one entry per image axis "
@@ -175,7 +179,7 @@ def cmd_run(args) -> int:
 
 def cmd_features(args) -> int:
     image, _ = _load_image(args.image, args.round_on_load)
-    mask = _load_mask(args.mask)
+    mask = _load_mask(args.mask, image)
     values = diagnostics(mask.membership, mask.membership, image.data)
     values = values + intensity_statistics(image.data, mask.membership)
     if str(args.out).endswith(".json"):

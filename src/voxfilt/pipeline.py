@@ -29,11 +29,11 @@ from .image import RoiMask, VolumeImage, _integral, _is_number, map_slices, roun
 from .kernels import (
     GaborParams,
     gabor_kernel,
-    gaussian_kernel_1d,
     laws_1d,
     laws_energy,
     log_kernel,
     mean_kernel_1d,
+    truncated_support,
 )
 from .riesz import (
     _check_index,
@@ -518,11 +518,14 @@ def _plan_wavelet(params, axes, boundary, constant):
         .subbands[subband.upper()])
 
 
-def _fourier_domain(axes, boundary, what):
+def _fourier_domain(axes, boundary, constant, what):
     """The Fourier-domain filters work on the frequency grid of the filtered
-    axes, so they need those axes isotropic, and they always periodise.
-    Returns the summary's boundary clause."""
+    axes, so they need those axes isotropic, and they always periodise, with
+    no boundary constant.  Returns the summary's boundary clause."""
     _isotropic_scale(axes, what)
+    if constant != 0.0:
+        raise ValueError(f"{what} always periodises, so boundary_constant {constant!r} "
+                         "would be ignored; drop it or use another filter")
     requested = "" if boundary == "periodise" else f" (requested {boundary})"
     return f", boundary periodise{requested}"
 
@@ -530,10 +533,9 @@ def _fourier_domain(axes, boundary, what):
 def _plan_nonseparable(params, axes, boundary, constant):
     profile = RadialProfile(str(params["wavelet"]).lower(),
                             _integral(params["level"], "nonseparable level"))
-    applied = _fourier_domain(axes, boundary, "the nonseparable filter")
+    applied = _fourier_domain(axes, boundary, constant, "the nonseparable filter")
     summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
-    return summary, lambda data, transfers: nonseparable_b_map(
-        data, profile.kind, profile.level, transfers)
+    return summary, lambda data, transfers: nonseparable_b_map(data, profile, transfers)
 
 
 def _plan_riesz(params, axes, boundary, constant):
@@ -541,7 +543,7 @@ def _plan_riesz(params, axes, boundary, constant):
     profile = RadialProfile(str(params["wavelet"]).lower(),
                             _integral(params["level"], "riesz level"))
     l = _check_index(params["l"], ndim)
-    applied = _fourier_domain(axes, boundary, "the Riesz filter")
+    applied = _fourier_domain(axes, boundary, constant, "the Riesz filter")
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
     _needs_switch(params, "align", ("sigma_tensor_mm", "sigma_tensor_vox"), "riesz filter")
     if not params.get("align", False):
@@ -550,16 +552,16 @@ def _plan_riesz(params, axes, boundary, constant):
     if sum(l) != 2:
         raise ValueError("alignment is defined for second-order Riesz sets")
     sigma = _scale_param(params, "sigma_tensor", axes, "aligned Riesz filtering")
-    window = gaussian_kernel_1d(sigma)
-    order2, order1 = riesz_indices(2, ndim), riesz_indices(1, ndim)
+    if sigma <= 0:
+        raise ValueError(f"structure tensor sigma must be positive, got {sigma}")
+    order1, order2 = riesz_indices(1, ndim), riesz_indices(2, ndim)
 
     def run(data, transfers):
-        maps = riesz_filtered_maps(data, profile, order2 + order1, transfers)
-        tensors = structure_tensor([maps.pop(k) for k in order1], sigma)
-        return align_order2(maps, tensors)
+        maps = riesz_filtered_maps(data, profile, order1 + order2, transfers)
+        return align_order2(maps, structure_tensor([next(maps)[1] for _ in order1], sigma))
 
     return (f"{summary}, aligned with structure tensor sigma {sigma:.6g} voxels, "
-            f"kernel size {window.size}{applied}"), run
+            f"kernel size {truncated_support(sigma, 4.0)}{applied}"), run
 
 
 # kind -> (planner, required parameters, optional parameters)
@@ -596,7 +598,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     Gabor filters one slice at a time through the FFT in both modes.  The
     layout is fixed here; each per-slice run gives all its slices one
     TransferCache.  The decimated wavelet runs in 3-D mode only, without
-    rotation invariance.  A non-zero ``constant`` needs the constant boundary.
+    rotation invariance.  A non-zero ``constant`` needs the constant boundary
+    and a spatial filter.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")

@@ -21,8 +21,8 @@ zero, so the half and the full spectrum give one response up to roundoff.
 
 Band-passed Riesz responses have one path, riesz_filtered_maps: one forward
 DFT per image times the radial band, then per index the steering and one
-inverse DFT.  An aligned filter asks it for the order-2 set and the
-first-order gradients together, so the image is transformed once.
+inverse DFT as its map is taken.  An aligned filter takes its gradients and
+then its order-2 set from one such stream, so the image is transformed once.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ def riesz_indices(order: int, ndim: int) -> tuple:
 
 
 def _check_index(l, ndim) -> tuple:
-    l = tuple(_integral(v, "riesz index entry") for v in l)
+    entries = tuple(l)
+    l = tuple(_integral(v, f"riesz index {entries} entry") for v in entries)
     if len(l) != ndim:
         raise ValueError(
             f"index {l} has {len(l)} entries; it needs one entry per image axis ({ndim})"
@@ -117,8 +118,9 @@ def riesz_transfer(dims, l, half: bool = False) -> np.ndarray:
 
 
 def riesz_filtered_maps(image, profile: RadialProfile, indices,
-                        transfers: TransferCache | None = None) -> dict:
-    """Band-passed Riesz responses keyed by index: (band x spectrum) x steering.
+                        transfers: TransferCache | None = None):
+    """Band-passed Riesz responses, (band x spectrum) x steering, as an
+    iterator of (index, map) pairs; each map's inverse DFT runs when it is taken.
 
     Everything runs on the half spectrum of the last axis, so each map is
     real from its inverse DFT on.  A filter run's cache ``transfers`` builds
@@ -130,16 +132,16 @@ def riesz_filtered_maps(image, profile: RadialProfile, indices,
     band = fft_forward(image, dims, real=True)
     band *= cached_transfer(transfers, ("radial", profile, dims),
                             lambda: radial_transfer(profile, dims, half=True))
-    return {l: fft_inverse(band * cached_transfer(transfers, ("riesz", dims, l),
-                                                  lambda: riesz_transfer(dims, l, half=True)),
-                           dims, real=True)
-            for l in indices}
+    return ((l, fft_inverse(band * cached_transfer(transfers, ("riesz", dims, l),
+                                                   lambda: riesz_transfer(dims, l, half=True)),
+                            dims, real=True))
+            for l in indices)
 
 
 def riesz_filtered_map(image, profile: RadialProfile, l,
                        transfers: TransferCache | None = None) -> np.ndarray:
     """Riesz-transformed radial band-pass filter for one index."""
-    (response,) = riesz_filtered_maps(image, profile, (l,), transfers).values()
+    ((_, response),) = riesz_filtered_maps(image, profile, (l,), transfers)
     return response
 
 
@@ -302,24 +304,22 @@ def _direction_3d(t):
     return null_vector(lam)
 
 
-_DIRECTIONS = {
-    1: lambda t: (np.ones(t.shape[0]),),
-    2: _direction_2d,
-    3: _direction_3d,
-}
+_DIRECTIONS = {2: _direction_2d, 3: _direction_3d}
 
 
 def align_order2(responses, tensors) -> np.ndarray:
     """Steer the order-2 response set along the dominant tensor direction.
 
-    ``tensors`` is a packed :func:`structure_tensor` result, shape
-    dims + (D(D+1)/2,), D <= 3.  The steered value is the second directional
-    derivative along u, sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u,
+    ``responses`` yields (index, map) pairs in ``riesz_indices(2, D)`` order,
+    each folded in as it arrives.  ``tensors`` is a packed :func:`structure_tensor`
+    result, shape dims + (D(D+1)/2,), D = 2 or 3.  The steered value is the
+    second directional derivative along u, sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u,
     computed straight from the unnormalised eigenvector u; it is even in u,
     and IEEE products are sign-symmetric, so no sign or length rule is
     needed.  u comes from +, -, x, /, sqrt, abs and maximum only (closed
     form in 2-D, Newton and cross products in 3-D), so the bytes do not
-    depend on a LAPACK build.
+    depend on a LAPACK build.  u is found, in blocks of voxels, before the
+    first map is taken, and the tensors are let go.
 
     Isotropic tensors (deviator norm <= 1e-8 of the tensor norm) use e1.
     A repeated top eigenvalue in 3-D, where every cross product of rows of
@@ -333,32 +333,30 @@ def align_order2(responses, tensors) -> np.ndarray:
     if ndim == 0 or ndim * (ndim + 1) // 2 != packed:
         raise ValueError(f"packed tensors need shape dims + (D(D+1)/2,), got {tensors.shape}")
     if ndim not in _DIRECTIONS:
-        raise ValueError(f"alignment needs 1-, 2- or 3-D tensors, got {ndim}-D")
+        raise ValueError(f"alignment needs 2- or 3-D tensors, got {ndim}-D")
     dims = tensors.shape[:-1]
-    wanted = riesz_indices(2, ndim)
-    keys = {tuple(int(v) for v in k): np.asarray(m, dtype=np.float64)
-            for k, m in responses.items()}
-    missing = [l for l in wanted if l not in keys]
-    if missing:
-        raise ValueError(f"order-2 response set incomplete, missing {missing}")
-    extra = [k for k in keys if k not in wanted]
-    if extra:
-        raise ValueError(f"unexpected response indices {extra}")
-    for l, m in keys.items():
-        if m.shape != dims:
-            raise ValueError(
-                f"response {l} dims {m.shape} do not match tensor grid {dims}"
-            )
-
-    count = math.prod(dims)
-    field = tensors.reshape(count, packed)
-    # each u^l h_l as the two axes u^l multiplies, its coefficient and h_l
-    terms = [(*[i for i, p in enumerate(l) for _ in range(p)], multinomial_coefficient(l),
-              keys[l].reshape(count)) for l in wanted]
-    aligned = np.empty(count, dtype=np.float64)
-    for start in range(0, count, _BLOCK_VOXELS):
+    field = tensors.reshape(-1, packed)
+    u = np.empty((ndim,) + dims)
+    for start in range(0, len(field), _BLOCK_VOXELS):
         block = slice(start, start + _BLOCK_VOXELS)
-        u = _DIRECTIONS[ndim](field[block])
-        total = sum(coefficient * u[i] * u[j] * h[block] for i, j, coefficient, h in terms)
-        aligned[block] = total / sum(ui * ui for ui in u)
-    return aligned.reshape(dims)
+        u.reshape(ndim, -1)[:, block] = _DIRECTIONS[ndim](field[block])
+    del tensors, field
+
+    wanted = riesz_indices(2, ndim)
+    total = taken = 0
+    for taken, (l, h) in enumerate(responses, 1):
+        l = _check_index(l, ndim)
+        if taken > len(wanted) or l not in wanted:
+            raise ValueError(f"unexpected response index {l}")
+        if l != wanted[taken - 1]:
+            raise ValueError(f"order-2 response set incomplete or out of order: got {l} "
+                             f"where riesz_indices(2, {ndim}) puts {wanted[taken - 1]}")
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != dims:
+            raise ValueError(f"response {l} dims {h.shape} do not match tensor grid {dims}")
+        # u^l as the two axes it multiplies
+        i, j = (axis for axis, p in enumerate(l) for _ in range(p))
+        total = total + multinomial_coefficient(l) * u[i] * u[j] * h
+    if taken < len(wanted):
+        raise ValueError(f"order-2 response set incomplete, missing {list(wanted[taken:])}")
+    return total / sum(ui * ui for ui in u)

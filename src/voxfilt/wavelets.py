@@ -251,16 +251,16 @@ def radial_transfer(profile: RadialProfile, dims, half: bool = False) -> np.ndar
     return transfer
 
 
-def nonseparable_b_map(image, kind: str, level: int,
+def nonseparable_b_map(image, profile: RadialProfile,
                        transfers: TransferCache | None = None) -> np.ndarray:
-    """Band-pass response map computed directly in the Fourier domain.
+    """Band-pass response map of ``profile`` computed directly in the
+    Fourier domain.
 
     The radial transfer is real and even, so it is applied on the half
     spectrum.  A filter run's cache ``transfers`` builds it once per image
     shape.
     """
     image = np.asarray(image, dtype=np.float64)
-    profile = RadialProfile(kind=kind, level=level)
     transfer = cached_transfer(transfers, ("radial", profile, image.shape),
                                lambda: radial_transfer(profile, image.shape, half=True))
     return convolve_fourier(image, transfer)

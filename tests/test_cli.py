@@ -394,6 +394,16 @@ class TestFeaturesCommand:
         assert len(rows) == 23
         assert {"test_id", "ibsi_id", "name", "value", "value_3sig"} <= set(rows[0])
 
+    def test_mask_on_another_grid_rejected(self, tmp_path, capsys):
+        src, mask, _, _ = self._fixture(tmp_path)
+        _write_volume(mask, np.ones((6, 6, 6)), spacing=(1.0, 1.0, 1.0), datatype="u8")
+        out = tmp_path / "features.csv"
+        assert main(["features", str(src), "--mask", str(mask), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spacing (1.0, 1.0, 1.0)" in err
+        assert "spacing (2.0, 2.0, 2.0)" in err
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_pass_and_fail(self, tmp_path, capsys):
@@ -685,6 +695,25 @@ class TestRunCommand:
         assert err == f"error: --threads must be a positive integer, got {threads}\n"
         assert ran == []
         assert not (tmp_path / "r").exists() and not (tmp_path / "o.nii").exists()
+
+    @pytest.mark.parametrize("dims, spacing, grid", [
+        ((10, 10, 6), (1.0, 1.0, 1.0), "dims (10, 10, 6) and spacing (1.0, 1.0, 1.0)"),
+        ((10, 10, 5), (2.0, 2.0, 2.0), "dims (10, 10, 5) and spacing (2.0, 2.0, 2.0)"),
+    ], ids=["spacing", "dims"])
+    def test_mask_on_another_grid_fails_before_planning(self, tmp_path, capsys, dims,
+                                                        spacing, grid):
+        src, mask, config = self._fixture(tmp_path)
+        _write_volume(mask, np.ones(dims), spacing=spacing, datatype="u8")
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"has {grid} mm" in err
+        assert "the image has dims (10, 10, 6) and spacing (2.0, 2.0, 2.0) mm" in err
+        assert "filter:" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_run_plans_once(self, tmp_path, monkeypatch):
         src, mask, _ = self._fixture(tmp_path)

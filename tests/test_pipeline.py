@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 
 import voxfilt.pipeline
+import voxfilt.riesz
 
 from voxfilt.features import intensity_statistics
 from voxfilt.image import RoiMask, VolumeImage, create_image, round_half_away
@@ -710,7 +711,7 @@ class TestApplyFilter:
         )
 
     def test_nonseparable_dispatch_matches_library_call(self):
-        from voxfilt.wavelets import nonseparable_b_map
+        from voxfilt.wavelets import RadialProfile, nonseparable_b_map
 
         rng = np.random.default_rng(10)
         image = _volume(rng.normal(size=(8, 8, 8)))
@@ -720,7 +721,7 @@ class TestApplyFilter:
             "3d",
         )
         np.testing.assert_array_equal(
-            out, nonseparable_b_map(image.data, "simoncelli", 2)
+            out, nonseparable_b_map(image.data, RadialProfile("simoncelli", 2))
         )
 
     def test_riesz_dispatch_matches_library_call(self):
@@ -748,9 +749,11 @@ class TestApplyFilter:
             structure_tensor,
         )
 
+        # every map from its own forward DFT, one index at a time
         profile = RadialProfile("simoncelli", 1)
-        responses = {l: riesz_filtered_map(data, profile, l) for l in riesz_indices(2, 3)}
-        gradients = [riesz_filtered_map(data, profile, l) for l in riesz_indices(1, 3)]
+        responses = [(l, riesz_filtered_map(data, profile, l))
+                     for l in riesz_indices(2, data.ndim)]
+        gradients = [riesz_filtered_map(data, profile, l) for l in riesz_indices(1, data.ndim)]
         return align_order2(responses, structure_tensor(gradients, sigma_vox))
 
     def test_riesz_aligned_dispatch_matches_library_chain(self):
@@ -766,6 +769,24 @@ class TestApplyFilter:
             "3d",
         )
         np.testing.assert_array_equal(out, self._aligned_chain(image.data, 1.0))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_riesz_aligned_slices_match_one_map_at_a_time(self, threads):
+        # an 11.A-style stack: l (0, 2), 1 mm tensor scale on a 1 mm grid
+        data = np.random.default_rng(14).normal(size=(20, 17, 5))
+        filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2],
+                                      "align": True, "sigma_tensor_mm": 1.0})
+        out = plan_filter(filt, (1.0, 1.0, 3.0), "2d", "mirror").run(data, threads)
+        want = np.stack([self._aligned_chain(data[:, :, k], 1.0) for k in range(5)], axis=2)
+        assert out.tobytes() == want.tobytes()
+
+    def test_riesz_aligned_volume_matches_one_map_at_a_time(self):
+        data = np.random.default_rng(16).normal(size=(56, 56, 56))
+        assert data.size >= 5 * voxfilt.riesz._BLOCK_VOXELS
+        filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
+                                      "align": True, "sigma_tensor_mm": 1.0})
+        out = plan_filter(filt, (1.0, 1.0, 1.0), "3d", "mirror").run(data)
+        assert out.tobytes() == self._aligned_chain(data, 1.0).tobytes()
 
     def test_riesz_aligned_voxel_sigma_is_used_as_given(self):
         # 1.5 voxels on a 0.7 mm grid must not pass through millimetres,
@@ -838,6 +859,17 @@ class TestApplyFilter:
         for requested in ("mirror", "constant", "nearest"):
             plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d", requested)
             assert plan.summary == f"{stem}, boundary periodise (requested {requested})"
+
+    @pytest.mark.parametrize("kind,params", [
+        ("nonseparable", {"wavelet": "simoncelli", "level": 1}),
+        ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0]}),
+        ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
+                   "sigma_tensor_mm": 2.0}),
+    ], ids=["nonseparable", "riesz", "riesz-aligned"])
+    def test_fourier_domain_filters_reject_a_boundary_constant(self, kind, params):
+        # they periodise, so a constant would leave the response unchanged
+        with pytest.raises(ValueError, match="boundary_constant 5.0 would be ignored"):
+            plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), "3d", "constant", 5.0)
 
     def test_riesz_align_requires_tensor_scale(self):
         image = _volume(np.zeros((4, 4, 4)))

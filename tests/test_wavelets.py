@@ -329,14 +329,14 @@ class TestRadialTransfer:
 
 class TestBMap:
     def test_zero_image(self):
-        out = nonseparable_b_map(np.zeros((8, 8)), "simoncelli", 1)
+        out = nonseparable_b_map(np.zeros((8, 8)), RadialProfile("simoncelli", 1))
         np.testing.assert_array_equal(out, 0.0)
         assert out.dtype == np.float64
 
     def test_constant_image_killed(self):
-        out = nonseparable_b_map(np.full((8, 8, 8), 11.0), "shannon", 1)
+        out = nonseparable_b_map(np.full((8, 8, 8), 11.0), RadialProfile("shannon", 1))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
-        out = nonseparable_b_map(np.full((8, 8), 11.0), "simoncelli", 2)
+        out = nonseparable_b_map(np.full((8, 8), 11.0), RadialProfile("simoncelli", 2))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_in_band_spectrum_reproduced(self):
@@ -346,11 +346,11 @@ class TestBMap:
         norm = _norm_grid(dims)
         spectrum = ((norm > math.pi / 2) & (norm <= math.pi)).astype(np.float64)
         image = np.fft.ifftn(spectrum).real
-        out = nonseparable_b_map(image, "shannon", 1)
+        out = nonseparable_b_map(image, RadialProfile("shannon", 1))
         np.testing.assert_allclose(out, image, rtol=0, atol=1e-8)
 
     def test_dim_match_is_automatic(self):
-        out = nonseparable_b_map(np.zeros((6, 8, 10)), "simoncelli", 1)
+        out = nonseparable_b_map(np.zeros((6, 8, 10)), RadialProfile("simoncelli", 1))
         assert out.shape == (6, 8, 10)
 
 
