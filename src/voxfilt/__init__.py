@@ -1,6 +1,7 @@
 """voxfilt: convolutional filtering for 2-D and 3-D medical-image volumes.
 
-The package is organised as a small numpy/scipy library:
+The package is organised as a small numpy library (its only other dependency
+is PyYAML, for configurations):
 
 * :mod:`voxfilt.image`     volume containers, axis conventions, grid helpers
 * :mod:`voxfilt.boundary`  image extension (padding) modes

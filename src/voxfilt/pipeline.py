@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy import ndimage
 
 from .boundary import BOUNDARY_MODES
 from .convolve import TransferCache, convolve_bank, convolve_full, convolve_separable
@@ -237,7 +236,7 @@ def _grid_unchanged(spacing, new_spacing):
 
 
 def _mirror(x, n):
-    """Fold coordinates onto ``[0, n - 1]`` as scipy.ndimage's "mirror" mode
+    """Fold coordinates onto ``[0, n - 1]`` as a "mirror" B-spline boundary
     does: whole-sample reflection with period 2(n - 1), a length-1 axis folds
     to 0, and a value in (n - 1, n) stays where it is."""
     if n == 1:
@@ -273,6 +272,40 @@ def _axis_taps(coord, n, order):
     return idx.astype(np.intp), np.stack(weights, axis=1)
 
 
+def _spline_prefilter(data):
+    """Cubic B-spline coefficients of ``data`` on a mirror boundary, as a new
+    C-ordered float64 array.
+
+    One axis at a time, the gain (1 - z)(1 - 1/z), the mirror causal start,
+    the causal pass, the anticausal start and the anticausal pass, with
+    z = sqrt(3) - 2; a length-1 axis is left as it is.  The powers of z are
+    Python floats multiplied up in one order and the arrays see only
+    elementwise * + - /, so the bytes do not depend on the SIMD level.
+    """
+    z = math.sqrt(3.0) - 2.0
+    coef = np.array(data, dtype=np.float64, order="C")
+    for axis in range(coef.ndim):
+        n = coef.shape[axis]
+        if n == 1:
+            continue
+        c = np.moveaxis(coef, axis, 0)
+        c *= (1.0 - z) * (1.0 - 1.0 / z)
+        powers = [1.0]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * z)
+        w = powers[n - 1]
+        start = c[0] + w * c[n - 1]
+        for i in range(1, n - 1):
+            start = start + powers[i] * (c[i] + w * c[n - 1 - i])
+        c[0] = start / (1.0 - w * w)
+        for i in range(1, n):
+            c[i] += z * c[i - 1]
+        c[n - 1] = (z * c[n - 2] + c[n - 1]) * z / (z * z - 1.0)
+        for i in range(n - 2, -1, -1):
+            c[i] = z * (c[i + 1] - c[i])
+    return coef
+
+
 def _along(values, axis, ndim):
     shape = [1] * ndim
     shape[axis] = -1
@@ -286,7 +319,7 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
     output grid identical to the input grid returns the image unchanged.
 
     The B-spline is a tensor product, so the resample runs one axis at a
-    time: scipy's mirror prefilter (cubic only), then per axis a sum of
+    time: the mirror spline prefilter (cubic only), then per axis a sum of
     order + 1 gathered planes times their weights, in tap order.  Axes that
     shrink go first and axes that grow last, so each pass gathers from the
     smallest array it can; ties go last axis first, because gathers along
@@ -305,7 +338,7 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
         order, data = 1, np.ascontiguousarray(image.data)
     else:
         order = 3
-        data = ndimage.spline_filter(image.data, order=3, mode="mirror", output=np.float64)
+        data = _spline_prefilter(image.data)
     ndim = image.ndim
     for axis in sorted(range(ndim), key=lambda a: (out_dims[a] / image.dims[a], -a)):
         idx, weights = _axis_taps(coords[axis], image.dims[axis], order)

@@ -18,6 +18,7 @@ from voxfilt.pipeline import (
     apply_filter,
     _axis_taps,
     _output_coordinates,
+    _spline_prefilter,
     load_config,
     plan_filter,
     resample_image,
@@ -272,6 +273,88 @@ print(digest.hexdigest())
 def test_resampling_does_not_depend_on_simd_dispatch():
     results = digests_at_dispatch_levels(_RESAMPLE_PROBE)
     assert {digest for _, digest in results} == {results[0][1]}, results
+
+
+def _scipy_prefilter(data):
+    return ndimage.spline_filter(data, order=3, mode="mirror", output=np.float64)
+
+
+class TestSplinePrefilter:
+    # 1-D and 2-D inputs, axes of length 1, 2 and 3, an int16 and a
+    # Fortran-ordered input
+    _INPUTS = [
+        ("28^3", lambda rng: rng.normal(size=(28, 28, 28))),
+        ("5x1x3", lambda rng: rng.normal(size=(5, 1, 3))),
+        ("2x7x4", lambda rng: rng.normal(size=(2, 7, 4))),
+        ("3x2x1", lambda rng: rng.normal(100.0, 300.0, size=(3, 2, 1))),
+        ("1-D", lambda rng: rng.normal(size=17)),
+        ("1-D n=2", lambda rng: rng.normal(size=2)),
+        ("1-D n=1", lambda rng: rng.normal(size=1)),
+        ("2-D", lambda rng: rng.normal(size=(12, 3))),
+        ("int16", lambda rng: rng.integers(-1000, 1400, size=(9, 6, 5)).astype(np.int16)),
+        ("fortran", lambda rng: np.asfortranarray(rng.normal(-200.0, 300.0, size=(11, 8, 6)))),
+    ]
+
+    @pytest.mark.parametrize("name,make", _INPUTS, ids=[n for n, _ in _INPUTS])
+    def test_matches_scipy(self, name, make):
+        data = make(np.random.default_rng(list(name.encode())))
+        want = _scipy_prefilter(data)
+        got = _spline_prefilter(data)
+        assert got.dtype == np.float64 and got.shape == data.shape
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-15 * np.max(np.abs(want)))
+
+    def test_input_is_left_unchanged(self):
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            data = layout(np.random.default_rng(3).normal(size=(6, 5, 4)))
+            before = data.copy(order="K")
+            _spline_prefilter(data)
+            assert data.tobytes() == before.tobytes()
+            assert data.flags.f_contiguous == before.flags.f_contiguous
+
+
+_PREFILTER_PROBE = """
+import hashlib
+import numpy as np
+from voxfilt.pipeline import _spline_prefilter
+digest = hashlib.sha256()
+rng = np.random.default_rng(9)
+for shape in ((28, 28, 28), (5, 1, 3), (2, 7, 4), (17,)):
+    digest.update(_spline_prefilter(rng.normal(100.0, 300.0, shape)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_prefilter_does_not_depend_on_simd_dispatch():
+    results = digests_at_dispatch_levels(_PREFILTER_PROBE)
+    assert {digest for _, digest in results} == {results[0][1]}, results
+
+
+def _b_config_inputs():
+    # the check input, and the volumetric benchmark's CT noise (input set 0)
+    check = np.random.default_rng(101).normal(size=(14, 13, 9)) * 300.0 - 200.0
+    rng = np.random.default_rng([0, 0])
+    ct = np.rint(5.0 * np.clip(rng.normal(127.0, 48.0, (28, 28, 28)), 0.0, 255.0) - 600.0)
+    return [("check", create_image(check.shape, (1.5, 1.5, 2.5), check)),
+            ("ct", create_image(ct.shape, (2.0, 2.0, 2.0), ct))]
+
+
+def test_b_config_bytes_do_not_depend_on_the_prefilter(monkeypatch):
+    # Rounding absorbs the roundoff between the numpy prefilter and scipy's.
+    names = sorted(n for n in os.listdir(TestShippedConfigs._DIR) if n.endswith(".B.yaml"))
+    configs = [(n, load_config(os.path.join(TestShippedConfigs._DIR, n))[1]) for n in names]
+    configs = [(n, c) for n, c in configs if c.image_interpolation == "tricubic"]
+    assert len(configs) == 11
+    for label, image in _b_config_inputs():
+        mask = RoiMask(np.ones(image.dims, dtype=bool))
+        for name, config in configs:
+            with monkeypatch.context() as patch:
+                patch.setattr(voxfilt.pipeline, "_spline_prefilter", _scipy_prefilter)
+                want, want_mask, want_features = run_configuration(image, mask, config)
+            got, got_mask, got_features = run_configuration(image, mask, config)
+            assert got.data.tobytes() == want.data.tobytes(), (label, name)
+            assert got_mask.membership.tobytes() == want_mask.membership.tobytes(), (label, name)
+            assert repr(got_features) == repr(want_features), (label, name)
 
 
 class TestRoundIntensities:

@@ -15,16 +15,25 @@ one path.
   ``GzipFile`` is free.
 * Every name in a module's ``__all__`` resolves, so a deleted function
   cannot leave a stale export behind.
+* No module imports scipy, at the top or inside a function: the library
+  runs on numpy and PyYAML alone, and those are exactly the third-party
+  modules it imports and the dependencies ``pyproject.toml`` declares.
+  A fresh ``import voxfilt`` loads no scipy module.
 """
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "voxfilt"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "voxfilt"
 
 FFT_HOMES = {("convolve", "fft_forward"), ("convolve", "fft_inverse")}
 FFT_FREE = {"fftfreq"}
@@ -216,3 +225,69 @@ def test_export_checker_sees_a_stale_name():
     module.kept = object()
     module.__all__ = ["kept", "deleted"]
     assert unresolved_exports(module) == ["deleted"]
+
+
+def imported_modules(source: str) -> dict:
+    """Top-level name of every absolute import in one module's source, with
+    the lines it is imported on; imports inside functions count too."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            found.setdefault(name.split(".")[0], set()).add(node.lineno)
+    return found
+
+
+def scipy_imports(source: str) -> set:
+    return imported_modules(source).get("scipy", set())
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_import_scipy(path):
+    assert scipy_imports(path.read_text()) == set()
+
+
+def test_scipy_checker_sees_each_breach():
+    sample = """
+import numpy as np
+import scipy
+from scipy import ndimage
+import scipy.ndimage as nd
+from numpy import fft as scipy
+
+def helper(x):
+    from scipy.ndimage import spline_filter
+    return spline_filter(x)
+"""
+    assert scipy_imports(sample) == {3, 4, 5, 9}
+
+
+# distribution name in pyproject.toml -> the module it is imported as
+_MODULE_OF = {"PyYAML": "yaml"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in SOURCE.glob("*.py"):
+        imported |= set(imported_modules(path.read_text()))
+    third_party = imported - set(sys.stdlib_module_names)
+    assert third_party == {"numpy", "yaml"}
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        requirements = tomllib.load(handle)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group() for r in requirements}
+    assert {_MODULE_OF.get(name, name) for name in declared} == third_party
+
+
+def test_import_loads_no_scipy():
+    probe = ("import sys, voxfilt, voxfilt.cli\n"
+             "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == "[]"
