@@ -464,7 +464,8 @@ def _cascade_op(params, stages, default_pool, boundary, constant, what):
     if not params.get("rotation_invariance", False):
         return lambda data, _: cascade(data, stages, boundary, constant), ""
     pooled = PooledCascade(stages, pool_mode, boundary, constant)
-    return lambda data, _: pooled(data), f", {pool_mode} over rotations"
+    return (lambda data, _: pooled(data),
+            f", {pool_mode} over rotations ({pooled.passes} one-axis passes)")
 
 
 def _plan_none(params, axes, boundary, constant):

@@ -171,8 +171,10 @@ def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
 
 # Voxels per block of the direction and steering pass.  Every step is
 # elementwise, so the bytes do not depend on it; it only bounds the
-# temporaries to a few MB whatever the volume.
-_BLOCK_VOXELS = 1 << 15
+# temporaries to about a MB whatever the volume.  Blocks of 8192 voxels
+# lowered the 11.B op's peak at 56^3 (13.8x the input against 16.4x with
+# 32768) at no cost in time.
+_BLOCK_VOXELS = 1 << 13
 
 # A tensor whose deviator is this small against the tensor itself is
 # isotropic: its direction is undefined, and the fallback e1 is used so that

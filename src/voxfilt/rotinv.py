@@ -14,20 +14,50 @@ centre tap at floor(M/2); without the padding the flipped kernel would
 shift its response by one voxel and the set would stop matching actual
 rotations of the image.
 
-Pooling over the rotations (:class:`PooledCascade`) runs each distinct
-rotated pass once.  Every rotated stage is matched by value, up to sign,
+Pooling over the rotations (:class:`PooledCascade`) lays its work out
+once, as a trie of steps walked depth first: all-axes pads, one-axis
+passes, and for the average of a multi-level cascade per-axis operators.
+Which steps fill the trie depends on the pool mode and the boundary.
+
+Max pooling, and the average of a cascade padded with a non-zero constant,
+group the rotations.  Every rotated stage is matched by value, up to sign,
 against the stages met before it in the table: a reversed symmetric stage
 is the stage itself, a reversed antisymmetric one is the stage with sign -1,
 and equal per-axis cascades (HHH) collapse.  Rotations with the same
-sequence of stages form one group, whose response h is computed once on a
-depth-first walk of a trie over the stage prefixes, padding once per level
-and prefix.  A group holding n+ rotations of sign +1 and n- of sign -1
-enters max pooling as |h| when it holds both signs and as +h or -h
-otherwise, which is exact up to the sign of exact zeros; it enters average
-pooling as (n+ - n-) h.  The groups are folded in as the walk finishes
-them (depth first, each node's children in the order they first occur in
-the table) and the average is then divided by the number of rotations, so
-averages move by ulps against summing every rotation in table order.
+sequence of stages form one group, whose response h is computed once, with
+one pad per level and stage prefix.  A sign taken out of an early level
+must pass through the later padding, so with a non-zero constant only the
+last level's stages are matched up to sign.  A group holding n+ rotations
+of sign +1 and n- of sign -1 enters max pooling as |h| when it holds both
+signs and as +h or -h otherwise, which is exact up to the sign of exact
+zeros; it enters the average as (n+ - n-) h.
+
+The average with linear padding (every boundary but a non-zero constant) is
+regrouped per axis instead.  Padding and passes then act on each axis
+alone, so a rotated cascade is the tensor product, over the output axes d,
+of one source axis's stages run forward or reversed (reversal bit f_d).
+Rotations with the same source stage lists, compared by value, form a
+group; let c_f count its rotations with reversal pattern f.  With P_d the
+forward operator plus the reversed one and M_d the forward minus the
+reversed, the group sums to
+
+    sum over S of a_S (x)_{d in S} M_d (x)_{d not in S} P_d,
+    a_S = 2^-D sum over f of c_f (-1)^|S & f|.
+
+Terms with a_S = 0 are dropped, and so are terms holding a kernel that is
+exactly zero, so a cancelling average (L5E5E5) runs no pass and is exactly
+zero.  For one level, P_d and M_d are single kernels (k + reversed k and
+k - reversed k), and terms whose margins match share one all-axes pad.  For
+several levels they are the sum and difference of two branches that pad
+only their own axis at each level; both branches start from one pad, and
+the second is folded into the first in place.  Every 3-D wavelet subband
+repeats a letter, so its groups hold every reversal pattern equally often
+and only S = {} survives: 6.B runs 8 one-axis passes instead of the
+grouped 40, and 7.B 12 instead of 38.  The leaves are folded in as the walk
+finishes them (depth first, each node's children in the order they were
+first laid out) and the average is then divided by the number of
+rotations, so averages move by ulps against summing every rotation in
+table order.
 
 Every other pooling, over Gabor orientations and over the three plane
 stacks of :func:`orthogonal_plane_average`, goes through :func:`pool`.
@@ -35,6 +65,7 @@ stacks of :func:`orthogonal_plane_average`, goes through :func:`pool`.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -115,15 +146,9 @@ _TABLE_3D = (
 _QUARTER = math.pi / 2.0
 
 
-def equivariant_cascades(stage_lists):
-    """Rotate a per-axis cascade of 1-D stages through all right angles.
-
-    ``stage_lists[axis]`` holds the kernels convolved in sequence along
-    that axis (one per cascade level).  Returns ``(elements, labels)``:
-    ``elements[i][axis]`` is the rotated stage tuple for one rotation,
-    every stage oddified and reversed as the rotation demands.  Reversing
-    stage by stage is exact because reversal distributes over convolution.
-    """
+def _oriented_stages(stage_lists):
+    """The rotation table and label function for ``stage_lists``, and each
+    axis's oddified stages, forward and reversed."""
     if len(stage_lists) == 2:
         table = _TABLE_2D
         label_fn = lambda q: q * _QUARTER  # noqa: E731
@@ -135,23 +160,26 @@ def equivariant_cascades(stage_lists):
     depth = len(stage_lists[0])
     if depth == 0 or any(len(stages) != depth for stages in stage_lists):
         raise ValueError("every axis needs the same non-zero number of stages")
-    prepared = tuple(
-        tuple(oddify(s) for s in stages) for stages in stage_lists
+    forward = tuple(tuple(oddify(s) for s in stages) for stages in stage_lists)
+    reverse = tuple(tuple(flip_1d(s) for s in stages) for stages in forward)
+    return table, label_fn, forward, reverse
+
+
+def equivariant_cascades(stage_lists):
+    """Rotate a per-axis cascade of 1-D stages through all right angles.
+
+    ``stage_lists[axis]`` holds the kernels convolved in sequence along
+    that axis (one per cascade level).  Returns ``(elements, labels)``:
+    ``elements[i][axis]`` is the rotated stage tuple for one rotation,
+    every stage oddified and reversed as the rotation demands.  Reversing
+    stage by stage is exact because reversal distributes over convolution.
+    """
+    table, label_fn, forward, reverse = _oriented_stages(stage_lists)
+    elements = tuple(
+        tuple(reverse[src - 1] if flip else forward[src - 1] for src, flip in row)
+        for _, row in table
     )
-    flipped_stages = tuple(
-        tuple(flip_1d(s) for s in stages) for stages in prepared
-    )
-    elements = []
-    labels = []
-    for angles, row in table:
-        elements.append(
-            tuple(
-                flipped_stages[src - 1] if flip else prepared[src - 1]
-                for src, flip in row
-            )
-        )
-        labels.append(label_fn(angles))
-    return tuple(elements), tuple(labels)
+    return elements, tuple(label_fn(angles) for angles, _ in table)
 
 
 def cascade(image, stage_lists, boundary: str, constant: float = 0.0) -> np.ndarray:
@@ -163,55 +191,120 @@ def cascade(image, stage_lists, boundary: str, constant: float = 0.0) -> np.ndar
 
 
 class PooledCascade:
-    """A cascade pooled over all right-angle rotations, grouped once.
+    """A cascade pooled over all right-angle rotations, planned once.
 
-    Building it groups the rotations (see the module docstring); calling it
-    runs each distinct pass once.  The grouping is read-only afterwards, so
-    slice threads can share one object.  A sign taken out of an early level
-    must pass through the later padding, so with a non-zero constant only
-    the last level's stages are matched up to sign.
+    Building it picks the evaluation order and lays it out as a trie of
+    steps (see the module docstring); calling it walks the trie.  The trie
+    is read-only afterwards, so slice threads can share one object.  A call
+    runs ``passes`` one-axis passes and folds ``leaves`` responses into the
+    pool.
     """
 
     def __init__(self, stage_lists, pool_mode: str, boundary: str, constant: float = 0.0):
         self.pool_mode = _check_pool_mode(pool_mode)
         self.boundary, self.constant = boundary, constant
-        elements, _ = equivariant_cascades(stage_lists)
-        self.ndim, self.rotations = len(stage_lists), len(elements)
-        depth = len(stage_lists[0])
-        odd_padding = boundary != "constant" or constant == 0.0
+        table, _, self._forward, self._reverse = _oriented_stages(stage_lists)
+        self.ndim, self.rotations = len(stage_lists), len(table)
         self.kernels = []
-        index = {}  # kernel bytes, zeros unsigned -> position in self.kernels
-        # stage sequence -> [rotations of sign +1, rotations of sign -1]
-        self.groups = {}
-        for element in elements:
-            sequence, sign = [], 1
-            for level in range(depth):
-                signed = odd_padding or level == depth - 1
-                step = []
-                for stages in element:
-                    key = (stages[level] + 0.0).tobytes()
-                    negated = (0.0 - stages[level]).tobytes()
-                    if key not in index and signed and negated in index:
-                        key, sign = negated, -sign
-                    elif key not in index:
-                        index[key] = len(self.kernels)
-                        self.kernels.append(stages[level])
-                    step.append(index[key])
-                sequence.append(tuple(step))
-            self.groups.setdefault(tuple(sequence), [0, 0])[sign < 0] += 1
-        # Trie over the steps, in order: each level's pad (keyed by its
-        # margins), then one pass per axis (keyed by axis and kernel).  Leaves
-        # hold a group's sign counts.
-        self._trie = {}
-        for sequence, counts in self.groups.items():
-            steps = []
-            for level in sequence:
-                steps.append(("pad", tuple(self.kernels[k].size // 2 for k in level)))
-                steps.extend(enumerate(level))
+        self._index = {}  # kernel bytes, zeros unsigned -> position in self.kernels
+        linear = boundary != "constant" or constant == 0.0
+        if pool_mode == "average" and linear:
+            leaves = self._terms(table)
+        else:
+            leaves = self._groups(table, linear)
+        # An average leaf holds its weight over the smallest weight, which the
+        # final division takes back, so equal weights cost no multiply.
+        self._divisor = self.rotations
+        if pool_mode == "average" and leaves:
+            unit = min(abs(weight) for weight in leaves.values())
+            leaves = {steps: weight / unit for steps, weight in leaves.items()}
+            self._divisor = self.rotations / unit
+        # Leaves hold a group's sign counts (max) or a term's weight (average).
+        self._trie, self.passes, self.leaves = {}, 0, len(leaves)
+        for steps, leaf in leaves.items():
             node = self._trie
             for step in steps[:-1]:
+                if step not in node:
+                    self.passes += self._pass_count(step)
                 node = node.setdefault(step, {})
-            node[steps[-1]] = tuple(counts)
+            self.passes += self._pass_count(steps[-1])
+            node[steps[-1]] = leaf
+
+    def _kernel(self, kernel) -> int:
+        """Position of ``kernel`` among the distinct kernels, added if new."""
+        key = (kernel + 0.0).tobytes()
+        if key not in self._index:
+            self._index[key] = len(self.kernels)
+            self.kernels.append(kernel)
+        return self._index[key]
+
+    def _groups(self, table, linear):
+        """Rotations with one stage sequence, matched up to sign, as trie leaves.
+
+        Returns {steps: (rotations of sign +1, rotations of sign -1)} for max
+        pooling, {steps: their difference} for the average.  A sign taken out
+        of an early level must pass through the later padding, so without
+        ``linear`` padding only the last level's stages are matched up to sign.
+        """
+        depth = len(self._forward[0])
+        groups = {}
+        for _, row in table:
+            element = [self._reverse[src - 1] if flip else self._forward[src - 1]
+                       for src, flip in row]
+            steps, sign = [], 1
+            for level in range(depth):
+                signed = linear or level == depth - 1
+                passes = []
+                for axis, stages in enumerate(element):
+                    stage = stages[level]
+                    key, negated = (stage + 0.0).tobytes(), (0.0 - stage).tobytes()
+                    if key not in self._index and signed and negated in self._index:
+                        kernel, sign = self._index[negated], -sign
+                    else:
+                        kernel = self._kernel(stage)
+                    passes.append(("pass", axis, kernel))
+                steps.append(("pad", tuple(stages[level].size // 2 for stages in element)))
+                steps.extend(passes)
+            groups.setdefault(tuple(steps), [0, 0])[sign < 0] += 1
+        if self.pool_mode == "max":
+            return {steps: tuple(counts) for steps, counts in groups.items()}
+        return {steps: plus - minus for steps, (plus, minus) in groups.items() if plus != minus}
+
+    def _terms(self, table):
+        """The average regrouped per axis, as trie leaves {steps: weight a_S}."""
+        ndim, depth = self.ndim, len(self._forward[0])
+        first = {}  # stage bytes -> first axis with those stages
+        source = [first.setdefault(tuple((s + 0.0).tobytes() for s in stages), axis)
+                  for axis, stages in enumerate(self._forward)]
+        groups = {}  # source axis per output axis -> reversal pattern -> rotations
+        for _, row in table:
+            patterns = groups.setdefault(tuple(source[src - 1] for src, _ in row), {})
+            pattern = tuple(flip for _, flip in row)
+            patterns[pattern] = patterns.get(pattern, 0) + 1
+        leaves = {}
+        for sources, patterns in groups.items():
+            # minus marks the axes that take M instead of P (the set S)
+            for minus in itertools.product((False, True), repeat=ndim):
+                weight = sum(count * (-1) ** sum(m and f for m, f in zip(minus, pattern))
+                             for pattern, count in patterns.items()) / 2**ndim
+                if weight == 0:
+                    continue
+                if depth > 1:
+                    steps = tuple(("branches", axis, src, m)
+                                  for axis, (src, m) in enumerate(zip(sources, minus)))
+                else:
+                    kernels = [self._forward[src][0] - self._reverse[src][0] if m
+                               else self._forward[src][0] + self._reverse[src][0]
+                               for src, m in zip(sources, minus)]
+                    if not all(np.any(k) for k in kernels):
+                        continue
+                    steps = (("pad", tuple(k.size // 2 for k in kernels)),) + tuple(
+                        ("pass", axis, self._kernel(k)) for axis, k in enumerate(kernels))
+                leaves[steps] = leaves.get(steps, 0) + weight
+        return {steps: weight for steps, weight in leaves.items() if weight != 0}
+
+    def _pass_count(self, step) -> int:
+        return {"pad": 0, "pass": 1}.get(step[0], 2 * len(self._forward[0]))
 
     def __call__(self, image) -> np.ndarray:
         image = np.asarray(image, dtype=np.float64)
@@ -221,7 +314,7 @@ class PooledCascade:
         self._walk(self._trie, [image], image.shape, pooled)
         out = pooled[0] if pooled else np.zeros(image.shape)
         if self.pool_mode == "average":
-            out /= self.rotations
+            out /= self._divisor
         return out
 
     def _walk(self, node, blocks, shape, pooled):
@@ -233,21 +326,45 @@ class PooledCascade:
         """
         last = len(node) - 1
         for position, (step, child) in enumerate(node.items()):
-            block = blocks.pop() if position == last else blocks[0]
-            if step[0] == "pad":
-                out = [pad(block, step[1], self.boundary, self.constant)]
-            else:
-                axis, kernel = step
-                out = [axis_pass(block, axis, self.kernels[kernel], shape[axis])]
-            del block
+            out = [self._step(step, [blocks.pop() if position == last else blocks[0]], shape)]
             if isinstance(child, dict):
                 self._walk(child, out, shape, pooled)
             else:
-                self._fold(out.pop(), *child, pooled)
+                self._fold(out.pop(), child, pooled)
 
-    def _fold(self, response, plus, minus, pooled):
-        """Fold one group's response (owned, so changed in place) into the pool."""
+    def _step(self, step, held, shape) -> np.ndarray:
+        """Run one step on the block in ``held``, taking it out of the list."""
+        if step[0] == "pad":
+            return pad(held.pop(), step[1], self.boundary, self.constant)
+        if step[0] == "pass":
+            _, axis, kernel = step
+            return axis_pass(held.pop(), axis, self.kernels[kernel], shape[axis])
+        # P or M of several levels: the forward stages plus or minus the
+        # reversed ones, each branch padding only its own axis
+        _, axis, source, minus = step
+        margins = [0] * len(shape)
+        margins[axis] = self._forward[source][0].size // 2
+        start = [pad(held.pop(), margins, self.boundary, self.constant)]
+        out = None
+        for stages in (self._forward[source], self._reverse[source]):
+            block = axis_pass(start[0] if out is None else start.pop(), axis, stages[0],
+                              shape[axis])
+            for stage in stages[1:]:
+                margins[axis] = stage.size // 2
+                block = pad(block, margins, self.boundary, self.constant)
+                block = axis_pass(block, axis, stage, shape[axis])
+            if out is None:
+                out = block
+            elif minus:
+                out -= block
+            else:
+                out += block
+        return out
+
+    def _fold(self, response, leaf, pooled):
+        """Fold one leaf's response (owned, so changed in place) into the pool."""
         if self.pool_mode == "max":
+            plus, minus = leaf
             if plus and minus:
                 np.abs(response, out=response)
             elif minus:
@@ -256,10 +373,8 @@ class PooledCascade:
                 np.maximum(pooled[0], response, out=pooled[0])
                 return
         else:
-            if plus == minus:
-                return
-            if plus - minus != 1:
-                response *= plus - minus
+            if leaf != 1:
+                response *= leaf
             if pooled:
                 pooled[0] += response
                 return

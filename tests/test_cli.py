@@ -535,7 +535,8 @@ class TestRunCommand:
         ])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
-        assert "laws filter: kernels L5E5E5, max over rotations, energy delta 7 voxels" in err
+        assert ("laws filter: kernels L5E5E5, max over rotations (8 one-axis passes), "
+                "energy delta 7 voxels") in err
 
     # Parameters that are wrong whatever the image: each must stop the run
     # before the plan is logged or the image is resampled.

@@ -18,7 +18,7 @@ from voxfilt.rotinv import (
     orthogonal_plane_average,
     pool,
 )
-from voxfilt.wavelets import _swt_stages
+from voxfilt.wavelets import _swt_stages, wavelet_family
 
 from dispatch import digests_at_dispatch_levels
 from oracles import euler_matrix, planar_matrix, rotate_grid
@@ -325,6 +325,32 @@ class TestPool:
         dense /= len(elements)
         direct = convolve_full(image, dense, "periodise", via="spatial")
         np.testing.assert_allclose(pooled, direct, rtol=0, atol=1e-10)
+        regrouped = PooledCascade([[g1], [g2], [g3]], "average", "periodise")(image)
+        np.testing.assert_allclose(regrouped, direct, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("family, subband", [("db3", "HHH"), ("db2", "LH")])
+    def test_two_level_average_equals_averaged_composite_kernel(self, family, subband):
+        # With wrap padding every rotation's two-level cascade is one circular
+        # convolution with its per-axis composite kernels (stage 1 * stage 2),
+        # so the pooled average is one convolution with their average: an
+        # oracle that shares no grouping with PooledCascade.
+        ndim = len(subband)
+        stages = _swt_stages(family, 2, subband, ndim)
+        image = np.random.default_rng(17).normal(size=(10, 11, 9)[:ndim]) * 100
+        elements, _ = equivariant_cascades(stages)
+        dense = 0.0
+        for element in elements:
+            composite = [np.convolve(first, second) for first, second in element]
+            kernel = composite[0]
+            for factor in composite[1:]:
+                kernel = np.multiply.outer(kernel, factor)
+            dense = dense + kernel
+        direct = convolve_full(image, dense / len(elements), "periodise")
+        pooled = PooledCascade(stages, "average", "periodise")(image)
+        assert np.max(np.abs(pooled - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+_DB3 = wavelet_family("db3")
 
 
 def _laws_stages(text):
@@ -346,6 +372,9 @@ _STAGE_SETS = {
     "db2-LH-2": _swt_stages("db2", 2, "LH", 2),
     "db3-LH-1": _swt_stages("db3", 1, "LH", 2),
     "db3-HH-2": _swt_stages("db3", 2, "HH", 2),
+    # three distinct stages, neither symmetric nor antisymmetric on two axes,
+    # so the regrouped average keeps terms with reversed-difference factors
+    "db3-L-H-L5": [[_DB3.low_pass], [_DB3.high_pass], [laws_1d("L5")]],
     # an antisymmetric stage before the last level, whose sign cannot pass a
     # constant pad with C != 0
     "E5L5-L5E5": [[laws_1d("E5"), laws_1d("L5")], [laws_1d("L5"), laws_1d("E5")]],
@@ -383,19 +412,9 @@ class TestPooledCascade:
         out = PooledCascade(_STAGE_SETS["L5E5E5"], "average", "mirror")(image)
         assert not np.any(out)
 
-    # (stage set, distinct groups, 1-D passes, pads) per call; every rotation
-    # as its own cascade takes rotations x axes x levels passes and
-    # rotations x levels pads
-    @pytest.mark.parametrize("name, groups, passes, pads", [
-        ("L5E5E5", 3, 8, 1),      # 4.B: 72 passes, 24 pads one rotation at a time
-        ("db3-LLH-1", 24, 40, 1),  # 6.B: 72 and 24
-        ("db3-HHH-2", 8, 38, 9),   # 7.B: 144 and 48
-        ("L5E5", 2, 4, 1),         # 4.A: 8 and 4
-        ("db3-LH-1", 4, 8, 1),     # 6.A: 8 and 4
-        ("db3-HH-2", 4, 14, 5),    # 7.A: 16 and 8
-    ])
-    def test_work_count(self, name, groups, passes, pads, monkeypatch):
-        stages = _STAGE_SETS[name]
+    @staticmethod
+    def _counted_call(stages, mode, monkeypatch):
+        """Build and call a PooledCascade; returns it and its (passes, pads)."""
         counts = {"pad": 0, "pass": 0}
 
         def counted(key, fn):
@@ -407,9 +426,39 @@ class TestPooledCascade:
         monkeypatch.setattr(voxfilt.rotinv, "pad", counted("pad", voxfilt.rotinv.pad))
         monkeypatch.setattr(voxfilt.rotinv, "axis_pass",
                             counted("pass", voxfilt.rotinv.axis_pass))
-        pooled = PooledCascade(stages, "average", "mirror")
+        pooled = PooledCascade(stages, mode, "mirror")
         pooled(np.random.default_rng(6).normal(size=(10,) * len(stages)))
-        assert (len(pooled.groups), counts["pass"], counts["pad"]) == (groups, passes, pads)
+        assert pooled.passes == counts["pass"]
+        return pooled, (counts["pass"], counts["pad"])
+
+    # max pooling walks the trie: (stage set, rotation groups, 1-D passes,
+    # pads) per call; every rotation as its own cascade takes rotations x
+    # axes x levels passes and rotations x levels pads
+    @pytest.mark.parametrize("name, groups, passes, pads", [
+        ("L5E5E5", 3, 8, 1),      # 4.B: 72 passes, 24 pads one rotation at a time
+        ("db3-LLH-1", 24, 40, 1),  # 72 and 24
+        ("db3-HHH-2", 8, 38, 9),   # 144 and 48
+        ("L5E5", 2, 4, 1),         # 4.A: 8 and 4
+        ("db3-LH-1", 4, 8, 1),     # 8 and 4
+        ("db3-HH-2", 4, 14, 5),    # 16 and 8
+    ])
+    def test_work_count(self, name, groups, passes, pads, monkeypatch):
+        pooled, work = self._counted_call(_STAGE_SETS[name], "max", monkeypatch)
+        assert (pooled.leaves, *work) == (groups, passes, pads)
+
+    # the average with linear padding runs the regrouped terms: (stage set,
+    # terms, 1-D passes, pads) per call
+    @pytest.mark.parametrize("name, terms, passes, pads", [
+        ("L5E5E5", 0, 0, 0),      # cancels: every term holds a zero kernel
+        ("db3-LLH-1", 3, 8, 1),   # 6.B: 40 passes in the trie
+        ("db3-HHH-2", 1, 12, 9),  # 7.B: 38 passes and 9 pads in the trie
+        ("L5E5", 0, 0, 0),
+        ("db3-LH-1", 4, 8, 1),    # 6.A: the trie's 8 passes and 1 pad
+        ("db3-HH-2", 1, 8, 6),    # 7.A: 14 passes and 5 pads in the trie
+    ])
+    def test_average_work_count(self, name, terms, passes, pads, monkeypatch):
+        pooled, work = self._counted_call(_STAGE_SETS[name], "average", monkeypatch)
+        assert (pooled.leaves, *work) == (terms, passes, pads)
 
     def test_grouping_is_built_once(self, monkeypatch):
         pooled = PooledCascade(_STAGE_SETS["db3-HHH-2"], "max", "mirror")
@@ -432,18 +481,28 @@ import numpy as np
 from voxfilt.kernels import laws_1d
 from voxfilt.rotinv import PooledCascade
 from voxfilt.wavelets import _swt_stages
-image = np.random.default_rng(13).normal(size=(12, 12, 12)) * 100
+from voxfilt.wavelets import wavelet_family
+rng = np.random.default_rng(13)
+volume, plane = rng.normal(size=(12, 12, 12)) * 100, rng.normal(size=(16, 15)) * 100
+db3 = wavelet_family("db3")
 digest = hashlib.sha256()
 for stages in ([[laws_1d(k)] for k in ("L5", "E5", "E5")], _swt_stages("db3", 1, "LLH", 3),
-               _swt_stages("db3", 2, "HHH", 3)):
+               _swt_stages("db3", 2, "HHH", 3), _swt_stages("db3", 1, "LH", 2),
+               _swt_stages("db3", 2, "HH", 2)):
     for mode in ("max", "average"):
+        image = volume if len(stages) == 3 else plane
         digest.update(PooledCascade(stages, mode, "mirror")(image).tobytes())
+for stages in ([[laws_1d(k)] for k in ("L3", "E5", "S5")],
+               [[db3.low_pass], [db3.high_pass], [laws_1d("L5")]]):
+    digest.update(PooledCascade(stages, "average", "mirror")(volume).tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_pooled_cascades_do_not_depend_on_simd_dispatch():
-    # the 4.B, 6.B and 7.B stage sets, both pools
+    # the 4.B, 6.B, 7.B, 6.A and 7.A stage sets, both pools, and two more
+    # averages: L3E5S5, whose terms all drop, and one that keeps terms with
+    # reversed-difference factors
     results = digests_at_dispatch_levels(_POOLED_PROBE)
     assert {digest for _, digest in results} == {results[0][1]}, results
 
