@@ -22,6 +22,7 @@ from .image import VolumeImage, RoiMask, create_image, interior_region
 from .boundary import BOUNDARY_MODES, extended_index, pad
 from .convolve import (
     convolve_full,
+    convolve_laplacian,
     convolve_separable,
     convolve_fourier,
     fourier_grid,
@@ -36,6 +37,7 @@ from .kernels import (
     laws_energy,
     laws_response,
     log_kernel,
+    log_kernel_1d,
     mean_kernel,
     truncated_support,
 )

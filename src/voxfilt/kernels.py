@@ -6,6 +6,7 @@ converted once, when :func:`voxfilt.pipeline.plan_filter` plans the filter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "mean_kernel",
     "mean_kernel_1d",
     "gaussian_kernel_1d",
+    "log_kernel_1d",
     "log_kernel",
     "laws_1d",
     "laws_response",
@@ -73,6 +75,28 @@ def gaussian_kernel_1d(sigma: float, d: float = 4.0) -> np.ndarray:
     return taps / taps.sum()
 
 
+def log_kernel_1d(sigma: float, d: float = 4.0) -> tuple:
+    """The LoG's 1-D factors ``(g, h)``, sampled at integer offsets t.
+
+    g(t) = c exp(-t^2 / 2 sigma^2) with c = 1 / (sqrt(2 pi) sigma), and
+    h(t) = -(1 - t^2 / sigma^2) / sigma^2 g(t), so that the D-dimensional
+    LoG is sum over d of h(x_d) times g(x_e) on every other axis e (see
+    :func:`log_kernel`).  Each tap is one ``math.exp`` of a Python float,
+    whose bytes do not depend on numpy's SIMD dispatch level, and the taps
+    at t and -t are equal.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if d <= 0:
+        raise ValueError(f"truncation parameter must be positive, got {d}")
+    m = truncated_support(sigma, d)
+    offsets = range(-(m // 2), m // 2 + 1)
+    c = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+    g = [c * math.exp(-t * t / (2.0 * sigma**2)) for t in offsets]
+    h = [-(1.0 - t * t / sigma**2) / sigma**2 * gt for t, gt in zip(offsets, g)]
+    return np.array(g), np.array(h)
+
+
 def log_kernel(sigma: float, ndim: int, d: float = 4.0) -> np.ndarray:
     """Laplacian-of-Gaussian taps sampled at integer offsets.
 
@@ -80,17 +104,25 @@ def log_kernel(sigma: float, ndim: int, d: float = 4.0) -> np.ndarray:
     spans 1 + 2*floor(d*sigma + 0.5) voxels per axis).  Taps are point samples
     of the continuous profile and are deliberately not renormalised, so the
     kernel sum is close to, but not exactly, zero.
+
+    The kernel is the sum, over the axes, of the outer product of h along
+    that axis and g along every other axis (:func:`log_kernel_1d`), which
+    is how the pipeline runs it: as separable passes, never as this dense
+    array.  Each tap multiplies the factors at its sorted absolute offsets,
+    so the kernel keeps the profile's exact symmetry under axis
+    permutations and reflections.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if d <= 0:
-        raise ValueError(f"truncation parameter must be positive, got {d}")
-    m = truncated_support(sigma, d)
-    offsets = np.arange(m, dtype=np.float64) - m // 2
-    grids = np.meshgrid(*([offsets] * ndim), indexing="ij", sparse=True)
-    r2 = sum(g**2 for g in grids)
-    norm = (1.0 / (np.sqrt(2.0 * np.pi) * sigma)) ** ndim
-    return (-1.0 / sigma**2) * norm * (ndim - r2 / sigma**2) * np.exp(-r2 / (2.0 * sigma**2))
+    g, h = log_kernel_1d(sigma, d)
+    m = g.size
+    offsets = np.sort(np.abs(np.indices((m,) * ndim) - m // 2), axis=0) + m // 2
+    kernel = 0.0
+    for axis in range(ndim):
+        term = h[offsets[axis]]
+        for other in range(ndim):
+            if other != axis:
+                term = term * g[offsets[other]]
+        kernel = kernel + term
+    return kernel
 
 
 def laws_1d(name: str) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .boundary import BOUNDARY_MODES
-from .convolve import TransferCache, convolve_bank, convolve_full, convolve_separable
+from .convolve import TransferCache, convolve_bank, convolve_laplacian, convolve_separable
 from .features import diagnostics, intensity_statistics
 from .image import RoiMask, VolumeImage, _integral, _is_number, map_slices, round_half_away
 from .kernels import (
@@ -30,7 +30,7 @@ from .kernels import (
     gabor_kernel,
     laws_1d,
     laws_energy,
-    log_kernel,
+    log_kernel_1d,
     mean_kernel_1d,
     truncated_support,
 )
@@ -481,9 +481,10 @@ def _plan_mean(params, axes, boundary, constant):
 
 def _plan_log(params, axes, boundary, constant):
     sigma = _scale_param(params, "sigma", axes, "the LoG filter")
-    kernel = log_kernel(sigma, len(axes), _number(params.get("cutoff", 4.0), "cutoff"))
-    summary = f"log filter: sigma {sigma:.6g} voxels, kernel size {kernel.shape[0]}"
-    return summary, lambda data, _: convolve_full(data, kernel, boundary, constant)
+    smooth, second = log_kernel_1d(sigma, _number(params.get("cutoff", 4.0), "cutoff"))
+    summary = (f"log filter: sigma {sigma:.6g} voxels, kernel size {smooth.size}, "
+               f"separable route ({3 * len(axes) - 2} one-axis passes)")
+    return summary, lambda data, _: convolve_laplacian(data, smooth, second, boundary, constant)
 
 
 def _plan_laws(params, axes, boundary, constant):

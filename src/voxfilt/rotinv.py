@@ -17,7 +17,9 @@ rotations of the image.
 Pooling over the rotations (:class:`PooledCascade`) lays its work out
 once, as a trie of steps walked depth first: all-axes pads, one-axis
 passes, and for the average of a multi-level cascade per-axis operators.
-Which steps fill the trie depends on the pool mode and the boundary.
+Which steps fill the trie depends on the pool mode, the boundary and,
+for the average with linear padding, which of two layouts runs fewer
+passes.
 
 Max pooling, and the average of a cascade padded with a non-zero constant,
 group the rotations.  Every rotated stage is matched by value, up to sign,
@@ -53,11 +55,14 @@ only their own axis at each level; both branches start from one pad, and
 the second is folded into the first in place.  Every 3-D wavelet subband
 repeats a letter, so its groups hold every reversal pattern equally often
 and only S = {} survives: 6.B runs 8 one-axis passes instead of the
-grouped 40, and 7.B 12 instead of 38.  The leaves are folded in as the walk
-finishes them (depth first, each node's children in the order they were
-first laid out) and the average is then divided by the number of
-rotations, so averages move by ulps against summing every rotation in
-table order.
+grouped 40, and 7.B 12 instead of 38.  A 2-D level-2 LH or HL cascade
+keeps more terms, each running both branches per axis: 32 passes against
+the groups' 14.  So the average is laid out both ways and keeps the
+layout with fewer passes, the terms on a tie (6.A: 8 either way).  The
+leaves are folded in as the walk finishes them (depth first, each node's
+children in the order they were first laid out) and the average is then
+divided by the number of rotations, so averages move by ulps against
+summing every rotation in table order.
 
 Every other pooling, over Gabor orientations and over the three plane
 stacks of :func:`orthogonal_plane_average`, goes through :func:`pool`.
@@ -208,27 +213,34 @@ class PooledCascade:
         self.kernels = []
         self._index = {}  # kernel bytes, zeros unsigned -> position in self.kernels
         linear = boundary != "constant" or constant == 0.0
+        layouts = [self._groups(table, linear)]
         if pool_mode == "average" and linear:
-            leaves = self._terms(table)
-        else:
-            leaves = self._groups(table, linear)
+            layouts.insert(0, self._terms(table))
+        # the layout with fewer passes, the regrouped terms on a tie
+        self._trie, self.passes, self.leaves, self._divisor = min(
+            (self._layout(leaves) for leaves in layouts), key=lambda layout: layout[1])
+
+    def _layout(self, leaves):
+        """The trie over ``leaves``, its passes per call, its leaf count and
+        the final divisor of the average."""
         # An average leaf holds its weight over the smallest weight, which the
         # final division takes back, so equal weights cost no multiply.
-        self._divisor = self.rotations
-        if pool_mode == "average" and leaves:
+        divisor = self.rotations
+        if self.pool_mode == "average" and leaves:
             unit = min(abs(weight) for weight in leaves.values())
             leaves = {steps: weight / unit for steps, weight in leaves.items()}
-            self._divisor = self.rotations / unit
+            divisor = self.rotations / unit
         # Leaves hold a group's sign counts (max) or a term's weight (average).
-        self._trie, self.passes, self.leaves = {}, 0, len(leaves)
+        trie, passes = {}, 0
         for steps, leaf in leaves.items():
-            node = self._trie
+            node = trie
             for step in steps[:-1]:
                 if step not in node:
-                    self.passes += self._pass_count(step)
+                    passes += self._pass_count(step)
                 node = node.setdefault(step, {})
-            self.passes += self._pass_count(steps[-1])
+            passes += self._pass_count(steps[-1])
             node[steps[-1]] = leaf
+        return trie, passes, len(leaves), divisor
 
     def _kernel(self, kernel) -> int:
         """Position of ``kernel`` among the distinct kernels, added if new."""

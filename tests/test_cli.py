@@ -524,7 +524,8 @@ class TestRunCommand:
         ])
         assert code == 0
         err = capsys.readouterr().err
-        assert "log filter: sigma 1.5 voxels, kernel size 13" in err.splitlines()
+        assert ("log filter: sigma 1.5 voxels, kernel size 13, separable route "
+                "(7 one-axis passes)") in err.splitlines()
 
     def test_logs_pooling_of_laws_filter(self, tmp_path, capsys):
         src, mask, _ = self._fixture(tmp_path)

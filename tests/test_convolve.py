@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from voxfilt.convolve import (
     convolve_bank,
     convolve_fourier,
     convolve_full,
+    convolve_laplacian,
     convolve_separable,
     fast_grid,
     fft_forward,
@@ -22,7 +24,7 @@ from voxfilt.convolve import (
     kernel_to_transfer,
 )
 import voxfilt.convolve
-from voxfilt.kernels import GaborParams, gabor_kernel
+from voxfilt.kernels import GaborParams, gabor_kernel, log_kernel, log_kernel_1d
 
 from dispatch import digests_at_dispatch_levels
 from oracles import conv_brute, conv_taploop
@@ -168,6 +170,47 @@ class TestConvolveSeparable:
         np.testing.assert_allclose(a, c, atol=1e-10)
 
 
+class TestConvolveLaplacian:
+    """The LoG's separable sum against its dense kernel on the spatial route."""
+
+    @pytest.mark.parametrize("cutoff", [3.0, 4.0])
+    @pytest.mark.parametrize("sigma", [0.7, 1.5, 2.5])
+    @pytest.mark.parametrize("shape", [(11, 9, 7), (5, 14, 9), (13, 7), (9, 5)])
+    @pytest.mark.parametrize("mode, constant",
+                             [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 0.7)])
+    def test_matches_dense_kernel(self, mode, constant, shape, sigma, cutoff):
+        # odd, non-cubic shapes; with sigma 1.5 and cutoff 4 (M = 13, margin
+        # 6) the 5-voxel axes are shorter than the margin
+        image = np.random.default_rng(len(shape) + int(10 * sigma)).normal(size=shape) * 100
+        smooth, second = log_kernel_1d(sigma, cutoff)
+        got = convolve_laplacian(image, smooth, second, mode, constant)
+        want = convolve_full(image, log_kernel(sigma, len(shape), cutoff), mode, constant,
+                             via="spatial")
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("ndim, passes", [(1, 1), (2, 4), (3, 7)])
+    def test_runs_3d_minus_2_passes_from_one_pad(self, monkeypatch, ndim, passes):
+        calls = {"pad": 0, "pass": 0}
+        originals = voxfilt.convolve.pad, voxfilt.convolve.axis_pass
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(voxfilt.convolve, "pad", counted("pad", originals[0]))
+        monkeypatch.setattr(voxfilt.convolve, "axis_pass", counted("pass", originals[1]))
+        smooth, second = log_kernel_1d(1.0)
+        convolve_laplacian(np.ones((6, 5, 4)[:ndim]), smooth, second, "mirror")
+        assert calls == {"pad": 1, "pass": passes}
+
+    def test_factors_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            convolve_laplacian(np.zeros((6, 6)), np.ones(3), np.ones(5), "mirror")
+
+
 class TestConvolvePlanes:
     @pytest.mark.parametrize("mode", BOUNDARY_MODES)
     @pytest.mark.parametrize("shape", [(5, 5), (4, 6)], ids=["odd", "even"])
@@ -249,6 +292,51 @@ class TestConvolveBank:
         for plane, got in zip(planes, results):
             uncached = list(convolve_bank(plane, kernels, "mirror"))
             assert [r.tobytes() for r in got] == [r.tobytes() for r in uncached]
+
+
+def _rolled_transfer(kernel, grid):
+    """A kernel's transfer built by zero-filling the grid and rolling it."""
+    buf = np.zeros(grid, dtype=kernel.dtype)
+    buf[tuple(slice(0, m) for m in kernel.shape)] = kernel
+    buf = np.roll(buf, [-(m // 2) for m in kernel.shape], axis=range(kernel.ndim))
+    return fft_forward(buf, grid, real=not np.iscomplexobj(kernel))
+
+
+class TestConvolveBankBytes:
+    """The bank's in-place steps keep the bytes of the plain product chain."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_out_of_place_chain(self, kind):
+        rng = np.random.default_rng(36)
+        image = rng.normal(size=(13, 10, 9)) * 100
+        kernels = [rng.normal(size=(5, 3, 7)) for _ in range(3)]
+        if kind == "complex":
+            kernels = [k + 1j * rng.normal(size=k.shape) for k in kernels]
+        real = kind == "real"
+        padded = voxfilt.convolve.pad(image, [2, 1, 3], "nearest")
+        grid = fast_grid(padded.shape)
+        spectrum = fft_forward(padded, grid, real)
+        crop = (slice(2, 15), slice(1, 11), slice(3, 12))
+        for kernel, got in zip(kernels, convolve_bank(image, kernels, "nearest")):
+            transfer = _rolled_transfer(kernel, grid)
+            assert kernel_to_transfer(kernel, grid).tobytes() == transfer.tobytes()
+            want = fft_inverse(spectrum * transfer, grid, crop, real)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_peak_memory(self):
+        # one 13^3 LoG kernel at 56^3: 12.2x the float64 input with the padded
+        # block held, a rolled transfer and an out-of-place product; 8.2x
+        # without (bound: that plus 10%)
+        image = np.random.default_rng(37).normal(size=(56, 56, 56))
+        kernel = log_kernel(1.5, 3)
+        list(convolve_bank(image, [kernel], "mirror"))
+        tracemalloc.start()
+        try:
+            (out,) = convolve_bank(image, [kernel], "mirror")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.0 * image.nbytes, peak / image.nbytes
 
 
 class TestFFTHelper:

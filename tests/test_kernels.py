@@ -13,6 +13,7 @@ from voxfilt.kernels import (
     laws_energy,
     laws_response,
     log_kernel,
+    log_kernel_1d,
     mean_kernel,
     mean_kernel_1d,
     truncated_support,
@@ -71,9 +72,42 @@ class TestLogKernel:
         for sigma in (0.3, 1.1, 2.5, 5.0):
             assert log_kernel(sigma, 2).shape[0] % 2 == 1
 
+    @pytest.mark.parametrize("sigma", [0.7, 1.5, 2.5])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [3.0, 4.0])
+    def test_sum_of_outer_products(self, sigma, ndim, cutoff):
+        # the dense kernel is the sum over axes of h along the axis and g
+        # along the others, and the continuous profile sampled directly
+        g, h = log_kernel_1d(sigma, cutoff)
+        outer = 0.0
+        for axis in range(ndim):
+            term = np.ones(())
+            for other in range(ndim):
+                term = np.multiply.outer(term, h if other == axis else g)
+            outer = outer + term
+        kernel = log_kernel(sigma, ndim, cutoff)
+        scale = np.max(np.abs(kernel))
+        assert np.max(np.abs(kernel - outer)) <= 1e-15 * scale
+        offsets = np.arange(g.size) - g.size // 2
+        r2 = sum(x**2 for x in np.meshgrid(*[offsets] * ndim, indexing="ij", sparse=True))
+        profile = (-(ndim - r2 / sigma**2) / sigma**2 * np.exp(-r2 / (2.0 * sigma**2))
+                   / (np.sqrt(2.0 * np.pi) * sigma) ** ndim)
+        assert np.max(np.abs(kernel - profile)) <= 1e-15 * scale
+
+    def test_factors(self):
+        g, h = log_kernel_1d(1.5)
+        assert g.shape == h.shape == (13,)
+        np.testing.assert_array_equal(g, g[::-1])
+        np.testing.assert_array_equal(h, h[::-1])
+        assert g[6] == 1.0 / (np.sqrt(2.0 * np.pi) * 1.5)
+        assert h[6] == pytest.approx(-g[6] / 1.5**2, rel=1e-15)
+        np.testing.assert_allclose(g.sum(), 1.0, rtol=1e-4)  # truncated at 4 sigma
+
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             log_kernel(0.0, 2)
+        with pytest.raises(ValueError):
+            log_kernel_1d(-1.0)
         with pytest.raises(ValueError):
             log_kernel(1.0, 2, d=-1.0)
 

@@ -1,16 +1,19 @@
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import voxfilt.convolve
 import voxfilt.pipeline
 import voxfilt.riesz
 
 from voxfilt.features import intensity_statistics
 from voxfilt.image import RoiMask, VolumeImage, create_image, round_half_away
 from voxfilt.boundary import BOUNDARY_MODES
-from voxfilt.kernels import GaborParams, gabor_kernel, laws_energy, mean_kernel_1d
+from voxfilt.kernels import GaborParams, gabor_kernel, laws_energy, log_kernel, mean_kernel_1d
 from voxfilt.convolve import convolve_full, convolve_separable, kernel_to_transfer
 from voxfilt.pipeline import (
     FilterConfig,
@@ -410,7 +413,8 @@ class TestPlanFilter:
     def test_log_summary_uses_filtered_axes(self):
         filt = FilterConfig("log", {"sigma_mm": 1.5})
         plan = plan_filter(filt, (1.0, 1.0, 3.0), "2d")
-        assert plan.summary == "log filter: sigma 1.5 voxels, kernel size 13"
+        assert plan.summary == ("log filter: sigma 1.5 voxels, kernel size 13, "
+                                "separable route (4 one-axis passes)")
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 3.0), "3d")
 
@@ -553,6 +557,93 @@ def _spatial_gabor(volume, bank, pool_mode, boundary, constant):
     return out
 
 
+def _refuse_convolve_full(monkeypatch, what):
+    """Make every voxfilt module's convolve_full raise."""
+    original = voxfilt.convolve.convolve_full
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} took the convolve_full route")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "voxfilt" and getattr(module, "convolve_full", None) is original:
+            monkeypatch.setattr(module, "convolve_full", refuse)
+
+
+class TestLogRoute:
+    """The LoG plan runs as separable passes, never as its dense kernel."""
+
+    @pytest.mark.parametrize("mode, passes", [("2d", 4), ("3d", 7)])
+    def test_separable_passes_only(self, monkeypatch, mode, passes):
+        _refuse_convolve_full(monkeypatch, "the LoG")
+        calls = []
+        original = voxfilt.convolve.axis_pass
+        monkeypatch.setattr(voxfilt.convolve, "axis_pass",
+                            lambda *args: calls.append(args[1]) or original(*args))
+        plan = plan_filter(FilterConfig("log", {"sigma_vox": 1.5}), (1.0, 1.0, 1.0), mode)
+        assert plan.summary.endswith(f"separable route ({passes} one-axis passes)")
+        volume = np.random.default_rng(27).normal(size=(9, 8, 7))
+        assert plan.run(volume).shape == (9, 8, 7)
+        slices = 7 if mode == "2d" else 1
+        assert len(calls) == passes * slices
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("boundary, constant", [("mirror", 0.0), ("constant", 0.7)])
+    def test_matches_dense_kernel(self, mode, boundary, constant):
+        volume = np.random.default_rng(28).normal(size=(11, 9, 6)) * 100
+        plan = plan_filter(FilterConfig("log", {"sigma_vox": 1.2, "cutoff": 3.0}),
+                           (1.0, 1.0, 1.0), mode, boundary, constant)
+        got = plan.run(volume)
+        if mode == "3d":
+            want = convolve_full(volume, log_kernel(1.2, 3, 3.0), boundary, constant,
+                                 via="spatial")
+        else:
+            kernel = log_kernel(1.2, 2, 3.0)
+            want = np.stack([convolve_full(volume[:, :, i], kernel, boundary, constant,
+                                           via="spatial") for i in range(6)], axis=2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_op_peak_memory(self):
+        # the 3.B op at 56^3: the dense 13^3 kernel through the FFT peaked at
+        # 12.2x the float64 input, the separable passes at 4.74x (bound: that
+        # plus 10%)
+        image = np.random.default_rng(42).normal(size=(56, 56, 56))
+        plan = plan_filter(FilterConfig("log", {"sigma_mm": 1.5, "cutoff": 4.0}),
+                           (1.0, 1.0, 1.0), "3d", "mirror")
+        tracemalloc.start()
+        try:
+            plan.run(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.2 * image.nbytes, peak / image.nbytes
+
+
+_LOG_CONFIG_PROBE = """
+import hashlib, os, sys
+import numpy as np
+from voxfilt.image import RoiMask, create_image
+from voxfilt.pipeline import load_config, run_configuration
+data = np.random.default_rng(101).normal(size=(14, 13, 9)) * 300.0 - 200.0
+image = create_image(data.shape, (1.5, 1.5, 2.5), data)
+mask = RoiMask(np.ones(image.dims, dtype=bool))
+digest = hashlib.sha256()
+for name in ("3.A", "3.B"):
+    _, config = load_config(os.path.join(sys.argv[1], name + ".yaml"))
+    response, _, features = run_configuration(image, mask, config)
+    digest.update(np.ascontiguousarray(response.data).tobytes())
+    digest.update(repr(features).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_log_configs_do_not_depend_on_simd_dispatch():
+    # 3.A and 3.B response and feature bytes on the check input: the taps are
+    # math.exp samples and the passes are real multiply-adds
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    results = digests_at_dispatch_levels(_LOG_CONFIG_PROBE, configs)
+    assert {digest for _, digest in results} == {results[0][1]}, results
+
+
 class TestGaborRoute:
     """The Gabor plan's per-slice FFT route against per-slice spatial convolution."""
 
@@ -599,12 +690,7 @@ class TestGaborRoute:
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_never_calls_convolve_full(self, monkeypatch, mode):
-        import voxfilt.pipeline
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("Gabor took the convolve_full route")
-
-        monkeypatch.setattr(voxfilt.pipeline, "convolve_full", refuse)
+        _refuse_convolve_full(monkeypatch, "Gabor")
         filt, _ = self._case(2.0, 3.0, 1.0, np.pi / 2, "average", mode)
         plan = plan_filter(filt, (1.0, 1.0, 1.0), mode)
         assert "FFT route" in plan.summary

@@ -328,7 +328,8 @@ class TestPool:
         regrouped = PooledCascade([[g1], [g2], [g3]], "average", "periodise")(image)
         np.testing.assert_allclose(regrouped, direct, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("family, subband", [("db3", "HHH"), ("db2", "LH")])
+    @pytest.mark.parametrize("family, subband",
+                             [("db3", "HHH"), ("db2", "LH"), ("haar", "HL"), ("db3", "HH")])
     def test_two_level_average_equals_averaged_composite_kernel(self, family, subband):
         # With wrap padding every rotation's two-level cascade is one circular
         # convolution with its per-axis composite kernels (stage 1 * stage 2),
@@ -370,6 +371,7 @@ _STAGE_SETS = {
     "db3-HHH-2": _swt_stages("db3", 2, "HHH", 3),
     "haar-LH-1": _swt_stages("haar", 1, "LH", 2),
     "db2-LH-2": _swt_stages("db2", 2, "LH", 2),
+    "haar-HL-2": _swt_stages("haar", 2, "HL", 2),
     "db3-LH-1": _swt_stages("db3", 1, "LH", 2),
     "db3-HH-2": _swt_stages("db3", 2, "HH", 2),
     # three distinct stages, neither symmetric nor antisymmetric on two axes,
@@ -446,19 +448,24 @@ class TestPooledCascade:
         pooled, work = self._counted_call(_STAGE_SETS[name], "max", monkeypatch)
         assert (pooled.leaves, *work) == (groups, passes, pads)
 
-    # the average with linear padding runs the regrouped terms: (stage set,
-    # terms, 1-D passes, pads) per call
-    @pytest.mark.parametrize("name, terms, passes, pads", [
+    # the average with linear padding runs the regrouped terms or the
+    # rotation groups, whichever takes fewer passes (the terms on a tie):
+    # (stage set, leaves, 1-D passes, pads) per call
+    @pytest.mark.parametrize("name, leaves, passes, pads", [
         ("L5E5E5", 0, 0, 0),      # cancels: every term holds a zero kernel
         ("db3-LLH-1", 3, 8, 1),   # 6.B: 40 passes in the trie
         ("db3-HHH-2", 1, 12, 9),  # 7.B: 38 passes and 9 pads in the trie
         ("L5E5", 0, 0, 0),
-        ("db3-LH-1", 4, 8, 1),    # 6.A: the trie's 8 passes and 1 pad
+        ("db3-LH-1", 4, 8, 1),    # 6.A: the trie's 8 passes and 1 pad, a tie
         ("db3-HH-2", 1, 8, 6),    # 7.A: 14 passes and 5 pads in the trie
+        # the trie: the terms take 32 passes and 24 pads
+        ("db2-LH-2", 4, 14, 5),
+        ("haar-HL-2", 4, 14, 5),
+        ("E5L5-L5E5", 2, 8, 3),
     ])
-    def test_average_work_count(self, name, terms, passes, pads, monkeypatch):
+    def test_average_work_count(self, name, leaves, passes, pads, monkeypatch):
         pooled, work = self._counted_call(_STAGE_SETS[name], "average", monkeypatch)
-        assert (pooled.leaves, *work) == (terms, passes, pads)
+        assert (pooled.leaves, *work) == (leaves, passes, pads)
 
     def test_grouping_is_built_once(self, monkeypatch):
         pooled = PooledCascade(_STAGE_SETS["db3-HHH-2"], "max", "mirror")
