@@ -39,6 +39,7 @@ __all__ = [
     "convolve_full",
     "convolve_separable",
     "convolve_laplacian",
+    "laplacian_passes",
     "convolve_bank",
     "convolve_fourier",
     "fourier_grid",
@@ -122,8 +123,7 @@ def fft_forward(block, grid, real: bool = False) -> np.ndarray:
     return (np.fft.rfftn if real else np.fft.fftn)(block, s=tuple(grid), axes=axes)
 
 
-def fft_inverse(spectrum, grid, crop=None, real: bool = False,
-                overwrite: bool = False) -> np.ndarray:
+def fft_inverse(spectrum, grid, crop=None, real: bool = False) -> np.ndarray:
     """Inverse DFT on ``grid``, kept only on the per-axis slices ``crop``.
 
     The axes are inverted one at a time, in the order of ``numpy.fft``'s
@@ -131,8 +131,10 @@ def fft_inverse(spectrum, grid, crop=None, real: bool = False,
     axes in order, then the real inverse of the last), and each axis is
     cropped as soon as it is done, so later axes transform only the rows
     that are kept.  Every row meets the arithmetic of the full inverse, so
-    the result has the bytes of the full inverse cropped afterwards.  With
-    ``overwrite`` the first axis is inverted in place, in ``spectrum``.
+    the result has the bytes of the full inverse cropped afterwards.  The
+    axes up to the first crop, the first axis at least, are inverted in
+    place: the function takes ownership of ``spectrum``, a complex array,
+    and leaves it overwritten; pass a copy to keep it.
     """
     ndim = len(grid)
 
@@ -141,8 +143,7 @@ def fft_inverse(spectrum, grid, crop=None, real: bool = False,
 
     out = spectrum
     for axis in range(ndim - 1) if real else reversed(range(ndim)):
-        in_place = overwrite and out is spectrum
-        out = kept(np.fft.ifft(out, axis=axis, out=out if in_place else None), axis)
+        out = kept(np.fft.ifft(out, axis=axis, out=out if out is spectrum else None), axis)
     if real:
         out = kept(np.fft.irfft(out, n=grid[-1], axis=ndim - 1), ndim - 1)
     return out
@@ -181,9 +182,14 @@ def convolve_separable(image, kernels, boundary: str, constant: float = 0.0) -> 
     return out
 
 
+def laplacian_passes(ndim: int) -> int:
+    """The one-axis passes :func:`convolve_laplacian` runs on a ``ndim``-D image."""
+    return 3 * ndim - 2
+
+
 def convolve_laplacian(image, smooth, second, boundary: str, constant: float = 0.0) -> np.ndarray:
     """Convolve with the sum over axes d of ``second`` along d and ``smooth``
-    along every other axis, as 3D - 2 one-axis passes.
+    along every other axis, as 3D - 2 one-axis passes (:func:`laplacian_passes`).
 
     This is how the Laplacian of a separable kernel factors (the LoG, with
     the factors of :func:`voxfilt.kernels.log_kernel_1d`).  The image is
@@ -273,7 +279,7 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
     for real kernels, with real responses, else on the whole grid, with
     complex ones.  Each kernel then costs one product with its transfer and
     one inverse DFT pruned to the image, whose first axis runs in place in
-    the product; the padded block is dropped once it is transformed.  The
+    the product (:func:`fft_inverse`); the padded block is dropped once it is transformed.  The
     transfers depend only on the kernels and the grid, so with a
     ``transfers`` cache they are built once per bank and grid
     (:func:`cached_transfer`).  The entry is keyed by the
@@ -297,7 +303,7 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
             spectra.append(spectra[0] * transfer)
         else:
             spectra[0] *= transfer
-        yield fft_inverse(spectra.pop(), grid, crop, real, overwrite=True)
+        yield fft_inverse(spectra.pop(), grid, crop, real)
 
 
 def fourier_grid(dims, half: bool = False):

@@ -22,7 +22,13 @@ import numpy as np
 import yaml
 
 from .boundary import BOUNDARY_MODES
-from .convolve import TransferCache, convolve_bank, convolve_laplacian, convolve_separable
+from .convolve import (
+    TransferCache,
+    convolve_bank,
+    convolve_laplacian,
+    convolve_separable,
+    laplacian_passes,
+)
 from .features import diagnostics, intensity_statistics
 from .image import RoiMask, VolumeImage, _integral, _is_number, map_slices, round_half_away
 from .kernels import (
@@ -483,7 +489,7 @@ def _plan_log(params, axes, boundary, constant):
     sigma = _scale_param(params, "sigma", axes, "the LoG filter")
     smooth, second = log_kernel_1d(sigma, _number(params.get("cutoff", 4.0), "cutoff"))
     summary = (f"log filter: sigma {sigma:.6g} voxels, kernel size {smooth.size}, "
-               f"separable route ({3 * len(axes) - 2} one-axis passes)")
+               f"separable route ({laplacian_passes(len(axes))} one-axis passes)")
     return summary, lambda data, _: convolve_laplacian(data, smooth, second, boundary, constant)
 
 
