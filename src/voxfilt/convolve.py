@@ -10,11 +10,20 @@ with ``f_ext`` the boundary-extended image.  Padding uses a margin of
 Accumulation is in 64-bit floats with a fixed summation order, so repeated
 runs are bit-identical.
 
+Every function here filters the trailing axes of its input and leaves any
+leading (batch) axes alone: a stack of k planes, shape (k, n1, n2), is
+filtered plane by plane, with the bytes each plane would get on its own.
+The number of filtered axes comes from the kernels (one 1-D kernel per
+axis, or the dimensionality of a dense kernel or a transfer), or from an
+explicit ``ndim`` where nothing else carries it; the padding gives the
+batch axes a margin of 0.
+
 The Fourier path multiplies DFTs (Hadamard product), which implies periodise
 boundary handling.  Every DFT in voxfilt goes through one helper here:
 :func:`fft_forward` and :func:`fft_inverse`, on ``numpy.fft`` with explicit
-axes.  Spatial kernels reach it through one function, :func:`convolve_bank`,
-which ``convolve_full``'s Fourier route and the Gabor bank both call: it pads
+trailing axes.  Spatial kernels reach it through one function,
+:func:`convolve_bank`, which ``convolve_full``'s Fourier route and the
+Gabor bank both call: it pads
 the image like the spatial path, zero-fills the block up to
 :func:`fast_grid`'s 2^a 3^b 5^c lengths (the circular wrap stays inside the
 margin on any grid at least as large as the block, so the cropped result
@@ -89,7 +98,7 @@ def half_shape(dims) -> tuple:
 class TransferCache:
     """Transfers built once per key, for one run of one filter.
 
-    The slices of one run may execute on several threads: the first to ask
+    The slabs of one run may execute on several threads: the first to ask
     for a missing key builds it while the others wait for it.
     """
 
@@ -113,18 +122,29 @@ def cached_transfer(transfers: TransferCache | None, key, build):
     return build() if transfers is None else transfers.get(key, build)
 
 
+def _batch_margins(ndim: int, margins) -> tuple:
+    """One margin per axis of an ``ndim``-D array whose trailing axes take
+    ``margins``: the leading (batch) axes get 0."""
+    margins = tuple(int(m) for m in margins)
+    if len(margins) > ndim:
+        raise ValueError(f"{len(margins)} filtered axes for a {ndim}-D image")
+    return (0,) * (ndim - len(margins)) + margins
+
+
 def fft_forward(block, grid, real: bool = False) -> np.ndarray:
-    """DFT of ``block`` zero-filled to ``grid`` at the high end of each axis.
+    """DFT of the trailing ``len(grid)`` axes of ``block``, each zero-filled to
+    ``grid`` at its high end; leading axes are a batch.
 
     With ``real`` the block must be real and only the half spectrum of the
     last axis is computed (:func:`half_shape`).
     """
-    axes = tuple(range(len(grid)))
+    axes = tuple(range(-len(grid), 0))
     return (np.fft.rfftn if real else np.fft.fftn)(block, s=tuple(grid), axes=axes)
 
 
 def fft_inverse(spectrum, grid, crop=None, real: bool = False) -> np.ndarray:
-    """Inverse DFT on ``grid``, kept only on the per-axis slices ``crop``.
+    """Inverse DFT on ``grid``, the trailing axes of ``spectrum``, kept only on
+    the per-axis slices ``crop``; leading axes are a batch.
 
     The axes are inverted one at a time, in the order of ``numpy.fft``'s
     ``ifftn`` (last axis first) or, with ``real``, ``irfftn`` (the leading
@@ -138,14 +158,14 @@ def fft_inverse(spectrum, grid, crop=None, real: bool = False) -> np.ndarray:
     """
     ndim = len(grid)
 
-    def kept(out, axis):
-        return out if crop is None else out[(slice(None),) * axis + (crop[axis],)]
+    def kept(out, axis):  # axis counts from the end, -ndim to -1
+        return out if crop is None else out[(..., crop[axis]) + (slice(None),) * (-1 - axis)]
 
     out = spectrum
-    for axis in range(ndim - 1) if real else reversed(range(ndim)):
+    for axis in range(-ndim, -1) if real else range(-1, -ndim - 1, -1):
         out = kept(np.fft.ifft(out, axis=axis, out=out if out is spectrum else None), axis)
     if real:
-        out = kept(np.fft.irfft(out, n=grid[-1], axis=ndim - 1), ndim - 1)
+        out = kept(np.fft.irfft(out, n=grid[-1], axis=-1), -1)
     return out
 
 
@@ -161,35 +181,40 @@ def _as_float_or_complex(kernel: np.ndarray) -> np.ndarray:
 def convolve_separable(image, kernels, boundary: str, constant: float = 0.0) -> np.ndarray:
     """Convolve with an outer-product kernel as successive 1-D passes.
 
-    ``kernels`` holds one 1-D kernel per axis, applied in axis order (g1 along
-    k1, then g2 along k2, then g3 along k3).  The whole halo, corners
-    included, is imputed once up front, so the result matches dense
-    convolution of the outer-product kernel for every boundary mode.
+    ``kernels`` holds one 1-D kernel per filtered axis, the trailing axes of
+    ``image``, applied in axis order (g1 along k1, then g2 along k2, then g3
+    along k3).  The whole halo, corners included, is imputed once up front,
+    so the result matches dense convolution of the outer-product kernel for
+    every boundary mode.
     """
     image = np.asarray(image, dtype=np.float64)
-    if len(kernels) != image.ndim:
+    if not 1 <= len(kernels) <= image.ndim:
         raise ValueError(f"{len(kernels)} kernels for a {image.ndim}-D image")
     kernels = [_as_float_or_complex(np.atleast_1d(g)) for g in kernels]
     for g in kernels:
         if g.ndim != 1:
             raise ValueError("separable kernels must be one-dimensional")
-    margins = [g.shape[0] // 2 for g in kernels]
-    out = pad(image, margins, boundary, constant)
+    shape = image.shape
+    out = pad(image, _batch_margins(image.ndim, [g.shape[0] // 2 for g in kernels]),
+              boundary, constant)
+    del image  # a temporary passed in is freed before the passes
     if any(np.iscomplexobj(g) for g in kernels):
         out = out.astype(np.complex128)
-    for axis, g in enumerate(kernels):
-        out = axis_pass(out, axis, g, image.shape[axis])
+    for axis, g in zip(range(-len(kernels), 0), kernels):
+        out = axis_pass(out, axis, g, shape[axis])
     return out
 
 
 def laplacian_passes(ndim: int) -> int:
-    """The one-axis passes :func:`convolve_laplacian` runs on a ``ndim``-D image."""
+    """The one-axis passes :func:`convolve_laplacian` runs over ``ndim`` axes."""
     return 3 * ndim - 2
 
 
-def convolve_laplacian(image, smooth, second, boundary: str, constant: float = 0.0) -> np.ndarray:
+def convolve_laplacian(image, smooth, second, boundary: str, constant: float = 0.0,
+                       ndim: int | None = None) -> np.ndarray:
     """Convolve with the sum over axes d of ``second`` along d and ``smooth``
     along every other axis, as 3D - 2 one-axis passes (:func:`laplacian_passes`).
+    The D = ``ndim`` filtered axes are the trailing ones, all axes by default.
 
     This is how the Laplacian of a separable kernel factors (the LoG, with
     the factors of :func:`voxfilt.kernels.log_kernel_1d`).  The image is
@@ -205,17 +230,18 @@ def convolve_laplacian(image, smooth, second, boundary: str, constant: float = 0
     if smooth.ndim != 1 or smooth.shape != second.shape:
         raise ValueError("the smoothing and second-derivative factors must be 1-D "
                          "kernels of one length")
-    padded = pad(image, smooth.shape[0] // 2, boundary, constant)
-    total = axis_pass(padded, 0, second, image.shape[0])
-    smoothed = axis_pass(padded, 0, smooth, image.shape[0]) if image.ndim > 1 else None
+    ndim = image.ndim if ndim is None else ndim
+    padded = pad(image, _batch_margins(image.ndim, (smooth.shape[0] // 2,) * ndim),
+                 boundary, constant)
+    total = axis_pass(padded, -ndim, second, image.shape[-ndim])
+    smoothed = axis_pass(padded, -ndim, smooth, image.shape[-ndim]) if ndim > 1 else None
     del padded
-    for axis in range(1, image.ndim):
+    for axis in range(1 - ndim, 0):
         # the old sum goes first, so that at most one old block is alive
         # while the next axis's blocks are built
         total = axis_pass(total, axis, smooth, image.shape[axis])
         total += axis_pass(smoothed, axis, second, image.shape[axis])
-        smoothed = (axis_pass(smoothed, axis, smooth, image.shape[axis])
-                    if axis < image.ndim - 1 else None)
+        smoothed = axis_pass(smoothed, axis, smooth, image.shape[axis]) if axis < -1 else None
     return total
 
 
@@ -223,9 +249,10 @@ def axis_pass(block, axis: int, kernel, size: int) -> np.ndarray:
     """One 1-D pass of a separable convolution: ``kernel`` along ``axis``.
 
     ``block`` is padded by ``len(kernel) // 2`` voxels on both sides of
-    ``axis``, which the pass consumes: the result has ``size`` voxels there
-    and ``block``'s extent on every other axis.
+    ``axis`` (negative counts from the end), which the pass consumes: the
+    result has ``size`` voxels there and ``block``'s extent on every other axis.
     """
+    axis %= block.ndim
     shape = [1] * block.ndim
     shape[axis] = kernel.shape[0]
     out_shape = block.shape[:axis] + (size,) + block.shape[axis + 1:]
@@ -273,7 +300,8 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
                   transfers: TransferCache | None = None):
     """Yield each kernel's response to ``image`` through FFTs, from one forward DFT.
 
-    The ``kernels`` share one shape and are all real or all complex.  The
+    The ``kernels`` share one shape and are all real or all complex; they
+    filter the trailing axes of ``image``, one per kernel axis.  The
     image is padded as on the spatial route, by M // 2 voxels per axis, and
     transformed on :func:`fast_grid` of the padded block: on the half grid
     for real kernels, with real responses, else on the whole grid, with
@@ -290,14 +318,16 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
     shape = np.shape(kernels[0])
     if any(np.shape(k) != shape for k in kernels):
         raise ValueError("the kernels of a bank must share one shape")
+    margins = _batch_margins(image.ndim, [m // 2 for m in shape])
+    dims = image.shape[image.ndim - len(shape):]
     real = not np.iscomplexobj(kernels[0])
-    grid = fast_grid(n + 2 * (m // 2) for n, m in zip(image.shape, shape))
+    grid = fast_grid(n + 2 * (m // 2) for n, m in zip(dims, shape))
     _, bank = cached_transfer(transfers, ("bank", id(kernels), grid),
                               lambda: (kernels, [kernel_to_transfer(k, grid) for k in kernels]))
     # The spectrum travels in a list, so that the last kernel's product can
     # take over its memory and no frame holds a product across a yield.
-    spectra = [fft_forward(pad(image, [m // 2 for m in shape], boundary, constant), grid, real)]
-    crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(shape, image.shape))
+    spectra = [fft_forward(pad(image, margins, boundary, constant), grid, real)]
+    crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(shape, dims))
     for position, transfer in enumerate(bank):
         if position < len(bank) - 1:
             spectra.append(spectra[0] * transfer)
@@ -356,7 +386,9 @@ def convolve_fourier(image, transfer) -> np.ndarray:
     """Filter by Hadamard product in the Fourier domain.
 
     Periodisation of the image content is implicit.  ``transfer`` is given
-    on the image's whole DFT grid or on its half grid (:func:`half_shape`).
+    on the whole DFT grid of the image's trailing ``transfer.ndim`` axes or
+    on its half grid (:func:`half_shape`), and broadcasts over the leading
+    (batch) axes.
     On the whole grid the real part of the inverse DFT is returned: for
     conjugate-symmetric transfer functions (real-valued point spread) it is
     the whole response, and for the odd Riesz orders it drops only the
@@ -368,11 +400,14 @@ def convolve_fourier(image, transfer) -> np.ndarray:
     """
     image = np.asarray(image, dtype=np.float64)
     transfer = np.asarray(transfer)
-    real = transfer.shape != image.shape
-    if real and transfer.shape != half_shape(image.shape):
-        raise ValueError(f"transfer dims {transfer.shape} fit neither the grid {image.shape} "
-                         f"nor its half grid {half_shape(image.shape)}")
-    spectrum = fft_forward(image, image.shape, real)
+    if not 1 <= transfer.ndim <= image.ndim:
+        raise ValueError(f"a {transfer.ndim}-D transfer cannot filter a {image.ndim}-D image")
+    dims = image.shape[image.ndim - transfer.ndim:]
+    real = transfer.shape != dims
+    if real and transfer.shape != half_shape(dims):
+        raise ValueError(f"transfer dims {transfer.shape} fit neither the grid {dims} "
+                         f"nor its half grid {half_shape(dims)}")
+    spectrum = fft_forward(image, dims, real)
     spectrum *= transfer
-    out = fft_inverse(spectrum, image.shape, real=real)
+    out = fft_inverse(spectrum, dims, real=real)
     return out if real else out.real

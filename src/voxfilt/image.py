@@ -8,6 +8,7 @@ fastest-varying index in memory (the same layout NIfTI uses on disk).
 
 from __future__ import annotations
 
+import threading
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -140,27 +141,58 @@ def interior_region(dims, margin) -> np.ndarray:
     return mask
 
 
-def map_slices(volume, op, threads: int = 1) -> np.ndarray:
-    """Apply a 2-D operation to every (k1, k2) slice of a 3-D array.
+# Voxels per slab, the unit of work of map_slices: 4 planes of 128^2.  A slab
+# batches its planes through every numpy call of a 2-D op, so the threads
+# spend longer in numpy's loops, which release the interpreter lock, per
+# call into the interpreter.  Measured on the ten 2-D configs over
+# 128 x 128 x 32 at two threads (2-core x86-64, best of 5 passes): 2, 4 and
+# 8 planes took a pass from 515 ms to 399, 346 and 396 ms and moved the
+# process's RSS after two passes by -0.5, +1.8 and +7.7 MB (63.3 MB
+# before): each worker's allocator keeps its largest slab working set, the
+# aligned Riesz filter's, about 7x the slab.
+_SLAB_VOXELS = 4 * 128 * 128
 
-    With ``threads`` > 1 the slices run on a thread pool, so memory holds
-    one slice's working set per thread.  Each result is stored at its own
-    index, so the output does not depend on the thread count.  A result
-    whose shape differs from its slice is rejected.
+
+def map_slices(volume, op, threads: int = 1) -> np.ndarray:
+    """Apply a 2-D operation to every (k1, k2) slice of a 3-D array, in slabs.
+
+    A slab, the unit of work, is a run of consecutive slices, as many as
+    fit in ``_SLAB_VOXELS`` voxels (4 planes of 128^2; one plane at least).
+    ``op`` takes each slab as a C-ordered float64 stack of shape (k, n1, n2),
+    one plane per slice, and returns a stack of that shape in which each
+    plane is filtered on its own.  With ``threads`` > 1 the calling thread
+    and ``threads`` - 1 helper threads take the slabs in turn, so memory
+    holds one slab's working set per thread.  Each result is stored at its
+    own indices, so the output depends neither on the thread count nor on
+    the slab size.  A result whose shape differs from its stack is rejected.
     """
+    n1, n2, count = volume.shape
+    planes = max(1, _SLAB_VOXELS // (n1 * n2))
     out = np.empty(volume.shape, dtype=np.float64, order="F")
 
-    def run(index):
-        piece = op(volume[:, :, index])
-        if np.shape(piece) != volume.shape[:2]:
-            raise ValueError("per-slice operation must preserve slice dimensions")
-        out[:, :, index] = piece
+    def run(start):
+        slab = slice(start, start + planes)
+        stack = np.ascontiguousarray(np.moveaxis(volume[:, :, slab], 2, 0), dtype=np.float64)
+        piece = op(stack)
+        if np.shape(piece) != stack.shape:
+            raise ValueError("per-slab operation must preserve slice dimensions")
+        out[:, :, slab] = np.moveaxis(piece, 0, 2)
 
-    indices = range(volume.shape[2])
-    if threads > 1:
-        with futures.ThreadPoolExecutor(max_workers=threads) as executor:
-            list(executor.map(run, indices))  # re-raises the first failure
-    else:
-        for index in indices:
-            run(index)
+    starts = iter(range(0, count, planes))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            run(start)
+
+    # the calling thread is one of the workers
+    with futures.ThreadPoolExecutor(max_workers=max(1, threads - 1)) as executor:
+        helpers = [executor.submit(drain) for _ in range(threads - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()  # re-raises a helper's failure
     return out

@@ -64,14 +64,19 @@ def truncated_support(sigma: float, d: float) -> int:
 
 
 def gaussian_kernel_1d(sigma: float, d: float = 4.0) -> np.ndarray:
-    """Sampled Gaussian normalised to unit sum; same support rule as the LoG."""
+    """Sampled Gaussian normalised to unit sum; same support rule as the LoG.
+
+    Each tap is one ``math.exp`` of a Python float, as in
+    :func:`log_kernel_1d`, so the bytes do not depend on numpy's SIMD
+    dispatch level.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if d <= 0:
         raise ValueError(f"truncation parameter must be positive, got {d}")
     m = truncated_support(sigma, d)
-    offsets = np.arange(m, dtype=np.float64) - m // 2
-    taps = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    taps = np.array([math.exp(-(t * t) / (2.0 * sigma**2))
+                     for t in range(-(m // 2), m // 2 + 1)])
     return taps / taps.sum()
 
 
@@ -141,11 +146,13 @@ def laws_response(image, names, boundary: str, constant: float = 0.0) -> np.ndar
     return convolve_separable(image, [laws_1d(n) for n in names], boundary, constant)
 
 
-def laws_energy(response, delta: int, boundary: str, constant: float = 0.0) -> np.ndarray:
+def laws_energy(response, delta: int, boundary: str, constant: float = 0.0,
+                ndim: int | None = None) -> np.ndarray:
     """Texture energy: mean of |response| over the Chebyshev-delta window.
 
     Implemented as a separable mean filter of width 2*delta + 1 applied to the
-    absolute response, using the same boundary mode as the first pass.
+    absolute response, using the same boundary mode as the first pass.  The
+    window spans the trailing ``ndim`` axes, all axes by default.
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
@@ -153,7 +160,8 @@ def laws_energy(response, delta: int, boundary: str, constant: float = 0.0) -> n
     if delta == 0:
         return magnitude
     g = mean_kernel_1d(2 * delta + 1)
-    return convolve_separable(magnitude, [g] * magnitude.ndim, boundary, constant)
+    ndim = magnitude.ndim if ndim is None else ndim
+    return convolve_separable(magnitude, [g] * ndim, boundary, constant)
 
 
 @dataclass(frozen=True)

@@ -444,11 +444,13 @@ class FilterPlan:
 
 # Each planner takes the parameters, the spacing of the filtered axes, the
 # boundary mode and its constant, and returns (summary, op).  Every op is
-# ``op(data, transfers)``: it filters a volume, or one slice when plan_filter
-# runs it slice by slice.  ``transfers`` is one TransferCache per per-slice
-# run, so the Fourier-domain and Gabor ops build their transfers once per
-# grid and run, and None for a whole volume; the spatial ops ignore it (``_``).
-# The ops look library functions up by name when they execute.
+# ``op(data, transfers)``: it filters the trailing len(axes) axes of ``data``,
+# a whole volume, or a (k, n1, n2) stack of planes when plan_filter maps it
+# over slabs, whose leading axis is a batch.  ``transfers`` is one
+# TransferCache per slab-mapped run, so the Fourier-domain and Gabor ops
+# build their transfers once per plane grid and run, and None for a whole
+# volume; the spatial ops ignore it (``_``).  The ops look library functions
+# up by name when they execute.
 
 
 def _needs_switch(params, switch, keys, what):
@@ -490,7 +492,8 @@ def _plan_log(params, axes, boundary, constant):
     smooth, second = log_kernel_1d(sigma, _number(params.get("cutoff", 4.0), "cutoff"))
     summary = (f"log filter: sigma {sigma:.6g} voxels, kernel size {smooth.size}, "
                f"separable route ({laplacian_passes(len(axes))} one-axis passes)")
-    return summary, lambda data, _: convolve_laplacian(data, smooth, second, boundary, constant)
+    return summary, lambda data, _: convolve_laplacian(data, smooth, second, boundary,
+                                                       constant, len(axes))
 
 
 def _plan_laws(params, axes, boundary, constant):
@@ -509,7 +512,8 @@ def _plan_laws(params, axes, boundary, constant):
     if delta < 0:
         raise ValueError(f"Laws energy_delta must be >= 0, got {delta}")
     return (f"laws filter: kernels {text}{pooling}, energy delta {delta} voxels",
-            lambda data, transfers: laws_energy(op(data, transfers), delta, boundary, constant))
+            lambda data, transfers: laws_energy(op(data, transfers), delta, boundary,
+                                                constant, ndim))
 
 
 def _plan_gabor(params, axes, boundary, constant):
@@ -576,7 +580,8 @@ def _plan_nonseparable(params, axes, boundary, constant):
                             _integral(params["level"], "nonseparable level"))
     applied = _fourier_domain(axes, boundary, constant, "the nonseparable filter")
     summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
-    return summary, lambda data, transfers: nonseparable_b_map(data, profile, transfers)
+    return summary, lambda data, transfers: nonseparable_b_map(data, profile, transfers,
+                                                               len(axes))
 
 
 def _plan_riesz(params, axes, boundary, constant):
@@ -635,12 +640,15 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     ``spacing`` is the volume's spacing in mm.  The plan's ``run`` filters
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
     the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
-    grid and averages its slice responses over the three plane stacks.
-    Gabor filters one slice at a time through the FFT in both modes.  The
-    layout is fixed here; each per-slice run gives all its slices one
-    TransferCache.  The decimated wavelet runs in 3-D mode only, without
-    rotation invariance.  A non-zero ``constant`` needs the constant boundary
-    and a spatial filter.
+    grid and averages its plane responses over the three plane stacks.
+    Planes are filtered in slabs (:func:`voxfilt.image.map_slices`): the op
+    gets runs of consecutive planes, up to 4 of 128^2, as one (k, n1, n2)
+    stack whose leading axis is a batch, and the slabs run on ``threads``
+    threads, so memory holds one slab's working set per thread.  Gabor
+    filters planes through the FFT in both modes.  The layout is fixed
+    here; each slab-mapped run gives all its slabs one TransferCache.  The
+    decimated wavelet runs in 3-D mode only, without rotation invariance.
+    A non-zero ``constant`` needs the constant boundary and a spatial filter.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
@@ -696,7 +704,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
         if slices is None:
             return op(volume, None)
         transfers = TransferCache()
-        return slices(volume, lambda plane: op(plane, transfers), threads)
+        return slices(volume, lambda stack: op(stack, transfers), threads)
 
     return FilterPlan(summary, run)
 

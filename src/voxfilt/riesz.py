@@ -122,13 +122,18 @@ def riesz_filtered_maps(image, profile: RadialProfile, indices,
     """Band-passed Riesz responses, (band x spectrum) x steering, as an
     iterator of (index, map) pairs; each map's inverse DFT runs when it is taken.
 
-    Everything runs on the half spectrum of the last axis, so each map is
-    real from its inverse DFT on.  A filter run's cache ``transfers`` builds
-    the band and each steering transfer once per image shape.
+    Each index has one entry per filtered axis: those are the trailing
+    axes of ``image``, and any leading ones are a batch that the transfers,
+    built on the filtered axes' grid, broadcast over.  Everything runs on
+    the half spectrum of the last axis, so each map is real from its inverse
+    DFT on.  A filter run's cache ``transfers`` builds the band and each
+    steering transfer once per grid.
     """
     image = np.asarray(image, dtype=np.float64)
-    indices = [_check_index(l, image.ndim) for l in indices]
-    dims = image.shape
+    indices = [tuple(l) for l in indices]
+    ndim = min(len(indices[0]), image.ndim) if indices else image.ndim
+    indices = [_check_index(l, ndim) for l in indices]
+    dims = image.shape[image.ndim - ndim:]
     band = fft_forward(image, dims, real=True)
     band *= cached_transfer(transfers, ("radial", profile, dims),
                             lambda: radial_transfer(profile, dims, half=True))
@@ -148,24 +153,29 @@ def riesz_filtered_map(image, profile: RadialProfile, l,
 def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
     """Gaussian-regularised gradient-energy tensors, packed: dims + (D(D+1)/2,).
 
-    ``gradients`` are the D first-order Riesz responses of one band, in axis
-    order.  Each product r_i r_j is smoothed with a unit-sum Gaussian of
-    ``sigma_vox`` voxels on every axis; the smoothing uses the periodise
-    boundary, matching the Fourier-domain origin of the components.  The
-    tensors are symmetric, so only the distinct products are stored, row by
-    row of the upper triangle: (T11, T12, T22) in 2-D and (T11, T12, T13,
-    T22, T23, T33) in 3-D.
+    ``gradients`` are the D = 2 or 3 first-order Riesz responses of one band,
+    in axis order; they filter the trailing D axes of the maps, whose
+    leading axes are a batch.  Each product r_i r_j is smoothed with a
+    unit-sum Gaussian of ``sigma_vox`` voxels on every filtered axis; the
+    smoothing uses the periodise boundary, matching the Fourier-domain
+    origin of the components.  The tensors are symmetric, so only the
+    distinct products are stored, row by row of the upper triangle: (T11,
+    T12, T22) in 2-D and (T11, T12, T13, T22, T23, T33) in 3-D.
     """
     gradients = [np.asarray(g, dtype=np.float64) for g in gradients]
     ndim = len(gradients)
-    if ndim < 1 or any(g.shape != gradients[0].shape or g.ndim != ndim for g in gradients):
-        raise ValueError(f"need one gradient map per axis, all of one shape; got {ndim} maps")
-    dims = gradients[0].shape
+    if ndim not in _DIRECTIONS or any(g.shape != gradients[0].shape or g.ndim < ndim
+                                      for g in gradients):
+        raise ValueError(f"need one gradient map per axis, 2 or 3 maps of one shape; "
+                         f"got {ndim} maps")
     window = (gaussian_kernel_1d(sigma_vox),) * ndim
     pairs = [(i, j) for i in range(ndim) for j in range(i, ndim)]
-    tensors = np.empty(dims + (len(pairs),), dtype=np.float64)
+    tensors = np.empty(gradients[0].shape + (len(pairs),), dtype=np.float64)
     for k, (i, j) in enumerate(pairs):
-        tensors[..., k] = convolve_separable(gradients[i] * gradients[j], window, "periodise")
+        np.multiply(gradients[i], gradients[j], out=tensors[..., k])
+    del gradients  # gradients passed in a temporary list are freed before the smoothing
+    for k in range(len(pairs)):
+        tensors[..., k] = convolve_separable(tensors[..., k], window, "periodise")
     return tensors
 
 
@@ -314,7 +324,8 @@ def align_order2(responses, tensors) -> np.ndarray:
 
     ``responses`` yields (index, map) pairs in ``riesz_indices(2, D)`` order,
     each folded in as it arrives.  ``tensors`` is a packed :func:`structure_tensor`
-    result, shape dims + (D(D+1)/2,), D = 2 or 3.  The steered value is the
+    result, shape dims + (D(D+1)/2,), D = 2 or 3; dims may lead with batch
+    axes, as every step is voxelwise.  The steered value is the
     second directional derivative along u, sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u,
     computed straight from the unnormalised eigenvector u; it is even in u,
     and IEEE products are sign-symmetric, so no sign or length rule is
@@ -345,8 +356,10 @@ def align_order2(responses, tensors) -> np.ndarray:
     del tensors, field
 
     wanted = riesz_indices(2, ndim)
-    total = taken = 0
-    for taken, (l, h) in enumerate(responses, 1):
+    total, taken = np.zeros(dims), 0
+    # no enumerate: its cached result would keep the previous map alive
+    for l, h in responses:
+        taken += 1
         l = _check_index(l, ndim)
         if taken > len(wanted) or l not in wanted:
             raise ValueError(f"unexpected response index {l}")
@@ -356,9 +369,18 @@ def align_order2(responses, tensors) -> np.ndarray:
         h = np.asarray(h, dtype=np.float64)
         if h.shape != dims:
             raise ValueError(f"response {l} dims {h.shape} do not match tensor grid {dims}")
-        # u^l as the two axes it multiplies
+        # u^l as the two axes it multiplies; in place, in the order of
+        # total + c * u_i * u_j * h
         i, j = (axis for axis, p in enumerate(l) for _ in range(p))
-        total = total + multinomial_coefficient(l) * u[i] * u[j] * h
+        term = multinomial_coefficient(l) * u[i]
+        term *= u[j]
+        term *= h
+        total += term
+        del h, term  # before the next map's inverse DFT runs
     if taken < len(wanted):
         raise ValueError(f"order-2 response set incomplete, missing {list(wanted[taken:])}")
-    return total / sum(ui * ui for ui in u)
+    norm = u[0] * u[0]
+    for ui in u[1:]:
+        norm += ui * ui
+    total /= norm
+    return total

@@ -76,7 +76,7 @@ import math
 import numpy as np
 
 from .boundary import pad
-from .convolve import axis_pass, convolve_separable
+from .convolve import _batch_margins, axis_pass, convolve_separable
 from .image import map_slices
 
 __all__ = [
@@ -199,10 +199,11 @@ class PooledCascade:
     """A cascade pooled over all right-angle rotations, planned once.
 
     Building it picks the evaluation order and lays it out as a trie of
-    steps (see the module docstring); calling it walks the trie.  The trie
-    is read-only afterwards, so slice threads can share one object.  A call
-    runs ``passes`` one-axis passes and folds ``leaves`` responses into the
-    pool.
+    steps (see the module docstring); calling it walks the trie on the
+    trailing ``ndim`` axes of its image, whose leading axes are a batch.
+    The trie is read-only afterwards, so slab threads can share one object.
+    A call runs ``passes`` one-axis passes and folds ``leaves`` responses
+    into the pool.
     """
 
     def __init__(self, stage_lists, pool_mode: str, boundary: str, constant: float = 0.0):
@@ -320,7 +321,7 @@ class PooledCascade:
 
     def __call__(self, image) -> np.ndarray:
         image = np.asarray(image, dtype=np.float64)
-        if image.ndim != self.ndim:
+        if image.ndim < self.ndim:
             raise ValueError(f"a {self.ndim}-D cascade cannot filter a {image.ndim}-D image")
         pooled = []
         self._walk(self._trie, [image], image.shape, pooled)
@@ -345,15 +346,20 @@ class PooledCascade:
                 self._fold(out.pop(), child, pooled)
 
     def _step(self, step, held, shape) -> np.ndarray:
-        """Run one step on the block in ``held``, taking it out of the list."""
+        """Run one step on the block in ``held``, taking it out of the list.
+
+        A step's axis counts the filtered axes; on the array it is that
+        axis counted from the end, past any batch axes.
+        """
         if step[0] == "pad":
-            return pad(held.pop(), step[1], self.boundary, self.constant)
+            return pad(held.pop(), _batch_margins(len(shape), step[1]), self.boundary,
+                       self.constant)
+        axis = step[1] - self.ndim
         if step[0] == "pass":
-            _, axis, kernel = step
-            return axis_pass(held.pop(), axis, self.kernels[kernel], shape[axis])
+            return axis_pass(held.pop(), axis, self.kernels[step[2]], shape[axis])
         # P or M of several levels: the forward stages plus or minus the
         # reversed ones, each branch padding only its own axis
-        _, axis, source, minus = step
+        _, _, source, minus = step
         margins = [0] * len(shape)
         margins[axis] = self._forward[source][0].size // 2
         start = [pad(held.pop(), margins, self.boundary, self.constant)]
@@ -448,16 +454,18 @@ def gabor_orientation_set(dtheta: float) -> list:
     return [i * dtheta for i in range(count)]
 
 
-def orthogonal_plane_average(volume, per_slice_2d_op, threads: int = 1) -> np.ndarray:
-    """Mean of a 2-D operation applied slice-wise in the three plane stacks.
+def orthogonal_plane_average(volume, op, threads: int = 1) -> np.ndarray:
+    """Mean of a 2-D operation applied in the three plane stacks.
 
-    The operation runs on every (k1,k2), (k1,k3) and (k2,k3) slice in
-    turn; the three resulting volumes are averaged voxelwise.  Each stack's
-    slices are mapped with ``threads`` workers (:func:`map_slices`), which
-    never changes the result.
+    The (k1,k2), (k1,k3) and (k2,k3) planes are filtered in turn and the
+    three resulting volumes are averaged voxelwise.  ``op`` has the stack
+    contract of :func:`map_slices`: it filters each plane of a C-ordered
+    (k, n1, n2) slab and returns a stack of the same shape.  Each plane
+    stack is mapped in slabs with ``threads`` workers, which never changes
+    the result.
     """
     vol = np.asarray(volume, dtype=np.float64)
     if vol.ndim != 3:
         raise ValueError("orthogonal-plane averaging needs a 3-D volume")
-    return pool((np.moveaxis(map_slices(np.moveaxis(vol, axis, 2), per_slice_2d_op, threads),
-                             2, axis) for axis in (2, 1, 0)), "average")
+    return pool((np.moveaxis(map_slices(np.moveaxis(vol, axis, 2), op, threads), 2, axis)
+                 for axis in (2, 1, 0)), "average")

@@ -252,15 +252,18 @@ def radial_transfer(profile: RadialProfile, dims, half: bool = False) -> np.ndar
 
 
 def nonseparable_b_map(image, profile: RadialProfile,
-                       transfers: TransferCache | None = None) -> np.ndarray:
+                       transfers: TransferCache | None = None,
+                       ndim: int | None = None) -> np.ndarray:
     """Band-pass response map of ``profile`` computed directly in the
-    Fourier domain.
+    Fourier domain, on the trailing ``ndim`` axes (all axes by default).
 
     The radial transfer is real and even, so it is applied on the half
-    spectrum.  A filter run's cache ``transfers`` builds it once per image
-    shape.
+    spectrum, built on the filtered axes' grid and broadcast over any
+    leading (batch) axes.  A filter run's cache ``transfers`` builds it once
+    per grid.
     """
     image = np.asarray(image, dtype=np.float64)
-    transfer = cached_transfer(transfers, ("radial", profile, image.shape),
-                               lambda: radial_transfer(profile, image.shape, half=True))
+    dims = image.shape if ndim is None else image.shape[image.ndim - ndim:]
+    transfer = cached_transfer(transfers, ("radial", profile, dims),
+                               lambda: radial_transfer(profile, dims, half=True))
     return convolve_fourier(image, transfer)

@@ -152,8 +152,11 @@ class TestConvolveSeparable:
         np.testing.assert_array_equal(convolve_separable(img, [[1.0], [1.0]], "mirror"), img)
 
     def test_axis_count_mismatch(self):
+        # fewer kernels than axes filter the trailing axes; more cannot fit
         with pytest.raises(ValueError):
-            convolve_separable(np.zeros((4, 4)), [[1.0]], "mirror")
+            convolve_separable(np.zeros((4, 4)), [[1.0]] * 3, "mirror")
+        with pytest.raises(ValueError):
+            convolve_separable(np.zeros((4, 4)), [], "mirror")
 
     def test_pass_order_commutes(self):
         rng = np.random.default_rng(10)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import voxfilt.image
 from voxfilt.image import (
     VolumeImage,
     RoiMask,
@@ -115,6 +116,39 @@ class TestWithData:
 class TestMapSlices:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rejects_shape_changing_op(self, threads):
-        # a (k1, 1) result would broadcast into the slice if it were not checked
+        # a (k, k1, 1) result would broadcast into the slab if it were not checked
         with pytest.raises(ValueError, match="slice dimensions"):
-            map_slices(np.zeros((4, 3, 2)), lambda s: s[:, :1], threads)
+            map_slices(np.zeros((4, 3, 2)), lambda s: s[:, :, :1], threads)
+
+    @pytest.mark.parametrize("planes", [None, 1, 3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_call_per_slab(self, monkeypatch, planes, threads):
+        # 128 x 128 x 32: 32 / (planes per slab) calls, each on a C-ordered
+        # float64 stack of consecutive planes, written back at its own indices
+        if planes is not None:
+            monkeypatch.setattr(voxfilt.image, "_SLAB_VOXELS", planes * 128 * 128)
+        per_slab = voxfilt.image._SLAB_VOXELS // (128 * 128)
+        volume = np.asfortranarray(np.arange(128 * 128 * 32, dtype=np.int32)
+                                   .reshape(128, 128, 32))
+        calls = []
+
+        def op(stack):
+            assert stack.flags.c_contiguous and stack.dtype == np.float64
+            calls.append(stack.shape)
+            return -stack
+
+        out = map_slices(volume, op, threads)
+        assert len(calls) == -(-32 // per_slab)
+        assert sorted(calls, reverse=True) == [(per_slab, 128, 128)] * (32 // per_slab) + (
+            [(32 % per_slab, 128, 128)] if 32 % per_slab else [])
+        assert out.flags.f_contiguous
+        np.testing.assert_array_equal(out, -volume)
+
+    def test_default_slab_is_four_planes_of_128_squared(self):
+        assert voxfilt.image._SLAB_VOXELS == 4 * 128 * 128
+
+    def test_slab_holds_one_plane_at_least(self, monkeypatch):
+        monkeypatch.setattr(voxfilt.image, "_SLAB_VOXELS", 1)
+        calls = []
+        map_slices(np.zeros((4, 3, 2)), lambda s: calls.append(s.shape) or s, 1)
+        assert calls == [(1, 4, 3)] * 2

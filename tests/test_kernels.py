@@ -1,5 +1,7 @@
 """Kernel builder tests: exact taps, size rules, derived constants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from voxfilt.kernels import (
     gabor_bandwidth_ratio,
     gabor_kernel,
     gabor_response_modulus,
+    gaussian_kernel_1d,
     laws_1d,
     laws_energy,
     laws_response,
@@ -18,6 +21,8 @@ from voxfilt.kernels import (
     mean_kernel_1d,
     truncated_support,
 )
+
+from dispatch import digests_at_dispatch_levels
 
 
 class TestMeanKernel:
@@ -44,6 +49,37 @@ class TestMeanKernel:
             mean_kernel(4, 2)
         with pytest.raises(ValueError):
             mean_kernel_1d(0)
+
+
+# the structure-tensor windows of the shipped and benchmarked grids, and more
+_GAUSSIAN_SIGMAS = (0.5, 0.8, 1.0, 1.3, 1.5, 2.0, 2.5, 3.7)
+
+
+class TestGaussianKernel:
+    @pytest.mark.parametrize("sigma", _GAUSSIAN_SIGMAS)
+    def test_taps_are_math_exp_samples(self, sigma):
+        m = truncated_support(sigma, 4.0)
+        samples = [math.exp(-(t * t) / (2.0 * sigma**2)) for t in range(-(m // 2), m // 2 + 1)]
+        taps = gaussian_kernel_1d(sigma)
+        assert taps.tobytes() == (np.array(samples) / np.sum(samples)).tobytes()
+        np.testing.assert_array_equal(taps, taps[::-1])
+        assert math.isclose(taps.sum(), 1.0, rel_tol=1e-15)
+
+
+_GAUSSIAN_PROBE = f"""
+import hashlib
+from voxfilt.kernels import gaussian_kernel_1d
+digest = hashlib.sha256()
+for sigma in {_GAUSSIAN_SIGMAS!r}:
+    digest.update(gaussian_kernel_1d(sigma).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_gaussian_taps_do_not_depend_on_simd_dispatch():
+    # numpy's exp rounds differently per SIMD level; math.exp does not
+    results = digests_at_dispatch_levels(_GAUSSIAN_PROBE)
+    assert {digest for _, digest in results} == {results[0][1]}, results
 
 
 class TestLogKernel:

@@ -7,6 +7,7 @@ import pytest
 from scipy import ndimage
 
 import voxfilt.convolve
+import voxfilt.image
 import voxfilt.pipeline
 import voxfilt.riesz
 
@@ -583,8 +584,8 @@ class TestLogRoute:
         assert plan.summary.endswith(f"separable route ({passes} one-axis passes)")
         volume = np.random.default_rng(27).normal(size=(9, 8, 7))
         assert plan.run(volume).shape == (9, 8, 7)
-        slices = 7 if mode == "2d" else 1
-        assert len(calls) == passes * slices
+        # in 2-D mode the 7 planes fit one slab, which is filtered as a stack
+        assert len(calls) == passes
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("boundary, constant", [("mirror", 0.0), ("constant", 0.7)])
@@ -735,7 +736,7 @@ class TestApplyFilter:
         want = convolve_separable(image.data, (g, g, g), "mirror")
         np.testing.assert_array_equal(out, want)
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(5)
         image = _volume(rng.normal(size=(8, 8, 6)))
         filt = FilterConfig("log", {"sigma_mm": 3.0})
@@ -748,15 +749,20 @@ class TestApplyFilter:
         names = sorted(n for n in os.listdir(TestShippedConfigs._DIR) if n.endswith(".A.yaml"))
         assert len(names) == 11
         names.append("5.B.yaml")  # orthogonal plane stacks
+        # slabs of 1 plane, of 3 planes (5 = 3 + 2), and the whole stack in one
+        planes = {"1 plane": 12 * 11, "3 planes": 3 * 12 * 11, "whole stack": 10**9}
         for name in names:
             _, config = load_config(os.path.join(TestShippedConfigs._DIR, name))
             serial, _, serial_features = run_configuration(image, mask, config, threads=1)
-            # three threads share a Gabor stack's slices unevenly
-            for threads in (2, 3) if name.startswith("5.") else (2,):
-                threaded, _, threaded_features = run_configuration(image, mask, config,
-                                                                   threads=threads)
-                assert threaded.data.tobytes() == serial.data.tobytes(), (name, threads)
-                assert threaded_features == serial_features, (name, threads)
+            for slab, voxels in planes.items():
+                monkeypatch.setattr(voxfilt.image, "_SLAB_VOXELS", voxels)
+                # three threads share the slabs unevenly
+                for threads in (1, 2, 3):
+                    threaded, _, threaded_features = run_configuration(image, mask, config,
+                                                                       threads=threads)
+                    assert threaded.data.tobytes() == serial.data.tobytes(), (name, slab, threads)
+                    assert threaded_features == serial_features, (name, slab, threads)
+            monkeypatch.undo()
 
     def test_laws_mode_mismatch(self):
         image = _volume(np.zeros((4, 4, 4)))
@@ -995,7 +1001,8 @@ class TestApplyFilter:
                                    "align": True, "sigma_tensor_mm": 2.0}),
             "2d",
         )
-        assert calls == [(8, 8)] * 3
+        # one stacked spectrum for the slab of three planes
+        assert calls == [(3, 8, 8)]
 
     @pytest.mark.parametrize("kind,params", [
         ("nonseparable", {"wavelet": "simoncelli", "level": 1}),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxfilt.image
 import voxfilt.rotinv
 from voxfilt.convolve import convolve_full, convolve_separable
 from voxfilt.kernels import laws_1d
@@ -554,7 +555,25 @@ class TestOrthogonalPlaneAverage:
 
     def test_rejects_shape_changing_op(self):
         with pytest.raises(ValueError):
-            orthogonal_plane_average(np.zeros((4, 4, 4)), lambda s: s[:2, :2])
+            orthogonal_plane_average(np.zeros((4, 4, 4)), lambda s: s[:, :2, :2])
+
+    @pytest.mark.parametrize("planes", [1, 2, 100])
+    def test_op_gets_stacks_of_each_plane_orientation(self, monkeypatch, planes):
+        # every op call is one slab: a C-ordered (k, n1, n2) stack of planes
+        monkeypatch.setattr(voxfilt.image, "_SLAB_VOXELS", planes * 4 * 5)
+        calls = []
+
+        def op(stack):
+            assert stack.flags.c_contiguous
+            calls.append(stack.shape)
+            return stack
+
+        vol = np.random.default_rng(3).normal(size=(4, 5, 6))
+        np.testing.assert_allclose(orthogonal_plane_average(vol, op), vol, rtol=0, atol=1e-15)
+        planes_by_stack = {(4, 5): 6, (4, 6): 5, (5, 6): 4}
+        assert {shape[1:] for shape in calls} == set(planes_by_stack)
+        for plane, count in planes_by_stack.items():
+            assert sum(k for k, *rest in calls if tuple(rest) == plane) == count
 
     def test_spherical_input_planes_agree_at_centre(self):
         n = 17
