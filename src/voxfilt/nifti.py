@@ -60,6 +60,9 @@ _MAGIC_SINGLE = b"n+1\x00"
 _MAGIC_PAIR = b"ni1\x00"
 _GZIP_MAGIC = b"\x1f\x8b"
 _PIECE_BYTES = 1 << 16
+# gzip member header: deflate, no flags, mtime 0, no extra flags, OS unknown
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
+_STORED_BLOCK = 0xFFFF  # the largest stored deflate block
 
 # NIfTI-1 datatype codes for the supported voxel types.
 DATATYPE_CODES = {
@@ -257,18 +260,18 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     reads back.  A 76-byte ``orientation`` block from a previously read
     header is embedded verbatim.
 
-    Gzip output is one zlib stream at level 6 with run-length deflate
-    (``Z_RLE``), fed the header and then the payload in slices.  Float
-    responses gain nothing from LZ77's match search: at 128^3 they keep
-    0.926 of their raw size against 0.927 with the default strategy, in
-    about a quarter of the time.  Repetitive data pays: 1.B's
-    integer-valued f32 response keeps 0.518 against 0.440 (+18%), 2.B's
-    mean of integers 0.902 against 0.746 (+21%), a u8 sphere mask 0.0078
-    against 0.0066, while i16 noise shrinks (0.747 against 0.762).  zlib
-    writes the gzip header, with no timestamp and zlib's own OS byte, and
-    the CRC/size trailer.  Identical volumes produce identical files with
-    one zlib build; the decompressed payload is the same with any zlib, so
-    compare gunzipped payloads across machines.
+    Gzip output is framed here, not by zlib: a fixed 10-byte header
+    (``1f 8b 08 00``, mtime 0, XFL 0, OS 255), then the plain .nii file
+    (header, extension, payload) cut into stored deflate blocks of 65535
+    bytes, of which only the last, which carries BFINAL, may be shorter,
+    then the CRC-32 and the size modulo 2^32.  Every file byte is thus a
+    function of the volume alone, on any machine and with any zlib build,
+    and identical volumes give identical files.  Nothing is compressed: a
+    float response is 1.0001 of its raw size, where the earlier run-length
+    deflate (``Z_RLE``) kept 0.924-0.927 for most 56^3 benchmark
+    responses, 0.902 for 2.B, 0.816 for 4.B, 0.518 for 1.B's
+    integer-valued one and 0.005 for a full u8 mask; a 56^3 f32 write
+    takes 1.7 ms instead of 10-15 ms.
     """
     code = DATATYPE_CODES.get(datatype)
     if code is None:
@@ -308,22 +311,24 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     header[344:348] = _MAGIC_SINGLE
 
     # The transpose of a Fortran-ordered array is C-contiguous, so the
-    # payload is a byte view of the cast volume.  It goes out in slices, so
-    # neither the stream nor the compressor holds a second whole copy.
+    # payload is a byte view of the cast volume.  The gzip blocks are slices
+    # of that view, so the cast volume stays the only whole copy.
     payload = memoryview(np.ascontiguousarray(np.asarray(image.data, dtype=dtype).T)).cast("B")
     header += b"\x00\x00\x00\x00"  # empty extension block up to vox_offset
 
     path = str(path)
     with open(path, "wb") as handle:
         if not path.endswith(".gz"):
-            _write_slices(handle.write, header, payload)
+            handle.write(header)
+            handle.write(payload)
             return
-        deflate = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS, 8, zlib.Z_RLE)
-        _write_slices(lambda piece: handle.write(deflate.compress(piece)), header, payload)
-        handle.write(deflate.flush())
-
-
-def _write_slices(write, header, payload) -> None:
-    write(header)
-    for start in range(0, len(payload), _PIECE_BYTES):
-        write(payload[start : start + _PIECE_BYTES])
+        head, size = len(header), len(header) + len(payload)
+        handle.write(_GZIP_HEADER)
+        for start in range(0, size, _STORED_BLOCK):
+            stop = min(start + _STORED_BLOCK, size)
+            handle.write(struct.pack("<BHH", stop == size, stop - start, (stop - start) ^ 0xFFFF))
+            if start == 0:
+                handle.write(header)
+            handle.write(payload[max(start - head, 0) : stop - head])
+        crc = zlib.crc32(payload, zlib.crc32(header))
+        handle.write(struct.pack("<2I", crc, size & 0xFFFFFFFF))

@@ -644,7 +644,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     Planes are filtered in slabs (:func:`voxfilt.image.map_slices`): the op
     gets runs of consecutive planes, up to 4 of 128^2, as one (k, n1, n2)
     stack whose leading axis is a batch, and the slabs run on ``threads``
-    threads, so memory holds one slab's working set per thread.  Gabor
+    threads, so memory holds one slab's working set per thread; the
+    identity copies the whole volume in either mode.  Gabor
     filters planes through the FFT in both modes.  The layout is fixed
     here; each slab-mapped run gives all its slabs one TransferCache.  The
     decimated wavelet runs in 3-D mode only, without rotation invariance.
@@ -684,7 +685,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
         raise ValueError(f"{kind} filter orthogonal_planes applies only in mode 3d; "
                          "in 2d mode every slice is filtered in its own plane")
     axes = tuple(spacing[:2]) if mode == "2d" else tuple(spacing)
-    slices = map_slices if mode == "2d" else None
+    slices = map_slices if mode == "2d" and kind != "none" else None
     if kind == "gabor" and mode == "3d":
         if not params.get("orthogonal_planes", False):
             raise ValueError(

@@ -27,8 +27,21 @@ def _random_image(rng, dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0), dtype=np.floa
 
 
 def _rle_gzip(raw):
+    """``raw`` as earlier writers framed it: one zlib stream, level 6, Z_RLE."""
     deflate = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS, 8, zlib.Z_RLE)
     return deflate.compress(raw) + deflate.flush()
+
+
+def _stored_gzip(raw):
+    """``raw`` as one gzip member built from the specs (RFC 1952, RFC 1951):
+    deflate, no flags, mtime 0, XFL 0, OS 255; stored blocks of 65535
+    bytes, only the last one shorter and final; CRC-32 and ISIZE."""
+    blocks = [raw[start : start + 65535] for start in range(0, len(raw), 65535)]
+    body = b"".join(
+        bytes([index == len(blocks) - 1]) + struct.pack("<HH", len(block), 0xFFFF - len(block))
+        + block for index, block in enumerate(blocks))
+    trailer = struct.pack("<II", zlib.crc32(raw), len(raw) % 2**32)
+    return b"\x1f\x8b\x08\x00" + b"\x00\x00\x00\x00" + b"\x00\xff" + body + trailer
 
 
 class TestRoundTrip:
@@ -119,7 +132,7 @@ class TestGzip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_gzip_payload_is_the_plain_file(self, tmp_path):
-        # the compressed bytes depend on the zlib build; the payload does not
+        # the gzip member holds the plain file's bytes, whatever reads it
         rng = np.random.default_rng(8)
         image = _random_image(rng)
         plain = tmp_path / "vol.nii"
@@ -128,28 +141,60 @@ class TestGzip:
         write_nifti(image, packed, "f32")
         assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
 
-    def test_gzip_header_has_no_timestamp_and_zlibs_flags(self, tmp_path):
-        # deflate, no flags, mtime 0, then the XFL and OS bytes zlib writes
-        path = tmp_path / "vol.nii.gz"
-        write_nifti(_random_image(np.random.default_rng(11), dims=(4, 4, 4)), path, "f32")
-        head = path.read_bytes()[:10]
-        assert head[:8] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
-        assert head[8:] == _rle_gzip(b"")[8:10]
+    def test_gzip_header_has_no_timestamp_and_a_fixed_os_byte(self, tmp_path):
+        # deflate, no flags, mtime 0, no extra flags, OS 255 (unknown), for any data
+        data = np.random.default_rng(11).integers(0, 9, size=(4, 4, 4)).astype(np.float64)
+        for datatype in ("u8", "f32"):
+            path = tmp_path / f"{datatype}.nii.gz"
+            write_nifti(create_image((4, 4, 4), (2.0, 2.0, 2.0), data), path, datatype)
+            assert path.read_bytes()[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
 
     @pytest.mark.parametrize("dims", [(4, 4, 4), (9, 11), (64, 64, 40)])
-    def test_gzip_stream_is_one_rle_deflate_of_the_plain_file(self, tmp_path, dims):
-        # the payload goes out in 64 KiB slices; the stream equals a one-shot pass
+    def test_gzip_file_is_the_stored_stream_of_the_plain_file(self, tmp_path, dims):
+        # the payload goes out in slices; the file equals the spec-built stream
         image = _random_image(np.random.default_rng(12), dims=dims, spacing=(2.0,) * len(dims))
         plain = tmp_path / "vol.nii"
         packed = tmp_path / "vol.nii.gz"
         write_nifti(image, plain, "f32")
         write_nifti(image, packed, "f32")
-        assert packed.read_bytes() == _rle_gzip(plain.read_bytes())
+        assert packed.read_bytes() == _stored_gzip(plain.read_bytes())
+
+    def test_file_of_two_whole_blocks_ends_on_the_second(self, tmp_path):
+        # 352 + 2 x 65359 = 131070 bytes: two full blocks, the second final,
+        # and no empty block after it
+        data = np.random.default_rng(14).integers(0, 256, size=(14, 9337)).astype(np.float64)
+        image = create_image(data.shape, (1.0, 1.0), data)
+        plain = tmp_path / "vol.nii"
+        packed = tmp_path / "vol.nii.gz"
+        write_nifti(image, plain, "u8")
+        write_nifti(image, packed, "u8")
+        raw, stream = plain.read_bytes(), packed.read_bytes()
+        assert len(raw) == 131070
+        assert stream == _stored_gzip(raw)
+        assert len(stream) == 10 + 2 * (5 + 65535) + 8
+        assert stream[10] == 0 and stream[10 + 5 + 65535] == 1
+        back, _ = read_nifti(packed)
+        np.testing.assert_array_equal(back.data, data)
+
+    @pytest.mark.parametrize("datatype", ["u8", "f32"])
+    def test_run_length_deflate_files_still_read(self, tmp_path, datatype):
+        # files from the earlier Z_RLE writer read back voxel-identical
+        data = np.random.default_rng(15).integers(0, 200, size=(20, 18, 7)).astype(np.float64)
+        data[::3] = 0.0
+        image = create_image(data.shape, (1.0, 1.5, 2.5), data)
+        plain = tmp_path / "vol.nii"
+        write_nifti(image, plain, datatype)
+        old = tmp_path / "old.nii.gz"
+        old.write_bytes(_rle_gzip(plain.read_bytes()))
+        back, view = read_nifti(old)
+        np.testing.assert_array_equal(back.data, data)
+        assert back.spacing == (1.0, 1.5, 2.5)
+        assert view.datatype == DATATYPE_CODES[datatype]
 
     @pytest.mark.parametrize("datatype", sorted(DATATYPE_CODES))
     def test_every_datatype_reads_back_from_gzip(self, tmp_path, datatype):
         data = np.random.default_rng(13).integers(0, 200, size=(20, 18, 7)).astype(np.float64)
-        data[::3] = 0.0  # runs for the run-length coder
+        data[::3] = 0.0  # runs, as in masks
         image = create_image(data.shape, (1.0, 1.5, 2.5), data)
         plain = tmp_path / "vol.nii"
         packed = tmp_path / "vol.nii.gz"

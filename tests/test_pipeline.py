@@ -516,6 +516,17 @@ class TestPlanFilter:
             np.testing.assert_array_equal(plan.run(volume, threads), reference)
             assert len(built) == built_per_shape
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_2d_identity_copies_the_volume_without_slabs(self, monkeypatch, threads):
+        def no_slabs(*args):
+            raise AssertionError("the identity went through map_slices")
+
+        monkeypatch.setattr(voxfilt.pipeline, "map_slices", no_slabs)
+        volume = np.asfortranarray(np.random.default_rng(25).normal(size=(8, 9, 5)))
+        out = plan_filter(FilterConfig("none", {}), (1.0, 1.0, 3.0), "2d").run(volume, threads)
+        np.testing.assert_array_equal(out, volume)
+        assert out.flags.f_contiguous and not np.shares_memory(out, volume)
+
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_run_checks_threads_and_volume(self, mode):
         plan = plan_filter(FilterConfig("mean", {"support": 3}), (1.0, 1.0, 1.0), mode)
