@@ -24,7 +24,7 @@ parts = (np.array([1.0, 2.0, 1.0]) / 4, np.array([-1.0, 0.0, 1.0]) / 2, np.array
 dense = np.multiply.outer(np.multiply.outer(parts[0], parts[1]), parts[2])
 
 fast = convolve_separable(volume, parts, "mirror")
-slow = convolve_full(volume, dense, "mirror", via="spatial")
+slow = convolve_full(volume, dense, "mirror")
 print("separable vs dense:", np.max(np.abs(fast - slow)))
 
 # Large kernels are cheaper through the Fourier domain.  The transfer
@@ -32,10 +32,5 @@ print("separable vs dense:", np.max(np.abs(fast - slow)))
 # there equals circular (periodise) convolution here.
 transfer = kernel_to_transfer(dense, volume.shape)
 spectral = convolve_fourier(volume, transfer)
-circular = convolve_full(volume, dense, "periodise", via="spatial")
+circular = convolve_full(volume, dense, "periodise")
 print("fourier vs periodise:", np.max(np.abs(spectral - circular)))
-
-# convolve_full picks the route itself: spatial for small kernels,
-# Fourier once the multiply-accumulate count favours it.
-auto = convolve_full(volume, dense, "periodise")
-print("auto route matches:", np.allclose(auto, circular, atol=1e-12))

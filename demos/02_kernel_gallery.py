@@ -11,17 +11,19 @@ from voxfilt import (
     gabor_response_modulus,
     laws_1d,
     laws_energy,
-    laws_response,
     log_kernel,
-    mean_kernel,
+    mean_kernel_1d,
     truncated_support,
     convolve_full,
+    convolve_separable,
     generate_phantom,
 )
 
 # --- mean -------------------------------------------------------------
-# The simplest smoother: every tap 1/M^D.
-print("mean 3x3 sums to", mean_kernel(3, 2).sum())
+# The simplest smoother: every tap 1/M^D, the outer product of D factors
+# of M taps 1/M each.
+g = mean_kernel_1d(3)
+print("mean 3x3 sums to", np.multiply.outer(g, g).sum())
 
 # --- Laplacian of Gaussian --------------------------------------------
 # Physical scale over voxel spacing gives the voxel-unit sigma; the
@@ -34,7 +36,7 @@ print(f"LoG sigma {sigma} vox -> {size}^3 kernel, sum {log3.sum():.2e}")
 
 # Convolving the impulse phantom stamps the kernel into the volume.
 impulse = generate_phantom("impulse")
-response = convolve_full(impulse.data, log3, "constant", via="spatial")
+response = convolve_full(impulse.data, log3, "constant")
 print("impulse response peak:", response.max(), "at", np.unravel_index(response.argmax(), response.shape))
 
 # --- Laws texture kernels ---------------------------------------------
@@ -46,7 +48,7 @@ for name in ("L5", "E5", "S5", "W5", "R5"):
     print(f"{name}: {np.round(g, 4)}  (norm {np.linalg.norm(g):.1f})")
 
 checker = generate_phantom("checkerboard")
-l5e5e5 = laws_response(checker.data, ("L5", "E5", "E5"), "mirror")
+l5e5e5 = convolve_separable(checker.data, [laws_1d(n) for n in ("L5", "E5", "E5")], "mirror")
 energy = laws_energy(l5e5e5, 7, "mirror")
 print("L5E5E5 energy range:", energy.min(), "-", round(energy.max(), 2))
 

@@ -18,8 +18,8 @@ is PyYAML, for configurations):
 * :mod:`voxfilt.cli`       batch command line interface
 """
 
-from .image import VolumeImage, RoiMask, create_image, interior_region
-from .boundary import BOUNDARY_MODES, extended_index, pad
+from .image import VolumeImage, RoiMask, create_image
+from .boundary import BOUNDARY_MODES, pad
 from .convolve import (
     convolve_full,
     convolve_laplacian,
@@ -35,10 +35,9 @@ from .kernels import (
     gaussian_kernel_1d,
     laws_1d,
     laws_energy,
-    laws_response,
     log_kernel,
     log_kernel_1d,
-    mean_kernel,
+    mean_kernel_1d,
     truncated_support,
 )
 from .rotinv import (

@@ -18,25 +18,26 @@ axis, or the dimensionality of a dense kernel or a transfer), or from an
 explicit ``ndim`` where nothing else carries it; the padding gives the
 batch axes a margin of 0.
 
+The dense spatial path, :func:`convolve_full`, is the reference the other
+routes are checked against; no plan runs it.
+
 The Fourier path multiplies DFTs (Hadamard product), which implies periodise
 boundary handling.  Every DFT in voxfilt goes through one helper here:
 :func:`fft_forward` and :func:`fft_inverse`, on ``numpy.fft`` with explicit
 trailing axes.  Spatial kernels reach it through one function,
-:func:`convolve_bank`, which ``convolve_full``'s Fourier route and the
-Gabor bank both call: it pads
-the image like the spatial path, zero-fills the block up to
-:func:`fast_grid`'s 2^a 3^b 5^c lengths (the circular wrap stays inside the
-margin on any grid at least as large as the block, so the cropped result
-equals the spatial one up to roundoff), fetches the transfers from the
-caller's cache, and crops each axis of the inverse as soon as it is done.
-A real kernel's transfer, and the Fourier-domain filters' transfers on the
-image grid, are conjugate-symmetric, so they are stored on the half grid of
-the last axis and applied with real-input transforms.
+:func:`convolve_bank`, the Gabor bank's route: it pads the image like the
+spatial path, zero-fills the block up to :func:`fast_grid`'s 2^a 3^b 5^c
+lengths (the circular wrap stays inside the margin on any grid at least as
+large as the block, so the cropped result equals the spatial one up to
+roundoff), fetches the transfers from the caller's cache, and crops each
+axis of the inverse as soon as it is done.  A real kernel's transfer, and
+the Fourier-domain filters' transfers on the image grid, are
+conjugate-symmetric, so they are stored on the half grid of the last axis
+and applied with real-input transforms.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -60,16 +61,6 @@ __all__ = [
     "TransferCache",
     "cached_transfer",
 ]
-
-# Under via="auto", a dense job takes the FFT route when its multiply-adds
-# per point of the FFT grid exceed this, by image dimensionality (4-D uses
-# the 3-D value).  Measured crossovers of the two routes for real kernels,
-# medians of 7 alternating timings on a 2-core x86-64 host: 1-D none up to
-# 57 (n <= 1024, M <= 63); 2-D between 20 and 44 (64^2 to 256^2); 3-D
-# between 14 and 19 (12^3 to 48^3).  Small images lean spatial, where the
-# FFT's fixed cost dominates.
-_AUTO_MACS_PER_POINT = {1: 64, 2: 32, 3: 16}
-
 
 def _fast_length(n: int) -> int:
     """The smallest 2^a 3^b 5^c that is at least ``n`` (``n`` >= 1)."""
@@ -259,29 +250,15 @@ def axis_pass(block, axis: int, kernel, size: int) -> np.ndarray:
     return _dense_valid(block, kernel.reshape(shape), out_shape)
 
 
-def convolve_full(image, kernel, boundary: str, constant: float = 0.0,
-                  via: str = "auto") -> np.ndarray:
-    """Dense N-D convolution with explicit boundary handling.
-
-    ``via`` selects the backend: "spatial" accumulates directly, "fourier"
-    evaluates the same linear convolution through FFTs on the padded block
-    (identical up to roundoff), "auto" picks by estimated cost.
-    """
+def convolve_full(image, kernel, boundary: str, constant: float = 0.0) -> np.ndarray:
+    """Dense N-D convolution with explicit boundary handling, accumulated
+    directly in the spatial domain."""
     image = np.asarray(image, dtype=np.float64)
     kernel = _as_float_or_complex(kernel)
     if kernel.ndim != image.ndim:
         raise ValueError(f"kernel ndim {kernel.ndim} does not match image ndim {image.ndim}")
-    if via not in ("auto", "spatial", "fourier"):
-        raise ValueError(f"unknown convolution route {via!r}")
     margins = [m // 2 for m in kernel.shape]
-    if via == "auto":
-        grid = fast_grid(n + 2 * m for n, m in zip(image.shape, margins))
-        per_point = _AUTO_MACS_PER_POINT[min(image.ndim, 3)]
-        via = "fourier" if image.size * kernel.size > per_point * math.prod(grid) else "spatial"
-    if via == "spatial":
-        return _dense_valid(pad(image, margins, boundary, constant), kernel, image.shape)
-    (out,) = convolve_bank(image, [kernel], boundary, constant)
-    return np.ascontiguousarray(out)
+    return _dense_valid(pad(image, margins, boundary, constant), kernel, image.shape)
 
 
 def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarray:

@@ -26,7 +26,6 @@ from .image import RoiMask, VolumeImage
 __all__ = [
     "FeatureValue",
     "FEATURE_IDS",
-    "aggregate_mean",
     "intensity_statistics",
     "diagnostics",
     "format_3sig",
@@ -87,12 +86,6 @@ def _masked_values(response, mask) -> np.ndarray:
         raise ValueError("empty ROI")
     values.sort()
     return values
-
-
-def aggregate_mean(response, mask) -> float:
-    """Mean response over the ROI."""
-    values = _masked_values(response, mask)
-    return float(values.mean())
 
 
 def _ratio_or_zero(numerator: float, denominator: float) -> float:

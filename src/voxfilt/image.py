@@ -19,7 +19,6 @@ __all__ = [
     "RoiMask",
     "create_image",
     "round_half_away",
-    "interior_region",
     "map_slices",
 ]
 
@@ -121,24 +120,6 @@ def _integral(value, what) -> int:
     if not _is_number(value) or not float(value).is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
-
-
-def interior_region(dims, margin) -> np.ndarray:
-    """Boolean mask of voxels at distance >= margin from every face.
-
-    ``margin`` may be a scalar or one value per axis.  The interior must be
-    non-empty: 2*margin < dims on every axis.
-    """
-    dims = tuple(int(n) for n in dims)
-    margins = np.broadcast_to(np.asarray(margin, dtype=int), (len(dims),))
-    if np.any(margins < 0):
-        raise ValueError(f"margin must be non-negative, got {margin}")
-    if any(2 * m >= n for m, n in zip(margins, dims)):
-        raise ValueError(f"margin {tuple(margins)} leaves no interior for dims {dims}")
-    mask = np.zeros(dims, dtype=bool)
-    core = tuple(slice(m, n - m) for m, n in zip(margins, dims))
-    mask[core] = True
-    return mask
 
 
 # Voxels per slab, the unit of work of map_slices: 4 planes of 128^2.  A slab

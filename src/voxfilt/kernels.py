@@ -16,17 +16,14 @@ from .convolve import convolve_full, convolve_separable
 __all__ = [
     "LAWS_NAMES",
     "GaborParams",
-    "mean_kernel",
     "mean_kernel_1d",
     "gaussian_kernel_1d",
     "log_kernel_1d",
     "log_kernel",
     "laws_1d",
-    "laws_response",
     "laws_energy",
     "gabor_kernel",
     "gabor_response_modulus",
-    "gabor_bandwidth_ratio",
     "truncated_support",
 ]
 
@@ -42,13 +39,6 @@ _LAWS_TABLE = {
 }
 
 LAWS_NAMES = tuple(_LAWS_TABLE)
-
-
-def mean_kernel(m: int, ndim: int) -> np.ndarray:
-    """Dense averaging kernel: M^D taps of 1/M^D.  M must be odd."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"mean filter support must be odd and positive, got {m}")
-    return np.full((m,) * ndim, 1.0 / m**ndim)
 
 
 def mean_kernel_1d(m: int) -> np.ndarray:
@@ -138,14 +128,6 @@ def laws_1d(name: str) -> np.ndarray:
         raise ValueError(f"unknown Laws kernel {name!r}, expected one of {LAWS_NAMES}") from None
 
 
-def laws_response(image, names, boundary: str, constant: float = 0.0) -> np.ndarray:
-    """Separable Laws filtering; name order equals axis order (k1 first)."""
-    image = np.asarray(image)
-    if len(names) != image.ndim:
-        raise ValueError(f"{len(names)} kernel names for a {image.ndim}-D image")
-    return convolve_separable(image, [laws_1d(n) for n in names], boundary, constant)
-
-
 def laws_energy(response, delta: int, boundary: str, constant: float = 0.0,
                 ndim: int | None = None) -> np.ndarray:
     """Texture energy: mean of |response| over the Chebyshev-delta window.
@@ -190,13 +172,6 @@ class GaborParams:
         return truncated_support(scale, self.d)
 
 
-def gabor_bandwidth_ratio(f_b: float) -> float:
-    """sigma/wavelength ratio for a half-response bandwidth of f_b octaves."""
-    if f_b <= 0:
-        raise ValueError(f"bandwidth must be positive, got {f_b}")
-    return np.sqrt(np.log(2.0) / 2.0) / np.pi * (2.0**f_b + 1.0) / (2.0**f_b - 1.0)
-
-
 def gabor_kernel(params: GaborParams) -> np.ndarray:
     """Complex 2-D Gabor taps on the truncated square support."""
     m = params.support
@@ -211,9 +186,10 @@ def gabor_kernel(params: GaborParams) -> np.ndarray:
 
 
 def gabor_response_modulus(image2d, params: GaborParams, boundary: str,
-                           constant: float = 0.0, via: str = "auto") -> np.ndarray:
-    """Modulus of the complex Gabor response of one 2-D slice."""
+                           constant: float = 0.0) -> np.ndarray:
+    """Modulus of the complex Gabor response of one 2-D slice, by dense
+    spatial convolution."""
     image2d = np.asarray(image2d)
     if image2d.ndim != 2:
         raise ValueError(f"expected a 2-D slice, got ndim={image2d.ndim}")
-    return np.abs(convolve_full(image2d, gabor_kernel(params), boundary, constant, via=via))
+    return np.abs(convolve_full(image2d, gabor_kernel(params), boundary, constant))

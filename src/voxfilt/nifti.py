@@ -266,12 +266,8 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     bytes, of which only the last, which carries BFINAL, may be shorter,
     then the CRC-32 and the size modulo 2^32.  Every file byte is thus a
     function of the volume alone, on any machine and with any zlib build,
-    and identical volumes give identical files.  Nothing is compressed: a
-    float response is 1.0001 of its raw size, where the earlier run-length
-    deflate (``Z_RLE``) kept 0.924-0.927 for most 56^3 benchmark
-    responses, 0.902 for 2.B, 0.816 for 4.B, 0.518 for 1.B's
-    integer-valued one and 0.005 for a full u8 mask; a 56^3 f32 write
-    takes 1.7 ms instead of 10-15 ms.
+    and identical volumes give identical files.  Nothing is compressed: the
+    file is the plain file's size plus 5 bytes per block and 18 of framing.
     """
     code = DATATYPE_CODES.get(datatype)
     if code is None:

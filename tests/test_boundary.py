@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxfilt.boundary import BOUNDARY_MODES, CONSTANT_SENTINEL, extended_index, pad
+from voxfilt.boundary import BOUNDARY_MODES, pad
 
-from oracles import fold_index
+from oracles import ext_lookup, fold_index
 
 SIGNAL = np.array([1.0, 2.0, 3.0])
 
@@ -17,6 +17,15 @@ def _layouts(a):
     strided[tuple(slice(None, None, 2) for _ in a.shape)] = a
     return (np.ascontiguousarray(a), np.asfortranarray(a),
             strided[tuple(slice(None, None, 2) for _ in a.shape)])
+
+
+def _source_index(k, n: int, mode: str):
+    """The source index that ``pad`` puts at index ``k`` (a scalar or an
+    array) of an ``n``-voxel axis, read off a padded ramp; -1 where the
+    constant mode imputes C."""
+    k = np.asarray(k)
+    margin = int(np.abs(k).max()) + n
+    return pad(np.arange(n, dtype=float), margin, mode, constant=-1.0)[k + margin].astype(int)
 
 
 class TestPadFixtures:
@@ -44,41 +53,43 @@ class TestPadFixtures:
 
 
 class TestExtendedIndex:
+    """The index map of the extension, as ``pad`` realises it."""
+
     def test_mirror_left(self):
-        assert extended_index(-1, 3, "mirror") == 1
+        assert _source_index(-1, 3, "mirror") == 1
 
     def test_periodise_wrap(self):
-        assert extended_index(3, 3, "periodise") == 0
+        assert _source_index(3, 3, "periodise") == 0
 
     def test_nearest_clamp(self):
-        assert extended_index(5, 3, "nearest") == 2
+        assert _source_index(5, 3, "nearest") == 2
 
     def test_constant_sentinel(self):
-        assert extended_index(-1, 3, "constant") == CONSTANT_SENTINEL
-        assert extended_index(1, 3, "constant") == 1
+        assert _source_index(-1, 3, "constant") == -1
+        assert _source_index(1, 3, "constant") == 1
 
     def test_inside_identity(self):
         for mode in BOUNDARY_MODES:
-            np.testing.assert_array_equal(extended_index(np.arange(5), 5, mode), np.arange(5))
+            np.testing.assert_array_equal(_source_index(np.arange(5), 5, mode), np.arange(5))
 
     @given(st.integers(-200, 200), st.integers(1, 12),
            st.sampled_from(["nearest", "periodise", "mirror"]))
     def test_matches_stepwise_folding(self, k, n, mode):
-        assert extended_index(k, n, mode) == fold_index(k, n, mode)
+        assert _source_index(k, n, mode) == fold_index(k, n, mode)
 
     @given(st.integers(-200, 200), st.integers(1, 12))
     def test_periodise_period(self, k, n):
-        assert extended_index(k, n, "periodise") == extended_index(k + n, n, "periodise")
+        assert _source_index(k, n, "periodise") == _source_index(k + n, n, "periodise")
 
     @given(st.integers(-200, 200), st.integers(2, 12))
     def test_mirror_face_symmetry(self, k, n):
         # reflection about index 0 and about index n-1
-        assert extended_index(-k, n, "mirror") == extended_index(k, n, "mirror")
-        assert extended_index(n - 1 + k, n, "mirror") == extended_index(n - 1 - k, n, "mirror")
+        assert _source_index(-k, n, "mirror") == _source_index(k, n, "mirror")
+        assert _source_index(n - 1 + k, n, "mirror") == _source_index(n - 1 - k, n, "mirror")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            extended_index(0, 3, "taper")
+            pad(SIGNAL, 1, "taper")
 
 
 class TestPadProperties:
@@ -137,7 +148,4 @@ class TestPadProperties:
         a = rng.normal(size=n)
         out = pad(a, margin, mode, constant=0.5)
         for pos in range(out.size):
-            k = pos - margin
-            src = extended_index(k, n, mode)
-            expected = 0.5 if src == CONSTANT_SENTINEL else a[src]
-            assert out[pos] == expected
+            assert out[pos] == ext_lookup(a, (pos - margin,), mode, constant=0.5)

@@ -47,7 +47,7 @@ class TestConvolveFull:
         img[4, 4, 4] = 255.0
         rng = np.random.default_rng(1)
         ker = rng.normal(size=(3, 3, 3))
-        out = convolve_full(img, ker, "constant", via="spatial")
+        out = convolve_full(img, ker, "constant")
         np.testing.assert_array_equal(out[3:6, 3:6, 3:6], ker * 255.0)
         assert out[0, 0, 0] == 0.0
 
@@ -62,7 +62,7 @@ class TestConvolveFull:
         rng = np.random.default_rng(2)
         img = rng.normal(size=(16, 16, 16))
         ker = rng.normal(size=(3, 3, 3))
-        out = convolve_full(img, ker, mode, constant=0.7, via="spatial")
+        out = convolve_full(img, ker, mode, constant=0.7)
         ref = conv_taploop(img, ker, mode, constant=0.7)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
@@ -71,7 +71,7 @@ class TestConvolveFull:
         rng = np.random.default_rng(3)
         img = rng.normal(size=(11, 8))
         ker = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(convolve_full(img, ker, mode, via="spatial"),
+        np.testing.assert_allclose(convolve_full(img, ker, mode),
                                    conv_taploop(img, ker, mode), rtol=1e-12)
 
     def test_fourier_route_matches_spatial(self):
@@ -79,8 +79,8 @@ class TestConvolveFull:
         img = rng.normal(size=(12, 10))
         ker = rng.normal(size=(5, 5))
         for mode in BOUNDARY_MODES:
-            a = convolve_full(img, ker, mode, via="spatial")
-            b = convolve_full(img, ker, mode, via="fourier")
+            a = convolve_full(img, ker, mode)
+            (b,) = convolve_bank(img, [ker], mode)
             np.testing.assert_allclose(a, b, atol=1e-11)
 
     def test_kernel_larger_than_image(self):
@@ -95,15 +95,11 @@ class TestConvolveFull:
         with pytest.raises(ValueError):
             convolve_full(np.zeros((4, 4)), np.array([[np.nan]]), "mirror")
 
-    def test_bad_via(self):
-        with pytest.raises(ValueError):
-            convolve_full(np.zeros((4, 4)), np.ones((3, 3)), "mirror", via="warp")
-
     def test_complex_kernel(self):
         rng = np.random.default_rng(6)
         img = rng.normal(size=(8, 8))
         ker = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = convolve_full(img, ker, "mirror", via="spatial")
+        out = convolve_full(img, ker, "mirror")
         assert np.iscomplexobj(out)
         np.testing.assert_allclose(out, conv_taploop(img, ker, "mirror"), rtol=1e-12)
 
@@ -128,7 +124,7 @@ class TestConvolveSeparable:
         gs = [rng.normal(size=m) for m in sizes]
         dense = np.multiply.outer(gs[0], gs[1])
         got = convolve_separable(img, gs, mode, constant=0.3)
-        ref = convolve_full(img, dense, mode, constant=0.3, via="spatial")
+        ref = convolve_full(img, dense, mode, constant=0.3)
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
     @pytest.mark.parametrize("mode", BOUNDARY_MODES)
@@ -138,13 +134,13 @@ class TestConvolveSeparable:
         gs = [rng.normal(size=m) for m in (3, 5, 2)]
         dense = np.multiply.outer(np.multiply.outer(gs[0], gs[1]), gs[2])
         np.testing.assert_allclose(convolve_separable(img, gs, mode),
-                                   convolve_full(img, dense, mode, via="spatial"), atol=1e-10)
+                                   convolve_full(img, dense, mode), atol=1e-10)
         # the summation order must not depend on the input's memory layout
         fortran = np.asfortranarray(img)
         assert convolve_separable(fortran, gs, mode).tobytes() == \
             convolve_separable(img, gs, mode).tobytes()
-        assert convolve_full(fortran, dense, mode, via="spatial").tobytes() == \
-            convolve_full(img, dense, mode, via="spatial").tobytes()
+        assert convolve_full(fortran, dense, mode).tobytes() == \
+            convolve_full(img, dense, mode).tobytes()
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(9)
@@ -188,8 +184,7 @@ class TestConvolveLaplacian:
         image = np.random.default_rng(len(shape) + int(10 * sigma)).normal(size=shape) * 100
         smooth, second = log_kernel_1d(sigma, cutoff)
         got = convolve_laplacian(image, smooth, second, mode, constant)
-        want = convolve_full(image, log_kernel(sigma, len(shape), cutoff), mode, constant,
-                             via="spatial")
+        want = convolve_full(image, log_kernel(sigma, len(shape), cutoff), mode, constant)
         assert got.shape == shape and got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -394,7 +389,7 @@ class TestFFTHelper:
         assert kernel.shape == (31, 31)
         assert fast_grid(np.add(plane.shape, 30)) == (96, 96)
         (response,) = convolve_bank(plane, [kernel], "mirror")
-        spatial = convolve_full(plane, kernel, "mirror", via="spatial")
+        spatial = convolve_full(plane, kernel, "mirror")
         assert response.shape == plane.shape
         assert np.max(np.abs(response - spatial)) <= 1e-13 * np.max(np.abs(spatial))
 
@@ -490,7 +485,7 @@ class TestConvolveFourier:
         ker = rng.normal(size=(5, 5, 5))
         transfer = kernel_to_transfer(ker, img.shape)
         a = convolve_fourier(img, transfer)
-        b = convolve_full(img, ker, "periodise", via="spatial")
+        b = convolve_full(img, ker, "periodise")
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_dim_mismatch(self):
@@ -564,5 +559,5 @@ class TestAlgebraicProperties:
             gs = [rng.normal(size=m) for m in sizes]
             dense = np.multiply.outer(gs[0], gs[1])
             np.testing.assert_allclose(convolve_separable(img, gs, "mirror"),
-                                       convolve_full(img, dense, "mirror", via="spatial"),
+                                       convolve_full(img, dense, "mirror"),
                                        atol=1e-10)

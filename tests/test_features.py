@@ -10,7 +10,6 @@ from voxfilt.features import (
     FeatureValue,
     _between_sorted,
     _percentile_sorted,
-    aggregate_mean,
     diagnostics,
     format_3sig,
     intensity_statistics,
@@ -86,26 +85,28 @@ def _as_dict(features):
 
 
 class TestAggregateMean:
+    """The ROI mean, as the intensity statistics report it."""
+
     def test_constant(self):
         mask = np.ones((3, 3), dtype=bool)
-        assert aggregate_mean(np.full((3, 3), 4.5), mask) == 4.5
+        assert _as_dict(intensity_statistics(np.full((3, 3), 4.5), mask))["mean"] == 4.5
 
     def test_simple_values(self):
         data = np.array([[1.0, 2.0], [3.0, 99.0]])
         mask = np.array([[True, True], [True, False]])
-        assert aggregate_mean(data, mask) == pytest.approx(2.0)
+        assert _as_dict(intensity_statistics(data, mask))["mean"] == pytest.approx(2.0)
 
     def test_empty_mask(self):
         with pytest.raises(ValueError, match="empty ROI"):
-            aggregate_mean(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
+            intensity_statistics(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
 
     def test_non_boolean_mask(self):
         with pytest.raises(ValueError, match="boolean"):
-            aggregate_mean(np.ones((2, 2)), np.ones((2, 2)))
+            intensity_statistics(np.ones((2, 2)), np.ones((2, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
-            aggregate_mean(np.ones((2, 2)), np.ones((3, 3), dtype=bool))
+            intensity_statistics(np.ones((2, 2)), np.ones((3, 3), dtype=bool))
 
 
 def _signed_zeros():

@@ -1,4 +1,4 @@
-"""Volume container, interior-region and slice-mapping tests."""
+"""Volume container, ROI mask and slice-mapping tests."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from voxfilt.image import (
     VolumeImage,
     RoiMask,
     create_image,
-    interior_region,
     map_slices,
 )
 
@@ -63,31 +62,15 @@ class TestCreateImage:
             create_image(data.shape, (1, 1, 1), data)
 
 
-class TestInteriorRegion:
-    def test_margin_zero_all_true(self):
-        assert interior_region((4, 4, 4), 0).all()
-
-    def test_margin_one_count(self):
-        mask = interior_region((4, 4, 4), 1)
-        assert mask.sum() == 8
-        assert mask[1, 1, 1] and not mask[0, 1, 1]
-
-    def test_margin_too_large(self):
-        with pytest.raises(ValueError):
-            interior_region((4, 4, 4), 2)
-
-    def test_per_axis_margin(self):
-        mask = interior_region((6, 4), (2, 1))
-        assert mask.sum() == 2 * 2
-
-
 class TestRoiMask:
     def test_requires_boolean(self):
         with pytest.raises(ValueError):
             RoiMask(np.zeros((2, 2)))
 
     def test_voxel_count(self):
-        m = RoiMask(interior_region((4, 4, 4), 1), kind="morphological")
+        membership = np.zeros((4, 4, 4), dtype=bool)
+        membership[1:3, 1:3, 1:3] = True
+        m = RoiMask(membership, kind="morphological")
         assert m.voxel_count == 8
 
     @pytest.mark.parametrize("dims", [(5, 4), (5, 4, 3)])

@@ -564,8 +564,8 @@ def _spatial_gabor(volume, bank, pool_mode, boundary, constant):
     """Per-slice reference: the spatial route of convolve_full, pooled in bank order."""
     out = np.empty(volume.shape)
     for i in range(volume.shape[2]):
-        out[:, :, i] = pool([np.abs(convolve_full(volume[:, :, i], k, boundary, constant,
-                                                  via="spatial")) for k in bank], pool_mode)
+        out[:, :, i] = pool([np.abs(convolve_full(volume[:, :, i], k, boundary, constant))
+                             for k in bank], pool_mode)
     return out
 
 
@@ -606,12 +606,11 @@ class TestLogRoute:
                            (1.0, 1.0, 1.0), mode, boundary, constant)
         got = plan.run(volume)
         if mode == "3d":
-            want = convolve_full(volume, log_kernel(1.2, 3, 3.0), boundary, constant,
-                                 via="spatial")
+            want = convolve_full(volume, log_kernel(1.2, 3, 3.0), boundary, constant)
         else:
             kernel = log_kernel(1.2, 2, 3.0)
-            want = np.stack([convolve_full(volume[:, :, i], kernel, boundary, constant,
-                                           via="spatial") for i in range(6)], axis=2)
+            want = np.stack([convolve_full(volume[:, :, i], kernel, boundary, constant)
+                             for i in range(6)], axis=2)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_op_peak_memory(self):

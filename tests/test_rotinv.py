@@ -324,7 +324,7 @@ class TestPool:
         for a, b, c in map(_single_stage, elements):
             dense += np.multiply.outer(np.multiply.outer(a, b), c)
         dense /= len(elements)
-        direct = convolve_full(image, dense, "periodise", via="spatial")
+        direct = convolve_full(image, dense, "periodise")
         np.testing.assert_allclose(pooled, direct, rtol=0, atol=1e-10)
         regrouped = PooledCascade([[g1], [g2], [g3]], "average", "periodise")(image)
         np.testing.assert_allclose(regrouped, direct, rtol=0, atol=1e-10)

@@ -16,6 +16,10 @@ one path.
   through ``GzipFile`` are free.
 * Every name in a module's ``__all__`` resolves, so a deleted function
   cannot leave a stale export behind.
+* Every function in a module's ``__all__`` is called when each CLI command
+  runs on a small fixture, or is listed in ``UNREACHED_EXPORTS`` with the
+  reason it stays: the library holds one path per filter, not shadow
+  entry points that only their own tests reach.
 * No module imports scipy, at the top or inside a function: the library
   runs on numpy and PyYAML alone, and those are exactly the third-party
   modules it imports and the dependencies ``pyproject.toml`` declares.
@@ -24,13 +28,16 @@ one path.
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -214,6 +221,118 @@ def test_export_checker_sees_a_stale_name():
     module.kept = object()
     module.__all__ = ["kept", "deleted"]
     assert unresolved_exports(module) == ["deleted"]
+
+
+# Exported functions that no CLI command calls, each with the reason it stays.
+UNREACHED_EXPORTS = {
+    ("convolve", "convolve_full"): "perfbench/spans.py traces it (TARGETS)",
+    ("kernels", "gabor_response_modulus"): "perfbench/spans.py traces it (TARGETS)",
+    ("wavelets", "swt_undecimated"): "perfbench/spans.py traces it (TARGETS)",
+    ("wavelets", "swt_rotation_pooled"): "perfbench/spans.py traces it (TARGETS)",
+    ("kernels", "log_kernel"): "the dense LoG that the separable passes are tested against",
+    ("rotinv", "equivariant_cascades"): "the rotation set that PooledCascade is tested against",
+}
+
+
+def called_code(run) -> set:
+    """The code objects of every Python function called while ``run()``
+    runs, on the calling thread and on any thread it starts."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    before = sys.getprofile(), threading.getprofile()
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(before[0])
+        threading.setprofile(before[1])
+    return called
+
+
+def unreached_exports(module, called) -> list:
+    """The functions in ``module.__all__`` whose code is not in ``called``."""
+    return [name for name in getattr(module, "__all__", ())
+            if inspect.isfunction(getattr(module, name))
+            and inspect.unwrap(getattr(module, name)).__code__ not in called]
+
+
+def _cli_commands(tmp) -> list:
+    """Every CLI command on small inputs: ``run`` for each shipped config on
+    the check input (14 x 13 x 9 at 1.5 x 1.5 x 2.5 mm), ``filter`` once per
+    kind and flag family on a 12^3 cube, and the four report commands."""
+    from voxfilt.image import create_image
+    from voxfilt.nifti import write_nifti
+
+    check = np.random.default_rng(101).normal(size=(14, 13, 9)) * 300.0 - 200.0
+    cube = np.random.default_rng(3).normal(size=(12, 12, 12)) * 100.0
+    image, mask, volume = (str(tmp / name) for name in ("image.nii", "mask.nii", "cube.nii"))
+    write_nifti(create_image(check.shape, (1.5, 1.5, 2.5), check), image, "f64")
+    write_nifti(create_image(check.shape, (1.5, 1.5, 2.5), np.ones(check.shape)), mask, "u8")
+    write_nifti(create_image(cube.shape, (2.0, 2.0, 2.0), cube), volume, "f32")
+    commands = [["run", str(config), "--image", image, "--mask", mask,
+                 "--out-dir", str(tmp / "run"), "--threads", "1"]
+                for config in sorted((ROOT / "configs").glob("*.yaml"))]
+    filt = ["filter", volume, "--out", str(tmp / "filtered.nii.gz"), "--threads", "2",
+            "--filter"]
+    gabor = ["gabor", "--sigma-vox", "1.5", "--lambda-vox", "3"]
+    commands += [filt + flags for flags in (
+        ["none"],
+        ["mean", "--support", "3"],
+        ["log", "--sigma-vox", "1"],
+        ["laws", "--kernels", "L5E5E5"],
+        ["laws", "--kernels", "L5E5E5", "--rotinv", "--pool", "max", "--energy-delta", "1"],
+        gabor + ["--theta", "0.3", "--mode", "2d"],
+        gabor + ["--orthogonal-planes"],
+        ["wavelet", "--wavelet", "db2", "--level", "1", "--subband", "LHL"],
+        ["wavelet", "--wavelet", "haar", "--level", "1", "--subband", "LHL", "--decimated"],
+        ["nonseparable", "--wavelet", "simoncelli", "--level", "1"],
+        ["riesz", "--wavelet", "simoncelli", "--level", "1", "--riesz", "0,2,0", "--align",
+         "--sigma-tensor-vox", "1"],
+    )]
+    return commands + [
+        ["phantom", "impulse", "--out", str(tmp / "phantom.nii.gz")],
+        ["features", image, "--mask", mask, "--out", str(tmp / "features.csv")],
+        ["compare", image, image, "--tolerance", "0"],
+        ["consensus", image, image, image],
+    ]
+
+
+@pytest.fixture(scope="module")
+def cli_calls(tmp_path_factory):
+    from voxfilt.cli import main
+
+    commands = _cli_commands(tmp_path_factory.mktemp("cli"))
+    codes = []
+    called = called_code(lambda: codes.extend(main(command) for command in commands))
+    assert codes == [0] * len(commands)
+    return called
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_function_runs_on_a_cli_path(path, cli_calls):
+    module = importlib.import_module("voxfilt" if path.stem == "__init__"
+                                     else f"voxfilt.{path.stem}")
+    allowed = {name for home, name in UNREACHED_EXPORTS if home == path.stem}
+    assert set(unreached_exports(module, cli_calls)) == allowed
+
+
+def test_reachability_checker_sees_an_unreached_export():
+    module = types.ModuleType("sample")
+    exec("LIMIT = 3\n"
+         "class Kept:\n    pass\n"
+         "def used(x):\n    return helper(x)\n"
+         "def helper(x):\n    return x + LIMIT\n"
+         "def unused(x):\n    return x\n", vars(module))
+    module.__all__ = ["LIMIT", "Kept", "used", "unused"]
+    called = called_code(lambda: module.used(1))
+    assert unreached_exports(module, called) == ["unused"]
+    module.__all__.append("helper")
+    assert unreached_exports(module, called) == ["unused"]
 
 
 def imported_modules(source: str) -> dict:
