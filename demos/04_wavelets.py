@@ -4,6 +4,8 @@ Separable and isotropic wavelet decompositions
 
 """
 
+import itertools
+
 import numpy as np
 
 from voxfilt import (
@@ -39,11 +41,12 @@ pooled = swt_rotation_pooled(volume, "db2", 1, "LHH", pool_mode="average", bound
 print("rotation-pooled LHH: energy", round(float((pooled**2).sum()), 1))
 
 # The decimated transform halves the grid per level and is what most
-# off-the-shelf toolboxes compute.
-levels = dwt_decimated(volume, "haar", 2, "mirror")
-for entry in levels:
-    shape = next(iter(entry.subbands.values())).shape
-    print(f"level {entry.level}: subbands {sorted(entry.subbands)} at {shape}")
+# off-the-shelf toolboxes compute; each call returns one subband.
+for level in (1, 2):
+    subbands = {"".join(c): dwt_decimated(volume, "haar", level, "".join(c), "mirror")
+                for c in itertools.product("LH", repeat=3)}
+    shape = next(iter(subbands.values())).shape
+    print(f"level {level}: subbands {sorted(subbands)} at {shape}")
 
 # Isotropic wavelets live in the Fourier domain as radial band-passes;
 # no separable factorisation, hence no orientation bias to pool away.

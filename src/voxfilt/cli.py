@@ -144,12 +144,7 @@ def cmd_run(args) -> int:
     test_id, config = load_config(args.config)
     image, view = _load_image(args.image, args.round_on_load)
     mask = _load_mask(args.mask, image)
-    grid = config.resample_spacing_mm or image.spacing
-    if len(grid) != image.ndim:
-        raise ValueError(f"resample spacing_mm {list(grid)} needs one entry per image axis "
-                         f"({image.ndim})")
-    plan = plan_filter(config.filter, grid, config.mode, config.boundary,
-                       config.boundary_constant)
+    plan = config.plan(image.spacing)
     _log(plan.summary)
 
     response, intensity_mask, features = run_configuration(

@@ -156,6 +156,16 @@ class ProcessingConfig:
                              "ROI, so features cannot be aggregated over it; run it with "
                              "voxfilt filter")
 
+    def plan(self, spacing) -> FilterPlan:
+        """Plan the filter on the grid it will see: ``resample_spacing_mm``
+        when the configuration resamples, else the image's ``spacing``.  No
+        preprocessing runs, so a bad filter fails first."""
+        grid = self.resample_spacing_mm or tuple(spacing)
+        if len(grid) != len(spacing):
+            raise ValueError(f"resample spacing_mm {list(grid)} needs one entry per image "
+                             f"axis ({len(spacing)})")
+        return plan_filter(self.filter, grid, self.mode, self.boundary, self.boundary_constant)
+
 
 _CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
                 "resegment_hu", "filter")
@@ -558,9 +568,8 @@ def _plan_wavelet(params, axes, boundary, constant):
     summary = f"wavelet filter: {family} level {level} subband {subband}"
     if not decimated:
         return summary + pooling, op
-    return f"{summary}, decimated by {2 ** level} per axis", lambda data, _: (
-        dwt_decimated(data, family, level, boundary, constant)[level - 1]
-        .subbands[subband.upper()])
+    return f"{summary}, decimated by {2 ** level} per axis", lambda data, _: dwt_decimated(
+        data, family, level, subband, boundary, constant)
 
 
 def _fourier_domain(axes, boundary, constant, what):
@@ -702,6 +711,9 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             raise ValueError(f"thread count must be at least 1, got {threads}")
         if mode == "2d" and np.ndim(volume) != 3:
             raise ValueError("2d mode expects a 3-D volume of slices")
+        if mode == "3d" and np.ndim(volume) != len(spacing):
+            raise ValueError(f"3d mode was planned on {len(spacing)}-D spacing {tuple(spacing)} "
+                             f"and cannot filter a {np.ndim(volume)}-D volume")
         if slices is None:
             return op(volume, None)
         transfers = TransferCache()
@@ -728,9 +740,12 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
 
     The feature tuple holds the five diagnostics followed by the eighteen
     intensity statistics of the response over the re-segmented ROI.
-    ``plan``, when given, is the configuration's filter planned on the grid
-    the filter sees (after resampling); it spares planning twice.
+    ``plan``, when given, is ``config.plan(image.spacing)``; it spares
+    planning twice.  Without it the configuration is planned first, so a bad
+    filter fails before any preprocessing.
     """
+    if plan is None:
+        plan = config.plan(image.spacing)
     if mask.dims != image.dims:
         raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
     mask_before = mask

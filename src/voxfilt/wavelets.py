@@ -3,10 +3,12 @@
 Separable families are stored as decomposition filter pairs; the
 high-pass comes from the low-pass through the quadrature-mirror
 relation g_H[k] = (-1)^(k+1) g_L[M-1-k], the sign chosen so Haar comes
-out as [-1/sqrt(2), 1/sqrt(2)].  The undecimated transform dilates the
-kernels with the a-trous scheme (zeros between taps plus trailing
-zeros, doubling the length per level); the decimated transform halves
-the grid instead, keeping even-indexed samples.
+out as [-1/sqrt(2), 1/sqrt(2)].  Both transforms compute only the
+requested subband: levels 1..level-1 run the low-pass on every axis and
+the last level the subband's letter per axis.  The undecimated transform
+dilates the kernels with the a-trous scheme (zeros between taps plus
+trailing zeros, doubling the length per level); the decimated transform
+halves the grid after each level instead, keeping even-indexed samples.
 
 Shannon and Simoncelli are radial band-pass profiles evaluated on the
 Fourier grid; level j substitutes nu_B -> nu_B / 2^(j-1), so level 1
@@ -15,7 +17,6 @@ is the mother formula with nu_B = pi.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,6 @@ __all__ = [
     "atrous_upsample",
     "swt_undecimated",
     "swt_rotation_pooled",
-    "DecimatedLevel",
     "dwt_decimated",
     "RadialProfile",
     "RADIAL_KINDS",
@@ -120,31 +120,28 @@ def _check_subband(subband: str, ndim: int) -> str:
     return letters
 
 
-def _swt_stages(family, level: int, subband: str, ndim: int) -> list:
-    """Per-axis a-trous stages of one undecimated subband.
-
-    Levels 1..level-1 use the low-pass on every axis; the last level uses
-    the requested letter, each stage dilated for its level.
-    """
+def _subband_taps(family, level: int, subband: str, ndim: int) -> list:
+    """Per axis, the undilated taps of levels 1..level of one subband: the
+    low-pass up to the last level, then that axis's letter."""
     fam = wavelet_family(family)
     letters = _check_subband(subband, ndim)
     if level < 1:
         raise ValueError("decomposition level must be >= 1")
-    stage_lists = []
-    for letter in letters:
-        taps = (fam.low_pass,) * (level - 1) + (fam.low_pass if letter == "L" else fam.high_pass,)
-        stage_lists.append([atrous_upsample(g, m) for m, g in enumerate(taps)])
-    return stage_lists
+    return [[fam.low_pass] * (level - 1) + [fam.low_pass if letter == "L" else fam.high_pass]
+            for letter in letters]
+
+
+def _swt_stages(family, level: int, subband: str, ndim: int) -> list:
+    """Per-axis a-trous stages of one undecimated subband, each stage
+    dilated for its level."""
+    return [[atrous_upsample(g, m) for m, g in enumerate(taps)]
+            for taps in _subband_taps(family, level, subband, ndim)]
 
 
 def swt_undecimated(image, family, level: int, subband: str, boundary: str,
                     constant: float = 0.0) -> np.ndarray:
-    """Stationary (undecimated) wavelet subband at the requested level.
-
-    Levels 1..level-1 run the all-low path with a-trous kernels of each
-    level; the final level applies the requested letters.  Output dims
-    equal input dims.
-    """
+    """Stationary (undecimated) wavelet subband at the requested level;
+    output dims equal input dims."""
     image = np.asarray(image, dtype=np.float64)
     return cascade(image, _swt_stages(family, level, subband, image.ndim), boundary, constant)
 
@@ -163,49 +160,23 @@ def swt_rotation_pooled(image, family, level: int, subband: str,
     return PooledCascade(stages, pool_mode, boundary, constant)(image)
 
 
-@dataclass(frozen=True)
-class DecimatedLevel:
-    """One level of a decimated transform: subband letters -> maps."""
-
-    level: int
-    subbands: dict
-
-
-def _decimate(arr: np.ndarray) -> np.ndarray:
-    return arr[tuple(slice(0, None, 2) for _ in range(arr.ndim))].copy()
-
-
-def dwt_decimated(image, family, levels: int, boundary: str,
-                  constant: float = 0.0) -> tuple:
-    """Mallat cascade: filter, keep even-indexed samples, recurse on LL...L.
-
-    Every level yields all 2^D letter combinations at half the previous
-    dims; the all-low map is the next level's input.
-    """
+def dwt_decimated(image, family, level: int, subband: str, boundary: str,
+                  constant: float = 0.0) -> np.ndarray:
+    """Decimated (Mallat) wavelet subband at the requested level: each level
+    filters with its taps and keeps the even-indexed samples, so output dims
+    are the input dims over 2^level."""
     image = np.asarray(image, dtype=np.float64)
-    fam = wavelet_family(family)
-    if levels < 1:
-        raise ValueError("decomposition level must be >= 1")
-    factor = 2 ** levels
+    taps = _subband_taps(family, level, subband, image.ndim)
+    factor = 2 ** level
     if any(n % factor != 0 for n in image.shape):
         raise ValueError(
-            f"image dims {image.shape} must be divisible by 2^levels = {factor}; "
+            f"image dims {image.shape} must be divisible by 2^level = {factor}; "
             f"pad each axis to a multiple of {factor} first"
         )
-
-    bank = {"L": fam.low_pass, "H": fam.high_pass}
-    out = []
-    current = image
-    for j in range(1, levels + 1):
-        subbands = {}
-        for combo in itertools.product("LH", repeat=image.ndim):
-            letters = "".join(combo)
-            kernels = tuple(bank[c] for c in combo)
-            full = convolve_separable(current, kernels, boundary, constant)
-            subbands[letters] = _decimate(full)
-        out.append(DecimatedLevel(level=j, subbands=subbands))
-        current = subbands["L" * image.ndim]
-    return tuple(out)
+    for j in range(level):
+        full = convolve_separable(image, [t[j] for t in taps], boundary, constant)
+        image = full[(slice(None, None, 2),) * full.ndim].copy()
+    return image
 
 
 RADIAL_KINDS = ("shannon", "simoncelli")

@@ -3,8 +3,12 @@
 Everything here is written from first principles, independent of the library
 code paths: boundary lookups fold or wrap indices step by step, convolution
 loops over kernel taps, statistics go through explicit sorting.  Slow but
-obviously correct.
+obviously correct.  The one exception is :func:`mallat_pyramid`, which
+composes the library's separable convolution into the full decimated
+pyramid, so that one subband can be compared with it byte for byte.
 """
+
+import itertools
 
 import numpy as np
 
@@ -87,6 +91,30 @@ def conv_taploop(image: np.ndarray, kernel: np.ndarray, mode: str, constant: flo
             vals = np.where(inside, vals, constant)
         out = out + w * vals
     return out
+
+def mallat_pyramid(image: np.ndarray, low, high, levels: int, boundary: str,
+                   constant: float = 0.0) -> list:
+    """The whole decimated (Mallat) pyramid: one {letters: map} dict per level.
+
+    Every level filters its input with all 2^D low/high letter combinations
+    through ``convolve_separable`` and keeps the even-indexed samples; the
+    all-low map is the next level's input.  The library computes one
+    subband of this at a time, so byte equality checks that shortcut.
+    """
+    from voxfilt.convolve import convolve_separable
+
+    current = np.asarray(image, dtype=np.float64)
+    bank = {"L": low, "H": high}
+    out = []
+    for _ in range(levels):
+        subbands = {}
+        for combo in itertools.product("LH", repeat=current.ndim):
+            full = convolve_separable(current, [bank[c] for c in combo], boundary, constant)
+            subbands["".join(combo)] = full[(slice(None, None, 2),) * full.ndim].copy()
+        out.append(subbands)
+        current = subbands["L" * current.ndim]
+    return out
+
 
 _QCOS = (1, 0, -1, 0)
 _QSIN = (0, 1, 0, -1)

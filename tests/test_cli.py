@@ -278,7 +278,7 @@ class TestFilterCommand:
         ])
         assert code == 0
         response, _ = read_nifti(out)
-        expected = dwt_decimated(data, "db2", level, "mirror")[level - 1].subbands["HLH"]
+        expected = dwt_decimated(data, "db2", level, "HLH", "mirror")
         assert response.data.shape == expected.shape
         assert response.data.tobytes() == np.asfortranarray(expected).tobytes()
         assert response.spacing == tuple(s * 2**level for s in spacing)

@@ -419,6 +419,12 @@ class TestPlanFilter:
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 3.0), "3d")
 
+    def test_3d_run_rejects_a_volume_of_other_dimensionality(self):
+        plan = plan_filter(FilterConfig("log", {"sigma_vox": 1.0}), (1.0, 1.0), "3d")
+        assert plan.run(np.zeros((8, 8))).shape == (8, 8)
+        with pytest.raises(ValueError, match="planned on 2-D spacing .* 3-D volume"):
+            plan.run(np.zeros((8, 8, 8)))
+
     def test_run_matches_apply_filter(self):
         rng = np.random.default_rng(21)
         image = _volume(rng.normal(size=(7, 6, 5)))
@@ -1219,6 +1225,34 @@ class TestRunConfiguration:
         config = ProcessingConfig(mode="3d", filter=FilterConfig("none"))
         with pytest.raises(ValueError, match="dims"):
             run_configuration(image, bad_mask, config)
+
+    def test_bad_filter_fails_before_resampling(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return resample_image(*args)
+
+        monkeypatch.setattr(voxfilt.pipeline, "resample_image", counting)
+        image, mask = self._ct_like(dims=(8, 8, 8))
+        config = ProcessingConfig(mode="3d",
+                                  filter=FilterConfig("log", {"sigma_mm": 1.0, "support": 3}),
+                                  resample_spacing_mm=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="unknown parameters"):
+            run_configuration(image, mask, config)
+        assert calls == []
+
+    def test_plan_checks_the_resampled_grid_against_the_image(self):
+        config = ProcessingConfig(mode="3d", filter=FilterConfig("none"),
+                                  resample_spacing_mm=(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"needs one entry per image axis \(3\)"):
+            config.plan((2.0, 2.0, 2.0))
+        assert config.plan((2.0, 2.0)).summary == "none filter: identity"
+
+    def test_plan_sees_the_resampled_grid(self):
+        config = ProcessingConfig(mode="3d", filter=FilterConfig("log", {"sigma_mm": 2.0}),
+                                  resample_spacing_mm=(0.5, 0.5, 0.5))
+        assert config.plan((2.0, 2.0, 2.0)).summary.startswith("log filter: sigma 4 voxels")
 
 
 class TestProcessingConfigValidation:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import voxfilt.wavelets
 from voxfilt.convolve import convolve_separable, fourier_grid
+from voxfilt.pipeline import FilterConfig, plan_filter
 from voxfilt.wavelets import (
     RadialProfile,
     WAVELET_NAMES,
@@ -18,7 +21,7 @@ from voxfilt.wavelets import (
     wavelet_family,
 )
 
-from oracles import conv_taploop
+from oracles import conv_taploop, mallat_pyramid
 
 ROOT2 = math.sqrt(2.0)
 
@@ -181,49 +184,46 @@ class TestUndecimated:
             swt_undecimated(np.zeros((4, 4)), "haar", 0, "LL", "mirror")
 
 
+_LETTERS_2D = ("LL", "LH", "HL", "HH")
+
+
 class TestDecimated:
     def test_three_level_shapes(self):
         image = np.zeros((16, 16, 16))
-        levels = dwt_decimated(image, "haar", 3, "periodise")
-        assert [lv.level for lv in levels] == [1, 2, 3]
-        assert levels[0].subbands["HHH"].shape == (8, 8, 8)
-        assert levels[1].subbands["LLL"].shape == (4, 4, 4)
-        assert levels[2].subbands["LHH"].shape == (2, 2, 2)
-        assert set(levels[0].subbands) == {
-            "".join(c) for c in __import__("itertools").product("LH", repeat=3)
-        }
+        for level, n in ((1, 8), (2, 4), (3, 2)):
+            for combo in itertools.product("LH", repeat=3):
+                got = dwt_decimated(image, "haar", level, "".join(combo), "periodise")
+                assert got.shape == (n, n, n)
 
     def test_impulse_even_coordinate_single_hh_coefficient(self):
         image = np.zeros((12, 12))
         image[4, 4] = 255.0
-        level = dwt_decimated(image, "haar", 1, "periodise")[0]
-        hh = level.subbands["HH"]
+        hh = dwt_decimated(image, "haar", 1, "HH", "periodise")
         nz = np.argwhere(hh != 0)
         assert nz.shape == (1, 2)
         assert abs(hh[tuple(nz[0])]) == pytest.approx(255.0 / 2.0, abs=1e-12)
 
     def test_constant_image_detail_subbands_vanish(self):
         image = np.full((8, 8), 42.0)
-        for level in dwt_decimated(image, "db2", 2, "periodise"):
-            for letters, sub in level.subbands.items():
-                if "H" in letters:
-                    np.testing.assert_allclose(sub, 0.0, atol=1e-10)
+        for level in (1, 2):
+            for letters in ("LH", "HL", "HH"):
+                sub = dwt_decimated(image, "db2", level, letters, "periodise")
+                np.testing.assert_allclose(sub, 0.0, atol=1e-10)
 
     def test_all_low_feeds_next_level(self):
         rng = np.random.default_rng(9)
         image = rng.normal(size=(16, 16))
-        levels = dwt_decimated(image, "haar", 2, "mirror")
-        restart = dwt_decimated(levels[0].subbands["LL"], "haar", 1, "mirror")
-        for letters in ("LL", "LH", "HL", "HH"):
+        low = dwt_decimated(image, "haar", 1, "LL", "mirror")
+        for letters in _LETTERS_2D:
             np.testing.assert_allclose(
-                levels[1].subbands[letters],
-                restart[0].subbands[letters],
+                dwt_decimated(image, "haar", 2, letters, "mirror"),
+                dwt_decimated(low, "haar", 1, letters, "mirror"),
                 atol=1e-12,
             )
 
     def test_non_divisible_dims_error_hints_padding(self):
         with pytest.raises(ValueError, match="multiple of 8"):
-            dwt_decimated(np.zeros((12, 12)), "haar", 3, "periodise")
+            dwt_decimated(np.zeros((12, 12)), "haar", 3, "LL", "periodise")
 
     @pytest.mark.parametrize("name", ["haar", "db2"])
     def test_level1_transform_matrix_is_orthonormal(self, name):
@@ -235,9 +235,9 @@ class TestDecimated:
         for i in range(n * n):
             basis = np.zeros(n * n)
             basis[i] = 1.0
-            level = dwt_decimated(basis.reshape(n, n), name, 1, "periodise")[0]
             coeffs = np.concatenate(
-                [level.subbands[s].ravel() for s in ("LL", "LH", "HL", "HH")]
+                [dwt_decimated(basis.reshape(n, n), name, 1, s, "periodise").ravel()
+                 for s in _LETTERS_2D]
             )
             cols.append(coeffs)
         a = np.stack(cols, axis=1)
@@ -249,7 +249,38 @@ class TestDecimated:
 
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError):
-            dwt_decimated(np.zeros((8, 8)), "haar", 0, "periodise")
+            dwt_decimated(np.zeros((8, 8)), "haar", 0, "LL", "periodise")
+
+    @pytest.mark.parametrize("boundary", ["constant", "nearest", "periodise", "mirror"])
+    @pytest.mark.parametrize("shape", [(16, 24), (8, 16, 24)], ids=["2d", "3d"])
+    def test_subband_equals_the_mallat_pyramid_bytes(self, boundary, shape):
+        image = np.random.default_rng(31).normal(size=shape)
+        constant = 2.5 if boundary == "constant" else 0.0
+        fam = wavelet_family("db3")
+        pyramid = mallat_pyramid(image, fam.low_pass, fam.high_pass, 3, boundary, constant)
+        for level, subbands in enumerate(pyramid, start=1):
+            for letters, want in subbands.items():
+                got = dwt_decimated(image, "db3", level, letters, boundary, constant)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (level, letters)
+
+    @pytest.mark.parametrize("shape,subband", [((16, 16), "HL"), ((8, 16, 8), "LHH")],
+                             ids=["2d", "3d"])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_planned_transform_runs_one_convolution_per_level(self, monkeypatch, shape,
+                                                             subband, level):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return convolve_separable(*args)
+
+        monkeypatch.setattr(voxfilt.wavelets, "convolve_separable", counting)
+        filt = FilterConfig("wavelet", {"family": "db2", "level": level, "subband": subband,
+                                        "decimated": True})
+        out = plan_filter(filt, (1.0,) * len(shape), "3d").run(np.ones(shape))
+        assert out.shape == tuple(n // 2 ** level for n in shape)
+        assert len(calls) == level
 
 
 def _norm_grid(dims):
