@@ -53,20 +53,21 @@ def truncated_support(sigma: float, d: float) -> int:
     return 1 + 2 * int(np.floor(d * sigma + 0.5))
 
 
-def gaussian_kernel_1d(sigma: float, d: float = 4.0) -> np.ndarray:
-    """Sampled Gaussian normalised to unit sum; same support rule as the LoG.
-
-    Each tap is one ``math.exp`` of a Python float, as in
-    :func:`log_kernel_1d`, so the bytes do not depend on numpy's SIMD
-    dispatch level.
-    """
+def _gaussian_samples(sigma: float, d: float) -> tuple:
+    """Offsets t of the truncated support and one ``math.exp(-t^2 / 2 sigma^2)`` per t,
+    a Python float whose bytes no SIMD dispatch level moves; t and -t agree."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if d <= 0:
         raise ValueError(f"truncation parameter must be positive, got {d}")
     m = truncated_support(sigma, d)
-    taps = np.array([math.exp(-(t * t) / (2.0 * sigma**2))
-                     for t in range(-(m // 2), m // 2 + 1)])
+    offsets = range(-(m // 2), m // 2 + 1)
+    return offsets, [math.exp(-t * t / (2.0 * sigma**2)) for t in offsets]
+
+
+def gaussian_kernel_1d(sigma: float, d: float = 4.0) -> np.ndarray:
+    """The LoG's Gaussian samples (:func:`_gaussian_samples`) at unit sum."""
+    taps = np.array(_gaussian_samples(sigma, d)[1])
     return taps / taps.sum()
 
 
@@ -76,18 +77,11 @@ def log_kernel_1d(sigma: float, d: float = 4.0) -> tuple:
     g(t) = c exp(-t^2 / 2 sigma^2) with c = 1 / (sqrt(2 pi) sigma), and
     h(t) = -(1 - t^2 / sigma^2) / sigma^2 g(t), so that the D-dimensional
     LoG is sum over d of h(x_d) times g(x_e) on every other axis e (see
-    :func:`log_kernel`).  Each tap is one ``math.exp`` of a Python float,
-    whose bytes do not depend on numpy's SIMD dispatch level, and the taps
-    at t and -t are equal.
+    :func:`log_kernel`).  The exponentials are :func:`_gaussian_samples`.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if d <= 0:
-        raise ValueError(f"truncation parameter must be positive, got {d}")
-    m = truncated_support(sigma, d)
-    offsets = range(-(m // 2), m // 2 + 1)
+    offsets, samples = _gaussian_samples(sigma, d)
     c = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-    g = [c * math.exp(-t * t / (2.0 * sigma**2)) for t in offsets]
+    g = [c * sample for sample in samples]
     h = [-(1.0 - t * t / sigma**2) / sigma**2 * gt for t, gt in zip(offsets, g)]
     return np.array(g), np.array(h)
 
@@ -160,7 +154,6 @@ class GaborParams:
     wavelength: float
     gamma: float = 1.0
     theta: float = 0.0
-    d: float = 4.0
 
     def __post_init__(self):
         if self.sigma <= 0 or self.wavelength <= 0 or self.gamma <= 0:
@@ -169,7 +162,7 @@ class GaborParams:
     @property
     def support(self) -> int:
         scale = self.sigma if self.gamma <= 1.0 else self.gamma * self.sigma
-        return truncated_support(scale, self.d)
+        return truncated_support(scale, 4.0)
 
 
 def gabor_kernel(params: GaborParams) -> np.ndarray:

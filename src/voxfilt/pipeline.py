@@ -30,15 +30,16 @@ from .convolve import (
     laplacian_passes,
 )
 from .features import diagnostics, intensity_statistics
-from .image import RoiMask, VolumeImage, _integral, _is_number, map_slices, round_half_away
+from .image import (RoiMask, VolumeImage, _check_finite, _integral, _is_number, map_slices,
+                    round_half_away)
 from .kernels import (
     GaborParams,
     gabor_kernel,
+    gaussian_kernel_1d,
     laws_1d,
     laws_energy,
     log_kernel_1d,
     mean_kernel_1d,
-    truncated_support,
 )
 from .riesz import (
     _check_index,
@@ -381,7 +382,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     if len(new_spacing) != membership.ndim or any(s <= 0 for s in new_spacing):
         raise ValueError(f"need one positive spacing per axis, got {new_spacing}")
     if _grid_unchanged(spacing, new_spacing):
-        return RoiMask(membership.copy(), kind=mask.kind)
+        return RoiMask(membership.copy())
     out_dims, coords = _output_coordinates(mask.dims, spacing, new_spacing)
     ndim = membership.ndim
     taps = [_axis_taps(c, n, 1) for c, n in zip(coords, mask.dims)]
@@ -394,7 +395,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
         for axis, k in enumerate(combo):
             weight = weight * _along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
         np.add(fraction, weight, out=fraction, where=inside)
-    return RoiMask(fraction.T >= threshold, kind=mask.kind)
+    return RoiMask(fraction.T >= threshold)
 
 
 def round_intensities(image: VolumeImage) -> VolumeImage:
@@ -406,17 +407,17 @@ def resegment(mask: RoiMask, image: VolumeImage, value_range) -> RoiMask:
     """Intensity mask: ROI voxels whose intensity lies in the closed range.
 
     The morphological mask itself is never altered; with ``value_range``
-    None the membership is just re-labelled as an intensity mask.
+    None the intensity mask is a copy of it.
     """
     if mask.dims != image.dims:
         raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
     if value_range is None:
-        return RoiMask(mask.membership.copy(), kind="intensity")
+        return RoiMask(mask.membership.copy())
     low, high = (float(v) for v in value_range)
     if low > high:
         raise ValueError(f"re-segmentation range is inverted: [{low}, {high}]")
     keep = mask.membership & (image.data >= low) & (image.data <= high)
-    return RoiMask(keep, kind="intensity")
+    return RoiMask(keep)
 
 
 def _isotropic_scale(values_vox, what):
@@ -616,7 +617,7 @@ def _plan_riesz(params, axes, boundary, constant):
         return align_order2(maps, structure_tensor([next(maps)[1] for _ in order1], sigma))
 
     return (f"{summary}, aligned with structure tensor sigma {sigma:.6g} voxels, "
-            f"kernel size {truncated_support(sigma, 4.0)}{applied}"), run
+            f"kernel size {gaussian_kernel_1d(sigma).size}{applied}"), run
 
 
 # kind -> (planner, required parameters, optional parameters)
@@ -707,6 +708,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     summary, op = planner(params, axes, boundary, constant)
 
     def run(volume, threads: int = 1):
+        _check_finite(volume)
         if threads < 1:
             raise ValueError(f"thread count must be at least 1, got {threads}")
         if mode == "2d" and np.ndim(volume) != 3:
@@ -748,6 +750,7 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
         plan = config.plan(image.spacing)
     if mask.dims != image.dims:
         raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
+    _check_finite(image.data)  # before resampling spreads a bad voxel
     mask_before = mask
     work = image
     roi = mask

@@ -27,6 +27,7 @@ then its order-2 set from one such stream, so the image is transformed once.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -59,16 +60,8 @@ def riesz_indices(order: int, ndim: int) -> tuple:
     """All multi-indices l with |l| = order, highest-first lexicographic."""
     if order < 1 or ndim < 1:
         raise ValueError("order and dimensionality must be >= 1")
-
-    def build(remaining, slots):
-        if slots == 1:
-            return [(remaining,)]
-        out = []
-        for head in range(remaining, -1, -1):
-            out.extend((head,) + tail for tail in build(remaining - head, slots - 1))
-        return out
-
-    return tuple(build(order, ndim))
+    return tuple(l for l in itertools.product(range(order, -1, -1), repeat=ndim)
+                 if sum(l) == order)
 
 
 def _check_index(l, ndim) -> tuple:

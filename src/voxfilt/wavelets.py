@@ -30,7 +30,7 @@ from .convolve import (
     fourier_grid,
 )
 from .image import _integral
-from .rotinv import PooledCascade, cascade
+from .rotinv import PooledCascade, _as_kernel, cascade
 
 __all__ = [
     "WaveletFamily",
@@ -99,9 +99,7 @@ def wavelet_family(name: str) -> WaveletFamily:
 
 def atrous_upsample(kernel, level: int) -> np.ndarray:
     """Dilate a kernel by 2^level: zeros between taps, zeros trailing."""
-    g = np.asarray(kernel, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("kernel must be a non-empty 1-D array")
+    g = _as_kernel(kernel)
     if level < 0:
         raise ValueError("upsampling level must be >= 0")
     step = 2 ** level

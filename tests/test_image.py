@@ -70,7 +70,7 @@ class TestRoiMask:
     def test_voxel_count(self):
         membership = np.zeros((4, 4, 4), dtype=bool)
         membership[1:3, 1:3, 1:3] = True
-        m = RoiMask(membership, kind="morphological")
+        m = RoiMask(membership)
         assert m.voxel_count == 8
 
     @pytest.mark.parametrize("dims", [(5, 4), (5, 4, 3)])

@@ -171,7 +171,6 @@ class TestResampleMask:
         membership[1, 1, 1] = True
         out = resample_mask(RoiMask(membership), (2.0, 2.0, 2.0), (2.0, 2.0, 2.0))
         np.testing.assert_array_equal(out.membership, membership)
-        assert out.kind == "morphological"
 
 
 def _meshgrid_oracle(data, coords, order):
@@ -379,7 +378,6 @@ class TestResegment:
         np.testing.assert_array_equal(
             out.membership, np.array([[[True, True], [False, False]]])
         )
-        assert out.kind == "intensity"
 
     def test_none_range_keeps_mask(self):
         membership = np.zeros((2, 2, 2), dtype=bool)
@@ -387,7 +385,6 @@ class TestResegment:
         image = _volume(np.full((2, 2, 2), 1e9))
         out = resegment(RoiMask(membership), image, None)
         np.testing.assert_array_equal(out.membership, membership)
-        assert out.kind == "intensity"
 
     def test_morphological_mask_untouched(self):
         membership = np.ones((2, 2, 2), dtype=bool)
@@ -1253,6 +1250,56 @@ class TestRunConfiguration:
         config = ProcessingConfig(mode="3d", filter=FilterConfig("log", {"sigma_mm": 2.0}),
                                   resample_spacing_mm=(0.5, 0.5, 0.5))
         assert config.plan((2.0, 2.0, 2.0)).summary.startswith("log filter: sigma 4 voxels")
+
+
+class TestNonFiniteVoxels:
+    """A VolumeImage built directly skips create_image's check, so every
+    filter path checks the volume it is handed: a NaN voxel used to leave
+    the intensity mask silently and turn responses and features NaN."""
+
+    @staticmethod
+    def _image(bad):
+        data = np.random.default_rng(1).normal(size=(10, 10, 6)) * 300.0 - 200.0
+        data[4, 5, 3] = bad
+        return VolumeImage(np.asfortranarray(data), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_run_configuration_rejects_2d(self, bad):
+        _, config = load_config(os.path.join(TestShippedConfigs._DIR, "2.A.yaml"))
+        mask = RoiMask(np.ones((10, 10, 6), dtype=bool))
+        with pytest.raises(ValueError, match=r"^1 of 600 voxels are not finite \(NaN or inf"):
+            run_configuration(self._image(bad), mask, config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_configuration_rejects_3d_before_resampling(self, bad, monkeypatch):
+        # 2.B's tricubic prefilter would carry the bad voxel to every voxel of
+        # its 1 mm grid, and the run would then fail as an empty ROI instead
+        _, config = load_config(os.path.join(TestShippedConfigs._DIR, "2.B.yaml"))
+        image = VolumeImage(self._image(bad).data, (2.0, 2.0, 2.0))
+        mask = RoiMask(np.ones((10, 10, 6), dtype=bool))
+        calls = []
+        monkeypatch.setattr(voxfilt.pipeline, "resample_image", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"^1 of 600 voxels are not finite"):
+            run_configuration(image, mask, config)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_apply_filter_and_plan_run_reject(self, bad, mode):
+        image = self._image(bad)
+        filt = FilterConfig("mean", {"support": 3})
+        with pytest.raises(ValueError, match=r"^1 of 600 voxels are not finite"):
+            apply_filter(image, filt, mode)
+        plan = plan_filter(filt, image.spacing, mode)
+        with pytest.raises(ValueError, match=r"^1 of 600 voxels are not finite"):
+            plan.run(image.data, threads=2)
+
+    def test_plan_run_rejects_a_bare_2d_plane(self):
+        plane = np.zeros((10, 10))
+        plane[0, 0] = np.inf
+        plan = plan_filter(FilterConfig("log", {"sigma_vox": 1.0}), (1.0, 1.0), "3d")
+        with pytest.raises(ValueError, match=r"^1 of 100 voxels are not finite"):
+            plan.run(plane)
 
 
 class TestProcessingConfigValidation:

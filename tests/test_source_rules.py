@@ -20,6 +20,12 @@ one path.
   runs on a small fixture, or is listed in ``UNREACHED_EXPORTS`` with the
   reason it stays: the library holds one path per filter, not shadow
   entry points that only their own tests reach.
+* Only the functions in ``LIBM_SITES`` reach libm, or numpy's own versions
+  of its functions: ``math.exp``, ``math.log*``, ``math.cos``, ``math.sin``,
+  ``math.pow``, ``np.exp``, ``np.log*``, ``np.cos``, ``np.sin``,
+  ``np.power``, ``np.arccos``, ``np.cbrt``, ``np.arctan2``, or ``**`` with a
+  non-integer literal exponent.  Their bytes can differ between libms;
+  ``math.sqrt`` and ``np.sqrt`` are correctly rounded and free.
 * No module imports scipy, at the top or inside a function: the library
   runs on numpy and PyYAML alone, and those are exactly the third-party
   modules it imports and the dependencies ``pyproject.toml`` declares.
@@ -49,6 +55,9 @@ BLAS_HOMES = {("benchmark", "consensus")}
 BLAS_NAMES = {"dot", "tensordot", "matmul"}
 NUMPY = {"np", "numpy"}
 COMPRESS_IMPORTS = {"gzip": {"compress", "open"}, "zlib": {"compress", "compressobj"}}
+LIBM_MATH = {"exp", "expm1", "exp2", "log", "log2", "log10", "log1p", "cos", "sin", "pow"}
+LIBM_NUMPY = {"exp", "expm1", "exp2", "log", "log2", "log10", "log1p", "cos", "sin", "power",
+              "arccos", "cbrt", "arctan2"}
 
 
 def _dotted(node) -> str:
@@ -203,6 +212,104 @@ def helper(raw, handle, mode):
 """
     # no module may compress, the NIfTI writer included; crc32 is free
     assert compression_violations(sample) == {4, 5, 8, 9} | set(range(16, 23))
+
+
+def _reaches_libm(node) -> bool:
+    """Whether an attribute is ``math.<f>`` or ``np.<f>`` for a libm-backed f."""
+    path = _dotted(node).split(".")
+    return len(path) == 2 and (path[0] == "math" and path[1] in LIBM_MATH
+                               or path[0] in NUMPY and path[1] in LIBM_NUMPY)
+
+
+def _fractional_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and not node.value.is_integer())
+
+
+def libm_calls(source: str) -> set:
+    """The functions of one module's source that reach libm: that name a
+    libm-backed ``math`` or numpy function, import one from ``math`` or
+    ``numpy``, or raise to a non-integer literal power.  A method or nested
+    function is named by its dotted path, code outside any function
+    ``<module>``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute):
+            hit = _reaches_libm(node)
+        elif isinstance(node, ast.ImportFrom):
+            banned = {"math": LIBM_MATH, "numpy": LIBM_NUMPY}.get(node.module, set())
+            hit = any(alias.name in banned for alias in node.names)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            hit = _fractional_literal(node.right if isinstance(node, ast.BinOp) else node.value)
+        else:
+            hit = False
+        if hit:
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+# Every function that reaches libm, with the reason; making the taps and
+# transfers libm-free (ROADMAP item 2) removes entries, and none is added.
+LIBM_SITES = {
+    "kernels._gaussian_samples": "one math.exp per Gaussian sample, for the Gaussian and LoG taps",
+    "kernels.gabor_kernel": "np.cos and np.sin of theta, and a complex np.exp over the m^2 grid",
+    "wavelets.radial_transfer": "the Simoncelli profile's np.cos and np.log2 over the DFT grid",
+    "features._moments": "the skewness's variance**1.5, which is libm's pow",
+}
+
+
+def test_package_reaches_libm_only_at_the_listed_sites():
+    found = set()
+    for path in SOURCE.glob("*.py"):
+        found |= {f"{path.stem}.{name}" for name in libm_calls(path.read_text())}
+    assert found == set(LIBM_SITES)
+
+
+@pytest.mark.parametrize("expression", [
+    "math.exp(x)", "math.expm1(x)", "math.log(x)", "math.log2(x)", "math.log10(x)",
+    "math.log1p(x)", "math.cos(x)", "math.sin(x)", "math.pow(x, y)", "np.exp(x)",
+    "numpy.log(x)", "np.log2(x)", "np.log1p(x)", "np.cos(x)", "np.sin(x)", "np.power(x, y)",
+    "np.arccos(x)", "np.cbrt(x)", "np.arctan2(x, y)", "x**1.5", "x ** -0.5",
+    "list(map(math.exp, x))", "np.exp(x).sum()",
+])
+def test_libm_checker_sees_each_breach(expression):
+    assert libm_calls(f"def f(x, y):\n    return {expression}\n") == {"f"}
+
+
+@pytest.mark.parametrize("expression", [
+    "math.sqrt(x)", "np.sqrt(x)", "np.hypot(x, y)", "np.abs(x)", "x**2", "x ** -2",
+    "x ** y", "2.0 ** (y - 1)", "math.pi * x", "np.logical_and(x, y)",
+    "np.expand_dims(x, 0)", "np.fft.fftfreq(8)", "x.cos",
+])
+def test_libm_checker_passes_correctly_rounded_operations(expression):
+    assert libm_calls(f"def f(x, y):\n    return {expression}\n") == set()
+
+
+def test_libm_checker_names_the_enclosing_scope():
+    sample = """
+from math import log1p
+from numpy import sqrt
+
+class Stats:
+    def skew(self, v):
+        return v**1.5
+
+def outer(x):
+    def inner(v):
+        v **= 0.5
+        return v
+    return inner(x)
+"""
+    assert libm_calls(sample) == {"<module>", "Stats.skew", "outer.inner"}
 
 
 def unresolved_exports(module) -> list:
