@@ -87,10 +87,12 @@ def half_shape(dims) -> tuple:
 
 
 class TransferCache:
-    """Transfers built once per key, for one run of one filter.
+    """Transfers built once per key, for one filter plan and volume shape.
 
-    The slabs of one run may execute on several threads: the first to ask
-    for a missing key builds it while the others wait for it.
+    A plan keeps one for the last volume shape it mapped over planes, so
+    its entries outlive a run.  The slabs of one run, and runs of one plan,
+    may execute on several threads: the first to ask for a missing key
+    builds it while the others wait for it.
     """
 
     def __init__(self):
@@ -108,7 +110,8 @@ def cached_transfer(transfers: TransferCache | None, key, build):
     """``build()``, kept in ``transfers`` under ``key`` when a cache is given.
 
     Without one nothing outlives the caller's use of the transfer, which is
-    what a whole-volume op, run once, needs.
+    what a whole-volume op needs: keeping its full-grid transfers past the
+    run raised peak memory.
     """
     return build() if transfers is None else transfers.get(key, build)
 
@@ -287,9 +290,10 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
     the product (:func:`fft_inverse`); the padded block is dropped once it is transformed.  The
     transfers depend only on the kernels and the grid, so with a
     ``transfers`` cache they are built once per bank and grid
-    (:func:`cached_transfer`).  The entry is keyed by the
-    identity of ``kernels`` and holds that object, so the identity cannot
-    pass to another bank while the cache lives; mutate no bank in place.
+    (:func:`cached_transfer`); a filter plan's cache keeps them across its
+    runs.  The entry is keyed by the identity of ``kernels`` and holds that
+    object, so the identity cannot pass to another bank while the cache
+    lives; mutate no bank in place.
     """
     image = np.asarray(image, dtype=np.float64)
     shape = np.shape(kernels[0])

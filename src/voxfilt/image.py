@@ -108,8 +108,20 @@ def _check_finite(data) -> None:
 
 
 def round_half_away(data) -> np.ndarray:
-    """Round to the nearest integer, halves away from zero."""
-    return np.sign(data) * np.floor(np.abs(data) + 0.5)
+    """Round to the nearest integer, halves away from zero, as float64.
+
+    The fraction |x| - floor(|x|) is exact, so the half test is too: adding
+    0.5 before the floor would round 0.49999999999999994 up to 1 and odd
+    integers in [2^52, 2^53) up by one.  -0.0 gives +0.0, and ±inf and NaN
+    stay as they are.
+    """
+    magnitude = np.abs(data, dtype=np.float64)
+    rounded = np.floor(magnitude)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which is not >= 0.5
+        magnitude -= rounded
+    rounded += magnitude >= 0.5
+    rounded *= np.sign(data)
+    return rounded
 
 
 def _is_number(value) -> bool:

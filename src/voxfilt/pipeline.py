@@ -15,6 +15,7 @@ import difflib
 import itertools
 import math
 import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -101,7 +102,11 @@ def _numbers(value, what, count=None) -> tuple:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """One benchmark filter: a kind plus its kind-specific parameters."""
+    """One benchmark filter: a kind plus its kind-specific parameters.
+
+    ``params`` is copied at construction, so editing the caller's dict later
+    changes neither the filter nor a plan saved from it.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -109,6 +114,7 @@ class FilterConfig:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}, expected one of {FILTER_KINDS}")
+        object.__setattr__(self, "params", dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -160,12 +166,26 @@ class ProcessingConfig:
     def plan(self, spacing) -> FilterPlan:
         """Plan the filter on the grid it will see: ``resample_spacing_mm``
         when the configuration resamples, else the image's ``spacing``.  No
-        preprocessing runs, so a bad filter fails first."""
+        preprocessing runs, so a bad filter fails first.
+
+        The plan for the last grid is kept, with its kernels and transfers,
+        and returned while the grid stays the same; another grid replaces
+        it.  A copy or an unpickled configuration starts without one.
+        """
         grid = self.resample_spacing_mm or tuple(spacing)
         if len(grid) != len(spacing):
             raise ValueError(f"resample spacing_mm {list(grid)} needs one entry per image "
                              f"axis ({len(spacing)})")
-        return plan_filter(self.filter, grid, self.mode, self.boundary, self.boundary_constant)
+        saved = self.__dict__.get("_saved_plan")
+        if saved is None or saved[0] != grid:
+            saved = grid, plan_filter(self.filter, grid, self.mode, self.boundary,
+                                      self.boundary_constant)
+            object.__setattr__(self, "_saved_plan", saved)
+        return saved[1]
+
+    def __getstate__(self):
+        # the saved plan holds closures, which do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_saved_plan"}
 
 
 _CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
@@ -447,7 +467,9 @@ class FilterPlan:
     the effective voxel-unit parameters, ``run(volume, threads=1)`` maps a
     whole volume to its response in either mode.  The response has the
     volume's dims, except a decimated wavelet's, which has them divided by
-    2^level."""
+    2^level.  The plan holds its kernels for its lifetime, and a run mapped
+    over planes leaves the plan the transfers for that volume shape
+    (:func:`plan_filter`), so running one plan again repeats neither."""
 
     summary: str
     run: Callable[..., np.ndarray]
@@ -457,11 +479,11 @@ class FilterPlan:
 # boundary mode and its constant, and returns (summary, op).  Every op is
 # ``op(data, transfers)``: it filters the trailing len(axes) axes of ``data``,
 # a whole volume, or a (k, n1, n2) stack of planes when plan_filter maps it
-# over slabs, whose leading axis is a batch.  ``transfers`` is one
-# TransferCache per slab-mapped run, so the Fourier-domain and Gabor ops
-# build their transfers once per plane grid and run, and None for a whole
-# volume; the spatial ops ignore it (``_``).  The ops look library functions
-# up by name when they execute.
+# over slabs, whose leading axis is a batch.  ``transfers`` is the plan's
+# TransferCache for the volume shape being mapped over slabs, so the
+# Fourier-domain and Gabor ops build their transfers once per plane grid
+# and plan, and None for a whole volume; the spatial ops ignore it (``_``).
+# The ops look library functions up by name when they execute.
 
 
 def _needs_switch(params, switch, keys, what):
@@ -657,9 +679,13 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     threads, so memory holds one slab's working set per thread; the
     identity copies the whole volume in either mode.  Gabor
     filters planes through the FFT in both modes.  The layout is fixed
-    here; each slab-mapped run gives all its slabs one TransferCache.  The
-    decimated wavelet runs in 3-D mode only, without rotation invariance.
-    A non-zero ``constant`` needs the constant boundary and a spatial filter.
+    here.  A run mapped over planes gives all its slabs one TransferCache,
+    and the plan keeps it for the last volume shape it ran on: later runs on
+    that shape, from any thread, reuse its transfers, and a run on another
+    shape replaces it.  A whole-volume 3-D op keeps no transfers: holding
+    full-grid ones past a run raised peak memory.  The decimated wavelet
+    runs in 3-D mode only, without rotation invariance.  A non-zero
+    ``constant`` needs the constant boundary and a spatial filter.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
@@ -706,6 +732,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
         axes = (scale, scale)
         slices = orthogonal_plane_average
     summary, op = planner(params, axes, boundary, constant)
+    kept, lock = {}, threading.Lock()  # the last volume shape -> its TransferCache
 
     def run(volume, threads: int = 1):
         _check_finite(volume)
@@ -718,7 +745,12 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
                              f"and cannot filter a {np.ndim(volume)}-D volume")
         if slices is None:
             return op(volume, None)
-        transfers = TransferCache()
+        shape = np.shape(volume)
+        with lock:
+            transfers = kept.get(shape)
+            if transfers is None:
+                kept.clear()
+                transfers = kept[shape] = TransferCache()
         return slices(volume, lambda stack: op(stack, transfers), threads)
 
     return FilterPlan(summary, run)
@@ -742,9 +774,11 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
 
     The feature tuple holds the five diagnostics followed by the eighteen
     intensity statistics of the response over the re-segmented ROI.
-    ``plan``, when given, is ``config.plan(image.spacing)``; it spares
-    planning twice.  Without it the configuration is planned first, so a bad
-    filter fails before any preprocessing.
+    ``plan``, when given, is ``config.plan(image.spacing)``.  Without it
+    the configuration is planned first, so a bad filter fails before any
+    preprocessing; ``config.plan`` keeps the plan for the last grid, so
+    running one configuration on image after image plans it once per grid
+    and reuses its kernels and transfers.
     """
     if plan is None:
         plan = config.plan(image.spacing)

@@ -119,7 +119,7 @@ def riesz_filtered_maps(image, profile: RadialProfile, indices,
     axes of ``image``, and any leading ones are a batch that the transfers,
     built on the filtered axes' grid, broadcast over.  Everything runs on
     the half spectrum of the last axis, so each map is real from its inverse
-    DFT on.  A filter run's cache ``transfers`` builds the band and each
+    DFT on.  A filter plan's cache ``transfers`` builds the band and each
     steering transfer once per grid.
     """
     image = np.asarray(image, dtype=np.float64)

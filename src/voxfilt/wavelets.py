@@ -228,7 +228,7 @@ def nonseparable_b_map(image, profile: RadialProfile,
 
     The radial transfer is real and even, so it is applied on the half
     spectrum, built on the filtered axes' grid and broadcast over any
-    leading (batch) axes.  A filter run's cache ``transfers`` builds it once
+    leading (batch) axes.  A filter plan's cache ``transfers`` builds it once
     per grid.
     """
     image = np.asarray(image, dtype=np.float64)

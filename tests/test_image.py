@@ -1,4 +1,6 @@
-"""Volume container, ROI mask and slice-mapping tests."""
+"""Volume container, ROI mask, rounding and slice-mapping tests."""
+
+import decimal
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from voxfilt.image import (
     RoiMask,
     create_image,
     map_slices,
+    round_half_away,
 )
 
 
@@ -94,6 +97,29 @@ class TestWithData:
         img = create_image((2, 3), (1, 2), np.arange(6))
         with pytest.raises(ValueError):
             img.with_data(np.ones((3, 2)))
+
+
+class TestRoundHalfAway:
+    # values next to a half, integers where adding 0.5 would round, and halves
+    _HARD = [0.49999999999999994, 0.5, 1.4999999999999998, 1.5, 2.5, 2.0**51 + 0.5,
+             2.0**52 - 0.5, 2.0**52 + 1, 2.0**53 - 1, 2.0**53, 1e-300, 0.0, -0.0, 7.25, 1e300]
+
+    def test_matches_decimal_half_up(self):
+        values = self._HARD + [-v for v in self._HARD]
+        got = round_half_away(np.array(values))
+        with decimal.localcontext() as context:
+            context.prec = 400
+            one = decimal.Decimal(1)
+            want = [float(decimal.Decimal(v).quantize(one, rounding=decimal.ROUND_HALF_UP))
+                    for v in values]
+        assert got.tolist() == want
+
+    def test_negative_zero_gives_positive_zero(self):
+        assert not np.signbit(round_half_away(np.array([-0.0]))).any()
+
+    def test_non_finite_values_stay(self):
+        got = round_half_away(np.array([np.inf, -np.inf, np.nan]))
+        assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
 
 
 class TestMapSlices:

@@ -1,6 +1,13 @@
+import collections
+import dataclasses
+import hashlib
 import os
+import pickle
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -333,13 +340,17 @@ def test_prefilter_does_not_depend_on_simd_dispatch():
     assert {digest for _, digest in results} == {results[0][1]}, results
 
 
+def _check_input():
+    data = np.random.default_rng(101).normal(size=(14, 13, 9)) * 300.0 - 200.0
+    image = create_image(data.shape, (1.5, 1.5, 2.5), data)
+    return image, RoiMask(np.ones(image.dims, dtype=bool))
+
+
 def _b_config_inputs():
     # the check input, and the volumetric benchmark's CT noise (input set 0)
-    check = np.random.default_rng(101).normal(size=(14, 13, 9)) * 300.0 - 200.0
     rng = np.random.default_rng([0, 0])
     ct = np.rint(5.0 * np.clip(rng.normal(127.0, 48.0, (28, 28, 28)), 0.0, 255.0) - 600.0)
-    return [("check", create_image(check.shape, (1.5, 1.5, 2.5), check)),
-            ("ct", create_image(ct.shape, (2.0, 2.0, 2.0), ct))]
+    return [("check", _check_input()[0]), ("ct", create_image(ct.shape, (2.0, 2.0, 2.0), ct))]
 
 
 def test_b_config_bytes_do_not_depend_on_the_prefilter(monkeypatch):
@@ -479,12 +490,21 @@ class TestPlanFilter:
             "sigma_vox": 1.0, "lambda_vox": 3.0, "rotation_invariance": True,
             "dtheta": np.pi / 4, "orthogonal_planes": True,
         })
-        plan = plan_filter(filt, (1.0, 1.0, 1.0), "3d")
-        for threads in (1, 3):
+        volume = np.random.default_rng(23).normal(size=dims)
+        reference = None
+        for first_threads in (1, 3):
+            # built on a plan's first run; later runs reuse the plan's transfers
+            plan = plan_filter(filt, (1.0, 1.0, 1.0), "3d")
             grids.clear()
-            plan.run(np.random.default_rng(23).normal(size=dims), threads)
+            first = plan.run(volume, first_threads)
             assert len(grids) == 4 * plane_shapes
             assert len(set(grids)) == plane_shapes
+            reference = first if reference is None else reference
+            assert first.tobytes() == reference.tobytes()
+            for threads in (1, 3):
+                grids.clear()
+                assert plan.run(volume, threads).tobytes() == first.tobytes()
+                assert grids == []
 
     @pytest.mark.parametrize("params,built_per_shape", [
         ({"kind": "nonseparable", "wavelet": "shannon", "level": 1}, 1),
@@ -511,13 +531,46 @@ class TestPlanFilter:
         counting(voxfilt.riesz, "radial_transfer")
         counting(voxfilt.riesz, "riesz_transfer")
         params = dict(params)
-        plan = plan_filter(FilterConfig(params.pop("kind"), params), (1.0, 1.0, 3.0), "2d")
+        filt = FilterConfig(params.pop("kind"), params)
         volume = np.random.default_rng(24).normal(size=(8, 9, 5))
-        reference = plan.run(volume, 1)
-        for threads in (1, 3):
+        reference = None
+        for first_threads in (1, 3):
+            # built on a plan's first run; later runs reuse the plan's transfers
+            plan = plan_filter(filt, (1.0, 1.0, 3.0), "2d")
             built.clear()
-            np.testing.assert_array_equal(plan.run(volume, threads), reference)
+            first = plan.run(volume, first_threads)
             assert len(built) == built_per_shape
+            reference = first if reference is None else reference
+            np.testing.assert_array_equal(first, reference)
+            for threads in (1, 3):
+                built.clear()
+                assert plan.run(volume, threads).tobytes() == first.tobytes()
+                assert built == []
+
+    def test_a_new_volume_shape_rebuilds_once_and_drops_the_old_one(self, monkeypatch):
+        import voxfilt.convolve
+
+        built = []
+
+        def counting_transfer(kernel, grid):
+            transfer = kernel_to_transfer(kernel, grid)
+            built.append(weakref.ref(transfer))
+            return transfer
+
+        monkeypatch.setattr(voxfilt.convolve, "kernel_to_transfer", counting_transfer)
+        filt = FilterConfig("gabor", {"sigma_vox": 1.0, "lambda_vox": 3.0, "theta": 0.4})
+        plan = plan_filter(filt, (1.0, 1.0, 3.0), "2d")
+        rng = np.random.default_rng(26)
+        small, large = rng.normal(size=(8, 9, 3)), rng.normal(size=(10, 7, 3))
+        kept = []
+        for volume in (small, large, small):
+            built.clear()
+            first = plan.run(volume)
+            assert len(built) == 1
+            assert all(ref() is None for ref in kept)  # the previous shape's transfer is gone
+            kept = list(built)
+            assert plan.run(volume, 2).tobytes() == first.tobytes()
+            assert len(built) == 1 and built[0]() is not None
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_2d_identity_copies_the_volume_without_slabs(self, monkeypatch, threads):
@@ -1250,6 +1303,124 @@ class TestRunConfiguration:
         config = ProcessingConfig(mode="3d", filter=FilterConfig("log", {"sigma_mm": 2.0}),
                                   resample_spacing_mm=(0.5, 0.5, 0.5))
         assert config.plan((2.0, 2.0, 2.0)).summary.startswith("log filter: sigma 4 voxels")
+
+
+def _digests(result):
+    response, _, features = result
+    return (hashlib.sha256(np.ascontiguousarray(response.data).tobytes()).hexdigest(),
+            hashlib.sha256(repr(features).encode()).hexdigest())
+
+
+class TestSavedPlan:
+    """A configuration keeps the plan for its last grid, and a plan its
+    transfers for the last volume shape it mapped over planes."""
+
+    _GABOR = {"sigma_mm": 1.5, "lambda_mm": 3.0, "theta": 0.3}
+
+    @staticmethod
+    def _count_plans(monkeypatch):
+        grids = []
+
+        def counting(filt, spacing, *args):
+            grids.append(tuple(spacing))
+            return plan_filter(filt, spacing, *args)
+
+        monkeypatch.setattr(voxfilt.pipeline, "plan_filter", counting)
+        return grids
+
+    def test_one_config_plans_once_per_grid(self, monkeypatch):
+        grids = self._count_plans(monkeypatch)
+        image, mask = _check_input()
+        config = ProcessingConfig(mode="2d", filter=FilterConfig("gabor", self._GABOR))
+        first = run_configuration(image, mask, config)
+        assert _digests(run_configuration(image, mask, config)) == _digests(first)
+        assert grids == [(1.5, 1.5, 2.5)]
+        # an A config plans on the image's grid: another spacing replaces the plan
+        plan = config.plan(image.spacing)
+        assert config.plan((2.0, 2.0, 2.5)) is not plan
+        assert config.plan(image.spacing) is not plan
+        assert grids == [(1.5, 1.5, 2.5), (2.0, 2.0, 2.5), (1.5, 1.5, 2.5)]
+        # a resampling config plans on its own grid, whatever the image's
+        grids.clear()
+        resampled = ProcessingConfig(mode="3d", filter=FilterConfig("mean", {"support": 3}),
+                                     resample_spacing_mm=(1.0, 1.0, 1.0))
+        assert resampled.plan((1.5, 1.5, 2.5)) is resampled.plan((2.0, 2.0, 2.0))
+        assert grids == [(1.0, 1.0, 1.0)]
+
+    def test_copies_start_without_a_saved_plan(self, monkeypatch):
+        grids = self._count_plans(monkeypatch)
+        config = ProcessingConfig(mode="2d", filter=FilterConfig("gabor", self._GABOR))
+        plan = config.plan((1.0, 1.0, 2.0))
+        for copy in (dataclasses.replace(config), pickle.loads(pickle.dumps(config))):
+            assert copy == config
+            assert copy.plan((1.0, 1.0, 2.0)) is not plan
+        assert config.plan((1.0, 1.0, 2.0)) is plan
+        assert len(grids) == 3
+
+    def test_editing_the_params_dict_after_a_run_changes_nothing(self):
+        params = dict(self._GABOR)
+        config = ProcessingConfig(mode="2d", filter=FilterConfig("gabor", params))
+        image, mask = _check_input()
+        first = run_configuration(image, mask, config)
+        summary = config.plan(image.spacing).summary
+        params.update(sigma_mm=2.5, theta=1.0)
+        assert _digests(run_configuration(image, mask, config)) == _digests(first)
+        assert config.plan(image.spacing).summary == summary
+        assert config.filter.params == self._GABOR
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_repeated_runs_keep_every_config_bytes(self, threads):
+        image, mask = _check_input()
+        names = sorted(os.listdir(TestShippedConfigs._DIR))
+        assert len(names) == 22
+        for name in names:
+            path = os.path.join(TestShippedConfigs._DIR, name)
+            want = _digests(run_configuration(image, mask, load_config(path)[1], threads))
+            config = load_config(path)[1]
+            for _ in range(2):
+                assert _digests(run_configuration(image, mask, config, threads)) == want, name
+
+    def test_one_plan_runs_from_several_threads(self, monkeypatch):
+        # more Python threads than cores, switching often, all on one shape
+        built = collections.Counter()
+
+        def counting_transfer(kernel, grid):
+            built[tuple(grid), kernel.tobytes()] += 1
+            return kernel_to_transfer(kernel, grid)
+
+        filt = FilterConfig("gabor", {"sigma_vox": 1.0, "lambda_vox": 3.0,
+                                      "rotation_invariance": True, "dtheta": np.pi / 4})
+        volume = np.random.default_rng(28).normal(size=(9, 8, 6))
+        serial = plan_filter(filt, (1.0, 1.0, 3.0), "2d").run(volume)
+        class SlowCache(voxfilt.convolve.TransferCache):
+            def __init__(self):  # widens the window between finding no cache and storing one
+                time.sleep(0.01)
+                super().__init__()
+
+        monkeypatch.setattr(voxfilt.convolve, "kernel_to_transfer", counting_transfer)
+        monkeypatch.setattr(voxfilt.pipeline, "TransferCache", SlowCache)
+        plan = plan_filter(filt, (1.0, 1.0, 3.0), "2d")
+        count = 4
+        barrier = threading.Barrier(count)
+        results = [None] * count
+
+        def work(slot):
+            barrier.wait(timeout=60)
+            results[slot] = plan.run(volume, 2)
+
+        workers = [threading.Thread(target=work, args=(slot,)) for slot in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [r.tobytes() for r in results] == [serial.tobytes()] * count
+        assert len(built) == 4 and set(built.values()) == {1}
 
 
 class TestNonFiniteVoxels:
