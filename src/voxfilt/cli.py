@@ -144,12 +144,8 @@ def cmd_run(args) -> int:
     test_id, config = load_config(args.config)
     image, view = _load_image(args.image, args.round_on_load)
     mask = _load_mask(args.mask, image)
-    plan = config.plan(image.spacing)
-    _log(plan.summary)
-
-    response, intensity_mask, features = run_configuration(
-        image, mask, config, args.threads, plan=plan
-    )
+    _log(config.plan(image.spacing).summary)
+    response, intensity_mask, features = run_configuration(image, mask, config, args.threads)
 
     stem = test_id or "run"
     os.makedirs(args.out_dir, exist_ok=True)

@@ -89,15 +89,23 @@ def half_shape(dims) -> tuple:
 class TransferCache:
     """Transfers built once per key, for one filter plan and volume shape.
 
-    A plan keeps one for the last volume shape it mapped over planes, so
-    its entries outlive a run.  The slabs of one run, and runs of one plan,
-    may execute on several threads: the first to ask for a missing key
-    builds it while the others wait for it.
+    A plan keeps one for its lifetime; :meth:`for_shape` empties it when the
+    volume shape changes.  The slabs of one run, and runs of one plan, may
+    execute on several threads: the first to ask for a missing key builds
+    it while the others wait for it.
     """
 
     def __init__(self):
+        self._shape = None
         self._built = {}
         self._lock = threading.Lock()
+
+    def for_shape(self, shape):
+        """Empty the cache when ``shape`` is not the volume shape it last served."""
+        with self._lock:
+            if shape != self._shape:
+                self._built.clear()
+                self._shape = shape
 
     def get(self, key, build):
         with self._lock:

@@ -156,10 +156,11 @@ def map_slices(volume, op, threads: int = 1) -> np.ndarray:
     ``op`` takes each slab as a C-ordered float64 stack of shape (k, n1, n2),
     one plane per slice, and returns a stack of that shape in which each
     plane is filtered on its own.  With ``threads`` > 1 the calling thread
-    and ``threads`` - 1 helper threads take the slabs in turn, so memory
-    holds one slab's working set per thread.  Each result is stored at its
-    own indices, so the output depends neither on the thread count nor on
-    the slab size.  A result whose shape differs from its stack is rejected.
+    and ``threads`` - 1 helper threads, no more than there are other slabs,
+    take the slabs in turn, so memory holds one slab's working set per
+    thread.  Each result is stored at its own indices, so the output depends
+    neither on the thread count nor on the slab size.  A result whose shape
+    differs from its stack is rejected.
     """
     n1, n2, count = volume.shape
     planes = max(1, _SLAB_VOXELS // (n1 * n2))
@@ -173,7 +174,9 @@ def map_slices(volume, op, threads: int = 1) -> np.ndarray:
             raise ValueError("per-slab operation must preserve slice dimensions")
         out[:, :, slab] = np.moveaxis(piece, 0, 2)
 
-    starts = iter(range(0, count, planes))
+    slabs = range(0, count, planes)
+    helpers = min(threads, len(slabs)) - 1  # a helper beyond that would find no slab
+    starts = iter(slabs)
     lock = threading.Lock()
 
     # shared queue, not executor.map: one more thread's arena took slices-2d peak RSS 84 -> 90 MB
@@ -186,9 +189,9 @@ def map_slices(volume, op, threads: int = 1) -> np.ndarray:
             run(start)
 
     # the calling thread is one of the workers
-    with futures.ThreadPoolExecutor(max_workers=max(1, threads - 1)) as executor:
-        helpers = [executor.submit(drain) for _ in range(threads - 1)]
+    with futures.ThreadPoolExecutor(max_workers=max(1, helpers)) as executor:
+        pending = [executor.submit(drain) for _ in range(helpers)]
         drain()
-        for helper in helpers:
+        for helper in pending:
             helper.result()  # re-raises a helper's failure
     return out

@@ -15,7 +15,6 @@ import difflib
 import itertools
 import math
 import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -105,7 +104,7 @@ class FilterConfig:
     """One benchmark filter: a kind plus its kind-specific parameters.
 
     ``params`` is copied at construction, so editing the caller's dict later
-    changes neither the filter nor a plan saved from it.
+    changes neither the filter nor the plan it keeps (:meth:`plan`).
     """
 
     kind: str
@@ -115,6 +114,22 @@ class FilterConfig:
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}, expected one of {FILTER_KINDS}")
         object.__setattr__(self, "params", dict(self.params))
+
+    def plan(self, spacing, mode: str, boundary: str = "mirror",
+             constant: float = 0.0) -> FilterPlan:
+        """:func:`plan_filter` of this filter, kept and returned again while
+        the spacing, mode, boundary and constant stay the same; other values
+        replace it.  A pickled copy starts without one."""
+        key = (tuple(spacing), mode, boundary, constant)
+        saved = self.__dict__.get("_saved_plan")
+        if saved is None or saved[0] != key:
+            saved = key, plan_filter(self, *key)
+            object.__setattr__(self, "_saved_plan", saved)
+        return saved[1]
+
+    def __getstate__(self):
+        # the saved plan holds closures, which do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_saved_plan"}
 
 
 @dataclass(frozen=True)
@@ -132,6 +147,8 @@ class ProcessingConfig:
     boundary_constant: float = 0.0
 
     def __post_init__(self):
+        # its own filter, so a dataclasses.replace copy starts without the saved plan
+        object.__setattr__(self, "filter", FilterConfig(self.filter.kind, self.filter.params))
         if self.mode not in ("2d", "3d"):
             raise ValueError(f"mode must be '2d' or '3d', got {self.mode!r}")
         if self.boundary not in BOUNDARY_MODES:
@@ -166,26 +183,14 @@ class ProcessingConfig:
     def plan(self, spacing) -> FilterPlan:
         """Plan the filter on the grid it will see: ``resample_spacing_mm``
         when the configuration resamples, else the image's ``spacing``.  No
-        preprocessing runs, so a bad filter fails first.
-
-        The plan for the last grid is kept, with its kernels and transfers,
-        and returned while the grid stays the same; another grid replaces
-        it.  A copy or an unpickled configuration starts without one.
+        preprocessing runs, so a bad filter fails first.  The filter keeps
+        the plan (:meth:`FilterConfig.plan`) while the grid stays the same.
         """
         grid = self.resample_spacing_mm or tuple(spacing)
         if len(grid) != len(spacing):
             raise ValueError(f"resample spacing_mm {list(grid)} needs one entry per image "
                              f"axis ({len(spacing)})")
-        saved = self.__dict__.get("_saved_plan")
-        if saved is None or saved[0] != grid:
-            saved = grid, plan_filter(self.filter, grid, self.mode, self.boundary,
-                                      self.boundary_constant)
-            object.__setattr__(self, "_saved_plan", saved)
-        return saved[1]
-
-    def __getstate__(self):
-        # the saved plan holds closures, which do not pickle
-        return {k: v for k, v in self.__dict__.items() if k != "_saved_plan"}
+        return self.filter.plan(grid, self.mode, self.boundary, self.boundary_constant)
 
 
 _CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
@@ -213,15 +218,18 @@ def load_config(path):
     a misspelt key cannot silently fall back to its default, and so are
     ``image_interpolation`` and ``mask_threshold`` without a ``spacing_mm``
     to resample to.  Keys the file leaves out take the ProcessingConfig
-    defaults.  ``test_id`` names the output files, so it may hold no path
-    separator and may not be ``.`` or ``..``.
+    defaults.  ``test_id`` names the output files, so it must be a string
+    (null or missing gives ``""``), may hold no path separator and may not
+    be ``.`` or ``..``.
     """
     with open(path) as handle:
         raw = yaml.safe_load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"configuration file {path} must hold a mapping")
     _reject_unknown_keys(raw, _CONFIG_KEYS, f"configuration file {path}")
-    test_id = str(raw.get("test_id", ""))
+    test_id = "" if raw.get("test_id") is None else raw["test_id"]
+    if not isinstance(test_id, str):
+        raise ValueError(f"test_id must be a string, got {test_id!r}; put it in quotes")
     if test_id in (".", "..") or any(sep in test_id for sep in ("/", "\\", os.sep)):
         raise ValueError(f"test_id {test_id!r} names the output files; it cannot hold a "
                          "path separator or be '.' or '..'")
@@ -232,6 +240,8 @@ def load_config(path):
         raise ValueError(f"configuration is missing the {exc.args[0]!r} key") from None
     if not isinstance(filt, dict) or "kind" not in filt:
         raise ValueError("the filter block needs a 'kind' entry")
+    if not isinstance(filt["kind"], str):
+        raise ValueError(f"filter kind must be one of {FILTER_KINDS}, got {filt['kind']!r}")
     fields = {field: raw[key] for key, field in _CONFIG_FIELDS.items() if key in raw}
     resample = raw.get("resample")
     if resample is not None:
@@ -246,7 +256,7 @@ def load_config(path):
                                  "spacing_mm to resample to")
         fields.update((field, resample[key]) for key, field in _RESAMPLE_FIELDS.items()
                       if key in resample)
-    filt = FilterConfig(str(filt["kind"]).lower(), {k: v for k, v in filt.items() if k != "kind"})
+    filt = FilterConfig(filt["kind"].lower(), {k: v for k, v in filt.items() if k != "kind"})
     return test_id, ProcessingConfig(mode=mode, filter=filt, **fields)
 
 
@@ -467,9 +477,9 @@ class FilterPlan:
     the effective voxel-unit parameters, ``run(volume, threads=1)`` maps a
     whole volume to its response in either mode.  The response has the
     volume's dims, except a decimated wavelet's, which has them divided by
-    2^level.  The plan holds its kernels for its lifetime, and a run mapped
-    over planes leaves the plan the transfers for that volume shape
-    (:func:`plan_filter`), so running one plan again repeats neither."""
+    2^level.  The plan holds its kernels and transfers for its lifetime
+    (:func:`plan_filter`), so running it again repeats neither; the filter
+    holds the plan (:meth:`FilterConfig.plan`)."""
 
     summary: str
     run: Callable[..., np.ndarray]
@@ -679,16 +689,20 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     threads, so memory holds one slab's working set per thread; the
     identity copies the whole volume in either mode.  Gabor
     filters planes through the FFT in both modes.  The layout is fixed
-    here.  A run mapped over planes gives all its slabs one TransferCache,
-    and the plan keeps it for the last volume shape it ran on: later runs on
-    that shape, from any thread, reuse its transfers, and a run on another
-    shape replaces it.  A whole-volume 3-D op keeps no transfers: holding
-    full-grid ones past a run raised peak memory.  The decimated wavelet
-    runs in 3-D mode only, without rotation invariance.  A non-zero
-    ``constant`` needs the constant boundary and a spatial filter.
+    here, so 2-D mode needs a 3-entry ``spacing``.  The plan holds one
+    TransferCache for its lifetime, given to every slab of every run mapped
+    over planes: runs on the shape it last saw, from any thread, reuse its
+    transfers, and another shape empties it first.  A whole-volume 3-D op
+    keeps no transfers: holding full-grid ones past a run raised peak
+    memory.  The decimated wavelet runs in 3-D mode only, without rotation
+    invariance.  A non-zero ``constant`` needs the constant boundary and a
+    spatial filter.
     """
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
+    if mode == "2d" and len(spacing) != 3:
+        raise ValueError(f"2d mode filters the slices of a 3-D volume, so it needs 3 spacing "
+                         f"entries, got {tuple(spacing)}")
     if constant != 0.0 and boundary != "constant":
         raise ValueError(f"boundary_constant {constant!r} applies only with boundary "
                          f"constant, not {boundary}")
@@ -697,7 +711,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     missing = set(required) - set(params)
     if missing:
         raise ValueError(f"{kind} filter is missing parameters {sorted(missing)}")
-    unknown = sorted(set(params) - set(required) - set(optional))
+    unknown = sorted(set(params) - set(required) - set(optional), key=str)
     if unknown:
         hints = ""
         for key in unknown:
@@ -732,7 +746,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
         axes = (scale, scale)
         slices = orthogonal_plane_average
     summary, op = planner(params, axes, boundary, constant)
-    kept, lock = {}, threading.Lock()  # the last volume shape -> its TransferCache
+    transfers = TransferCache()
 
     def run(volume, threads: int = 1):
         _check_finite(volume)
@@ -745,12 +759,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
                              f"and cannot filter a {np.ndim(volume)}-D volume")
         if slices is None:
             return op(volume, None)
-        shape = np.shape(volume)
-        with lock:
-            transfers = kept.get(shape)
-            if transfers is None:
-                kept.clear()
-                transfers = kept[shape] = TransferCache()
+        transfers.for_shape(np.shape(volume))
         return slices(volume, lambda stack: op(stack, transfers), threads)
 
     return FilterPlan(summary, run)
@@ -758,30 +767,25 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
 
 def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
                  boundary: str = "mirror", constant: float = 0.0,
-                 threads: int = 1, plan: FilterPlan | None = None) -> np.ndarray:
-    """Filter a whole volume: ``plan_filter(...).run(image.data, threads)``.
-
-    A ``plan`` already made from these arguments is run as it is.
-    """
-    if plan is None:
-        plan = plan_filter(filt, image.spacing, mode, boundary, constant)
-    return plan.run(image.data, threads)
+                 threads: int = 1) -> np.ndarray:
+    """Filter a whole volume with ``filt.plan(image.spacing, mode, boundary,
+    constant)``, the plan the filter keeps: calls with the same grid and
+    settings plan once and reuse its kernels and transfers."""
+    return filt.plan(image.spacing, mode, boundary, constant).run(image.data, threads)
 
 
 def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfig,
-                      threads: int = 1, *, plan: FilterPlan | None = None):
+                      threads: int = 1):
     """Execute a full configuration; returns (response, intensity mask, features).
 
     The feature tuple holds the five diagnostics followed by the eighteen
-    intensity statistics of the response over the re-segmented ROI.
-    ``plan``, when given, is ``config.plan(image.spacing)``.  Without it
-    the configuration is planned first, so a bad filter fails before any
-    preprocessing; ``config.plan`` keeps the plan for the last grid, so
-    running one configuration on image after image plans it once per grid
-    and reuses its kernels and transfers.
+    intensity statistics of the response over the re-segmented ROI.  The
+    configuration is planned first (``config.plan``), so a bad filter fails
+    before any preprocessing.  The filter keeps that plan, and
+    :func:`apply_filter` runs it, so running one configuration on image
+    after image plans it once per grid and reuses its kernels and transfers.
     """
-    if plan is None:
-        plan = config.plan(image.spacing)
+    config.plan(image.spacing)
     if mask.dims != image.dims:
         raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
     _check_finite(image.data)  # before resampling spreads a bad voxel
@@ -797,10 +801,8 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
     intensity_mask = resegment(roi, work, config.reseg_range)
     if intensity_mask.voxel_count == 0:
         raise ValueError("empty ROI after re-segmentation")
-    response = work.with_data(apply_filter(
-        work, config.filter, config.mode, config.boundary, config.boundary_constant,
-        threads, plan,
-    ))
+    response = work.with_data(apply_filter(work, config.filter, config.mode, config.boundary,
+                                           config.boundary_constant, threads))
     features = diagnostics(mask_before.membership, intensity_mask.membership, work.data)
     features = features + intensity_statistics(response.data, intensity_mask.membership)
     return response, intensity_mask, features

@@ -65,7 +65,10 @@ def riesz_indices(order: int, ndim: int) -> tuple:
 
 
 def _check_index(l, ndim) -> tuple:
-    entries = tuple(l)
+    try:
+        entries = tuple(l)
+    except TypeError:
+        raise ValueError(f"riesz index l must be a list of integers, got {l!r}") from None
     l = tuple(_integral(v, f"riesz index {entries} entry") for v in entries)
     if len(l) != ndim:
         raise ValueError(

@@ -822,6 +822,35 @@ class TestRunCommand:
         assert reads == []
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_null_test_id_names_the_files_run(self, tmp_path, capsys):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text("test_id:\nmode: 3d\nfilter:\n  kind: none\n")
+        assert main(["run", str(config), "--image", str(src), "--mask", str(mask),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "run_features.csv", "run_features.json", "run_response.nii.gz"]
+
+    @pytest.mark.parametrize("test_id", ["1.10", "7", "true"])
+    def test_non_string_test_id_asks_for_quotes(self, tmp_path, monkeypatch, capsys, test_id):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(f"test_id: {test_id}\nmode: 3d\nfilter:\n  kind: none\n")
+        reads = []
+        monkeypatch.setattr(voxfilt.cli, "read_nifti", lambda *a, **k: reads.append(a))
+        assert main(["run", str(config), "--image", str(src), "--mask", str(mask),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: test_id must be a string") and "quotes" in err
+        assert reads == [] and not (tmp_path / "out").exists()
+
+    def test_scalar_riesz_index_fails_cleanly(self, tmp_path, capsys):
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text("test_id: T\nmode: 2d\nfilter:\n  kind: riesz\n"
+                          "  wavelet: simoncelli\n  level: 1\n  l: 2\n")
+        assert main(["run", str(config), "--image", str(src), "--mask", str(mask),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: riesz index l must be a list of integers, got 2\n"
+
     def test_boundary_constant_needs_constant_boundary(self, tmp_path, capsys):
         src, mask, config = self._fixture(tmp_path)
         config.write_text(yaml.safe_dump({"test_id": "T", "mode": "3d", "boundary": "mirror",

@@ -1,6 +1,8 @@
 """Volume container, ROI mask, rounding and slice-mapping tests."""
 
 import decimal
+import types
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -152,6 +154,38 @@ class TestMapSlices:
             [(32 % per_slab, 128, 128)] if 32 % per_slab else [])
         assert out.flags.f_contiguous
         np.testing.assert_array_equal(out, -volume)
+
+    @pytest.mark.parametrize("threads,slabs,helpers", [(64, 1, 0), (64, 3, 2), (2, 3, 1),
+                                                       (1, 3, 0)])
+    def test_submits_no_more_helpers_than_other_slabs(self, monkeypatch, threads, slabs,
+                                                      helpers):
+        submitted, widths = [], []
+
+        class StandIn:
+            """Runs each submitted helper inline, so no thread starts."""
+
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn):
+                submitted.append(fn)
+                future = futures.Future()
+                future.set_result(fn())
+                return future
+
+        monkeypatch.setattr(voxfilt.image, "futures",
+                            types.SimpleNamespace(ThreadPoolExecutor=StandIn))
+        monkeypatch.setattr(voxfilt.image, "_SLAB_VOXELS", 4 * 3)  # one plane per slab
+        volume = np.random.default_rng(30).normal(size=(4, 3, slabs))
+        out = map_slices(volume, lambda stack: 2.0 * stack, threads)
+        assert len(submitted) == helpers and widths == [max(1, helpers)]
+        np.testing.assert_array_equal(out, 2.0 * volume)
 
     def test_default_slab_is_four_planes_of_128_squared(self):
         assert voxfilt.image._SLAB_VOXELS == 4 * 128 * 128

@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+import yaml
 from scipy import ndimage
 
 import voxfilt.convolve
@@ -426,6 +427,11 @@ class TestPlanFilter:
                                 "separable route (4 one-axis passes)")
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 3.0), "3d")
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
+    def test_2d_mode_needs_three_spacing_entries(self, spacing):
+        with pytest.raises(ValueError, match="2d mode filters the slices of a 3-D volume"):
+            plan_filter(FilterConfig("mean", {"support": 3}), spacing, "2d")
 
     def test_3d_run_rejects_a_volume_of_other_dimensionality(self):
         plan = plan_filter(FilterConfig("log", {"sigma_vox": 1.0}), (1.0, 1.0), "3d")
@@ -1292,6 +1298,17 @@ class TestRunConfiguration:
             run_configuration(image, mask, config)
         assert calls == []
 
+    def test_2d_mode_on_a_2d_image_fails_before_resampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(voxfilt.pipeline, "resample_image", lambda *a: calls.append(a))
+        image = VolumeImage(np.zeros((8, 8)), (1.0, 1.0))
+        config = ProcessingConfig(mode="2d", filter=FilterConfig("mean", {"support": 3}),
+                                  resample_spacing_mm=(0.5, 0.5))
+        with pytest.raises(ValueError, match=r"2d mode filters the slices of a 3-D volume, "
+                                             r"so it needs 3 spacing entries, got \(0.5, 0.5\)"):
+            run_configuration(image, RoiMask(np.ones((8, 8), dtype=bool)), config)
+        assert calls == []
+
     def test_plan_checks_the_resampled_grid_against_the_image(self):
         config = ProcessingConfig(mode="3d", filter=FilterConfig("none"),
                                   resample_spacing_mm=(1.0, 1.0))
@@ -1356,6 +1373,26 @@ class TestSavedPlan:
             assert copy.plan((1.0, 1.0, 2.0)) is not plan
         assert config.plan((1.0, 1.0, 2.0)) is plan
         assert len(grids) == 3
+
+    def test_a_filter_keeps_its_plan_across_apply_filter_calls(self, monkeypatch):
+        grids = self._count_plans(monkeypatch)
+        filt = FilterConfig("mean", {"support": 3})
+        data = np.random.default_rng(29).normal(size=(6, 5, 4))
+        first = apply_filter(_volume(data, (1.0, 1.0, 1.0)), filt, "3d")
+        again = apply_filter(_volume(data, (1.0, 1.0, 1.0)), filt, "3d")
+        assert again.tobytes() == first.tobytes()
+        assert len(grids) == 1
+        # a new spacing, mode, boundary or constant replans, once
+        variants = [((2.0, 2.0, 2.0), "3d"), ((1.0, 1.0, 1.0), "2d"),
+                    ((1.0, 1.0, 1.0), "3d", "nearest"), ((1.0, 1.0, 1.0), "3d", "constant", 2.5)]
+        for count, (spacing, *args) in enumerate(variants, start=2):
+            for _ in range(2):
+                apply_filter(_volume(data, spacing), filt, *args)
+            assert len(grids) == count
+        plan = filt.plan((1.0, 1.0, 1.0), "3d", "constant", 2.5)
+        copy = pickle.loads(pickle.dumps(filt))
+        assert copy == filt and copy.plan((1.0, 1.0, 1.0), "3d", "constant", 2.5) is not plan
+        assert len(grids) == 6
 
     def test_editing_the_params_dict_after_a_run_changes_nothing(self):
         params = dict(self._GABOR)
@@ -1533,6 +1570,23 @@ filter:
         assert config.rounding is False
         assert config.reseg_range is None
 
+    @pytest.mark.parametrize("line", ["test_id:\n", "test_id: null\n", ""],
+                             ids=["empty", "null", "missing"])
+    def test_null_or_missing_test_id_is_empty(self, tmp_path, line):
+        path = tmp_path / "c.yaml"
+        path.write_text(line + "mode: 2d\nfilter:\n  kind: none\n")
+        assert load_config(path)[0] == ""
+
+    @pytest.mark.parametrize("value,loaded", [("1.10", "1.1"), ("7", "7"), ("true", "True")])
+    def test_non_string_test_id_is_rejected(self, tmp_path, value, loaded):
+        path = tmp_path / "c.yaml"
+        path.write_text(f"test_id: {value}\nmode: 2d\nfilter:\n  kind: none\n")
+        with pytest.raises(ValueError, match=f"test_id must be a string, got {loaded}; "
+                                             "put it in quotes"):
+            load_config(path)
+        path.write_text(f"test_id: '{value}'\nmode: 2d\nfilter:\n  kind: none\n")
+        assert load_config(path)[0] == value
+
     def test_missing_filter(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("mode: 2d\n")
@@ -1671,3 +1725,25 @@ class TestShippedConfigs:
         _, config = self._load("5.A")
         assert config.filter.params["dtheta"] == pytest.approx(np.pi / 8, abs=0, rel=1e-15)
         assert config.filter.params["rotation_invariance"] is True
+
+    def test_each_malformed_filter_value_fails_cleanly(self, tmp_path):
+        # a YAML value of the wrong type gives a ValueError, never a TypeError, and a
+        # kind that is not a filter's name never plans (null used to read as "none")
+        path = tmp_path / "bad.yaml"
+        for name in sorted(os.listdir(self._DIR)):
+            with open(os.path.join(self._DIR, name)) as handle:
+                raw = yaml.safe_load(handle)
+            for key in raw["filter"]:
+                for value in (None, 2, [], "x", {}):
+                    path.write_text(yaml.safe_dump({**raw, "filter": {**raw["filter"],
+                                                                      key: value}}))
+                    try:
+                        load_config(path)[1].plan((2.0, 2.0, 2.0))
+                    except ValueError:
+                        continue
+                    assert key != "kind", (name, value)
+
+    def test_unknown_keys_of_two_types_are_named(self):
+        filt = FilterConfig("mean", {"support": 3, 3: "x", "a": 1})
+        with pytest.raises(ValueError, match=r"unknown parameters \[3, 'a'\]"):
+            plan_filter(filt, (1.0, 1.0, 1.0), "3d")

@@ -16,6 +16,9 @@ one path.
   through ``GzipFile`` are free.
 * Every name in a module's ``__all__`` resolves, so a deleted function
   cannot leave a stale export behind.
+* Every ``(module, function)`` entry of ``perfbench/spans.py``'s ``TARGETS``
+  names a function of ``voxfilt.<module>``, so a deleted or renamed traced
+  function fails here, not in the tracer of a traced benchmark run.
 * Every function in a module's ``__all__`` is called when each CLI command
   runs on a small fixture, or is listed in ``UNREACHED_EXPORTS`` with the
   reason it stays: the library holds one path per filter, not shadow
@@ -328,6 +331,47 @@ def test_export_checker_sees_a_stale_name():
     module.kept = object()
     module.__all__ = ["kept", "deleted"]
     assert unresolved_exports(module) == ["deleted"]
+
+
+def span_targets(source: str) -> list:
+    """The (module, function) pairs of the ``TARGETS`` tuple in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "TARGETS"
+                                                for target in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    return []
+
+
+def unresolved_targets(targets) -> list:
+    """The pairs whose name is not a function of ``voxfilt.<module>``."""
+    missing = []
+    for module, name in targets:
+        try:
+            found = getattr(importlib.import_module(f"voxfilt.{module}"), name, None)
+        except ImportError:
+            found = None
+        if not inspect.isfunction(found):
+            missing.append((module, name))
+    return missing
+
+
+def test_every_traced_target_resolves():
+    targets = span_targets((ROOT / "perfbench" / "spans.py").read_text())
+    assert ("pipeline", "apply_filter") in targets
+    assert unresolved_targets(targets) == []
+
+
+def test_target_checker_sees_each_breach():
+    sample = """
+TARGETS = (
+    ("pipeline", "apply_filter", "pipeline.apply_filter", None, None),
+    ("convolve", "convolve_gone", "convolve.gone", None, None),
+    ("pipeline", "FILTER_KINDS", "pipeline.kinds", None, None),
+    ("absent", "main", "absent.main", None, None),
+)
+"""
+    assert unresolved_targets(span_targets(sample)) == [
+        ("convolve", "convolve_gone"), ("pipeline", "FILTER_KINDS"), ("absent", "main")]
 
 
 # Exported functions that no CLI command calls, each with the reason it stays.
