@@ -33,13 +33,14 @@ from .features import diagnostics, intensity_statistics
 from .image import (RoiMask, VolumeImage, _check_finite, _integral, _is_number, map_slices,
                     round_half_away)
 from .kernels import (
+    LAWS_NAMES,
     GaborParams,
     gabor_kernel,
-    gaussian_kernel_1d,
     laws_1d,
     laws_energy,
     log_kernel_1d,
     mean_kernel_1d,
+    truncated_support,
 )
 from .riesz import (
     _check_index,
@@ -58,7 +59,10 @@ from .rotinv import (
     pool,
 )
 from .wavelets import (
+    RADIAL_KINDS,
+    WAVELET_NAMES,
     RadialProfile,
+    _check_subband,
     _swt_stages,
     dwt_decimated,
     nonseparable_b_map,
@@ -159,22 +163,22 @@ class ProcessingConfig:
             )
         if self.resample_spacing_mm is not None:
             spacing = _numbers(self.resample_spacing_mm, "resample spacing_mm")
-            if any(s <= 0 for s in spacing):
-                raise ValueError(f"resampled spacing must be positive, got {spacing}")
+            if not all(0.0 < s < math.inf for s in spacing):
+                raise ValueError(f"resample spacing_mm must be positive and finite, got {spacing}")
             object.__setattr__(self, "resample_spacing_mm", spacing)
-        if not isinstance(self.rounding, bool):
-            raise ValueError(f"rounding must be true or false, got {self.rounding!r}")
+        _FLAG.typed(self.rounding, 0, "rounding")
         threshold = _number(self.mask_threshold, "mask_threshold")
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"mask threshold must lie in (0, 1], got {threshold}")
         object.__setattr__(self, "mask_threshold", threshold)
         if self.reseg_range is not None:
             low, high = _numbers(self.reseg_range, "resegment_hu", 2)
-            if low > high:
-                raise ValueError(f"re-segmentation range is inverted: [{low}, {high}]")
+            if not low <= high:
+                raise ValueError(f"resegment_hu must be a range neither inverted nor NaN, "
+                                 f"got [{low}, {high}]")
             object.__setattr__(self, "reseg_range", (low, high))
         object.__setattr__(self, "boundary_constant",
-                           _number(self.boundary_constant, "boundary_constant"))
+                           _CONSTANT.typed(self.boundary_constant, 0, "boundary_constant"))
         if self.filter.params.get("decimated") is True:
             raise ValueError("a decimated wavelet response lies on a coarser grid than the "
                              "ROI, so features cannot be aggregated over it; run it with "
@@ -460,17 +464,6 @@ def _isotropic_scale(values_vox, what):
     return float(values[0])
 
 
-def _scale_param(params, stem, spacing, what):
-    """Resolve a <stem>_mm / <stem>_vox parameter pair to voxel units."""
-    vox = params.get(stem + "_vox")
-    if vox is not None:
-        return _number(vox, stem + "_vox")
-    mm = params.get(stem + "_mm")
-    if mm is not None:
-        return _number(mm, stem + "_mm") / _isotropic_scale(spacing, what)
-    raise ValueError(f"{what} needs {stem}_mm or {stem}_vox")
-
-
 @dataclass(frozen=True)
 class FilterPlan:
     """One filter resolved against a grid: ``summary`` is the log line with
@@ -485,8 +478,80 @@ class FilterPlan:
     run: Callable[..., np.ndarray]
 
 
-# Each planner takes the parameters, the spacing of the filtered axes, the
-# boundary mode and its constant, and returns (summary, op).  Every op is
+# The widest kernel a plan builds, in taps per axis: twice NIfTI-1's longest
+# axis (32767 voxels) plus one.  A wider one is a slip, not a filter, and
+# would allocate without bound; a level-16 band already spans 2^16 voxels.
+_MAX_TAPS = 2 * 32767 + 1
+_MAX_LEVEL = 16
+
+
+def _taps(scale, cutoff, what) -> int:
+    """``truncated_support(scale, cutoff)``, which may not exceed _MAX_TAPS."""
+    if 2.0 * cutoff * scale >= _MAX_TAPS:
+        raise ValueError(f"{what} give a kernel wider than {_MAX_TAPS} taps")
+    return truncated_support(scale, cutoff)
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One filter parameter.  ``type`` is float (finite; positive unless
+    ``low`` is -inf), int (in [low, high]; odd with ``odd``), bool, a tuple
+    of the strings it may name in any case, or a check(value, ndim).  A
+    scale, given as <name>_mm or <name>_vox (its ``unit``), reaches the
+    planner as <name>_vox, where its square must be neither 0 nor inf.  The
+    key applies only while ``switch`` = (flag, state) holds."""
+
+    type: object
+    default: object = None
+    required: bool = False
+    low: float = 0
+    high: float = math.inf
+    odd: bool = False
+    unit: str = ""
+    switch: tuple = ()
+
+    def typed(self, value, ndim, what):
+        """``value`` typed, or a ValueError naming ``what``; ndim counts the filtered axes."""
+        if self.type is float:
+            number = _number(value, what)
+            if not self.low < number < math.inf:
+                raise ValueError(f"{what} must be a {'positive ' * (self.low == 0)}finite "
+                                 f"number, got {number!r}")
+            return number
+        if self.type is int:
+            number = _integral(value, what)
+            if not self.low <= number <= self.high or self.odd and number % 2 == 0:
+                raise ValueError(f"{what} must be {'an odd integer ' * self.odd}>= {self.low} "
+                                 f"and <= {self.high}, got {value!r}")
+            return number
+        if self.type is bool:
+            if not isinstance(value, bool):
+                raise ValueError(f"{what} must be true or false, got {value!r}")
+            return value
+        if isinstance(self.type, tuple):
+            if not isinstance(value, str) or value.lower() not in self.type:
+                raise ValueError(f"{what} must be one of {self.type}, got {value!r}")
+            return value.lower()
+        return self.type(value, ndim)
+
+
+def _scale(name, **spec):
+    return {f"{name}_{unit}": _Param(float, unit=unit, **spec) for unit in ("mm", "vox")}
+
+
+def _laws(value, ndim) -> str:
+    text = value.upper() if isinstance(value, str) else ""
+    if len(text) != 2 * ndim or any(text[i : i + 2] not in LAWS_NAMES
+                                    for i in range(0, 2 * ndim, 2)):
+        raise ValueError(f"laws filter kernels must name {ndim} Laws kernels of {LAWS_NAMES}, "
+                         f"got {value!r}")
+    return text
+
+
+# Each planner takes its parameters typed, in voxels and defaulted (one entry
+# per key of its table below), the spacing of the filtered axes, the
+# boundary mode and its constant, checks only the rules that span
+# parameters, and returns (summary, op).  Every op is
 # ``op(data, transfers)``: it filters the trailing len(axes) axes of ``data``,
 # a whole volume, or a (k, n1, n2) stack of planes when plan_filter maps it
 # over slabs, whose leading axis is a batch.  ``transfers`` is the plan's
@@ -496,111 +561,82 @@ class FilterPlan:
 # The ops look library functions up by name when they execute.
 
 
-def _needs_switch(params, switch, keys, what):
-    """Reject parameters that only take effect when ``switch`` is true."""
-    if not params.get(switch, False):
-        for key in keys:
-            if key in params:
-                raise ValueError(f"{what} {key} applies only with {switch}: true")
-
-
-def _cascade_op(params, stages, default_pool, boundary, constant, what):
+def _cascade_op(p, stages, boundary, constant):
     """The Laws or wavelet op over the per-axis ``stages`` and its summary suffix.
 
     Without rotation_invariance the op runs the cascade; with it, the
     cascade pooled over every right-angle rotation.
     """
-    _needs_switch(params, "rotation_invariance", ("pool",), what)
-    pool_mode = _check_pool_mode(params.get("pool", default_pool))
-    if not params.get("rotation_invariance", False):
+    if not p["rotation_invariance"]:
         return lambda data, _: cascade(data, stages, boundary, constant), ""
-    pooled = PooledCascade(stages, pool_mode, boundary, constant)
+    pooled = PooledCascade(stages, p["pool"], boundary, constant)
     return (lambda data, _: pooled(data),
-            f", {pool_mode} over rotations ({pooled.passes} one-axis passes)")
+            f", {p['pool']} over rotations ({pooled.passes} one-axis passes)")
 
 
-def _plan_none(params, axes, boundary, constant):
+def _plan_none(p, axes, boundary, constant):
     return "none filter: identity", lambda data, _: data.astype(np.float64, copy=True)
 
 
-def _plan_mean(params, axes, boundary, constant):
-    support = _integral(params["support"], "mean filter support")
-    factors = (mean_kernel_1d(support),) * len(axes)
-    summary = f"mean filter: support {support} voxels per axis"
+def _plan_mean(p, axes, boundary, constant):
+    factors = (mean_kernel_1d(p["support"]),) * len(axes)
+    summary = f"mean filter: support {p['support']} voxels per axis"
     return summary, lambda data, _: convolve_separable(data, factors, boundary, constant)
 
 
-def _plan_log(params, axes, boundary, constant):
-    sigma = _scale_param(params, "sigma", axes, "the LoG filter")
-    smooth, second = log_kernel_1d(sigma, _number(params.get("cutoff", 4.0), "cutoff"))
-    summary = (f"log filter: sigma {sigma:.6g} voxels, kernel size {smooth.size}, "
+def _plan_log(p, axes, boundary, constant):
+    size = _taps(p["sigma_vox"], p["cutoff"], "log filter sigma and cutoff")
+    smooth, second = log_kernel_1d(p["sigma_vox"], p["cutoff"])
+    summary = (f"log filter: sigma {p['sigma_vox']:.6g} voxels, kernel size {size}, "
                f"separable route ({laplacian_passes(len(axes))} one-axis passes)")
     return summary, lambda data, _: convolve_laplacian(data, smooth, second, boundary,
                                                        constant, len(axes))
 
 
-def _plan_laws(params, axes, boundary, constant):
-    ndim = len(axes)
-    text = str(params["kernels"]).upper()
-    if len(text) != 2 * ndim:
-        raise ValueError(
-            f"Laws kernel string {text!r} must name {ndim} kernels of two characters each"
-        )
+def _plan_laws(p, axes, boundary, constant):
+    text, delta, ndim = p["kernels"], p["energy_delta"], len(axes)
     stages = [[laws_1d(text[i : i + 2])] for i in range(0, len(text), 2)]
-    op, pooling = _cascade_op(params, stages, "max", boundary, constant, "laws filter")
-    delta = params.get("energy_delta")
+    op, pooling = _cascade_op(p, stages, boundary, constant)
     if delta is None:
         return f"laws filter: kernels {text}{pooling}", op
-    delta = _integral(delta, "Laws energy_delta")
-    if delta < 0:
-        raise ValueError(f"Laws energy_delta must be >= 0, got {delta}")
     return (f"laws filter: kernels {text}{pooling}, energy delta {delta} voxels",
             lambda data, transfers: laws_energy(op(data, transfers), delta, boundary,
                                                 constant, ndim))
 
 
-def _plan_gabor(params, axes, boundary, constant):
-    sigma = _scale_param(params, "sigma", axes, "the Gabor filter")
-    wavelength = _scale_param(params, "lambda", axes, "the Gabor filter")
-    gamma = _number(params.get("gamma", 1.0), "gamma")
-    rotation_invariant = params.get("rotation_invariance", False)
-    _needs_switch(params, "rotation_invariance", ("dtheta", "pool"), "gabor filter")
-    if rotation_invariant:
-        if "theta" in params:
-            raise ValueError("the rotation-invariant Gabor filter covers every orientation; "
-                             "drop theta or rotation_invariance")
-        if "dtheta" not in params:
-            raise ValueError("the rotation-invariant Gabor filter needs dtheta")
-        thetas = gabor_orientation_set(_number(params["dtheta"], "dtheta"))
+def _plan_gabor(p, axes, boundary, constant):
+    sigma, wavelength, gamma = p["sigma_vox"], p["lambda_vox"], p["gamma"]
+    size = _taps(sigma * max(gamma, 1.0), 4.0, "gabor filter sigma and gamma")
+    if not p["rotation_invariance"]:
+        thetas = [p["theta"]]
+    elif p["dtheta"] is None:
+        raise ValueError("the rotation-invariant Gabor filter needs dtheta")
     else:
-        thetas = [_number(params.get("theta", 0.0), "theta")]
+        thetas = gabor_orientation_set(p["dtheta"])
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
-    pool_mode = _check_pool_mode(params.get("pool", "average"))
+    pool_mode = p["pool"]
 
     def run(plane, transfers):
         return pool((np.abs(r) for r in convolve_bank(plane, bank, boundary, constant, transfers)),
                     pool_mode)
 
     summary = (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
-               f"voxels, kernel size {bank[0].shape[0]}, {len(bank)} orientations, FFT route")
-    if rotation_invariant:
+               f"voxels, kernel size {size}, {len(bank)} orientations, FFT route")
+    if p["rotation_invariance"]:
         summary += f", {pool_mode} over orientations"
     return summary, run
 
 
-def _plan_wavelet(params, axes, boundary, constant):
-    family = str(params["family"]).lower()
-    level = _integral(params["level"], "wavelet level")
-    subband = str(params["subband"])
-    stages = _swt_stages(family, level, subband, len(axes))
-    decimated = params.get("decimated", False)
-    if decimated and params.get("rotation_invariance", False):
+def _plan_wavelet(p, axes, boundary, constant):
+    family, level, subband = p["family"], p["level"], p["subband"]
+    summary = f"wavelet filter: {family} level {level} subband {subband}"
+    if not p["decimated"]:
+        stages = _swt_stages(family, level, subband, len(axes))
+        op, pooling = _cascade_op(p, stages, boundary, constant)
+        return summary + pooling, op
+    if p["rotation_invariance"]:
         raise ValueError("the decimated wavelet transform has no rotation-invariant form; "
                          "drop decimated or rotation_invariance")
-    op, pooling = _cascade_op(params, stages, "average", boundary, constant, "wavelet filter")
-    summary = f"wavelet filter: {family} level {level} subband {subband}"
-    if not decimated:
-        return summary + pooling, op
     return f"{summary}, decimated by {2 ** level} per axis", lambda data, _: dwt_decimated(
         data, family, level, subband, boundary, constant)
 
@@ -617,31 +653,27 @@ def _fourier_domain(axes, boundary, constant, what):
     return f", boundary periodise{requested}"
 
 
-def _plan_nonseparable(params, axes, boundary, constant):
-    profile = RadialProfile(str(params["wavelet"]).lower(),
-                            _integral(params["level"], "nonseparable level"))
+def _plan_nonseparable(p, axes, boundary, constant):
+    profile = RadialProfile(p["wavelet"], p["level"])
     applied = _fourier_domain(axes, boundary, constant, "the nonseparable filter")
     summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
     return summary, lambda data, transfers: nonseparable_b_map(data, profile, transfers,
                                                                len(axes))
 
 
-def _plan_riesz(params, axes, boundary, constant):
-    ndim = len(axes)
-    profile = RadialProfile(str(params["wavelet"]).lower(),
-                            _integral(params["level"], "riesz level"))
-    l = _check_index(params["l"], ndim)
+def _plan_riesz(p, axes, boundary, constant):
+    ndim, l, sigma = len(axes), p["l"], p["sigma_tensor_vox"]
+    profile = RadialProfile(p["wavelet"], p["level"])
     applied = _fourier_domain(axes, boundary, constant, "the Riesz filter")
     summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
-    _needs_switch(params, "align", ("sigma_tensor_mm", "sigma_tensor_vox"), "riesz filter")
-    if not params.get("align", False):
+    if not p["align"]:
         return summary + applied, lambda data, transfers: riesz_filtered_map(
             data, profile, l, transfers)
     if sum(l) != 2:
         raise ValueError("alignment is defined for second-order Riesz sets")
-    sigma = _scale_param(params, "sigma_tensor", axes, "aligned Riesz filtering")
-    if sigma <= 0:
-        raise ValueError(f"structure tensor sigma must be positive, got {sigma}")
+    if sigma is None:
+        raise ValueError("aligned Riesz filtering needs sigma_tensor_mm or sigma_tensor_vox")
+    size = _taps(sigma, 4.0, "riesz filter sigma_tensor")
     order1, order2 = riesz_indices(1, ndim), riesz_indices(2, ndim)
 
     def run(data, transfers):
@@ -649,37 +681,59 @@ def _plan_riesz(params, axes, boundary, constant):
         return align_order2(maps, structure_tensor([next(maps)[1] for _ in order1], sigma))
 
     return (f"{summary}, aligned with structure tensor sigma {sigma:.6g} voxels, "
-            f"kernel size {gaussian_kernel_1d(sigma).size}{applied}"), run
+            f"kernel size {size}{applied}"), run
 
 
-# kind -> (planner, required parameters, optional parameters)
+_CONSTANT = _Param(float, low=-math.inf)
+_FLAG = _Param(bool, False)
+_ROTINV = ("rotation_invariance", True)
+_NOT_ROTINV = ("rotation_invariance", False)
+_LEVEL = _Param(int, required=True, low=1, high=_MAX_LEVEL)
+_RADIAL = _Param(RADIAL_KINDS, required=True)
+
+
+def _pool(default):
+    return _Param(lambda mode, ndim: _check_pool_mode(mode), default, switch=_ROTINV)
+
+
+# kind -> (planner, key -> parameter): the one place each filter's
+# parameters are defined
 _PLANNERS = {
-    "none": (_plan_none, (), ()),
-    "mean": (_plan_mean, ("support",), ()),
-    "log": (_plan_log, (), ("sigma_mm", "sigma_vox", "cutoff")),
-    "laws": (_plan_laws, ("kernels",), ("rotation_invariance", "pool", "energy_delta")),
-    "gabor": (_plan_gabor, (), ("sigma_mm", "sigma_vox", "lambda_mm", "lambda_vox", "gamma",
-                                "theta", "rotation_invariance", "dtheta", "pool",
-                                "orthogonal_planes")),
-    "wavelet": (_plan_wavelet, ("family", "level", "subband"),
-                ("rotation_invariance", "pool", "decimated")),
-    "nonseparable": (_plan_nonseparable, ("wavelet", "level"), ()),
-    "riesz": (_plan_riesz, ("wavelet", "level", "l"),
-              ("align", "sigma_tensor_mm", "sigma_tensor_vox")),
+    "none": (_plan_none, {}),
+    "mean": (_plan_mean, {"support": _Param(int, required=True, low=1, high=_MAX_TAPS,
+                                            odd=True)}),
+    "log": (_plan_log, {**_scale("sigma", required=True), "cutoff": _Param(float, 4.0)}),
+    "laws": (_plan_laws, {"kernels": _Param(_laws, required=True), "rotation_invariance": _FLAG,
+                          "pool": _pool("max"),
+                          "energy_delta": _Param(int, high=_MAX_TAPS // 2)}),
+    "gabor": (_plan_gabor, {**_scale("sigma", required=True), **_scale("lambda", required=True),
+                            "gamma": _Param(float, 1.0), "dtheta": _Param(float, switch=_ROTINV),
+                            "theta": _Param(float, 0.0, low=-math.inf, switch=_NOT_ROTINV),
+                            "rotation_invariance": _FLAG, "pool": _pool("average"),
+                            "orthogonal_planes": _FLAG}),
+    "wavelet": (_plan_wavelet, {"family": _Param(WAVELET_NAMES, required=True), "level": _LEVEL,
+                                "subband": _Param(_check_subband, required=True),
+                                "rotation_invariance": _FLAG, "pool": _pool("average"),
+                                "decimated": _FLAG}),
+    "nonseparable": (_plan_nonseparable, {"wavelet": _RADIAL, "level": _LEVEL}),
+    "riesz": (_plan_riesz, {"wavelet": _RADIAL, "level": _LEVEL,
+                            "l": _Param(_check_index, required=True), "align": _FLAG,
+                            **_scale("sigma_tensor", switch=("align", True))}),
 }
 
 FILTER_KINDS = tuple(_PLANNERS)
-REQUIRED_PARAMETERS = {kind: required for kind, (_, required, _) in _PLANNERS.items()}
-FILTER_PARAMETERS = tuple(dict.fromkeys(
-    name for _, required, optional in _PLANNERS.values() for name in required + optional))
-_FLAGS = ("rotation_invariance", "align", "orthogonal_planes", "decimated")
+REQUIRED_PARAMETERS = {kind: tuple(k for k, s in specs.items() if s.required and not s.unit)
+                       for kind, (_, specs) in _PLANNERS.items()}
+FILTER_PARAMETERS = tuple(dict.fromkeys(k for _, specs in _PLANNERS.values() for k in specs))
 
 
 def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror",
                 constant: float = 0.0) -> FilterPlan:
     """Check one filter's parameters, convert them to voxels and build its kernels.
 
-    ``spacing`` is the volume's spacing in mm.  The plan's ``run`` filters
+    ``spacing`` is the volume's spacing in mm.  Every parameter is checked
+    against its entry in ``_PLANNERS`` before the planner runs, and each
+    error names the key.  The plan's ``run`` filters
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
     the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
     grid and averages its plane responses over the three plane stacks.
@@ -703,41 +757,40 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     if mode == "2d" and len(spacing) != 3:
         raise ValueError(f"2d mode filters the slices of a 3-D volume, so it needs 3 spacing "
                          f"entries, got {tuple(spacing)}")
+    _CONSTANT.typed(constant, 0, "boundary_constant")
     if constant != 0.0 and boundary != "constant":
         raise ValueError(f"boundary_constant {constant!r} applies only with boundary "
                          f"constant, not {boundary}")
     kind, params = filt.kind, filt.params
-    planner, required, optional = _PLANNERS[kind]
-    missing = set(required) - set(params)
-    if missing:
-        raise ValueError(f"{kind} filter is missing parameters {sorted(missing)}")
-    unknown = sorted(set(params) - set(required) - set(optional), key=str)
+    planner, specs = _PLANNERS[kind]
+    unknown = sorted(set(params) - set(specs), key=str)
     if unknown:
         hints = ""
         for key in unknown:
-            owners = [k for k, (_, req, opt) in _PLANNERS.items() if key in req + opt]
+            owners = [k for k, (_, known) in _PLANNERS.items() if key in known]
             if owners:
                 hints += f" ({key} applies to: {', '.join(owners)})"
         raise ValueError(f"{kind} filter got unknown parameters {unknown}{hints}")
-    mm = sorted(k for k in params if k.endswith("_mm"))
-    vox = sorted(k for k in params if k.endswith("_vox"))
+    missing = sorted(f"{key[:-4]}_mm or {key}" if spec.unit else key
+                     for key, spec in specs.items() if spec.required and spec.unit != "mm"
+                     and key not in params and key.replace("_vox", "_mm") not in params)
+    if missing:
+        raise ValueError(f"{kind} filter is missing parameters {missing}")
+    mm, vox = ([k for k in sorted(params) if specs[k].unit == unit] for unit in ("mm", "vox"))
     if mm and vox:
         raise ValueError(
             f"{kind} filter mixes physical and voxel units ({mm} with {vox}); "
             "pick one unit system per invocation"
         )
-    for key in _FLAGS:
-        if key in params and not isinstance(params[key], bool):
-            raise ValueError(f"{kind} filter {key} must be true or false, got {params[key]!r}")
-    if mode == "2d" and params.get("decimated", False):
+    if mode == "2d" and params.get("decimated") is True:
         raise ValueError("the decimated transform runs on the full volume; use mode 3d")
-    if mode == "2d" and params.get("orthogonal_planes", False):
+    if mode == "2d" and params.get("orthogonal_planes") is True:
         raise ValueError(f"{kind} filter orthogonal_planes applies only in mode 3d; "
                          "in 2d mode every slice is filtered in its own plane")
     axes = tuple(spacing[:2]) if mode == "2d" else tuple(spacing)
     slices = map_slices if mode == "2d" and kind != "none" else None
     if kind == "gabor" and mode == "3d":
-        if not params.get("orthogonal_planes", False):
+        if params.get("orthogonal_planes") is not True:
             raise ValueError(
                 "the Gabor filter is planar; in 3d mode enable orthogonal_planes "
                 "or run it in 2d mode"
@@ -745,7 +798,20 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
         scale = _isotropic_scale(axes, "the Gabor filter")
         axes = (scale, scale)
         slices = orthogonal_plane_average
-    summary, op = planner(params, axes, boundary, constant)
+    p = {key: spec.default for key, spec in specs.items()}
+    for key, value in params.items():
+        spec, what = specs[key], f"{kind} filter {key}"
+        value = spec.typed(value, len(axes), what)
+        if spec.switch and params.get(spec.switch[0], False) is not spec.switch[1]:
+            raise ValueError(f"{what} applies only with {spec.switch[0]}: "
+                             f"{str(spec.switch[1]).lower()}; drop {key}")
+        if spec.unit == "mm":
+            key, value = key[:-3] + "_vox", value / _isotropic_scale(axes, what)
+        if spec.unit and not 0.0 < value * value < math.inf:
+            raise ValueError(f"{what} is {value!r} voxels, whose square {value * value!r} "
+                             "must be neither 0 nor inf")
+        p[key] = value
+    summary, op = planner(p, axes, boundary, constant)
     transfers = TransferCache()
 
     def run(volume, threads: int = 1):

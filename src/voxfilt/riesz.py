@@ -69,15 +69,15 @@ def _check_index(l, ndim) -> tuple:
         entries = tuple(l)
     except TypeError:
         raise ValueError(f"riesz index l must be a list of integers, got {l!r}") from None
-    l = tuple(_integral(v, f"riesz index {entries} entry") for v in entries)
+    l = tuple(_integral(v, f"riesz index l {entries} entry") for v in entries)
     if len(l) != ndim:
         raise ValueError(
-            f"index {l} has {len(l)} entries; it needs one entry per image axis ({ndim})"
+            f"riesz index l {l} has {len(l)} entries; it needs one entry per image axis ({ndim})"
         )
     if any(v < 0 for v in l):
-        raise ValueError(f"index {l} must be non-negative")
+        raise ValueError(f"riesz index l {l} must be non-negative")
     if sum(l) < 1:
-        raise ValueError("index order |l| must be >= 1")
+        raise ValueError(f"riesz index l {l} must have order |l| >= 1")
     return l
 
 

@@ -438,18 +438,26 @@ def pool(response_set, mode: str) -> np.ndarray:
     return out
 
 
+# The most orientations gabor_orientation_set gives: half-degree steps.
+_MAX_ORIENTATIONS = 360
+
+
 def gabor_orientation_set(dtheta: float) -> list:
-    """Orientations {0, dtheta, 2*dtheta, ...} covering [0, pi).
+    """Orientations {0, dtheta, 2*dtheta, ...} covering [0, pi), at most 360.
 
     Modulus maps of the complex kernel repeat with period pi on real
     images, so the half turn is the whole span.
     """
     if not math.isfinite(dtheta) or dtheta <= 0.0:
-        raise ValueError("orientation step must be a positive finite angle")
+        raise ValueError(f"orientation step dtheta must be a positive finite angle, "
+                         f"got {dtheta!r}")
+    if math.pi / dtheta > _MAX_ORIENTATIONS + 0.5:
+        raise ValueError(f"orientation step dtheta {dtheta!r} gives more than "
+                         f"{_MAX_ORIENTATIONS} orientations")
     count = round(math.pi / dtheta)
     if count < 1 or abs(count * dtheta - math.pi) > 1e-9 * math.pi:
         raise ValueError(
-            f"orientation step {dtheta!r} does not divide the span {math.pi!r} evenly"
+            f"orientation step dtheta {dtheta!r} does not divide the span {math.pi!r} evenly"
         )
     return [i * dtheta for i in range(count)]
 

@@ -606,10 +606,10 @@ class TestRunCommand:
         # a tensor scale that the smoothing cannot use
         "riesz-tensor-mm-zero": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                   "l": [0, 2, 0], "align": True, "sigma_tensor_mm": 0},
-                                 "sigma must be positive"),
+                                 "sigma_tensor_mm must be a positive finite number"),
         "riesz-tensor-vox-negative": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                        "l": [0, 2, 0], "align": True, "sigma_tensor_vox": -1},
-                                      "sigma must be positive"),
+                                      "sigma_tensor_vox must be a positive finite number"),
     }
 
     @pytest.mark.parametrize("case", sorted(_BAD_FILTERS))
@@ -632,6 +632,58 @@ class TestRunCommand:
         assert err.startswith("error: ") and message in err
         assert "filter:" not in err
         assert not (tmp_path / "r").exists()
+
+    # Non-finite and degenerate filter values: each names its key before the plan is
+    # logged or the image is resampled (they used to overflow, divide by zero, fail
+    # to convert NaN to an integer, or plan a "wavelength nan" filter).
+    _RIESZ = {"kind": "riesz", "wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
+              "align": True}
+    _GABOR = {"kind": "gabor", "sigma_vox": 2.0, "lambda_vox": 3.0, "orthogonal_planes": True}
+    _NON_FINITE = {
+        "log-sigma-inf": ({"kind": "log", "sigma_mm": math.inf}, "sigma_mm"),
+        "log-sigma-tiny": ({"kind": "log", "sigma_mm": 1e-300}, "sigma_mm"),
+        "log-sigma-nan": ({"kind": "log", "sigma_mm": math.nan}, "sigma_mm"),
+        "log-cutoff-inf": ({"kind": "log", "sigma_mm": 2.0, "cutoff": math.inf}, "cutoff"),
+        "riesz-tensor-nan": ({**_RIESZ, "sigma_tensor_vox": math.nan}, "sigma_tensor_vox"),
+        "riesz-tensor-inf": ({**_RIESZ, "sigma_tensor_vox": math.inf}, "sigma_tensor_vox"),
+        "gabor-lambda-nan": ({**_GABOR, "lambda_vox": math.nan}, "lambda_vox"),
+        "gabor-theta-nan": ({**_GABOR, "theta": math.nan}, "theta"),
+        "gabor-gamma-inf": ({**_GABOR, "gamma": math.inf}, "gamma"),
+        "gabor-dtheta-tiny": ({**_GABOR, "rotation_invariance": True, "dtheta": 1e-300},
+                              "dtheta"),
+        "wavelet-level-huge": ({"kind": "wavelet", "family": "haar", "level": 1e300,
+                                "subband": "LLH"}, "level"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_NON_FINITE))
+    def test_non_finite_value_fails_before_logging(self, tmp_path, monkeypatch, capsys, case):
+        calls = []
+        monkeypatch.setattr(voxfilt.pipeline, "resample_image", lambda *a: calls.append(a))
+        block, key = self._NON_FINITE[case]
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(yaml.safe_dump({"test_id": "T", "mode": "3d",
+                                          "resample": {"spacing_mm": [1.0, 1.0, 1.0]},
+                                          "filter": block}))
+        code = main(["run", str(config), "--image", str(src), "--mask", str(mask),
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err and "filter:" not in err
+        assert calls == [] and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--filter", "log", "--sigma-vox", "nan"],
+         "log filter sigma_vox must be a positive finite number, got nan"),
+        (["--filter", "mean", "--support", "3", "--boundary", "constant",
+          "--boundary-constant", "nan"], "boundary_constant must be a finite number, got nan"),
+    ], ids=["sigma-vox", "boundary-constant"])
+    def test_filter_rejects_nan_before_logging(self, tmp_path, capsys, flags, message):
+        src, _, _ = self._fixture(tmp_path)
+        out = tmp_path / "o.nii"
+        assert main(["filter", str(src), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_spacing_count_checked_before_logging(self, tmp_path, capsys):
         src, mask, config = self._fixture(tmp_path)
@@ -756,7 +808,15 @@ class TestRunCommand:
         ("resegment_hu: -1000\n", "resegment_hu"),
         ("resample:\n  spacing_mm: [1, 1, 1]\n  mask_threshold: true\n", "mask_threshold"),
         ("boundary_constant: yes\n", "boundary_constant"),
-    ], ids=["scalar-spacing", "scalar-range", "bool-threshold", "bool-constant"])
+        ("boundary: constant\nboundary_constant: .nan\n", "boundary_constant"),
+        ("resample:\n  spacing_mm: [.nan, 1, 1]\n", "spacing_mm"),
+        ("resample:\n  spacing_mm: [1, .inf, 1]\n", "spacing_mm"),
+        ("boundary_constant: .inf\n", "boundary_constant"),
+        ("resegment_hu: [.nan, 400]\n", "resegment_hu"),
+        ("resegment_hu: [-1000, .nan]\n", "resegment_hu"),
+    ], ids=["scalar-spacing", "scalar-range", "bool-threshold", "bool-constant",
+            "nan-constant", "nan-spacing", "inf-spacing", "inf-constant", "nan-low",
+            "nan-high"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, block, key):
         src, mask, config = self._fixture(tmp_path)
         config.write_text("test_id: T\nmode: 3d\n" + block + "filter:\n  kind: none\n")

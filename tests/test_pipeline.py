@@ -1,8 +1,10 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import os
 import pickle
+import re
 import sys
 import threading
 import time
@@ -25,6 +27,7 @@ from voxfilt.boundary import BOUNDARY_MODES
 from voxfilt.kernels import GaborParams, gabor_kernel, laws_energy, log_kernel, mean_kernel_1d
 from voxfilt.convolve import convolve_full, convolve_separable, kernel_to_transfer
 from voxfilt.pipeline import (
+    FILTER_PARAMETERS,
     FilterConfig,
     ProcessingConfig,
     apply_filter,
@@ -1529,6 +1532,11 @@ class TestProcessingConfigValidation:
                 mode="3d", filter=FilterConfig("none"), reseg_range=(400, -1000)
             )
 
+    def test_open_resegmentation_range_is_kept(self):
+        config = ProcessingConfig(mode="3d", filter=FilterConfig("none"),
+                                  reseg_range=(-np.inf, np.inf))
+        assert config.reseg_range == (-np.inf, np.inf)
+
 
 class TestLoadConfig:
     def test_full_round_trip(self, tmp_path):
@@ -1726,7 +1734,46 @@ class TestShippedConfigs:
         assert config.filter.params["dtheta"] == pytest.approx(np.pi / 8, abs=0, rel=1e-15)
         assert config.filter.params["rotation_invariance"] is True
 
+    # Minimal valid filters: together a kind's rows give every key of its table.
+    _VALID = {
+        "none": [{}],
+        "mean": [{"support": 3}],
+        "log": [{"sigma_mm": 2.0, "cutoff": 4.0}, {"sigma_vox": 1.0}],
+        "laws": [{"kernels": "L5E5E5", "rotation_invariance": True, "pool": "max",
+                  "energy_delta": 1}],
+        "gabor": [{"sigma_mm": 4.0, "lambda_mm": 4.0, "gamma": 1.5, "theta": 0.5,
+                   "orthogonal_planes": True},
+                  {"sigma_vox": 2.0, "lambda_vox": 2.0, "rotation_invariance": True,
+                   "dtheta": np.pi / 4, "pool": "max", "orthogonal_planes": True}],
+        "wavelet": [{"family": "haar", "level": 1, "subband": "LLH",
+                     "rotation_invariance": True, "pool": "max"},
+                    {"family": "haar", "level": 1, "subband": "LLH", "decimated": True}],
+        "nonseparable": [{"wavelet": "simoncelli", "level": 1}],
+        "riesz": [{"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
+                   "sigma_tensor_mm": 2.0},
+                  {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
+                   "sigma_tensor_vox": 1.0}],
+    }
+    _MALFORMED = (None, True, False, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300,
+                  "x", [], {})
+
     def test_each_malformed_filter_value_fails_cleanly(self, tmp_path):
+        # Every key of every kind's parameter table, set to each malformed value on a
+        # valid filter, raises a ValueError naming the key (never an OverflowError,
+        # ZeroDivisionError or TypeError) or plans with no nan or inf in its summary.
+        tables = {kind: set(keys) for kind, (_, keys) in voxfilt.pipeline._PLANNERS.items()}
+        assert {kind: set().union(*rows) for kind, rows in self._VALID.items()} == tables
+        for kind, rows in self._VALID.items():
+            for row in rows:
+                plan_filter(FilterConfig(kind, row), (2.0, 2.0, 2.0), "3d")
+                for key, value in itertools.product(row, self._MALFORMED):
+                    filt = FilterConfig(kind, {**row, key: value})
+                    try:
+                        summary = plan_filter(filt, (2.0, 2.0, 2.0), "3d").summary
+                    except ValueError as exc:
+                        assert re.search(rf"\b{key}\b", str(exc)), (kind, key, value, exc)
+                        continue
+                    assert "nan" not in summary and "inf" not in summary, (kind, key, value)
         # a YAML value of the wrong type gives a ValueError, never a TypeError, and a
         # kind that is not a filter's name never plans (null used to read as "none")
         path = tmp_path / "bad.yaml"
@@ -1742,6 +1789,11 @@ class TestShippedConfigs:
                     except ValueError:
                         continue
                     assert key != "kind", (name, value)
+
+    def test_readme_names_every_filter_parameter(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as handle:
+            readme = handle.read()
+        assert [key for key in FILTER_PARAMETERS if f"`{key}`" not in readme] == []
 
     def test_unknown_keys_of_two_types_are_named(self):
         filt = FilterConfig("mean", {"support": 3, 3: "x", "a": 1})

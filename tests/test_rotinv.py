@@ -535,6 +535,13 @@ class TestGaborOrientationSet:
         with pytest.raises(ValueError):
             gabor_orientation_set(bad)
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, math.pi / 361])
+    def test_orientation_count_is_bounded(self, step):
+        # 1e-300 passes the divisibility test and used to list about 3e300 angles
+        with pytest.raises(ValueError, match="dtheta .* gives more than 360 orientations"):
+            gabor_orientation_set(step)
+        assert len(gabor_orientation_set(math.pi / 360)) == 360
+
 
 class TestOrthogonalPlaneAverage:
     def test_identity_op(self):
