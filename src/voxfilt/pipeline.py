@@ -363,6 +363,11 @@ def _along(values, axis, ndim):
     return values.reshape(shape)
 
 
+def _check_spacing(spacing: tuple, ndim: int) -> None:
+    if len(spacing) != ndim or not all(0.0 < s < math.inf for s in spacing):
+        raise ValueError(f"need one positive finite resampling spacing per axis, got {spacing}")
+
+
 def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
     """Resample intensities onto a centre-aligned grid with the given spacing.
 
@@ -380,8 +385,7 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
     if method not in _INTERPOLATIONS:
         raise ValueError(f"interpolation must be one of {_INTERPOLATIONS}, got {method!r}")
     new_spacing = tuple(float(s) for s in new_spacing)
-    if len(new_spacing) != image.ndim or any(s <= 0 for s in new_spacing):
-        raise ValueError(f"need one positive spacing per axis, got {new_spacing}")
+    _check_spacing(new_spacing, image.ndim)
     if _grid_unchanged(image.spacing, new_spacing):
         return image
     out_dims, coords = _output_coordinates(image.dims, image.spacing, new_spacing)
@@ -413,8 +417,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     """
     new_spacing = tuple(float(s) for s in new_spacing)
     membership = mask.membership
-    if len(new_spacing) != membership.ndim or any(s <= 0 for s in new_spacing):
-        raise ValueError(f"need one positive spacing per axis, got {new_spacing}")
+    _check_spacing(new_spacing, membership.ndim)
     if _grid_unchanged(spacing, new_spacing):
         return RoiMask(membership.copy())
     out_dims, coords = _output_coordinates(mask.dims, spacing, new_spacing)

@@ -64,6 +64,16 @@ def riesz_indices(order: int, ndim: int) -> tuple:
                  if sum(l) == order)
 
 
+# The highest order |l| accepted.  The transfer divides nu^l by ||nu||^L,
+# and on an axis of n voxels the smallest nonzero frequency is 2 pi / n:
+# up to order 64, (2 pi / n)^L stays a normal float64 for every n below
+# 400,000 ((2 pi / 4e5)^64 = 3.6e-308), while ||nu||^L <= (pi sqrt 3)^64
+# = 1.2e47 and the multinomial coefficient <= 3^32 stay far from overflow.
+# Higher orders lose bins to underflow (0/0 is NaN), and near order 650 the
+# factorial ratio under the coefficient's square root overflows.
+_MAX_ORDER = 64
+
+
 def _check_index(l, ndim) -> tuple:
     try:
         entries = tuple(l)
@@ -76,8 +86,9 @@ def _check_index(l, ndim) -> tuple:
         )
     if any(v < 0 for v in l):
         raise ValueError(f"riesz index l {l} must be non-negative")
-    if sum(l) < 1:
-        raise ValueError(f"riesz index l {l} must have order |l| >= 1")
+    if not 1 <= sum(l) <= _MAX_ORDER:
+        raise ValueError(f"riesz index l {l} must have order 1 <= |l| <= {_MAX_ORDER}, "
+                         f"got {sum(l)}")
     return l
 
 
@@ -156,7 +167,9 @@ def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
     smoothing uses the periodise boundary, matching the Fourier-domain
     origin of the components.  The tensors are symmetric, so only the
     distinct products are stored, row by row of the upper triangle: (T11,
-    T12, T22) in 2-D and (T11, T12, T13, T22, T23, T33) in 3-D.
+    T12, T22) in 2-D and (T11, T12, T13, T22, T23, T33) in 3-D.  Each
+    product is filled and smoothed contiguously: the result is a view of a
+    component-major (P,) + dims stack.
     """
     gradients = [np.asarray(g, dtype=np.float64) for g in gradients]
     ndim = len(gradients)
@@ -166,13 +179,13 @@ def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
                          f"got {ndim} maps")
     window = (gaussian_kernel_1d(sigma_vox),) * ndim
     pairs = [(i, j) for i in range(ndim) for j in range(i, ndim)]
-    tensors = np.empty(gradients[0].shape + (len(pairs),), dtype=np.float64)
+    stack = np.empty((len(pairs),) + gradients[0].shape, dtype=np.float64)
     for k, (i, j) in enumerate(pairs):
-        np.multiply(gradients[i], gradients[j], out=tensors[..., k])
+        np.multiply(gradients[i], gradients[j], out=stack[k])
     del gradients  # gradients passed in a temporary list are freed before the smoothing
-    for k in range(len(pairs)):
-        tensors[..., k] = convolve_separable(tensors[..., k], window, "periodise")
-    return tensors
+    for k in range(len(pairs)):  # one at a time: a batched call holds every copy at once
+        stack[k] = convolve_separable(stack[k], window, "periodise")
+    return np.moveaxis(stack, 0, -1)
 
 
 # Voxels per block of the direction and steering pass.  Every step is
@@ -196,13 +209,15 @@ def _isotropic(deviation, scale):
 def _direction_2d(t):
     """Unnormalised dominant eigenvector of packed 2x2 symmetric tensors, closed form.
 
+    ``t`` holds the packed components as rows, (T11, T12, T22).
+
     With h = (a - c)/2 and r = sqrt(h^2 + b^2) the top eigenvalue is
     (a + c)/2 + r.  Of the two null vectors (b, r - h) and (r + h, b) of
     the rows of T - lambda I the larger is taken, the second exactly when
     h >= 0, which avoids the cancellation in r - h.  The deviator's norm is
     sqrt(2) r.
     """
-    a, b, c = t[:, 0], t[:, 1], t[:, 2]
+    a, b, c = t
     h = 0.5 * (a - c)
     bb = b * b
     r = np.sqrt(h * h + bb)
@@ -279,6 +294,8 @@ def _null_vector(rows, skip):
 def _direction_3d(t):
     """Unnormalised dominant eigenvector of packed 3x3 symmetric tensors.
 
+    ``t`` holds the packed components as rows, (T11, T12, T13, T22, T23, T33).
+
     Works on the deviator D = T - (tr T / 3) I, whose characteristic
     polynomial is x^3 - q x - det D with q = |D|^2 / 2.  Newton from the
     Gershgorin bound finds its top root and the largest cross product of two
@@ -288,7 +305,7 @@ def _direction_3d(t):
     the quotient is not.  On rotated diag(1 + g, 1, x) tensors the vector is
     as accurate as eigh's down to g = 1e-5.
     """
-    a0, b, c, d0, e, f0 = (t[:, k] for k in range(6))
+    a0, b, c, d0, e, f0 = t
     mean = (a0 + d0 + f0) / 3.0
     a, d, f = a0 - mean, d0 - mean, f0 - mean
     off = b * b + c * c + e * e
@@ -344,11 +361,12 @@ def align_order2(responses, tensors) -> np.ndarray:
     if ndim not in _DIRECTIONS:
         raise ValueError(f"alignment needs 2- or 3-D tensors, got {ndim}-D")
     dims = tensors.shape[:-1]
-    field = tensors.reshape(-1, packed)
+    # no copy for structure_tensor's component-major result
+    field = np.moveaxis(tensors, -1, 0).reshape(packed, -1)
     u = np.empty((ndim,) + dims)
-    for start in range(0, len(field), _BLOCK_VOXELS):
+    for start in range(0, field.shape[1], _BLOCK_VOXELS):
         block = slice(start, start + _BLOCK_VOXELS)
-        u.reshape(ndim, -1)[:, block] = _DIRECTIONS[ndim](field[block])
+        u.reshape(ndim, -1)[:, block] = _DIRECTIONS[ndim](field[:, block])
     del tensors, field
 
     wanted = riesz_indices(2, ndim)

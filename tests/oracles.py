@@ -3,12 +3,17 @@
 Everything here is written from first principles, independent of the library
 code paths: boundary lookups fold or wrap indices step by step, convolution
 loops over kernel taps, statistics go through explicit sorting.  Slow but
-obviously correct.  The one exception is :func:`mallat_pyramid`, which
+obviously correct.  The exceptions are :func:`mallat_pyramid`, which
 composes the library's separable convolution into the full decimated
-pyramid, so that one subband can be compared with it byte for byte.
+pyramid, so that one subband can be compared with it byte for byte, and
+:func:`whole_array_statistics` and :func:`whole_array_diagnostics`, which
+reduce the library's gathered ROI values one whole-array numpy call per
+quantity, so that the leaf-by-leaf sums can be compared with them byte for
+byte.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -157,3 +162,65 @@ def rotate_grid(volume: np.ndarray, mat: np.ndarray) -> np.ndarray:
     idx = np.indices(volume.shape)
     src = np.tensordot(inv, idx - centre, axes=(1, 0)) + centre
     return volume[tuple(np.rint(src).astype(int))]
+
+
+def whole_array_statistics(response, mask) -> dict:
+    """The eighteen intensity statistics, each sum one whole-array
+    ``np.mean`` or ``np.sum`` over an ROI-sized array of its terms."""
+    from voxfilt.features import (_between_sorted, _masked_values, _percentile_sorted,
+                                  _ratio_or_zero)
+
+    x = _masked_values(response, mask)
+    n = x.size
+    mean = float(x.mean())
+    p10, p25, median, p75, p90 = (_percentile_sorted(x, q) for q in (10.0, 25.0, 50.0, 75.0, 90.0))
+    robust = _between_sorted(x, p10, p90)
+    robust_mad = float(np.mean(np.abs(robust - robust.mean()))) if robust.size else 0.0
+    energy = float(np.sum(x * x))
+    centred = x - mean
+    c2 = centred * centred
+    variance = float(np.mean(c2))
+    if variance > 0.0:
+        skewness = float(np.mean(c2 * centred)) / variance**1.5
+        kurtosis = float(np.mean(c2 * c2)) / variance**2 - 3.0
+    else:
+        skewness = kurtosis = 0.0
+    return {
+        "mean": mean,
+        "variance": variance,
+        "skewness": skewness,
+        "excess_kurtosis": kurtosis,
+        "median": median,
+        "minimum": float(x[0]),
+        "percentile_10": p10,
+        "percentile_90": p90,
+        "maximum": float(x[-1]),
+        "interquartile_range": p75 - p25,
+        "range": float(x[-1]) - float(x[0]),
+        "mean_absolute_deviation": float(np.mean(np.abs(centred))),
+        "robust_mean_absolute_deviation": robust_mad,
+        "median_absolute_deviation": float(np.mean(np.abs(x - median))),
+        "coefficient_of_variation":
+            _ratio_or_zero(math.sqrt(variance), mean) if variance > 0.0 else 0.0,
+        "quartile_coefficient_of_dispersion": _ratio_or_zero(p75 - p25, p75 + p25),
+        "energy": energy,
+        "root_mean_square": math.sqrt(energy / n),
+    }
+
+
+def whole_array_diagnostics(mask_before, mask_after, image_after) -> dict:
+    """The five diagnostics, the ROI mean one whole-array ``np.mean``."""
+    from voxfilt.features import _roi_values
+
+    values = _roi_values(image_after, mask_after)
+    if values.size:
+        mean, high, low = float(values.mean()), float(values.max()), float(values.min())
+    else:
+        mean = high = low = math.nan
+    return {
+        "roi_voxels_before_interpolation": float(np.count_nonzero(mask_before)),
+        "roi_voxels_after_resegmentation": float(values.size),
+        "roi_intensity_mean": mean,
+        "roi_intensity_max": high,
+        "roi_intensity_min": low,
+    }

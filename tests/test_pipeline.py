@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import pickle
 import re
@@ -126,8 +127,25 @@ class TestResampleImage:
         with pytest.raises(ValueError):
             resample_image(image, (1.0, 1.0), "trilinear")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spacing(self, bad):
+        # unchecked, a NaN fails inside the grid arithmetic, naming no
+        # spacing, and an infinite one gives an empty grid
+        image = _volume(np.zeros((4, 4, 4)))
+        for method in ("trilinear", "tricubic"):
+            with pytest.raises(ValueError, match="positive finite resampling spacing"):
+                resample_image(image, (bad, 1.0, 1.0), method)
+
 
 class TestResampleMask:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_spacing(self, bad):
+        mask = RoiMask(np.ones((4, 4, 4), dtype=bool))
+        with pytest.raises(ValueError, match="positive finite resampling spacing"):
+            resample_mask(mask, (2.0, 2.0, 2.0), (2.0, bad, 2.0))
+        with pytest.raises(ValueError, match="positive finite resampling spacing"):
+            resample_mask(mask, (2.0, 2.0, 2.0), (2.0, 2.0))
+
     def test_all_true_and_all_false(self):
         for fill in (True, False):
             mask = RoiMask(np.full((4, 4, 4), fill))
@@ -1093,6 +1111,21 @@ class TestApplyFilter:
         planar = dict(params, l=[0, 2]) if kind == "riesz" else params
         assert apply_filter(image, FilterConfig(kind, planar), "2d").shape == (8, 8, 4)
 
+    @pytest.mark.parametrize("l", [[0, 2000, 0], [1000, 1000, 0], [0, 0, 65], [65, 0]])
+    def test_riesz_order_is_bounded(self, l):
+        # unbounded, [0, 2000, 0] runs to an all-NaN map and [1000, 1000, 0]
+        # to an OverflowError in the multinomial coefficient
+        filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": l})
+        spacing = (2.0,) * 3
+        with pytest.raises(ValueError, match=r"\bl\b.*order 1 <= \|l\| <= 64"):
+            plan_filter(filt, spacing, "3d" if len(l) == 3 else "2d", "periodise")
+
+    def test_riesz_orders_up_to_the_bound_plan_and_run(self):
+        image = _volume(np.random.default_rng(16).normal(size=(8, 8, 8)))
+        for l in ([1, 0, 0], [0, 2, 0], [0, 0, 64], [20, 22, 22]):
+            filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": l})
+            assert np.isfinite(apply_filter(image, filt, "3d", "periodise")).all(), l
+
     @pytest.mark.parametrize("kind,params,stem", [
         ("nonseparable", {"wavelet": "simoncelli", "level": 1},
          "nonseparable filter: simoncelli B map level 1"),
@@ -1700,6 +1733,7 @@ class TestShippedConfigs:
                 assert config.rounding is True
             else:
                 assert config.resample_spacing_mm is None
+            config.plan((1.0, 1.0, 1.0))  # every shipped Riesz order is within the bound
 
     @pytest.mark.parametrize(
         "tid,kind,checks",
