@@ -8,6 +8,7 @@ fastest-varying index in memory (the same layout NIfTI uses on disk).
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent import futures
 from dataclasses import dataclass
@@ -33,12 +34,7 @@ class VolumeImage:
     def __post_init__(self):
         if self.data.ndim not in (2, 3):
             raise ValueError(f"expected a 2-D or 3-D volume, got ndim={self.data.ndim}")
-        if len(self.spacing) != self.data.ndim:
-            raise ValueError(
-                f"spacing has {len(self.spacing)} entries for a {self.data.ndim}-D volume"
-            )
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be strictly positive, got {self.spacing}")
+        _check_spacing(self.spacing, self.data.ndim)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -127,6 +123,20 @@ def round_half_away(data) -> np.ndarray:
 def _is_number(value) -> bool:
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))
+
+
+def _check_spacing(spacing, ndim, what="spacing", grid="voxel") -> tuple:
+    """``spacing`` as a tuple of floats if it holds one positive finite value
+    per axis, ``ndim`` of them or, with ``ndim`` None, any number; else a
+    ValueError naming ``what``.  The one spacing rule of images, resamplers
+    and configurations."""
+    values = tuple(spacing) if isinstance(spacing, (list, tuple, np.ndarray)) else ()
+    if (not values or ndim is not None and len(values) != ndim
+            or not all(_is_number(s) and 0.0 < s < math.inf for s in values)):
+        axes = "" if ndim is None else f" ({ndim} axes)"
+        raise ValueError(f"{what} must be one positive finite {grid} spacing per axis{axes}, "
+                         f"got {spacing!r}")
+    return tuple(float(s) for s in values)
 
 
 def _integral(value, what) -> int:

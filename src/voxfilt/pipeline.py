@@ -30,8 +30,8 @@ from .convolve import (
     laplacian_passes,
 )
 from .features import diagnostics, intensity_statistics
-from .image import (RoiMask, VolumeImage, _check_finite, _integral, _is_number, map_slices,
-                    round_half_away)
+from .image import (RoiMask, VolumeImage, _check_finite, _check_spacing, _integral, _is_number,
+                    map_slices, round_half_away)
 from .kernels import (
     LAWS_NAMES,
     GaborParams,
@@ -85,22 +85,11 @@ __all__ = [
     "run_configuration",
 ]
 
-_INTERPOLATIONS = ("trilinear", "tricubic")
-
-
 def _number(value, what) -> float:
     """``value`` as a float; a bool, a string or a list is an error naming ``what``."""
     if not _is_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
-
-
-def _numbers(value, what, count=None) -> tuple:
-    """``value`` as a tuple of floats, of ``count`` entries when given."""
-    if not isinstance(value, (list, tuple)) or (count is not None and len(value) != count):
-        entries = "a list of numbers" if count is None else f"a list of {count} numbers"
-        raise ValueError(f"{what} must be {entries}, got {value!r}")
-    return tuple(_number(v, what) for v in value)
 
 
 @dataclass(frozen=True)
@@ -115,8 +104,7 @@ class FilterConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}, expected one of {FILTER_KINDS}")
+        object.__setattr__(self, "kind", _Param(FILTER_KINDS).typed(self.kind, None, "filter kind"))
         object.__setattr__(self, "params", dict(self.params))
 
     def plan(self, spacing, mode: str, boundary: str = "mirror",
@@ -138,7 +126,8 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class ProcessingConfig:
-    """Full image-processing chain for one benchmark test."""
+    """Full image-processing chain for one benchmark test.  Every field but
+    ``filter`` is checked and typed by its ``_CONFIG`` entry."""
 
     mode: str
     filter: FilterConfig
@@ -153,32 +142,8 @@ class ProcessingConfig:
     def __post_init__(self):
         # its own filter, so a dataclasses.replace copy starts without the saved plan
         object.__setattr__(self, "filter", FilterConfig(self.filter.kind, self.filter.params))
-        if self.mode not in ("2d", "3d"):
-            raise ValueError(f"mode must be '2d' or '3d', got {self.mode!r}")
-        if self.boundary not in BOUNDARY_MODES:
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
-        if self.image_interpolation not in _INTERPOLATIONS:
-            raise ValueError(
-                f"interpolation must be one of {_INTERPOLATIONS}, got {self.image_interpolation!r}"
-            )
-        if self.resample_spacing_mm is not None:
-            spacing = _numbers(self.resample_spacing_mm, "resample spacing_mm")
-            if not all(0.0 < s < math.inf for s in spacing):
-                raise ValueError(f"resample spacing_mm must be positive and finite, got {spacing}")
-            object.__setattr__(self, "resample_spacing_mm", spacing)
-        _FLAG.typed(self.rounding, 0, "rounding")
-        threshold = _number(self.mask_threshold, "mask_threshold")
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"mask threshold must lie in (0, 1], got {threshold}")
-        object.__setattr__(self, "mask_threshold", threshold)
-        if self.reseg_range is not None:
-            low, high = _numbers(self.reseg_range, "resegment_hu", 2)
-            if not low <= high:
-                raise ValueError(f"resegment_hu must be a range neither inverted nor NaN, "
-                                 f"got [{low}, {high}]")
-            object.__setattr__(self, "reseg_range", (low, high))
-        object.__setattr__(self, "boundary_constant",
-                           _CONSTANT.typed(self.boundary_constant, 0, "boundary_constant"))
+        for key, (name, _) in _CONFIG.items():
+            object.__setattr__(self, name, _setting(key, getattr(self, name)))
         if self.filter.params.get("decimated") is True:
             raise ValueError("a decimated wavelet response lies on a coarser grid than the "
                              "ROI, so features cannot be aggregated over it; run it with "
@@ -197,14 +162,9 @@ class ProcessingConfig:
         return self.filter.plan(grid, self.mode, self.boundary, self.boundary_constant)
 
 
-_CONFIG_KEYS = ("test_id", "mode", "boundary", "boundary_constant", "resample",
-                "resegment_hu", "filter")
-# file key -> ProcessingConfig field, at the top level and in the resample block
-_CONFIG_FIELDS = {"boundary": "boundary", "boundary_constant": "boundary_constant",
-                  "resegment_hu": "reseg_range"}
-_RESAMPLE_FIELDS = {"spacing_mm": "resample_spacing_mm",
-                    "image_interpolation": "image_interpolation",
-                    "mask_threshold": "mask_threshold", "rounding": "rounding"}
+def _block_keys(block):
+    """The ``_CONFIG`` keys of one block of a file: "" (the top level) or "resample"."""
+    return tuple(key.rpartition(".")[2] for key in _CONFIG if key.rpartition(".")[0] == block)
 
 
 def _reject_unknown_keys(block, allowed, where):
@@ -218,50 +178,49 @@ def _reject_unknown_keys(block, allowed, where):
 def load_config(path):
     """Read a configuration file; returns ``(test_id, ProcessingConfig)``.
 
-    Unknown keys at the top level or in the resample block are rejected, so
-    a misspelt key cannot silently fall back to its default, and so are
-    ``image_interpolation`` and ``mask_threshold`` without a ``spacing_mm``
-    to resample to.  Keys the file leaves out take the ProcessingConfig
-    defaults.  ``test_id`` names the output files, so it must be a string
-    (null or missing gives ``""``), may hold no path separator and may not
-    be ``.`` or ``..``.
+    The keys, at the top level and in the resample block, are those of
+    ``_CONFIG`` plus ``test_id``, ``resample`` and ``filter``.  Unknown keys
+    are rejected, so a misspelt key cannot silently fall back to its
+    default, and so are ``image_interpolation`` and ``mask_threshold``
+    without a ``spacing_mm`` to resample to.  Keys the file leaves out take
+    the ProcessingConfig defaults.  ``test_id`` names the output files, so
+    it must be a string (null or missing gives ``""``), may hold no path
+    separator and may not be ``.`` or ``..``.
     """
     with open(path) as handle:
         raw = yaml.safe_load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"configuration file {path} must hold a mapping")
-    _reject_unknown_keys(raw, _CONFIG_KEYS, f"configuration file {path}")
+    _reject_unknown_keys(raw, ("test_id", *_block_keys(""), "resample", "filter"),
+                         f"configuration file {path}")
     test_id = "" if raw.get("test_id") is None else raw["test_id"]
     if not isinstance(test_id, str):
         raise ValueError(f"test_id must be a string, got {test_id!r}; put it in quotes")
     if test_id in (".", "..") or any(sep in test_id for sep in ("/", "\\", os.sep)):
         raise ValueError(f"test_id {test_id!r} names the output files; it cannot hold a "
                          "path separator or be '.' or '..'")
-    try:
-        mode = str(raw["mode"]).lower()
-        filt = raw["filter"]
-    except KeyError as exc:
-        raise ValueError(f"configuration is missing the {exc.args[0]!r} key") from None
+    for key in ("mode", "filter"):
+        if key not in raw:
+            raise ValueError(f"configuration is missing the {key!r} key")
+    filt = raw["filter"]
     if not isinstance(filt, dict) or "kind" not in filt:
         raise ValueError("the filter block needs a 'kind' entry")
-    if not isinstance(filt["kind"], str):
-        raise ValueError(f"filter kind must be one of {FILTER_KINDS}, got {filt['kind']!r}")
-    fields = {field: raw[key] for key, field in _CONFIG_FIELDS.items() if key in raw}
+    settings = dict(raw)
     resample = raw.get("resample")
     if resample is not None:
         if not isinstance(resample, dict):
             raise ValueError("the resample block must be a mapping")
-        _reject_unknown_keys(resample, tuple(_RESAMPLE_FIELDS), "the resample block")
+        _reject_unknown_keys(resample, _block_keys("resample"), "the resample block")
         if "spacing_mm" not in resample:
             raise ValueError("the resample block is missing the 'spacing_mm' key")
         for key in ("image_interpolation", "mask_threshold"):
             if resample["spacing_mm"] is None and key in resample:
                 raise ValueError(f"the resample block's {key} applies only with a "
                                  "spacing_mm to resample to")
-        fields.update((field, resample[key]) for key, field in _RESAMPLE_FIELDS.items()
-                      if key in resample)
-    filt = FilterConfig(filt["kind"].lower(), {k: v for k, v in filt.items() if k != "kind"})
-    return test_id, ProcessingConfig(mode=mode, filter=filt, **fields)
+        settings.update((f"resample.{key}", value) for key, value in resample.items())
+    fields = {name: settings[key] for key, (name, _) in _CONFIG.items() if key in settings}
+    filt = FilterConfig(filt["kind"], {k: v for k, v in filt.items() if k != "kind"})
+    return test_id, ProcessingConfig(filter=filt, **fields)
 
 
 def _output_coordinates(dims, spacing, new_spacing):
@@ -363,11 +322,6 @@ def _along(values, axis, ndim):
     return values.reshape(shape)
 
 
-def _check_spacing(spacing: tuple, ndim: int) -> None:
-    if len(spacing) != ndim or not all(0.0 < s < math.inf for s in spacing):
-        raise ValueError(f"need one positive finite resampling spacing per axis, got {spacing}")
-
-
 def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
     """Resample intensities onto a centre-aligned grid with the given spacing.
 
@@ -382,10 +336,8 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
     the contiguous axis move single values.  The values equal
     map_coordinates' up to roundoff.
     """
-    if method not in _INTERPOLATIONS:
-        raise ValueError(f"interpolation must be one of {_INTERPOLATIONS}, got {method!r}")
-    new_spacing = tuple(float(s) for s in new_spacing)
-    _check_spacing(new_spacing, image.ndim)
+    method = _setting("resample.image_interpolation", method)
+    new_spacing = _check_spacing(new_spacing, image.ndim, "new_spacing", "resampling")
     if _grid_unchanged(image.spacing, new_spacing):
         return image
     out_dims, coords = _output_coordinates(image.dims, image.spacing, new_spacing)
@@ -415,9 +367,9 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     Fortran-ordered membership (mask axis ``a`` is its axis ``ndim - 1 -
     a``), so no layout copy is made.
     """
-    new_spacing = tuple(float(s) for s in new_spacing)
     membership = mask.membership
-    _check_spacing(new_spacing, membership.ndim)
+    new_spacing = _check_spacing(new_spacing, membership.ndim, "new_spacing", "resampling")
+    threshold = _setting("resample.mask_threshold", threshold)
     if _grid_unchanged(spacing, new_spacing):
         return RoiMask(membership.copy())
     out_dims, coords = _output_coordinates(mask.dims, spacing, new_spacing)
@@ -444,15 +396,14 @@ def resegment(mask: RoiMask, image: VolumeImage, value_range) -> RoiMask:
     """Intensity mask: ROI voxels whose intensity lies in the closed range.
 
     The morphological mask itself is never altered; with ``value_range``
-    None the intensity mask is a copy of it.
+    None the intensity mask is a copy of it.  The range is checked as the
+    configuration's ``resegment_hu``.
     """
     if mask.dims != image.dims:
         raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
     if value_range is None:
         return RoiMask(mask.membership.copy())
-    low, high = (float(v) for v in value_range)
-    if low > high:
-        raise ValueError(f"re-segmentation range is inverted: [{low}, {high}]")
+    low, high = _range(value_range, None)
     keep = mask.membership & (image.data >= low) & (image.data <= high)
     return RoiMask(keep)
 
@@ -497,9 +448,11 @@ def _taps(scale, cutoff, what) -> int:
 
 @dataclass(frozen=True)
 class _Param:
-    """One filter parameter.  ``type`` is float (finite; positive unless
-    ``low`` is -inf), int (in [low, high]; odd with ``odd``), bool, a tuple
-    of the strings it may name in any case, or a check(value, ndim).  A
+    """One filter parameter or configuration setting.  ``type`` is float
+    (finite, at most ``high``; positive unless ``low`` is -inf), int (in
+    [low, high]; odd with ``odd``), bool, a tuple of the strings it may name
+    in any case, or a check(value, ndim).  A filter key is ``required`` when
+    it has no default, a setting when None is not one of its values.  A
     scale, given as <name>_mm or <name>_vox (its ``unit``), reaches the
     planner as <name>_vox, where its square must be neither 0 nor inf.  The
     key applies only while ``switch`` = (flag, state) holds."""
@@ -517,9 +470,10 @@ class _Param:
         """``value`` typed, or a ValueError naming ``what``; ndim counts the filtered axes."""
         if self.type is float:
             number = _number(value, what)
-            if not self.low < number < math.inf:
+            if not (self.low < number < math.inf and number <= self.high):
+                bound = f" <= {self.high}" * (self.high < math.inf)
                 raise ValueError(f"{what} must be a {'positive ' * (self.low == 0)}finite "
-                                 f"number, got {number!r}")
+                                 f"number{bound}, got {number!r}")
             return number
         if self.type is int:
             number = _integral(value, what)
@@ -687,7 +641,6 @@ def _plan_riesz(p, axes, boundary, constant):
             f"kernel size {size}{applied}"), run
 
 
-_CONSTANT = _Param(float, low=-math.inf)
 _FLAG = _Param(bool, False)
 _ROTINV = ("rotation_invariance", True)
 _NOT_ROTINV = ("rotation_invariance", False)
@@ -730,13 +683,51 @@ REQUIRED_PARAMETERS = {kind: tuple(k for k, s in specs.items() if s.required and
 FILTER_PARAMETERS = tuple(dict.fromkeys(k for _, specs in _PLANNERS.values() for k in specs))
 
 
+def _range(value, ndim) -> tuple:
+    """``value`` as a closed range (low, high); either end may be infinite."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"resegment_hu must be a list of 2 numbers, got {value!r}")
+    low, high = (_number(v, "resegment_hu") for v in value)
+    if not low <= high:
+        raise ValueError(f"resegment_hu must be a range neither inverted nor NaN, "
+                         f"got [{low}, {high}]")
+    return low, high
+
+
+# configuration-file key ("resample.<key>" for a key of the resample block) ->
+# (ProcessingConfig field, setting): the one place each setting is checked.
+# The defaults are the fields' own.
+_CONFIG = {
+    "mode": ("mode", _Param(("2d", "3d"), required=True)),
+    "boundary": ("boundary", _Param(BOUNDARY_MODES, required=True)),
+    "boundary_constant": ("boundary_constant", _Param(float, required=True, low=-math.inf)),
+    "resegment_hu": ("reseg_range", _Param(_range)),
+    "resample.spacing_mm": ("resample_spacing_mm", _Param(
+        lambda value, ndim: _check_spacing(value, ndim, "resample spacing_mm", "resampling"))),
+    "resample.image_interpolation": ("image_interpolation",
+                                     _Param(("trilinear", "tricubic"), required=True)),
+    "resample.mask_threshold": ("mask_threshold", _Param(float, required=True, high=1.0)),
+    "resample.rounding": ("rounding", _Param(bool, required=True)),
+}
+
+
+def _setting(key, value):
+    """``value`` typed by the ``_CONFIG`` entry of ``key``, or a ValueError
+    naming the key; None passes where the entry is not required."""
+    spec = _CONFIG[key][1]
+    if value is None and not spec.required:
+        return None
+    return spec.typed(value, None, key.rpartition(".")[2])
+
+
 def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror",
                 constant: float = 0.0) -> FilterPlan:
     """Check one filter's parameters, convert them to voxels and build its kernels.
 
     ``spacing`` is the volume's spacing in mm.  Every parameter is checked
-    against its entry in ``_PLANNERS`` before the planner runs, and each
-    error names the key.  The plan's ``run`` filters
+    against its entry in ``_PLANNERS``, and ``mode``, ``boundary`` and
+    ``constant`` against theirs in ``_CONFIG``, before the planner runs, and
+    each error names the key.  The plan's ``run`` filters
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
     the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
     grid and averages its plane responses over the three plane stacks.
@@ -755,12 +746,11 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     invariance.  A non-zero ``constant`` needs the constant boundary and a
     spatial filter.
     """
-    if mode not in ("2d", "3d"):
-        raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
+    mode, boundary, constant = (_setting(key, value) for key, value in (
+        ("mode", mode), ("boundary", boundary), ("boundary_constant", constant)))
     if mode == "2d" and len(spacing) != 3:
         raise ValueError(f"2d mode filters the slices of a 3-D volume, so it needs 3 spacing "
                          f"entries, got {tuple(spacing)}")
-    _CONSTANT.typed(constant, 0, "boundary_constant")
     if constant != 0.0 and boundary != "constant":
         raise ValueError(f"boundary_constant {constant!r} applies only with boundary "
                          f"constant, not {boundary}")

@@ -829,6 +829,25 @@ class TestRunCommand:
         assert err.startswith("error: ") and f"{key} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text,key,got", [
+        ("mode: null\nfilter:\n  kind: none\n", "mode", "None"),
+        ("mode: 2\nfilter:\n  kind: none\n", "mode", "2"),
+        ("mode: 3d\nfilter:\n  kind: 7\n", "filter kind", "7"),
+    ], ids=["null-mode", "int-mode", "int-kind"])
+    def test_config_value_is_named_as_yaml_wrote_it(self, tmp_path, capsys, text, key, got):
+        # str(mode).lower() used to report null as 'none' and 2 as '2'
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text("test_id: T\n" + text)
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be one of (") and err.count("\n") == 1, err
+        assert err.endswith(f"), got {got}\n"), err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("offset,field", [(80, "pixdim[1]"), (108, "vox_offset")])
     def test_non_finite_header_fails_cleanly(self, tmp_path, capsys, offset, field):
         src, mask, _ = self._fixture(tmp_path)

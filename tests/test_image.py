@@ -58,6 +58,13 @@ class TestCreateImage:
         with pytest.raises(ValueError):
             create_image((2, 2), (1, 0), [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spacing_rejected(self, bad):
+        # "s <= 0" let both through
+        with pytest.raises(ValueError, match=r"^spacing must be one positive finite voxel "
+                                             r"spacing per axis \(3 axes\)"):
+            VolumeImage(np.zeros((2, 2, 2)), (bad, 1.0, 1.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_voxels_rejected(self, bad):
         data = np.zeros((3, 3, 3))

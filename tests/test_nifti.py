@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import math
 import re
@@ -475,6 +476,18 @@ class TestErrors:
         write_nifti(create_image(data.shape, (1.0, 1.0, 1.0), data), tmp_path / name, "f32")
         back, _ = read_nifti(tmp_path / name)
         np.testing.assert_array_equal(back.data, data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spacing_never_reaches_the_writer(self, tmp_path, bad):
+        # an image with a NaN spacing used to be written with a pixdim that
+        # read_nifti refuses
+        image = create_image((4, 4, 4), (2.0, 2.0, 2.0), np.zeros(64))
+        path = tmp_path / "vol.nii"
+        for make in (lambda: VolumeImage(image.data, (bad, 2.0, 2.0)),
+                     lambda: dataclasses.replace(image, spacing=(2.0, bad, 2.0))):
+            with pytest.raises(ValueError, match="spacing must be one positive finite"):
+                write_nifti(make(), path)
+        assert not path.exists()
 
     def test_unwritable_path(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -439,6 +439,15 @@ class TestResegment:
         out = resegment(RoiMask(np.zeros((2, 2, 2), dtype=bool)), image, (-1, 1))
         assert out.voxel_count == 0
 
+    @pytest.mark.parametrize("value_range", [(math.nan, 400.0), (-1000.0, math.nan)],
+                             ids=["nan-low", "nan-high"])
+    def test_nan_bound_is_rejected(self, value_range):
+        # tested only for low > high, a NaN bound gave an empty mask without an error
+        image = _volume(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"^resegment_hu must be a range neither "
+                                             r"inverted nor NaN, got \["):
+            resegment(RoiMask(np.ones((2, 2, 2), dtype=bool)), image, value_range)
+
 
 class TestPlanFilter:
     def test_log_summary_uses_filtered_axes(self):
@@ -1565,6 +1574,17 @@ class TestProcessingConfigValidation:
                 mode="3d", filter=FilterConfig("none"), reseg_range=(400, -1000)
             )
 
+    def test_every_field_but_the_filter_is_a_table_setting(self):
+        # so a new field cannot bypass the checks of _CONFIG
+        fields = {f.name for f in dataclasses.fields(ProcessingConfig)} - {"filter"}
+        assert fields == {name for name, _ in voxfilt.pipeline._CONFIG.values()}
+
+    def test_choices_are_read_in_any_case(self):
+        config = ProcessingConfig(mode="3D", filter=FilterConfig("Mean", {"support": 3}),
+                                  boundary="Periodise", image_interpolation="TriLinear")
+        assert (config.mode, config.filter.kind, config.boundary,
+                config.image_interpolation) == ("3d", "mean", "periodise", "trilinear")
+
     def test_open_resegmentation_range_is_kept(self):
         config = ProcessingConfig(mode="3d", filter=FilterConfig("none"),
                                   reseg_range=(-np.inf, np.inf))
@@ -1808,9 +1828,23 @@ class TestShippedConfigs:
                         assert re.search(rf"\b{key}\b", str(exc)), (kind, key, value, exc)
                         continue
                     assert "nan" not in summary and "inf" not in summary, (kind, key, value)
+        # every configuration setting set to each malformed value raises a ValueError
+        # naming the key, or loads; a resample key sits in a block with a spacing
+        path = tmp_path / "bad.yaml"
+        for key, value in itertools.product(voxfilt.pipeline._CONFIG, self._MALFORMED):
+            block, _, name = key.rpartition(".")
+            raw = {"mode": "3d", "filter": {"kind": "none"}}
+            if block:
+                raw[block] = {"spacing_mm": [1, 1, 1], name: value}
+            else:
+                raw[name] = value
+            path.write_text(yaml.safe_dump(raw))
+            try:
+                load_config(path)
+            except ValueError as exc:
+                assert re.search(rf"\b{name}\b", str(exc)), (key, value, exc)
         # a YAML value of the wrong type gives a ValueError, never a TypeError, and a
         # kind that is not a filter's name never plans (null used to read as "none")
-        path = tmp_path / "bad.yaml"
         for name in sorted(os.listdir(self._DIR)):
             with open(os.path.join(self._DIR, name)) as handle:
                 raw = yaml.safe_load(handle)
@@ -1827,7 +1861,25 @@ class TestShippedConfigs:
     def test_readme_names_every_filter_parameter(self):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as handle:
             readme = handle.read()
-        assert [key for key in FILTER_PARAMETERS if f"`{key}`" not in readme] == []
+        keys = (*FILTER_PARAMETERS, *voxfilt.pipeline._CONFIG)
+        assert [key for key in keys if f"`{key}`" not in readme] == []
+
+    @pytest.mark.parametrize("kind", sorted(_VALID))
+    def test_unknown_boundary_is_rejected_before_planning(self, monkeypatch, kind):
+        # the Fourier-domain filters used to plan and run with it, logging "boundary
+        # periodise (requested bogus)", and the spatial ones failed only inside pad
+        image = _volume(np.zeros((8, 8, 8)))
+        rows = [FilterConfig(kind, row) for row in self._VALID[kind]]
+        for filt in rows:
+            plan_filter(filt, image.spacing, "3d", "Periodise")
+        planner, specs = voxfilt.pipeline._PLANNERS[kind]
+        monkeypatch.setitem(voxfilt.pipeline._PLANNERS, kind, (None, specs))
+        for filt in rows:
+            for call in (lambda: plan_filter(filt, image.spacing, "3d", "bogus"),
+                         lambda: apply_filter(image, filt, "3d", "bogus")):
+                with pytest.raises(ValueError, match=r"^boundary must be one of "
+                                                     r"\('constant', .*\), got 'bogus'$"):
+                    call()
 
     def test_unknown_keys_of_two_types_are_named(self):
         filt = FilterConfig("mean", {"support": 3, 3: "x", "a": 1})
