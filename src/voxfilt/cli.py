@@ -11,6 +11,7 @@ thread count never changes results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,7 +236,10 @@ def _add_io_flags(parser, datatype_default="f32"):
                         help="round intensities to integers right after reading")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on first use, never changed
+    afterwards, and each ``parse_args`` call returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="voxfilt",
         description="convolutional filtering of 2-D/3-D volumes with benchmark plumbing",

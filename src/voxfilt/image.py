@@ -8,7 +8,6 @@ fastest-varying index in memory (the same layout NIfTI uses on disk).
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent import futures
 from dataclasses import dataclass
@@ -125,16 +124,24 @@ def _is_number(value) -> bool:
             and not isinstance(value, bool))
 
 
+# NIfTI-1 stores a spacing as a float32 pixdim: above the largest float32 it
+# cannot be written, and below the smallest normal one it loses precision
+# or reads back as 0, which NIfTI readers take as 1 mm
+_SPACING_RANGE = (float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max))
+
+
 def _check_spacing(spacing, ndim, what="spacing", grid="voxel") -> tuple:
     """``spacing`` as a tuple of floats if it holds one positive finite value
-    per axis, ``ndim`` of them or, with ``ndim`` None, any number; else a
-    ValueError naming ``what``.  The one spacing rule of images, resamplers
-    and configurations."""
+    in float32's normal range per axis, ``ndim`` of them or, with ``ndim``
+    None, any number; else a ValueError naming ``what``.  The one spacing
+    rule of images, resamplers and configurations."""
+    low, high = _SPACING_RANGE
     values = tuple(spacing) if isinstance(spacing, (list, tuple, np.ndarray)) else ()
     if (not values or ndim is not None and len(values) != ndim
-            or not all(_is_number(s) and 0.0 < s < math.inf for s in values)):
+            or not all(_is_number(s) and low <= s <= high for s in values)):
         axes = "" if ndim is None else f" ({ndim} axes)"
         raise ValueError(f"{what} must be one positive finite {grid} spacing per axis{axes}, "
+                         f"from {low:.4g} to {high:.4g} mm as NIfTI-1 stores it, "
                          f"got {spacing!r}")
     return tuple(float(s) for s in values)
 

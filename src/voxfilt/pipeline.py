@@ -175,6 +175,12 @@ def _reject_unknown_keys(block, allowed, where):
             raise ValueError(f"{where} has unknown key {key!r}; {hint}")
 
 
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both construct with SafeConstructor and resolve with the same resolver, so
+# a file gives the same values either way, about five times faster with libyaml
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path):
     """Read a configuration file; returns ``(test_id, ProcessingConfig)``.
 
@@ -185,10 +191,19 @@ def load_config(path):
     without a ``spacing_mm`` to resample to.  Keys the file leaves out take
     the ProcessingConfig defaults.  ``test_id`` names the output files, so
     it must be a string (null or missing gives ``""``), may hold no path
-    separator and may not be ``.`` or ``..``.
+    separator and may not be ``.`` or ``..``.  A file that is not valid YAML
+    is a ValueError naming the file, the problem and its line and column.
     """
     with open(path) as handle:
-        raw = yaml.safe_load(handle)
+        try:
+            raw = yaml.load(handle, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            # the two parsers word a problem differently; both give its mark
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ValueError(f"configuration file {path} is not valid YAML: "
+                             f"{problem}{where}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"configuration file {path} must hold a mapping")
     _reject_unknown_keys(raw, ("test_id", *_block_keys(""), "resample", "filter"),
@@ -223,22 +238,31 @@ def load_config(path):
     return test_id, ProcessingConfig(filter=filt, **fields)
 
 
+# NIfTI-1 stores each dim as an int16
+_MAX_AXIS_VOXELS = 32767
+
+
 def _output_coordinates(dims, spacing, new_spacing):
     """Voxel coordinates of the aligned output grid, expressed on the input grid.
 
     Output and input grids share their physical centre; the output extent
-    rounds up so no input voxel is dropped.
+    rounds up so no input voxel is dropped.  A grid with more voxels on an
+    axis than NIfTI-1 can store is a ValueError, raised before anything is
+    allocated.
     """
+    out_dims = tuple(math.ceil(n * s_in / s_out)
+                     for n, s_in, s_out in zip(dims, spacing, new_spacing))
+    if max(out_dims) > _MAX_AXIS_VOXELS:
+        raise ValueError(f"resampling dims {tuple(dims)} from spacing {tuple(spacing)} mm to "
+                         f"{tuple(new_spacing)} mm gives dims {out_dims}, more than the "
+                         f"{_MAX_AXIS_VOXELS} voxels per axis NIfTI-1 can store")
     coords = []
-    out_dims = []
-    for n_in, s_in, s_out in zip(dims, spacing, new_spacing):
-        n_out = math.ceil(n_in * s_in / s_out)
+    for n_in, n_out, s_in, s_out in zip(dims, out_dims, spacing, new_spacing):
         centre_in = (n_in - 1) / 2.0
         centre_out = (n_out - 1) / 2.0
-        axis = (np.arange(n_out, dtype=np.float64) - centre_out) * (s_out / s_in) + centre_in
-        coords.append(axis)
-        out_dims.append(n_out)
-    return tuple(out_dims), coords
+        coords.append((np.arange(n_out, dtype=np.float64) - centre_out) * (s_out / s_in)
+                      + centre_in)
+    return out_dims, coords
 
 
 def _grid_unchanged(spacing, new_spacing):
@@ -349,9 +373,16 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
     ndim = image.ndim
     for axis in sorted(range(ndim), key=lambda a: (out_dims[a] / image.dims[a], -a)):
         idx, weights = _axis_taps(coords[axis], image.dims[axis], order)
-        out = np.take(data, idx[:, 0], axis=axis) * _along(weights[:, 0], axis, ndim)
+        shape = data.shape[:axis] + (out_dims[axis],) + data.shape[axis + 1:]
+        out, term = np.empty(shape), np.empty(shape)
+        # _axis_taps folded every index into range, so "clip" never clips;
+        # unlike "raise" it gathers straight into the given array
+        np.take(data, idx[:, 0], axis=axis, out=out, mode="clip")
+        out *= _along(weights[:, 0], axis, ndim)
         for k in range(1, order + 1):
-            out += np.take(data, idx[:, k], axis=axis) * _along(weights[:, k], axis, ndim)
+            np.take(data, idx[:, k], axis=axis, out=term, mode="clip")
+            term *= _along(weights[:, k], axis, ndim)
+            out += term
         data = out
     return VolumeImage(np.asfortranarray(data), new_spacing)
 
@@ -379,10 +410,16 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     for axis, (idx, _) in enumerate(taps):
         corners = [np.take(c, idx[:, k], axis=ndim - 1 - axis) for c in corners for k in (0, 1)]
     fraction = np.zeros(out_dims[::-1])
+    weight = np.empty_like(fraction)
     for combo, inside in zip(itertools.product((0, 1), repeat=ndim), corners):
-        weight = 1.0
-        for axis, k in enumerate(combo):
-            weight = weight * _along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
+        # the product of all but the last axis's weights is smaller than the
+        # volume; only the last factor fills it, into the one reused buffer
+        *factors, last = (_along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
+                          for axis, k in enumerate(combo))
+        partial = 1.0
+        for factor in factors:
+            partial = partial * factor
+        np.multiply(partial, last, out=weight)
         np.add(fraction, weight, out=fraction, where=inside)
     return RoiMask(fraction.T >= threshold)
 

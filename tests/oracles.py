@@ -9,7 +9,10 @@ pyramid, so that one subband can be compared with it byte for byte, and
 :func:`whole_array_statistics` and :func:`whole_array_diagnostics`, which
 reduce the library's gathered ROI values one whole-array numpy call per
 quantity, so that the leaf-by-leaf sums can be compared with them byte for
-byte.
+byte, and :func:`resample_image_per_tap` and :func:`resample_mask_per_tap`,
+the resamplers as they were before their passes reused buffers, built on
+the library's taps, so that the buffered passes can be compared with them
+byte for byte.
 """
 
 import itertools
@@ -224,3 +227,43 @@ def whole_array_diagnostics(mask_before, mask_after, image_after) -> dict:
         "roi_intensity_max": high,
         "roi_intensity_min": low,
     }
+
+
+def resample_image_per_tap(image, new_spacing, method: str) -> np.ndarray:
+    """Resampled intensities, each tap's gathered plane and its product with
+    the weights a new array; ``new_spacing`` differs from the image's."""
+    from voxfilt.pipeline import _along, _axis_taps, _output_coordinates, _spline_prefilter
+
+    out_dims, coords = _output_coordinates(image.dims, image.spacing, new_spacing)
+    if method == "trilinear":
+        order, data = 1, np.ascontiguousarray(image.data)
+    else:
+        order, data = 3, _spline_prefilter(image.data)
+    ndim = image.ndim
+    for axis in sorted(range(ndim), key=lambda a: (out_dims[a] / image.dims[a], -a)):
+        idx, weights = _axis_taps(coords[axis], image.dims[axis], order)
+        out = np.take(data, idx[:, 0], axis=axis) * _along(weights[:, 0], axis, ndim)
+        for k in range(1, order + 1):
+            out += np.take(data, idx[:, k], axis=axis) * _along(weights[:, k], axis, ndim)
+        data = out
+    return np.asfortranarray(data)
+
+
+def resample_mask_per_tap(membership, spacing, new_spacing, threshold: float) -> np.ndarray:
+    """Resampled membership, each corner's weight product ``((1 * w1) * w2)
+    * w3`` formed whole; ``new_spacing`` differs from ``spacing``."""
+    from voxfilt.pipeline import _along, _axis_taps, _output_coordinates
+
+    out_dims, coords = _output_coordinates(membership.shape, spacing, new_spacing)
+    ndim = membership.ndim
+    taps = [_axis_taps(c, n, 1) for c, n in zip(coords, membership.shape)]
+    corners = [membership.T]
+    for axis, (idx, _) in enumerate(taps):
+        corners = [np.take(c, idx[:, k], axis=ndim - 1 - axis) for c in corners for k in (0, 1)]
+    fraction = np.zeros(out_dims[::-1])
+    for combo, inside in zip(itertools.product((0, 1), repeat=ndim), corners):
+        weight = 1.0
+        for axis, k in enumerate(combo):
+            weight = weight * _along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
+        np.add(fraction, weight, out=fraction, where=inside)
+    return fraction.T >= threshold

@@ -814,9 +814,11 @@ class TestRunCommand:
         ("boundary_constant: .inf\n", "boundary_constant"),
         ("resegment_hu: [.nan, 400]\n", "resegment_hu"),
         ("resegment_hu: [-1000, .nan]\n", "resegment_hu"),
+        # beyond float32, write_nifti's struct.pack raised OverflowError at the end
+        ("resample:\n  spacing_mm: [1.0e+39, 1, 1]\n", "spacing_mm"),
     ], ids=["scalar-spacing", "scalar-range", "bool-threshold", "bool-constant",
             "nan-constant", "nan-spacing", "inf-spacing", "inf-constant", "nan-low",
-            "nan-high"])
+            "nan-high", "float32-overflow-spacing"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, block, key):
         src, mask, config = self._fixture(tmp_path)
         config.write_text("test_id: T\nmode: 3d\n" + block + "filter:\n  kind: none\n")
@@ -828,6 +830,46 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key} must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    @pytest.mark.parametrize("text,where", [
+        ("test_id: T\nmode: 3d\nfilter:\n  kind: mean\n  support: [3\n", "line 6, column 1"),
+        ("test_id: T\nmode: 3d\nfilter: kind: mean\n", "line 3, column 13"),
+        ("test_id: T\nmode: 3d\nfilter:\n  kind: *mean\n", "line 4, column 9"),
+    ], ids=["unclosed-list", "nested-mapping", "undefined-alias"])
+    def test_yaml_syntax_error_fails_cleanly(self, tmp_path, monkeypatch, capsys, loader,
+                                             text, where):
+        # yaml's own errors used to escape main as a traceback
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML was built without {loader}")
+        monkeypatch.setattr(voxfilt.pipeline, "_YAML_LOADER", getattr(yaml, loader))
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text(text)
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: configuration file {config} is not valid YAML: ")
+        assert err.endswith(f" at {where}\n") and err.count("\n") == 1, err
+        assert not (tmp_path / "r").exists()
+
+    def test_grid_beyond_nifti_dims_fails_cleanly(self, tmp_path, capsys):
+        # numpy used to fail allocating the grid with an error naming no key
+        src, mask, config = self._fixture(tmp_path)
+        config.write_text("test_id: T\nmode: 3d\nresample:\n  spacing_mm: [1.0e-30, 2, 2]\n"
+                          "filter:\n  kind: none\n")
+        code = main([
+            "run", str(config), "--image", str(src), "--mask", str(mask),
+            "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: resampling dims (10, 10, 6) from spacing "
+                                  "(2.0, 2.0, 2.0) mm to (1e-30, 2.0, 2.0) mm gives dims (")
+        assert err[-1].endswith("more than the 32767 voxels per axis NIfTI-1 can store")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("text,key,got", [
         ("mode: null\nfilter:\n  kind: none\n", "mode", "None"),
@@ -1001,6 +1043,21 @@ class TestRunCommand:
         assert err.startswith("error: VOXFILT_THREADS must be a positive integer")
         assert "Traceback" not in err
         assert main(argv + ["--threads", "2"]) == 0
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once_and_share_no_arguments(self, tmp_path, capsys):
+        voxfilt.cli._build_parser.cache_clear()
+        assert main(["phantom", "noise", "--seed", "3", "-o", str(tmp_path / "a.nii")]) == 0
+        # a --seed left over from the first call would make this an error
+        assert main(["phantom", "impulse", "-o", str(tmp_path / "b.nii")]) == 0
+        info = voxfilt.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert capsys.readouterr().err == ""
+        first = voxfilt.cli._build_parser().parse_args(["phantom", "noise", "--seed", "3",
+                                                        "-o", "a.nii"])
+        second = voxfilt.cli._build_parser().parse_args(["phantom", "impulse", "-o", "b.nii"])
+        assert first is not second and first.seed == 3 and second.seed is None
 
 
 class TestThreadDefaults:

@@ -65,6 +65,16 @@ class TestCreateImage:
                                              r"spacing per axis \(3 axes\)"):
             VolumeImage(np.zeros((2, 2, 2)), (bad, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [1e39, 1e-39])
+    def test_spacing_beyond_float32_normal_range_rejected(self, bad):
+        # NIfTI-1 stores a spacing as float32: 1e39 made write_nifti raise an
+        # OverflowError, and 1e-39 would be stored subnormal
+        with pytest.raises(ValueError, match=r"^spacing must be one positive finite voxel "
+                                             r"spacing per axis \(3 axes\), from 1.175e-38 "
+                                             r"to 3.403e\+38 mm as NIfTI-1 stores it"):
+            VolumeImage(np.zeros((2, 2, 2)), (1.0, bad, 1.0))
+        VolumeImage(np.zeros((2, 2, 2)), (1.0, float(np.finfo(np.float32).max), 1.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_voxels_rejected(self, bad):
         data = np.zeros((3, 3, 3))

@@ -46,6 +46,7 @@ from voxfilt.pipeline import (
 from voxfilt.rotinv import gabor_orientation_set, pool
 
 from dispatch import digests_at_dispatch_levels
+from oracles import resample_image_per_tap, resample_mask_per_tap
 
 
 def _volume(data, spacing=(2.0, 2.0, 2.0)):
@@ -286,6 +287,69 @@ class TestSeparableResample:
             nearest = min(nearest, float(np.min(np.abs(np.abs(want % 1.0) - 0.5))))
         print(f"rounded voxels flipped: {flips}; nearest value to a .5 boundary: {nearest:.3g}")
         assert flips == 0
+
+
+# the grids above plus growing, shrinking and mixed axes at 28^3 and a
+# length-1 axis that grows
+_BUFFERED_GRIDS = _GRIDS + [
+    ((28, 28, 28), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0)),
+    ((28, 28, 28), (1.0, 1.0, 1.0), (2.0, 3.0, 1.5)),
+    ((20, 1, 17), (0.8, 2.0, 1.1), (1.3, 0.6, 0.5)),
+]
+
+
+class TestBufferedResample:
+    """The resamplers with reused pass buffers keep the bytes of the former
+    ones, which made a new array per tap and per weight product."""
+
+    @pytest.mark.parametrize("dims,spacing,new_spacing", _BUFFERED_GRIDS)
+    @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
+    def test_image_bytes_equal_per_tap_reference(self, dims, spacing, new_spacing, method):
+        data = np.random.default_rng(dims[0] * 7 + dims[-1]).normal(100.0, 300.0, dims)
+        image = create_image(dims, spacing, data)
+        out = resample_image(image, new_spacing, method)
+        want = resample_image_per_tap(image, new_spacing, method)
+        assert out.data.tobytes(order="A") == want.tobytes(order="A")
+        assert out.data.flags.f_contiguous
+
+    @pytest.mark.parametrize("dims,spacing,new_spacing", _BUFFERED_GRIDS)
+    def test_mask_bytes_equal_per_tap_reference(self, dims, spacing, new_spacing):
+        rng = np.random.default_rng(dims[0] * 11 + dims[-1])
+        for membership in (np.ones(dims, dtype=bool), rng.uniform(size=dims) < 0.4,
+                           np.zeros(dims, dtype=bool)):
+            for threshold in (0.5, 1.0, 1e-9):
+                out = resample_mask(RoiMask(membership), spacing, new_spacing, threshold)
+                want = resample_mask_per_tap(membership, spacing, new_spacing, threshold)
+                assert out.membership.tobytes(order="F") == want.tobytes(order="F"), threshold
+
+
+class TestOutputGridBound:
+    # 28 voxels of 2 mm at 1e-3 mm: 56000 voxels on the first axis, more
+    # than NIfTI-1's int16 dims hold
+    _MATCH = (r"resampling dims \(28, 4, 4\) from spacing \(2.0, 2.0, 2.0\) mm to "
+              r"\(0.001, 2.0, 2.0\) mm gives dims \(56000, 4, 4\), more than the 32767 "
+              r"voxels per axis NIfTI-1 can store")
+    # at 1e-30 mm the grid could not even be allocated: rejected before that
+    _HUGE = r"\(1e-30, 2.0, 2.0\) mm gives dims \(\d{32}, 4, 4\)"
+
+    def test_largest_storable_axis_is_allowed(self):
+        out_dims, coords = _output_coordinates((28,), (2.0,), (56.0 / 32767,))
+        assert out_dims == (32767,) and coords[0].shape == (32767,)
+
+    @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
+    def test_image(self, method):
+        image = _volume(np.zeros((28, 4, 4)))
+        with pytest.raises(ValueError, match=self._MATCH):
+            resample_image(image, (1e-3, 2.0, 2.0), method)
+        with pytest.raises(ValueError, match=self._HUGE):
+            resample_image(image, (1e-30, 2.0, 2.0), method)
+
+    def test_mask(self):
+        mask = RoiMask(np.ones((28, 4, 4), dtype=bool))
+        with pytest.raises(ValueError, match=self._MATCH):
+            resample_mask(mask, (2.0, 2.0, 2.0), (1e-3, 2.0, 2.0))
+        with pytest.raises(ValueError, match=self._HUGE):
+            resample_mask(mask, (2.0, 2.0, 2.0), (1e-30, 2.0, 2.0))
 
 
 _RESAMPLE_PROBE = """
@@ -1725,6 +1789,29 @@ filter:
         _, config = load_config(path)
         assert config.rounding is True and config.resample_spacing_mm is None
 
+    def test_spacing_beyond_float32_rejected_at_load(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("mode: 3d\nresample:\n  spacing_mm: [1.0e+39, 1, 1]\n"
+                        "filter:\n  kind: none\n")
+        with pytest.raises(ValueError, match=r"resample spacing_mm must be one positive "
+                                             r"finite resampling spacing per axis, from "):
+            load_config(path)
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_unreadable_yaml_is_a_value_error(self, tmp_path, monkeypatch, loader):
+        # a control character has no mark; the reader's own words say where
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML was built without {loader}")
+        monkeypatch.setattr(voxfilt.pipeline, "_YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "bad.yaml"
+        path.write_text("mode: 3d\nfilter:\n  kind: \x07\n")
+        with pytest.raises(ValueError) as raised:
+            load_config(path)
+        message = str(raised.value)
+        assert message.startswith(f"configuration file {path} is not valid YAML: "
+                                  "unacceptable character #x0007")
+        assert message.endswith("position 25") and "\n" not in message
+
     def test_resample_not_a_mapping(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("mode: 3d\nresample: [1.0, 1.0, 1.0]\nfilter:\n  kind: none\n")
@@ -1857,6 +1944,45 @@ class TestShippedConfigs:
                     except ValueError:
                         continue
                     assert key != "kind", (name, value)
+
+    def test_both_yaml_parsers_load_alike(self, tmp_path, monkeypatch):
+        # libyaml's parser, which load_config takes when PyYAML has it, gives the
+        # pure-Python one's configuration or error on every shipped file and on
+        # every malformed value of the fuzz above
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        assert voxfilt.pipeline._YAML_LOADER is yaml.CSafeLoader
+
+        def load(path, loader):
+            monkeypatch.setattr(voxfilt.pipeline, "_YAML_LOADER", loader)
+            return load_config(path)
+
+        fuzzed = []
+        for name in sorted(os.listdir(self._DIR)):
+            path = os.path.join(self._DIR, name)
+            assert load(path, yaml.SafeLoader) == load(path, yaml.CSafeLoader), name
+            with open(path) as handle:
+                raw = yaml.safe_load(handle)
+            fuzzed += [{**raw, "filter": {**raw["filter"], key: value}}
+                       for key in raw["filter"] for value in (None, 2, [], "x", {})]
+        for key, value in itertools.product(voxfilt.pipeline._CONFIG, self._MALFORMED):
+            block, _, name = key.rpartition(".")
+            raw = {"mode": "3d", "filter": {"kind": "none"}}
+            raw.update({block: {"spacing_mm": [1, 1, 1], name: value}} if block
+                       else {name: value})
+            fuzzed.append(raw)
+        path = tmp_path / "c.yaml"
+
+        def outcome(loader):
+            try:
+                # repr, so that a NaN setting compares equal to itself
+                return repr(load(path, loader))
+            except ValueError as exc:
+                return f"error: {exc}"
+
+        for raw in fuzzed:
+            path.write_text(yaml.safe_dump(raw))
+            assert outcome(yaml.SafeLoader) == outcome(yaml.CSafeLoader), raw
 
     def test_readme_names_every_filter_parameter(self):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as handle:

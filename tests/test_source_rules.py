@@ -526,6 +526,16 @@ def helper(x):
     assert scipy_imports(sample) == {3, 4, 5, 9}
 
 
+def test_only_pipeline_imports_yaml():
+    # load_config picks the YAML parser (libyaml or pure Python); with yaml
+    # imported in one module, no other reader can pick differently
+    importers = {path.stem for path in SOURCE.glob("*.py")
+                 if "yaml" in imported_modules(path.read_text())}
+    assert importers == {"pipeline"}
+    sample = "def load(text):\n    from yaml.cyaml import CSafeLoader\n    return CSafeLoader\n"
+    assert imported_modules(sample) == {"yaml": {2}}
+
+
 # distribution name in pyproject.toml -> the module it is imported as
 _MODULE_OF = {"PyYAML": "yaml"}
 
