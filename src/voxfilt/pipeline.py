@@ -308,21 +308,27 @@ def _axis_taps(coord, n, order):
 
 def _spline_prefilter(data):
     """Cubic B-spline coefficients of ``data`` on a mirror boundary, as a new
-    C-ordered float64 array.
+    Fortran-ordered float64 array.
 
-    One axis at a time, the gain (1 - z)(1 - 1/z), the mirror causal start,
-    the causal pass, the anticausal start and the anticausal pass, with
-    z = sqrt(3) - 2; a length-1 axis is left as it is.  The powers of z are
-    Python floats multiplied up in one order and the arrays see only
-    elementwise * + - /, so the bytes do not depend on the SIMD level.
+    One axis at a time, in axis order, the gain (1 - z)(1 - 1/z), the mirror
+    causal start, the causal pass, the anticausal start and the anticausal
+    pass, with z = sqrt(3) - 2; a length-1 axis is left as it is.  Each
+    axis's recursions run on a C-contiguous copy with that axis leading, so
+    every step is one contiguous plane; the other axes follow it in reverse
+    order, so the last axis's copy is the Fortran-ordered result.  The powers
+    of z are Python floats multiplied up in one order and the arrays see only
+    elementwise * + - /, so the bytes do not depend on the SIMD level or on
+    the layout.
     """
     z = math.sqrt(3.0) - 2.0
-    coef = np.array(data, dtype=np.float64, order="C")
-    for axis in range(coef.ndim):
+    coef = np.asarray(data, dtype=np.float64)
+    ndim = coef.ndim
+    for axis in range(ndim):
         n = coef.shape[axis]
         if n == 1:
             continue
-        c = np.moveaxis(coef, axis, 0)
+        order = (axis,) + tuple(a for a in reversed(range(ndim)) if a != axis)
+        c = np.transpose(coef, order).copy()
         c *= (1.0 - z) * (1.0 - 1.0 / z)
         powers = [1.0]
         for _ in range(n - 1):
@@ -337,13 +343,50 @@ def _spline_prefilter(data):
         c[n - 1] = (z * c[n - 2] + c[n - 1]) * z / (z * z - 1.0)
         for i in range(n - 2, -1, -1):
             c[i] = z * (c[i + 1] - c[i])
-    return coef
+        coef = np.transpose(c, np.argsort(order))
+    return coef.copy(order="F") if coef is data else np.asfortranarray(coef)
 
 
 def _along(values, axis, ndim):
     shape = [1] * ndim
     shape[axis] = -1
     return values.reshape(shape)
+
+
+# Voxels per slab of a resampling pass, one leading-axis plane at least: the
+# slab's output and its one term buffer, 2 x 256 KiB of float64, stay in a
+# core's L2 cache while a pass gathers, weights and adds its taps into them,
+# where volume-sized buffers stream every tap through memory.
+_RESAMPLE_SLAB_VOXELS = 1 << 15
+
+
+def _resample_pass(data, axis, idx, weights):
+    """One axis of a tensor-product resample of the C-ordered ``data``.
+
+    Output voxel j along ``axis`` is sum_k data[..., idx[j, k], ...] *
+    weights[j, k], summed in tap order.  The pass runs over slabs of
+    leading-axis output planes with one slab-sized term buffer; along axis 0
+    a slab of output planes gathers the input planes its taps name.
+    """
+    ndim = data.ndim
+    shape = data.shape[:axis] + (len(idx),) + data.shape[axis + 1:]
+    out = np.empty(shape)
+    planes = max(1, _RESAMPLE_SLAB_VOXELS // math.prod(shape[1:]))
+    term = np.empty((min(planes, shape[0]),) + shape[1:])
+    for start in range(0, shape[0], planes):
+        slab = slice(start, start + planes)
+        src, taps, w = (data, idx[slab], weights[slab]) if axis == 0 else (data[slab], idx, weights)
+        dst = out[slab]
+        tmp = term[:len(dst)]
+        # _axis_taps folded every index into range, so "clip" never clips;
+        # unlike "raise" it gathers straight into the given array
+        np.take(src, taps[:, 0], axis=axis, out=dst, mode="clip")
+        dst *= _along(w[:, 0], axis, ndim)
+        for k in range(1, taps.shape[1]):
+            np.take(src, taps[:, k], axis=axis, out=tmp, mode="clip")
+            tmp *= _along(w[:, k], axis, ndim)
+            dst += tmp
+    return out
 
 
 def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
@@ -354,11 +397,13 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
 
     The B-spline is a tensor product, so the resample runs one axis at a
     time: the mirror spline prefilter (cubic only), then per axis a sum of
-    order + 1 gathered planes times their weights, in tap order.  Axes that
-    shrink go first and axes that grow last, so each pass gathers from the
-    smallest array it can; ties go last axis first, because gathers along
-    the contiguous axis move single values.  The values equal
-    map_coordinates' up to roundoff.
+    order + 1 gathered planes times their weights, in tap order, slab by
+    slab (:func:`_resample_pass`).  Axes that shrink go first and axes that
+    grow last, so each pass gathers from the smallest array it can; ties go
+    last axis first.  The passes run on the C-contiguous transpose of the
+    Fortran-ordered volume (image axis ``a`` is its axis ``ndim - 1 - a``),
+    so the result is Fortran-ordered without a layout copy.  The values
+    equal map_coordinates' up to roundoff.
     """
     method = _setting("resample.image_interpolation", method)
     new_spacing = _check_spacing(new_spacing, image.ndim, "new_spacing", "resampling")
@@ -366,37 +411,86 @@ def resample_image(image: VolumeImage, new_spacing, method: str) -> VolumeImage:
         return image
     out_dims, coords = _output_coordinates(image.dims, image.spacing, new_spacing)
     if method == "trilinear":
-        order, data = 1, np.ascontiguousarray(image.data)
+        order, data = 1, image.data
     else:
-        order = 3
-        data = _spline_prefilter(image.data)
+        order, data = 3, _spline_prefilter(image.data)
     ndim = image.ndim
+    data = np.ascontiguousarray(data.T)
     for axis in sorted(range(ndim), key=lambda a: (out_dims[a] / image.dims[a], -a)):
         idx, weights = _axis_taps(coords[axis], image.dims[axis], order)
-        shape = data.shape[:axis] + (out_dims[axis],) + data.shape[axis + 1:]
-        out, term = np.empty(shape), np.empty(shape)
-        # _axis_taps folded every index into range, so "clip" never clips;
-        # unlike "raise" it gathers straight into the given array
-        np.take(data, idx[:, 0], axis=axis, out=out, mode="clip")
-        out *= _along(weights[:, 0], axis, ndim)
-        for k in range(1, order + 1):
-            np.take(data, idx[:, k], axis=axis, out=term, mode="clip")
-            term *= _along(weights[:, k], axis, ndim)
-            out += term
-        data = out
-    return VolumeImage(np.asfortranarray(data), new_spacing)
+        data = _resample_pass(data, ndim - 1 - axis, idx, weights)
+    return VolumeImage(data.T, new_spacing)
+
+
+# An all-in voxel's partial volume, the sum of its 2**ndim corner weight
+# products, is 1 in exact arithmetic.  Each axis's two weights sum to 1 within
+# one rounding, and each product and each add rounds once, so in 3-D the
+# computed sum lies within 12 roundings, under 2**-49, of 1.  A threshold at
+# or below 1 - 2**-40 therefore keeps every all-in voxel without its sum; the
+# margin leaves a factor of 2**9 over that bound.
+_ALL_IN_FLOOR = 1.0 - 2.0 ** -40
+
+
+def _partial_volume(membership_t, taps):
+    """Trilinear partial volume of the output voxels that ``taps`` name.
+
+    ``membership_t`` is the mask's C-ordered transpose and the result is
+    too; ``taps`` holds each mask axis's (index, weight) pairs.  Per voxel
+    the corners add in C order, each its weight product (w1 * w2) * w3 when
+    the corner is in the mask: map_coordinates' order-1 arithmetic, bit for
+    bit.  The corners are gathered from only the leading-axis planes that
+    the taps name, along the contiguous axis first, where single values
+    move, while the arrays are smallest.
+    """
+    ndim = membership_t.ndim
+    lead, lead_weights = taps[-1]
+    low = int(lead.min())
+    taps = taps[:-1] + [(lead - low, lead_weights)]
+    corners = [membership_t[low:int(lead.max()) + 1]]
+    for axis, (idx, _) in enumerate(taps):
+        corners = [np.take(c, idx[:, k], axis=ndim - 1 - axis) for c in corners for k in (0, 1)]
+    fraction = np.zeros(tuple(len(idx) for idx, _ in reversed(taps)))
+    weight = np.empty_like(fraction)
+    for combo, inside in zip(itertools.product((0, 1), repeat=ndim), corners):
+        # the product of all but the last axis's weights is smaller than the
+        # slab; only the last factor fills it, into the one reused buffer
+        *factors, last = (_along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
+                          for axis, k in enumerate(combo))
+        partial = 1.0
+        for factor in factors:
+            partial = partial * factor
+        np.multiply(partial, last, out=weight)
+        np.add(fraction, weight, out=fraction, where=inside)
+    return fraction
+
+
+def _bounding_box(flags):
+    """The smallest tuple of slices that holds every True of ``flags``, or
+    None when there is none."""
+    box = []
+    for axis in range(flags.ndim):
+        hits = np.flatnonzero(flags.any(axis=tuple(a for a in range(flags.ndim) if a != axis)))
+        if not hits.size:
+            return None
+        box.append(slice(hits[0], hits[-1] + 1))
+    return tuple(box)
 
 
 def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -> RoiMask:
     """Trilinear mask resampling: voxels with partial volume >= threshold stay in.
 
-    The partial volume repeats map_coordinates' order-1 arithmetic bit for
-    bit: per output voxel the corner taps in C order, each adding its
-    weight product (w1 * w2) * w3 when the corner is in the mask.  A
-    fraction on the threshold therefore lands on the same side as with
-    map_coordinates.  The work runs on the C-contiguous transpose of the
-    Fortran-ordered membership (mask axis ``a`` is its axis ``ndim - 1 -
-    a``), so no layout copy is made.
+    Separable boolean passes first find, per output voxel, whether all of
+    its 2**ndim corner taps are in the mask (the AND of each axis's two taps)
+    and whether some are (the OR).  A voxel with no corner in has partial
+    volume 0 and stays out; one with every corner in stays in when the
+    threshold is at most ``_ALL_IN_FLOOR``.  Only the bounding box of the
+    other voxels (above that threshold, of every voxel with some corner in)
+    gets its partial volume computed, slab by slab of leading-axis planes,
+    with :func:`_partial_volume`'s map_coordinates arithmetic, so a fraction
+    on the threshold lands on the same side as with map_coordinates.  The
+    work runs on the C-contiguous transpose of the Fortran-ordered
+    membership (mask axis ``a`` is its axis ``ndim - 1 - a``), so no layout
+    copy is made.
     """
     membership = mask.membership
     new_spacing = _check_spacing(new_spacing, membership.ndim, "new_spacing", "resampling")
@@ -406,22 +500,29 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     out_dims, coords = _output_coordinates(mask.dims, spacing, new_spacing)
     ndim = membership.ndim
     taps = [_axis_taps(c, n, 1) for c, n in zip(coords, mask.dims)]
-    corners = [membership.T]
-    for axis, (idx, _) in enumerate(taps):
-        corners = [np.take(c, idx[:, k], axis=ndim - 1 - axis) for c in corners for k in (0, 1)]
-    fraction = np.zeros(out_dims[::-1])
-    weight = np.empty_like(fraction)
-    for combo, inside in zip(itertools.product((0, 1), repeat=ndim), corners):
-        # the product of all but the last axis's weights is smaller than the
-        # volume; only the last factor fills it, into the one reused buffer
-        *factors, last = (_along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
-                          for axis, k in enumerate(combo))
-        partial = 1.0
-        for factor in factors:
-            partial = partial * factor
-        np.multiply(partial, last, out=weight)
-        np.add(fraction, weight, out=fraction, where=inside)
-    return RoiMask(fraction.T >= threshold)
+    # every corner in, some corner in; any axis order gives the same flags,
+    # so shrinking axes go first and, on ties, the contiguous axis
+    flags = [membership.T, membership.T]
+    for axis in sorted(range(ndim), key=lambda a: (out_dims[a] / mask.dims[a], a)):
+        idx, t_axis = taps[axis][0], ndim - 1 - axis
+        for i, combine in enumerate((np.logical_and, np.logical_or)):
+            first = np.take(flags[i], idx[:, 0], axis=t_axis)
+            flags[i] = combine(first, np.take(flags[i], idx[:, 1], axis=t_axis), out=first)
+    every, some = flags
+    if threshold <= _ALL_IN_FLOOR:
+        inside, dense = every, np.not_equal(some, every, out=some)
+    else:
+        inside, dense = np.zeros_like(every), some
+    box = _bounding_box(dense)
+    if box is not None:
+        lead, rest = box[0], box[1:]
+        planes = max(1, _RESAMPLE_SLAB_VOXELS // math.prod(s.stop - s.start for s in rest))
+        for start in range(lead.start, lead.stop, planes):
+            slab = (slice(start, min(start + planes, lead.stop)),) + rest
+            slab_taps = [(idx[slab[ndim - 1 - a]], w[slab[ndim - 1 - a]])
+                         for a, (idx, w) in enumerate(taps)]
+            inside[slab] = _partial_volume(membership.T, slab_taps) >= threshold
+    return RoiMask(inside.T)
 
 
 def round_intensities(image: VolumeImage) -> VolumeImage:

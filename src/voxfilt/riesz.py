@@ -236,7 +236,9 @@ def _newton_top_root(lam, q, det, active):
     ``lam`` starts at an upper bound of the root.  Above the largest root
     the cubic is increasing and convex, so the iterates decrease
     monotonically; each voxel stops when its iterate stops decreasing, and
-    the remaining ones are compacted.
+    the remaining ones are compacted.  While every voxel still descends
+    there is nothing to compact, and ``lam`` is written only before a
+    compaction, when it takes the last accepted iterates.
     """
     x, q, det = lam[active], q[active], det[active]
     while active.size:
@@ -246,8 +248,11 @@ def _newton_top_root(lam, q, det, active):
             step = ((xx - q) * x - det) / slope
         moved = x - step
         going = (slope > 0.0) & (moved < x)
-        active, x, q, det = active[going], moved[going], q[going], det[going]
+        if going.all():
+            x = moved
+            continue
         lam[active] = x
+        active, x, q, det = active[going], moved[going], q[going], det[going]
 
 
 def _cross(p, q):

@@ -229,16 +229,44 @@ def whole_array_diagnostics(mask_before, mask_after, image_after) -> dict:
     }
 
 
+def spline_prefilter_strided(data) -> np.ndarray:
+    """Cubic B-spline coefficients on a mirror boundary, each axis's
+    recursions run in place on a strided ``moveaxis`` view of one C-ordered
+    copy."""
+    z = math.sqrt(3.0) - 2.0
+    coef = np.array(data, dtype=np.float64, order="C")
+    for axis in range(coef.ndim):
+        n = coef.shape[axis]
+        if n == 1:
+            continue
+        c = np.moveaxis(coef, axis, 0)
+        c *= (1.0 - z) * (1.0 - 1.0 / z)
+        powers = [1.0]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * z)
+        w = powers[n - 1]
+        start = c[0] + w * c[n - 1]
+        for i in range(1, n - 1):
+            start = start + powers[i] * (c[i] + w * c[n - 1 - i])
+        c[0] = start / (1.0 - w * w)
+        for i in range(1, n):
+            c[i] += z * c[i - 1]
+        c[n - 1] = (z * c[n - 2] + c[n - 1]) * z / (z * z - 1.0)
+        for i in range(n - 2, -1, -1):
+            c[i] = z * (c[i + 1] - c[i])
+    return coef
+
+
 def resample_image_per_tap(image, new_spacing, method: str) -> np.ndarray:
     """Resampled intensities, each tap's gathered plane and its product with
     the weights a new array; ``new_spacing`` differs from the image's."""
-    from voxfilt.pipeline import _along, _axis_taps, _output_coordinates, _spline_prefilter
+    from voxfilt.pipeline import _along, _axis_taps, _output_coordinates
 
     out_dims, coords = _output_coordinates(image.dims, image.spacing, new_spacing)
     if method == "trilinear":
         order, data = 1, np.ascontiguousarray(image.data)
     else:
-        order, data = 3, _spline_prefilter(image.data)
+        order, data = 3, spline_prefilter_strided(image.data)
     ndim = image.ndim
     for axis in sorted(range(ndim), key=lambda a: (out_dims[a] / image.dims[a], -a)):
         idx, weights = _axis_taps(coords[axis], image.dims[axis], order)
@@ -249,9 +277,10 @@ def resample_image_per_tap(image, new_spacing, method: str) -> np.ndarray:
     return np.asfortranarray(data)
 
 
-def resample_mask_per_tap(membership, spacing, new_spacing, threshold: float) -> np.ndarray:
-    """Resampled membership, each corner's weight product ``((1 * w1) * w2)
-    * w3`` formed whole; ``new_spacing`` differs from ``spacing``."""
+def partial_volume_per_tap(membership, spacing, new_spacing) -> np.ndarray:
+    """Trilinear partial volume of every output voxel, each corner's weight
+    product ``((1 * w1) * w2) * w3`` formed whole and added in corner order;
+    ``new_spacing`` differs from ``spacing``."""
     from voxfilt.pipeline import _along, _axis_taps, _output_coordinates
 
     out_dims, coords = _output_coordinates(membership.shape, spacing, new_spacing)
@@ -266,4 +295,9 @@ def resample_mask_per_tap(membership, spacing, new_spacing, threshold: float) ->
         for axis, k in enumerate(combo):
             weight = weight * _along(taps[axis][1][:, k], ndim - 1 - axis, ndim)
         np.add(fraction, weight, out=fraction, where=inside)
-    return fraction.T >= threshold
+    return fraction.T
+
+
+def resample_mask_per_tap(membership, spacing, new_spacing, threshold: float) -> np.ndarray:
+    """Resampled membership: the per-tap partial volume at or above ``threshold``."""
+    return partial_volume_per_tap(membership, spacing, new_spacing) >= threshold

@@ -15,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import voxfilt.convolve
@@ -32,8 +33,10 @@ from voxfilt.pipeline import (
     FilterConfig,
     ProcessingConfig,
     apply_filter,
+    _ALL_IN_FLOOR,
     _axis_taps,
     _output_coordinates,
+    _partial_volume,
     _spline_prefilter,
     load_config,
     plan_filter,
@@ -298,9 +301,35 @@ _BUFFERED_GRIDS = _GRIDS + [
 ]
 
 
+def _ball(dims, low, high):
+    # low <= |u|^2 <= high, u the offset from the centre in units of each axis's length
+    u2 = sum(np.square((g - (n - 1) / 2.0) / n) for g, n in zip(np.indices(dims), dims))
+    return (u2 >= low) & (u2 <= high)
+
+
+def _single(dims):
+    membership = np.zeros(dims, dtype=bool)
+    membership[tuple(n // 3 for n in dims)] = True
+    return membership
+
+
+_MASKS = {
+    "full": lambda dims: np.ones(dims, dtype=bool),
+    "empty": lambda dims: np.zeros(dims, dtype=bool),
+    "single": _single,
+    "sphere": lambda dims: _ball(dims, 0.0, 0.12),
+    "shell": lambda dims: _ball(dims, 0.1, 0.12),
+    "salt": lambda dims: np.random.default_rng(list(dims)).uniform(size=dims) < 0.4,
+}
+# the all-in shortcut applies up to 1 - 2**-40; above it every voxel with
+# some corner in gets its partial volume
+_MASK_THRESHOLDS = (1e-9, 0.5, _ALL_IN_FLOOR, 1.0 - 1e-15, 1.0)
+
+
 class TestBufferedResample:
-    """The resamplers with reused pass buffers keep the bytes of the former
-    ones, which made a new array per tap and per weight product."""
+    """The slab resamplers keep the bytes of the per-tap ones, which made a
+    new array per tap and per weight product and computed every voxel's
+    partial volume, whatever the slab size."""
 
     @pytest.mark.parametrize("dims,spacing,new_spacing", _BUFFERED_GRIDS)
     @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
@@ -314,13 +343,93 @@ class TestBufferedResample:
 
     @pytest.mark.parametrize("dims,spacing,new_spacing", _BUFFERED_GRIDS)
     def test_mask_bytes_equal_per_tap_reference(self, dims, spacing, new_spacing):
-        rng = np.random.default_rng(dims[0] * 11 + dims[-1])
-        for membership in (np.ones(dims, dtype=bool), rng.uniform(size=dims) < 0.4,
-                           np.zeros(dims, dtype=bool)):
-            for threshold in (0.5, 1.0, 1e-9):
+        for kind, make in _MASKS.items():
+            membership = make(dims)
+            for threshold in _MASK_THRESHOLDS:
                 out = resample_mask(RoiMask(membership), spacing, new_spacing, threshold)
                 want = resample_mask_per_tap(membership, spacing, new_spacing, threshold)
-                assert out.membership.tobytes(order="F") == want.tobytes(order="F"), threshold
+                assert out.membership.tobytes(order="F") == want.tobytes(order="F"), \
+                    (kind, threshold)
+
+    @pytest.mark.parametrize("slab", [1, 1 << 40], ids=["one-plane", "whole-volume"])
+    @pytest.mark.parametrize("dims,spacing,new_spacing", _BUFFERED_GRIDS)
+    def test_bytes_do_not_depend_on_the_slab_size(self, monkeypatch, slab, dims, spacing,
+                                                  new_spacing):
+        data = np.random.default_rng(list(dims)).normal(-200.0, 300.0, dims)
+        image = create_image(dims, spacing, data)
+        masks = [RoiMask(make(dims)) for make in _MASKS.values()]
+
+        def run():
+            images = [resample_image(image, new_spacing, method).data.tobytes(order="F")
+                      for method in ("trilinear", "tricubic")]
+            return images + [resample_mask(mask, spacing, new_spacing, threshold)
+                             .membership.tobytes(order="F")
+                             for mask in masks for threshold in (0.5, 1.0)]
+
+        want = run()
+        monkeypatch.setattr(voxfilt.pipeline, "_RESAMPLE_SLAB_VOXELS", slab)
+        assert run() == want
+
+    @pytest.mark.parametrize("threshold,computed", [(0.5, False), (_ALL_IN_FLOOR, False),
+                                                    (1.0 - 1e-15, True), (1.0, True)])
+    def test_full_mask_needs_partial_volumes_only_above_the_floor(self, monkeypatch, threshold,
+                                                                  computed):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _partial_volume(*args)
+
+        monkeypatch.setattr(voxfilt.pipeline, "_partial_volume", counted)
+        out = resample_mask(RoiMask(np.ones((6, 7, 5), dtype=bool)), (2.0, 2.0, 2.0),
+                            (1.0, 1.0, 1.0), threshold)
+        assert bool(calls) == computed
+        assert out.membership.all()
+
+
+# per axis: input voxels, input/output spacing ratio, and extra tap coordinates
+# anywhere on or off the grid, which the mirror boundary folds back
+_AXIS_TAPS = st.tuples(st.integers(1, 9), st.floats(0.1, 4.0),
+                       st.lists(st.floats(-40.0, 40.0), max_size=4))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_AXIS_TAPS, min_size=2, max_size=3))
+def test_all_in_partial_volume_clears_the_floor(axes):
+    # the all-in shortcut's premise: every output voxel of a full mask has a
+    # computed partial volume of at least 1 - 2**-40
+    taps = []
+    for n, ratio, extra in axes:
+        _, (coords,) = _output_coordinates((n,), (ratio,), (1.0,))
+        taps.append(_axis_taps(np.concatenate([coords, extra]), n, 1))
+    full = np.ones(tuple(n for n, _, _ in reversed(axes)), dtype=bool)
+    assert _partial_volume(full, taps).min() >= _ALL_IN_FLOOR
+
+
+def test_resample_peak_memory():
+    # tracemalloc peaks at 32^3 -> 64^3, in 64^3 float64 volumes: the
+    # tricubic image 1.66 (3.00 with volume-sized pass buffers), the full mask
+    # 0.44 and a sphere 0.68 (both 3.15 with volume-sized corner weights);
+    # each bound is that plus under 10%
+    image = _volume(np.random.default_rng(32).normal(size=(32, 32, 32)))
+    grid = np.indices(image.dims) - 15.5
+    masks = {"full": np.ones(image.dims, dtype=bool),
+             "sphere": np.sum(grid * grid, axis=0) <= 10.0 ** 2}
+    volume = 64 ** 3 * 8
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / volume
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: resample_image(image, (1.0, 1.0, 1.0), "tricubic")) <= 1.8
+    for kind, bound in (("full", 0.48), ("sphere", 0.74)):
+        mask = RoiMask(masks[kind])
+        got = peak(lambda: resample_mask(mask, (2.0, 2.0, 2.0), (1.0, 1.0, 1.0)))
+        assert got <= bound, (kind, got)
 
 
 class TestOutputGridBound:
@@ -397,7 +506,7 @@ class TestSplinePrefilter:
         want = _scipy_prefilter(data)
         got = _spline_prefilter(data)
         assert got.dtype == np.float64 and got.shape == data.shape
-        assert got.flags.c_contiguous
+        assert got.flags.f_contiguous
         np.testing.assert_allclose(got, want, rtol=0, atol=4e-15 * np.max(np.abs(want)))
 
     def test_input_is_left_unchanged(self):
