@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .benchmark import PHANTOM_KINDS, compare_maps, consensus, generate_phantom
-from .boundary import BOUNDARY_MODES
 from .features import (
     diagnostics,
     intensity_statistics,
@@ -29,7 +28,7 @@ from .features import (
 from .image import RoiMask, VolumeImage, round_half_away
 from .nifti import DATATYPE_CODES, read_nifti, write_nifti
 from .pipeline import (
-    FILTER_KINDS,
+    _PLANNERS,
     FILTER_PARAMETERS,
     REQUIRED_PARAMETERS,
     FilterConfig,
@@ -37,8 +36,6 @@ from .pipeline import (
     plan_filter,
     run_configuration,
 )
-from .rotinv import POOL_MODES
-from .wavelets import RADIAL_KINDS, WAVELET_NAMES
 
 __all__ = ["main"]
 
@@ -77,22 +74,28 @@ def _log(message):
     print(message, file=sys.stderr)
 
 
-# parameters whose flag is not the parameter name with dashes; every other
-# filter parameter is the argparse destination of the same name.  Flags not
-# given stay out of the dict, so the filter's own validation reports misuse.
-_FLAG_OF = {"family": "--wavelet", "wavelet": "--wavelet", "l": "--riesz"}
+# filter parameters whose flag is not the key with dashes; --wavelet sets
+# the wavelet filter's family and every other kind's wavelet
+_FLAG_OF = {"family": "--wavelet", "wavelet": "--wavelet", "l": "--riesz",
+            "rotation_invariance": "--rotinv"}
+
+
+def _flag(key):
+    return _FLAG_OF.get(key, "--" + key.replace("_", "-"))
 
 
 def _gather_filter_params(args) -> dict:
+    """The filter parameters given by flag, as given: plan_filter types them
+    as it types a configuration file's.  Flags not given stay out of the
+    dict, so the filter's own validation reports misuse."""
+    kind = FilterConfig(args.filter).kind
     params = {}
-    for name in FILTER_PARAMETERS:
-        value = None if name in _FLAG_OF else getattr(args, name, None)
+    for key in FILTER_PARAMETERS:
+        value = getattr(args, _flag(key)[2:].replace("-", "_"))
         if value is not None and value is not False:
-            params[name] = value
-    wavelet = getattr(args, "wavelet", None)
-    if wavelet is not None:
-        params["family" if args.filter == "wavelet" else "wavelet"] = wavelet
-    riesz = getattr(args, "riesz", None)
+            params[key] = value
+    params.pop("wavelet" if kind == "wavelet" else "family", None)
+    riesz = params.pop("l", "")
     if riesz:
         try:
             params["l"] = [int(v) for v in riesz.split(",")]
@@ -100,10 +103,9 @@ def _gather_filter_params(args) -> dict:
             raise ValueError(
                 f"--riesz expects comma-separated integers like 0,2,0; got {riesz!r}"
             ) from None
-    missing = [_FLAG_OF.get(name, "--" + name.replace("_", "-"))
-               for name in REQUIRED_PARAMETERS[args.filter] if name not in params]
+    missing = [_flag(key) for key in REQUIRED_PARAMETERS[kind] if key not in params]
     if missing:
-        raise ValueError(f"{args.filter} filter is missing parameters {sorted(missing)}")
+        raise ValueError(f"{kind} filter is missing parameters {sorted(missing)}")
     return params
 
 
@@ -256,40 +258,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="filter one volume and write the response map")
     p.add_argument("image", help="input .nii/.nii.gz volume")
     p.add_argument("--out", "-o", required=True, help="output response map path")
-    p.add_argument("--filter", required=True, choices=FILTER_KINDS)
-    p.add_argument("--mode", default="3d", choices=("2d", "3d"),
-                   help="slice-wise or volumetric filtering")
-    p.add_argument("--boundary", default="mirror", choices=tuple(BOUNDARY_MODES))
+    p.add_argument("--filter", required=True, help=f"filter kind: {', '.join(_PLANNERS)}")
+    p.add_argument("--mode", default="3d", help="2d (slice-wise) or 3d (volumetric)")
+    p.add_argument("--boundary", default="mirror")
     p.add_argument("--boundary-constant", type=float, default=0.0)
     p.add_argument("--threads", type=int)
     _add_io_flags(p)
+    # one flag per key of the parameter table: a switch for a bool, else a
+    # number or text that plan_filter types, as it types a configuration file's
+    flags = {}
+    for key, kinds in FILTER_PARAMETERS.items():
+        flags.setdefault(_flag(key), (key, []))[1].extend(kinds)
     g = p.add_argument_group("filter parameters (unused flags are rejected)")
-    g.add_argument("--support", type=int, help="mean filter size in voxels")
-    g.add_argument("--sigma-mm", type=float)
-    g.add_argument("--sigma-vox", type=float)
-    g.add_argument("--cutoff", type=float, help="LoG truncation in multiples of sigma")
-    g.add_argument("--kernels", help="Laws kernel string, e.g. L5E5E5")
-    g.add_argument("--energy-delta", type=int, help="Laws energy pooling distance")
-    g.add_argument("--lambda-mm", type=float)
-    g.add_argument("--lambda-vox", type=float)
-    g.add_argument("--gamma", type=float, help="Gabor spatial aspect ratio")
-    g.add_argument("--theta", type=float, help="Gabor orientation in radians")
-    g.add_argument("--dtheta", type=float, help="orientation step for --rotinv")
-    g.add_argument("--orthogonal-planes", action="store_true",
-                   help="average Gabor responses over the three plane stacks")
-    g.add_argument("--rotinv", action="store_true", dest="rotation_invariance",
-                   help="pool over the right-angle rotation set")
-    g.add_argument("--pool", choices=POOL_MODES)
-    g.add_argument("--wavelet", choices=tuple(sorted(set(WAVELET_NAMES) | set(RADIAL_KINDS))))
-    g.add_argument("--level", type=int)
-    g.add_argument("--subband", help="letter per axis, e.g. LLH")
-    g.add_argument("--decimated", action="store_true",
-                   help="decimated transform (halves dims per level; default stationary)")
-    g.add_argument("--riesz", help="Riesz index, comma-separated, e.g. 0,2,0")
-    g.add_argument("--align", action="store_true",
-                   help="steer the order-2 Riesz set by the structure tensor")
-    g.add_argument("--sigma-tensor-mm", type=float)
-    g.add_argument("--sigma-tensor-vox", type=float)
+    for flag, (key, kinds) in flags.items():
+        value_type = _PLANNERS[kinds[0]][1][key].type
+        kind_help = f"applies to: {', '.join(kinds)}"
+        if value_type is bool:
+            g.add_argument(flag, action="store_true", help=kind_help)
+        else:
+            g.add_argument(flag, type=float if value_type in (int, float) else str,
+                           help=kind_help)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("run", help="run a benchmark configuration file")

@@ -51,8 +51,8 @@ from .riesz import (
     structure_tensor,
 )
 from .rotinv import (
+    POOL_MODES,
     PooledCascade,
-    _check_pool_mode,
     cascade,
     gabor_orientation_set,
     orthogonal_plane_average,
@@ -479,6 +479,9 @@ def _bounding_box(flags):
 def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -> RoiMask:
     """Trilinear mask resampling: voxels with partial volume >= threshold stay in.
 
+    ``spacing``, the mask's own, and ``new_spacing`` each need one entry per
+    mask axis, checked by the one spacing rule.
+
     Separable boolean passes first find, per output voxel, whether all of
     its 2**ndim corner taps are in the mask (the AND of each axis's two taps)
     and whether some are (the OR).  A voxel with no corner in has partial
@@ -493,6 +496,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     copy is made.
     """
     membership = mask.membership
+    spacing = _check_spacing(spacing, membership.ndim)
     new_spacing = _check_spacing(new_spacing, membership.ndim, "new_spacing", "resampling")
     threshold = _setting("resample.mask_threshold", threshold)
     if _grid_unchanged(spacing, new_spacing):
@@ -787,7 +791,7 @@ _RADIAL = _Param(RADIAL_KINDS, required=True)
 
 
 def _pool(default):
-    return _Param(lambda mode, ndim: _check_pool_mode(mode), default, switch=_ROTINV)
+    return _Param(POOL_MODES, default, switch=_ROTINV)
 
 
 # kind -> (planner, key -> parameter): the one place each filter's
@@ -818,7 +822,9 @@ _PLANNERS = {
 FILTER_KINDS = tuple(_PLANNERS)
 REQUIRED_PARAMETERS = {kind: tuple(k for k, s in specs.items() if s.required and not s.unit)
                        for kind, (_, specs) in _PLANNERS.items()}
-FILTER_PARAMETERS = tuple(dict.fromkeys(k for _, specs in _PLANNERS.values() for k in specs))
+# parameter key -> the kinds that take it, in table order
+FILTER_PARAMETERS = {key: tuple(kind for kind, (_, specs) in _PLANNERS.items() if key in specs)
+                     for _, specs in _PLANNERS.values() for key in specs}
 
 
 def _range(value, ndim) -> tuple:
@@ -862,7 +868,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
                 constant: float = 0.0) -> FilterPlan:
     """Check one filter's parameters, convert them to voxels and build its kernels.
 
-    ``spacing`` is the volume's spacing in mm.  Every parameter is checked
+    ``spacing`` is the volume's spacing in mm, checked by the one spacing
+    rule (any number of axes).  Every parameter is checked
     against its entry in ``_PLANNERS``, and ``mode``, ``boundary`` and
     ``constant`` against theirs in ``_CONFIG``, before the planner runs, and
     each error names the key.  The plan's ``run`` filters
@@ -884,6 +891,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     invariance.  A non-zero ``constant`` needs the constant boundary and a
     spatial filter.
     """
+    spacing = _check_spacing(spacing, None)
     mode, boundary, constant = (_setting(key, value) for key, value in (
         ("mode", mode), ("boundary", boundary), ("boundary_constant", constant)))
     if mode == "2d" and len(spacing) != 3:
@@ -896,11 +904,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     planner, specs = _PLANNERS[kind]
     unknown = sorted(set(params) - set(specs), key=str)
     if unknown:
-        hints = ""
-        for key in unknown:
-            owners = [k for k, (_, known) in _PLANNERS.items() if key in known]
-            if owners:
-                hints += f" ({key} applies to: {', '.join(owners)})"
+        hints = "".join(f" ({key} applies to: {', '.join(FILTER_PARAMETERS[key])})"
+                        for key in unknown if key in FILTER_PARAMETERS)
         raise ValueError(f"{kind} filter got unknown parameters {unknown}{hints}")
     missing = sorted(f"{key[:-4]}_mm or {key}" if spec.unit else key
                      for key, spec in specs.items() if spec.required and spec.unit != "mm"

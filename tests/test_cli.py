@@ -308,6 +308,40 @@ class TestFilterCommand:
         assert "gabor filter:" not in err
         assert not (tmp_path / "o.nii").exists()
 
+    def test_flag_values_are_read_as_in_a_configuration_file(self, tmp_path, capsys):
+        # any case and integral floats, as a YAML file may give them; argparse's
+        # choices and int types used to reject these with exit 2
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(20).normal(size=(8, 8, 8)))
+        written = []
+        for argv in (["wavelet", "--wavelet", "db2", "--level", "1", "--mode", "3d",
+                      "--boundary", "mirror", "--pool", "max"],
+                     ["WAVELET", "--wavelet", "DB2", "--level", "1.0", "--mode", "3D",
+                      "--boundary", "Mirror", "--pool", "MAX"]):
+            out = tmp_path / f"o{len(written)}.nii"
+            assert main(["filter", str(src), "--out", str(out), "--subband", "LLH", "--rotinv",
+                         "--filter", *argv]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        summaries = capsys.readouterr().err.splitlines()
+        assert summaries[0] == summaries[1] == ("wavelet filter: db2 level 1 subband LLH, max "
+                                                "over rotations (40 one-axis passes)")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--filter", "mean", "--support", "3.5"],
+         "error: mean filter support must be an integer, got 3.5\n"),
+        (["--filter", "mean", "--support", "3", "--mode", "4d"],
+         "error: mode must be one of ('2d', '3d'), got '4d'\n"),
+        (["--filter", "bogus"], "error: filter kind must be one of ('none', "),
+    ], ids=["support", "mode", "filter"])
+    def test_bad_flag_value_exits_1_naming_its_key(self, tmp_path, capsys, argv, message):
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(21).normal(size=(6, 6, 6)))
+        out = tmp_path / "o.nii"
+        assert main(["filter", str(src), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_filter_flags_and_parameters_map_one_to_one(self):
         # every filter parameter is settable by a flag of the filter-parameter
         # group, and every flag there sets one filter parameter
@@ -543,7 +577,7 @@ class TestRunCommand:
     # before the plan is logged or the image is resampled.
     _BAD_FILTERS = {
         "laws-pool": ({"kind": "laws", "kernels": "L5E5E5", "rotation_invariance": True,
-                       "pool": "maximum"}, "pool mode"),
+                       "pool": "maximum"}, "pool must be one of"),
         "wavelet-subband": ({"kind": "wavelet", "family": "db2", "level": 1,
                              "subband": "LLX"}, "subband"),
         "wavelet-level": ({"kind": "wavelet", "family": "db2", "level": 0,
@@ -556,7 +590,7 @@ class TestRunCommand:
                             "l": [0, -1, 3]}, "non-negative"),
         "gabor-pool": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
                         "rotation_invariance": True, "dtheta": math.pi / 4,
-                        "pool": "median", "orthogonal_planes": True}, "pool mode"),
+                        "pool": "median", "orthogonal_planes": True}, "pool must be one of"),
         "laws-energy-delta": ({"kind": "laws", "kernels": "L5E5E5", "energy_delta": -2},
                               "energy_delta"),
         "laws-string-flag": ({"kind": "laws", "kernels": "L5E5E5",

@@ -150,6 +150,16 @@ class TestResampleMask:
         with pytest.raises(ValueError, match="positive finite resampling spacing"):
             resample_mask(mask, (2.0, 2.0, 2.0), (2.0, 2.0))
 
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0), (0.0, 0.0, 0.0), (-1.0, -1.0, -1.0),
+                                         (1.0, 1.0, 1.0, 1.0), (1.0, math.nan, 1.0)])
+    def test_bad_source_spacing(self, spacing):
+        # unchecked, these raised IndexError or ZeroDivisionError, returned an
+        # empty mask or were read as a 3-D spacing
+        mask = RoiMask(np.ones((4, 4, 4), dtype=bool))
+        with pytest.raises(ValueError, match=r"^spacing must be one positive finite voxel "
+                                             r"spacing per axis \(3 axes\)"):
+            resample_mask(mask, spacing, (0.5, 0.5, 0.5))
+
     def test_all_true_and_all_false(self):
         for fill in (True, False):
             mask = RoiMask(np.full((4, 4, 4), fill))
@@ -635,6 +645,15 @@ class TestPlanFilter:
     def test_2d_mode_needs_three_spacing_entries(self, spacing):
         with pytest.raises(ValueError, match="2d mode filters the slices of a 3-D volume"):
             plan_filter(FilterConfig("mean", {"support": 3}), spacing, "2d")
+
+    @pytest.mark.parametrize("spacing", [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0),
+                                         (1.0, math.nan, 1.0), (math.inf, 1.0, 1.0), ()])
+    def test_spacing_follows_the_one_spacing_rule(self, spacing):
+        # unchecked, a zero spacing raised ZeroDivisionError, a negative one
+        # was called anisotropic and a NaN one planned a mean filter
+        for filt in (FilterConfig("mean", {"support": 3}), FilterConfig("log", {"sigma_mm": 2.0})):
+            with pytest.raises(ValueError, match="^spacing must be one positive finite voxel"):
+                plan_filter(filt, spacing, "3d")
 
     def test_3d_run_rejects_a_volume_of_other_dimensionality(self):
         plan = plan_filter(FilterConfig("log", {"sigma_vox": 1.0}), (1.0, 1.0), "3d")
@@ -1757,6 +1776,22 @@ class TestProcessingConfigValidation:
                                   boundary="Periodise", image_interpolation="TriLinear")
         assert (config.mode, config.filter.kind, config.boundary,
                 config.image_interpolation) == ("3d", "mean", "periodise", "trilinear")
+
+    def test_every_choice_setting_is_a_tuple_param(self):
+        # a choice checked by a callable reads its value case-sensitively, as
+        # pool once did; a tuple of strings reads it in any case, as YAML and
+        # voxfilt filter's flags may give it
+        specs = [(key, spec) for _, table in voxfilt.pipeline._PLANNERS.values()
+                 for key, spec in table.items()]
+        specs += [(key, spec) for key, (_, spec) in voxfilt.pipeline._CONFIG.items()]
+        choices = {"mode", "boundary", "resample.image_interpolation", "family", "wavelet",
+                   "pool"}
+        assert {key for key, spec in specs if isinstance(spec.type, tuple)} == choices
+        for key, spec in specs:
+            for value in spec.type if key in choices else ():
+                assert spec.typed(value.upper(), 3, key) == value, key
+        for kind in voxfilt.pipeline.FILTER_KINDS:
+            assert FilterConfig(kind.upper()).kind == kind
 
     def test_open_resegmentation_range_is_kept(self):
         config = ProcessingConfig(mode="3d", filter=FilterConfig("none"),
