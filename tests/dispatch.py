@@ -49,28 +49,37 @@ print(core)
 """
 
 
+def run_probe(probe, *args, disabled=None, core_type="default"):
+    """Run ``probe`` (Python source) in a fresh interpreter with the numpy
+    features ``disabled`` (None: the default level) and OpenBLAS forced to
+    ``core_type``; returns its first output line, the numpy features that
+    were enabled and the OpenBLAS core that loaded."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    if core_type != "default":
+        env["OPENBLAS_CORETYPE"] = core_type
+    done = subprocess.run([sys.executable, "-c", probe + _FEATURES, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, f"{disabled or 'default'}/{core_type}: {done.stderr}"
+    return tuple(done.stdout.split("\n")[:3])
+
+
 def digests_at_dispatch_levels(probe, *args, core_types=False):
     """Run ``probe`` (Python source) once per numpy level; returns (label, digest)
     pairs.  With ``core_types`` it runs once per level and OpenBLAS core type,
     labelled ``level/core``."""
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
     results = []
     for core_type in _CORE_TYPES if core_types else ("default",):
         baseline = None
         for name, disabled in _DISPATCH_LEVELS:
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            env.pop("NPY_DISABLE_CPU_FEATURES", None)
-            env.pop("OPENBLAS_CORETYPE", None)
-            if disabled:
-                env["NPY_DISABLE_CPU_FEATURES"] = disabled
-            if core_type != "default":
-                env["OPENBLAS_CORETYPE"] = core_type
-            done = subprocess.run([sys.executable, "-c", probe + _FEATURES,
-                                   *map(str, args)], env=env, capture_output=True, text=True)
+            digest, enabled, core = run_probe(probe, *args, disabled=disabled,
+                                              core_type=core_type)
             label = f"{name}/{core_type}" if core_types else name
-            assert done.returncode == 0, f"{label}: {done.stderr}"
-            digest, enabled, core = done.stdout.split("\n")[:3]
             if baseline and enabled == baseline[1]:
                 print(f"dispatch level {name} is not available on this host: "
                       f"it ran with the same features as {baseline[0]} ({enabled})")
