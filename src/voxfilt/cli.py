@@ -95,8 +95,8 @@ def _gather_filter_params(args) -> dict:
         if value is not None and value is not False:
             params[key] = value
     params.pop("wavelet" if kind == "wavelet" else "family", None)
-    riesz = params.pop("l", "")
-    if riesz:
+    riesz = params.pop("l", None)
+    if riesz is not None:
         try:
             params["l"] = [int(v) for v in riesz.split(",")]
         except ValueError:

@@ -19,7 +19,7 @@ explicit ``ndim`` where nothing else carries it; the padding gives the
 batch axes a margin of 0.
 
 The dense spatial path, :func:`convolve_full`, is the reference the other
-routes are checked against; no plan runs it.
+routes are checked against; no library function calls it.
 
 The Fourier path multiplies DFTs (Hadamard product), which implies periodise
 boundary handling.  Every DFT in voxfilt goes through one helper here:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import convolve_full, convolve_separable
+from .convolve import convolve_bank, convolve_separable
 
 __all__ = [
     "LAWS_NAMES",
@@ -180,9 +180,9 @@ def gabor_kernel(params: GaborParams) -> np.ndarray:
 
 def gabor_response_modulus(image2d, params: GaborParams, boundary: str,
                            constant: float = 0.0) -> np.ndarray:
-    """Modulus of the complex Gabor response of one 2-D slice, by dense
-    spatial convolution."""
+    """Modulus of the complex Gabor response of one 2-D slice, through the
+    planned Gabor op's FFT route (:func:`convolve_bank`)."""
     image2d = np.asarray(image2d)
     if image2d.ndim != 2:
         raise ValueError(f"expected a 2-D slice, got ndim={image2d.ndim}")
-    return np.abs(convolve_full(image2d, gabor_kernel(params), boundary, constant))
+    return np.abs(next(convolve_bank(image2d, [gabor_kernel(params)], boundary, constant)))

@@ -110,9 +110,11 @@ class FilterConfig:
     def plan(self, spacing, mode: str, boundary: str = "mirror",
              constant: float = 0.0) -> FilterPlan:
         """:func:`plan_filter` of this filter, kept and returned again while
-        the spacing, mode, boundary and constant stay the same; other values
-        replace it.  A pickled copy starts without one."""
-        key = (tuple(spacing), mode, boundary, constant)
+        the spacing, mode, boundary and constant, typed as plan_filter types
+        them, stay the same; other values replace it.  A pickled copy starts
+        without one."""
+        key = (_check_spacing(spacing, None), *(_setting(k, v) for k, v in (
+            ("mode", mode), ("boundary", boundary), ("boundary_constant", constant))))
         saved = self.__dict__.get("_saved_plan")
         if saved is None or saved[0] != key:
             saved = key, plan_filter(self, *key)

@@ -294,6 +294,18 @@ class TestFilterCommand:
         assert code == 1
         assert "comma-separated integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["none"], ["riesz", "--wavelet", "simoncelli",
+                                                 "--level", "1"]], ids=lambda k: k[0])
+    def test_empty_riesz_string(self, tmp_path, capsys, kind):
+        # a given --riesz is parsed even when empty, not dropped as if absent
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(7).normal(size=(6, 6, 6)))
+        out = tmp_path / "o.nii"
+        code = main(["filter", str(src), "--out", str(out), "--filter", *kind, "--riesz", ""])
+        assert code == 1
+        assert "comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gabor_on_anisotropic_grid_fails_before_logging(self, tmp_path, capsys):
         rng = np.random.default_rng(13)
         src = tmp_path / "in.nii"

@@ -26,8 +26,21 @@ import voxfilt.riesz
 from voxfilt.features import intensity_statistics
 from voxfilt.image import RoiMask, VolumeImage, create_image, round_half_away
 from voxfilt.boundary import BOUNDARY_MODES
-from voxfilt.kernels import GaborParams, gabor_kernel, laws_energy, log_kernel, mean_kernel_1d
-from voxfilt.convolve import convolve_full, convolve_separable, kernel_to_transfer
+from voxfilt.kernels import (
+    GaborParams,
+    gabor_kernel,
+    gabor_response_modulus,
+    laws_energy,
+    log_kernel,
+    log_kernel_1d,
+    mean_kernel_1d,
+)
+from voxfilt.convolve import (
+    convolve_full,
+    convolve_laplacian,
+    convolve_separable,
+    kernel_to_transfer,
+)
 from voxfilt.pipeline import (
     FILTER_PARAMETERS,
     FilterConfig,
@@ -46,7 +59,14 @@ from voxfilt.pipeline import (
     round_intensities,
     run_configuration,
 )
+from voxfilt.riesz import riesz_filtered_map
 from voxfilt.rotinv import gabor_orientation_set, pool
+from voxfilt.wavelets import (
+    RadialProfile,
+    nonseparable_b_map,
+    swt_rotation_pooled,
+    swt_undecimated,
+)
 
 from dispatch import digests_at_dispatch_levels
 from oracles import resample_image_per_tap, resample_mask_per_tap
@@ -939,6 +959,51 @@ def test_log_configs_do_not_depend_on_simd_dispatch():
     assert {digest for _, digest in results} == {results[0][1]}, results
 
 
+# Each exported filter entry point, the filter it computes and its planned
+# op's arguments: (entry(data, boundary, constant), kind, params, mode).  The
+# Fourier-domain entry points take no boundary; their plans accept every
+# boundary, periodise and take no boundary constant.
+_ENTRY_POINTS = {
+    "swt_undecimated": (lambda v, b, c: swt_undecimated(v, "db2", 2, "LHL", b, c), "wavelet",
+                        {"family": "db2", "level": 2, "subband": "LHL"}, "3d"),
+    "swt_rotation_pooled": (lambda v, b, c: swt_rotation_pooled(v, "haar", 1, "HHL", "max",
+                                                                b, c), "wavelet",
+                            {"family": "haar", "level": 1, "subband": "HHL",
+                             "rotation_invariance": True, "pool": "max"}, "3d"),
+    "nonseparable_b_map": (lambda v, b, c: nonseparable_b_map(v, RadialProfile("shannon", 2)),
+                           "nonseparable", {"wavelet": "shannon", "level": 2}, "3d"),
+    "riesz_filtered_map": (lambda v, b, c: riesz_filtered_map(v, RadialProfile("simoncelli", 1),
+                                                              (1, 0, 1)),
+                           "riesz", {"wavelet": "simoncelli", "level": 1, "l": [1, 0, 1]},
+                           "3d"),
+    "convolve_laplacian": (lambda v, b, c: convolve_laplacian(v, *log_kernel_1d(1.3, 3.0), b, c),
+                           "log", {"sigma_vox": 1.3, "cutoff": 3.0}, "3d"),
+    "convolve_separable": (lambda v, b, c: convolve_separable(v, [mean_kernel_1d(5)] * 3, b, c),
+                           "mean", {"support": 5}, "3d"),
+    "gabor_response_modulus": (lambda v, b, c: gabor_response_modulus(
+        v, GaborParams(1.5, 3.0, 1.2, 0.4), b, c), "gabor",
+        {"sigma_vox": 1.5, "lambda_vox": 3.0, "gamma": 1.2, "theta": 0.4}, "2d"),
+}
+
+
+@pytest.mark.parametrize("name,boundary,constant", [
+    (name, boundary, constant) for name, (_, kind, _, _) in _ENTRY_POINTS.items()
+    for boundary, constant in [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 2.5)]
+    if not (constant and kind in ("nonseparable", "riesz"))])
+def test_each_filter_entry_point_is_its_planned_op(name, boundary, constant):
+    # one route per filter: an exported entry point returns the bytes of the
+    # plan that voxfilt run and voxfilt filter execute; Gabor is one
+    # orientation of a 2d plan, run on a one-slice volume
+    entry, kind, params, mode = _ENTRY_POINTS[name]
+    rng = np.random.default_rng(37)
+    data = rng.normal(size=(20, 17)) if mode == "2d" else rng.normal(size=(12, 11, 10))
+    plan = plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), mode, boundary, constant)
+    want = plan.run(data[:, :, None])[:, :, 0] if mode == "2d" else plan.run(data)
+    got = entry(data, boundary, constant)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), f"max |difference| {np.max(np.abs(got - want))}"
+
+
 class TestGaborRoute:
     """The Gabor plan's per-slice FFT route against per-slice spatial convolution."""
 
@@ -1630,6 +1695,17 @@ class TestSavedPlan:
         copy = pickle.loads(pickle.dumps(filt))
         assert copy == filt and copy.plan((1.0, 1.0, 1.0), "3d", "constant", 2.5) is not plan
         assert len(grids) == 6
+
+    def test_a_filter_keeps_its_plan_across_spellings_of_one_grid(self, monkeypatch):
+        # the saved plan is keyed on the values plan_filter types, not as given
+        grids = self._count_plans(monkeypatch)
+        filt = FilterConfig("mean", {"support": 3})
+        plan = filt.plan((1, 1, 1), "3d")
+        assert filt.plan((1, 1, 1), "3D") is plan
+        assert filt.plan((1, 1, 1), "3d") is plan
+        assert filt.plan([1, 1, 1], "3d", "MIRROR") is plan
+        assert filt.plan(np.ones(3), "3d", "mirror", 0) is plan
+        assert len(grids) == 1
 
     def test_editing_the_params_dict_after_a_run_changes_nothing(self):
         params = dict(self._GABOR)

@@ -376,7 +376,8 @@ TARGETS = (
 
 # Exported functions that no CLI command calls, each with the reason it stays.
 UNREACHED_EXPORTS = {
-    ("convolve", "convolve_full"): "perfbench/spans.py traces it (TARGETS)",
+    ("convolve", "convolve_full"): "the dense reference that every convolution route is "
+                                   "tested against; perfbench/spans.py traces it (TARGETS)",
     ("kernels", "gabor_response_modulus"): "perfbench/spans.py traces it (TARGETS)",
     ("wavelets", "swt_undecimated"): "perfbench/spans.py traces it (TARGETS)",
     ("wavelets", "swt_rotation_pooled"): "perfbench/spans.py traces it (TARGETS)",
