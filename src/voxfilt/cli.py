@@ -1,9 +1,11 @@
 """Command-line front end: phantoms, filtering, configuration runs, reports.
 
 Physical-unit flags end in -mm, voxel-unit flags in -vox; an invocation
-may use one unit system only.  The resolved filter plan (voxel-unit
-parameters and kernel sizes) is logged to stderr so two implementations
-can be compared at the parameter level before diffing response maps.
+may use one unit system only.  A flag that needs a switch (--dtheta needs
+--rotinv) is refused without it and, when required, required with it.  The
+resolved plan's summary (every parameter in voxels, the boundary and the
+route) is logged to stderr so two implementations can be compared at the
+parameter level before diffing response maps.
 VOXFILT_THREADS sets the default --threads value (a positive integer); the
 thread count never changes results.
 """

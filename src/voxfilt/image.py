@@ -128,6 +128,7 @@ def _is_number(value) -> bool:
 # cannot be written, and below the smallest normal one it loses precision
 # or reads back as 0, which NIfTI readers take as 1 mm
 _SPACING_RANGE = (float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max))
+_MAX_AXIS_VOXELS = int(np.iinfo(np.int16).max)  # NIfTI-1 stores each dim as an int16
 
 
 def _check_spacing(spacing, ndim, what="spacing", grid="voxel") -> tuple:

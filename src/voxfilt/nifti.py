@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import VolumeImage, create_image, round_half_away
+from .image import _MAX_AXIS_VOXELS, VolumeImage, create_image, round_half_away
 
 __all__ = [
     "NiftiError",
@@ -244,7 +244,7 @@ def read_nifti(path, round_values: bool = False):
         data = round_half_away(data)
     try:
         image = create_image(dims, view.pixdim, data)
-    except ValueError as exc:  # the only one left: non-finite voxels
+    except ValueError as exc:  # non-finite voxels, or a pixdim below the spacing floor
         raise NiftiError(f"{path}: {exc}") from None
     return image, view
 
@@ -256,9 +256,9 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
     ``datatype`` is one of u8/i16/i32/f32/f64; values are cast without
     rescaling, so integer types expect integer-valued data.  A value that
     is not finite, or that the cast would take outside the type's finite
-    range (for f32, beyond about 3.4e38), is an error, so every file written
-    reads back.  A 76-byte ``orientation`` block from a previously read
-    header is embedded verbatim.
+    range (for f32, beyond about 3.4e38), or an axis longer than the int16
+    dims hold, is an error, so every file written reads back.  A 76-byte
+    ``orientation`` block from a previously read header is embedded verbatim.
 
     Gzip output is framed here, not by zlib: a fixed 10-byte header
     (``1f 8b 08 00``, mtime 0, XFL 0, OS 255), then the plain .nii file
@@ -290,6 +290,8 @@ def write_nifti(image: VolumeImage, path, datatype: str = "f32",
             f"the volume spans [{low:g}, {high:g}]"
         )
     dims = image.dims
+    if max(dims) > _MAX_AXIS_VOXELS:
+        raise NiftiError(f"dims {dims} exceed the {_MAX_AXIS_VOXELS} voxels per axis of NIfTI-1")
     ndim = len(dims)
 
     header = bytearray(_HEADER_SIZE)

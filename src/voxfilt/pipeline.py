@@ -30,8 +30,8 @@ from .convolve import (
     laplacian_passes,
 )
 from .features import diagnostics, intensity_statistics
-from .image import (RoiMask, VolumeImage, _check_finite, _check_spacing, _integral, _is_number,
-                    map_slices, round_half_away)
+from .image import (_MAX_AXIS_VOXELS, RoiMask, VolumeImage, _check_finite, _check_spacing,
+                    _integral, _is_number, map_slices, round_half_away)
 from .kernels import (
     LAWS_NAMES,
     GaborParams,
@@ -238,10 +238,6 @@ def load_config(path):
     fields = {name: settings[key] for key, (name, _) in _CONFIG.items() if key in settings}
     filt = FilterConfig(filt["kind"], {k: v for k, v in filt.items() if k != "kind"})
     return test_id, ProcessingConfig(filter=filt, **fields)
-
-
-# NIfTI-1 stores each dim as an int16
-_MAX_AXIS_VOXELS = 32767
 
 
 def _output_coordinates(dims, spacing, new_spacing):
@@ -565,21 +561,21 @@ def _isotropic_scale(values_vox, what):
 @dataclass(frozen=True)
 class FilterPlan:
     """One filter resolved against a grid: ``summary`` is the log line with
-    the effective voxel-unit parameters, ``run(volume, threads=1)`` maps a
-    whole volume to its response in either mode.  The response has the
-    volume's dims, except a decimated wavelet's, which has them divided by
-    2^level.  The plan holds its kernels and transfers for its lifetime
-    (:func:`plan_filter`), so running it again repeats neither; the filter
-    holds the plan (:meth:`FilterConfig.plan`)."""
+    every effective voxel-unit parameter and the route (:func:`_summary`),
+    ``run(volume, threads=1)`` maps a whole volume to its response in either
+    mode.  The response has the volume's dims, except a decimated wavelet's,
+    which has them divided by 2^level.  The plan holds its kernels and
+    transfers for its lifetime (:func:`plan_filter`), so running it again
+    repeats neither; the filter holds the plan (:meth:`FilterConfig.plan`)."""
 
     summary: str
     run: Callable[..., np.ndarray]
 
 
 # The widest kernel a plan builds, in taps per axis: twice NIfTI-1's longest
-# axis (32767 voxels) plus one.  A wider one is a slip, not a filter, and
-# would allocate without bound; a level-16 band already spans 2^16 voxels.
-_MAX_TAPS = 2 * 32767 + 1
+# axis plus one.  A wider one is a slip, not a filter, and would allocate
+# without bound; a level-16 band already spans 2^16 voxels.
+_MAX_TAPS = 2 * _MAX_AXIS_VOXELS + 1
 _MAX_LEVEL = 16
 
 
@@ -599,7 +595,8 @@ class _Param:
     it has no default, a setting when None is not one of its values.  A
     scale, given as <name>_mm or <name>_vox (its ``unit``), reaches the
     planner as <name>_vox, where its square must be neither 0 nor inf.  The
-    key applies only while ``switch`` = (flag, state) holds."""
+    key applies only while ``switch`` = (flag, state) holds, and a required
+    key with a switch is required while it holds."""
 
     type: object
     default: object = None
@@ -635,6 +632,14 @@ class _Param:
             return value.lower()
         return self.type(value, ndim)
 
+    def holds(self, values) -> bool:
+        """Whether this key's switch holds in ``values``, a filter's params."""
+        return not self.switch or values.get(self.switch[0], False) is self.switch[1]
+
+    @property
+    def needs(self) -> str:
+        return f"{self.switch[0]}: {str(self.switch[1]).lower()}"
+
 
 def _scale(name, **spec):
     return {f"{name}_{unit}": _Param(float, unit=unit, **spec) for unit in ("mm", "vox")}
@@ -652,7 +657,8 @@ def _laws(value, ndim) -> str:
 # Each planner takes its parameters typed, in voxels and defaulted (one entry
 # per key of its table below), the spacing of the filtered axes, the
 # boundary mode and its constant, checks only the rules that span
-# parameters, and returns (summary, op).  Every op is
+# parameters, and returns (route, op): the route is what the plan computes
+# beyond its parameters, the summary's last clause.  Every op is
 # ``op(data, transfers)``: it filters the trailing len(axes) axes of ``data``,
 # a whole volume, or a (k, n1, n2) stack of planes when plan_filter maps it
 # over slabs, whose leading axis is a batch.  ``transfers`` is the plan's
@@ -663,117 +669,93 @@ def _laws(value, ndim) -> str:
 
 
 def _cascade_op(p, stages, boundary, constant):
-    """The Laws or wavelet op over the per-axis ``stages`` and its summary suffix.
+    """The Laws or wavelet route and op over the per-axis ``stages``.
 
     Without rotation_invariance the op runs the cascade; with it, the
     cascade pooled over every right-angle rotation.
     """
     if not p["rotation_invariance"]:
-        return lambda data, _: cascade(data, stages, boundary, constant), ""
+        return (f"separable route ({sum(map(len, stages))} one-axis passes)",
+                lambda data, _: cascade(data, stages, boundary, constant))
     pooled = PooledCascade(stages, p["pool"], boundary, constant)
-    return (lambda data, _: pooled(data),
-            f", {p['pool']} over rotations ({pooled.passes} one-axis passes)")
+    return f"pooled over rotations ({pooled.passes} one-axis passes)", lambda data, _: pooled(data)
 
 
 def _plan_none(p, axes, boundary, constant):
-    return "none filter: identity", lambda data, _: data.astype(np.float64, copy=True)
+    return "identity", lambda data, _: data.astype(np.float64, copy=True)
 
 
 def _plan_mean(p, axes, boundary, constant):
     factors = (mean_kernel_1d(p["support"]),) * len(axes)
-    summary = f"mean filter: support {p['support']} voxels per axis"
-    return summary, lambda data, _: convolve_separable(data, factors, boundary, constant)
+    return (f"separable route ({len(axes)} one-axis passes)",
+            lambda data, _: convolve_separable(data, factors, boundary, constant))
 
 
 def _plan_log(p, axes, boundary, constant):
     size = _taps(p["sigma_vox"], p["cutoff"], "log filter sigma and cutoff")
     smooth, second = log_kernel_1d(p["sigma_vox"], p["cutoff"])
-    summary = (f"log filter: sigma {p['sigma_vox']:.6g} voxels, kernel size {size}, "
-               f"separable route ({laplacian_passes(len(axes))} one-axis passes)")
-    return summary, lambda data, _: convolve_laplacian(data, smooth, second, boundary,
-                                                       constant, len(axes))
+    passes = laplacian_passes(len(axes))
+    return (f"kernel size {size}, separable route ({passes} one-axis passes)",
+            lambda data, _: convolve_laplacian(data, smooth, second, boundary, constant, len(axes)))
 
 
 def _plan_laws(p, axes, boundary, constant):
     text, delta, ndim = p["kernels"], p["energy_delta"], len(axes)
     stages = [[laws_1d(text[i : i + 2])] for i in range(0, len(text), 2)]
-    op, pooling = _cascade_op(p, stages, boundary, constant)
-    if delta is None:
-        return f"laws filter: kernels {text}{pooling}", op
-    return (f"laws filter: kernels {text}{pooling}, energy delta {delta} voxels",
-            lambda data, transfers: laws_energy(op(data, transfers), delta, boundary,
-                                                constant, ndim))
+    route, op = _cascade_op(p, stages, boundary, constant)
+    return route, op if delta is None else lambda data, transfers: laws_energy(
+        op(data, transfers), delta, boundary, constant, ndim)
 
 
 def _plan_gabor(p, axes, boundary, constant):
     sigma, wavelength, gamma = p["sigma_vox"], p["lambda_vox"], p["gamma"]
     size = _taps(sigma * max(gamma, 1.0), 4.0, "gabor filter sigma and gamma")
-    if not p["rotation_invariance"]:
-        thetas = [p["theta"]]
-    elif p["dtheta"] is None:
-        raise ValueError("the rotation-invariant Gabor filter needs dtheta")
-    else:
-        thetas = gabor_orientation_set(p["dtheta"])
+    thetas = gabor_orientation_set(p["dtheta"]) if p["rotation_invariance"] else [p["theta"]]
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
-    pool_mode = p["pool"]
 
     def run(plane, transfers):
         return pool((np.abs(r) for r in convolve_bank(plane, bank, boundary, constant, transfers)),
-                    pool_mode)
+                    p["pool"])
 
-    summary = (f"gabor filter: sigma {sigma:.6g} voxels, wavelength {wavelength:.6g} "
-               f"voxels, kernel size {size}, {len(bank)} orientations, FFT route")
-    if p["rotation_invariance"]:
-        summary += f", {pool_mode} over orientations"
-    return summary, run
+    return f"kernel size {size}, {len(bank)} orientations, FFT route", run
 
 
 def _plan_wavelet(p, axes, boundary, constant):
     family, level, subband = p["family"], p["level"], p["subband"]
-    summary = f"wavelet filter: {family} level {level} subband {subband}"
     if not p["decimated"]:
-        stages = _swt_stages(family, level, subband, len(axes))
-        op, pooling = _cascade_op(p, stages, boundary, constant)
-        return summary + pooling, op
+        return _cascade_op(p, _swt_stages(family, level, subband, len(axes)), boundary, constant)
     if p["rotation_invariance"]:
         raise ValueError("the decimated wavelet transform has no rotation-invariant form; "
                          "drop decimated or rotation_invariance")
-    return f"{summary}, decimated by {2 ** level} per axis", lambda data, _: dwt_decimated(
+    return f"decimated by {2 ** level} per axis", lambda data, _: dwt_decimated(
         data, family, level, subband, boundary, constant)
 
 
 def _fourier_domain(axes, boundary, constant, what):
     """The Fourier-domain filters work on the frequency grid of the filtered
     axes, so they need those axes isotropic, and they always periodise, with
-    no boundary constant.  Returns the summary's boundary clause."""
+    no boundary constant.  Returns their route, which names that boundary."""
     _isotropic_scale(axes, what)
     if constant != 0.0:
         raise ValueError(f"{what} always periodises, so boundary_constant {constant!r} "
                          "would be ignored; drop it or use another filter")
-    requested = "" if boundary == "periodise" else f" (requested {boundary})"
-    return f", boundary periodise{requested}"
+    return "Fourier-domain route, applied boundary periodise"
 
 
 def _plan_nonseparable(p, axes, boundary, constant):
     profile = RadialProfile(p["wavelet"], p["level"])
-    applied = _fourier_domain(axes, boundary, constant, "the nonseparable filter")
-    summary = f"nonseparable filter: {profile.kind} B map level {profile.level}{applied}"
-    return summary, lambda data, transfers: nonseparable_b_map(data, profile, transfers,
-                                                               len(axes))
+    return (_fourier_domain(axes, boundary, constant, "the nonseparable filter"),
+            lambda data, transfers: nonseparable_b_map(data, profile, transfers, len(axes)))
 
 
 def _plan_riesz(p, axes, boundary, constant):
     ndim, l, sigma = len(axes), p["l"], p["sigma_tensor_vox"]
     profile = RadialProfile(p["wavelet"], p["level"])
-    applied = _fourier_domain(axes, boundary, constant, "the Riesz filter")
-    summary = f"riesz filter: {profile.kind} level {profile.level} l {l}"
+    route = _fourier_domain(axes, boundary, constant, "the Riesz filter")
     if not p["align"]:
-        return summary + applied, lambda data, transfers: riesz_filtered_map(
-            data, profile, l, transfers)
+        return route, lambda data, transfers: riesz_filtered_map(data, profile, l, transfers)
     if sum(l) != 2:
         raise ValueError("alignment is defined for second-order Riesz sets")
-    if sigma is None:
-        raise ValueError("aligned Riesz filtering needs sigma_tensor_mm or sigma_tensor_vox")
     size = _taps(sigma, 4.0, "riesz filter sigma_tensor")
     order1, order2 = riesz_indices(1, ndim), riesz_indices(2, ndim)
 
@@ -781,8 +763,7 @@ def _plan_riesz(p, axes, boundary, constant):
         maps = riesz_filtered_maps(data, profile, order1 + order2, transfers)
         return align_order2(maps, structure_tensor([next(maps)[1] for _ in order1], sigma))
 
-    return (f"{summary}, aligned with structure tensor sigma {sigma:.6g} voxels, "
-            f"kernel size {size}{applied}"), run
+    return f"structure tensor kernel size {size}, {route}", run
 
 
 _FLAG = _Param(bool, False)
@@ -807,7 +788,8 @@ _PLANNERS = {
                           "pool": _pool("max"),
                           "energy_delta": _Param(int, high=_MAX_TAPS // 2)}),
     "gabor": (_plan_gabor, {**_scale("sigma", required=True), **_scale("lambda", required=True),
-                            "gamma": _Param(float, 1.0), "dtheta": _Param(float, switch=_ROTINV),
+                            "gamma": _Param(float, 1.0),
+                            "dtheta": _Param(float, required=True, switch=_ROTINV),
                             "theta": _Param(float, 0.0, low=-math.inf, switch=_NOT_ROTINV),
                             "rotation_invariance": _FLAG, "pool": _pool("average"),
                             "orthogonal_planes": _FLAG}),
@@ -818,11 +800,13 @@ _PLANNERS = {
     "nonseparable": (_plan_nonseparable, {"wavelet": _RADIAL, "level": _LEVEL}),
     "riesz": (_plan_riesz, {"wavelet": _RADIAL, "level": _LEVEL,
                             "l": _Param(_check_index, required=True), "align": _FLAG,
-                            **_scale("sigma_tensor", switch=("align", True))}),
+                            **_scale("sigma_tensor", required=True, switch=("align", True))}),
 }
 
 FILTER_KINDS = tuple(_PLANNERS)
-REQUIRED_PARAMETERS = {kind: tuple(k for k, s in specs.items() if s.required and not s.unit)
+# the keys every filter of a kind needs, whatever its switches
+REQUIRED_PARAMETERS = {kind: tuple(k for k, s in specs.items()
+                                   if s.required and not s.unit and not s.switch)
                        for kind, (_, specs) in _PLANNERS.items()}
 # parameter key -> the kinds that take it, in table order
 FILTER_PARAMETERS = {key: tuple(kind for kind, (_, specs) in _PLANNERS.items() if key in specs)
@@ -864,6 +848,19 @@ def _setting(key, value):
     if value is None and not spec.required:
         return None
     return spec.typed(value, None, key.rpartition(".")[2])
+
+
+def _summary(kind, mode, boundary, constant, specs, p, route) -> str:
+    """A plan's log line: kind, mode, boundary (and its constant), each typed
+    key that applies with its value in voxels, then the planner's route.  A
+    float shows as its shortest round-trip repr, so the line is exact, a bool
+    as YAML writes it and a Riesz index as --riesz takes it."""
+    shown = [f"mode {mode}", f"boundary {boundary}" + f" {constant!r}" * (boundary == "constant")]
+    for key, value in p.items():
+        if value is not None and specs[key].holds(p):
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            shown.append(f"{key} {text.lower() if isinstance(value, bool) else text}")
+    return f"{kind} filter: {', '.join(shown)}; {route}"
 
 
 def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror",
@@ -909,17 +906,16 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
         hints = "".join(f" ({key} applies to: {', '.join(FILTER_PARAMETERS[key])})"
                         for key in unknown if key in FILTER_PARAMETERS)
         raise ValueError(f"{kind} filter got unknown parameters {unknown}{hints}")
-    missing = sorted(f"{key[:-4]}_mm or {key}" if spec.unit else key
+    missing = sorted((f"{key[:-4]}_mm or {key}" if spec.unit else key)
+                     + (f" (required with {spec.needs})" if spec.switch else "")
                      for key, spec in specs.items() if spec.required and spec.unit != "mm"
-                     and key not in params and key.replace("_vox", "_mm") not in params)
+                     and spec.holds(params) and not {key, key.replace("_vox", "_mm")} & set(params))
     if missing:
         raise ValueError(f"{kind} filter is missing parameters {missing}")
     mm, vox = ([k for k in sorted(params) if specs[k].unit == unit] for unit in ("mm", "vox"))
     if mm and vox:
-        raise ValueError(
-            f"{kind} filter mixes physical and voxel units ({mm} with {vox}); "
-            "pick one unit system per invocation"
-        )
+        raise ValueError(f"{kind} filter mixes physical and voxel units ({mm} with {vox}); "
+                         "pick one unit system per invocation")
     if mode == "2d" and params.get("decimated") is True:
         raise ValueError("the decimated transform runs on the full volume; use mode 3d")
     if mode == "2d" and params.get("orthogonal_planes") is True:
@@ -929,10 +925,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     slices = map_slices if mode == "2d" and kind != "none" else None
     if kind == "gabor" and mode == "3d":
         if params.get("orthogonal_planes") is not True:
-            raise ValueError(
-                "the Gabor filter is planar; in 3d mode enable orthogonal_planes "
-                "or run it in 2d mode"
-            )
+            raise ValueError("the Gabor filter is planar; in 3d mode enable orthogonal_planes "
+                             "or run it in 2d mode")
         scale = _isotropic_scale(axes, "the Gabor filter")
         axes = (scale, scale)
         slices = orthogonal_plane_average
@@ -940,16 +934,16 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     for key, value in params.items():
         spec, what = specs[key], f"{kind} filter {key}"
         value = spec.typed(value, len(axes), what)
-        if spec.switch and params.get(spec.switch[0], False) is not spec.switch[1]:
-            raise ValueError(f"{what} applies only with {spec.switch[0]}: "
-                             f"{str(spec.switch[1]).lower()}; drop {key}")
+        if not spec.holds(params):
+            raise ValueError(f"{what} applies only with {spec.needs}; drop {key}")
         if spec.unit == "mm":
             key, value = key[:-3] + "_vox", value / _isotropic_scale(axes, what)
         if spec.unit and not 0.0 < value * value < math.inf:
             raise ValueError(f"{what} is {value!r} voxels, whose square {value * value!r} "
                              "must be neither 0 nor inf")
         p[key] = value
-    summary, op = planner(p, axes, boundary, constant)
+    route, op = planner(p, axes, boundary, constant)
+    summary = _summary(kind, mode, boundary, constant, specs, p, route)
     transfers = TransferCache()
 
     def run(volume, threads: int = 1):

@@ -87,7 +87,7 @@ class TestFilterCommand:
         ])
         assert code == 0
         err = capsys.readouterr().err
-        assert "sigma 2.5 voxels" in err
+        assert "sigma_vox 2.5," in err
         assert "kernel size 21" in err
 
     def test_plans_the_filter_once(self, tmp_path, monkeypatch):
@@ -218,6 +218,20 @@ class TestFilterCommand:
         assert f"missing parameters {flags}" in capsys.readouterr().err
         assert not (tmp_path / "o.nii").exists()
 
+    def test_switched_parameter_is_required_only_with_its_switch(self, tmp_path, capsys):
+        # --dtheta is needed with --rotinv and refused without it
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(22).normal(size=(6, 6, 6)))
+        gabor = ["filter", str(src), "--out", str(tmp_path / "o.nii"), "--filter", "gabor",
+                 "--mode", "2d", "--sigma-vox", "1", "--lambda-vox", "2"]
+        assert main([*gabor, "--rotinv"]) == 1
+        assert capsys.readouterr().err == ("error: gabor filter is missing parameters "
+                                           "['dtheta (required with rotation_invariance: "
+                                           "true)']\n")
+        assert not (tmp_path / "o.nii").exists()
+        assert main(gabor) == 0
+        assert ", theta 0.0, rotation_invariance false," in capsys.readouterr().err
+
     def test_decimated_logs_its_plan_before_the_transform(self, tmp_path, capsys,
                                                           monkeypatch):
         events = []
@@ -240,7 +254,8 @@ class TestFilterCommand:
             "--wavelet", "haar", "--level", "2", "--subband", "LLH", "--decimated",
         ])
         assert code == 0
-        summary = "wavelet filter: haar level 2 subband LLH, decimated by 4 per axis"
+        summary = ("wavelet filter: mode 3d, boundary mirror, family haar, level 2, subband LLH, "
+                   "rotation_invariance false, decimated true; decimated by 4 per axis")
         assert events == [("log", summary), ("dwt", None)]
         assert summary in capsys.readouterr().err.splitlines()
 
@@ -336,8 +351,10 @@ class TestFilterCommand:
             written.append(out.read_bytes())
         assert written[0] == written[1]
         summaries = capsys.readouterr().err.splitlines()
-        assert summaries[0] == summaries[1] == ("wavelet filter: db2 level 1 subband LLH, max "
-                                                "over rotations (40 one-axis passes)")
+        assert summaries[0] == summaries[1] == (
+            "wavelet filter: mode 3d, boundary mirror, family db2, level 1, subband LLH, "
+            "rotation_invariance true, pool max, decimated false; pooled over rotations "
+            "(40 one-axis passes)")
 
     @pytest.mark.parametrize("argv,message", [
         (["--filter", "mean", "--support", "3.5"],
@@ -570,8 +587,8 @@ class TestRunCommand:
         ])
         assert code == 0
         err = capsys.readouterr().err
-        assert ("log filter: sigma 1.5 voxels, kernel size 13, separable route "
-                "(7 one-axis passes)") in err.splitlines()
+        assert ("log filter: mode 3d, boundary mirror, sigma_vox 1.5, cutoff 4.0; kernel size "
+                "13, separable route (7 one-axis passes)") in err.splitlines()
 
     def test_logs_pooling_of_laws_filter(self, tmp_path, capsys):
         src, mask, _ = self._fixture(tmp_path)
@@ -582,8 +599,8 @@ class TestRunCommand:
         ])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
-        assert ("laws filter: kernels L5E5E5, max over rotations (8 one-axis passes), "
-                "energy delta 7 voxels") in err
+        assert ("laws filter: mode 3d, boundary mirror, kernels L5E5E5, rotation_invariance "
+                "true, pool max, energy_delta 7; pooled over rotations (8 one-axis passes)") in err
 
     # Parameters that are wrong whatever the image: each must stop the run
     # before the plan is logged or the image is resampled.
@@ -1056,8 +1073,8 @@ class TestRunCommand:
         ])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
-        assert ("nonseparable filter: simoncelli B map level 1, "
-                "boundary periodise (requested mirror)") in err
+        assert ("nonseparable filter: mode 3d, boundary mirror, wavelet simoncelli, level 1; "
+                "Fourier-domain route, applied boundary periodise") in err
 
     def test_empty_roi_fails_cleanly(self, tmp_path, capsys):
         src, mask, config = self._fixture(tmp_path)

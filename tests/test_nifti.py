@@ -396,6 +396,18 @@ class TestErrors:
         with pytest.raises(NiftiMagicError, match=rf"pixdim\[{axis}\] -2.0 is negative"):
             read_nifti(path)
 
+    def test_subnormal_pixdim_is_below_the_spacing_floor(self, tmp_path):
+        # 1e-40 is a float32 subnormal: finite and positive, so the header
+        # checks pass it, and the spacing rule of the image built from it refuses it
+        path = self._valid_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 84, 1e-40)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError, match=re.escape(f"{path}: spacing must be one positive "
+                                                       "finite voxel spacing per axis (3 axes), "
+                                                       "from 1.175e-38 to 3.403e+38 mm")):
+            read_nifti(path)
+
     def test_zero_pixdim_reads_as_one_mm(self, tmp_path):
         path = self._valid_file(tmp_path)
         raw = bytearray(path.read_bytes())
@@ -488,6 +500,20 @@ class TestErrors:
             with pytest.raises(ValueError, match="spacing must be one positive finite"):
                 write_nifti(make(), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
+    @pytest.mark.parametrize("dims", [(40000, 1, 1), (2, 32768)])
+    def test_axis_longer_than_an_int16_dim_is_a_writer_error(self, tmp_path, name, dims):
+        # struct.error, not a ValueError, used to escape from packing the header
+        image = VolumeImage(np.zeros(dims, order="F"), (1.0,) * len(dims))
+        path = tmp_path / name
+        with pytest.raises(NiftiError, match=re.escape(
+                f"dims {dims} exceed the 32767 voxels per axis of NIfTI-1")):
+            write_nifti(image, path)
+        assert not path.exists()
+        edge = VolumeImage(np.zeros((32767, 1, 1), order="F"), (1.0, 1.0, 1.0))
+        write_nifti(edge, path)
+        assert read_nifti(path)[0].dims == (32767, 1, 1)
 
     def test_unwritable_path(self, tmp_path):
         rng = np.random.default_rng(10)

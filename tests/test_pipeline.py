@@ -47,6 +47,7 @@ from voxfilt.pipeline import (
     ProcessingConfig,
     apply_filter,
     _ALL_IN_FLOOR,
+    _PLANNERS,
     _axis_taps,
     _output_coordinates,
     _partial_volume,
@@ -656,8 +657,8 @@ class TestPlanFilter:
     def test_log_summary_uses_filtered_axes(self):
         filt = FilterConfig("log", {"sigma_mm": 1.5})
         plan = plan_filter(filt, (1.0, 1.0, 3.0), "2d")
-        assert plan.summary == ("log filter: sigma 1.5 voxels, kernel size 13, "
-                                "separable route (4 one-axis passes)")
+        assert plan.summary == ("log filter: mode 2d, boundary mirror, sigma_vox 1.5, cutoff 4.0; "
+                                "kernel size 13, separable route (4 one-axis passes)")
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 3.0), "3d")
 
@@ -695,7 +696,8 @@ class TestPlanFilter:
             "gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0, "orthogonal_planes": True}
         )
         plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d")
-        assert plan.summary.startswith("gabor filter: sigma 2 voxels, wavelength 3 voxels")
+        assert plan.summary.startswith("gabor filter: mode 3d, boundary mirror, sigma_vox 2.0, "
+                                       "lambda_vox 3.0,")
         assert plan.run(np.zeros((9, 9, 9))).shape == (9, 9, 9)
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 2.0), "3d")
@@ -862,6 +864,149 @@ class TestPlanFilter:
         filt = FilterConfig("log", {"sigma_vox": 1.0, "via": "spatial"})
         with pytest.raises(ValueError, match="unknown parameters"):
             plan_filter(filt, (1.0, 1.0, 1.0), "3d")
+
+
+# Parameter sets that plan on a 1 mm grid and, per kind, between them give
+# every key of the parameter table a value: the summary gate starts from them.
+_SUMMARY_PARAMS = {
+    "none": [{}],
+    "mean": [{"support": 3}],
+    "log": [{"sigma_vox": 1.0, "cutoff": 4.0}],
+    "laws": [{"kernels": "L5E5E5", "energy_delta": 1},
+             {"kernels": "L5E5E5", "rotation_invariance": True, "pool": "max"}],
+    "gabor": [{"sigma_vox": 1.0, "lambda_vox": 2.0, "gamma": 1.0, "theta": 0.0,
+               "orthogonal_planes": True},
+              {"sigma_vox": 1.0, "lambda_vox": 2.0, "rotation_invariance": True,
+               "dtheta": math.pi / 4, "pool": "max", "orthogonal_planes": True}],
+    "wavelet": [{"family": "haar", "level": 1, "subband": "LLH", "decimated": True},
+                {"family": "haar", "level": 1, "subband": "LLH", "rotation_invariance": True,
+                 "pool": "max"}],
+    "nonseparable": [{"wavelet": "shannon", "level": 1}],
+    "riesz": [{"wavelet": "shannon", "level": 1, "l": [0, 2, 0], "align": True,
+               "sigma_tensor_vox": 1.0}],
+}
+# second values of the keys typed by a check, and the values a key gets when
+# a changed switch makes it required
+_OTHER_VALUES = {"kernels": ["E5L5E5"], "subband": ["HLL"], "l": [[2, 0, 0]]}
+_SWITCHED_ON = {"dtheta": math.pi / 4, "sigma_tensor_vox": 1.0}
+
+
+def _summary_line(kind, params, boundary="mirror", constant=0.0):
+    """The summary in mode 3d or, where the filter cannot plan in 3d, in 2d."""
+    filt = FilterConfig(kind, params)
+    try:
+        return plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary, constant).summary
+    except ValueError as exc:
+        try:
+            return plan_filter(filt, (1.0, 1.0, 1.0), "2d", boundary, constant).summary
+        except ValueError:
+            raise exc from None
+
+
+def _second_values(spec, value):
+    if spec.type is bool:
+        return [not value]
+    if spec.type in (int, float):
+        return [other for other in (value + 1, value + 2, value * 2) if other != value]
+    if isinstance(spec.type, tuple):
+        return [choice for choice in spec.type if choice != value]
+    return None
+
+
+def _with(kind, params, key, value):
+    """``params`` with ``key`` set, then without the keys whose switch that
+    turned off and with the ones it made required."""
+    specs = _PLANNERS[kind][1]
+    params = {**params, key: value}
+    params = {k: v for k, v in params.items() if specs[k].holds(params)}
+    for k, v in _SWITCHED_ON.items():
+        if k in specs and specs[k].holds(params) and k[:-4] + "_mm" not in params:
+            params.setdefault(k, v)
+    return params
+
+
+class TestPlanSummary:
+    """The one rendered summary: every typed key that applies, the mode, the
+    boundary and its constant, so plans that differ log different lines."""
+
+    @pytest.mark.parametrize("kind", sorted(_PLANNERS))
+    def test_a_second_value_of_each_key_changes_the_line(self, kind):
+        specs = _PLANNERS[kind][1]
+        changed = set()
+        for params in _SUMMARY_PARAMS[kind]:
+            for key, spec in specs.items():
+                # on the 1 mm grid a scale in mm is the same number of voxels
+                base = {(k[:-4] + "_mm" if specs[k].unit and spec.unit == "mm" else k): v
+                        for k, v in params.items()}
+                value = base.get(key, spec.default)
+                if value is None or not spec.holds(base):
+                    continue
+                line = _summary_line(kind, base)
+                others = _OTHER_VALUES.get(key) or _second_values(spec, value)
+                for other in others:
+                    try:
+                        other_line = _summary_line(kind, _with(kind, base, key, other))
+                    except ValueError:
+                        continue  # not a valid second value
+                    assert other_line != line, (kind, key, value, other)
+                    changed.add(key)
+        assert changed == set(specs), sorted(set(specs) - changed)
+
+    @pytest.mark.parametrize("kind", sorted(_PLANNERS))
+    def test_boundaries_and_constants_give_distinct_lines(self, kind):
+        params = _SUMMARY_PARAMS[kind][0]
+        requests = [(boundary, 0.0) for boundary in BOUNDARY_MODES]
+        try:
+            _summary_line(kind, params, "constant", 2.5)
+            requests.append(("constant", 2.5))
+        except ValueError as exc:
+            assert kind in ("nonseparable", "riesz") and "always periodises" in str(exc)
+        lines = [_summary_line(kind, params, *request) for request in requests]
+        assert len(set(lines)) == len(requests) == 4 + (kind not in ("nonseparable", "riesz"))
+        for (boundary, constant), line in zip(requests, lines):
+            shown = f"{boundary} {constant!r}" if boundary == "constant" else boundary
+            assert f", boundary {shown}, " in line or line.endswith(f"boundary {shown}; identity")
+
+    @pytest.mark.parametrize("kind", sorted(_PLANNERS))
+    def test_line_names_every_typed_key_that_applies(self, kind):
+        specs = _PLANNERS[kind][1]
+        for params in _SUMMARY_PARAMS[kind]:
+            line = _summary_line(kind, params)
+            head, _, route = line.partition("; ")
+            shown = dict(item.split(" ", 1) for item in head.split(": ", 1)[1].split(", "))
+            assert shown.pop("mode") in ("2d", "3d") and shown.pop("boundary") == "mirror"
+            applying = {key: params.get(key, spec.default) for key, spec in specs.items()
+                        if spec.holds(params) and params.get(key, spec.default) is not None}
+            assert set(shown) == set(applying), line
+            for key, value in applying.items():
+                value = specs[key].typed(value, 3, key)
+                if isinstance(value, tuple):
+                    value = ",".join(map(str, value))
+                assert shown[key] == (str(value).lower() if isinstance(value, bool)
+                                      else str(value)), (key, line)
+            assert route and ";" not in route
+
+    def test_a_float_is_shown_exactly(self):
+        # the old six-digit format logged one line for 0.7 and 0.7000001
+        lines = {_summary_line("gabor", {**_SUMMARY_PARAMS["gabor"][0], "theta": theta})
+                 for theta in (0.7, 0.7000001, 0.7000000000000001)}
+        assert len(lines) == 3
+        assert ", dtheta 0.39269908169872414, " in _summary_line(
+            "gabor", {**_SUMMARY_PARAMS["gabor"][1], "dtheta": math.pi / 8})
+
+    @pytest.mark.parametrize("kind,params,missing", [
+        ("gabor", {"sigma_vox": 1.0, "lambda_vox": 2.0, "rotation_invariance": True,
+                   "orthogonal_planes": True},
+         "dtheta (required with rotation_invariance: true)"),
+        ("riesz", {"wavelet": "shannon", "level": 1, "l": [0, 2, 0], "align": True},
+         "sigma_tensor_mm or sigma_tensor_vox (required with align: true)"),
+    ])
+    def test_a_switched_key_is_required_while_its_switch_holds(self, kind, params, missing):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} filter is missing parameters [{missing!r}]")):
+            plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), "3d")
+        switch = next(key for key in ("rotation_invariance", "align") if key in params)
+        plan_filter(FilterConfig(kind, {**params, switch: False}), (1.0, 1.0, 1.0), "3d")
 
 
 def _spatial_gabor(volume, bank, pool_mode, boundary, constant):
@@ -1329,7 +1474,7 @@ class TestApplyFilter:
         filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
                                       "align": True, "sigma_tensor_vox": 1.5})
         plan = plan_filter(filt, (0.7, 0.7, 0.7), "3d", "periodise")
-        assert "sigma 1.5 voxels" in plan.summary
+        assert "sigma_tensor_vox 1.5;" in plan.summary
         np.testing.assert_array_equal(plan.run(data), self._aligned_chain(data, 1.5))
 
     def test_riesz_aligned_3d_takes_one_forward_fft(self, monkeypatch):
@@ -1392,23 +1537,23 @@ class TestApplyFilter:
             filt = FilterConfig("riesz", {"wavelet": "simoncelli", "level": 1, "l": l})
             assert np.isfinite(apply_filter(image, filt, "3d", "periodise")).all(), l
 
-    @pytest.mark.parametrize("kind,params,stem", [
+    @pytest.mark.parametrize("kind,params,keys", [
         ("nonseparable", {"wavelet": "simoncelli", "level": 1},
-         "nonseparable filter: simoncelli B map level 1"),
+         "wavelet simoncelli, level 1; "),
         ("riesz", {"wavelet": "shannon", "level": 2, "l": [1, 1, 0]},
-         "riesz filter: shannon level 2 l (1, 1, 0)"),
+         "wavelet shannon, level 2, l 1,1,0, align false; "),
         ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
                    "sigma_tensor_vox": 1.5},
-         "riesz filter: simoncelli level 1 l (0, 2, 0), aligned with structure tensor "
-         "sigma 1.5 voxels, kernel size 13"),
+         "wavelet simoncelli, level 1, l 0,2,0, align true, sigma_tensor_vox 1.5; "
+         "structure tensor kernel size 13, "),
     ], ids=["nonseparable", "riesz", "riesz-aligned"])
-    def test_fourier_domain_summary_names_applied_boundary(self, kind, params, stem):
+    def test_fourier_domain_summary_names_applied_boundary(self, kind, params, keys):
         filt = FilterConfig(kind, params)
-        plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d", "periodise")
-        assert plan.summary == f"{stem}, boundary periodise"
-        for requested in ("mirror", "constant", "nearest"):
+        for requested in ("periodise", "mirror", "constant", "nearest"):
             plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d", requested)
-            assert plan.summary == f"{stem}, boundary periodise (requested {requested})"
+            shown = requested + " 0.0" * (requested == "constant")
+            assert plan.summary == (f"{kind} filter: mode 3d, boundary {shown}, {keys}"
+                                    "Fourier-domain route, applied boundary periodise")
 
     @pytest.mark.parametrize("kind,params", [
         ("nonseparable", {"wavelet": "simoncelli", "level": 1}),
@@ -1616,12 +1761,13 @@ class TestRunConfiguration:
                                   resample_spacing_mm=(1.0, 1.0))
         with pytest.raises(ValueError, match=r"needs one entry per image axis \(3\)"):
             config.plan((2.0, 2.0, 2.0))
-        assert config.plan((2.0, 2.0)).summary == "none filter: identity"
+        assert config.plan((2.0, 2.0)).summary == "none filter: mode 3d, boundary mirror; identity"
 
     def test_plan_sees_the_resampled_grid(self):
         config = ProcessingConfig(mode="3d", filter=FilterConfig("log", {"sigma_mm": 2.0}),
                                   resample_spacing_mm=(0.5, 0.5, 0.5))
-        assert config.plan((2.0, 2.0, 2.0)).summary.startswith("log filter: sigma 4 voxels")
+        assert config.plan((2.0, 2.0, 2.0)).summary.startswith(
+            "log filter: mode 3d, boundary mirror, sigma_vox 4.0,")
 
 
 def _digests(result):
