@@ -1,11 +1,11 @@
 """Command-line front end: phantoms, filtering, configuration runs, reports.
 
 Physical-unit flags end in -mm, voxel-unit flags in -vox; an invocation
-may use one unit system only.  A flag that needs a switch (--dtheta needs
---rotinv) is refused without it and, when required, required with it.  The
-resolved plan's summary (every parameter in voxels, the boundary and the
-route) is logged to stderr so two implementations can be compared at the
-parameter level before diffing response maps.
+may use one unit system only.  The filter's flags pass the one key check
+before the image is read, and its errors name flags (--dtheta needs
+--rotinv).  The resolved plan's summary (every parameter in voxels, the
+boundary and the route) is logged to stderr so two implementations can be
+compared at the parameter level before diffing response maps.
 VOXFILT_THREADS sets the default --threads value (a positive integer); the
 thread count never changes results.
 """
@@ -32,8 +32,8 @@ from .nifti import DATATYPE_CODES, read_nifti, write_nifti
 from .pipeline import (
     _PLANNERS,
     FILTER_PARAMETERS,
-    REQUIRED_PARAMETERS,
     FilterConfig,
+    _check_keys,
     load_config,
     plan_filter,
     run_configuration,
@@ -89,7 +89,7 @@ def _flag(key):
 def _gather_filter_params(args) -> dict:
     """The filter parameters given by flag, as given: plan_filter types them
     as it types a configuration file's.  Flags not given stay out of the
-    dict, so the filter's own validation reports misuse."""
+    dict."""
     kind = FilterConfig(args.filter).kind
     params = {}
     for key in FILTER_PARAMETERS:
@@ -105,9 +105,6 @@ def _gather_filter_params(args) -> dict:
             raise ValueError(
                 f"--riesz expects comma-separated integers like 0,2,0; got {riesz!r}"
             ) from None
-    missing = [_flag(key) for key in REQUIRED_PARAMETERS[kind] if key not in params]
-    if missing:
-        raise ValueError(f"{kind} filter is missing parameters {sorted(missing)}")
     return params
 
 
@@ -128,6 +125,7 @@ def cmd_phantom(args) -> int:
 
 def cmd_filter(args) -> int:
     filt = FilterConfig(args.filter, _gather_filter_params(args))
+    _check_keys(filt.params, _PLANNERS[filt.kind][1], f"{filt.kind} filter", _flag)
     image, view = _load_image(args.image, args.round_on_load)
     plan = plan_filter(filt, image.spacing, args.mode, args.boundary, args.boundary_constant)
     _log(plan.summary)

@@ -71,7 +71,6 @@ from .wavelets import (
 __all__ = [
     "FILTER_KINDS",
     "FILTER_PARAMETERS",
-    "REQUIRED_PARAMETERS",
     "FilterConfig",
     "FilterPlan",
     "ProcessingConfig",
@@ -164,19 +163,6 @@ class ProcessingConfig:
         return self.filter.plan(grid, self.mode, self.boundary, self.boundary_constant)
 
 
-def _block_keys(block):
-    """The ``_CONFIG`` keys of one block of a file: "" (the top level) or "resample"."""
-    return tuple(key.rpartition(".")[2] for key in _CONFIG if key.rpartition(".")[0] == block)
-
-
-def _reject_unknown_keys(block, allowed, where):
-    for key in block:
-        if key not in allowed:
-            close = difflib.get_close_matches(str(key), allowed, n=1)
-            hint = f"did you mean {close[0]!r}?" if close else f"expected one of {allowed}"
-            raise ValueError(f"{where} has unknown key {key!r}; {hint}")
-
-
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
 # both construct with SafeConstructor and resolve with the same resolver, so
 # a file gives the same values either way, about five times faster with libyaml
@@ -186,15 +172,14 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_config(path):
     """Read a configuration file; returns ``(test_id, ProcessingConfig)``.
 
-    The keys, at the top level and in the resample block, are those of
-    ``_CONFIG`` plus ``test_id``, ``resample`` and ``filter``.  Unknown keys
-    are rejected, so a misspelt key cannot silently fall back to its
-    default, and so are ``image_interpolation`` and ``mask_threshold``
-    without a ``spacing_mm`` to resample to.  Keys the file leaves out take
-    the ProcessingConfig defaults.  ``test_id`` names the output files, so
-    it must be a string (null or missing gives ``""``), may hold no path
-    separator and may not be ``.`` or ``..``.  A file that is not valid YAML
-    is a ValueError naming the file, the problem and its line and column.
+    :func:`_check_keys` checks the keys of the top level and of the resample
+    block, so a misspelt key cannot silently fall back to its default.
+    ``image_interpolation`` and ``mask_threshold`` need a ``spacing_mm`` to
+    resample to.  Keys the file leaves out take the ProcessingConfig
+    defaults.  ``test_id`` names the output files, so it must be a string
+    (null or missing gives ``""``), may hold no path separator or NUL and
+    may not be ``.`` or ``..``.  A file that is not valid YAML is a
+    ValueError naming the file, the problem and its line and column.
     """
     with open(path) as handle:
         try:
@@ -208,17 +193,13 @@ def load_config(path):
                              f"{problem}{where}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"configuration file {path} must hold a mapping")
-    _reject_unknown_keys(raw, ("test_id", *_block_keys(""), "resample", "filter"),
-                         f"configuration file {path}")
+    _check_keys(raw, _TOP_KEYS, f"configuration file {path}")
     test_id = "" if raw.get("test_id") is None else raw["test_id"]
     if not isinstance(test_id, str):
         raise ValueError(f"test_id must be a string, got {test_id!r}; put it in quotes")
-    if test_id in (".", "..") or any(sep in test_id for sep in ("/", "\\", os.sep)):
+    if test_id in (".", "..") or any(sep in test_id for sep in ("/", "\\", os.sep, "\0")):
         raise ValueError(f"test_id {test_id!r} names the output files; it cannot hold a "
-                         "path separator or be '.' or '..'")
-    for key in ("mode", "filter"):
-        if key not in raw:
-            raise ValueError(f"configuration is missing the {key!r} key")
+                         "path separator or a NUL, or be '.' or '..'")
     filt = raw["filter"]
     if not isinstance(filt, dict) or "kind" not in filt:
         raise ValueError("the filter block needs a 'kind' entry")
@@ -227,9 +208,7 @@ def load_config(path):
     if resample is not None:
         if not isinstance(resample, dict):
             raise ValueError("the resample block must be a mapping")
-        _reject_unknown_keys(resample, _block_keys("resample"), "the resample block")
-        if "spacing_mm" not in resample:
-            raise ValueError("the resample block is missing the 'spacing_mm' key")
+        _check_keys(resample, _RESAMPLE_KEYS, "the resample block")
         for key in ("image_interpolation", "mask_threshold"):
             if resample["spacing_mm"] is None and key in resample:
                 raise ValueError(f"the resample block's {key} applies only with a "
@@ -591,12 +570,12 @@ class _Param:
     """One filter parameter or configuration setting.  ``type`` is float
     (finite, at most ``high``; positive unless ``low`` is -inf), int (in
     [low, high]; odd with ``odd``), bool, a tuple of the strings it may name
-    in any case, or a check(value, ndim).  A filter key is ``required`` when
-    it has no default, a setting when None is not one of its values.  A
-    scale, given as <name>_mm or <name>_vox (its ``unit``), reaches the
-    planner as <name>_vox, where its square must be neither 0 nor inf.  The
-    key applies only while ``switch`` = (flag, state) holds, and a required
-    key with a switch is required while it holds."""
+    in any case, or a check(value, ndim).  The key applies only while
+    ``switch`` = (flag, state) holds, and a ``required`` key must be given
+    while it holds (:func:`_check_keys`).  A setting accepts null when its
+    ProcessingConfig field defaults to None.  A scale, given as <name>_mm or
+    <name>_vox (its ``unit``), reaches the planner as <name>_vox, where its
+    square must be neither 0 nor inf."""
 
     type: object
     default: object = None
@@ -633,12 +612,38 @@ class _Param:
         return self.type(value, ndim)
 
     def holds(self, values) -> bool:
-        """Whether this key's switch holds in ``values``, a filter's params."""
+        """Whether this key's switch holds in ``values``, a block of keys."""
         return not self.switch or values.get(self.switch[0], False) is self.switch[1]
 
-    @property
-    def needs(self) -> str:
-        return f"{self.switch[0]}: {str(self.switch[1]).lower()}"
+
+def _check_keys(values, specs, where, name=repr):
+    """Reject a switch of ``values`` that is not a bool, a key that the
+    table ``specs`` lacks or whose switch does not hold, then a required key
+    missing while its switch holds (either unit of a _mm/_vox pair counts).
+    Errors start with ``where`` and name keys by ``name(key)``; an unknown
+    key gets the nearest valid key and, for a filter key, its kinds."""
+
+    def when(spec):
+        return f"{'with' if spec.switch[1] else 'without'} {name(spec.switch[0])}"
+
+    for flag in sorted({spec.switch[0] for spec in specs.values() if spec.switch} & set(values)):
+        specs[flag].typed(values[flag], None, f"{where} {flag}")  # a switch is a bool
+    for key in values:
+        spec = specs.get(key)
+        if spec is None:
+            close = difflib.get_close_matches(str(key), list(specs), n=1)
+            hint = (f"did you mean {name(close[0])}?" if close
+                    else f"expected one of [{', '.join(map(name, specs))}]")
+            if key in FILTER_PARAMETERS:
+                hint += f" ({name(key)} applies to: {', '.join(FILTER_PARAMETERS[key])})"
+            raise ValueError(f"{where} has unknown key {name(key)}; {hint}")
+        if not spec.holds(values):
+            raise ValueError(f"{where} key {name(key)} applies only {when(spec)}; drop it")
+    for key, spec in specs.items():
+        pair = {key, key.replace("_vox", "_mm")}
+        if spec.required and spec.unit != "mm" and spec.holds(values) and not pair & set(values):
+            raise ValueError(f"{where} is missing key {' or '.join(map(name, sorted(pair)))}"
+                             + (f" (required {when(spec)})" if spec.switch else ""))
 
 
 def _scale(name, **spec):
@@ -668,17 +673,19 @@ def _laws(value, ndim) -> str:
 # The ops look library functions up by name when they execute.
 
 
-def _cascade_op(p, stages, boundary, constant):
+def _cascade_op(p, stages, boundary, constant, extra=0):
     """The Laws or wavelet route and op over the per-axis ``stages``.
 
     Without rotation_invariance the op runs the cascade; with it, the
-    cascade pooled over every right-angle rotation.
+    cascade pooled over every right-angle rotation.  The route counts
+    ``extra`` one-axis passes that the caller runs after the op.
     """
     if not p["rotation_invariance"]:
-        return (f"separable route ({sum(map(len, stages))} one-axis passes)",
+        return (f"separable route ({sum(map(len, stages)) + extra} one-axis passes)",
                 lambda data, _: cascade(data, stages, boundary, constant))
     pooled = PooledCascade(stages, p["pool"], boundary, constant)
-    return f"pooled over rotations ({pooled.passes} one-axis passes)", lambda data, _: pooled(data)
+    return (f"pooled over rotations ({pooled.passes + extra} one-axis passes)",
+            lambda data, _: pooled(data))
 
 
 def _plan_none(p, axes, boundary, constant):
@@ -702,7 +709,8 @@ def _plan_log(p, axes, boundary, constant):
 def _plan_laws(p, axes, boundary, constant):
     text, delta, ndim = p["kernels"], p["energy_delta"], len(axes)
     stages = [[laws_1d(text[i : i + 2])] for i in range(0, len(text), 2)]
-    route, op = _cascade_op(p, stages, boundary, constant)
+    # a positive energy_delta runs one mean pass per axis after the cascade
+    route, op = _cascade_op(p, stages, boundary, constant, ndim * bool(delta))
     return route, op if delta is None else lambda data, transfers: laws_energy(
         op(data, transfers), delta, boundary, constant, ndim)
 
@@ -804,10 +812,6 @@ _PLANNERS = {
 }
 
 FILTER_KINDS = tuple(_PLANNERS)
-# the keys every filter of a kind needs, whatever its switches
-REQUIRED_PARAMETERS = {kind: tuple(k for k, s in specs.items()
-                                   if s.required and not s.unit and not s.switch)
-                       for kind, (_, specs) in _PLANNERS.items()}
 # parameter key -> the kinds that take it, in table order
 FILTER_PARAMETERS = {key: tuple(kind for kind, (_, specs) in _PLANNERS.items() if key in specs)
                      for _, specs in _PLANNERS.values() for key in specs}
@@ -829,23 +833,27 @@ def _range(value, ndim) -> tuple:
 # The defaults are the fields' own.
 _CONFIG = {
     "mode": ("mode", _Param(("2d", "3d"), required=True)),
-    "boundary": ("boundary", _Param(BOUNDARY_MODES, required=True)),
-    "boundary_constant": ("boundary_constant", _Param(float, required=True, low=-math.inf)),
+    "boundary": ("boundary", _Param(BOUNDARY_MODES)),
+    "boundary_constant": ("boundary_constant", _Param(float, low=-math.inf)),
     "resegment_hu": ("reseg_range", _Param(_range)),
     "resample.spacing_mm": ("resample_spacing_mm", _Param(
-        lambda value, ndim: _check_spacing(value, ndim, "resample spacing_mm", "resampling"))),
-    "resample.image_interpolation": ("image_interpolation",
-                                     _Param(("trilinear", "tricubic"), required=True)),
-    "resample.mask_threshold": ("mask_threshold", _Param(float, required=True, high=1.0)),
-    "resample.rounding": ("rounding", _Param(bool, required=True)),
+        lambda value, ndim: _check_spacing(value, ndim, "resample spacing_mm", "resampling"),
+        required=True)),
+    "resample.image_interpolation": ("image_interpolation", _Param(("trilinear", "tricubic"))),
+    "resample.mask_threshold": ("mask_threshold", _Param(float, high=1.0)),
+    "resample.rounding": ("rounding", _Param(bool)),
 }
+# the keys of a file's top level and resample block, as _check_keys reads them
+_TOP_KEYS = {"test_id": _Param(str), **{k: s for k, (_, s) in _CONFIG.items() if "." not in k},
+             "resample": _Param(dict), "filter": _Param(dict, required=True)}
+_RESAMPLE_KEYS = {k.removeprefix("resample."): s for k, (_, s) in _CONFIG.items() if "." in k}
 
 
 def _setting(key, value):
     """``value`` typed by the ``_CONFIG`` entry of ``key``, or a ValueError
-    naming the key; None passes where the entry is not required."""
-    spec = _CONFIG[key][1]
-    if value is None and not spec.required:
+    naming the key; None passes where its field's default is None."""
+    name, spec = _CONFIG[key]
+    if value is None and ProcessingConfig.__dataclass_fields__[name].default is None:
         return None
     return spec.typed(value, None, key.rpartition(".")[2])
 
@@ -901,17 +909,7 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
                          f"constant, not {boundary}")
     kind, params = filt.kind, filt.params
     planner, specs = _PLANNERS[kind]
-    unknown = sorted(set(params) - set(specs), key=str)
-    if unknown:
-        hints = "".join(f" ({key} applies to: {', '.join(FILTER_PARAMETERS[key])})"
-                        for key in unknown if key in FILTER_PARAMETERS)
-        raise ValueError(f"{kind} filter got unknown parameters {unknown}{hints}")
-    missing = sorted((f"{key[:-4]}_mm or {key}" if spec.unit else key)
-                     + (f" (required with {spec.needs})" if spec.switch else "")
-                     for key, spec in specs.items() if spec.required and spec.unit != "mm"
-                     and spec.holds(params) and not {key, key.replace("_vox", "_mm")} & set(params))
-    if missing:
-        raise ValueError(f"{kind} filter is missing parameters {missing}")
+    _check_keys(params, specs, f"{kind} filter")
     mm, vox = ([k for k in sorted(params) if specs[k].unit == unit] for unit in ("mm", "vox"))
     if mm and vox:
         raise ValueError(f"{kind} filter mixes physical and voxel units ({mm} with {vox}); "
@@ -934,8 +932,6 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     for key, value in params.items():
         spec, what = specs[key], f"{kind} filter {key}"
         value = spec.typed(value, len(axes), what)
-        if not spec.holds(params):
-            raise ValueError(f"{what} applies only with {spec.needs}; drop {key}")
         if spec.unit == "mm":
             key, value = key[:-3] + "_vox", value / _isotropic_scale(axes, what)
         if spec.unit and not 0.0 < value * value < math.inf:

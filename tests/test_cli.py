@@ -150,7 +150,9 @@ class TestFilterCommand:
             "--support", "3", "--sigma-mm", "1.0",
         ])
         assert code == 1
-        assert "unknown parameters" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: mean filter has unknown key --sigma-mm; expected one of [--support] "
+            "(--sigma-mm applies to: log, gabor)\n")
 
     def test_wavelet_rotinv_runs(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -192,9 +194,11 @@ class TestFilterCommand:
 
     @pytest.mark.parametrize("argv,owners", [
         (["--filter", "log", "--sigma-vox", "1", "--support", "3"],
-         "(support applies to: mean)"),
+         "log filter has unknown key --support; expected one of [--sigma-mm, --sigma-vox, "
+         "--cutoff] (--support applies to: mean)"),
         (["--filter", "mean", "--support", "3", "--pool", "max"],
-         "(pool applies to: laws, gabor, wavelet)"),
+         "mean filter has unknown key --pool; expected one of [--support] "
+         "(--pool applies to: laws, gabor, wavelet)"),
     ], ids=["support-on-log", "pool-on-mean"])
     def test_unknown_parameter_names_the_kinds_taking_it(self, tmp_path, capsys,
                                                          argv, owners):
@@ -202,20 +206,21 @@ class TestFilterCommand:
         _write_volume(src, np.random.default_rng(15).normal(size=(6, 6, 6)))
         code = main(["filter", str(src), "--out", str(tmp_path / "o.nii"), *argv])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "unknown parameters" in err and owners in err
+        assert capsys.readouterr().err == f"error: {owners}\n"
         assert not (tmp_path / "o.nii").exists()
 
     @pytest.mark.parametrize("argv,flags", [
-        (["--filter", "wavelet", "--level", "1", "--subband", "LLL"], "['--wavelet']"),
-        (["--filter", "riesz", "--wavelet", "simoncelli", "--level", "1"], "['--riesz']"),
+        (["--filter", "wavelet", "--level", "1", "--subband", "LLL"],
+         "wavelet filter is missing key --wavelet"),
+        (["--filter", "riesz", "--wavelet", "simoncelli", "--level", "1"],
+         "riesz filter is missing key --riesz"),
     ], ids=["wavelet-family", "riesz-index"])
     def test_missing_parameter_names_its_flag(self, tmp_path, capsys, argv, flags):
         src = tmp_path / "in.nii"
         _write_volume(src, np.random.default_rng(19).normal(size=(6, 6, 6)))
         code = main(["filter", str(src), "--out", str(tmp_path / "o.nii"), *argv])
         assert code == 1
-        assert f"missing parameters {flags}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {flags}\n"
         assert not (tmp_path / "o.nii").exists()
 
     def test_switched_parameter_is_required_only_with_its_switch(self, tmp_path, capsys):
@@ -225,9 +230,8 @@ class TestFilterCommand:
         gabor = ["filter", str(src), "--out", str(tmp_path / "o.nii"), "--filter", "gabor",
                  "--mode", "2d", "--sigma-vox", "1", "--lambda-vox", "2"]
         assert main([*gabor, "--rotinv"]) == 1
-        assert capsys.readouterr().err == ("error: gabor filter is missing parameters "
-                                           "['dtheta (required with rotation_invariance: "
-                                           "true)']\n")
+        assert capsys.readouterr().err == ("error: gabor filter is missing key --dtheta "
+                                           "(required with --rotinv)\n")
         assert not (tmp_path / "o.nii").exists()
         assert main(gabor) == 0
         assert ", theta 0.0, rotation_invariance false," in capsys.readouterr().err
@@ -262,8 +266,10 @@ class TestFilterCommand:
     @pytest.mark.parametrize("extra,message", [
         (["--rotinv"], "no rotation-invariant form"),
         (["--rotinv", "--pool", "max"], "no rotation-invariant form"),
-        (["--pool", "max"], "pool applies only with rotation_invariance"),
-        (["--sigma-mm", "3"], "unknown parameters ['sigma_mm']"),
+        (["--pool", "max"], "wavelet filter key --pool applies only with --rotinv; drop it"),
+        (["--sigma-mm", "3"], "wavelet filter has unknown key --sigma-mm; expected one of "
+                              "[--wavelet, --level, --subband, --rotinv, --pool, --decimated] "
+                              "(--sigma-mm applies to: log, gabor)"),
         (["--mode", "2d"], "use mode 3d"),
     ], ids=["rotinv", "rotinv-pool", "pool", "sigma-mm", "mode-2d"])
     def test_decimated_rejects_other_options_before_logging(self, tmp_path, capsys,
@@ -600,7 +606,7 @@ class TestRunCommand:
         assert code == 0
         err = capsys.readouterr().err.splitlines()
         assert ("laws filter: mode 3d, boundary mirror, kernels L5E5E5, rotation_invariance "
-                "true, pool max, energy_delta 7; pooled over rotations (8 one-axis passes)") in err
+                "true, pool max, energy_delta 7; pooled over rotations (11 one-axis passes)") in err
 
     # Parameters that are wrong whatever the image: each must stop the run
     # before the plan is logged or the image is resampled.
@@ -640,25 +646,33 @@ class TestRunCommand:
         # parameters that their switch would ignore
         "gabor-theta-rotinv": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
                                 "rotation_invariance": True, "dtheta": math.pi / 4,
-                                "theta": 0.3, "orthogonal_planes": True}, "drop theta"),
+                                "theta": 0.3, "orthogonal_planes": True},
+                               "gabor filter key 'theta' applies only without "
+                               "'rotation_invariance'; drop it"),
         "gabor-dtheta-alone": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
                                 "dtheta": math.pi / 4, "orthogonal_planes": True},
-                               "dtheta applies only with rotation_invariance"),
+                               "gabor filter key 'dtheta' applies only with "
+                               "'rotation_invariance'; drop it"),
         "gabor-pool-alone": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
                               "pool": "max", "orthogonal_planes": True},
-                             "pool applies only with rotation_invariance"),
+                             "gabor filter key 'pool' applies only with "
+                             "'rotation_invariance'; drop it"),
         "laws-pool-alone": ({"kind": "laws", "kernels": "L5E5E5", "pool": "average"},
-                            "pool applies only with rotation_invariance"),
+                            "laws filter key 'pool' applies only with "
+                            "'rotation_invariance'; drop it"),
         "wavelet-pool-alone": ({"kind": "wavelet", "family": "db2", "level": 1,
                                 "subband": "LLH", "pool": "max",
                                 "rotation_invariance": False},
-                               "pool applies only with rotation_invariance"),
+                               "wavelet filter key 'pool' applies only with "
+                               "'rotation_invariance'; drop it"),
         "riesz-tensor-mm-alone": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                    "l": [0, 2, 0], "sigma_tensor_mm": 1.0},
-                                  "sigma_tensor_mm applies only with align"),
+                                  "riesz filter key 'sigma_tensor_mm' applies only with "
+                                  "'align'; drop it"),
         "riesz-tensor-vox-alone": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                     "l": [0, 2, 0], "align": False, "sigma_tensor_vox": 1.0},
-                                   "sigma_tensor_vox applies only with align"),
+                                   "riesz filter key 'sigma_tensor_vox' applies only with "
+                                   "'align'; drop it"),
         # float parameters: a bool or a string is not read as a number
         "log-bool-sigma": ({"kind": "log", "sigma_mm": True}, "sigma_mm must be a number"),
         "log-string-cutoff": ({"kind": "log", "sigma_mm": 2.0, "cutoff": "3"},
@@ -988,7 +1002,7 @@ class TestRunCommand:
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("test_id", ["../escaped", "sub/T", "sub\\T", ".", ".."])
+    @pytest.mark.parametrize("test_id", ["../escaped", "sub/T", "sub\\T", ".", "..", "a\0b"])
     def test_test_id_cannot_leave_out_dir(self, tmp_path, monkeypatch, capsys, test_id):
         src, mask, config = self._fixture(tmp_path)
         config.write_text(yaml.safe_dump({"test_id": test_id, "mode": "3d",

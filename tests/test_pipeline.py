@@ -22,6 +22,7 @@ import voxfilt.convolve
 import voxfilt.image
 import voxfilt.pipeline
 import voxfilt.riesz
+import voxfilt.rotinv
 
 from voxfilt.features import intensity_statistics
 from voxfilt.image import RoiMask, VolumeImage, create_image, round_half_away
@@ -862,7 +863,9 @@ class TestPlanFilter:
 
     def test_route_is_not_a_filter_parameter(self):
         filt = FilterConfig("log", {"sigma_vox": 1.0, "via": "spatial"})
-        with pytest.raises(ValueError, match="unknown parameters"):
+        with pytest.raises(ValueError, match=re.escape(
+                "log filter has unknown key 'via'; expected one of "
+                "['sigma_mm', 'sigma_vox', 'cutoff']")):
             plan_filter(filt, (1.0, 1.0, 1.0), "3d")
 
 
@@ -997,16 +1000,25 @@ class TestPlanSummary:
     @pytest.mark.parametrize("kind,params,missing", [
         ("gabor", {"sigma_vox": 1.0, "lambda_vox": 2.0, "rotation_invariance": True,
                    "orthogonal_planes": True},
-         "dtheta (required with rotation_invariance: true)"),
+         "'dtheta' (required with 'rotation_invariance')"),
         ("riesz", {"wavelet": "shannon", "level": 1, "l": [0, 2, 0], "align": True},
-         "sigma_tensor_mm or sigma_tensor_vox (required with align: true)"),
+         "'sigma_tensor_mm' or 'sigma_tensor_vox' (required with 'align')"),
     ])
     def test_a_switched_key_is_required_while_its_switch_holds(self, kind, params, missing):
         with pytest.raises(ValueError, match=re.escape(
-                f"{kind} filter is missing parameters [{missing!r}]")):
+                f"{kind} filter is missing key {missing}")):
             plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), "3d")
         switch = next(key for key in ("rotation_invariance", "align") if key in params)
         plan_filter(FilterConfig(kind, {**params, switch: False}), (1.0, 1.0, 1.0), "3d")
+
+    @pytest.mark.parametrize("switched", [{"theta": 0.3}, {"dtheta": 0.5}, {}])
+    def test_a_switch_is_typed_before_it_is_read(self, switched):
+        # a switch of 1, read before it was typed, made theta look switched
+        # off when theta came first
+        params = {"sigma_vox": 1.0, "lambda_vox": 2.0, **switched, "rotation_invariance": 1}
+        with pytest.raises(ValueError, match="^gabor filter rotation_invariance must be true "
+                                             "or false, got 1$"):
+            plan_filter(FilterConfig("gabor", params), (1.0, 1.0, 1.0), "2d")
 
 
 def _spatial_gabor(volume, bank, pool_mode, boundary, constant):
@@ -1076,6 +1088,47 @@ class TestLogRoute:
         finally:
             tracemalloc.stop()
         assert peak <= 5.2 * image.nbytes, peak / image.nbytes
+
+
+class TestStatedPasses:
+    """A plan line that states (N one-axis passes) runs exactly N in one run."""
+
+    @staticmethod
+    def _plans():
+        """Every shipped configuration's filter, then Laws filters over the
+        options of its table row: each mode, with and without rotation
+        invariance, and no, a zero or a positive energy_delta."""
+        for name in sorted(os.listdir(TestShippedConfigs._DIR)):
+            _, config = load_config(os.path.join(TestShippedConfigs._DIR, name))
+            yield name, config.filter, config.mode
+        for mode, kernels in (("2d", "L5E5"), ("3d", "L5E5E5")):
+            for rotinv, delta in itertools.product((False, True), (None, 0, 2)):
+                params = {"kernels": kernels, "rotation_invariance": rotinv}
+                if rotinv:
+                    params["pool"] = "average"
+                if delta is not None:
+                    params["energy_delta"] = delta
+                yield f"laws-{mode}-{rotinv}-{delta}", FilterConfig("laws", params), mode
+
+    def test_every_stated_pass_count_is_run(self, monkeypatch):
+        calls = []
+        for module in (voxfilt.convolve, voxfilt.rotinv):
+            monkeypatch.setattr(module, "axis_pass", lambda *args, original=module.axis_pass:
+                                calls.append(args[1]) or original(*args))
+        volume = np.random.default_rng(29).normal(size=(12, 11, 6))
+        run = {}
+        for name, filt, mode in self._plans():
+            plan = plan_filter(filt, (1.0, 1.0, 1.0), mode)
+            stated = re.search(r"\((\d+) one-axis passes\)$", plan.summary)
+            if stated is None:
+                continue
+            calls.clear()
+            # in 2-D mode the 6 planes fit one slab, which is filtered as a stack
+            assert np.isfinite(plan.run(volume)).all(), name
+            run[name] = (int(stated.group(1)), len(calls))
+        assert {"2.A.yaml", "3.B.yaml", "4.A.yaml", "4.B.yaml", "7.B.yaml",
+                "laws-2d-True-2", "laws-3d-False-0"} <= set(run), sorted(run)
+        assert {name: counts for name, counts in run.items() if counts[0] != counts[1]} == {}
 
 
 _LOG_CONFIG_PROBE = """
@@ -1330,7 +1383,9 @@ class TestApplyFilter:
     def test_unknown_parameter_rejected(self):
         image = _volume(np.zeros((4, 4, 4)))
         filt = FilterConfig("mean", {"support": 3, "sigma_mm": 1.0})
-        with pytest.raises(ValueError, match="unknown parameters"):
+        with pytest.raises(ValueError, match=re.escape(
+                "mean filter has unknown key 'sigma_mm'; expected one of ['support'] "
+                "('sigma_mm' applies to: log, gabor)")):
             apply_filter(image, filt, "3d")
 
     def test_anisotropic_log_rejected(self):
@@ -1360,7 +1415,8 @@ class TestApplyFilter:
 
     def test_missing_unit_parameter(self):
         image = _volume(np.zeros((4, 4, 4)))
-        with pytest.raises(ValueError, match="sigma_mm or sigma_vox"):
+        with pytest.raises(ValueError, match="log filter is missing key 'sigma_mm' or "
+                                             "'sigma_vox'"):
             apply_filter(image, FilterConfig("log", {"cutoff": 4.0}), "3d")
 
     def test_wavelet_dispatch_matches_library_call(self):
@@ -1741,7 +1797,9 @@ class TestRunConfiguration:
         config = ProcessingConfig(mode="3d",
                                   filter=FilterConfig("log", {"sigma_mm": 1.0, "support": 3}),
                                   resample_spacing_mm=(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="unknown parameters"):
+        with pytest.raises(ValueError, match=re.escape(
+                "log filter has unknown key 'support'; expected one of "
+                "['sigma_mm', 'sigma_vox', 'cutoff'] ('support' applies to: mean)")):
             run_configuration(image, mask, config)
         assert calls == []
 
@@ -2095,7 +2153,7 @@ filter:
         path.write_text(
             "mode: 3d\nresample:\n  rounding: true\nfilter:\n  kind: none\n"
         )
-        with pytest.raises(ValueError, match="resample block is missing the 'spacing_mm'"):
+        with pytest.raises(ValueError, match="^the resample block is missing key 'spacing_mm'$"):
             load_config(path)
 
     @pytest.mark.parametrize("text,match", [
@@ -2311,6 +2369,68 @@ class TestShippedConfigs:
                         continue
                     assert key != "kind", (name, value)
 
+    # valid values of the settings, and of the Laws kernels in 2-D mode, for
+    # the combined-key fuzz; the filter keys take theirs from _VALID
+    _VALID_SETTINGS = {
+        "mode": ["3d", "2d"], "boundary": ["constant", "periodise"],
+        "boundary_constant": [0.0, 1.5], "resegment_hu": [[-1000, 400]],
+        "resample.spacing_mm": [[2.0, 2.0, 2.0], [1, 1, 1]],
+        "resample.image_interpolation": ["trilinear"], "resample.mask_threshold": [0.25],
+        "resample.rounding": [True], "kernels": ["L5E5"],
+    }
+    _UNKNOWN = ("notes", "boundry", "sigma", "Support", 3)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_combined_keys_fail_by_name_or_run(self, tmp_path_factory, data):
+        # Several settings and filter keys at once, valid, malformed, dropped,
+        # another kind's or unknown: load_config and config.plan either raise a
+        # ValueError naming a drawn or dropped key, or give a plan whose
+        # response on a small volume is finite.
+        valid = collections.defaultdict(list)
+        for key, values in self._VALID_SETTINGS.items():
+            valid[key.rpartition(".")[2]] += values
+        for rows in self._VALID.values():
+            for row in rows:
+                for key, value in row.items():
+                    valid[key].append(value)
+        kind = data.draw(st.sampled_from(sorted(self._VALID)))
+        row = data.draw(st.sampled_from(self._VALID[kind]))
+        others = sorted({*FILTER_PARAMETERS, *self._UNKNOWN} - set(row), key=str)
+        added = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
+        chosen = data.draw(st.sets(st.sampled_from(sorted(voxfilt.pipeline._CONFIG))))
+        if any(key.startswith("resample.") for key in chosen):
+            chosen.add("resample.spacing_mm")
+        chosen = ["mode", *sorted(chosen - {"mode"})]
+        dropped = data.draw(st.sets(st.sampled_from([*row, "mode", "resample.spacing_mm"]),
+                                    max_size=1))
+        keys = [key for key in [*row, *added, *chosen] if key not in dropped]
+        bad = data.draw(st.sets(st.sampled_from(keys), max_size=2)) if keys else set()
+
+        def value(key):
+            name = str(key).rpartition(".")[2]
+            pool = self._MALFORMED if key in bad or not valid[name] else valid[name]
+            return data.draw(st.sampled_from(pool))
+
+        raw = {"filter": {"kind": kind}}
+        for key in keys:
+            if key in row or key in added:
+                raw["filter"][key] = value(key)
+            else:
+                section, _, name = key.rpartition(".")
+                (raw.setdefault(section, {}) if section else raw)[name] = value(key)
+        path = tmp_path_factory.mktemp("fuzz") / "c.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        drawn = {str(key).rpartition(".")[2] for key in [*keys, *dropped]}
+        try:
+            plan = load_config(path)[1].plan((2.0, 2.0, 2.0))
+        except ValueError as exc:
+            assert any(re.search(rf"(?<![\w-]){re.escape(str(key))}(?![\w-])", str(exc))
+                       for key in drawn), (raw, exc)
+            return
+        volume = np.random.default_rng(31).normal(size=(8, 8, 6)) * 100.0
+        assert np.isfinite(plan.run(volume)).all(), raw
+
     def test_both_yaml_parsers_load_alike(self, tmp_path, monkeypatch):
         # libyaml's parser, which load_config takes when PyYAML has it, gives the
         # pure-Python one's configuration or error on every shipped file and on
@@ -2374,6 +2494,12 @@ class TestShippedConfigs:
                     call()
 
     def test_unknown_keys_of_two_types_are_named(self):
+        # the first unknown key is named by its repr, whatever its type
         filt = FilterConfig("mean", {"support": 3, 3: "x", "a": 1})
-        with pytest.raises(ValueError, match=r"unknown parameters \[3, 'a'\]"):
+        with pytest.raises(ValueError, match=re.escape(
+                "mean filter has unknown key 3; expected one of ['support']")):
+            plan_filter(filt, (1.0, 1.0, 1.0), "3d")
+        filt = FilterConfig("mean", {"support": 3, "a": 1, 3: "x"})
+        with pytest.raises(ValueError, match=re.escape(
+                "mean filter has unknown key 'a'; expected one of ['support']")):
             plan_filter(filt, (1.0, 1.0, 1.0), "3d")

@@ -33,6 +33,9 @@ one path.
   runs on numpy and PyYAML alone, and those are exactly the third-party
   modules it imports and the dependencies ``pyproject.toml`` declares.
   A fresh ``import voxfilt`` loads no scipy module.
+* Only ``pipeline._check_keys`` uses ``difflib`` or reads a ``required``
+  attribute, so one function decides which keys are unknown, switched off
+  or missing, for configuration files and ``voxfilt filter``'s flags alike.
 """
 
 import ast
@@ -535,6 +538,57 @@ def test_only_pipeline_imports_yaml():
     assert importers == {"pipeline"}
     sample = "def load(text):\n    from yaml.cyaml import CSafeLoader\n    return CSafeLoader\n"
     assert imported_modules(sample) == {"yaml": {2}}
+
+
+def key_rule_sites(source: str) -> set:
+    """The functions of one module's source that decide which keys are
+    unknown or required: that use ``difflib`` beyond importing it, import
+    from it, or read a ``required`` attribute.  Named as in ``libm_calls``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute):
+            hit = _dotted(node).startswith("difflib.") or (
+                node.attr == "required" and isinstance(node.ctx, ast.Load))
+        else:
+            hit = isinstance(node, ast.ImportFrom) and node.module == "difflib"
+        if hit:
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_one_function_checks_keys():
+    # unknown, missing and switched keys of every block and of voxfilt
+    # filter's flags are decided by one check, so no copy can drift from it
+    found = set()
+    for path in SOURCE.glob("*.py"):
+        found |= {f"{path.stem}.{name}" for name in key_rule_sites(path.read_text())}
+    assert found == {"pipeline._check_keys"}
+
+
+def test_key_rule_checker_sees_a_second_checker():
+    sample = """
+import difflib
+from difflib import get_close_matches
+
+
+def gather(args, specs):
+    missing = [key for key, spec in specs.items() if spec.required and key not in args]
+    parser.add_argument("--out", required=True)
+    return missing
+
+
+class Flags:
+    def hint(self, key):
+        return difflib.get_close_matches(key, self.keys)
+"""
+    assert key_rule_sites(sample) == {"<module>", "gather", "Flags.hint"}
 
 
 # distribution name in pyproject.toml -> the module it is imported as
