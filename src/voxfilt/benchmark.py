@@ -137,7 +137,7 @@ def compare_maps(candidate, reference, tolerance, relative: float = 0.0):
     ref = _map_values(reference)
     if cand.shape != ref.shape:
         raise ValueError(f"map dims differ: {cand.shape} vs {ref.shape}")
-    if tolerance < 0 or relative < 0:
+    if not (tolerance >= 0 and relative >= 0):  # NaN is no tolerance either
         raise ValueError("tolerances must be non-negative")
     diff = np.abs(cand - ref)
     passing = diff <= tolerance + relative * np.abs(ref)

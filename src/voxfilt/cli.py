@@ -224,7 +224,7 @@ def cmd_consensus(args) -> int:
                 )
             ],
         }
-        with open(args.out, "w") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.out}")

@@ -288,7 +288,7 @@ def _rows(test_id: str, features) -> list[dict]:
 
 def write_feature_csv(path, test_id: str, features) -> None:
     """One row per feature; byte-stable for identical inputs."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(
             handle,
             fieldnames=["test_id", "ibsi_id", "name", "value", "value_3sig"],
@@ -299,6 +299,6 @@ def write_feature_csv(path, test_id: str, features) -> None:
 
 
 def write_feature_json(path, test_id: str, features) -> None:
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(_rows(test_id, features), handle, indent=2)
         handle.write("\n")

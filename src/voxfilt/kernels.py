@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import convolve_bank, convolve_separable
+from .image import _MAX_AXIS_VOXELS
 
 __all__ = [
     "LAWS_NAMES",
@@ -39,6 +40,7 @@ _LAWS_TABLE = {
 }
 
 LAWS_NAMES = tuple(_LAWS_TABLE)
+_MAX_TAPS = 2 * _MAX_AXIS_VOXELS + 1  # the widest kernel built, in taps per axis
 
 
 def mean_kernel_1d(m: int) -> np.ndarray:
@@ -49,7 +51,10 @@ def mean_kernel_1d(m: int) -> np.ndarray:
 
 
 def truncated_support(sigma: float, d: float) -> int:
-    """Odd 1-D size M = 1 + 2*floor(d*sigma + 0.5) used by LoG and Gabor."""
+    """Odd 1-D size M = 1 + 2*floor(d*sigma + 0.5) used by LoG and Gabor.  An M
+    over _MAX_TAPS is a slip, not a filter: refused before any tap is built."""
+    if 2.0 * d * sigma >= _MAX_TAPS:
+        raise ValueError(f"sigma {sigma} cut at {d} sigma gives over {_MAX_TAPS} taps")
     return 1 + 2 * int(np.floor(d * sigma + 0.5))
 
 

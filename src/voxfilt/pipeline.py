@@ -33,6 +33,7 @@ from .features import diagnostics, intensity_statistics
 from .image import (_MAX_AXIS_VOXELS, RoiMask, VolumeImage, _check_finite, _check_spacing,
                     _integral, _is_number, map_slices, round_half_away)
 from .kernels import (
+    _MAX_TAPS,
     LAWS_NAMES,
     GaborParams,
     gabor_kernel,
@@ -178,10 +179,11 @@ def load_config(path):
     resample to.  Keys the file leaves out take the ProcessingConfig
     defaults.  ``test_id`` names the output files, so it must be a string
     (null or missing gives ``""``), may hold no path separator or NUL and
-    may not be ``.`` or ``..``.  A file that is not valid YAML is a
+    may not be ``.`` or ``..``.  The bytes are decoded as YAML specifies, not
+    by the locale.  A file that is not valid YAML (UTF-8 or UTF-16) is a
     ValueError naming the file, the problem and its line and column.
     """
-    with open(path) as handle:
+    with open(path, "rb") as handle:
         try:
             raw = yaml.load(handle, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
@@ -551,11 +553,7 @@ class FilterPlan:
     run: Callable[..., np.ndarray]
 
 
-# The widest kernel a plan builds, in taps per axis: twice NIfTI-1's longest
-# axis plus one.  A wider one is a slip, not a filter, and would allocate
-# without bound; a level-16 band already spans 2^16 voxels.
-_MAX_TAPS = 2 * _MAX_AXIS_VOXELS + 1
-_MAX_LEVEL = 16
+_MAX_LEVEL = 16  # a level-16 band already spans 2^16 voxels
 
 
 def _taps(scale, cutoff, what) -> int:

@@ -4,10 +4,10 @@ Rotating a separable cascade by a right angle keeps it separable: each
 rotation amounts to permuting the per-axis stage lists and reversing some
 of them.  :func:`equivariant_cascades` builds every rotation set, a
 one-stage kernel ``g1 (x) g2 (x) g3`` included as
-``equivariant_cascades([[g1], [g2], [g3]])``.  The tables below enumerate
-the 4 planar and 24 spatial cases, labelled by extrinsic Euler angles
-(alpha about k3, then beta about k2, then gamma about k1), so that element
-``(a, b, g)`` equals ``kernel(R_a R_b R_g x)``.
+``equivariant_cascades([[g1], [g2], [g3]])``.  The 4 planar and 24 spatial
+cases are computed from their extrinsic Euler angles (alpha about k3, then
+beta about k2, then gamma about k1), so that element ``(a, b, g)`` equals
+``kernel(R_a R_b R_g x)``; planar labels turn clockwise.
 
 Even-length factors get a trailing zero first.  Reversal must keep the
 centre tap at floor(M/2); without the padding the flipped kernel would
@@ -23,7 +23,7 @@ passes.
 
 Max pooling, and the average of a cascade padded with a non-zero constant,
 group the rotations.  Every rotated stage is matched by value, up to sign,
-against the stages met before it in the table: a reversed symmetric stage
+against the stages met before it in the set: a reversed symmetric stage
 is the stage itself, a reversed antisymmetric one is the stage with sign -1,
 and equal per-axis cascades (HHH) collapse.  Rotations with the same
 sequence of stages form one group, whose response h is computed once, with
@@ -62,7 +62,7 @@ layout with fewer passes, the terms on a tie (6.A: 8 either way).  The
 leaves are folded in as the walk finishes them (depth first, each node's
 children in the order they were first laid out) and the average is then
 divided by the number of rotations, so averages move by ulps against
-summing every rotation in table order.
+summing every rotation in set order.
 
 Every other pooling, over Gabor orientations and over the three plane
 stacks of :func:`orthogonal_plane_average`, goes through :func:`pool`.
@@ -112,62 +112,55 @@ def oddify(kernel) -> np.ndarray:
     return np.append(g, 0.0)
 
 
-# Rows give, for each output axis, the source factor (1-based) and
-# whether it is reversed.  Angles are counted in quarter turns.
-_TABLE_2D = (
-    (0, ((1, False), (2, False))),
-    (1, ((2, True), (1, False))),
-    (2, ((1, True), (2, True))),
-    (3, ((2, False), (1, True))),
+# The 24 spatial rotations as Euler triples in quarter turns, in the order averages are summed.
+_EULER_TRIPLES = (
+    (0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 0, 1), (1, 0, 3),
+    (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 3), (0, 1, 2), (0, 1, 1),
+    (1, 2, 0), (2, 2, 0), (3, 2, 0), (0, 3, 1), (0, 3, 2), (0, 3, 3),
+    (2, 0, 1), (3, 0, 1), (0, 0, 1), (2, 0, 3), (3, 0, 3), (0, 0, 3),
 )
-
-_TABLE_3D = (
-    ((0, 0, 0), ((1, False), (2, False), (3, False))),
-    ((0, 1, 0), ((3, True), (2, False), (1, False))),
-    ((0, 2, 0), ((1, True), (2, False), (3, True))),
-    ((0, 3, 0), ((3, False), (2, False), (1, True))),
-    ((1, 0, 1), ((2, False), (3, False), (1, False))),
-    ((1, 0, 3), ((2, False), (3, True), (1, True))),
-    ((1, 0, 0), ((2, False), (1, True), (3, False))),
-    ((2, 0, 0), ((1, True), (2, True), (3, False))),
-    ((3, 0, 0), ((2, True), (1, False), (3, False))),
-    ((0, 1, 3), ((3, True), (1, True), (2, False))),
-    ((0, 1, 2), ((3, True), (2, True), (1, True))),
-    ((0, 1, 1), ((3, True), (1, False), (2, True))),
-    ((1, 2, 0), ((2, True), (1, True), (3, True))),
-    ((2, 2, 0), ((1, False), (2, True), (3, True))),
-    ((3, 2, 0), ((2, False), (1, False), (3, True))),
-    ((0, 3, 1), ((3, False), (1, True), (2, True))),
-    ((0, 3, 2), ((3, False), (2, True), (1, False))),
-    ((0, 3, 3), ((3, False), (1, False), (2, False))),
-    ((2, 0, 1), ((1, True), (3, False), (2, False))),
-    ((3, 0, 1), ((2, True), (3, False), (1, True))),
-    ((0, 0, 1), ((1, False), (3, False), (2, True))),
-    ((2, 0, 3), ((1, True), (3, True), (2, True))),
-    ((3, 0, 3), ((2, True), (3, True), (1, False))),
-    ((0, 0, 3), ((1, False), (3, True), (2, False))),
-)
-
 _QUARTER = math.pi / 2.0
 
 
+def _turn(axis: int, quarters: int) -> list:
+    """Integer rows of ``quarters`` right-angle turns about ``axis`` (0 for k1)."""
+    c, s = (1, 0, -1, 0)[quarters % 4], (0, 1, 0, -1)[quarters % 4]
+    u, v = (axis + 1) % 3, (axis + 2) % 3
+    turn = [[int(i == j) for j in range(3)] for i in range(3)]
+    turn[u][u], turn[u][v], turn[v][u], turn[v][v] = c, -s, s, c
+    return turn
+
+
+def _row(triple, ndim: int) -> tuple:
+    """With R = R_alpha R_beta R_gamma (about k3, k2, k1), output axis d takes
+    the source factor i (1-based) where R[i][d] is non-zero, reversed where -1."""
+    r = _turn(2, triple[0])
+    for turn in (_turn(1, triple[1]), _turn(0, triple[2])):
+        r = [[sum(r[i][k] * turn[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return tuple(next((i + 1, r[i][d] < 0) for i in range(ndim) if r[i][d]) for d in range(ndim))
+
+
+_ROTATIONS = {  # ndim -> (labels in radians, rows); planar labels turn clockwise
+    2: (tuple(q * _QUARTER for q in range(4)), tuple(_row((-q, 0, 0), 2) for q in range(4))),
+    3: (tuple(tuple(q * _QUARTER for q in t) for t in _EULER_TRIPLES),
+        tuple(_row(t, 3) for t in _EULER_TRIPLES)),
+}
+
+
 def _oriented_stages(stage_lists):
-    """The rotation table and label function for ``stage_lists``, and each
-    axis's oddified stages, forward and reversed."""
-    if len(stage_lists) == 2:
-        table = _TABLE_2D
-        label_fn = lambda q: q * _QUARTER  # noqa: E731
-    elif len(stage_lists) == 3:
-        table = _TABLE_3D
-        label_fn = lambda q: tuple(a * _QUARTER for a in q)  # noqa: E731
-    else:
+    """The rotation labels, rows and rotated elements for ``stage_lists``,
+    and each axis's oddified stages, forward and reversed."""
+    if len(stage_lists) not in _ROTATIONS:
         raise ValueError("cascades cover 2 or 3 axes")
     depth = len(stage_lists[0])
     if depth == 0 or any(len(stages) != depth for stages in stage_lists):
         raise ValueError("every axis needs the same non-zero number of stages")
+    labels, rows = _ROTATIONS[len(stage_lists)]
     forward = tuple(tuple(oddify(s) for s in stages) for stages in stage_lists)
     reverse = tuple(tuple(flip_1d(s) for s in stages) for stages in forward)
-    return table, label_fn, forward, reverse
+    elements = tuple(tuple(reverse[src - 1] if flip else forward[src - 1] for src, flip in row)
+                     for row in rows)
+    return labels, rows, elements, forward, reverse
 
 
 def equivariant_cascades(stage_lists):
@@ -179,12 +172,8 @@ def equivariant_cascades(stage_lists):
     every stage oddified and reversed as the rotation demands.  Reversing
     stage by stage is exact because reversal distributes over convolution.
     """
-    table, label_fn, forward, reverse = _oriented_stages(stage_lists)
-    elements = tuple(
-        tuple(reverse[src - 1] if flip else forward[src - 1] for src, flip in row)
-        for _, row in table
-    )
-    return elements, tuple(label_fn(angles) for angles, _ in table)
+    labels, _, elements, _, _ = _oriented_stages(stage_lists)
+    return elements, labels
 
 
 def cascade(image, stage_lists, boundary: str, constant: float = 0.0) -> np.ndarray:
@@ -209,14 +198,14 @@ class PooledCascade:
     def __init__(self, stage_lists, pool_mode: str, boundary: str, constant: float = 0.0):
         self.pool_mode = _check_pool_mode(pool_mode)
         self.boundary, self.constant = boundary, constant
-        table, _, self._forward, self._reverse = _oriented_stages(stage_lists)
-        self.ndim, self.rotations = len(stage_lists), len(table)
+        _, rows, elements, self._forward, self._reverse = _oriented_stages(stage_lists)
+        self.ndim, self.rotations = len(stage_lists), len(rows)
         self.kernels = []
         self._index = {}  # kernel bytes, zeros unsigned -> position in self.kernels
         linear = boundary != "constant" or constant == 0.0
-        layouts = [self._groups(table, linear)]
+        layouts = [self._groups(elements, linear)]
         if pool_mode == "average" and linear:
-            layouts.insert(0, self._terms(table))
+            layouts.insert(0, self._terms(rows))
         # the layout with fewer passes, the regrouped terms on a tie
         self._trie, self.passes, self.leaves, self._divisor = min(
             (self._layout(leaves) for leaves in layouts), key=lambda layout: layout[1])
@@ -251,7 +240,7 @@ class PooledCascade:
             self.kernels.append(kernel)
         return self._index[key]
 
-    def _groups(self, table, linear):
+    def _groups(self, elements, linear):
         """Rotations with one stage sequence, matched up to sign, as trie leaves.
 
         Returns {steps: (rotations of sign +1, rotations of sign -1)} for max
@@ -261,9 +250,7 @@ class PooledCascade:
         """
         depth = len(self._forward[0])
         groups = {}
-        for _, row in table:
-            element = [self._reverse[src - 1] if flip else self._forward[src - 1]
-                       for src, flip in row]
+        for element in elements:
             steps, sign = [], 1
             for level in range(depth):
                 signed = linear or level == depth - 1
@@ -283,14 +270,14 @@ class PooledCascade:
             return {steps: tuple(counts) for steps, counts in groups.items()}
         return {steps: plus - minus for steps, (plus, minus) in groups.items() if plus != minus}
 
-    def _terms(self, table):
+    def _terms(self, rows):
         """The average regrouped per axis, as trie leaves {steps: weight a_S}."""
         ndim, depth = self.ndim, len(self._forward[0])
         first = {}  # stage bytes -> first axis with those stages
         source = [first.setdefault(tuple((s + 0.0).tobytes() for s in stages), axis)
                   for axis, stages in enumerate(self._forward)]
         groups = {}  # source axis per output axis -> reversal pattern -> rotations
-        for _, row in table:
+        for row in rows:
             patterns = groups.setdefault(tuple(source[src - 1] for src, _ in row), {})
             pattern = tuple(flip for _, flip in row)
             patterns[pattern] = patterns.get(pattern, 0) + 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,8 +166,10 @@ class TestCompareMaps:
             compare_maps(np.zeros((3, 3)), np.zeros((4, 4)), 0.0)
 
     def test_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            compare_maps(np.zeros((2, 2)), np.zeros((2, 2)), -1.0)
+        # NaN passes a "< 0" check, but compares false with every difference
+        for tolerance, relative in [(-1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError, match="tolerances must be non-negative"):
+                compare_maps(np.zeros((2, 2)), np.zeros((2, 2)), tolerance, relative)
 
 
 class TestConsensusLevel:

@@ -503,6 +503,17 @@ class TestCompareCommand:
             "compare", str(a), str(b), "--tolerance", "1e-6", "--relative", "0.02",
         ]) == 0
 
+    @pytest.mark.parametrize("flags", [["--tolerance", "nan"],
+                                       ["--tolerance", "0", "--relative", "nan"]])
+    def test_nan_tolerance_rejected(self, tmp_path, capsys, flags):
+        # a map compared with itself must not FAIL under a tolerance of NaN
+        a = tmp_path / "a.nii"
+        _write_volume(a, np.full((4, 4, 4), 1.0))
+        assert main(["compare", str(a), str(a)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerances must be non-negative\n"
+
 
 class TestConsensusCommand:
     def test_report(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from voxfilt.kernels import (
 )
 from voxfilt.convolve import convolve_full
 from voxfilt.pipeline import FilterConfig, plan_filter
+from voxfilt.riesz import structure_tensor
 
 from dispatch import digests_at_dispatch_levels
 
@@ -80,6 +81,30 @@ def test_gaussian_taps_do_not_depend_on_simd_dispatch():
     # numpy's exp rounds differently per SIMD level; math.exp does not
     results = digests_at_dispatch_levels(_GAUSSIAN_PROBE)
     assert {digest for _, digest in results} == {results[0][1]}, results
+
+
+class TestWidthCap:
+    # twice NIfTI-1's longest axis plus one; past it a builder would fill one
+    # Python float per tap (8e9 at sigma 1e9) before anything raised
+    def test_support_up_to_the_cap(self):
+        assert truncated_support(32767.4 / 4.0, 4.0) == 65535
+        with pytest.raises(ValueError, match="gives over 65535 taps"):
+            truncated_support(32767.5 / 4.0, 4.0)
+
+    def test_support_beyond_the_cap(self):
+        with pytest.raises(ValueError, match="gives over 65535 taps"):
+            truncated_support(1e9, 4.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: gaussian_kernel_1d(1e9),
+        lambda: log_kernel_1d(1e9),
+        lambda: log_kernel(1e9, 3),
+        lambda: structure_tensor([np.zeros((4, 4)), np.zeros((4, 4))], 1e9),
+        lambda: GaborParams(sigma=1e9, wavelength=2.0).support,
+    ], ids=["gaussian_kernel_1d", "log_kernel_1d", "log_kernel", "structure_tensor", "gabor"])
+    def test_every_builder_refuses_before_building(self, build):
+        with pytest.raises(ValueError, match="gives over 65535 taps"):
+            build()
 
 
 class TestLogKernel:

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -24,7 +25,7 @@ import voxfilt.pipeline
 import voxfilt.riesz
 import voxfilt.rotinv
 
-from voxfilt.features import intensity_statistics
+from voxfilt.features import FeatureValue, intensity_statistics, write_feature_csv
 from voxfilt.image import RoiMask, VolumeImage, create_image, round_half_away
 from voxfilt.boundary import BOUNDARY_MODES
 from voxfilt.kernels import (
@@ -2235,6 +2236,48 @@ filter:
         assert message.startswith(f"configuration file {path} is not valid YAML: "
                                   "unacceptable character #x0007")
         assert message.endswith("position 25") and "\n" not in message
+
+    _ASCII_LOCALE_PROBE = """
+import codecs, locale, sys, yaml
+import voxfilt.pipeline
+from voxfilt.features import FeatureValue, write_feature_csv
+assert codecs.lookup(locale.getpreferredencoding(False)).name == "ascii"
+print(ascii(voxfilt.pipeline.load_config(sys.argv[1])))
+write_feature_csv(sys.argv[3], "caf\\u00e9-\\u03c3", [FeatureValue("Q4LE", "\\u03c3 mean", 0.1)])
+for loader in ("SafeLoader", "CSafeLoader"):
+    voxfilt.pipeline._YAML_LOADER = getattr(yaml, loader)
+    try:
+        voxfilt.pipeline.load_config(sys.argv[2])
+    except ValueError as exc:
+        print(ascii(str(exc)))
+"""
+
+    def test_ascii_locale_reads_and_writes_alike(self, tmp_path):
+        # configuration files are YAML (UTF-8 or UTF-16) and feature CSVs are
+        # UTF-8 on every host, whatever the locale's encoding
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        text = "# sigma \u03c3 in mm\ntest_id: 3.A\nmode: 3d\nfilter:\n  kind: log\n  sigma_mm: 2\n"
+        config, latin, csv_path = tmp_path / "c.yaml", tmp_path / "l.yaml", tmp_path / "f.csv"
+        config.write_bytes(text.encode("utf-8"))
+        latin.write_bytes(text.encode("latin-1", "replace").replace(b"3.A", b"caf\xe9"))
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", self._ASCII_LOCALE_PROBE,
+                               str(config), str(latin), str(csv_path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded, *errors = done.stdout.splitlines()
+        assert loaded == ascii(load_config(config))
+        expected = tmp_path / "expected.csv"
+        write_feature_csv(expected, "caf\u00e9-\u03c3", [FeatureValue("Q4LE", "\u03c3 mean", 0.1)])
+        assert csv_path.read_bytes() == expected.read_bytes()
+        assert "caf\u00e9-\u03c3,Q4LE,\u03c3 mean,".encode() in expected.read_bytes()
+        assert len(errors) == 2
+        for error in errors:
+            assert error.startswith(ascii(f"configuration file {latin} is not valid YAML: ")[:-1])
+            assert "unacceptable character #x" in error
 
     def test_resample_not_a_mapping(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -14,6 +14,10 @@ one path.
   its file object), no ``zlib.compress`` and no ``compressobj``.  The
   writer frames stored gzip blocks itself; ``zlib.crc32`` and reading
   through ``GzipFile`` are free.
+* Every file is opened in a binary mode or with an ``encoding=``: text
+  decoded or encoded in the locale's encoding differs between hosts.  The
+  check covers ``open``, ``io.open``, ``gzip.open``, a path's ``open``
+  method and ``read_text`` and ``write_text``.
 * Every name in a module's ``__all__`` resolves, so a deleted function
   cannot leave a stale export behind.
 * Every ``(module, function)`` entry of ``perfbench/spans.py``'s ``TARGETS``
@@ -218,6 +222,60 @@ def helper(raw, handle, mode):
 """
     # no module may compress, the NIfTI writer included; crc32 is free
     assert compression_violations(sample) == {4, 5, 8, 9} | set(range(16, 23))
+
+
+def text_open_violations(source: str) -> set:
+    """The lines of one module's source that open a file in text mode without
+    an ``encoding=``.  A mode that is not a literal counts as text."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or any(k.arg == "encoding" for k in node.keywords):
+            continue
+        name = _dotted(node.func)
+        if name.endswith((".read_text", ".write_text")):
+            found.add(node.lineno)
+        elif name in ("open", "io.open", "gzip.open") or (
+                name.endswith(".open") and name != "os.open"):
+            # a path's open method takes the mode first; gzip.open defaults to "rb"
+            first = 1 if name in ("open", "io.open", "gzip.open") else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[first:first + 1]
+            mode = modes[0] if modes else ast.Constant("rb" if name == "gzip.open" else "r")
+            if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
+                found.add(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_package_opens_text_with_an_encoding(path):
+    assert text_open_violations(path.read_text()) == set()
+
+
+def test_text_open_checker_sees_each_breach():
+    sample = """
+import gzip
+import io
+import os
+
+def helper(path, mode):
+    open(path, "rb").read()
+    open(path, mode="wb")
+    open(path, encoding="utf-8").read()
+    open(path, "w", newline="", encoding="utf-8")
+    gzip.open(path).read()
+    os.open(path, os.O_RDONLY)
+    path.open("rb")
+    path.read_bytes()
+    path.read_text(encoding="utf-8")
+    open(path)
+    open(path, "w", newline="")
+    open(path, mode)
+    io.open(path, "rt")
+    gzip.open(path, "wt")
+    path.open()
+    path.read_text()
+    path.write_text("x")
+"""
+    assert text_open_violations(sample) == set(range(16, 24))
 
 
 def _reaches_libm(node) -> bool:
