@@ -232,12 +232,12 @@ def text_open_violations(source: str) -> set:
         if not isinstance(node, ast.Call) or any(k.arg == "encoding" for k in node.keywords):
             continue
         name = _dotted(node.func)
+        builtin = name in ("open", "io.open", "gzip.open")
         if name.endswith((".read_text", ".write_text")):
             found.add(node.lineno)
-        elif name in ("open", "io.open", "gzip.open") or (
-                name.endswith(".open") and name != "os.open"):
+        elif builtin or (name.endswith(".open") and name != "os.open"):
             # a path's open method takes the mode first; gzip.open defaults to "rb"
-            first = 1 if name in ("open", "io.open", "gzip.open") else 0
+            first = 1 if builtin else 0
             modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[first:first + 1]
             mode = modes[0] if modes else ast.Constant("rb" if name == "gzip.open" else "r")
             if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
