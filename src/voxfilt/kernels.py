@@ -52,7 +52,12 @@ def mean_kernel_1d(m: int) -> np.ndarray:
 
 def truncated_support(sigma: float, d: float) -> int:
     """Odd 1-D size M = 1 + 2*floor(d*sigma + 0.5) used by LoG and Gabor.  An M
-    over _MAX_TAPS is a slip, not a filter: refused before any tap is built."""
+    over _MAX_TAPS is a slip, not a filter: refused before any tap is built,
+    as is a sigma or d that is not positive (NaN included)."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not d > 0:
+        raise ValueError(f"truncation parameter must be positive, got {d}")
     if 2.0 * d * sigma >= _MAX_TAPS:
         raise ValueError(f"sigma {sigma} cut at {d} sigma gives over {_MAX_TAPS} taps")
     return 1 + 2 * int(np.floor(d * sigma + 0.5))
@@ -61,10 +66,6 @@ def truncated_support(sigma: float, d: float) -> int:
 def _gaussian_samples(sigma: float, d: float) -> tuple:
     """Offsets t of the truncated support and one ``math.exp(-t^2 / 2 sigma^2)`` per t,
     a Python float whose bytes no SIMD dispatch level moves; t and -t agree."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if d <= 0:
-        raise ValueError(f"truncation parameter must be positive, got {d}")
     m = truncated_support(sigma, d)
     offsets = range(-(m // 2), m // 2 + 1)
     return offsets, [math.exp(-t * t / (2.0 * sigma**2)) for t in offsets]
@@ -161,13 +162,12 @@ class GaborParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.wavelength <= 0 or self.gamma <= 0:
+        if not (self.sigma > 0 and self.wavelength > 0 and self.gamma > 0):
             raise ValueError("sigma, wavelength and gamma must all be positive")
 
     @property
     def support(self) -> int:
-        scale = self.sigma if self.gamma <= 1.0 else self.gamma * self.sigma
-        return truncated_support(scale, 4.0)
+        return truncated_support(self.sigma * max(self.gamma, 1.0), 4.0)
 
 
 def gabor_kernel(params: GaborParams) -> np.ndarray:

@@ -797,8 +797,7 @@ _PLANNERS = {
                             "gamma": _Param(float, 1.0),
                             "dtheta": _Param(float, required=True, switch=_ROTINV),
                             "theta": _Param(float, 0.0, low=-math.inf, switch=_NOT_ROTINV),
-                            "rotation_invariance": _FLAG, "pool": _pool("average"),
-                            "orthogonal_planes": _FLAG}),
+                            "rotation_invariance": _FLAG, "pool": _pool("average")}),
     "wavelet": (_plan_wavelet, {"family": _Param(WAVELET_NAMES, required=True), "level": _LEVEL,
                                 "subband": _Param(_check_subband, required=True),
                                 "rotation_invariance": _FLAG, "pool": _pool("average"),
@@ -879,8 +878,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     ``constant`` against theirs in ``_CONFIG``, before the planner runs, and
     each error names the key.  The plan's ``run`` filters
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
-    the planar Gabor filter needs ``orthogonal_planes`` and an isotropic
-    grid and averages its plane responses over the three plane stacks.
+    the planar Gabor filter needs an isotropic grid and always averages its
+    plane responses over the three plane stacks, as its route says.
     Planes are filtered in slabs (:func:`voxfilt.image.map_slices`): the op
     gets runs of consecutive planes, up to 4 of 128^2, as one (k, n1, n2)
     stack whose leading axis is a batch, and the slabs run on ``threads``
@@ -914,15 +913,9 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
                          "pick one unit system per invocation")
     if mode == "2d" and params.get("decimated") is True:
         raise ValueError("the decimated transform runs on the full volume; use mode 3d")
-    if mode == "2d" and params.get("orthogonal_planes") is True:
-        raise ValueError(f"{kind} filter orthogonal_planes applies only in mode 3d; "
-                         "in 2d mode every slice is filtered in its own plane")
     axes = tuple(spacing[:2]) if mode == "2d" else tuple(spacing)
     slices = map_slices if mode == "2d" and kind != "none" else None
     if kind == "gabor" and mode == "3d":
-        if params.get("orthogonal_planes") is not True:
-            raise ValueError("the Gabor filter is planar; in 3d mode enable orthogonal_planes "
-                             "or run it in 2d mode")
         scale = _isotropic_scale(axes, "the Gabor filter")
         axes = (scale, scale)
         slices = orthogonal_plane_average
@@ -937,6 +930,8 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
                              "must be neither 0 nor inf")
         p[key] = value
     route, op = planner(p, axes, boundary, constant)
+    if slices is orthogonal_plane_average:
+        route += ", mean of the three orthogonal plane stacks"
     summary = _summary(kind, mode, boundary, constant, specs, p, route)
     transfers = TransferCache()
 

@@ -31,7 +31,7 @@ from voxfilt.kernels import (
     truncated_support,
 )
 from voxfilt.nifti import write_nifti
-from voxfilt.pipeline import FilterConfig, plan_filter
+from voxfilt.pipeline import FilterConfig, load_config, plan_filter
 from voxfilt.riesz import riesz_indices, riesz_transfer
 from voxfilt.rotinv import equivariant_cascades, oddify
 from voxfilt.wavelets import RadialProfile, atrous_upsample, radial_transfer, wavelet_family
@@ -485,3 +485,67 @@ def test_criterion_14_end_to_end_determinism(tmp_path):
     assert repeat_ok
     assert threads_ok
     assert elapsed < 120.0
+
+
+def _mismatch(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_criterion_15_metamorphic_invariances():
+    # Every shipped config's filter, planned at 1 mm with periodise, on a seeded
+    # 24^3 volume.  Doubling the input doubles the response bit for bit.  A
+    # periodic roll commutes bit for bit on the spatial routes and within
+    # round-off on the Fourier ones.  A quarter turn in each plane of the
+    # filtered axes commutes.  The unaligned Riesz filters (10.x) are
+    # directional: a turn of (k1, k2) maps their l = (0, 2) component to the
+    # (2, 0) one, checked against that component's plan, and their even order
+    # commutes with every axis flip.  Each bound is ten times the largest
+    # mismatch measured on its route, as a fraction of the response maximum,
+    # and a bound of 0 asks for the same bytes: every relation that holds bit
+    # for bit today, the identity's turns and 2d mode's slice-axis moves too.
+    volume = np.random.default_rng(15).normal(size=(24, 24, 24))
+    roll_bounds = {"gabor": 6.6e-15, "nonseparable": 6.6e-15, "riesz": 6.6e-15}
+    shift = (5, 3, 7)
+    start = time.process_time()
+    failures, checked = [], 0
+    names = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".yaml"))
+    assert len(names) == 22
+    for name in names:
+        tid, config = load_config(os.path.join(CONFIG_DIR, name))
+        kind, params, mode = config.filter.kind, config.filter.params, config.mode
+        directional = kind == "riesz" and not params.get("align")
+
+        def plan(**change):
+            return plan_filter(FilterConfig(kind, {**params, **change}), (1.0, 1.0, 1.0), mode,
+                               "periodise").run
+
+        run = plan()
+        want = run(volume)
+        rolled = np.roll(run(np.roll(volume, shift, (0, 1, 2))), [-s for s in shift], (0, 1, 2))
+        cases = [("x2", run(2.0 * volume), 2.0 * want, 0.0),
+                 ("roll", rolled, want,
+                  {"11.A": 4.7e-14, "11.B": 2.0e-13}.get(tid, roll_bounds.get(kind, 0.0)))]
+        planes = [(0, 1), (0, 2), (1, 2)] if mode == "3d" else [(0, 1)]
+        for plane in planes:
+            turned_run = run
+            if directional:
+                l = list(params["l"])
+                l[plane[0]], l[plane[1]] = l[plane[1]], l[plane[0]]
+                turned_run = plan(l=l)
+            turned = np.rot90(turned_run(np.rot90(volume, 1, plane)), -1, plane)
+            cases.append((f"turn {plane}", turned, want, 0.0 if kind == "none" else
+                          4.3e-13 if tid.startswith("11.") else 7.4e-15))
+        if directional:
+            cases += [(f"flip {axis}", np.flip(run(np.flip(volume, axis)), axis), want,
+                       0.0 if mode == "2d" and axis == 2 else 6.2e-15) for axis in range(3)]
+        for check, got, expected, bound in cases:
+            exact = got.tobytes() == expected.tobytes()
+            if not (exact if bound == 0.0 else _mismatch(got, expected) <= bound):
+                failures.append((tid, check, _mismatch(got, expected), bound))
+            checked += 1
+    elapsed = time.process_time() - start
+    ok = not failures and elapsed < 2.0
+    _line(15, ok, f"{checked} metamorphic checks on {len(names)} configs, {len(failures)} failed, "
+                  f"{elapsed:.2f} s CPU")
+    assert failures == []
+    assert elapsed < 2.0

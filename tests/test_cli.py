@@ -234,7 +234,7 @@ class TestFilterCommand:
                                            "(required with --rotinv)\n")
         assert not (tmp_path / "o.nii").exists()
         assert main(gabor) == 0
-        assert ", theta 0.0, rotation_invariance false," in capsys.readouterr().err
+        assert ", theta 0.0, rotation_invariance false; kernel size" in capsys.readouterr().err
 
     def test_decimated_logs_its_plan_before_the_transform(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -333,7 +333,7 @@ class TestFilterCommand:
         _write_volume(src, rng.normal(size=(6, 6, 6)), spacing=(1.0, 1.0, 2.0))
         code = main([
             "filter", str(src), "--out", str(tmp_path / "o.nii"), "--filter", "gabor",
-            "--mode", "3d", "--orthogonal-planes", "--sigma-vox", "2", "--lambda-vox", "3",
+            "--mode", "3d", "--sigma-vox", "2", "--lambda-vox", "3",
         ])
         assert code == 1
         err = capsys.readouterr().err
@@ -401,7 +401,7 @@ class TestFilterCommand:
             reached |= params
         assert reached == set(FILTER_PARAMETERS)
 
-    @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated"])
+    @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated", "--orthogonal-planes"])
     def test_removed_flags_rejected(self, tmp_path, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([
@@ -636,7 +636,7 @@ class TestRunCommand:
                             "l": [0, -1, 3]}, "non-negative"),
         "gabor-pool": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
                         "rotation_invariance": True, "dtheta": math.pi / 4,
-                        "pool": "median", "orthogonal_planes": True}, "pool must be one of"),
+                        "pool": "median"}, "pool must be one of"),
         "laws-energy-delta": ({"kind": "laws", "kernels": "L5E5E5", "energy_delta": -2},
                               "energy_delta"),
         "laws-string-flag": ({"kind": "laws", "kernels": "L5E5E5",
@@ -657,15 +657,15 @@ class TestRunCommand:
         # parameters that their switch would ignore
         "gabor-theta-rotinv": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
                                 "rotation_invariance": True, "dtheta": math.pi / 4,
-                                "theta": 0.3, "orthogonal_planes": True},
+                                "theta": 0.3},
                                "gabor filter key 'theta' applies only without "
                                "'rotation_invariance'; drop it"),
         "gabor-dtheta-alone": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
-                                "dtheta": math.pi / 4, "orthogonal_planes": True},
+                                "dtheta": math.pi / 4},
                                "gabor filter key 'dtheta' applies only with "
                                "'rotation_invariance'; drop it"),
         "gabor-pool-alone": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
-                              "pool": "max", "orthogonal_planes": True},
+                              "pool": "max"},
                              "gabor filter key 'pool' applies only with "
                              "'rotation_invariance'; drop it"),
         "laws-pool-alone": ({"kind": "laws", "kernels": "L5E5E5", "pool": "average"},
@@ -689,8 +689,20 @@ class TestRunCommand:
         "log-string-cutoff": ({"kind": "log", "sigma_mm": 2.0, "cutoff": "3"},
                               "cutoff must be a number"),
         "gabor-bool-gamma": ({"kind": "gabor", "sigma_mm": 2.0, "lambda_mm": 2.0,
-                              "gamma": True, "orthogonal_planes": True},
+                              "gamma": True},
                              "gamma must be a number"),
+        # kernels past the 65535-tap cap, named by the keys that size them
+        "log-width": ({"kind": "log", "sigma_vox": 9000},
+                      "log filter sigma and cutoff give a kernel wider than 65535 taps"),
+        "gabor-width": ({"kind": "gabor", "sigma_vox": 6000, "lambda_vox": 3.0, "gamma": 1.5},
+                        "gabor filter sigma and gamma give a kernel wider than 65535 taps"),
+        "riesz-width": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
+                         "align": True, "sigma_tensor_vox": 9000},
+                        "riesz filter sigma_tensor give a kernel wider than 65535 taps"),
+        # the Gabor layout, which 3-D mode decides, is no key
+        "gabor-orthogonal-planes": ({"kind": "gabor", "sigma_vox": 2.0, "lambda_vox": 3.0,
+                                     "orthogonal_planes": True},
+                                    "gabor filter has unknown key 'orthogonal_planes'"),
         # a tensor scale that the smoothing cannot use
         "riesz-tensor-mm-zero": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                   "l": [0, 2, 0], "align": True, "sigma_tensor_mm": 0},
@@ -701,11 +713,14 @@ class TestRunCommand:
     }
 
     @pytest.mark.parametrize("case", sorted(_BAD_FILTERS))
-    def test_bad_filter_parameter_fails_before_logging(self, tmp_path, capsys, case):
+    def test_bad_filter_parameter_fails_before_logging(self, tmp_path, monkeypatch, capsys,
+                                                       case):
         block, message = self._BAD_FILTERS[case]
         filt = FilterConfig(block["kind"], {k: v for k, v in block.items() if k != "kind"})
         with pytest.raises(ValueError, match=message):
             plan_filter(filt, (2.0, 2.0, 2.0), "3d")
+        calls = []
+        monkeypatch.setattr(voxfilt.pipeline, "resample_image", lambda *a: calls.append(a))
         src, mask, config = self._fixture(tmp_path)
         config.write_text(yaml.safe_dump({
             "test_id": "T", "mode": "3d", "resample": {"spacing_mm": [1.0, 1.0, 1.0]},
@@ -717,16 +732,16 @@ class TestRunCommand:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
         assert "filter:" not in err
-        assert not (tmp_path / "r").exists()
+        assert calls == [] and not (tmp_path / "r").exists()
 
     # Non-finite and degenerate filter values: each names its key before the plan is
     # logged or the image is resampled (they used to overflow, divide by zero, fail
     # to convert NaN to an integer, or plan a "wavelength nan" filter).
     _RIESZ = {"kind": "riesz", "wavelet": "simoncelli", "level": 1, "l": [0, 2, 0],
               "align": True}
-    _GABOR = {"kind": "gabor", "sigma_vox": 2.0, "lambda_vox": 3.0, "orthogonal_planes": True}
+    _GABOR = {"kind": "gabor", "sigma_vox": 2.0, "lambda_vox": 3.0}
     _NON_FINITE = {
         "log-sigma-inf": ({"kind": "log", "sigma_mm": math.inf}, "sigma_mm"),
         "log-sigma-tiny": ({"kind": "log", "sigma_mm": 1e-300}, "sigma_mm"),

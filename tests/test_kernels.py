@@ -107,6 +107,43 @@ class TestWidthCap:
             build()
 
 
+class TestScaleCheck:
+    # a NaN compares false with everything, so each check asks for a positive
+    # value; a NaN used to reach int() ("cannot convert float NaN to integer")
+    # and a negative one gave a negative support
+    _SIGMA = "sigma must be positive"
+    _CUTOFF = "truncation parameter must be positive"
+    _GABOR = "sigma, wavelength and gamma must all be positive"
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: truncated_support(math.nan, 4.0), _SIGMA),
+        (lambda: truncated_support(0.0, 4.0), _SIGMA),
+        (lambda: truncated_support(-1.0, 4.0), _SIGMA),
+        (lambda: truncated_support(2.0, math.nan), _CUTOFF),
+        (lambda: truncated_support(2.0, 0.0), _CUTOFF),
+        (lambda: truncated_support(2.0, -1.0), _CUTOFF),
+        (lambda: gaussian_kernel_1d(math.nan), _SIGMA),
+        (lambda: gaussian_kernel_1d(2.0, math.nan), _CUTOFF),
+        (lambda: log_kernel_1d(math.nan), _SIGMA),
+        (lambda: log_kernel_1d(2.0, math.nan), _CUTOFF),
+        (lambda: log_kernel(math.nan, 2), _SIGMA),
+        (lambda: structure_tensor([np.zeros((4, 4)), np.zeros((4, 4))], math.nan), _SIGMA),
+        (lambda: GaborParams(math.nan, 2.0).support, _GABOR),
+        (lambda: GaborParams(2.0, math.nan), _GABOR),
+        (lambda: GaborParams(2.0, 2.0, gamma=math.nan), _GABOR),
+        (lambda: GaborParams(2.0, 0.0), _GABOR),
+        (lambda: GaborParams(2.0, 2.0, gamma=-1.0), _GABOR),
+    ], ids=["support-sigma-nan", "support-sigma-zero", "support-sigma-negative",
+            "support-cutoff-nan", "support-cutoff-zero", "support-cutoff-negative",
+            "gaussian-sigma-nan", "gaussian-cutoff-nan", "log-sigma-nan", "log-cutoff-nan",
+            "log-kernel-sigma-nan", "structure-tensor-sigma-nan", "gabor-sigma-nan",
+            "gabor-wavelength-nan", "gabor-gamma-nan", "gabor-wavelength-zero",
+            "gabor-gamma-negative"])
+    def test_refused_with_its_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestLogKernel:
     def test_size_rule(self):
         assert truncated_support(2.5, 4.0) == 21

@@ -694,12 +694,15 @@ class TestPlanFilter:
         np.testing.assert_array_equal(plan.run(image.data), apply_filter(image, filt, "3d"))
 
     def test_gabor_plan_runs_on_slices(self):
-        filt = FilterConfig(
-            "gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0, "orthogonal_planes": True}
-        )
+        filt = FilterConfig("gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0})
         plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d")
-        assert plan.summary.startswith("gabor filter: mode 3d, boundary mirror, sigma_vox 2.0, "
-                                       "lambda_vox 3.0,")
+        # 3-D mode always averages the three plane stacks, and the route says so
+        assert plan.summary == ("gabor filter: mode 3d, boundary mirror, sigma_vox 2.0, "
+                                "lambda_vox 3.0, gamma 1.0, theta 0.0, rotation_invariance "
+                                "false; kernel size 17, 1 orientations, FFT route, mean of "
+                                "the three orthogonal plane stacks")
+        assert plan_filter(filt, (2.0, 2.0, 2.0), "2d").summary.endswith(
+            "; kernel size 17, 1 orientations, FFT route")
         assert plan.run(np.zeros((9, 9, 9))).shape == (9, 9, 9)
         with pytest.raises(ValueError, match="isotropic"):
             plan_filter(filt, (1.0, 1.0, 2.0), "3d")
@@ -718,7 +721,7 @@ class TestPlanFilter:
         monkeypatch.setattr(voxfilt.pipeline, "gabor_kernel", counting_kernel, raising=False)
         filt = FilterConfig("gabor", {
             "sigma_vox": 2.0, "lambda_vox": 3.0, "gamma": 1.5, "rotation_invariance": True,
-            "dtheta": np.pi / 8, "pool": "average", "orthogonal_planes": True,
+            "dtheta": np.pi / 8, "pool": "average",
         })
         image = _volume(np.random.default_rng(22).normal(size=(9, 8, 7)))
         out = apply_filter(image, filt, "3d", threads=2)
@@ -740,7 +743,7 @@ class TestPlanFilter:
         monkeypatch.setattr(voxfilt.convolve, "kernel_to_transfer", counting_transfer)
         filt = FilterConfig("gabor", {
             "sigma_vox": 1.0, "lambda_vox": 3.0, "rotation_invariance": True,
-            "dtheta": np.pi / 4, "orthogonal_planes": True,
+            "dtheta": np.pi / 4,
         })
         volume = np.random.default_rng(23).normal(size=dims)
         reference = None
@@ -870,6 +873,36 @@ class TestPlanFilter:
             plan_filter(filt, (1.0, 1.0, 1.0), "3d")
 
 
+# Every bool key of the parameter table, with a mode, the keys its filter
+# needs and the keys its switch needs when on.  Each must plan both true and
+# false: a bool whose legal value the mode fixes is not a switch but a
+# forced value the plan should work out itself.
+_SWITCHES = [
+    ("laws", "rotation_invariance", "3d", {"kernels": "L5E5E5"}, {}),
+    ("gabor", "rotation_invariance", "2d", {"sigma_vox": 1.0, "lambda_vox": 2.0},
+     {"dtheta": math.pi / 4}),
+    ("wavelet", "rotation_invariance", "3d", {"family": "haar", "level": 1, "subband": "LLH"},
+     {}),
+    ("wavelet", "decimated", "3d", {"family": "haar", "level": 1, "subband": "LLH"}, {}),
+    ("riesz", "align", "3d", {"wavelet": "shannon", "level": 1, "l": [0, 2, 0]},
+     {"sigma_tensor_vox": 1.0}),
+]
+
+
+def test_switch_table_covers_every_bool_filter_key():
+    assert {(kind, key) for kind, key, *_ in _SWITCHES} == {
+        (kind, key) for kind, (_, specs) in _PLANNERS.items()
+        for key, spec in specs.items() if spec.type is bool}
+
+
+@pytest.mark.parametrize("kind,key,mode,base,companions", _SWITCHES,
+                         ids=[f"{kind}.{key}" for kind, key, *_ in _SWITCHES])
+@pytest.mark.parametrize("on", [True, False])
+def test_every_bool_filter_key_is_a_real_switch(kind, key, mode, base, companions, on):
+    params = {**base, key: on, **(companions if on else {})}
+    plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), mode)
+
+
 # Parameter sets that plan on a 1 mm grid and, per kind, between them give
 # every key of the parameter table a value: the summary gate starts from them.
 _SUMMARY_PARAMS = {
@@ -878,10 +911,9 @@ _SUMMARY_PARAMS = {
     "log": [{"sigma_vox": 1.0, "cutoff": 4.0}],
     "laws": [{"kernels": "L5E5E5", "energy_delta": 1},
              {"kernels": "L5E5E5", "rotation_invariance": True, "pool": "max"}],
-    "gabor": [{"sigma_vox": 1.0, "lambda_vox": 2.0, "gamma": 1.0, "theta": 0.0,
-               "orthogonal_planes": True},
+    "gabor": [{"sigma_vox": 1.0, "lambda_vox": 2.0, "gamma": 1.0, "theta": 0.0},
               {"sigma_vox": 1.0, "lambda_vox": 2.0, "rotation_invariance": True,
-               "dtheta": math.pi / 4, "pool": "max", "orthogonal_planes": True}],
+               "dtheta": math.pi / 4, "pool": "max"}],
     "wavelet": [{"family": "haar", "level": 1, "subband": "LLH", "decimated": True},
                 {"family": "haar", "level": 1, "subband": "LLH", "rotation_invariance": True,
                  "pool": "max"}],
@@ -999,8 +1031,7 @@ class TestPlanSummary:
             "gabor", {**_SUMMARY_PARAMS["gabor"][1], "dtheta": math.pi / 8})
 
     @pytest.mark.parametrize("kind,params,missing", [
-        ("gabor", {"sigma_vox": 1.0, "lambda_vox": 2.0, "rotation_invariance": True,
-                   "orthogonal_planes": True},
+        ("gabor", {"sigma_vox": 1.0, "lambda_vox": 2.0, "rotation_invariance": True},
          "'dtheta' (required with 'rotation_invariance')"),
         ("riesz", {"wavelet": "shannon", "level": 1, "l": [0, 2, 0], "align": True},
          "'sigma_tensor_mm' or 'sigma_tensor_vox' (required with 'align')"),
@@ -1207,11 +1238,9 @@ class TestGaborRoute:
     """The Gabor plan's per-slice FFT route against per-slice spatial convolution."""
 
     @staticmethod
-    def _case(sigma, wavelength, gamma, dtheta, pool_mode, mode):
+    def _case(sigma, wavelength, gamma, dtheta, pool_mode):
         params = {"sigma_vox": sigma, "lambda_vox": wavelength, "gamma": gamma,
                   "rotation_invariance": True, "dtheta": dtheta, "pool": pool_mode}
-        if mode == "3d":
-            params["orthogonal_planes"] = True
         bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta))
                 for theta in gabor_orientation_set(dtheta)]
         return FilterConfig("gabor", params), bank
@@ -1226,7 +1255,7 @@ class TestGaborRoute:
     @pytest.mark.parametrize("boundary,constant",
                              [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 0.7)])
     def test_2d_mode_matches_spatial_route(self, boundary, constant, dims, pool_mode):
-        filt, bank = self._case(1.5, 3.0, 1.2, np.pi / 4, pool_mode, "2d")
+        filt, bank = self._case(1.5, 3.0, 1.2, np.pi / 4, pool_mode)
         assert bank[0].shape == (15, 15)
         volume = np.random.default_rng(24).normal(loc=0.5, size=dims)
         got = plan_filter(filt, (1.0, 1.0, 1.0), "2d", boundary, constant).run(volume)
@@ -1236,7 +1265,7 @@ class TestGaborRoute:
     @pytest.mark.parametrize("boundary,constant", [("mirror", 0.0), ("constant", 0.7)])
     def test_orthogonal_planes_match_spatial_route(self, boundary, constant, pool_mode):
         # 5.B's kernel (61 taps) on slices smaller than the kernel, three plane shapes
-        filt, bank = self._case(5.0, 2.0, 1.5, np.pi / 4, pool_mode, "3d")
+        filt, bank = self._case(5.0, 2.0, 1.5, np.pi / 4, pool_mode)
         assert bank[0].shape == (61, 61)
         volume = np.random.default_rng(25).normal(loc=0.5, size=(12, 10, 9))
         got = plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary, constant).run(volume, 2)
@@ -1250,7 +1279,7 @@ class TestGaborRoute:
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_never_calls_convolve_full(self, monkeypatch, mode):
         _refuse_convolve_full(monkeypatch, "Gabor")
-        filt, _ = self._case(2.0, 3.0, 1.0, np.pi / 2, "average", mode)
+        filt, _ = self._case(2.0, 3.0, 1.0, np.pi / 2, "average")
         plan = plan_filter(filt, (1.0, 1.0, 1.0), mode)
         assert "FFT route" in plan.summary
         assert plan.run(np.ones((6, 6, 6)), 2).shape == (6, 6, 6)
@@ -1258,7 +1287,7 @@ class TestGaborRoute:
     def test_orthogonal_planes_response_is_fortran_ordered(self):
         # 5.B's parameters; the run_configuration image it feeds is Fortran-ordered,
         # so an F-ordered response needs no layout copy there
-        filt, _ = self._case(5.0, 2.0, 1.5, np.pi / 8, "average", "3d")
+        filt, _ = self._case(5.0, 2.0, 1.5, np.pi / 8, "average")
         volume = np.random.default_rng(26).normal(size=(7, 6, 5))
         assert plan_filter(filt, (1, 1, 1), "3d").run(volume).flags.f_contiguous
 
@@ -1339,23 +1368,6 @@ class TestApplyFilter:
         out = apply_filter(image, filt, "3d")
         assert out.shape == (6, 6, 6)
         assert np.all(out >= 0.0)
-
-    def test_gabor_3d_requires_orthogonal_planes(self):
-        image = _volume(np.zeros((4, 4, 4)))
-        filt = FilterConfig("gabor", {"sigma_mm": 4.0, "lambda_mm": 2.0})
-        with pytest.raises(ValueError, match="orthogonal_planes"):
-            apply_filter(image, filt, "3d")
-
-    def test_orthogonal_planes_rejected_in_2d(self):
-        filt = FilterConfig("gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0,
-                                      "orthogonal_planes": True})
-        with pytest.raises(ValueError, match="orthogonal_planes applies only in mode 3d"):
-            plan_filter(filt, (1.0, 1.0, 1.0), "2d")
-        filt = FilterConfig("gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0,
-                                      "orthogonal_planes": False})
-        assert plan_filter(filt, (1.0, 1.0, 1.0), "2d").summary == plan_filter(
-            FilterConfig("gabor", {"sigma_vox": 2.0, "lambda_vox": 3.0}), (1.0, 1.0, 1.0),
-            "2d").summary
 
     def test_gabor_2d_runs(self):
         rng = np.random.default_rng(7)
@@ -2319,7 +2331,8 @@ class TestShippedConfigs:
             ("4.B", "laws", {"kernels": "L5E5E5", "pool": "max", "energy_delta": 7}),
             ("5.A", "gabor", {"sigma_mm": 5.0, "lambda_mm": 2.0, "gamma": 1.5,
                               "pool": "average"}),
-            ("5.B", "gabor", {"orthogonal_planes": True}),
+            ("5.B", "gabor", {"sigma_mm": 5.0, "lambda_mm": 2.0, "gamma": 1.5,
+                              "pool": "average"}),
             ("6.A", "wavelet", {"family": "db3", "level": 1, "subband": "LH"}),
             ("6.B", "wavelet", {"family": "db3", "level": 1, "subband": "LLH"}),
             ("7.B", "wavelet", {"family": "db3", "level": 2, "subband": "HHH",
@@ -2349,10 +2362,9 @@ class TestShippedConfigs:
         "log": [{"sigma_mm": 2.0, "cutoff": 4.0}, {"sigma_vox": 1.0}],
         "laws": [{"kernels": "L5E5E5", "rotation_invariance": True, "pool": "max",
                   "energy_delta": 1}],
-        "gabor": [{"sigma_mm": 4.0, "lambda_mm": 4.0, "gamma": 1.5, "theta": 0.5,
-                   "orthogonal_planes": True},
+        "gabor": [{"sigma_mm": 4.0, "lambda_mm": 4.0, "gamma": 1.5, "theta": 0.5},
                   {"sigma_vox": 2.0, "lambda_vox": 2.0, "rotation_invariance": True,
-                   "dtheta": np.pi / 4, "pool": "max", "orthogonal_planes": True}],
+                   "dtheta": np.pi / 4, "pool": "max"}],
         "wavelet": [{"family": "haar", "level": 1, "subband": "LLH",
                      "rotation_invariance": True, "pool": "max"},
                     {"family": "haar", "level": 1, "subband": "LLH", "decimated": True}],

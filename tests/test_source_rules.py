@@ -500,7 +500,7 @@ def _cli_commands(tmp) -> list:
         ["laws", "--kernels", "L5E5E5"],
         ["laws", "--kernels", "L5E5E5", "--rotinv", "--pool", "max", "--energy-delta", "1"],
         gabor + ["--theta", "0.3", "--mode", "2d"],
-        gabor + ["--orthogonal-planes"],
+        gabor,
         ["wavelet", "--wavelet", "db2", "--level", "1", "--subband", "LHL"],
         ["wavelet", "--wavelet", "haar", "--level", "1", "--subband", "LHL", "--decimated"],
         ["nonseparable", "--wavelet", "simoncelli", "--level", "1"],
