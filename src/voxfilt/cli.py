@@ -76,10 +76,8 @@ def _log(message):
     print(message, file=sys.stderr)
 
 
-# filter parameters whose flag is not the key with dashes; --wavelet sets
-# the wavelet filter's family and every other kind's wavelet
-_FLAG_OF = {"family": "--wavelet", "wavelet": "--wavelet", "l": "--riesz",
-            "rotation_invariance": "--rotinv"}
+# filter parameters whose flag is not the key with dashes
+_FLAG_OF = {"l": "--riesz", "rotation_invariance": "--rotinv"}
 
 
 def _flag(key):
@@ -90,13 +88,11 @@ def _gather_filter_params(args) -> dict:
     """The filter parameters given by flag, as given: plan_filter types them
     as it types a configuration file's.  Flags not given stay out of the
     dict."""
-    kind = FilterConfig(args.filter).kind
     params = {}
     for key in FILTER_PARAMETERS:
         value = getattr(args, _flag(key)[2:].replace("-", "_"))
         if value is not None and value is not False:
             params[key] = value
-    params.pop("wavelet" if kind == "wavelet" else "family", None)
     riesz = params.pop("l", None)
     if riesz is not None:
         try:
@@ -266,17 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     # one flag per key of the parameter table: a switch for a bool, else a
     # number or text that plan_filter types, as it types a configuration file's
-    flags = {}
-    for key, kinds in FILTER_PARAMETERS.items():
-        flags.setdefault(_flag(key), (key, []))[1].extend(kinds)
     g = p.add_argument_group("filter parameters (unused flags are rejected)")
-    for flag, (key, kinds) in flags.items():
+    for key, kinds in FILTER_PARAMETERS.items():
         value_type = _PLANNERS[kinds[0]][1][key].type
         kind_help = f"applies to: {', '.join(kinds)}"
         if value_type is bool:
-            g.add_argument(flag, action="store_true", help=kind_help)
+            g.add_argument(_flag(key), action="store_true", help=kind_help)
         else:
-            g.add_argument(flag, type=float if value_type in (int, float) else str,
+            g.add_argument(_flag(key), type=float if value_type in (int, float) else str,
                            help=kind_help)
     p.set_defaults(func=cmd_filter)
 

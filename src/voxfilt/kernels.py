@@ -164,6 +164,8 @@ class GaborParams:
     def __post_init__(self):
         if not (self.sigma > 0 and self.wavelength > 0 and self.gamma > 0):
             raise ValueError("sigma, wavelength and gamma must all be positive")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be a finite number, got {self.theta}")
 
     @property
     def support(self) -> int:

@@ -727,7 +727,7 @@ def _plan_gabor(p, axes, boundary, constant):
 
 
 def _plan_wavelet(p, axes, boundary, constant):
-    family, level, subband = p["family"], p["level"], p["subband"]
+    family, level, subband = p["wavelet"], p["level"], p["subband"]
     if not p["decimated"]:
         return _cascade_op(p, _swt_stages(family, level, subband, len(axes)), boundary, constant)
     if p["rotation_invariance"]:
@@ -798,7 +798,7 @@ _PLANNERS = {
                             "dtheta": _Param(float, required=True, switch=_ROTINV),
                             "theta": _Param(float, 0.0, low=-math.inf, switch=_NOT_ROTINV),
                             "rotation_invariance": _FLAG, "pool": _pool("average")}),
-    "wavelet": (_plan_wavelet, {"family": _Param(WAVELET_NAMES, required=True), "level": _LEVEL,
+    "wavelet": (_plan_wavelet, {"wavelet": _Param(WAVELET_NAMES, required=True), "level": _LEVEL,
                                 "subband": _Param(_check_subband, required=True),
                                 "rotation_invariance": _FLAG, "pool": _pool("average"),
                                 "decimated": _FLAG}),

@@ -258,7 +258,7 @@ class TestFilterCommand:
             "--wavelet", "haar", "--level", "2", "--subband", "LLH", "--decimated",
         ])
         assert code == 0
-        summary = ("wavelet filter: mode 3d, boundary mirror, family haar, level 2, subband LLH, "
+        summary = ("wavelet filter: mode 3d, boundary mirror, wavelet haar, level 2, subband LLH, "
                    "rotation_invariance false, decimated true; decimated by 4 per axis")
         assert events == [("log", summary), ("dwt", None)]
         assert summary in capsys.readouterr().err.splitlines()
@@ -358,9 +358,23 @@ class TestFilterCommand:
         assert written[0] == written[1]
         summaries = capsys.readouterr().err.splitlines()
         assert summaries[0] == summaries[1] == (
-            "wavelet filter: mode 3d, boundary mirror, family db2, level 1, subband LLH, "
+            "wavelet filter: mode 3d, boundary mirror, wavelet db2, level 1, subband LLH, "
             "rotation_invariance true, pool max, decimated false; pooled over rotations "
             "(40 one-axis passes)")
+
+    @pytest.mark.parametrize("argv,summary", [
+        (["--filter", "wavelet", "--wavelet", "DB2", "--level", "1", "--subband", "LLH"],
+         "wavelet filter: mode 3d, boundary mirror, wavelet db2, level 1, subband LLH, "),
+        (["--filter", "nonseparable", "--wavelet", "simoncelli", "--level", "1"],
+         "nonseparable filter: mode 3d, boundary mirror, wavelet simoncelli, level 1; "),
+    ], ids=["wavelet", "nonseparable"])
+    def test_wavelet_flag_sets_each_kinds_wavelet(self, tmp_path, capsys, argv, summary):
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.random.default_rng(23).normal(size=(8, 8, 8)))
+        out = tmp_path / "o.nii"
+        assert main(["filter", str(src), "--out", str(out), *argv]) == 0
+        assert capsys.readouterr().err.startswith(summary)
+        assert out.exists()
 
     @pytest.mark.parametrize("argv,message", [
         (["--filter", "mean", "--support", "3.5"],
@@ -379,8 +393,9 @@ class TestFilterCommand:
 
     def test_filter_flags_and_parameters_map_one_to_one(self):
         # every filter parameter is settable by a flag of the filter-parameter
-        # group, and every flag there sets one filter parameter
-        from voxfilt.pipeline import FILTER_PARAMETERS
+        # group, and every flag there sets the same one filter parameter
+        # whatever --filter names
+        from voxfilt.pipeline import FILTER_KINDS, FILTER_PARAMETERS
 
         parser = voxfilt.cli._build_parser()
         (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -391,15 +406,17 @@ class TestFilterCommand:
             args = parser.parse_args(["filter", "in.nii", "-o", "out.nii", *argv])
             return set(voxfilt.cli._gather_filter_params(args))
 
-        # --wavelet sets the wavelet filter's family
-        reached = gathered("--filter", "wavelet", "--wavelet", "db2", "--level", "1",
-                           "--subband", "LLH")
+        reached = set()
         for action in group._group_actions:
             value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "1"]
-            params = gathered("--filter", "none", action.option_strings[0], *value)
+            gathers = {frozenset(gathered("--filter", kind, action.option_strings[0], *value))
+                       for kind in FILTER_KINDS}
+            assert len(gathers) == 1, action.option_strings
+            (params,) = gathers
             assert len(params) == 1 and params <= set(FILTER_PARAMETERS), action.option_strings
             reached |= params
         assert reached == set(FILTER_PARAMETERS)
+        assert set(voxfilt.cli._FLAG_OF) == {"l", "rotation_invariance"}
 
     @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated", "--orthogonal-planes"])
     def test_removed_flags_rejected(self, tmp_path, flag, capsys):
@@ -624,9 +641,9 @@ class TestRunCommand:
     _BAD_FILTERS = {
         "laws-pool": ({"kind": "laws", "kernels": "L5E5E5", "rotation_invariance": True,
                        "pool": "maximum"}, "pool must be one of"),
-        "wavelet-subband": ({"kind": "wavelet", "family": "db2", "level": 1,
+        "wavelet-subband": ({"kind": "wavelet", "wavelet": "db2", "level": 1,
                              "subband": "LLX"}, "subband"),
-        "wavelet-level": ({"kind": "wavelet", "family": "db2", "level": 0,
+        "wavelet-level": ({"kind": "wavelet", "wavelet": "db2", "level": 0,
                            "subband": "LLH"}, "level must be >= 1"),
         "nonseparable-level": ({"kind": "nonseparable", "wavelet": "simoncelli",
                                 "level": 0}, "level must be >= 1"),
@@ -644,7 +661,7 @@ class TestRunCommand:
         # integer parameters: a fraction or a bool is not silently truncated
         "mean-fractional-support": ({"kind": "mean", "support": 3.7}, "must be an integer"),
         "mean-bool-support": ({"kind": "mean", "support": True}, "must be an integer"),
-        "wavelet-fractional-level": ({"kind": "wavelet", "family": "db2", "level": 1.5,
+        "wavelet-fractional-level": ({"kind": "wavelet", "wavelet": "db2", "level": 1.5,
                                       "subband": "LLH"}, "must be an integer"),
         "nonseparable-fractional-level": ({"kind": "nonseparable", "wavelet": "simoncelli",
                                            "level": 1.5}, "must be an integer"),
@@ -671,7 +688,7 @@ class TestRunCommand:
         "laws-pool-alone": ({"kind": "laws", "kernels": "L5E5E5", "pool": "average"},
                             "laws filter key 'pool' applies only with "
                             "'rotation_invariance'; drop it"),
-        "wavelet-pool-alone": ({"kind": "wavelet", "family": "db2", "level": 1,
+        "wavelet-pool-alone": ({"kind": "wavelet", "wavelet": "db2", "level": 1,
                                 "subband": "LLH", "pool": "max",
                                 "rotation_invariance": False},
                                "wavelet filter key 'pool' applies only with "
@@ -703,6 +720,9 @@ class TestRunCommand:
         "gabor-orthogonal-planes": ({"kind": "gabor", "sigma_vox": 2.0, "lambda_vox": 3.0,
                                      "orthogonal_planes": True},
                                     "gabor filter has unknown key 'orthogonal_planes'"),
+        # the wavelet filter names its wavelet as every other kind does
+        "wavelet-family": ({"kind": "wavelet", "family": "db3", "level": 1, "subband": "LLH"},
+                           "wavelet filter has unknown key 'family'"),
         # a tensor scale that the smoothing cannot use
         "riesz-tensor-mm-zero": ({"kind": "riesz", "wavelet": "simoncelli", "level": 1,
                                   "l": [0, 2, 0], "align": True, "sigma_tensor_mm": 0},
@@ -754,7 +774,7 @@ class TestRunCommand:
         "gabor-gamma-inf": ({**_GABOR, "gamma": math.inf}, "gamma"),
         "gabor-dtheta-tiny": ({**_GABOR, "rotation_invariance": True, "dtheta": 1e-300},
                               "dtheta"),
-        "wavelet-level-huge": ({"kind": "wavelet", "family": "haar", "level": 1e300,
+        "wavelet-level-huge": ({"kind": "wavelet", "wavelet": "haar", "level": 1e300,
                                 "subband": "LLH"}, "level"),
     }
 
@@ -810,7 +830,7 @@ class TestRunCommand:
         src, mask, config = self._fixture(tmp_path)
         config.write_text(yaml.safe_dump({
             "test_id": "T", "mode": "3d",
-            "filter": {"kind": "wavelet", "family": "haar", "level": 1, "subband": "LLL",
+            "filter": {"kind": "wavelet", "wavelet": "haar", "level": 1, "subband": "LLL",
                        "decimated": True},
         }))
         code = main([

@@ -114,6 +114,7 @@ class TestScaleCheck:
     _SIGMA = "sigma must be positive"
     _CUTOFF = "truncation parameter must be positive"
     _GABOR = "sigma, wavelength and gamma must all be positive"
+    _THETA = "theta must be a finite number"
 
     @pytest.mark.parametrize("build,message", [
         (lambda: truncated_support(math.nan, 4.0), _SIGMA),
@@ -133,12 +134,17 @@ class TestScaleCheck:
         (lambda: GaborParams(2.0, 2.0, gamma=math.nan), _GABOR),
         (lambda: GaborParams(2.0, 0.0), _GABOR),
         (lambda: GaborParams(2.0, 2.0, gamma=-1.0), _GABOR),
+        # theta only turns the kernel, but a non-finite one made every tap NaN
+        (lambda: GaborParams(2.0, 3.0, theta=math.nan), _THETA),
+        (lambda: GaborParams(2.0, 3.0, theta=math.inf), _THETA),
+        (lambda: GaborParams(2.0, 3.0, theta=-math.inf), _THETA),
     ], ids=["support-sigma-nan", "support-sigma-zero", "support-sigma-negative",
             "support-cutoff-nan", "support-cutoff-zero", "support-cutoff-negative",
             "gaussian-sigma-nan", "gaussian-cutoff-nan", "log-sigma-nan", "log-cutoff-nan",
             "log-kernel-sigma-nan", "structure-tensor-sigma-nan", "gabor-sigma-nan",
             "gabor-wavelength-nan", "gabor-gamma-nan", "gabor-wavelength-zero",
-            "gabor-gamma-negative"])
+            "gabor-gamma-negative", "gabor-theta-nan", "gabor-theta-inf",
+            "gabor-theta-negative-inf"])
     def test_refused_with_its_name(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

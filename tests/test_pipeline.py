@@ -881,9 +881,9 @@ _SWITCHES = [
     ("laws", "rotation_invariance", "3d", {"kernels": "L5E5E5"}, {}),
     ("gabor", "rotation_invariance", "2d", {"sigma_vox": 1.0, "lambda_vox": 2.0},
      {"dtheta": math.pi / 4}),
-    ("wavelet", "rotation_invariance", "3d", {"family": "haar", "level": 1, "subband": "LLH"},
+    ("wavelet", "rotation_invariance", "3d", {"wavelet": "haar", "level": 1, "subband": "LLH"},
      {}),
-    ("wavelet", "decimated", "3d", {"family": "haar", "level": 1, "subband": "LLH"}, {}),
+    ("wavelet", "decimated", "3d", {"wavelet": "haar", "level": 1, "subband": "LLH"}, {}),
     ("riesz", "align", "3d", {"wavelet": "shannon", "level": 1, "l": [0, 2, 0]},
      {"sigma_tensor_vox": 1.0}),
 ]
@@ -914,8 +914,8 @@ _SUMMARY_PARAMS = {
     "gabor": [{"sigma_vox": 1.0, "lambda_vox": 2.0, "gamma": 1.0, "theta": 0.0},
               {"sigma_vox": 1.0, "lambda_vox": 2.0, "rotation_invariance": True,
                "dtheta": math.pi / 4, "pool": "max"}],
-    "wavelet": [{"family": "haar", "level": 1, "subband": "LLH", "decimated": True},
-                {"family": "haar", "level": 1, "subband": "LLH", "rotation_invariance": True,
+    "wavelet": [{"wavelet": "haar", "level": 1, "subband": "LLH", "decimated": True},
+                {"wavelet": "haar", "level": 1, "subband": "LLH", "rotation_invariance": True,
                  "pool": "max"}],
     "nonseparable": [{"wavelet": "shannon", "level": 1}],
     "riesz": [{"wavelet": "shannon", "level": 1, "l": [0, 2, 0], "align": True,
@@ -1195,10 +1195,10 @@ def test_log_configs_do_not_depend_on_simd_dispatch():
 # boundary, periodise and take no boundary constant.
 _ENTRY_POINTS = {
     "swt_undecimated": (lambda v, b, c: swt_undecimated(v, "db2", 2, "LHL", b, c), "wavelet",
-                        {"family": "db2", "level": 2, "subband": "LHL"}, "3d"),
+                        {"wavelet": "db2", "level": 2, "subband": "LHL"}, "3d"),
     "swt_rotation_pooled": (lambda v, b, c: swt_rotation_pooled(v, "haar", 1, "HHL", "max",
                                                                 b, c), "wavelet",
-                            {"family": "haar", "level": 1, "subband": "HHL",
+                            {"wavelet": "haar", "level": 1, "subband": "HHL",
                              "rotation_invariance": True, "pool": "max"}, "3d"),
     "nonseparable_b_map": (lambda v, b, c: nonseparable_b_map(v, RadialProfile("shannon", 2)),
                            "nonseparable", {"wavelet": "shannon", "level": 2}, "3d"),
@@ -1383,7 +1383,7 @@ class TestApplyFilter:
 
     def test_wavelet_subband_mode_mismatch(self):
         image = _volume(np.zeros((4, 4, 4)))
-        filt = FilterConfig("wavelet", {"family": "db3", "level": 1, "subband": "LLH"})
+        filt = FilterConfig("wavelet", {"wavelet": "db3", "level": 1, "subband": "LLH"})
         with pytest.raises(ValueError, match="subband"):
             apply_filter(image, filt, "2d")
 
@@ -1439,7 +1439,7 @@ class TestApplyFilter:
         image = _volume(rng.normal(size=(8, 8, 8)))
         plain = apply_filter(
             image,
-            FilterConfig("wavelet", {"family": "db2", "level": 2, "subband": "LLH"}),
+            FilterConfig("wavelet", {"wavelet": "db2", "level": 2, "subband": "LLH"}),
             "3d",
         )
         np.testing.assert_array_equal(
@@ -1449,7 +1449,7 @@ class TestApplyFilter:
             image,
             FilterConfig(
                 "wavelet",
-                {"family": "db2", "level": 1, "subband": "LLH",
+                {"wavelet": "db2", "level": 1, "subband": "LLH",
                  "rotation_invariance": True, "pool": "average"},
             ),
             "3d",
@@ -2077,8 +2077,7 @@ class TestProcessingConfigValidation:
         specs = [(key, spec) for _, table in voxfilt.pipeline._PLANNERS.values()
                  for key, spec in table.items()]
         specs += [(key, spec) for key, (_, spec) in voxfilt.pipeline._CONFIG.items()]
-        choices = {"mode", "boundary", "resample.image_interpolation", "family", "wavelet",
-                   "pool"}
+        choices = {"mode", "boundary", "resample.image_interpolation", "wavelet", "pool"}
         assert {key for key, spec in specs if isinstance(spec.type, tuple)} == choices
         for key, spec in specs:
             for value in spec.type if key in choices else ():
@@ -2333,9 +2332,9 @@ class TestShippedConfigs:
                               "pool": "average"}),
             ("5.B", "gabor", {"sigma_mm": 5.0, "lambda_mm": 2.0, "gamma": 1.5,
                               "pool": "average"}),
-            ("6.A", "wavelet", {"family": "db3", "level": 1, "subband": "LH"}),
-            ("6.B", "wavelet", {"family": "db3", "level": 1, "subband": "LLH"}),
-            ("7.B", "wavelet", {"family": "db3", "level": 2, "subband": "HHH",
+            ("6.A", "wavelet", {"wavelet": "db3", "level": 1, "subband": "LH"}),
+            ("6.B", "wavelet", {"wavelet": "db3", "level": 1, "subband": "LLH"}),
+            ("7.B", "wavelet", {"wavelet": "db3", "level": 2, "subband": "HHH",
                                 "pool": "average"}),
             ("8.A", "nonseparable", {"wavelet": "simoncelli", "level": 1}),
             ("9.B", "nonseparable", {"wavelet": "simoncelli", "level": 2}),
@@ -2365,9 +2364,9 @@ class TestShippedConfigs:
         "gabor": [{"sigma_mm": 4.0, "lambda_mm": 4.0, "gamma": 1.5, "theta": 0.5},
                   {"sigma_vox": 2.0, "lambda_vox": 2.0, "rotation_invariance": True,
                    "dtheta": np.pi / 4, "pool": "max"}],
-        "wavelet": [{"family": "haar", "level": 1, "subband": "LLH",
+        "wavelet": [{"wavelet": "haar", "level": 1, "subband": "LLH",
                      "rotation_invariance": True, "pool": "max"},
-                    {"family": "haar", "level": 1, "subband": "LLH", "decimated": True}],
+                    {"wavelet": "haar", "level": 1, "subband": "LLH", "decimated": True}],
         "nonseparable": [{"wavelet": "simoncelli", "level": 1}],
         "riesz": [{"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
                    "sigma_tensor_mm": 2.0},

@@ -276,7 +276,7 @@ class TestDecimated:
             return convolve_separable(*args)
 
         monkeypatch.setattr(voxfilt.wavelets, "convolve_separable", counting)
-        filt = FilterConfig("wavelet", {"family": "db2", "level": level, "subband": subband,
+        filt = FilterConfig("wavelet", {"wavelet": "db2", "level": level, "subband": subband,
                                         "decimated": True})
         out = plan_filter(filt, (1.0,) * len(shape), "3d").run(np.ones(shape))
         assert out.shape == tuple(n // 2 ** level for n in shape)
