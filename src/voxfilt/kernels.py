@@ -41,6 +41,18 @@ _LAWS_TABLE = {
 
 LAWS_NAMES = tuple(_LAWS_TABLE)
 _MAX_TAPS = 2 * _MAX_AXIS_VOXELS + 1  # the widest kernel built, in taps per axis
+# The most bytes of complex taps a Gabor bank may hold, 1 GiB: 5.B's eight
+# 61 x 61 kernels take 0.5 MB, and one kernel at the tap cap would take 68 GB.
+_MAX_GABOR_BANK_BYTES = 1 << 30
+
+
+def _check_gabor_bank(count: int, m: int, what: str):
+    """Refuse ``count`` complex m x m Gabor kernels over _MAX_GABOR_BANK_BYTES,
+    naming ``what`` sizes them, before any of them is built."""
+    size = 16 * count * m * m
+    if size > _MAX_GABOR_BANK_BYTES:
+        raise ValueError(f"{what} give {count} x {m} x {m} complex taps, {size / 2**20:.1f} "
+                         f"MiB, over the {_MAX_GABOR_BANK_BYTES >> 20} MiB a Gabor bank may hold")
 
 
 def mean_kernel_1d(m: int) -> np.ndarray:
@@ -173,8 +185,10 @@ class GaborParams:
 
 
 def gabor_kernel(params: GaborParams) -> np.ndarray:
-    """Complex 2-D Gabor taps on the truncated square support."""
+    """Complex 2-D Gabor taps on the truncated square support, which may hold
+    no more than _MAX_GABOR_BANK_BYTES."""
     m = params.support
+    _check_gabor_bank(1, m, f"sigma {params.sigma} and gamma {params.gamma}")
     offsets = np.arange(m, dtype=np.float64) - m // 2
     k1, k2 = np.meshgrid(offsets, offsets, indexing="ij")
     c, s = np.cos(params.theta), np.sin(params.theta)

@@ -36,6 +36,7 @@ from .kernels import (
     _MAX_TAPS,
     LAWS_NAMES,
     GaborParams,
+    _check_gabor_bank,
     gabor_kernel,
     laws_1d,
     laws_energy,
@@ -717,6 +718,7 @@ def _plan_gabor(p, axes, boundary, constant):
     sigma, wavelength, gamma = p["sigma_vox"], p["lambda_vox"], p["gamma"]
     size = _taps(sigma * max(gamma, 1.0), 4.0, "gabor filter sigma and gamma")
     thetas = gabor_orientation_set(p["dtheta"]) if p["rotation_invariance"] else [p["theta"]]
+    _check_gabor_bank(len(thetas), size, "gabor filter sigma and gamma")
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
 
     def run(plane, transfers):

@@ -34,8 +34,8 @@ import numpy as np
 
 from .convolve import (
     TransferCache,
+    axis_pass,
     cached_transfer,
-    convolve_separable,
     fft_forward,
     fft_inverse,
     fourier_grid,
@@ -157,35 +157,98 @@ def riesz_filtered_map(image, profile: RadialProfile, l,
     return response
 
 
-def structure_tensor(gradients, sigma_vox: float) -> np.ndarray:
-    """Gaussian-regularised gradient-energy tensors, packed: dims + (D(D+1)/2,).
+# Voxels per slab of the tensor smoothing: planes of the first filtered
+# axis, counted over the filtered axes only, one plane at least; a batch of
+# planes (a map_slices slab) rides along whole.  The bytes do not depend on
+# it; it bounds the smoothing's temporaries, to 10 planes at 56^3.
+_SMOOTH_SLAB_VOXELS = 1 << 15
+
+
+def _periodic(x, axis, lo, hi):
+    """Planes ``lo`` to ``hi - 1`` of ``x`` along ``axis`` (negative, from
+    the end), indices taken modulo the axis length: a view where none wraps."""
+    n = x.shape[axis]
+    if 0 <= lo and hi <= n:
+        return x[(slice(None),) * (x.ndim + axis) + (slice(lo, hi),)]
+    return x.take(np.arange(lo, hi) % n, axis)
+
+
+def _smooth(component, window):
+    """Overwrite ``component``, C-ordered, with the bytes of
+    ``convolve_separable(component, window, "periodise")``, slab by slab of
+    planes of the first filtered axis.
+
+    Each pass takes the periodic halo of its own axis just before it runs.
+    A smoothed slab is written back once no later slab reads its planes:
+    later slabs read from ``half`` planes before their first one to the
+    axis end and, wrapping, the first ``half`` planes.
+    """
+    ndim = len(window)
+    axis = component.ndim - ndim
+    n, half = component.shape[axis], window[0].shape[0] // 2
+    step = max(1, _SMOOTH_SLAB_VOXELS // max(1, math.prod(component.shape[axis + 1:])))
+    waiting = []
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = component
+        for k, g in zip(range(-ndim, 0), window):
+            lo, hi = (start, stop) if k == -ndim else (0, block.shape[k])
+            block = axis_pass(_periodic(block, k, lo - half, hi + half), k, g, hi - lo)
+        waiting.append((start, stop, block))
+        for slab in [w for w in waiting if stop == n or (half <= w[0] and w[1] <= stop - half)]:
+            waiting.remove(slab)
+            component[(slice(None),) * axis + (slice(slab[0], slab[1]),)] = slab[2]
+
+
+def _owned(arrays) -> list:
+    """``arrays`` as C-contiguous writeable float64 arrays that a function
+    may overwrite: used as given where they are already, and copied where
+    one shares memory with an earlier one, which a write would change too."""
+    owned = []
+    for a in arrays:
+        a = np.require(a, np.float64, ("C", "W"))
+        owned.append(a.copy() if any(np.may_share_memory(a, b) for b in owned) else a)
+    return owned
+
+
+def structure_tensor(gradients, sigma_vox: float) -> list:
+    """Gaussian-regularised gradient-energy tensors, as the list of their
+    D(D+1)/2 distinct components, each of the maps' shape.
 
     ``gradients`` are the D = 2 or 3 first-order Riesz responses of one band,
     in axis order; they filter the trailing D axes of the maps, whose
     leading axes are a batch.  Each product r_i r_j is smoothed with a
-    unit-sum Gaussian of ``sigma_vox`` voxels on every filtered axis; the
-    smoothing uses the periodise boundary, matching the Fourier-domain
-    origin of the components.  The tensors are symmetric, so only the
-    distinct products are stored, row by row of the upper triangle: (T11,
-    T12, T22) in 2-D and (T11, T12, T13, T22, T23, T33) in 3-D.  Each
-    product is filled and smoothed contiguously: the result is a view of a
-    component-major (P,) + dims stack.
+    unit-sum Gaussian of ``sigma_vox`` voxels on every filtered axis, with
+    the periodise boundary, matching the Fourier-domain origin of the
+    components: the bytes of ``convolve_separable(r_i * r_j, (g,) * D,
+    "periodise")``.  The tensors are symmetric, so only the distinct
+    products are kept, row by row of the upper triangle: (T11, T12, T22) in
+    2-D and (T11, T12, T13, T22, T23, T33) in 3-D, each C-contiguous.
+
+    The function takes ownership of the gradient maps and overwrites them,
+    as :func:`voxfilt.convolve.fft_inverse` does its spectrum (C-contiguous
+    writeable float64 maps are used as given, others copied): the cross
+    products are formed first, then each square is written into its own
+    gradient's memory, and each component is smoothed in place, slab by
+    slab.  So the D(D+1)/2 components and a few slabs are alive, 6 volumes
+    in 3-D where the gradients and a packed stack held 9.
     """
-    gradients = [np.asarray(g, dtype=np.float64) for g in gradients]
-    ndim = len(gradients)
-    if ndim not in _DIRECTIONS or any(g.shape != gradients[0].shape or g.ndim < ndim
-                                      for g in gradients):
+    maps = _owned(gradients)
+    del gradients  # gradients passed in a temporary list are the maps' only owner
+    ndim = len(maps)
+    if ndim not in _DIRECTIONS or any(m.shape != maps[0].shape or m.ndim < ndim for m in maps):
         raise ValueError(f"need one gradient map per axis, 2 or 3 maps of one shape; "
                          f"got {ndim} maps")
     window = (gaussian_kernel_1d(sigma_vox),) * ndim
     pairs = [(i, j) for i in range(ndim) for j in range(i, ndim)]
-    stack = np.empty((len(pairs),) + gradients[0].shape, dtype=np.float64)
-    for k, (i, j) in enumerate(pairs):
-        np.multiply(gradients[i], gradients[j], out=stack[k])
-    del gradients  # gradients passed in a temporary list are freed before the smoothing
-    for k in range(len(pairs)):  # one at a time: a batched call holds every copy at once
-        stack[k] = convolve_separable(stack[k], window, "periodise")
-    return np.moveaxis(stack, 0, -1)
+    cross = {(i, j): maps[i] * maps[j] for i, j in pairs if i != j}
+    for m in maps:
+        m *= m
+    components = [maps[i] if i == j else cross[i, j] for i, j in pairs]
+    del maps, cross
+    for component in components:
+        _smooth(component, window)
+    return components
 
 
 # Voxels per block of the direction and steering pass.  Every step is
@@ -284,7 +347,8 @@ def _null_vector(rows, skip):
     in the top eigenspace.
     """
     r0, r1, r2 = rows
-    u, size = _largest((_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)))
+    # a generator, so that only the best product so far and the next are alive
+    u, size = _largest(_cross(p, q) for p, q in ((r0, r1), (r0, r2), (r1, r2)))
     flat = np.flatnonzero((size == 0.0) & ~skip)
     if flat.size:
         (x, y, z), _ = _largest([tuple(v[flat] for v in row) for row in rows])
@@ -320,7 +384,9 @@ def _direction_3d(t):
     det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
     ab, ac, ae = np.abs(b), np.abs(c), np.abs(e)
     lam = np.maximum(np.maximum(a + ab + ac, d + ab + ae), f + ac + ae)
+    del mean, off, ab, ac, ae  # each block's temporaries are the pass's peak
     _newton_top_root(lam, q, det, np.flatnonzero(~isotropic))
+    del q, det
 
     def null_vector(lam):
         u = _null_vector(((a - lam, b, c), (b, d - lam, e), (c, e, f - lam)), isotropic)
@@ -331,6 +397,7 @@ def _direction_3d(t):
     u0, u1, u2 = null_vector(lam)
     lam = (a * u0 * u0 + d * u1 * u1 + f * u2 * u2
            + 2.0 * (b * u0 * u1 + c * u0 * u2 + e * u1 * u2)) / (u0 * u0 + u1 * u1 + u2 * u2)
+    del u0, u1, u2
     return null_vector(lam)
 
 
@@ -341,16 +408,22 @@ def align_order2(responses, tensors) -> np.ndarray:
     """Steer the order-2 response set along the dominant tensor direction.
 
     ``responses`` yields (index, map) pairs in ``riesz_indices(2, D)`` order,
-    each folded in as it arrives.  ``tensors`` is a packed :func:`structure_tensor`
-    result, shape dims + (D(D+1)/2,), D = 2 or 3; dims may lead with batch
-    axes, as every step is voxelwise.  The steered value is the
-    second directional derivative along u, sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u,
-    computed straight from the unnormalised eigenvector u; it is even in u,
-    and IEEE products are sign-symmetric, so no sign or length rule is
-    needed.  u comes from +, -, x, /, sqrt, abs and maximum only (closed
-    form in 2-D, Newton and cross products in 3-D), so the bytes do not
-    depend on a LAPACK build.  u is found, in blocks of voxels, before the
-    first map is taken, and the tensors are let go.
+    each folded in as it arrives.  ``tensors`` holds the D(D+1)/2 packed
+    components of one shape dims, as :func:`structure_tensor` returns them,
+    D = 2 or 3; dims may lead with batch axes, as every step is voxelwise.
+    The steered value is the second directional derivative along u,
+    sum_{|l|=2} sqrt(2!/(l1!...lD!)) u^l h_l[k] / u'u, computed straight
+    from the unnormalised eigenvector u; it is even in u, and IEEE products
+    are sign-symmetric, so no sign or length rule is needed.  u comes from
+    +, -, x, /, sqrt, abs and maximum only (closed form in 2-D, Newton and
+    cross products in 3-D), so the bytes do not depend on a LAPACK build.
+
+    The function takes ownership of the components and overwrites them
+    (C-contiguous writeable float64 ones are used as given): u is found in
+    blocks of voxels and written, block by block, into the first D
+    components, and the other components are let go before the first map
+    is taken.  Each map is then folded into the sum, and the sum divided by
+    u'u, block by block, so no volume-sized temporary is made.
 
     Isotropic tensors (deviator norm <= 1e-8 of the tensor norm) use e1.
     A repeated top eigenvalue in 3-D, where every cross product of rows of
@@ -358,24 +431,28 @@ def align_order2(responses, tensors) -> np.ndarray:
     with the largest norm, k the axis of r's smallest-magnitude entry,
     first on ties.  For diag(2, 2, 1) that is u = (0, -1, 0).
     """
-    tensors = np.asarray(tensors, dtype=np.float64)
-    packed = tensors.shape[-1] if tensors.ndim >= 2 else 0
+    tensors = _owned(tensors)
+    packed = len(tensors)
     ndim = math.isqrt(2 * packed)
-    if ndim == 0 or ndim * (ndim + 1) // 2 != packed:
-        raise ValueError(f"packed tensors need shape dims + (D(D+1)/2,), got {tensors.shape}")
+    if ndim == 0 or ndim * (ndim + 1) // 2 != packed or any(
+            t.shape != tensors[0].shape for t in tensors):
+        raise ValueError(f"packed tensors need D(D+1)/2 components of one shape, got "
+                         f"{packed} of shapes {sorted({t.shape for t in tensors})}")
     if ndim not in _DIRECTIONS:
         raise ValueError(f"alignment needs 2- or 3-D tensors, got {ndim}-D")
-    dims = tensors.shape[:-1]
-    # no copy for structure_tensor's component-major result
-    field = np.moveaxis(tensors, -1, 0).reshape(packed, -1)
-    u = np.empty((ndim,) + dims)
-    for start in range(0, field.shape[1], _BLOCK_VOXELS):
-        block = slice(start, start + _BLOCK_VOXELS)
-        u.reshape(ndim, -1)[:, block] = _DIRECTIONS[ndim](field[:, block])
+    dims = tensors[0].shape
+    field = [t.reshape(-1) for t in tensors]
+    blocks = [slice(start, start + _BLOCK_VOXELS)
+              for start in range(0, field[0].size, _BLOCK_VOXELS)]
+    for block in blocks:
+        for ui, row in zip(_DIRECTIONS[ndim]([row[block] for row in field]), field):
+            row[block] = ui
+    u = field[:ndim]
     del tensors, field
 
     wanted = riesz_indices(2, ndim)
     total, taken = np.zeros(dims), 0
+    flat = total.reshape(-1)
     # no enumerate: its cached result would keep the previous map alive
     for l, h in responses:
         taken += 1
@@ -388,18 +465,22 @@ def align_order2(responses, tensors) -> np.ndarray:
         h = np.asarray(h, dtype=np.float64)
         if h.shape != dims:
             raise ValueError(f"response {l} dims {h.shape} do not match tensor grid {dims}")
-        # u^l as the two axes it multiplies; in place, in the order of
+        h = h.reshape(-1)
+        # u^l as the two axes it multiplies, in the order of
         # total + c * u_i * u_j * h
         i, j = (axis for axis, p in enumerate(l) for _ in range(p))
-        term = multinomial_coefficient(l) * u[i]
-        term *= u[j]
-        term *= h
-        total += term
-        del h, term  # before the next map's inverse DFT runs
+        coefficient = multinomial_coefficient(l)
+        for block in blocks:
+            term = coefficient * u[i][block]
+            term *= u[j][block]
+            term *= h[block]
+            flat[block] += term
+        del h  # before the next map's inverse DFT runs
     if taken < len(wanted):
         raise ValueError(f"order-2 response set incomplete, missing {list(wanted[taken:])}")
-    norm = u[0] * u[0]
-    for ui in u[1:]:
-        norm += ui * ui
-    total /= norm
+    for block in blocks:
+        norm = u[0][block] * u[0][block]
+        for ui in u[1:]:
+            norm += ui[block] * ui[block]
+        flat[block] /= norm
     return total

@@ -127,6 +127,25 @@ class TestFilterCommand:
         assert code == 1
         assert "mixes physical and voxel units" in capsys.readouterr().err
 
+    def test_oversized_gabor_bank_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        # 64001^2 complex taps, 61 GiB; the kernel builder is stubbed to refuse,
+        # so a missing check fails here instead of allocating
+        def refuse(params):
+            raise AssertionError("a Gabor kernel was built")
+
+        monkeypatch.setattr(voxfilt.pipeline, "gabor_kernel", refuse)
+        src = tmp_path / "in.nii"
+        _write_volume(src, np.zeros((6, 6, 4)))
+        code = main([
+            "filter", str(src), "--out", str(tmp_path / "o.nii"), "--filter", "gabor",
+            "--mode", "2d", "--sigma-vox", "8000", "--lambda-vox", "3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gabor filter sigma and gamma give 1 x 64001 x 64001 "
+                              "complex taps") and err.count("\n") == 1, err
+        assert not (tmp_path / "o.nii").exists()
+
     def test_boundary_constant_needs_constant_boundary(self, tmp_path, capsys):
         src = tmp_path / "in.nii"
         _write_volume(src, np.random.default_rng(3).normal(size=(6, 6, 6)))

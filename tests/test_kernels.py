@@ -107,6 +107,32 @@ class TestWidthCap:
             build()
 
 
+class TestGaborBankLimit:
+    # 1 GiB of complex taps: one kernel of 8191^2 fits, one of 8193^2 does
+    # not.  numpy's meshgrid, the first volume-sized step, is stubbed, so a
+    # missing check fails here instead of allocating.
+    @pytest.fixture(autouse=True)
+    def no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel grid was built")
+        monkeypatch.setattr(np, "meshgrid", refuse)
+
+    @pytest.mark.parametrize("sigma, gamma", [(1024.0, 1.0), (8000.0, 1.0), (700.0, 1.5)])
+    def test_oversized_kernel_is_refused_before_its_grid(self, sigma, gamma):
+        params = GaborParams(sigma, 3.0, gamma)
+        assert 16 * params.support ** 2 > 1 << 30
+        with pytest.raises(ValueError, match=rf"sigma {sigma} and gamma {gamma} give 1 x "
+                                             rf"{params.support} x {params.support} complex "
+                                             r"taps, .* over the 1024 MiB a Gabor bank"):
+            gabor_kernel(params)
+
+    def test_largest_kernel_under_the_limit_reaches_its_grid(self):
+        params = GaborParams(1023.7, 3.0)
+        assert params.support == 8191
+        with pytest.raises(AssertionError, match="grid was built"):
+            gabor_kernel(params)
+
+
 class TestScaleCheck:
     # a NaN compares false with everything, so each check asks for a positive
     # value; a NaN used to reach int() ("cannot convert float NaN to integer")

@@ -465,6 +465,27 @@ def test_resample_peak_memory():
         assert got <= bound, (kind, got)
 
 
+# tracemalloc peak of the whole chain (resample, round, re-segment, filter,
+# features) on a 32^3 input at 2 mm, resampled to 64^3 at 1 mm, in 64^3
+# float64 volumes: 1.B 4.13, 3.B 5.75, 6.B 5.86, 11.B 9.13 (12.42 with the
+# tensor components beside the gradients); each bound is that plus under 10%
+@pytest.mark.parametrize("test_id, bound", [("1.B", 4.5), ("3.B", 6.3), ("6.B", 6.4),
+                                            ("11.B", 10.0)])
+def test_whole_chain_peak_memory(test_id, bound):
+    rng = np.random.default_rng(32)
+    data = 5.0 * np.clip(rng.normal(100.0, 40.0, size=(32, 32, 32)), 0.0, 255.0) - 600.0
+    _, config = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                         f"{test_id}.yaml"))
+    image, mask = _volume(data), RoiMask(np.ones(data.shape, dtype=bool))
+    tracemalloc.start()
+    try:
+        response, _, _ = run_configuration(image, mask, config)
+        peak = tracemalloc.get_traced_memory()[1] / (64 ** 3 * 8)
+    finally:
+        tracemalloc.stop()
+    assert response.dims == (64, 64, 64)
+    assert peak <= bound, peak
+
 class TestOutputGridBound:
     # 28 voxels of 2 mm at 1e-3 mm: 56000 voxels on the first axis, more
     # than NIfTI-1's int16 dims hold
@@ -1291,6 +1312,47 @@ class TestGaborRoute:
         volume = np.random.default_rng(26).normal(size=(7, 6, 5))
         assert plan_filter(filt, (1, 1, 1), "3d").run(volume).flags.f_contiguous
 
+
+class TestGaborBankLimit:
+    """A bank of orientations x m^2 complex taps over 1 GiB is refused at plan
+    time.  The kernels are stubbed, so no case allocates one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        def stub(params):
+            built.append(params)
+            return np.zeros((3, 3), dtype=np.complex128)
+
+        monkeypatch.setattr(voxfilt.pipeline, "gabor_kernel", stub)
+        return built
+
+    _ROTINV = {"rotation_invariance": True, "dtheta": math.pi / 4}  # 4 orientations
+
+    @pytest.mark.parametrize("params, taps", [
+        ({"sigma_vox": 1024.0}, "1 x 8193 x 8193"),
+        ({"sigma_vox": 512.0, **_ROTINV}, "4 x 4097 x 4097"),
+        ({"sigma_vox": 400.0, "gamma": 1.5, **_ROTINV}, "4 x 4801 x 4801"),
+        ({"sigma_vox": 8000.0}, "1 x 64001 x 64001"),
+    ], ids=["one-kernel", "four-orientations", "gamma-widens", "at-the-tap-cap"])
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_oversized_bank_fails_before_any_kernel(self, built, params, taps, mode):
+        filt = FilterConfig("gabor", {"lambda_vox": 3.0, **params})
+        with pytest.raises(ValueError, match=rf"^gabor filter sigma and gamma give {taps} "
+                                             r"complex taps, [0-9.]+ MiB, over the 1024 MiB "
+                                             r"a Gabor bank may hold$"):
+            plan_filter(filt, (1.0, 1.0, 1.0), mode)
+        assert built == []
+
+    @pytest.mark.parametrize("params, count", [
+        ({"sigma_vox": 1023.7}, 1),  # 8191^2 taps, 1023.75 MiB
+        ({"sigma_vox": 511.7, **_ROTINV}, 4),  # 4 x 4095^2 taps, 1023.5 MiB
+    ])
+    def test_largest_bank_under_the_limit_plans(self, built, params, count):
+        plan = plan_filter(FilterConfig("gabor", {"lambda_vox": 3.0, **params}),
+                           (1.0, 1.0, 1.0), "2d")
+        assert len(built) == count and f"{count} orientations" in plan.summary
 
 class TestApplyFilter:
     def test_mode_validation(self):

@@ -151,14 +151,16 @@ def test_riesz_filtered_maps(k):
 
 @K
 def test_structure_tensor_and_alignment(k):
-    def tensor(planes):
-        return structure_tensor([planes, 0.5 * planes + 1.0], 1.3)
+    # both functions overwrite the maps they are given, so each gets its own
+    def components(planes):
+        return structure_tensor([planes.copy(), 0.5 * planes + 1.0], 1.3)
 
-    _assert_planewise(tensor, tensor, _stack(k))
+    _assert_planewise(lambda planes: np.stack(components(planes), axis=-1),
+                      lambda plane: np.stack(components(plane), axis=-1), _stack(k))
 
     def aligned(planes):
         responses = [(l, planes * (i + 1)) for i, l in enumerate(riesz_indices(2, 2))]
-        return align_order2(responses, tensor(np.sin(planes)))
+        return align_order2(responses, components(np.sin(planes)))
 
     _assert_planewise(aligned, aligned, _stack(k))
 
