@@ -2,16 +2,15 @@
 
 Four modes are supported, named as they appear on the command line:
 
-* ``constant``  -- every voxel outside the image gets a fixed value C
-  (zero padding when C = 0)
+* ``constant``  -- every voxel outside the image is zero (zero padding)
 * ``nearest``   -- replicate the closest edge voxel
 * ``periodise`` -- tile the image, f_ext[k] = f[k mod N]
 * ``mirror``    -- fold the image at each face; the boundary voxel is the
   mirror axis and is not duplicated, so the halo for [1, 2, 3] with margin 2
   reads [3, 2, | 1, 2, 3 |, 2, 1]
 
-:func:`pad` delegates to :func:`numpy.pad` (``edge``, ``wrap``, ``reflect``
-and ``constant`` respectively), so margins larger than the image itself wrap
+:func:`pad` delegates to :func:`numpy.pad` (``constant``, ``edge``, ``wrap``
+and ``reflect`` respectively), so margins larger than the image itself wrap
 or fold repeatedly instead of failing.
 """
 
@@ -23,8 +22,9 @@ __all__ = ["BOUNDARY_MODES", "pad"]
 
 BOUNDARY_MODES = ("constant", "nearest", "periodise", "mirror")
 
-# numpy.pad names of the non-constant modes
-_NUMPY_MODES = {"nearest": "edge", "periodise": "wrap", "mirror": "reflect"}
+# numpy.pad names of the modes; numpy's constant fill is zero by default
+_NUMPY_MODES = {"constant": "constant", "nearest": "edge", "periodise": "wrap",
+                "mirror": "reflect"}
 
 
 def _check_mode(mode: str):
@@ -32,7 +32,7 @@ def _check_mode(mode: str):
         raise ValueError(f"unknown boundary mode {mode!r}, expected one of {BOUNDARY_MODES}")
 
 
-def pad(image: np.ndarray, margin, mode: str, constant: float = 0.0) -> np.ndarray:
+def pad(image: np.ndarray, margin, mode: str) -> np.ndarray:
     """Extend ``image`` by ``margin`` voxels on both sides of every axis.
 
     ``margin`` is a scalar or one value per axis.  The interior block of the
@@ -46,7 +46,4 @@ def pad(image: np.ndarray, margin, mode: str, constant: float = 0.0) -> np.ndarr
     if np.any(margins < 0):
         raise ValueError(f"margin must be non-negative, got {margin}")
     widths = [(int(m), int(m)) for m in margins]
-    image = np.ascontiguousarray(image)
-    if mode == "constant":
-        return np.pad(image, widths, mode="constant", constant_values=constant)
-    return np.pad(image, widths, mode=_NUMPY_MODES[mode])
+    return np.pad(np.ascontiguousarray(image), widths, mode=_NUMPY_MODES[mode])

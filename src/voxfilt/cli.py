@@ -123,7 +123,7 @@ def cmd_filter(args) -> int:
     filt = FilterConfig(args.filter, _gather_filter_params(args))
     _check_keys(filt.params, _PLANNERS[filt.kind][1], f"{filt.kind} filter", _flag)
     image, view = _load_image(args.image, args.round_on_load)
-    plan = plan_filter(filt, image.spacing, args.mode, args.boundary, args.boundary_constant)
+    plan = plan_filter(filt, image.spacing, args.mode, args.boundary)
     _log(plan.summary)
     data = np.asfortranarray(plan.run(image.data, args.threads), dtype=np.float64)
     # a decimated response covers the same extent with n // m times the spacing
@@ -257,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", required=True, help=f"filter kind: {', '.join(_PLANNERS)}")
     p.add_argument("--mode", default="3d", help="2d (slice-wise) or 3d (volumetric)")
     p.add_argument("--boundary", default="mirror")
-    p.add_argument("--boundary-constant", type=float, default=0.0)
     p.add_argument("--threads", type=int)
     _add_io_flags(p)
     # one flag per key of the parameter table: a switch for a bool, else a

@@ -180,7 +180,7 @@ def _as_float_or_complex(kernel: np.ndarray) -> np.ndarray:
     return kernel.astype(np.float64, copy=False)
 
 
-def convolve_separable(image, kernels, boundary: str, constant: float = 0.0) -> np.ndarray:
+def convolve_separable(image, kernels, boundary: str) -> np.ndarray:
     """Convolve with an outer-product kernel as successive 1-D passes.
 
     ``kernels`` holds one 1-D kernel per filtered axis, the trailing axes of
@@ -197,8 +197,7 @@ def convolve_separable(image, kernels, boundary: str, constant: float = 0.0) -> 
         if g.ndim != 1:
             raise ValueError("separable kernels must be one-dimensional")
     shape = image.shape
-    out = pad(image, _batch_margins(image.ndim, [g.shape[0] // 2 for g in kernels]),
-              boundary, constant)
+    out = pad(image, _batch_margins(image.ndim, [g.shape[0] // 2 for g in kernels]), boundary)
     del image  # a temporary passed in is freed before the passes
     if any(np.iscomplexobj(g) for g in kernels):
         out = out.astype(np.complex128)
@@ -212,7 +211,7 @@ def laplacian_passes(ndim: int) -> int:
     return 3 * ndim - 2
 
 
-def convolve_laplacian(image, smooth, second, boundary: str, constant: float = 0.0,
+def convolve_laplacian(image, smooth, second, boundary: str,
                        ndim: int | None = None) -> np.ndarray:
     """Convolve with the sum over axes d of ``second`` along d and ``smooth``
     along every other axis, as 3D - 2 one-axis passes (:func:`laplacian_passes`).
@@ -233,8 +232,7 @@ def convolve_laplacian(image, smooth, second, boundary: str, constant: float = 0
         raise ValueError("the smoothing and second-derivative factors must be 1-D "
                          "kernels of one length")
     ndim = image.ndim if ndim is None else ndim
-    padded = pad(image, _batch_margins(image.ndim, (smooth.shape[0] // 2,) * ndim),
-                 boundary, constant)
+    padded = pad(image, _batch_margins(image.ndim, (smooth.shape[0] // 2,) * ndim), boundary)
     total = axis_pass(padded, -ndim, second, image.shape[-ndim])
     smoothed = axis_pass(padded, -ndim, smooth, image.shape[-ndim]) if ndim > 1 else None
     del padded
@@ -261,7 +259,7 @@ def axis_pass(block, axis: int, kernel, size: int) -> np.ndarray:
     return _dense_valid(block, kernel.reshape(shape), out_shape)
 
 
-def convolve_full(image, kernel, boundary: str, constant: float = 0.0) -> np.ndarray:
+def convolve_full(image, kernel, boundary: str) -> np.ndarray:
     """Dense N-D convolution with explicit boundary handling, accumulated
     directly in the spatial domain."""
     image = np.asarray(image, dtype=np.float64)
@@ -269,7 +267,7 @@ def convolve_full(image, kernel, boundary: str, constant: float = 0.0) -> np.nda
     if kernel.ndim != image.ndim:
         raise ValueError(f"kernel ndim {kernel.ndim} does not match image ndim {image.ndim}")
     margins = [m // 2 for m in kernel.shape]
-    return _dense_valid(pad(image, margins, boundary, constant), kernel, image.shape)
+    return _dense_valid(pad(image, margins, boundary), kernel, image.shape)
 
 
 def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarray:
@@ -284,8 +282,7 @@ def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarra
     return np.einsum(f"...{letters},{letters}->...", windows, np.ascontiguousarray(flipped))
 
 
-def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
-                  transfers: TransferCache | None = None):
+def convolve_bank(image, kernels, boundary: str, transfers: TransferCache | None = None):
     """Yield each kernel's response to ``image`` through FFTs, from one forward DFT.
 
     The ``kernels`` share one shape and are all real or all complex; they
@@ -315,7 +312,7 @@ def convolve_bank(image, kernels, boundary: str, constant: float = 0.0,
                               lambda: (kernels, [kernel_to_transfer(k, grid) for k in kernels]))
     # The spectrum travels in a list, so that the last kernel's product can
     # take over its memory and no frame holds a product across a yield.
-    spectra = [fft_forward(pad(image, margins, boundary, constant), grid, real)]
+    spectra = [fft_forward(pad(image, margins, boundary), grid, real)]
     crop = tuple(slice(m // 2, m // 2 + n) for m, n in zip(shape, dims))
     for position, transfer in enumerate(bank):
         if position < len(bank) - 1:

@@ -155,11 +155,10 @@ def _moments(n: int, square_sum: float, cube_sum: float,
     return variance, skewness, kurtosis
 
 
-def _deviation_sums(piece: np.ndarray, centre: float, scratch: np.ndarray) -> tuple:
-    """A leaf's sum and sum of |piece - centre|, the latter worked out in
-    the head of ``scratch``."""
+def _deviation_sum(piece: np.ndarray, centre: float, scratch: np.ndarray):
+    """A leaf's sum of |piece - centre|, worked out in the head of ``scratch``."""
     deviation = np.subtract(piece, centre, out=scratch[:piece.size])
-    return np.add.reduce(piece), np.add.reduce(np.abs(deviation, out=deviation))
+    return np.add.reduce(np.abs(deviation, out=deviation))
 
 
 def intensity_statistics(response, mask) -> tuple[FeatureValue, ...]:
@@ -182,8 +181,8 @@ def intensity_statistics(response, mask) -> tuple[FeatureValue, ...]:
     maximum = float(x[-1])
 
     def first(piece):
-        sums = _deviation_sums(piece, median, scratch)
-        return sums + (np.add.reduce(np.multiply(piece, piece, out=scratch[:piece.size])),)
+        return (np.add.reduce(piece), _deviation_sum(piece, median, scratch),
+                np.add.reduce(np.multiply(piece, piece, out=scratch[:piece.size])))
 
     total, median_sum, energy = _tree_sums(x, first)
     mean = total / n
@@ -192,8 +191,8 @@ def intensity_statistics(response, mask) -> tuple[FeatureValue, ...]:
     if robust.size:
         (robust_sum,) = _tree_sums(robust, lambda piece: (np.add.reduce(piece),))
         robust_mean = robust_sum / robust.size
-        _, robust_deviation = _tree_sums(
-            robust, lambda piece: _deviation_sums(piece, robust_mean, scratch))
+        (robust_deviation,) = _tree_sums(
+            robust, lambda piece: (_deviation_sum(piece, robust_mean, scratch),))
         robust_mad = robust_deviation / robust.size
 
     def centred(piece):  # last, as it overwrites x, of which robust is a view

@@ -140,8 +140,7 @@ def laws_1d(name: str) -> np.ndarray:
         raise ValueError(f"unknown Laws kernel {name!r}, expected one of {LAWS_NAMES}") from None
 
 
-def laws_energy(response, delta: int, boundary: str, constant: float = 0.0,
-                ndim: int | None = None) -> np.ndarray:
+def laws_energy(response, delta: int, boundary: str, ndim: int | None = None) -> np.ndarray:
     """Texture energy: mean of |response| over the Chebyshev-delta window.
 
     Implemented as a separable mean filter of width 2*delta + 1 applied to the
@@ -155,7 +154,7 @@ def laws_energy(response, delta: int, boundary: str, constant: float = 0.0,
         return magnitude
     g = mean_kernel_1d(2 * delta + 1)
     ndim = magnitude.ndim if ndim is None else ndim
-    return convolve_separable(magnitude, [g] * ndim, boundary, constant)
+    return convolve_separable(magnitude, [g] * ndim, boundary)
 
 
 @dataclass(frozen=True)
@@ -199,11 +198,10 @@ def gabor_kernel(params: GaborParams) -> np.ndarray:
     return np.exp(envelope + 1j * phase)
 
 
-def gabor_response_modulus(image2d, params: GaborParams, boundary: str,
-                           constant: float = 0.0) -> np.ndarray:
+def gabor_response_modulus(image2d, params: GaborParams, boundary: str) -> np.ndarray:
     """Modulus of the complex Gabor response of one 2-D slice, through the
     planned Gabor op's FFT route (:func:`convolve_bank`)."""
     image2d = np.asarray(image2d)
     if image2d.ndim != 2:
         raise ValueError(f"expected a 2-D slice, got ndim={image2d.ndim}")
-    return np.abs(next(convolve_bank(image2d, [gabor_kernel(params)], boundary, constant)))
+    return np.abs(next(convolve_bank(image2d, [gabor_kernel(params)], boundary)))

@@ -108,14 +108,12 @@ class FilterConfig:
         object.__setattr__(self, "kind", _Param(FILTER_KINDS).typed(self.kind, None, "filter kind"))
         object.__setattr__(self, "params", dict(self.params))
 
-    def plan(self, spacing, mode: str, boundary: str = "mirror",
-             constant: float = 0.0) -> FilterPlan:
+    def plan(self, spacing, mode: str, boundary: str = "mirror") -> FilterPlan:
         """:func:`plan_filter` of this filter, kept and returned again while
-        the spacing, mode, boundary and constant, typed as plan_filter types
-        them, stay the same; other values replace it.  A pickled copy starts
-        without one."""
-        key = (_check_spacing(spacing, None), *(_setting(k, v) for k, v in (
-            ("mode", mode), ("boundary", boundary), ("boundary_constant", constant))))
+        the spacing, mode and boundary, typed as plan_filter types them, stay
+        the same; other values replace it.  A pickled copy starts without one."""
+        key = (_check_spacing(spacing, None), _setting("mode", mode),
+               _setting("boundary", boundary))
         saved = self.__dict__.get("_saved_plan")
         if saved is None or saved[0] != key:
             saved = key, plan_filter(self, *key)
@@ -140,7 +138,6 @@ class ProcessingConfig:
     rounding: bool = False
     reseg_range: tuple | None = None
     boundary: str = "mirror"
-    boundary_constant: float = 0.0
 
     def __post_init__(self):
         # its own filter, so a dataclasses.replace copy starts without the saved plan
@@ -162,7 +159,7 @@ class ProcessingConfig:
         if len(grid) != len(spacing):
             raise ValueError(f"resample spacing_mm {list(grid)} needs one entry per image "
                              f"axis ({len(spacing)})")
-        return self.filter.plan(grid, self.mode, self.boundary, self.boundary_constant)
+        return self.filter.plan(grid, self.mode, self.boundary)
 
 
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
@@ -659,10 +656,10 @@ def _laws(value, ndim) -> str:
 
 
 # Each planner takes its parameters typed, in voxels and defaulted (one entry
-# per key of its table below), the spacing of the filtered axes, the
-# boundary mode and its constant, checks only the rules that span
-# parameters, and returns (route, op): the route is what the plan computes
-# beyond its parameters, the summary's last clause.  Every op is
+# per key of its table below), the spacing of the filtered axes and the
+# boundary mode, checks only the rules that span parameters, and returns
+# (route, op): the route is what the plan computes beyond its parameters,
+# the summary's last clause.  Every op is
 # ``op(data, transfers)``: it filters the trailing len(axes) axes of ``data``,
 # a whole volume, or a (k, n1, n2) stack of planes when plan_filter maps it
 # over slabs, whose leading axis is a batch.  ``transfers`` is the plan's
@@ -672,7 +669,7 @@ def _laws(value, ndim) -> str:
 # The ops look library functions up by name when they execute.
 
 
-def _cascade_op(p, stages, boundary, constant, extra=0):
+def _cascade_op(p, stages, boundary, extra=0):
     """The Laws or wavelet route and op over the per-axis ``stages``.
 
     Without rotation_invariance the op runs the cascade; with it, the
@@ -681,40 +678,40 @@ def _cascade_op(p, stages, boundary, constant, extra=0):
     """
     if not p["rotation_invariance"]:
         return (f"separable route ({sum(map(len, stages)) + extra} one-axis passes)",
-                lambda data, _: cascade(data, stages, boundary, constant))
-    pooled = PooledCascade(stages, p["pool"], boundary, constant)
+                lambda data, _: cascade(data, stages, boundary))
+    pooled = PooledCascade(stages, p["pool"], boundary)
     return (f"pooled over rotations ({pooled.passes + extra} one-axis passes)",
             lambda data, _: pooled(data))
 
 
-def _plan_none(p, axes, boundary, constant):
+def _plan_none(p, axes, boundary):
     return "identity", lambda data, _: data.astype(np.float64, copy=True)
 
 
-def _plan_mean(p, axes, boundary, constant):
+def _plan_mean(p, axes, boundary):
     factors = (mean_kernel_1d(p["support"]),) * len(axes)
     return (f"separable route ({len(axes)} one-axis passes)",
-            lambda data, _: convolve_separable(data, factors, boundary, constant))
+            lambda data, _: convolve_separable(data, factors, boundary))
 
 
-def _plan_log(p, axes, boundary, constant):
+def _plan_log(p, axes, boundary):
     size = _taps(p["sigma_vox"], p["cutoff"], "log filter sigma and cutoff")
     smooth, second = log_kernel_1d(p["sigma_vox"], p["cutoff"])
     passes = laplacian_passes(len(axes))
     return (f"kernel size {size}, separable route ({passes} one-axis passes)",
-            lambda data, _: convolve_laplacian(data, smooth, second, boundary, constant, len(axes)))
+            lambda data, _: convolve_laplacian(data, smooth, second, boundary, len(axes)))
 
 
-def _plan_laws(p, axes, boundary, constant):
+def _plan_laws(p, axes, boundary):
     text, delta, ndim = p["kernels"], p["energy_delta"], len(axes)
     stages = [[laws_1d(text[i : i + 2])] for i in range(0, len(text), 2)]
     # a positive energy_delta runs one mean pass per axis after the cascade
-    route, op = _cascade_op(p, stages, boundary, constant, ndim * bool(delta))
+    route, op = _cascade_op(p, stages, boundary, ndim * bool(delta))
     return route, op if delta is None else lambda data, transfers: laws_energy(
-        op(data, transfers), delta, boundary, constant, ndim)
+        op(data, transfers), delta, boundary, ndim)
 
 
-def _plan_gabor(p, axes, boundary, constant):
+def _plan_gabor(p, axes, boundary):
     sigma, wavelength, gamma = p["sigma_vox"], p["lambda_vox"], p["gamma"]
     size = _taps(sigma * max(gamma, 1.0), 4.0, "gabor filter sigma and gamma")
     thetas = gabor_orientation_set(p["dtheta"]) if p["rotation_invariance"] else [p["theta"]]
@@ -722,44 +719,41 @@ def _plan_gabor(p, axes, boundary, constant):
     bank = [gabor_kernel(GaborParams(sigma, wavelength, gamma, theta)) for theta in thetas]
 
     def run(plane, transfers):
-        return pool((np.abs(r) for r in convolve_bank(plane, bank, boundary, constant, transfers)),
+        return pool((np.abs(r) for r in convolve_bank(plane, bank, boundary, transfers)),
                     p["pool"])
 
     return f"kernel size {size}, {len(bank)} orientations, FFT route", run
 
 
-def _plan_wavelet(p, axes, boundary, constant):
+def _plan_wavelet(p, axes, boundary):
     family, level, subband = p["wavelet"], p["level"], p["subband"]
     if not p["decimated"]:
-        return _cascade_op(p, _swt_stages(family, level, subband, len(axes)), boundary, constant)
+        return _cascade_op(p, _swt_stages(family, level, subband, len(axes)), boundary)
     if p["rotation_invariance"]:
         raise ValueError("the decimated wavelet transform has no rotation-invariant form; "
                          "drop decimated or rotation_invariance")
     return f"decimated by {2 ** level} per axis", lambda data, _: dwt_decimated(
-        data, family, level, subband, boundary, constant)
+        data, family, level, subband, boundary)
 
 
-def _fourier_domain(axes, boundary, constant, what):
+def _fourier_domain(axes, what):
     """The Fourier-domain filters work on the frequency grid of the filtered
-    axes, so they need those axes isotropic, and they always periodise, with
-    no boundary constant.  Returns their route, which names that boundary."""
+    axes, so they need those axes isotropic, and they always periodise.
+    Returns their route, which names that boundary."""
     _isotropic_scale(axes, what)
-    if constant != 0.0:
-        raise ValueError(f"{what} always periodises, so boundary_constant {constant!r} "
-                         "would be ignored; drop it or use another filter")
     return "Fourier-domain route, applied boundary periodise"
 
 
-def _plan_nonseparable(p, axes, boundary, constant):
+def _plan_nonseparable(p, axes, boundary):
     profile = RadialProfile(p["wavelet"], p["level"])
-    return (_fourier_domain(axes, boundary, constant, "the nonseparable filter"),
+    return (_fourier_domain(axes, "the nonseparable filter"),
             lambda data, transfers: nonseparable_b_map(data, profile, transfers, len(axes)))
 
 
-def _plan_riesz(p, axes, boundary, constant):
+def _plan_riesz(p, axes, boundary):
     ndim, l, sigma = len(axes), p["l"], p["sigma_tensor_vox"]
     profile = RadialProfile(p["wavelet"], p["level"])
-    route = _fourier_domain(axes, boundary, constant, "the Riesz filter")
+    route = _fourier_domain(axes, "the Riesz filter")
     if not p["align"]:
         return route, lambda data, transfers: riesz_filtered_map(data, profile, l, transfers)
     if sum(l) != 2:
@@ -833,7 +827,6 @@ def _range(value, ndim) -> tuple:
 _CONFIG = {
     "mode": ("mode", _Param(("2d", "3d"), required=True)),
     "boundary": ("boundary", _Param(BOUNDARY_MODES)),
-    "boundary_constant": ("boundary_constant", _Param(float, low=-math.inf)),
     "resegment_hu": ("reseg_range", _Param(_range)),
     "resample.spacing_mm": ("resample_spacing_mm", _Param(
         lambda value, ndim: _check_spacing(value, ndim, "resample spacing_mm", "resampling"),
@@ -857,12 +850,12 @@ def _setting(key, value):
     return spec.typed(value, None, key.rpartition(".")[2])
 
 
-def _summary(kind, mode, boundary, constant, specs, p, route) -> str:
-    """A plan's log line: kind, mode, boundary (and its constant), each typed
+def _summary(kind, mode, boundary, specs, p, route) -> str:
+    """A plan's log line: kind, mode, boundary, each typed
     key that applies with its value in voxels, then the planner's route.  A
     float shows as its shortest round-trip repr, so the line is exact, a bool
     as YAML writes it and a Riesz index as --riesz takes it."""
-    shown = [f"mode {mode}", f"boundary {boundary}" + f" {constant!r}" * (boundary == "constant")]
+    shown = [f"mode {mode}", f"boundary {boundary}"]
     for key, value in p.items():
         if value is not None and specs[key].holds(p):
             text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
@@ -870,14 +863,13 @@ def _summary(kind, mode, boundary, constant, specs, p, route) -> str:
     return f"{kind} filter: {', '.join(shown)}; {route}"
 
 
-def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror",
-                constant: float = 0.0) -> FilterPlan:
+def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror") -> FilterPlan:
     """Check one filter's parameters, convert them to voxels and build its kernels.
 
     ``spacing`` is the volume's spacing in mm, checked by the one spacing
     rule (any number of axes).  Every parameter is checked
-    against its entry in ``_PLANNERS``, and ``mode``, ``boundary`` and
-    ``constant`` against theirs in ``_CONFIG``, before the planner runs, and
+    against its entry in ``_PLANNERS``, and ``mode`` and ``boundary``
+    against theirs in ``_CONFIG``, before the planner runs, and
     each error names the key.  The plan's ``run`` filters
     each (k1, k2) slice in 2-D mode and the whole volume in 3-D mode, where
     the planar Gabor filter needs an isotropic grid and always averages its
@@ -894,18 +886,13 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
     transfers, and another shape empties it first.  A whole-volume 3-D op
     keeps no transfers: holding full-grid ones past a run raised peak
     memory.  The decimated wavelet runs in 3-D mode only, without rotation
-    invariance.  A non-zero ``constant`` needs the constant boundary and a
-    spatial filter.
+    invariance.  The constant boundary pads with zeros.
     """
     spacing = _check_spacing(spacing, None)
-    mode, boundary, constant = (_setting(key, value) for key, value in (
-        ("mode", mode), ("boundary", boundary), ("boundary_constant", constant)))
+    mode, boundary = _setting("mode", mode), _setting("boundary", boundary)
     if mode == "2d" and len(spacing) != 3:
         raise ValueError(f"2d mode filters the slices of a 3-D volume, so it needs 3 spacing "
                          f"entries, got {tuple(spacing)}")
-    if constant != 0.0 and boundary != "constant":
-        raise ValueError(f"boundary_constant {constant!r} applies only with boundary "
-                         f"constant, not {boundary}")
     kind, params = filt.kind, filt.params
     planner, specs = _PLANNERS[kind]
     _check_keys(params, specs, f"{kind} filter")
@@ -931,10 +918,10 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
             raise ValueError(f"{what} is {value!r} voxels, whose square {value * value!r} "
                              "must be neither 0 nor inf")
         p[key] = value
-    route, op = planner(p, axes, boundary, constant)
+    route, op = planner(p, axes, boundary)
     if slices is orthogonal_plane_average:
         route += ", mean of the three orthogonal plane stacks"
-    summary = _summary(kind, mode, boundary, constant, specs, p, route)
+    summary = _summary(kind, mode, boundary, specs, p, route)
     transfers = TransferCache()
 
     def run(volume, threads: int = 1):
@@ -955,12 +942,11 @@ def plan_filter(filt: FilterConfig, spacing, mode: str, boundary: str = "mirror"
 
 
 def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
-                 boundary: str = "mirror", constant: float = 0.0,
-                 threads: int = 1) -> np.ndarray:
-    """Filter a whole volume with ``filt.plan(image.spacing, mode, boundary,
-    constant)``, the plan the filter keeps: calls with the same grid and
-    settings plan once and reuse its kernels and transfers."""
-    return filt.plan(image.spacing, mode, boundary, constant).run(image.data, threads)
+                 boundary: str = "mirror", threads: int = 1) -> np.ndarray:
+    """Filter a whole volume with ``filt.plan(image.spacing, mode, boundary)``,
+    the plan the filter keeps: calls with the same grid and settings plan
+    once and reuse its kernels and transfers."""
+    return filt.plan(image.spacing, mode, boundary).run(image.data, threads)
 
 
 def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfig,
@@ -991,7 +977,7 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
     if intensity_mask.voxel_count == 0:
         raise ValueError("empty ROI after re-segmentation")
     response = work.with_data(apply_filter(work, config.filter, config.mode, config.boundary,
-                                           config.boundary_constant, threads))
+                                           threads))
     features = diagnostics(mask_before.membership, intensity_mask.membership, work.data)
     features = features + intensity_statistics(response.data, intensity_mask.membership)
     return response, intensity_mask, features

@@ -107,21 +107,30 @@ def _power(x, n: int):
     return out
 
 
-def riesz_transfer(dims, l, half: bool = False) -> np.ndarray:
+def riesz_transfer(dims, l, half: bool = False, *, grid=None) -> np.ndarray:
     """Order-|l| all-pass transfer on the DFT-ordered frequency grid, or with
-    ``half`` on its half grid of the last axis."""
+    ``half`` on its half grid of the last axis.  A caller building several
+    transfers of one order may pass ``grid``: the axes of
+    ``fourier_grid(dims, half)`` and its norm to the order |l|.  Only the
+    origin has norm 0."""
     dims = tuple(int(n) for n in dims)
     l = _check_index(l, len(dims))
-    axes, norm = fourier_grid(dims, half)
     order = sum(l)
+    axes, norm_power = grid or _norm_power(dims, half, order)
     numerator = np.ones((1,) * len(dims))
     for nu, power in zip(axes, l):
         if power:
             numerator = numerator * _power(nu, power)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = numerator / _power(norm, order)
-    ratio[norm == 0.0] = 0.0
+        ratio = numerator / norm_power
+    ratio[(0,) * len(dims)] = 0.0
     return _PHASE[order % 4] * multinomial_coefficient(l) * ratio
+
+
+def _norm_power(dims, half: bool, order: int) -> tuple:
+    """The frequency axes of ``fourier_grid(dims, half)`` and its norm to ``order``."""
+    axes, norm = fourier_grid(dims, half)
+    return axes, _power(norm, order)
 
 
 def riesz_filtered_maps(image, profile: RadialProfile, indices,
@@ -144,10 +153,21 @@ def riesz_filtered_maps(image, profile: RadialProfile, indices,
     band = fft_forward(image, dims, real=True)
     band *= cached_transfer(transfers, ("radial", profile, dims),
                             lambda: radial_transfer(profile, dims, half=True))
+    # a run of indices of one order shares the frequency grid and its norm
+    # power, dropped after the run's last transfer: none is held while the
+    # caller works on a map
+    orders, held = [sum(l) for l in indices] + [0], {}
+
+    def steer(l, last):
+        grid = held.pop(sum(l), None) or _norm_power(dims, True, sum(l))
+        if not last:
+            held[sum(l)] = grid
+        return riesz_transfer(dims, l, True, grid=grid)
+
     return ((l, fft_inverse(band * cached_transfer(transfers, ("riesz", dims, l),
-                                                   lambda: riesz_transfer(dims, l, half=True)),
+                                                   lambda: steer(l, order != following)),
                             dims, real=True))
-            for l in indices)
+            for l, order, following in zip(indices, orders, orders[1:]))
 
 
 def riesz_filtered_map(image, profile: RadialProfile, l,

@@ -17,31 +17,28 @@ rotations of the image.
 Pooling over the rotations (:class:`PooledCascade`) lays its work out
 once, as a trie of steps walked depth first: all-axes pads, one-axis
 passes, and for the average of a multi-level cascade per-axis operators.
-Which steps fill the trie depends on the pool mode, the boundary and,
-for the average with linear padding, which of two layouts runs fewer
-passes.
+Which steps fill the trie depends on the pool mode and, for the average,
+which of two layouts runs fewer passes.
 
-Max pooling, and the average of a cascade padded with a non-zero constant,
-group the rotations.  Every rotated stage is matched by value, up to sign,
-against the stages met before it in the set: a reversed symmetric stage
-is the stage itself, a reversed antisymmetric one is the stage with sign -1,
-and equal per-axis cascades (HHH) collapse.  Rotations with the same
-sequence of stages form one group, whose response h is computed once, with
-one pad per level and stage prefix.  A sign taken out of an early level
-must pass through the later padding, so with a non-zero constant only the
-last level's stages are matched up to sign.  A group holding n+ rotations
-of sign +1 and n- of sign -1 enters max pooling as |h| when it holds both
-signs and as +h or -h otherwise, which is exact up to the sign of exact
-zeros; it enters the average as (n+ - n-) h.
+Every boundary pads linearly (the constant one fills with zeros), so a
+sign taken out of any level passes through the later padding.  Max pooling
+groups the rotations: at every level, every rotated stage is matched by
+value, up to sign, against the stages met before it in the set: a reversed
+symmetric stage is the stage itself, a reversed antisymmetric one is the
+stage with sign -1, and equal per-axis cascades (HHH) collapse.  Rotations
+with the same sequence of stages form one group, whose response h is
+computed once, with one pad per level and stage prefix.  A group holding
+n+ rotations of sign +1 and n- of sign -1 enters max pooling as |h| when
+it holds both signs and as +h or -h otherwise, which is exact up to the
+sign of exact zeros; it enters the average as (n+ - n-) h.
 
-The average with linear padding (every boundary but a non-zero constant) is
-regrouped per axis instead.  Padding and passes then act on each axis
-alone, so a rotated cascade is the tensor product, over the output axes d,
-of one source axis's stages run forward or reversed (reversal bit f_d).
-Rotations with the same source stage lists, compared by value, form a
-group; let c_f count its rotations with reversal pattern f.  With P_d the
-forward operator plus the reversed one and M_d the forward minus the
-reversed, the group sums to
+The average is also regrouped per axis.  Padding and passes then act on
+each axis alone, so a rotated cascade is the tensor product, over the
+output axes d, of one source axis's stages run forward or reversed
+(reversal bit f_d).  Rotations with the same source stage lists, compared
+by value, form a group; let c_f count its rotations with reversal pattern
+f.  With P_d the forward operator plus the reversed one and M_d the
+forward minus the reversed, the group sums to
 
     sum over S of a_S (x)_{d in S} M_d (x)_{d not in S} P_d,
     a_S = 2^-D sum over f of c_f (-1)^|S & f|.
@@ -176,11 +173,11 @@ def equivariant_cascades(stage_lists):
     return elements, labels
 
 
-def cascade(image, stage_lists, boundary: str, constant: float = 0.0) -> np.ndarray:
+def cascade(image, stage_lists, boundary: str) -> np.ndarray:
     """Run separable pass m over stage m of every axis, m = 1, 2, ..."""
     current = image
     for stages in zip(*stage_lists):
-        current = convolve_separable(current, stages, boundary, constant)
+        current = convolve_separable(current, stages, boundary)
     return current
 
 
@@ -195,16 +192,15 @@ class PooledCascade:
     into the pool.
     """
 
-    def __init__(self, stage_lists, pool_mode: str, boundary: str, constant: float = 0.0):
+    def __init__(self, stage_lists, pool_mode: str, boundary: str):
         self.pool_mode = _check_pool_mode(pool_mode)
-        self.boundary, self.constant = boundary, constant
+        self.boundary = boundary
         _, rows, elements, self._forward, self._reverse = _oriented_stages(stage_lists)
         self.ndim, self.rotations = len(stage_lists), len(rows)
         self.kernels = []
         self._index = {}  # kernel bytes, zeros unsigned -> position in self.kernels
-        linear = boundary != "constant" or constant == 0.0
-        layouts = [self._groups(elements, linear)]
-        if pool_mode == "average" and linear:
+        layouts = [self._groups(elements)]
+        if pool_mode == "average":
             layouts.insert(0, self._terms(rows))
         # the layout with fewer passes, the regrouped terms on a tie
         self._trie, self.passes, self.leaves, self._divisor = min(
@@ -240,25 +236,23 @@ class PooledCascade:
             self.kernels.append(kernel)
         return self._index[key]
 
-    def _groups(self, elements, linear):
-        """Rotations with one stage sequence, matched up to sign, as trie leaves.
+    def _groups(self, elements):
+        """Rotations with one stage sequence, matched up to sign at every
+        level, as trie leaves.
 
         Returns {steps: (rotations of sign +1, rotations of sign -1)} for max
-        pooling, {steps: their difference} for the average.  A sign taken out
-        of an early level must pass through the later padding, so without
-        ``linear`` padding only the last level's stages are matched up to sign.
+        pooling, {steps: their difference} for the average.
         """
         depth = len(self._forward[0])
         groups = {}
         for element in elements:
             steps, sign = [], 1
             for level in range(depth):
-                signed = linear or level == depth - 1
                 passes = []
                 for axis, stages in enumerate(element):
                     stage = stages[level]
                     key, negated = (stage + 0.0).tobytes(), (0.0 - stage).tobytes()
-                    if key not in self._index and signed and negated in self._index:
+                    if key not in self._index and negated in self._index:
                         kernel, sign = self._index[negated], -sign
                     else:
                         kernel = self._kernel(stage)
@@ -339,8 +333,7 @@ class PooledCascade:
         axis counted from the end, past any batch axes.
         """
         if step[0] == "pad":
-            return pad(held.pop(), _batch_margins(len(shape), step[1]), self.boundary,
-                       self.constant)
+            return pad(held.pop(), _batch_margins(len(shape), step[1]), self.boundary)
         axis = step[1] - self.ndim
         if step[0] == "pass":
             return axis_pass(held.pop(), axis, self.kernels[step[2]], shape[axis])
@@ -349,14 +342,14 @@ class PooledCascade:
         _, _, source, minus = step
         margins = [0] * len(shape)
         margins[axis] = self._forward[source][0].size // 2
-        start = [pad(held.pop(), margins, self.boundary, self.constant)]
+        start = [pad(held.pop(), margins, self.boundary)]
         out = None
         for stages in (self._forward[source], self._reverse[source]):
             block = axis_pass(start[0] if out is None else start.pop(), axis, stages[0],
                               shape[axis])
             for stage in stages[1:]:
                 margins[axis] = stage.size // 2
-                block = pad(block, margins, self.boundary, self.constant)
+                block = pad(block, margins, self.boundary)
                 block = axis_pass(block, axis, stage, shape[axis])
             if out is None:
                 out = block

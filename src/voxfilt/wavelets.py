@@ -136,17 +136,15 @@ def _swt_stages(family, level: int, subband: str, ndim: int) -> list:
             for taps in _subband_taps(family, level, subband, ndim)]
 
 
-def swt_undecimated(image, family, level: int, subband: str, boundary: str,
-                    constant: float = 0.0) -> np.ndarray:
+def swt_undecimated(image, family, level: int, subband: str, boundary: str) -> np.ndarray:
     """Stationary (undecimated) wavelet subband at the requested level;
     output dims equal input dims."""
     image = np.asarray(image, dtype=np.float64)
-    return cascade(image, _swt_stages(family, level, subband, image.ndim), boundary, constant)
+    return cascade(image, _swt_stages(family, level, subband, image.ndim), boundary)
 
 
 def swt_rotation_pooled(image, family, level: int, subband: str,
-                        pool_mode: str = "average", boundary: str = "mirror",
-                        constant: float = 0.0) -> np.ndarray:
+                        pool_mode: str = "average", boundary: str = "mirror") -> np.ndarray:
     """Pool the undecimated subband over all right-angle kernel rotations.
 
     Each rotation permutes and reverses the per-axis filter cascades as a
@@ -155,11 +153,10 @@ def swt_rotation_pooled(image, family, level: int, subband: str,
     """
     image = np.asarray(image, dtype=np.float64)
     stages = _swt_stages(family, level, subband, image.ndim)
-    return PooledCascade(stages, pool_mode, boundary, constant)(image)
+    return PooledCascade(stages, pool_mode, boundary)(image)
 
 
-def dwt_decimated(image, family, level: int, subband: str, boundary: str,
-                  constant: float = 0.0) -> np.ndarray:
+def dwt_decimated(image, family, level: int, subband: str, boundary: str) -> np.ndarray:
     """Decimated (Mallat) wavelet subband at the requested level: each level
     filters with its taps and keeps the even-indexed samples, so output dims
     are the input dims over 2^level."""
@@ -172,7 +169,7 @@ def dwt_decimated(image, family, level: int, subband: str, boundary: str,
             f"pad each axis to a multiple of {factor} first"
         )
     for j in range(level):
-        full = convolve_separable(image, [t[j] for t in taps], boundary, constant)
+        full = convolve_separable(image, [t[j] for t in taps], boundary)
         image = full[(slice(None, None, 2),) * full.ndim].copy()
     return image
 

@@ -43,17 +43,17 @@ def fold_index(k: int, n: int, mode: str) -> int:
     raise ValueError(mode)
 
 
-def ext_lookup(image: np.ndarray, idx: tuple, mode: str, constant: float = 0.0) -> float:
+def ext_lookup(image: np.ndarray, idx: tuple, mode: str) -> float:
     """Extended-image value at an arbitrary integer index."""
     if mode == "constant":
         if any(k < 0 or k >= n for k, n in zip(idx, image.shape)):
-            return constant
+            return 0.0
         return image[idx]
     src = tuple(fold_index(k, n, mode) for k, n in zip(idx, image.shape))
     return image[src]
 
 
-def conv_brute(image: np.ndarray, kernel: np.ndarray, mode: str, constant: float = 0.0):
+def conv_brute(image: np.ndarray, kernel: np.ndarray, mode: str):
     """Direct per-voxel, per-tap convolution (python loops; tiny inputs only)."""
     image = np.asarray(image, dtype=np.float64)
     kernel = np.asarray(kernel)
@@ -64,12 +64,12 @@ def conv_brute(image: np.ndarray, kernel: np.ndarray, mode: str, constant: float
         for tap in np.ndindex(*kernel.shape):
             offset = tuple(t - c for t, c in zip(tap, centres))
             src = tuple(a - b for a, b in zip(k0, offset))
-            acc = acc + kernel[tap] * ext_lookup(image, src, mode, constant)
+            acc = acc + kernel[tap] * ext_lookup(image, src, mode)
         out[k0] = acc
     return out
 
 
-def conv_taploop(image: np.ndarray, kernel: np.ndarray, mode: str, constant: float = 0.0):
+def conv_taploop(image: np.ndarray, kernel: np.ndarray, mode: str):
     """Tap-by-tap convolution with vectorised gathers.
 
     Same definition as :func:`conv_brute` (checked against it in the suite)
@@ -96,12 +96,11 @@ def conv_taploop(image: np.ndarray, kernel: np.ndarray, mode: str, constant: flo
             src_axes.append(src)
         vals = image[tuple(src_axes)]
         if mode == "constant":
-            vals = np.where(inside, vals, constant)
+            vals = np.where(inside, vals, 0.0)
         out = out + w * vals
     return out
 
-def mallat_pyramid(image: np.ndarray, low, high, levels: int, boundary: str,
-                   constant: float = 0.0) -> list:
+def mallat_pyramid(image: np.ndarray, low, high, levels: int, boundary: str) -> list:
     """The whole decimated (Mallat) pyramid: one {letters: map} dict per level.
 
     Every level filters its input with all 2^D low/high letter combinations
@@ -117,7 +116,7 @@ def mallat_pyramid(image: np.ndarray, low, high, levels: int, boundary: str,
     for _ in range(levels):
         subbands = {}
         for combo in itertools.product("LH", repeat=current.ndim):
-            full = convolve_separable(current, [bank[c] for c in combo], boundary, constant)
+            full = convolve_separable(current, [bank[c] for c in combo], boundary)
             subbands["".join(combo)] = full[(slice(None, None, 2),) * full.ndim].copy()
         out.append(subbands)
         current = subbands["L" * current.ndim]

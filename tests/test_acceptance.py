@@ -60,9 +60,8 @@ def test_criterion_01_separable_matches_dense():
         image = rng.normal(size=dims)
         parts = tuple(rng.normal(size=m) for m in sizes)
         mode = BOUNDARY_MODES[int(rng.integers(0, len(BOUNDARY_MODES)))]
-        constant = float(rng.normal()) if mode == "constant" else 0.0
-        got = convolve_separable(image, parts, mode, constant=constant)
-        want = convolve_full(image, _outer(parts), mode, constant=constant)
+        got = convolve_separable(image, parts, mode)
+        want = convolve_full(image, _outer(parts), mode)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -101,7 +100,7 @@ def test_criterion_03_boundary_fixtures():
         "periodise": [2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0],
         "mirror": [3.0, 2.0, 1.0, 2.0, 3.0, 2.0, 1.0],
     }
-    results = {mode: pad(image, 2, mode, constant=0.0) for mode in expected}
+    results = {mode: pad(image, 2, mode) for mode in expected}
     ok = all(np.array_equal(results[mode], expected[mode]) for mode in expected)
     mirror_repeats_edge = results["mirror"][1] == 2.0 and results["mirror"][2] == 1.0
     _line(3, ok and mirror_repeats_edge,

@@ -146,20 +146,6 @@ class TestFilterCommand:
                               "complex taps") and err.count("\n") == 1, err
         assert not (tmp_path / "o.nii").exists()
 
-    def test_boundary_constant_needs_constant_boundary(self, tmp_path, capsys):
-        src = tmp_path / "in.nii"
-        _write_volume(src, np.random.default_rng(3).normal(size=(6, 6, 6)))
-        out = tmp_path / "o.nii"
-        code = main([
-            "filter", str(src), "--out", str(out), "--filter", "mean", "--support", "3",
-            "--boundary", "mirror", "--boundary-constant", "3",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == ("error: boundary_constant 3.0 applies only with boundary constant, "
-                       "not mirror\n")
-        assert not out.exists()
-
     def test_irrelevant_flag_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         src = tmp_path / "in.nii"
@@ -437,7 +423,8 @@ class TestFilterCommand:
         assert reached == set(FILTER_PARAMETERS)
         assert set(voxfilt.cli._FLAG_OF) == {"l", "rotation_invariance"}
 
-    @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated", "--orthogonal-planes"])
+    @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated", "--orthogonal-planes",
+                                      "--boundary-constant=0"])
     def test_removed_flags_rejected(self, tmp_path, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([
@@ -817,9 +804,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("flags,message", [
         (["--filter", "log", "--sigma-vox", "nan"],
          "log filter sigma_vox must be a positive finite number, got nan"),
-        (["--filter", "mean", "--support", "3", "--boundary", "constant",
-          "--boundary-constant", "nan"], "boundary_constant must be a finite number, got nan"),
-    ], ids=["sigma-vox", "boundary-constant"])
+    ], ids=["sigma-vox"])
     def test_filter_rejects_nan_before_logging(self, tmp_path, capsys, flags, message):
         src, _, _ = self._fixture(tmp_path)
         out = tmp_path / "o.nii"
@@ -949,18 +934,14 @@ class TestRunCommand:
         ("resample:\n  spacing_mm: 1.0\n", "spacing_mm"),
         ("resegment_hu: -1000\n", "resegment_hu"),
         ("resample:\n  spacing_mm: [1, 1, 1]\n  mask_threshold: true\n", "mask_threshold"),
-        ("boundary_constant: yes\n", "boundary_constant"),
-        ("boundary: constant\nboundary_constant: .nan\n", "boundary_constant"),
         ("resample:\n  spacing_mm: [.nan, 1, 1]\n", "spacing_mm"),
         ("resample:\n  spacing_mm: [1, .inf, 1]\n", "spacing_mm"),
-        ("boundary_constant: .inf\n", "boundary_constant"),
         ("resegment_hu: [.nan, 400]\n", "resegment_hu"),
         ("resegment_hu: [-1000, .nan]\n", "resegment_hu"),
         # beyond float32, write_nifti's struct.pack raised OverflowError at the end
         ("resample:\n  spacing_mm: [1.0e+39, 1, 1]\n", "spacing_mm"),
-    ], ids=["scalar-spacing", "scalar-range", "bool-threshold", "bool-constant",
-            "nan-constant", "nan-spacing", "inf-spacing", "inf-constant", "nan-low",
-            "nan-high", "float32-overflow-spacing"])
+    ], ids=["scalar-spacing", "scalar-range", "bool-threshold", "nan-spacing", "inf-spacing",
+            "nan-low", "nan-high", "float32-overflow-spacing"])
     def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, block, key):
         src, mask, config = self._fixture(tmp_path)
         config.write_text("test_id: T\nmode: 3d\n" + block + "filter:\n  kind: none\n")
@@ -1114,10 +1095,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "error: riesz index l must be a list of integers, got 2\n"
 
-    def test_boundary_constant_needs_constant_boundary(self, tmp_path, capsys):
+    def test_removed_boundary_constant_key_fails_before_any_work(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # the constant boundary pads with zeros, so the key is refused even at 0
+        calls = []
+        monkeypatch.setattr(voxfilt.pipeline, "resample_image", lambda *a: calls.append(a))
         src, mask, config = self._fixture(tmp_path)
-        config.write_text(yaml.safe_dump({"test_id": "T", "mode": "3d", "boundary": "mirror",
-                                          "boundary_constant": 2.5,
+        config.write_text(yaml.safe_dump({"test_id": "T", "mode": "3d", "boundary": "constant",
+                                          "boundary_constant": 0.0,
+                                          "resample": {"spacing_mm": [1.0, 1.0, 1.0]},
                                           "filter": {"kind": "mean", "support": 3}}))
         code = main([
             "run", str(config), "--image", str(src), "--mask", str(mask),
@@ -1125,9 +1111,9 @@ class TestRunCommand:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == ("error: boundary_constant 2.5 applies only with boundary constant, "
-                       "not mirror\n")
-        assert not (tmp_path / "r").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unknown key 'boundary_constant'" in err
+        assert calls == [] and not (tmp_path / "r").exists()
 
     def test_misspelt_config_key_fails_cleanly(self, tmp_path, capsys):
         src, mask, config = self._fixture(tmp_path)

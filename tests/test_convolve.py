@@ -37,8 +37,8 @@ def test_oracles_agree_with_each_other():
     img = rng.normal(size=(6, 5))
     ker = rng.normal(size=(3, 3))
     for mode in BOUNDARY_MODES:
-        np.testing.assert_allclose(conv_taploop(img, ker, mode, 1.5),
-                                   conv_brute(img, ker, mode, 1.5), rtol=1e-13)
+        np.testing.assert_allclose(conv_taploop(img, ker, mode),
+                                   conv_brute(img, ker, mode), rtol=1e-13)
 
 
 class TestConvolveFull:
@@ -62,8 +62,8 @@ class TestConvolveFull:
         rng = np.random.default_rng(2)
         img = rng.normal(size=(16, 16, 16))
         ker = rng.normal(size=(3, 3, 3))
-        out = convolve_full(img, ker, mode, constant=0.7)
-        ref = conv_taploop(img, ker, mode, constant=0.7)
+        out = convolve_full(img, ker, mode)
+        ref = conv_taploop(img, ker, mode)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("mode", BOUNDARY_MODES)
@@ -123,8 +123,8 @@ class TestConvolveSeparable:
         img = rng.normal(size=(13, 11))
         gs = [rng.normal(size=m) for m in sizes]
         dense = np.multiply.outer(gs[0], gs[1])
-        got = convolve_separable(img, gs, mode, constant=0.3)
-        ref = convolve_full(img, dense, mode, constant=0.3)
+        got = convolve_separable(img, gs, mode)
+        ref = convolve_full(img, dense, mode)
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
     @pytest.mark.parametrize("mode", BOUNDARY_MODES)
@@ -176,15 +176,17 @@ class TestConvolveLaplacian:
     @pytest.mark.parametrize("cutoff", [3.0, 4.0])
     @pytest.mark.parametrize("sigma", [0.7, 1.5, 2.5])
     @pytest.mark.parametrize("shape", [(11, 9, 7), (5, 14, 9), (13, 7), (9, 5)])
-    @pytest.mark.parametrize("mode, constant",
+    @pytest.mark.parametrize("mode, fill",
                              [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 0.7)])
-    def test_matches_dense_kernel(self, mode, constant, shape, sigma, cutoff):
+    def test_matches_dense_kernel(self, mode, fill, shape, sigma, cutoff):
         # odd, non-cubic shapes; with sigma 1.5 and cutoff 4 (M = 13, margin
-        # 6) the 5-voxel axes are shorter than the margin
+        # 6) the 5-voxel axes are shorter than the margin.  The image is
+        # lowered by ``fill``, so the zero halo steps up from it by ``fill``.
         image = np.random.default_rng(len(shape) + int(10 * sigma)).normal(size=shape) * 100
+        image -= fill
         smooth, second = log_kernel_1d(sigma, cutoff)
-        got = convolve_laplacian(image, smooth, second, mode, constant)
-        want = convolve_full(image, log_kernel(sigma, len(shape), cutoff), mode, constant)
+        got = convolve_laplacian(image, smooth, second, mode)
+        want = convolve_full(image, log_kernel(sigma, len(shape), cutoff), mode)
         assert got.shape == shape and got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -217,10 +219,10 @@ class TestConvolvePlanes:
         rng = np.random.default_rng(31)
         kernels = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)]
         for plane in rng.normal(size=(3, 7, 6)):
-            responses = list(convolve_bank(plane, kernels, mode, 0.7))
+            responses = list(convolve_bank(plane, kernels, mode))
             assert len(responses) == 2
             for kernel, response in zip(kernels, responses):
-                want = conv_taploop(plane, kernel, mode, constant=0.7)
+                want = conv_taploop(plane, kernel, mode)
                 assert response.shape == plane.shape
                 np.testing.assert_allclose(response, want, rtol=1e-12, atol=1e-12)
 
@@ -235,10 +237,10 @@ class TestConvolveBank:
         kernels = [rng.normal(size=shape) for _ in range(2)]
         if kind == "complex":
             kernels = [k + 1j * rng.normal(size=shape) for k in kernels]
-        responses = list(convolve_bank(image, kernels, mode, -1.5))
+        responses = list(convolve_bank(image, kernels, mode))
         for kernel, response in zip(kernels, responses):
             assert np.iscomplexobj(response) == (kind == "complex")
-            want = conv_taploop(image, kernel, mode, constant=-1.5)
+            want = conv_taploop(image, kernel, mode)
             np.testing.assert_allclose(response, want, rtol=1e-12, atol=1e-12)
 
     def test_kernels_of_different_shapes_rejected(self):

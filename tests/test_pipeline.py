@@ -875,16 +875,11 @@ class TestPlanFilter:
         with pytest.raises(ValueError, match="dtheta"):
             plan_filter(filt, (1.0, 1.0, 1.0), "2d")
 
-    @pytest.mark.parametrize("boundary", ["mirror", "nearest", "periodise"])
-    def test_constant_without_constant_boundary_rejected(self, boundary):
+    def test_constant_boundary_pads_with_zeros(self):
+        # the corner's 3x3x3 window holds 8 voxels of the image and 19 of the fill
         filt = FilterConfig("mean", {"support": 3})
-        with pytest.raises(ValueError, match="boundary_constant 2.5 applies only with "
-                                             "boundary constant"):
-            plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary, 2.5)
-        with pytest.raises(ValueError, match="boundary_constant"):
-            apply_filter(_volume(np.zeros((4, 4, 4))), filt, "3d", boundary, 2.5)
-        assert plan_filter(filt, (1.0, 1.0, 1.0), "3d", "constant", 2.5).run(
-            np.zeros((4, 4, 4)))[0, 0, 0] == pytest.approx(2.5 * 19 / 27)
+        assert plan_filter(filt, (1.0, 1.0, 1.0), "3d", "constant").run(
+            np.ones((4, 4, 4)))[0, 0, 0] == pytest.approx(8 / 27)
 
     def test_route_is_not_a_filter_parameter(self):
         filt = FilterConfig("log", {"sigma_vox": 1.0, "via": "spatial"})
@@ -948,14 +943,14 @@ _OTHER_VALUES = {"kernels": ["E5L5E5"], "subband": ["HLL"], "l": [[2, 0, 0]]}
 _SWITCHED_ON = {"dtheta": math.pi / 4, "sigma_tensor_vox": 1.0}
 
 
-def _summary_line(kind, params, boundary="mirror", constant=0.0):
+def _summary_line(kind, params, boundary="mirror"):
     """The summary in mode 3d or, where the filter cannot plan in 3d, in 2d."""
     filt = FilterConfig(kind, params)
     try:
-        return plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary, constant).summary
+        return plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary).summary
     except ValueError as exc:
         try:
-            return plan_filter(filt, (1.0, 1.0, 1.0), "2d", boundary, constant).summary
+            return plan_filter(filt, (1.0, 1.0, 1.0), "2d", boundary).summary
         except ValueError:
             raise exc from None
 
@@ -983,8 +978,8 @@ def _with(kind, params, key, value):
 
 
 class TestPlanSummary:
-    """The one rendered summary: every typed key that applies, the mode, the
-    boundary and its constant, so plans that differ log different lines."""
+    """The one rendered summary: every typed key that applies, the mode and
+    the boundary, so plans that differ log different lines."""
 
     @pytest.mark.parametrize("kind", sorted(_PLANNERS))
     def test_a_second_value_of_each_key_changes_the_line(self, kind):
@@ -1011,18 +1006,13 @@ class TestPlanSummary:
 
     @pytest.mark.parametrize("kind", sorted(_PLANNERS))
     def test_boundaries_and_constants_give_distinct_lines(self, kind):
+        # the constant boundary pads with zeros, so its line shows no value
         params = _SUMMARY_PARAMS[kind][0]
-        requests = [(boundary, 0.0) for boundary in BOUNDARY_MODES]
-        try:
-            _summary_line(kind, params, "constant", 2.5)
-            requests.append(("constant", 2.5))
-        except ValueError as exc:
-            assert kind in ("nonseparable", "riesz") and "always periodises" in str(exc)
-        lines = [_summary_line(kind, params, *request) for request in requests]
-        assert len(set(lines)) == len(requests) == 4 + (kind not in ("nonseparable", "riesz"))
-        for (boundary, constant), line in zip(requests, lines):
-            shown = f"{boundary} {constant!r}" if boundary == "constant" else boundary
-            assert f", boundary {shown}, " in line or line.endswith(f"boundary {shown}; identity")
+        lines = [_summary_line(kind, params, boundary) for boundary in BOUNDARY_MODES]
+        assert len(set(lines)) == len(BOUNDARY_MODES)
+        for boundary, line in zip(BOUNDARY_MODES, lines):
+            assert (f", boundary {boundary}, " in line
+                    or line.endswith(f"boundary {boundary}; identity"))
 
     @pytest.mark.parametrize("kind", sorted(_PLANNERS))
     def test_line_names_every_typed_key_that_applies(self, kind):
@@ -1074,11 +1064,11 @@ class TestPlanSummary:
             plan_filter(FilterConfig("gabor", params), (1.0, 1.0, 1.0), "2d")
 
 
-def _spatial_gabor(volume, bank, pool_mode, boundary, constant):
+def _spatial_gabor(volume, bank, pool_mode, boundary):
     """Per-slice reference: the spatial route of convolve_full, pooled in bank order."""
     out = np.empty(volume.shape)
     for i in range(volume.shape[2]):
-        out[:, :, i] = pool([np.abs(convolve_full(volume[:, :, i], k, boundary, constant))
+        out[:, :, i] = pool([np.abs(convolve_full(volume[:, :, i], k, boundary))
                              for k in bank], pool_mode)
     return out
 
@@ -1113,17 +1103,18 @@ class TestLogRoute:
         assert len(calls) == passes
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
-    @pytest.mark.parametrize("boundary, constant", [("mirror", 0.0), ("constant", 0.7)])
-    def test_matches_dense_kernel(self, mode, boundary, constant):
-        volume = np.random.default_rng(28).normal(size=(11, 9, 6)) * 100
+    @pytest.mark.parametrize("boundary, fill", [("mirror", 0.0), ("constant", 0.7)])
+    def test_matches_dense_kernel(self, mode, boundary, fill):
+        # the volume is lowered by fill, so the zero halo steps up from it by fill
+        volume = np.random.default_rng(28).normal(size=(11, 9, 6)) * 100 - fill
         plan = plan_filter(FilterConfig("log", {"sigma_vox": 1.2, "cutoff": 3.0}),
-                           (1.0, 1.0, 1.0), mode, boundary, constant)
+                           (1.0, 1.0, 1.0), mode, boundary)
         got = plan.run(volume)
         if mode == "3d":
-            want = convolve_full(volume, log_kernel(1.2, 3, 3.0), boundary, constant)
+            want = convolve_full(volume, log_kernel(1.2, 3, 3.0), boundary)
         else:
             kernel = log_kernel(1.2, 2, 3.0)
-            want = np.stack([convolve_full(volume[:, :, i], kernel, boundary, constant)
+            want = np.stack([convolve_full(volume[:, :, i], kernel, boundary)
                              for i in range(6)], axis=2)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -1211,46 +1202,47 @@ def test_log_configs_do_not_depend_on_simd_dispatch():
 
 
 # Each exported filter entry point, the filter it computes and its planned
-# op's arguments: (entry(data, boundary, constant), kind, params, mode).  The
+# op's arguments: (entry(data, boundary), kind, params, mode).  The
 # Fourier-domain entry points take no boundary; their plans accept every
-# boundary, periodise and take no boundary constant.
+# boundary and periodise.
 _ENTRY_POINTS = {
-    "swt_undecimated": (lambda v, b, c: swt_undecimated(v, "db2", 2, "LHL", b, c), "wavelet",
+    "swt_undecimated": (lambda v, b: swt_undecimated(v, "db2", 2, "LHL", b), "wavelet",
                         {"wavelet": "db2", "level": 2, "subband": "LHL"}, "3d"),
-    "swt_rotation_pooled": (lambda v, b, c: swt_rotation_pooled(v, "haar", 1, "HHL", "max",
-                                                                b, c), "wavelet",
-                            {"wavelet": "haar", "level": 1, "subband": "HHL",
-                             "rotation_invariance": True, "pool": "max"}, "3d"),
-    "nonseparable_b_map": (lambda v, b, c: nonseparable_b_map(v, RadialProfile("shannon", 2)),
+    "swt_rotation_pooled": (lambda v, b: swt_rotation_pooled(v, "haar", 1, "HHL", "max", b),
+                            "wavelet", {"wavelet": "haar", "level": 1, "subband": "HHL",
+                                        "rotation_invariance": True, "pool": "max"}, "3d"),
+    "nonseparable_b_map": (lambda v, b: nonseparable_b_map(v, RadialProfile("shannon", 2)),
                            "nonseparable", {"wavelet": "shannon", "level": 2}, "3d"),
-    "riesz_filtered_map": (lambda v, b, c: riesz_filtered_map(v, RadialProfile("simoncelli", 1),
-                                                              (1, 0, 1)),
+    "riesz_filtered_map": (lambda v, b: riesz_filtered_map(v, RadialProfile("simoncelli", 1),
+                                                           (1, 0, 1)),
                            "riesz", {"wavelet": "simoncelli", "level": 1, "l": [1, 0, 1]},
                            "3d"),
-    "convolve_laplacian": (lambda v, b, c: convolve_laplacian(v, *log_kernel_1d(1.3, 3.0), b, c),
+    "convolve_laplacian": (lambda v, b: convolve_laplacian(v, *log_kernel_1d(1.3, 3.0), b),
                            "log", {"sigma_vox": 1.3, "cutoff": 3.0}, "3d"),
-    "convolve_separable": (lambda v, b, c: convolve_separable(v, [mean_kernel_1d(5)] * 3, b, c),
+    "convolve_separable": (lambda v, b: convolve_separable(v, [mean_kernel_1d(5)] * 3, b),
                            "mean", {"support": 5}, "3d"),
-    "gabor_response_modulus": (lambda v, b, c: gabor_response_modulus(
-        v, GaborParams(1.5, 3.0, 1.2, 0.4), b, c), "gabor",
+    "gabor_response_modulus": (lambda v, b: gabor_response_modulus(
+        v, GaborParams(1.5, 3.0, 1.2, 0.4), b), "gabor",
         {"sigma_vox": 1.5, "lambda_vox": 3.0, "gamma": 1.2, "theta": 0.4}, "2d"),
 }
 
 
-@pytest.mark.parametrize("name,boundary,constant", [
-    (name, boundary, constant) for name, (_, kind, _, _) in _ENTRY_POINTS.items()
-    for boundary, constant in [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 2.5)]
-    if not (constant and kind in ("nonseparable", "riesz"))])
-def test_each_filter_entry_point_is_its_planned_op(name, boundary, constant):
+@pytest.mark.parametrize("name,boundary,fill", [
+    (name, boundary, fill) for name, (_, kind, _, _) in _ENTRY_POINTS.items()
+    for boundary, fill in [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 2.5)]
+    if not (fill and kind in ("nonseparable", "riesz"))])
+def test_each_filter_entry_point_is_its_planned_op(name, boundary, fill):
     # one route per filter: an exported entry point returns the bytes of the
     # plan that voxfilt run and voxfilt filter execute; Gabor is one
-    # orientation of a 2d plan, run on a one-slice volume
+    # orientation of a 2d plan, run on a one-slice volume.  The data are
+    # lowered by fill, so the zero halo steps up from them by fill.
     entry, kind, params, mode = _ENTRY_POINTS[name]
     rng = np.random.default_rng(37)
     data = rng.normal(size=(20, 17)) if mode == "2d" else rng.normal(size=(12, 11, 10))
-    plan = plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), mode, boundary, constant)
+    data -= fill
+    plan = plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), mode, boundary)
     want = plan.run(data[:, :, None])[:, :, 0] if mode == "2d" else plan.run(data)
-    got = entry(data, boundary, constant)
+    got = entry(data, boundary)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes(), f"max |difference| {np.max(np.abs(got - want))}"
 
@@ -1273,28 +1265,29 @@ class TestGaborRoute:
 
     @pytest.mark.parametrize("pool_mode", ["max", "average"])
     @pytest.mark.parametrize("dims", [(9, 7, 3), (8, 10, 4)], ids=["odd", "even"])
-    @pytest.mark.parametrize("boundary,constant",
+    @pytest.mark.parametrize("boundary,fill",
                              [(m, 0.0) for m in BOUNDARY_MODES] + [("constant", 0.7)])
-    def test_2d_mode_matches_spatial_route(self, boundary, constant, dims, pool_mode):
+    def test_2d_mode_matches_spatial_route(self, boundary, fill, dims, pool_mode):
+        # the volume is lowered by fill, so the zero halo steps up from it by fill
         filt, bank = self._case(1.5, 3.0, 1.2, np.pi / 4, pool_mode)
         assert bank[0].shape == (15, 15)
-        volume = np.random.default_rng(24).normal(loc=0.5, size=dims)
-        got = plan_filter(filt, (1.0, 1.0, 1.0), "2d", boundary, constant).run(volume)
-        self._assert_close(got, _spatial_gabor(volume, bank, pool_mode, boundary, constant))
+        volume = np.random.default_rng(24).normal(loc=0.5, size=dims) - fill
+        got = plan_filter(filt, (1.0, 1.0, 1.0), "2d", boundary).run(volume)
+        self._assert_close(got, _spatial_gabor(volume, bank, pool_mode, boundary))
 
     @pytest.mark.parametrize("pool_mode", ["max", "average"])
-    @pytest.mark.parametrize("boundary,constant", [("mirror", 0.0), ("constant", 0.7)])
-    def test_orthogonal_planes_match_spatial_route(self, boundary, constant, pool_mode):
-        # 5.B's kernel (61 taps) on slices smaller than the kernel, three plane shapes
+    @pytest.mark.parametrize("boundary,fill", [("mirror", 0.0), ("constant", 0.7)])
+    def test_orthogonal_planes_match_spatial_route(self, boundary, fill, pool_mode):
+        # 5.B's kernel (61 taps) on slices smaller than the kernel, three plane
+        # shapes; the volume is lowered by fill, as in the 2d case
         filt, bank = self._case(5.0, 2.0, 1.5, np.pi / 4, pool_mode)
         assert bank[0].shape == (61, 61)
-        volume = np.random.default_rng(25).normal(loc=0.5, size=(12, 10, 9))
-        got = plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary, constant).run(volume, 2)
+        volume = np.random.default_rng(25).normal(loc=0.5, size=(12, 10, 9)) - fill
+        got = plan_filter(filt, (1.0, 1.0, 1.0), "3d", boundary).run(volume, 2)
         want = np.zeros(volume.shape)
         for axis in (2, 1, 0):
             stack = np.moveaxis(volume, axis, 2)
-            want += np.moveaxis(_spatial_gabor(stack, bank, pool_mode, boundary, constant),
-                                2, axis)
+            want += np.moveaxis(_spatial_gabor(stack, bank, pool_mode, boundary), 2, axis)
         self._assert_close(got, want / 3.0)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
@@ -1682,20 +1675,8 @@ class TestApplyFilter:
         filt = FilterConfig(kind, params)
         for requested in ("periodise", "mirror", "constant", "nearest"):
             plan = plan_filter(filt, (2.0, 2.0, 2.0), "3d", requested)
-            shown = requested + " 0.0" * (requested == "constant")
-            assert plan.summary == (f"{kind} filter: mode 3d, boundary {shown}, {keys}"
+            assert plan.summary == (f"{kind} filter: mode 3d, boundary {requested}, {keys}"
                                     "Fourier-domain route, applied boundary periodise")
-
-    @pytest.mark.parametrize("kind,params", [
-        ("nonseparable", {"wavelet": "simoncelli", "level": 1}),
-        ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0]}),
-        ("riesz", {"wavelet": "simoncelli", "level": 1, "l": [0, 2, 0], "align": True,
-                   "sigma_tensor_mm": 2.0}),
-    ], ids=["nonseparable", "riesz", "riesz-aligned"])
-    def test_fourier_domain_filters_reject_a_boundary_constant(self, kind, params):
-        # they periodise, so a constant would leave the response unchanged
-        with pytest.raises(ValueError, match="boundary_constant 5.0 would be ignored"):
-            plan_filter(FilterConfig(kind, params), (1.0, 1.0, 1.0), "3d", "constant", 5.0)
 
     def test_riesz_align_requires_tensor_scale(self):
         image = _volume(np.zeros((4, 4, 4)))
@@ -1963,16 +1944,16 @@ class TestSavedPlan:
         again = apply_filter(_volume(data, (1.0, 1.0, 1.0)), filt, "3d")
         assert again.tobytes() == first.tobytes()
         assert len(grids) == 1
-        # a new spacing, mode, boundary or constant replans, once
+        # a new spacing, mode or boundary replans, once
         variants = [((2.0, 2.0, 2.0), "3d"), ((1.0, 1.0, 1.0), "2d"),
-                    ((1.0, 1.0, 1.0), "3d", "nearest"), ((1.0, 1.0, 1.0), "3d", "constant", 2.5)]
+                    ((1.0, 1.0, 1.0), "3d", "nearest"), ((1.0, 1.0, 1.0), "3d", "constant")]
         for count, (spacing, *args) in enumerate(variants, start=2):
             for _ in range(2):
                 apply_filter(_volume(data, spacing), filt, *args)
             assert len(grids) == count
-        plan = filt.plan((1.0, 1.0, 1.0), "3d", "constant", 2.5)
+        plan = filt.plan((1.0, 1.0, 1.0), "3d", "constant")
         copy = pickle.loads(pickle.dumps(filt))
-        assert copy == filt and copy.plan((1.0, 1.0, 1.0), "3d", "constant", 2.5) is not plan
+        assert copy == filt and copy.plan((1.0, 1.0, 1.0), "3d", "constant") is not plan
         assert len(grids) == 6
 
     def test_a_filter_keeps_its_plan_across_spellings_of_one_grid(self, monkeypatch):
@@ -1983,7 +1964,7 @@ class TestSavedPlan:
         assert filt.plan((1, 1, 1), "3D") is plan
         assert filt.plan((1, 1, 1), "3d") is plan
         assert filt.plan([1, 1, 1], "3d", "MIRROR") is plan
-        assert filt.plan(np.ones(3), "3d", "mirror", 0) is plan
+        assert filt.plan(np.ones(3), "3d", "mirror") is plan
         assert len(grids) == 1
 
     def test_editing_the_params_dict_after_a_run_changes_nothing(self):
@@ -2489,7 +2470,7 @@ class TestShippedConfigs:
     # the combined-key fuzz; the filter keys take theirs from _VALID
     _VALID_SETTINGS = {
         "mode": ["3d", "2d"], "boundary": ["constant", "periodise"],
-        "boundary_constant": [0.0, 1.5], "resegment_hu": [[-1000, 400]],
+        "resegment_hu": [[-1000, 400]],
         "resample.spacing_mm": [[2.0, 2.0, 2.0], [1, 1, 1]],
         "resample.image_interpolation": ["trilinear"], "resample.mask_threshold": [0.25],
         "resample.rounding": [True], "kernels": ["L5E5"],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -210,6 +211,31 @@ class TestRieszFilteredMaps:
         assert tuple(l for l, _ in pairs) == indices
         for l, m in pairs:
             assert m.tobytes() == riesz_filtered_map(image, profile, l).tobytes()
+
+    @pytest.mark.parametrize("dims", [(9, 8), (7, 6, 8)])
+    def test_each_run_of_one_order_shares_one_grid(self, monkeypatch, dims):
+        # orders 1, 2, 1: three runs, so three grids, each dropped after its
+        # run's last transfer, and every map the bytes of its own transfer's
+        built = []
+        norm_power = voxfilt.riesz._norm_power
+
+        def counted(*args):
+            grid = norm_power(*args)
+            built.append(weakref.ref(grid[1]))
+            return grid
+
+        monkeypatch.setattr(voxfilt.riesz, "_norm_power", counted)
+        image = np.random.default_rng(35).normal(size=dims)
+        profile = RadialProfile("simoncelli", 1)
+        first, second = riesz_indices(1, len(dims)), riesz_indices(2, len(dims))
+        pairs = riesz_filtered_maps(image, profile, first + second + first[:1])
+        maps = [next(pairs) for _ in first]
+        assert len(built) == 1 and built[0]() is None
+        maps += list(pairs)
+        assert len(built) == 3 and all(ref() is None for ref in built)
+        monkeypatch.setattr(voxfilt.riesz, "_norm_power", norm_power)
+        for l, m in maps:
+            assert m.tobytes() == riesz_filtered_map(image, profile, l).tobytes(), l
 
     def test_each_map_owns_its_data(self):
         image = np.random.default_rng(32).normal(size=(6, 7, 8))

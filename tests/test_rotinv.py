@@ -378,11 +378,13 @@ _STAGE_SETS = {
     # three distinct stages, neither symmetric nor antisymmetric on two axes,
     # so the regrouped average keeps terms with reversed-difference factors
     "db3-L-H-L5": [[_DB3.low_pass], [_DB3.high_pass], [laws_1d("L5")]],
-    # an antisymmetric stage before the last level, whose sign cannot pass a
-    # constant pad with C != 0
+    # an antisymmetric stage before the last level, whose sign the groups
+    # carry through the next level's pad
     "E5L5-L5E5": [[laws_1d("E5"), laws_1d("L5")], [laws_1d("L5"), laws_1d("E5")]],
 }
 
+# (boundary, fill): the image is lowered by fill, so the zero halo of the
+# constant boundary steps up from it by fill
 _BOUNDARIES = [("mirror", 0.0), ("nearest", 0.0), ("periodise", 0.0), ("constant", 0.0),
                ("constant", -7.25)]
 
@@ -391,15 +393,16 @@ class TestPooledCascade:
     """Grouped pooling against running every rotation's cascade in table order."""
 
     @pytest.mark.parametrize("mode", ["max", "average"])
-    @pytest.mark.parametrize("boundary, constant", _BOUNDARIES)
+    @pytest.mark.parametrize("boundary, fill", _BOUNDARIES)
     @pytest.mark.parametrize("name", list(_STAGE_SETS))
-    def test_matches_naive_pool(self, name, boundary, constant, mode):
+    def test_matches_naive_pool(self, name, boundary, fill, mode):
         stages = _STAGE_SETS[name]
         image = np.random.default_rng(len(name)).normal(size=(9, 8, 7)[: len(stages)]) * 100
-        responses = [cascade(image, element, boundary, constant)
+        image -= fill
+        responses = [cascade(image, element, boundary)
                      for element in equivariant_cascades(stages)[0]]
         want = pool(responses, mode)
-        got = PooledCascade(stages, mode, boundary, constant)(image)
+        got = PooledCascade(stages, mode, boundary)(image)
         if mode == "max":
             # exact; |h| = max(h, -h) may differ from the table order in the
             # sign of exact zeros only

@@ -49,8 +49,8 @@ K = pytest.mark.parametrize("k", [1, 3])
 @K
 @pytest.mark.parametrize("mode", BOUNDARY_MODES)
 def test_pad(k, mode):
-    _assert_planewise(lambda s: pad(s, (0, 3, 2), mode, 1.5),
-                      lambda p: pad(p, (3, 2), mode, 1.5), _stack(k))
+    _assert_planewise(lambda s: pad(s, (0, 3, 2), mode),
+                      lambda p: pad(p, (3, 2), mode), _stack(k))
 
 
 @K
@@ -69,8 +69,8 @@ def test_axis_pass(k, axis):
 @pytest.mark.parametrize("mode", BOUNDARY_MODES)
 def test_convolve_separable(k, mode):
     kernels = (laws_1d("E5"), laws_1d("L3"))
-    _assert_planewise(lambda s: convolve_separable(s, kernels, mode, 0.5),
-                      lambda p: convolve_separable(p, kernels, mode, 0.5), _stack(k))
+    _assert_planewise(lambda s: convolve_separable(s, kernels, mode),
+                      lambda p: convolve_separable(p, kernels, mode), _stack(k))
 
 
 @K
@@ -108,7 +108,7 @@ def test_convolve_bank(k, complex_bank):
     transfers = TransferCache()
     for position in range(len(bank)):
         _assert_planewise(
-            lambda s: list(convolve_bank(s, bank, "mirror", 0.0, transfers))[position],
+            lambda s: list(convolve_bank(s, bank, "mirror", transfers))[position],
             lambda p: list(convolve_bank(p, bank, "mirror"))[position], _stack(k))
 
 

@@ -255,12 +255,11 @@ class TestDecimated:
     @pytest.mark.parametrize("shape", [(16, 24), (8, 16, 24)], ids=["2d", "3d"])
     def test_subband_equals_the_mallat_pyramid_bytes(self, boundary, shape):
         image = np.random.default_rng(31).normal(size=shape)
-        constant = 2.5 if boundary == "constant" else 0.0
         fam = wavelet_family("db3")
-        pyramid = mallat_pyramid(image, fam.low_pass, fam.high_pass, 3, boundary, constant)
+        pyramid = mallat_pyramid(image, fam.low_pass, fam.high_pass, 3, boundary)
         for level, subbands in enumerate(pyramid, start=1):
             for letters, want in subbands.items():
-                got = dwt_decimated(image, "db3", level, letters, boundary, constant)
+                got = dwt_decimated(image, "db3", level, letters, boundary)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (level, letters)
 
