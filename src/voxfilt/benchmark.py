@@ -180,15 +180,13 @@ def consensus_level(matching_team_count, total_count):
 class ConsensusReport:
     """Summary of a set of submitted response maps.
 
-    ``coordinates`` are projections onto the top two principal components of
-    the mean-centred submissions, for cluster plots.  ``level``/``valid``
-    grade the consensus, counting non-outlier submissions as matching.
+    ``level``/``valid`` grade the consensus, counting non-outlier
+    submissions as matching.
     """
 
     centroid: np.ndarray
     distances: np.ndarray
     outliers: np.ndarray
-    coordinates: np.ndarray
     level: str
     valid: bool
 
@@ -222,26 +220,7 @@ def consensus(submissions) -> ConsensusReport:
     q1, q3 = np.percentile(distances, [25.0, 75.0])
     outliers = distances > q3 + 1.5 * (q3 - q1)
 
-    coordinates = np.zeros((len(maps), 2))
-    # SVD of the centred stack gives the principal axes without forming the
-    # huge voxel-space covariance.  Sign fixed by the largest loading.
-    _, singular, vt = np.linalg.svd(centred, full_matrices=False)
-    for comp in range(min(2, vt.shape[0])):
-        axis = vt[comp]
-        if singular[comp] <= 0:
-            continue
-        pivot = np.argmax(np.abs(axis))
-        if axis[pivot] < 0:
-            axis = -axis
-        coordinates[:, comp] = centred @ axis
-
     matching = int(np.count_nonzero(~outliers))
     level, valid = consensus_level(matching, len(maps))
-    return ConsensusReport(
-        centroid=centroid_flat.reshape(dims),
-        distances=distances,
-        outliers=outliers,
-        coordinates=coordinates,
-        level=level,
-        valid=valid,
-    )
+    return ConsensusReport(centroid=centroid_flat.reshape(dims), distances=distances,
+                           outliers=outliers, level=level, valid=valid)

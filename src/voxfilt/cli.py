@@ -205,21 +205,10 @@ def cmd_consensus(args) -> int:
         f"matching), {verdict}"
     )
     if args.out:
-        payload = {
-            "level": report.level,
-            "valid": bool(report.valid),
-            "submissions": [
-                {
-                    "path": str(path),
-                    "distance": float(distance),
-                    "outlier": bool(flagged),
-                    "coordinates": [float(c) for c in coords],
-                }
-                for path, distance, flagged, coords in zip(
-                    args.maps, report.distances, report.outliers, report.coordinates
-                )
-            ],
-        }
+        rows = zip(args.maps, report.distances, report.outliers)
+        submissions = [{"path": str(path), "distance": float(distance), "outlier": bool(flagged)}
+                       for path, distance, flagged in rows]
+        payload = {"level": report.level, "valid": bool(report.valid), "submissions": submissions}
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")

@@ -5,10 +5,15 @@ centre tap sits at index ``M // 2`` and the response at voxel ``k0`` is
 
     h[k0] = sum_k g[k] * f_ext[k0 - k]
 
-with ``f_ext`` the boundary-extended image.  Padding uses a margin of
-``M // 2`` per axis, which covers every tap for odd and even widths alike.
+with ``f_ext`` the boundary-extended image, read with a halo of ``M // 2``
+voxels per axis, which covers every tap for odd and even widths alike.
 Accumulation is in 64-bit floats with a fixed summation order, so repeated
 runs are bit-identical.
+
+:func:`convolve_separable` and :func:`convolve_laplacian` (and so
+``rotinv.cascade``, Laws energy, the decimated wavelets and the structure
+tensor's smoothing) run their passes on one slab engine,
+:func:`_slab_passes`: slab by slab of planes, each with its halo.
 
 Every function here filters the trailing axes of its input and leaves any
 leading (batch) axes alone: a stack of k planes, shape (k, n1, n2), is
@@ -38,12 +43,13 @@ and applied with real-input transforms.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .boundary import pad
+from .boundary import _window, pad
 
 __all__ = [
     "convolve_full",
@@ -180,30 +186,71 @@ def _as_float_or_complex(kernel: np.ndarray) -> np.ndarray:
     return kernel.astype(np.float64, copy=False)
 
 
+# Voxels per slab: planes of the first filtered axis, counted over the
+# filtered axes, one plane at least (batch axes ride along whole).  The bytes
+# do not depend on it; it bounds the passes' blocks, to 10 planes at 56^3.
+_SLAB_VOXELS = 1 << 15
+
+
+def _slab_passes(image, boundary: str, margins, passes, out=None) -> np.ndarray:
+    """``passes`` (padded block to response) over ``image``, slab by slab of
+    planes of its first filtered axis, with one halo per filtered axis in
+    ``margins``.  A slab [start, stop) is read as planes [start - m, stop + m),
+    padded on every other filtered axis (:func:`_window`), so each pass
+    meets a whole-volume pad's extents, and bytes, on the axes it does not
+    cut.  The responses go into ``out``, new by default; where ``out`` is
+    ``image``, a slab is written back once no later slab reads its planes.
+    """
+    axis = image.ndim - len(margins)
+    n, halo = image.shape[axis], margins[0]
+    step = max(1, _SLAB_VOXELS // max(1, math.prod(image.shape[axis + 1:])))
+    if step >= n and out is None:
+        return passes(pad(image, _batch_margins(image.ndim, margins), boundary))
+    image = np.ascontiguousarray(image)  # slab reads from another layout are slow
+    windows = [(-m, k + m) for m, k in zip(_batch_margins(image.ndim, margins), image.shape)]
+    waiting = []
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        windows[axis] = (start - halo, stop + halo)
+        waiting.append((start, stop, passes(_window(image, windows, boundary))))
+        out = np.empty(image.shape, waiting[0][2].dtype) if out is None else out
+        # later slabs read from stop - halo on, and past the axis end they
+        # wrap or fold onto planes before halo or from n - 1 - halo on
+        for slab in [w for w in waiting if out is not image or stop == n
+                     or (halo <= w[0] and w[1] <= stop - halo)]:
+            waiting.remove(slab)
+            out[(slice(None),) * axis + (slice(slab[0], slab[1]),)] = slab[2]
+    return out
+
+
 def convolve_separable(image, kernels, boundary: str) -> np.ndarray:
     """Convolve with an outer-product kernel as successive 1-D passes.
 
     ``kernels`` holds one 1-D kernel per filtered axis, the trailing axes of
     ``image``, applied in axis order (g1 along k1, then g2 along k2, then g3
-    along k3).  The whole halo, corners included, is imputed once up front,
-    so the result matches dense convolution of the outer-product kernel for
-    every boundary mode.
+    along k3).  Each slab's whole halo, corners included, is imputed before
+    its passes (:func:`_slab_passes`), so the result matches dense
+    convolution of the outer-product kernel for every boundary mode.
     """
-    image = np.asarray(image, dtype=np.float64)
+    return _separable(np.asarray(image, dtype=np.float64), kernels, boundary)
+
+
+def _separable(image, kernels, boundary: str, out=None) -> np.ndarray:
+    """:func:`convolve_separable` of a float64 ``image``; in place with
+    ``out`` the image itself, C-contiguous, and real ``kernels``."""
     if not 1 <= len(kernels) <= image.ndim:
         raise ValueError(f"{len(kernels)} kernels for a {image.ndim}-D image")
     kernels = [_as_float_or_complex(np.atleast_1d(g)) for g in kernels]
-    for g in kernels:
-        if g.ndim != 1:
-            raise ValueError("separable kernels must be one-dimensional")
-    shape = image.shape
-    out = pad(image, _batch_margins(image.ndim, [g.shape[0] // 2 for g in kernels]), boundary)
-    del image  # a temporary passed in is freed before the passes
-    if any(np.iscomplexobj(g) for g in kernels):
-        out = out.astype(np.complex128)
-    for axis, g in zip(range(-len(kernels), 0), kernels):
-        out = axis_pass(out, axis, g, shape[axis])
-    return out
+    if any(g.ndim != 1 for g in kernels):
+        raise ValueError("separable kernels must be one-dimensional")
+    dtype = np.result_type(*kernels)
+
+    def passes(block):
+        block = block.astype(dtype, copy=False)  # complex kernels, complex blocks
+        for axis, g in zip(range(-len(kernels), 0), kernels):
+            block = axis_pass(block, axis, g)
+        return block
+    return _slab_passes(image, boundary, [g.shape[0] // 2 for g in kernels], passes, out)
 
 
 def laplacian_passes(ndim: int) -> int:
@@ -218,7 +265,7 @@ def convolve_laplacian(image, smooth, second, boundary: str,
     The D = ``ndim`` filtered axes are the trailing ones, all axes by default.
 
     This is how the Laplacian of a separable kernel factors (the LoG, with
-    the factors of :func:`voxfilt.kernels.log_kernel_1d`).  The image is
+    the factors of :func:`voxfilt.kernels.log_kernel_1d`).  Each slab is
     padded once, as for :func:`convolve_separable`, and the sum is built
     axis by axis from two running blocks: S, smoothed along every axis done
     so far, and L, the sum so far, with L <- second(S) + smooth(L) and
@@ -232,31 +279,30 @@ def convolve_laplacian(image, smooth, second, boundary: str,
         raise ValueError("the smoothing and second-derivative factors must be 1-D "
                          "kernels of one length")
     ndim = image.ndim if ndim is None else ndim
-    padded = pad(image, _batch_margins(image.ndim, (smooth.shape[0] // 2,) * ndim), boundary)
-    total = axis_pass(padded, -ndim, second, image.shape[-ndim])
-    smoothed = axis_pass(padded, -ndim, smooth, image.shape[-ndim]) if ndim > 1 else None
-    del padded
-    for axis in range(1 - ndim, 0):
-        # the old sum goes first, so that at most one old block is alive
-        # while the next axis's blocks are built
-        total = axis_pass(total, axis, smooth, image.shape[axis])
-        total += axis_pass(smoothed, axis, second, image.shape[axis])
-        smoothed = axis_pass(smoothed, axis, smooth, image.shape[axis]) if axis < -1 else None
-    return total
+
+    def passes(padded):
+        total = axis_pass(padded, -ndim, second)
+        smoothed = axis_pass(padded, -ndim, smooth) if ndim > 1 else None
+        for axis in range(1 - ndim, 0):
+            # the old sum goes first, so that at most one old block is alive
+            # while the next axis's blocks are built
+            total = axis_pass(total, axis, smooth)
+            total += axis_pass(smoothed, axis, second)
+            smoothed = axis_pass(smoothed, axis, smooth) if axis < -1 else None
+        return total
+    return _slab_passes(image, boundary, (smooth.shape[0] // 2,) * ndim, passes)
 
 
-def axis_pass(block, axis: int, kernel, size: int) -> np.ndarray:
+def axis_pass(block, axis: int, kernel) -> np.ndarray:
     """One 1-D pass of a separable convolution: ``kernel`` along ``axis``.
 
     ``block`` is padded by ``len(kernel) // 2`` voxels on both sides of
-    ``axis`` (negative counts from the end), which the pass consumes: the
-    result has ``size`` voxels there and ``block``'s extent on every other axis.
+    ``axis`` (negative counts from the end), which the pass consumes; the
+    other axes keep their extent.
     """
-    axis %= block.ndim
     shape = [1] * block.ndim
     shape[axis] = kernel.shape[0]
-    out_shape = block.shape[:axis] + (size,) + block.shape[axis + 1:]
-    return _dense_valid(block, kernel.reshape(shape), out_shape)
+    return _dense_valid(block, kernel.reshape(shape))
 
 
 def convolve_full(image, kernel, boundary: str) -> np.ndarray:
@@ -266,18 +312,15 @@ def convolve_full(image, kernel, boundary: str) -> np.ndarray:
     kernel = _as_float_or_complex(kernel)
     if kernel.ndim != image.ndim:
         raise ValueError(f"kernel ndim {kernel.ndim} does not match image ndim {image.ndim}")
-    margins = [m // 2 for m in kernel.shape]
-    return _dense_valid(pad(image, margins, boundary), kernel, image.shape)
+    return _dense_valid(pad(image, [m // 2 for m in kernel.shape], boundary), kernel)
 
 
-def _dense_valid(padded: np.ndarray, kernel: np.ndarray, out_shape) -> np.ndarray:
+def _dense_valid(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``kernel`` over ``padded``, padded by M // 2 on both sides of each
+    axis of M taps: an even kernel's first window starts one voxel in."""
     flipped = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)]
-    windows = sliding_window_view(padded, kernel.shape)
-    sel = []
-    for n_out, m in zip(out_shape, kernel.shape):
-        start = 2 * (m // 2) - m + 1
-        sel.append(slice(start, start + n_out))
-    windows = windows[tuple(sel)]
+    windows = sliding_window_view(padded, kernel.shape)[
+        tuple(slice(1 - m % 2, None) for m in kernel.shape)]
     letters = "ijkl"[: kernel.ndim]
     return np.einsum(f"...{letters},{letters}->...", windows, np.ascontiguousarray(flipped))
 

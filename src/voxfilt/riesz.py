@@ -34,7 +34,7 @@ import numpy as np
 
 from .convolve import (
     TransferCache,
-    axis_pass,
+    _separable,
     cached_transfer,
     fft_forward,
     fft_inverse,
@@ -177,49 +177,6 @@ def riesz_filtered_map(image, profile: RadialProfile, l,
     return response
 
 
-# Voxels per slab of the tensor smoothing: planes of the first filtered
-# axis, counted over the filtered axes only, one plane at least; a batch of
-# planes (a map_slices slab) rides along whole.  The bytes do not depend on
-# it; it bounds the smoothing's temporaries, to 10 planes at 56^3.
-_SMOOTH_SLAB_VOXELS = 1 << 15
-
-
-def _periodic(x, axis, lo, hi):
-    """Planes ``lo`` to ``hi - 1`` of ``x`` along ``axis`` (negative, from
-    the end), indices taken modulo the axis length: a view where none wraps."""
-    n = x.shape[axis]
-    if 0 <= lo and hi <= n:
-        return x[(slice(None),) * (x.ndim + axis) + (slice(lo, hi),)]
-    return x.take(np.arange(lo, hi) % n, axis)
-
-
-def _smooth(component, window):
-    """Overwrite ``component``, C-ordered, with the bytes of
-    ``convolve_separable(component, window, "periodise")``, slab by slab of
-    planes of the first filtered axis.
-
-    Each pass takes the periodic halo of its own axis just before it runs.
-    A smoothed slab is written back once no later slab reads its planes:
-    later slabs read from ``half`` planes before their first one to the
-    axis end and, wrapping, the first ``half`` planes.
-    """
-    ndim = len(window)
-    axis = component.ndim - ndim
-    n, half = component.shape[axis], window[0].shape[0] // 2
-    step = max(1, _SMOOTH_SLAB_VOXELS // max(1, math.prod(component.shape[axis + 1:])))
-    waiting = []
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        block = component
-        for k, g in zip(range(-ndim, 0), window):
-            lo, hi = (start, stop) if k == -ndim else (0, block.shape[k])
-            block = axis_pass(_periodic(block, k, lo - half, hi + half), k, g, hi - lo)
-        waiting.append((start, stop, block))
-        for slab in [w for w in waiting if stop == n or (half <= w[0] and w[1] <= stop - half)]:
-            waiting.remove(slab)
-            component[(slice(None),) * axis + (slice(slab[0], slab[1]),)] = slab[2]
-
-
 def _owned(arrays) -> list:
     """``arrays`` as C-contiguous writeable float64 arrays that a function
     may overwrite: used as given where they are already, and copied where
@@ -249,9 +206,10 @@ def structure_tensor(gradients, sigma_vox: float) -> list:
     as :func:`voxfilt.convolve.fft_inverse` does its spectrum (C-contiguous
     writeable float64 maps are used as given, others copied): the cross
     products are formed first, then each square is written into its own
-    gradient's memory, and each component is smoothed in place, slab by
-    slab.  So the D(D+1)/2 components and a few slabs are alive, 6 volumes
-    in 3-D where the gradients and a packed stack held 9.
+    gradient's memory, and each component is smoothed in place by
+    ``convolve_separable``'s slab engine.  So the D(D+1)/2 components and a
+    few slabs are alive, 6 volumes in 3-D where the gradients and a packed
+    stack held 9.
     """
     maps = _owned(gradients)
     del gradients  # gradients passed in a temporary list are the maps' only owner
@@ -267,7 +225,7 @@ def structure_tensor(gradients, sigma_vox: float) -> list:
     components = [maps[i] if i == j else cross[i, j] for i, j in pairs]
     del maps, cross
     for component in components:
-        _smooth(component, window)
+        _separable(component, window, "periodise", component)
     return components
 
 

@@ -336,7 +336,7 @@ class PooledCascade:
             return pad(held.pop(), _batch_margins(len(shape), step[1]), self.boundary)
         axis = step[1] - self.ndim
         if step[0] == "pass":
-            return axis_pass(held.pop(), axis, self.kernels[step[2]], shape[axis])
+            return axis_pass(held.pop(), axis, self.kernels[step[2]])
         # P or M of several levels: the forward stages plus or minus the
         # reversed ones, each branch padding only its own axis
         _, _, source, minus = step
@@ -345,12 +345,11 @@ class PooledCascade:
         start = [pad(held.pop(), margins, self.boundary)]
         out = None
         for stages in (self._forward[source], self._reverse[source]):
-            block = axis_pass(start[0] if out is None else start.pop(), axis, stages[0],
-                              shape[axis])
+            block = axis_pass(start[0] if out is None else start.pop(), axis, stages[0])
             for stage in stages[1:]:
                 margins[axis] = stage.size // 2
                 block = pad(block, margins, self.boundary)
-                block = axis_pass(block, axis, stage, shape[axis])
+                block = axis_pass(block, axis, stage)
             if out is None:
                 out = block
             elif minus:

@@ -9,9 +9,13 @@ pyramid, so that one subband can be compared with it byte for byte, and
 :func:`whole_array_statistics` and :func:`whole_array_diagnostics`, which
 reduce the library's gathered ROI values one whole-array numpy call per
 quantity, so that the leaf-by-leaf sums can be compared with them byte for
-byte, and :func:`resample_image_per_tap` and :func:`resample_mask_per_tap`,
+byte, :func:`resample_image_per_tap` and :func:`resample_mask_per_tap`,
 the resamplers as they were before their passes reused buffers, built on
 the library's taps, so that the buffered passes can be compared with them
+byte for byte, and :func:`whole_volume_separable` and
+:func:`whole_volume_laplacian`, the spatial passes as they ran before they
+ran slab by slab: ``np.pad`` of the whole volume, then the library's
+``axis_pass`` per axis, so that the slab engine can be compared with them
 byte for byte.
 """
 
@@ -99,6 +103,51 @@ def conv_taploop(image: np.ndarray, kernel: np.ndarray, mode: str):
             vals = np.where(inside, vals, 0.0)
         out = out + w * vals
     return out
+
+# numpy.pad's names of the four boundary modes
+NUMPY_PAD_MODES = {"constant": "constant", "nearest": "edge", "periodise": "wrap",
+                   "mirror": "reflect"}
+
+
+def _whole_volume_pad(image, halos, boundary: str) -> np.ndarray:
+    """``image`` padded by ``halos`` on its trailing axes in one ``np.pad`` call."""
+    image = np.ascontiguousarray(image, dtype=np.float64)
+    widths = [(0, 0)] * (image.ndim - len(halos)) + [(m, m) for m in halos]
+    return np.pad(image, widths, NUMPY_PAD_MODES[boundary])
+
+
+def _as_taps(g) -> np.ndarray:
+    g = np.atleast_1d(np.asarray(g))
+    return g.astype(np.complex128 if np.iscomplexobj(g) else np.float64)
+
+
+def whole_volume_separable(image, kernels, boundary: str) -> np.ndarray:
+    """``convolve_separable`` as one whole-volume pad, then one pass per axis."""
+    from voxfilt.convolve import axis_pass
+
+    kernels = [_as_taps(g) for g in kernels]
+    out = _whole_volume_pad(image, [g.size // 2 for g in kernels], boundary)
+    if any(np.iscomplexobj(g) for g in kernels):
+        out = out.astype(np.complex128)
+    for axis, g in zip(range(-len(kernels), 0), kernels):
+        out = axis_pass(out, axis, g)
+    return out
+
+
+def whole_volume_laplacian(image, smooth, second, boundary: str, ndim=None) -> np.ndarray:
+    """``convolve_laplacian`` as one whole-volume pad, then its 3D - 2 passes."""
+    from voxfilt.convolve import axis_pass
+
+    smooth, second = _as_taps(smooth), _as_taps(second)
+    ndim = np.ndim(image) if ndim is None else ndim
+    padded = _whole_volume_pad(image, (smooth.size // 2,) * ndim, boundary)
+    total = axis_pass(padded, -ndim, second)
+    smoothed = axis_pass(padded, -ndim, smooth)
+    for axis in range(1 - ndim, 0):
+        total = axis_pass(total, axis, smooth) + axis_pass(smoothed, axis, second)
+        smoothed = axis_pass(smoothed, axis, smooth)
+    return total
+
 
 def mallat_pyramid(image: np.ndarray, low, high, levels: int, boundary: str) -> list:
     """The whole decimated (Mallat) pyramid: one {letters: map} dict per level.

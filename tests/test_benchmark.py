@@ -236,7 +236,6 @@ class TestConsensus:
         report = consensus([base] * 5)
         np.testing.assert_array_equal(report.centroid, base)
         np.testing.assert_array_equal(report.distances, 0.0)
-        np.testing.assert_array_equal(report.coordinates, 0.0)
         assert not np.any(report.outliers)
         assert report.level == "moderate"
         assert report.valid
@@ -245,8 +244,7 @@ class TestConsensus:
         base = np.ones((3, 3))
         report = consensus([base])
         np.testing.assert_array_equal(report.centroid, base)
-        assert report.coordinates.shape == (1, 2)
-        np.testing.assert_array_equal(report.coordinates, 0.0)
+        np.testing.assert_array_equal(report.distances, [0.0])
 
     def test_outlier_flagging(self):
         rng = np.random.default_rng(0)
@@ -258,61 +256,13 @@ class TestConsensus:
         assert report.level == "strong"
         assert report.valid
 
-    def test_projection_shrinks_distances(self):
-        rng = np.random.default_rng(1)
-        maps = [rng.normal(size=(5, 5)) for _ in range(6)]
-        report = consensus(maps)
-        flat = np.stack([m.reshape(-1) for m in maps])
-        for i in range(6):
-            for j in range(i):
-                full = np.linalg.norm(flat[i] - flat[j])
-                planar = np.linalg.norm(report.coordinates[i] - report.coordinates[j])
-                assert planar <= full + 1e-9
-
-    def test_three_points_exact_plane(self):
-        # Three observations span at most two directions, so the top-2
-        # projection preserves every pairwise distance.
-        rng = np.random.default_rng(2)
-        maps = [rng.normal(size=(4, 4)) for _ in range(3)]
-        report = consensus(maps)
-        flat = np.stack([m.reshape(-1) for m in maps])
-        for i in range(3):
-            for j in range(i):
-                full = np.linalg.norm(flat[i] - flat[j])
-                planar = np.linalg.norm(report.coordinates[i] - report.coordinates[j])
-                assert planar == pytest.approx(full, rel=1e-10)
-
-    def test_two_cluster_fixture(self):
-        rng = np.random.default_rng(3)
-        low = [rng.uniform(0.0, 1.0, size=(8, 8)) for _ in range(60)]
-        high = [rng.uniform(4.0, 5.0, size=(8, 8)) for _ in range(60)]
-        report = consensus(low + high)
-        first = report.coordinates[:, 0]
-        assert first[:60].max() < first[60:].min() or first[60:].max() < first[:60].min()
-
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         maps = [rng.normal(size=(5, 5)) for _ in range(8)]
         a = consensus(maps)
         b = consensus(maps)
-        np.testing.assert_array_equal(a.coordinates, b.coordinates)
+        np.testing.assert_array_equal(a.centroid, b.centroid)
         np.testing.assert_array_equal(a.distances, b.distances)
-
-    def test_matches_eigendecomposition(self):
-        rng = np.random.default_rng(5)
-        maps = [rng.normal(size=(3, 3)) for _ in range(7)]
-        report = consensus(maps)
-        flat = np.stack([m.reshape(-1) for m in maps])
-        centred = flat - flat.mean(axis=0)
-        _, vectors = np.linalg.eigh(centred.T @ centred)
-        for comp in range(2):
-            axis = vectors[:, -1 - comp]
-            pivot = np.argmax(np.abs(axis))
-            if axis[pivot] < 0:
-                axis = -axis
-            np.testing.assert_allclose(
-                report.coordinates[:, comp], centred @ axis, rtol=0, atol=1e-8
-            )
 
     def test_accepts_volume_images(self):
         phantoms = [generate_phantom("impulse"), generate_phantom("empty")]

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from voxfilt.boundary import BOUNDARY_MODES, pad
 
-from oracles import ext_lookup, fold_index
+from oracles import NUMPY_PAD_MODES, ext_lookup, fold_index
 
 SIGNAL = np.array([1.0, 2.0, 3.0])
 
 
 def _layouts(a):
     """The same values as a C-ordered, an F-ordered and a strided array."""
-    strided = np.zeros(tuple(2 * n for n in a.shape))
+    strided = np.zeros(tuple(2 * n for n in a.shape), dtype=a.dtype)
     strided[tuple(slice(None, None, 2) for _ in a.shape)] = a
     return (np.ascontiguousarray(a), np.asfortranarray(a),
             strided[tuple(slice(None, None, 2) for _ in a.shape)])
@@ -117,6 +117,23 @@ class TestPadProperties:
             out = pad(a, (3, 2), mode)
             assert out.flags.c_contiguous
             np.testing.assert_array_equal(out, np.pad(a, [(3, 3), (2, 2)], np_mode))
+
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), (1, 4), (3, 2, 4)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_is_numpy_pad(self, shape, kind, mode):
+        # margins from 0 to past the axis length, whatever the layout
+        rng = np.random.default_rng(len(shape))
+        a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if kind == "complex" else 0)
+        margins = [[m] * len(shape) for m in range(7)] + [list(range(len(shape), 0, -1)),
+                                                          [0] * (len(shape) - 1) + [5]]
+        for layout in _layouts(a):
+            for margin in margins:
+                out = pad(layout, margin, mode)
+                want = np.pad(a, [(m, m) for m in margin], NUMPY_PAD_MODES[mode])
+                assert out.flags.c_contiguous and out.dtype == a.dtype
+                assert out.tobytes() == np.ascontiguousarray(want).tobytes(), margin
 
     def test_margin_exceeding_size(self):
         # index maps are total, so folding/wrapping repeats as needed

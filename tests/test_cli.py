@@ -562,6 +562,7 @@ class TestConsensusCommand:
         assert [row["outlier"] for row in report["submissions"]] == [
             False, False, False, True,
         ]
+        assert all(set(row) == {"path", "distance", "outlier"} for row in report["submissions"])
 
 
 class TestRunCommand:

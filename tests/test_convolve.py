@@ -1,5 +1,6 @@
 """Convolution tests: oracle equivalence, fixtures, algebraic properties."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -28,7 +29,7 @@ import voxfilt.convolve
 from voxfilt.kernels import GaborParams, gabor_kernel, log_kernel, log_kernel_1d
 
 from dispatch import digests_at_dispatch_levels
-from oracles import conv_brute, conv_taploop
+from oracles import conv_brute, conv_taploop, whole_volume_laplacian, whole_volume_separable
 
 
 def test_oracles_agree_with_each_other():
@@ -210,6 +211,48 @@ class TestConvolveLaplacian:
     def test_factors_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="one length"):
             convolve_laplacian(np.zeros((6, 6)), np.ones(3), np.ones(5), "mirror")
+
+
+class TestSlabEngine:
+    """The slab engine against the whole-volume passes it replaced, bit for bit."""
+
+    # (dims, taps, filtered axes); a 2-D image's leading axis is a batch
+    @pytest.mark.parametrize("dims, taps, ndim", [
+        ((12, 10, 9), 9, 3),
+        ((3, 10, 11), 13, 3),
+        ((10, 3, 11), 9, 3),
+        ((11, 7, 6), 4, 3),
+        ((40, 30, 30), 13, 3),
+        ((5, 12, 10), 5, 2),
+        ((4, 3, 9), 13, 2),
+        ((1, 2, 1), 5, 3),
+        ((6, 7, 1), 9, 3),
+        ((3, 5, 1), 4, 2),
+    ], ids=["halo-wider-than-slab", "halo-wider-than-axis", "halo-wider-than-later-axis",
+            "even-taps", "two-default-slabs", "2d-batch-stack", "2d-batch-narrow-axis",
+            "length-one-axes", "length-one-last-axis", "2d-length-one-last-axis"])
+    @pytest.mark.parametrize("planes", [1, 2, None], ids=["1-plane", "2-planes", "default"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    def test_matches_the_whole_volume_passes(self, dims, taps, ndim, planes, order, mode,
+                                             monkeypatch):
+        rng = np.random.default_rng(sum(dims) + taps)
+        image = np.asarray(rng.normal(size=dims), order=order)
+        kernels = [rng.normal(size=taps) for _ in range(ndim)]
+        complex_kernels = [g + 1j * rng.normal(size=taps) for g in kernels]
+        smooth, second = rng.normal(size=(2, taps))
+        if planes is not None:
+            plane = math.prod(dims[len(dims) - ndim + 1:])  # the filtered axes' voxels
+            monkeypatch.setattr(voxfilt.convolve, "_SLAB_VOXELS", planes * plane)
+        for g in (kernels, complex_kernels):
+            assert convolve_separable(image, g, mode).tobytes() == \
+                whole_volume_separable(image, g, mode).tobytes()
+        assert convolve_laplacian(image, smooth, second, mode, ndim).tobytes() == \
+            whole_volume_laplacian(image, smooth, second, mode, ndim).tobytes()
+
+    def test_default_slabs_cut_the_volume(self):
+        # the two-default-slabs case above must take more than one slab
+        assert voxfilt.convolve._SLAB_VOXELS // (30 * 30) < 40
 
 
 class TestConvolvePlanes:

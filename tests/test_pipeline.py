@@ -467,10 +467,11 @@ def test_resample_peak_memory():
 
 # tracemalloc peak of the whole chain (resample, round, re-segment, filter,
 # features) on a 32^3 input at 2 mm, resampled to 64^3 at 1 mm, in 64^3
-# float64 volumes: 1.B 4.13, 3.B 5.75, 6.B 5.86, 11.B 9.13 (12.42 with the
-# tensor components beside the gradients); each bound is that plus under 10%
-@pytest.mark.parametrize("test_id, bound", [("1.B", 4.5), ("3.B", 6.3), ("6.B", 6.4),
-                                            ("11.B", 10.0)])
+# float64 volumes: 1.B 4.13, 3.B 4.33 (5.75 with a whole-volume pad),
+# 4.B 5.45 (6.55), 6.B 5.86, 11.B 9.16 (12.42 with the tensor components
+# beside the gradients); each bound is that plus under 10%
+@pytest.mark.parametrize("test_id, bound", [("1.B", 4.5), ("3.B", 4.7), ("4.B", 5.9),
+                                            ("6.B", 6.4), ("11.B", 10.0)])
 def test_whole_chain_peak_memory(test_id, bound):
     rng = np.random.default_rng(32)
     data = 5.0 * np.clip(rng.normal(100.0, 40.0, size=(32, 32, 32)), 0.0, 255.0) - 600.0
@@ -1120,8 +1121,8 @@ class TestLogRoute:
 
     def test_op_peak_memory(self):
         # the 3.B op at 56^3: the dense 13^3 kernel through the FFT peaked at
-        # 12.2x the float64 input, the separable passes at 4.74x (bound: that
-        # plus 10%)
+        # 12.2x the float64 input, the separable passes at 4.74x from a
+        # whole-volume pad and at 2.51x slab by slab (bound: that plus 10%)
         image = np.random.default_rng(42).normal(size=(56, 56, 56))
         plan = plan_filter(FilterConfig("log", {"sigma_mm": 1.5, "cutoff": 4.0}),
                            (1.0, 1.0, 1.0), "3d", "mirror")
@@ -1131,7 +1132,7 @@ class TestLogRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.2 * image.nbytes, peak / image.nbytes
+        assert peak <= 2.75 * image.nbytes, peak / image.nbytes
 
 
 class TestStatedPasses:

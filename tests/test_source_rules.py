@@ -4,10 +4,9 @@ one path.
 * Every ``numpy.fft`` transform runs inside ``convolve.fft_forward`` or
   ``convolve.fft_inverse``, so grid choice, half spectra and pruning are
   decided in one place (``np.fft.fftfreq`` builds coordinates and is free).
-* No BLAS or LAPACK on an output path: no ``np.linalg``, ``@``, ``dot``,
+* No BLAS or LAPACK in any module: no ``np.linalg``, ``@``, ``dot``,
   ``tensordot``, ``matmul`` or ``einsum(optimize=...)``, whose results
   depend on the machine, the OpenBLAS core type and the thread count.
-  ``benchmark.consensus`` is allowed until it is rewritten without them.
 * No module compresses, ``nifti.write_nifti`` included, since compressed
   bytes depend on the zlib build: no ``gzip.compress``, no ``gzip.open``
   or ``GzipFile`` in a write mode (or a ``GzipFile`` whose mode follows
@@ -37,6 +36,10 @@ one path.
   runs on numpy and PyYAML alone, and those are exactly the third-party
   modules it imports and the dependencies ``pyproject.toml`` declares.
   A fresh ``import voxfilt`` loads no scipy module.
+* ``convolve.axis_pass`` is used only in ``convolve``, whose slab engine
+  runs every separable pass, and in ``rotinv``, whose rotation trie runs
+  its own; ``np.pad`` only in ``boundary``, which holds the index maps of
+  every halo.  So no module grows a private slab loop or halo again.
 * Only ``pipeline._check_keys`` uses ``difflib`` or reads a ``required``
   attribute, so one function decides which keys are unknown, switched off
   or missing, for configuration files and ``voxfilt filter``'s flags alike.
@@ -61,7 +64,6 @@ SOURCE = ROOT / "src" / "voxfilt"
 
 FFT_HOMES = {("convolve", "fft_forward"), ("convolve", "fft_inverse")}
 FFT_FREE = {"fftfreq"}
-BLAS_HOMES = {("benchmark", "consensus")}
 BLAS_NAMES = {"dot", "tensordot", "matmul"}
 NUMPY = {"np", "numpy"}
 COMPRESS_IMPORTS = {"gzip": {"compress", "open"}, "zlib": {"compress", "compressobj"}}
@@ -88,15 +90,12 @@ def violations(source: str, module: str) -> set:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions = functions | {(module, node.name)}
         fft_ok = bool(functions & FFT_HOMES)
-        blas_ok = bool(functions & BLAS_HOMES)
         if isinstance(node, ast.Attribute):
             path = _dotted(node).split(".")
             if path[0] in NUMPY and path[1:2] == ["fft"] and len(path) == 3:
                 if path[2] not in FFT_FREE and not fft_ok:
                     found.add(("fft", node.lineno))
-            if path[0] in NUMPY and path[1:2] == ["linalg"] and not blas_ok:
-                found.add(("blas", node.lineno))
-            if node.attr in BLAS_NAMES and not blas_ok:
+            if (path[0] in NUMPY and path[1:2] == ["linalg"]) or node.attr in BLAS_NAMES:
                 found.add(("blas", node.lineno))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else []) + [
@@ -106,19 +105,70 @@ def violations(source: str, module: str) -> set:
                     found.add(("fft", node.lineno))
                 if "linalg" in name.split(".") or name in BLAS_NAMES:
                     found.add(("blas", node.lineno))
-        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES and not blas_ok:
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
             found.add(("blas", node.lineno))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            if not blas_ok:
-                found.add(("blas", node.lineno))
+            found.add(("blas", node.lineno))
         elif (isinstance(node, ast.Call) and _dotted(node.func).endswith("einsum")
-              and any(k.arg == "optimize" for k in node.keywords) and not blas_ok):
+              and any(k.arg == "optimize" for k in node.keywords)):
             found.add(("blas", node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, functions)
 
     visit(ast.parse(source), frozenset())
     return found
+
+
+# The only modules that may use each of these names
+USE_HOMES = {"axis_pass": {"convolve", "rotinv"}, "np.pad": {"boundary"}}
+
+
+def _restricted(name: str):
+    """The ``USE_HOMES`` key a dotted name refers to, or None."""
+    path = name.split(".")
+    if path[-1] == "axis_pass":
+        return "axis_pass"
+    return "np.pad" if len(path) == 2 and path[0] in NUMPY and path[1] == "pad" else None
+
+
+def misplaced_uses(source: str, module: str) -> set:
+    """(name, line) for every use or import of a ``USE_HOMES`` name outside
+    its home modules in one module's source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [_restricted(f"{node.module}.{alias.name}") for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = [_restricted(_dotted(node))]
+        else:
+            continue
+        found |= {(name, node.lineno) for name in names if name and module not in USE_HOMES[name]}
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_passes_and_halos_stay_in_their_modules(path):
+    assert misplaced_uses(path.read_text(), path.stem) == set()
+
+
+def test_use_checker_sees_each_breach():
+    sample = """
+import numpy as np
+from numpy import pad
+from .convolve import axis_pass
+from . import convolve
+
+def smooth(x, g):
+    block = np.pad(x, 2, mode="wrap")
+    block = numpy.pad(block, 1)
+    block = convolve.axis_pass(block, -1, g)
+    return axis_pass(block, -2, g), np.padding, pad_to(x)
+"""
+    misplaced = {("np.pad", 3), ("axis_pass", 4), ("np.pad", 8), ("np.pad", 9),
+                 ("axis_pass", 10), ("axis_pass", 11)}
+    assert misplaced_uses(sample, "riesz") == misplaced
+    assert misplaced_uses(sample, "rotinv") == {u for u in misplaced if u[0] == "np.pad"}
+    assert misplaced_uses(sample, "boundary") == {u for u in misplaced if u[0] == "axis_pass"}
 
 
 def _gzip_writes(call) -> bool:
@@ -184,10 +234,10 @@ def consensus(a):
     return np.linalg.svd(a @ a)
 """
     breaches = {("fft", 3), ("fft", 11), ("blas", 4)} | {("blas", n) for n in range(12, 20)}
-    # fft_forward's transform is allowed in convolve only, consensus in benchmark only
+    # fft_forward's transform is allowed in convolve only; BLAS nowhere
     assert violations(sample, "convolve") == breaches | {("blas", 22)}
     assert violations(sample, "riesz") == breaches | {("blas", 22), ("fft", 7)}
-    assert violations(sample, "benchmark") == breaches | {("fft", 7)}
+    assert violations(sample, "benchmark") == breaches | {("blas", 22), ("fft", 7)}
 
 
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)

@@ -59,9 +59,8 @@ def test_axis_pass(k, axis):
     kernel = np.random.default_rng(1).normal(size=5)
     margins = [0, 0]
     margins[axis] = 2
-    _assert_planewise(lambda s: axis_pass(pad(s, [0] + margins, "mirror"), axis - 2, kernel,
-                                          DIMS[axis]),
-                      lambda p: axis_pass(pad(p, margins, "mirror"), axis, kernel, DIMS[axis]),
+    _assert_planewise(lambda s: axis_pass(pad(s, [0] + margins, "mirror"), axis - 2, kernel),
+                      lambda p: axis_pass(pad(p, margins, "mirror"), axis, kernel),
                       _stack(k))
 
 
