@@ -69,7 +69,9 @@ def _load_mask(path, image):
     if (mask.dims, mask.spacing) != (image.dims, image.spacing):
         raise ValueError(f"mask {path} has dims {mask.dims} and spacing {mask.spacing} mm; "
                          f"the image has dims {image.dims} and spacing {image.spacing} mm")
-    return RoiMask(mask.data >= 0.5)
+    membership = mask.data >= 0.5
+    membership.flags.writeable = False  # built here, so RoiMask need not copy it
+    return RoiMask(membership)
 
 
 def _log(message):
@@ -304,8 +306,9 @@ def main(argv=None) -> int:
             elif args.threads < 1:
                 raise ValueError(f"--threads must be a positive integer, got {args.threads}")
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

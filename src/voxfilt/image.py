@@ -54,16 +54,25 @@ class VolumeImage:
 class RoiMask:
     """Boolean voxel membership aligned to a companion :class:`VolumeImage` grid.
 
-    ``membership`` is stored Fortran-contiguous, like ``VolumeImage.data``,
-    so a mask built in C order still meets its image in the same layout.
+    ``membership`` is stored read-only and Fortran-contiguous, like the data
+    of :func:`create_image`, so a mask built in C order still meets its
+    image in the same layout.  A given array is kept as given only when it
+    is Fortran-contiguous and neither it nor any array it views can be
+    written (see :func:`_read_only`); any other is copied, so the caller's
+    array is never frozen in place and later writes to its memory never
+    reach the mask.  (API change: ``membership`` used to be writeable.)
     """
 
     membership: np.ndarray
 
     def __post_init__(self):
-        if self.membership.dtype != np.bool_:
+        membership = self.membership
+        if membership.dtype != np.bool_:
             raise ValueError("mask membership must be boolean")
-        object.__setattr__(self, "membership", np.asfortranarray(self.membership))
+        if not (membership.flags.f_contiguous and _read_only(membership)):
+            membership = np.array(membership, order="F")
+            membership.flags.writeable = False
+        object.__setattr__(self, "membership", membership)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -74,25 +83,53 @@ class RoiMask:
         return int(np.count_nonzero(self.membership))
 
 
+def _read_only(arr) -> bool:
+    """Whether no write can reach ``arr``'s memory through numpy: ``arr``
+    and every array it views are read-only, and the last of them owns the
+    memory.  Memory owned by anything else (a bytearray, an mmap) is not
+    trusted.  Whoever holds the owning array can still make it writeable
+    again; voxfilt's own arrays are never handed out writeable."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
 def create_image(dims, spacing, data) -> VolumeImage:
     """Build an immutable volume from flat or shaped intensity data.
 
     Flat input is unravelled with ``k1`` fastest (Fortran order).  Intensities
-    are held as 64-bit floats regardless of the input dtype; a NaN or
-    infinite voxel is an error.
+    are held as 64-bit floats regardless of the input dtype, in a read-only
+    copy that no caller holds, so later writes to ``data`` never reach the
+    image; a NaN or infinite voxel is an error.
     """
+    return _owned_image(dims, spacing, np.array(data, dtype=np.float64, order="F"))
+
+
+def _owned_image(dims, spacing, arr) -> VolumeImage:
+    """:func:`create_image` over ``arr``, a float64 array that only the
+    caller holds and gives up: it is frozen, not copied."""
     dims = tuple(int(n) for n in dims)
     if any(n <= 0 for n in dims):
         raise ValueError(f"dims must be positive, got {dims}")
-    arr = np.asarray(data, dtype=np.float64)
     if arr.size != int(np.prod(dims)):
         raise ValueError(f"data has {arr.size} values, expected {int(np.prod(dims))} for dims {dims}")
     _check_finite(arr)
-    if arr.shape != dims:
-        arr = arr.reshape(dims, order="F")
-    arr = np.asfortranarray(arr)
-    arr.flags.writeable = False
+    arr = _freeze(np.asfortranarray(arr.reshape(dims, order="F")))
     return VolumeImage(arr, tuple(float(s) for s in spacing))
+
+
+def _freeze(arr) -> np.ndarray:
+    """``arr``, made read-only with every array it views, so that
+    :func:`_read_only` holds; only for arrays that no caller holds."""
+    view = arr
+    while isinstance(view, np.ndarray):
+        view.flags.writeable = False
+        view = view.base
+    return arr
 
 
 def _check_finite(data) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _MAX_AXIS_VOXELS, VolumeImage, create_image, round_half_away
+from .image import _MAX_AXIS_VOXELS, VolumeImage, _owned_image, round_half_away
 
 __all__ = [
     "NiftiError",
@@ -242,8 +242,8 @@ def read_nifti(path, round_values: bool = False):
             data = data * scl_slope + scl_inter
     if round_values:
         data = round_half_away(data)
-    try:
-        image = create_image(dims, view.pixdim, data)
+    try:  # data is this function's own array, so it is frozen, not copied
+        image = _owned_image(dims, view.pixdim, data)
     except ValueError as exc:  # non-finite voxels, or a pixdim below the spacing floor
         raise NiftiError(f"{path}: {exc}") from None
     return image, view

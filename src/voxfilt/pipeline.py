@@ -15,6 +15,7 @@ import difflib
 import itertools
 import math
 import os
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ from .convolve import (
 )
 from .features import diagnostics, intensity_statistics
 from .image import (_MAX_AXIS_VOXELS, RoiMask, VolumeImage, _check_finite, _check_spacing,
-                    _integral, _is_number, map_slices, round_half_away)
+                    _freeze, _integral, _is_number, _read_only, map_slices, round_half_away)
 from .kernels import (
     _MAX_TAPS,
     LAWS_NAMES,
@@ -75,6 +76,7 @@ __all__ = [
     "FILTER_PARAMETERS",
     "FilterConfig",
     "FilterPlan",
+    "Prepared",
     "ProcessingConfig",
     "load_config",
     "resample_image",
@@ -83,6 +85,7 @@ __all__ = [
     "resegment",
     "plan_filter",
     "apply_filter",
+    "prepare",
     "run_configuration",
 ]
 
@@ -477,7 +480,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
     new_spacing = _check_spacing(new_spacing, membership.ndim, "new_spacing", "resampling")
     threshold = _setting("resample.mask_threshold", threshold)
     if _grid_unchanged(spacing, new_spacing):
-        return RoiMask(membership.copy())
+        return RoiMask(membership)
     out_dims, coords = _output_coordinates(mask.dims, spacing, new_spacing)
     ndim = membership.ndim
     taps = [_axis_taps(c, n, 1) for c, n in zip(coords, mask.dims)]
@@ -503,6 +506,7 @@ def resample_mask(mask: RoiMask, spacing, new_spacing, threshold: float = 0.5) -
             slab_taps = [(idx[slab[ndim - 1 - a]], w[slab[ndim - 1 - a]])
                          for a, (idx, w) in enumerate(taps)]
             inside[slab] = _partial_volume(membership.T, slab_taps) >= threshold
+    inside.flags.writeable = False  # built here, so RoiMask need not copy it
     return RoiMask(inside.T)
 
 
@@ -515,15 +519,16 @@ def resegment(mask: RoiMask, image: VolumeImage, value_range) -> RoiMask:
     """Intensity mask: ROI voxels whose intensity lies in the closed range.
 
     The morphological mask itself is never altered; with ``value_range``
-    None the intensity mask is a copy of it.  The range is checked as the
-    configuration's ``resegment_hu``.
+    None the intensity mask is a new mask over its read-only membership.
+    The range is checked as the configuration's ``resegment_hu``.
     """
     if mask.dims != image.dims:
         raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
     if value_range is None:
-        return RoiMask(mask.membership.copy())
+        return RoiMask(mask.membership)
     low, high = _range(value_range, None)
     keep = mask.membership & (image.data >= low) & (image.data <= high)
+    keep.flags.writeable = False  # built here, so RoiMask need not copy it
     return RoiMask(keep)
 
 
@@ -949,6 +954,84 @@ def apply_filter(image: VolumeImage, filt: FilterConfig, mode: str,
     return filt.plan(image.spacing, mode, boundary).run(image.data, threads)
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """An image and mask made ready for filtering under one preprocessing key.
+
+    ``work`` is the image after resampling and rounding, ``intensity_mask``
+    the re-segmented ROI on its grid, ``diagnostics`` the five features that
+    describe both masks, and ``key`` the settings that made them: resample
+    spacing, image interpolation, mask threshold, rounding and
+    re-segmentation range.  ``work.data`` is read-only unless it is the
+    caller's writeable image data, and ``intensity_mask`` is read-only as
+    every mask is.
+    """
+
+    key: tuple
+    work: VolumeImage
+    intensity_mask: RoiMask
+    diagnostics: tuple
+
+
+# The latest kept preparation, (image ref, mask ref, Prepared), or None.  It
+# holds weak references to its pair only, and each change is one
+# assignment, so threads need no lock: a lost race only drops the slot.
+_kept = None
+
+
+def _forget(ref):
+    """Weakref callback: drop the kept preparation when its image or mask goes."""
+    global _kept
+    kept = _kept
+    if kept is not None and (ref is kept[0] or ref is kept[1]):
+        _kept = None
+
+
+def prepare(image: VolumeImage, mask: RoiMask, config: ProcessingConfig) -> Prepared:
+    """Resample, round and re-segment as ``config`` says; returns a :class:`Prepared`.
+
+    The image must be finite, the mask must have its dims, and the
+    re-segmented ROI must not be empty.  The latest preparation is kept:
+    a call with the same image and mask objects and a configuration of the
+    same key returns it, so a loop over the configurations of one key
+    prepares once.  It is kept only while no write can reach
+    ``image.data`` or ``mask.membership`` (:func:`voxfilt.image._read_only`),
+    which holds for :func:`voxfilt.image.create_image` images and for every
+    mask; a writeable image is prepared on every call.  Only one
+    preparation is kept: another pair, another key or a writeable pair
+    replaces it, and collecting the image or the mask drops it.
+    """
+    global _kept
+    if mask.dims != image.dims:
+        raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
+    key = (config.resample_spacing_mm, config.image_interpolation, config.mask_threshold,
+           config.rounding, config.reseg_range)
+    keep = _read_only(image.data) and _read_only(mask.membership)
+    kept = _kept
+    if (keep and kept is not None and kept[2].key == key
+            and kept[0]() is image and kept[1]() is mask):
+        return kept[2]
+    _check_finite(image.data)  # before resampling spreads a bad voxel
+    work, roi = image, mask
+    if config.resample_spacing_mm is not None:
+        work = resample_image(work, config.resample_spacing_mm, config.image_interpolation)
+        roi = resample_mask(roi, image.spacing, config.resample_spacing_mm,
+                            config.mask_threshold)
+    if config.rounding:
+        work = round_intensities(work)
+    if work is image:  # a kept preparation must not keep the image alive
+        work = VolumeImage(image.data, image.spacing)
+    else:
+        _freeze(work.data)
+    intensity_mask = resegment(roi, work, config.reseg_range)
+    if intensity_mask.voxel_count == 0:
+        raise ValueError("empty ROI after re-segmentation")
+    prepared = Prepared(key, work, intensity_mask,
+                        diagnostics(mask.membership, intensity_mask.membership, work.data))
+    _kept = (weakref.ref(image, _forget), weakref.ref(mask, _forget), prepared) if keep else None
+    return prepared
+
+
 def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfig,
                       threads: int = 1):
     """Execute a full configuration; returns (response, intensity mask, features).
@@ -956,28 +1039,18 @@ def run_configuration(image: VolumeImage, mask: RoiMask, config: ProcessingConfi
     The feature tuple holds the five diagnostics followed by the eighteen
     intensity statistics of the response over the re-segmented ROI.  The
     configuration is planned first (``config.plan``), so a bad filter fails
-    before any preprocessing.  The filter keeps that plan, and
-    :func:`apply_filter` runs it, so running one configuration on image
-    after image plans it once per grid and reuses its kernels and transfers.
+    before any preprocessing.  :func:`prepare` then resamples, rounds and
+    re-segments, or returns the preparation it kept for the same image,
+    mask and key, and the filter and the statistics run on its result.
+    The filter keeps its plan, and :func:`apply_filter` runs it, so running
+    one configuration on image after image plans it once per grid and
+    reuses its kernels and transfers.
     """
     config.plan(image.spacing)
-    if mask.dims != image.dims:
-        raise ValueError(f"mask dims {mask.dims} do not match image dims {image.dims}")
-    _check_finite(image.data)  # before resampling spreads a bad voxel
-    mask_before = mask
-    work = image
-    roi = mask
-    if config.resample_spacing_mm is not None:
-        work = resample_image(work, config.resample_spacing_mm, config.image_interpolation)
-        roi = resample_mask(roi, image.spacing, config.resample_spacing_mm,
-                            config.mask_threshold)
-    if config.rounding:
-        work = round_intensities(work)
-    intensity_mask = resegment(roi, work, config.reseg_range)
-    if intensity_mask.voxel_count == 0:
-        raise ValueError("empty ROI after re-segmentation")
+    prepared = prepare(image, mask, config)
+    work, intensity_mask = prepared.work, prepared.intensity_mask
     response = work.with_data(apply_filter(work, config.filter, config.mode, config.boundary,
                                            threads))
-    features = diagnostics(mask_before.membership, intensity_mask.membership, work.data)
-    features = features + intensity_statistics(response.data, intensity_mask.membership)
+    features = prepared.diagnostics + intensity_statistics(response.data,
+                                                           intensity_mask.membership)
     return response, intensity_mask, features

@@ -3,6 +3,10 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,14 @@ import yaml
 import voxfilt.cli
 import voxfilt.pipeline
 from voxfilt.cli import _default_threads, main
-from voxfilt.image import create_image
+from voxfilt.image import RoiMask, create_image
 from voxfilt.kernels import mean_kernel_1d
 from voxfilt.convolve import convolve_separable
 from voxfilt.nifti import read_nifti, write_nifti
 from voxfilt.pipeline import FilterConfig, plan_filter
 from voxfilt.wavelets import dwt_decimated
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_volume(path, data, spacing=(2.0, 2.0, 2.0), datatype="f32"):
@@ -603,6 +609,69 @@ class TestRunCommand:
         lines = (out_dir / "T_features.csv").read_text().splitlines()
         assert lines[0] == "test_id,ibsi_id,name,value,value_3sig"
         assert all(line.startswith("T,") for line in lines[1:])
+
+    # the child's address space is capped before numpy loads, so an allocation
+    # beyond the cap fails at once instead of touching memory
+    _CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from voxfilt.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    def test_memory_error_is_one_error_line(self, tmp_path):
+        # a 4001-tap 3-D mean plans, then needs a 4004^3 halo (478 GiB) on a 4^3 image
+        src, mask, config = self._fixture(tmp_path, mode="3d")
+        _write_volume(src, np.arange(64.0).reshape(4, 4, 4))
+        _write_volume(mask, np.ones((4, 4, 4)), datatype="u8")
+        config.write_text(config.read_text().replace("support: 3", "support: 4001"))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", self._CAPPED, "run", str(config),
+                               "--image", str(src), "--mask", str(mask),
+                               "--out-dir", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        summary, error = done.stderr.splitlines()
+        assert summary.startswith("mean filter: mode 3d, boundary mirror, support 4001;")
+        assert error.startswith("error: Unable to allocate ")
+        assert "(4004, 4004, 4004)" in error
+        assert not (tmp_path / "out").exists()
+
+    def test_keeps_no_preparation_after_it_returns(self, tmp_path, monkeypatch):
+        kept = []
+        prepare = voxfilt.pipeline.prepare
+
+        def recording(image, mask, config):
+            prepared = prepare(image, mask, config)
+            kept.append((weakref.ref(prepared.work), voxfilt.pipeline._kept[2] is prepared))
+            return prepared
+
+        monkeypatch.setattr(voxfilt.pipeline, "prepare", recording)
+        src, mask, config = self._fixture(tmp_path)
+        assert main(["run", str(config), "--image", str(src), "--mask", str(mask),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        # the image and mask it read were read-only, so it kept their preparation
+        (work, was_kept), = kept
+        assert was_kept
+        assert work() is None
+        assert voxfilt.pipeline._kept is None
+
+    def test_mask_reaches_roimask_read_only(self, tmp_path, monkeypatch):
+        # the thresholded membership is frozen where it is built, so RoiMask copies nothing
+        passed = []
+
+        class Recording(RoiMask):
+            def __post_init__(self):
+                flags = self.membership.flags
+                passed.append((flags.f_contiguous, flags.writeable))
+                super().__post_init__()
+
+        monkeypatch.setattr(voxfilt.cli, "RoiMask", Recording)
+        src, mask, config = self._fixture(tmp_path)
+        assert main(["run", str(config), "--image", str(src), "--mask", str(mask),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert passed == [(True, False)]
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         src, mask, config = self._fixture(tmp_path)

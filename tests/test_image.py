@@ -104,6 +104,46 @@ class TestRoiMask:
         np.testing.assert_array_equal(m.membership, membership)
         assert RoiMask(m.membership).membership is m.membership
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_membership_is_a_read_only_copy_of_a_writeable_array(self, order):
+        membership = np.ones((3, 4, 2), dtype=bool, order=order)
+        m = RoiMask(membership)
+        assert not m.membership.flags.writeable
+        assert not np.shares_memory(m.membership, membership)
+        membership[0, 0, 0] = False  # the caller's array is not frozen, nor seen by the mask
+        assert m.voxel_count == 24
+        with pytest.raises(ValueError, match="read-only"):
+            m.membership[0, 0, 0] = False
+
+    def test_read_only_view_of_writeable_memory_is_copied(self):
+        base = np.ones(24, dtype=bool)
+        view = base.reshape((2, 3, 4), order="F")
+        view.flags.writeable = False
+        m = RoiMask(view)
+        assert not np.shares_memory(m.membership, base)
+        base[0] = False  # a write through the base never reaches the mask
+        assert m.voxel_count == 24
+
+
+class TestCreateImageOwnsItsData:
+    def test_flat_data_is_copied(self):
+        flat = np.arange(24.0)
+        image = create_image((2, 3, 4), (1, 1, 1), flat)
+        flat[0] = 99.0
+        assert image.data[0, 0, 0] == 0.0
+        assert flat.flags.writeable
+
+    def test_fortran_data_is_copied_not_frozen(self):
+        data = np.asfortranarray(np.arange(24.0).reshape(2, 3, 4))
+        image = create_image(data.shape, (1, 1, 1), data)
+        assert data.flags.writeable and not np.shares_memory(image.data, data)
+        data[1, 2, 3] = -1.0
+        assert image.data[1, 2, 3] == 23.0
+
+    def test_data_and_its_base_are_read_only(self):
+        image = create_image((2, 3, 4), (1, 1, 1), list(range(24)))
+        assert voxfilt.image._read_only(image.data)
+
 
 class TestWithData:
     def test_same_grid(self):

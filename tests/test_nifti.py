@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from voxfilt.image import VolumeImage, create_image
+from voxfilt.image import VolumeImage, _read_only, create_image
 from voxfilt.nifti import (
     DATATYPE_CODES,
     NiftiDatatypeError,
@@ -111,6 +111,7 @@ class TestRoundTrip:
         assert back.data.dtype == np.float64
         assert back.data.flags.f_contiguous
         assert not back.data.flags.writeable
+        assert _read_only(back.data)  # so a kept preparation of it can be trusted
 
 
 class TestGzip:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
@@ -56,6 +57,7 @@ from voxfilt.pipeline import (
     _spline_prefilter,
     load_config,
     plan_filter,
+    prepare,
     resample_image,
     resample_mask,
     resegment,
@@ -71,6 +73,7 @@ from voxfilt.wavelets import (
     swt_undecimated,
 )
 
+import ledger
 from dispatch import digests_at_dispatch_levels
 from oracles import resample_image_per_tap, resample_mask_per_tap
 
@@ -216,20 +219,22 @@ class TestResampleMask:
         ((12, 9), (1.0, 1.7), (0.6, 2.3)),
     ])
     def test_result_is_built_fortran_ordered(self, monkeypatch, dims, spacing, new_spacing):
-        # the membership reaches RoiMask F-contiguous, so RoiMask copies nothing
+        # the membership reaches RoiMask F-contiguous and read-only, so RoiMask
+        # copies nothing
         import voxfilt.pipeline
 
         passed = []
 
         class Recording(RoiMask):
             def __post_init__(self):
-                passed.append(self.membership.flags.f_contiguous)
+                flags = self.membership.flags
+                passed.append((flags.f_contiguous, flags.writeable))
                 super().__post_init__()
 
         monkeypatch.setattr(voxfilt.pipeline, "RoiMask", Recording)
         membership = np.random.default_rng(31).uniform(size=dims) < 0.5
         out = resample_mask(RoiMask(membership), spacing, new_spacing)
-        assert passed == [True]
+        assert passed == [(True, False)]
         assert out.membership.flags.f_contiguous
 
     def test_identity_grid(self):
@@ -610,15 +615,37 @@ def test_b_config_bytes_do_not_depend_on_the_prefilter(monkeypatch):
     configs = [(n, c) for n, c in configs if c.image_interpolation == "tricubic"]
     assert len(configs) == 11
     for label, image in _b_config_inputs():
-        mask = RoiMask(np.ones(image.dims, dtype=bool))
+        membership = np.ones(image.dims, dtype=bool)
         for name, config in configs:
+            # a new mask object each run, so neither run reuses a kept preparation
             with monkeypatch.context() as patch:
                 patch.setattr(voxfilt.pipeline, "_spline_prefilter", _scipy_prefilter)
-                want, want_mask, want_features = run_configuration(image, mask, config)
-            got, got_mask, got_features = run_configuration(image, mask, config)
+                want, want_mask, want_features = run_configuration(image, RoiMask(membership),
+                                                                   config)
+            got, got_mask, got_features = run_configuration(image, RoiMask(membership), config)
             assert got.data.tobytes() == want.data.tobytes(), (label, name)
             assert got_mask.membership.tobytes() == want_mask.membership.tobytes(), (label, name)
             assert repr(got_features) == repr(want_features), (label, name)
+
+
+def _shipped(name):
+    return load_config(os.path.join(TestShippedConfigs._DIR, f"{name}.yaml"))[1]
+
+
+def test_slab_size_moves_no_b_config_byte(monkeypatch):
+    # the check input fits in one slab; at 64^3 the default cuts 8 planes per slab
+    data = np.rint(np.random.default_rng(47).normal(-100.0, 300.0, (32, 32, 32)))
+    image = create_image(data.shape, (2.0, 2.0, 2.0), data)
+    mask = RoiMask(np.ones(image.dims, dtype=bool))
+    for name in ("2.B", "3.B", "4.B", "11.B"):
+        config = _shipped(name)
+        results = []
+        for voxels in (1, 64**3):  # one plane per slab, the whole volume in one
+            monkeypatch.setattr(voxfilt.convolve, "_SLAB_VOXELS", voxels)
+            response, _, features = run_configuration(image, mask, config)
+            assert response.dims == (64, 64, 64)
+            results.append((response.data.tobytes(), repr(features)))
+        assert results[0] == results[1], name
 
 
 class TestRoundIntensities:
@@ -2032,6 +2059,177 @@ class TestSavedPlan:
         assert not any(worker.is_alive() for worker in workers)
         assert [r.tobytes() for r in results] == [serial.tobytes()] * count
         assert len(built) == 4 and set(built.values()) == {1}
+
+
+def _result_bytes(result):
+    response, intensity_mask, features = result
+    return (response.data.tobytes(order="F"), intensity_mask.membership.tobytes(order="F"),
+            repr(features))
+
+
+class TestKeptPreparations:
+    """``prepare`` keeps the latest preparation of a read-only (image, mask)
+    pair, and nothing once the pair is gone."""
+
+    _A_CONFIGS = ("1.A", "2.A", "3.A", "4.A", "6.A", "7.A", "8.A", "9.A", "10.A", "11.A")
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        calls = collections.Counter()
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(voxfilt.pipeline, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(voxfilt.pipeline, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("label", ["full", "partial"])
+    def test_a_kept_preparation_gives_the_bytes_of_fresh_copies(self, monkeypatch, label):
+        image, full, partial = ledger.check_inputs()
+        mask = {"full": full, "partial": partial}[label]
+        calls = self._count(monkeypatch, "resegment")
+        for name in ledger.config_names():
+            config = _shipped(name)
+            copies = (create_image(image.dims, image.spacing, image.data.copy()),
+                      RoiMask(mask.membership.copy()))
+            fresh = run_configuration(*copies, config)
+            run_configuration(image, mask, config)
+            calls.clear()
+            again = run_configuration(image, mask, config)
+            assert not calls, name  # the second run on the same objects prepared nothing
+            assert _result_bytes(again) == _result_bytes(fresh), name
+
+    def test_ten_a_configs_prepare_once(self, monkeypatch):
+        calls = self._count(monkeypatch, "resample_image", "resegment", "diagnostics")
+        image, mask = _check_input()
+        for name in self._A_CONFIGS:
+            run_configuration(image, mask, _shipped(name), 2)
+        assert calls == {"resegment": 1, "diagnostics": 1}
+
+    def test_a_new_key_replaces_the_kept_preparation(self, monkeypatch):
+        calls = self._count(monkeypatch, "resample_image", "resample_mask", "resegment")
+        image, mask = _check_input()
+        # keys A, B, B, A, A: only a run after one of its own key reuses
+        for name in ("2.A", "2.B", "3.B", "3.A", "1.A"):
+            run_configuration(image, mask, _shipped(name))
+        assert calls == {"resample_image": 1, "resample_mask": 1, "resegment": 3}
+
+    def test_a_sweep_of_keys_keeps_one_work_volume(self):
+        image, mask = _check_input()
+        config = _shipped("2.B")
+        works = []
+        for step in (1.0, 1.25, 1.5, 2.0, 2.5):
+            swept = dataclasses.replace(config, resample_spacing_mm=(step, step, step))
+            works.append(weakref.ref(prepare(image, mask, swept).work))
+        assert [work() is not None for work in works] == [False] * 4 + [True]
+
+    @staticmethod
+    def _patients(dims):
+        rng = np.random.default_rng(59)
+        return [np.rint(rng.normal(-100.0, 300.0, math.prod(dims))) for _ in range(2)]
+
+    def test_writing_the_flat_data_of_an_image_changes_nothing(self):
+        image, mask = _check_input()
+        first, second = self._patients(image.dims)
+        flat = first.copy()
+        built = create_image(image.dims, image.spacing, flat)
+        config = _shipped("3.A")
+        want = _result_bytes(run_configuration(built, mask, config))
+        flat[:] = second  # the image holds its own copy
+        assert built.data.tobytes(order="F") == first.tobytes()
+        assert _result_bytes(run_configuration(built, mask, config)) == want
+
+    def test_a_read_only_view_of_writeable_memory_is_never_kept(self, monkeypatch):
+        calls = self._count(monkeypatch, "resegment")
+        image, mask = _check_input()
+        first, second = self._patients(image.dims)
+        flat = first.copy()
+        view = flat.reshape(image.dims, order="F")
+        view.flags.writeable = False
+        built = VolumeImage(view, image.spacing)
+        config = _shipped("3.A")
+        run_configuration(built, mask, config)
+        flat[:] = second  # written through the writeable base between two runs
+        got = run_configuration(built, mask, config)
+        fresh = run_configuration(create_image(image.dims, image.spacing, second),
+                                  RoiMask(mask.membership.copy()), config)
+        assert calls["resegment"] == 3
+        assert _result_bytes(got) == _result_bytes(fresh)
+
+    def test_a_new_mask_or_a_writeable_image_is_prepared_again(self, monkeypatch):
+        calls = self._count(monkeypatch, "resegment")
+        image, mask = _check_input()
+        config = _shipped("2.B")
+        first = prepare(image, mask, config)
+        assert prepare(image, mask, config) is first
+        assert not (first.work.data.flags.writeable
+                    or first.intensity_mask.membership.flags.writeable)
+        # the same read-only membership in another mask object
+        other = RoiMask(mask.membership)
+        assert other.membership is mask.membership
+        assert prepare(image, other, config) is not first
+        writeable = VolumeImage(np.array(image.data, order="F"), image.spacing)
+        again = [prepare(writeable, other, config) for _ in range(2)]
+        assert again[0] is not again[1]
+        assert calls["resegment"] == 4
+        assert _result_bytes((again[0].work, again[0].intensity_mask, again[0].diagnostics)) \
+            == _result_bytes((first.work, first.intensity_mask, first.diagnostics))
+
+    def test_two_threads_on_two_images_get_their_serial_bytes(self):
+        image, full, partial = ledger.check_inputs()
+        data = np.random.default_rng(53).normal(size=image.dims) * 300.0 - 200.0
+        pairs = [(image, full), (create_image(image.dims, image.spacing, data), partial)]
+        names = ("1.A", "2.B", "3.A", "1.B", "6.A")
+        # a new mask object each serial run, so no serial run reuses a preparation
+        serial = [[_result_bytes(run_configuration(i, RoiMask(m.membership), _shipped(n)))
+                   for n in names] for i, m in pairs]
+        barrier = threading.Barrier(len(pairs))
+        results = [[] for _ in pairs]
+
+        def work(slot):
+            barrier.wait(timeout=60)
+            for _ in range(3):
+                results[slot].append([_result_bytes(run_configuration(*pairs[slot], _shipped(n)))
+                                      for n in names])
+
+        workers = [threading.Thread(target=work, args=(slot,)) for slot in range(len(pairs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [[want] * 3 for want in serial]
+
+    @pytest.mark.parametrize("name", ["2.A", "2.B"])
+    @pytest.mark.parametrize("drop", ["image", "mask"])
+    def test_collecting_the_image_or_the_mask_releases_the_work_volume(self, drop, name):
+        image, mask = _check_input()
+        work = weakref.ref(prepare(image, mask, _shipped(name)).work)
+        assert work() is not None  # the kept preparation holds it
+        if drop == "image":
+            del image
+        else:
+            del mask
+        gc.collect()
+        assert work() is None
+
+    def test_preparing_another_pair_drops_the_kept_one(self):
+        image, mask = _check_input()
+        config = _shipped("2.B")
+        work = weakref.ref(prepare(image, mask, config).work)
+        other = create_image(image.dims, image.spacing, image.data + 1.0)
+        prepare(other, mask, config)
+        assert work() is None
+        # so does a writeable pair, which is itself never kept
+        work = weakref.ref(prepare(image, mask, config).work)
+        prepare(VolumeImage(np.array(image.data, order="F"), image.spacing), mask, config)
+        assert work() is None
 
 
 class TestNonFiniteVoxels:
