@@ -7,7 +7,9 @@ before the image is read, and its errors name flags (--dtheta needs
 boundary and the route) is logged to stderr so two implementations can be
 compared at the parameter level before diffing response maps.
 VOXFILT_THREADS sets the default --threads value (a positive integer); the
-thread count never changes results.
+thread count never changes results.  Images are read as stored: only a
+configuration's rounding step and `phantom`'s integer writes round.  A
+response on the input's grid keeps the input's orientation block.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ def _default_threads() -> int:
     return threads
 
 
-def _load_image(path, round_values=False):
+def _load_image(path):
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path}: file not found")
-    return read_nifti(path, round_values=round_values)
+    return read_nifti(path)
 
 
 def _load_mask(path, image):
@@ -72,6 +74,12 @@ def _load_mask(path, image):
     membership = mask.data >= 0.5
     membership.flags.writeable = False  # built here, so RoiMask need not copy it
     return RoiMask(membership)
+
+
+def _write_response(response, path, datatype, image, view):
+    """Write a response map, keeping the input's orientation block on the input's grid."""
+    same_grid = (response.dims, response.spacing) == (image.dims, image.spacing)
+    write_nifti(response, path, datatype, orientation=view.orientation if same_grid else None)
 
 
 def _log(message):
@@ -124,16 +132,14 @@ def cmd_phantom(args) -> int:
 def cmd_filter(args) -> int:
     filt = FilterConfig(args.filter, _gather_filter_params(args))
     _check_keys(filt.params, _PLANNERS[filt.kind][1], f"{filt.kind} filter", _flag)
-    image, view = _load_image(args.image, args.round_on_load)
+    image, view = _load_image(args.image)
     plan = plan_filter(filt, image.spacing, args.mode, args.boundary)
     _log(plan.summary)
     data = np.asfortranarray(plan.run(image.data, args.threads), dtype=np.float64)
     # a decimated response covers the same extent with n // m times the spacing
     spacing = tuple(s * (n // m) for s, n, m in zip(image.spacing, image.dims, data.shape))
     response = VolumeImage(data, spacing)
-
-    orientation = view.orientation if response.dims == image.dims else None
-    write_nifti(response, args.out, args.datatype, orientation=orientation)
+    _write_response(response, args.out, args.datatype, image, view)
     print(
         f"{args.out}: dims {response.dims}, min {data.min():.6g}, "
         f"max {data.max():.6g}, mean {data.mean():.6g}"
@@ -143,7 +149,7 @@ def cmd_filter(args) -> int:
 
 def cmd_run(args) -> int:
     test_id, config = load_config(args.config)
-    image, view = _load_image(args.image, args.round_on_load)
+    image, view = _load_image(args.image)
     mask = _load_mask(args.mask, image)
     _log(config.plan(image.spacing).summary)
     response, intensity_mask, features = run_configuration(image, mask, config, args.threads)
@@ -153,9 +159,7 @@ def cmd_run(args) -> int:
     map_path = os.path.join(args.out_dir, f"{stem}_response.nii.gz")
     csv_path = os.path.join(args.out_dir, f"{stem}_features.csv")
     json_path = os.path.join(args.out_dir, f"{stem}_features.json")
-    same_grid = response.dims == image.dims and response.spacing == image.spacing
-    write_nifti(response, map_path, args.datatype,
-                orientation=view.orientation if same_grid else None)
+    _write_response(response, map_path, args.datatype, image, view)
     write_feature_csv(csv_path, stem, features)
     write_feature_json(json_path, stem, features)
 
@@ -170,7 +174,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_features(args) -> int:
-    image, _ = _load_image(args.image, args.round_on_load)
+    image, _ = _load_image(args.image)
     mask = _load_mask(args.mask, image)
     values = diagnostics(mask.membership, mask.membership, image.data)
     values = values + intensity_statistics(image.data, mask.membership)
@@ -218,13 +222,6 @@ def cmd_consensus(args) -> int:
     return 0
 
 
-def _add_io_flags(parser, datatype_default="f32"):
-    parser.add_argument("--datatype", default=datatype_default, choices=_DATATYPES,
-                        help="voxel datatype for written volumes")
-    parser.add_argument("--round-on-load", action="store_true",
-                        help="round intensities to integers right after reading")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: built on first use, never changed
@@ -249,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="3d", help="2d (slice-wise) or 3d (volumetric)")
     p.add_argument("--boundary", default="mirror")
     p.add_argument("--threads", type=int)
-    _add_io_flags(p)
+    p.add_argument("--datatype", default="f32", choices=_DATATYPES,
+                   help="voxel datatype for the response map")
     # one flag per key of the parameter table: a switch for a bool, else a
     # number or text that plan_filter types, as it types a configuration file's
     g = p.add_argument_group("filter parameters (unused flags are rejected)")
@@ -269,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int)
-    _add_io_flags(p)
+    p.add_argument("--datatype", default="f32", choices=_DATATYPES,
+                   help="voxel datatype for the response map")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("features", help="aggregate intensity statistics over a mask")
@@ -277,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--out", "-o", required=True, help=".csv or .json output path")
     p.add_argument("--test-id", default="")
-    p.add_argument("--round-on-load", action="store_true")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("compare", help="diff a response map against a reference")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _MAX_AXIS_VOXELS, VolumeImage, _owned_image, round_half_away
+from .image import _MAX_AXIS_VOXELS, VolumeImage, _owned_image
 
 __all__ = [
     "NiftiError",
@@ -206,14 +206,14 @@ def _parse_header(path, raw):
     return view, endian, offset
 
 
-def read_nifti(path, round_values: bool = False):
+def read_nifti(path):
     """Load a NIfTI-1 file as (VolumeImage, NiftiHeaderView).
 
     Intensities are promoted to double precision with scl_slope and
-    scl_inter applied (a slope of 0 or a non-finite slope means unscaled).  ``round_values``
-    additionally rounds half away from zero, for masks and images whose
-    integer nature was lost in an earlier conversion.  A NaN or infinite
-    voxel, stored or produced by the scaling, is an error naming their count.
+    scl_inter applied (a slope of 0 or a non-finite slope means unscaled),
+    and otherwise read as stored: only a configuration's rounding step
+    rounds them.  A NaN or infinite voxel, stored or produced by the
+    scaling, is an error naming their count.
     Only the file's bytes up to the end of the payload that the header
     describes are held in memory.
     """
@@ -240,8 +240,6 @@ def read_nifti(path, round_values: bool = False):
             raise NiftiMagicError(f"{path}: scl_inter {scl_inter} is not finite")
         if scl_slope != 1.0 or scl_inter != 0.0:
             data = data * scl_slope + scl_inter
-    if round_values:
-        data = round_half_away(data)
     try:  # data is this function's own array, so it is frozen, not copied
         image = _owned_image(dims, view.pixdim, data)
     except ValueError as exc:  # non-finite voxels, or a pixdim below the spacing floor

@@ -6,7 +6,8 @@ re-segmentation of the ROI, one filter from the benchmark table, and
 feature aggregation over the re-segmented ROI.  The stage order is fixed:
 filtering always happens after interpolation and rounding, features are
 always aggregated over the entire (3-D) ROI even when filtering ran
-slice by slice.
+slice by slice.  Only :func:`prepare`'s rounding step rounds a read
+image: ``read_nifti`` returns intensities as stored.
 """
 
 from __future__ import annotations

@@ -430,7 +430,7 @@ class TestFilterCommand:
         assert set(voxfilt.cli._FLAG_OF) == {"l", "rotation_invariance"}
 
     @pytest.mark.parametrize("flag", ["--via=spatial", "--undecimated", "--orthogonal-planes",
-                                      "--boundary-constant=0"])
+                                      "--boundary-constant=0", "--round-on-load"])
     def test_removed_flags_rejected(self, tmp_path, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([
@@ -440,9 +440,27 @@ class TestFilterCommand:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_orientation_carried_to_response(self, tmp_path):
-        import struct
+    @pytest.mark.parametrize("command", [
+        ["run", "c.yaml", "--image", "in.nii", "--mask", "m.nii", "--out-dir", "out"],
+        ["features", "in.nii", "--mask", "m.nii", "--out", "f.csv"],
+    ], ids=["run", "features"])
+    def test_round_on_load_rejected_by_run_and_features(self, tmp_path, command, capsys):
+        # intensities are rounded only by a configuration's rounding step
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--round-on-load"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --round-on-load" in capsys.readouterr().err
 
+    # a response on the input's grid (dims and spacing) keeps the input's
+    # orientation block; a decimated or resampled one is written without it
+    @pytest.mark.parametrize("command, extra, kept", [
+        ("filter", ["--filter", "mean", "--support", "3"], True),
+        ("filter", ["--filter", "wavelet", "--wavelet", "db2", "--level", "1",
+                    "--subband", "LLL", "--decimated"], False),
+        ("run", "", True),
+        ("run", "resample:\n  spacing_mm: [1.0, 1.0, 1.0]\n", False),
+    ], ids=["filter-mean", "filter-decimated", "run-A", "run-B-resampled"])
+    def test_orientation_carried_to_response(self, tmp_path, command, extra, kept):
         rng = np.random.default_rng(8)
         src = tmp_path / "in.nii"
         _write_volume(src, rng.normal(size=(6, 6, 6)))
@@ -450,13 +468,24 @@ class TestFilterCommand:
         struct.pack_into("<2h", raw, 252, 0, 1)
         struct.pack_into("<4f", raw, 280, -2.0, 0.0, 0.0, 5.0)
         src.write_bytes(bytes(raw))
-        out = tmp_path / "out.nii"
-        code = main([
-            "filter", str(src), "--out", str(out), "--filter", "mean", "--support", "3",
-        ])
-        assert code == 0
-        _, view = read_nifti(out)
-        assert struct.unpack_from("<2h", view.orientation, 0) == (0, 1)
+        oriented = bytes(raw[252:328])
+        if command == "filter":
+            out = tmp_path / "out.nii"
+            argv = ["filter", str(src), "--out", str(out), *extra]
+        else:
+            mask = tmp_path / "mask.nii"
+            _write_volume(mask, np.ones((6, 6, 6)), datatype="u8")
+            config = tmp_path / "config.yaml"
+            config.write_text(f"test_id: T\nmode: 3d\n{extra}resegment_hu: [-1000, 400]\n"
+                              "filter:\n  kind: mean\n  support: 3\n")
+            out = tmp_path / "results" / "T_response.nii.gz"
+            argv = ["run", str(config), "--image", str(src), "--mask", str(mask),
+                    "--out-dir", str(out.parent)]
+        assert main(argv) == 0
+        response, view = read_nifti(out)
+        assert (response.dims == (6, 6, 6)) is kept
+        assert (view.orientation == oriented) is kept
+        assert struct.unpack_from("<2h", view.orientation, 0) == ((0, 1) if kept else (0, 0))
 
 
 class TestFeaturesCommand:

@@ -159,9 +159,11 @@ class TestWithData:
 
 
 class TestRoundHalfAway:
-    # values next to a half, integers where adding 0.5 would round, and halves
+    # values next to a half, integers where adding 0.5 would round, halves,
+    # and plain values on either side of a half (2.49, 3.5, 0.49)
     _HARD = [0.49999999999999994, 0.5, 1.4999999999999998, 1.5, 2.5, 2.0**51 + 0.5,
-             2.0**52 - 0.5, 2.0**52 + 1, 2.0**53 - 1, 2.0**53, 1e-300, 0.0, -0.0, 7.25, 1e300]
+             2.0**52 - 0.5, 2.0**52 + 1, 2.0**53 - 1, 2.0**53, 1e-300, 0.0, -0.0, 7.25, 1e300,
+             2.49, 3.5, 0.49]
 
     def test_matches_decimal_half_up(self):
         values = self._HARD + [-v for v in self._HARD]

@@ -288,17 +288,6 @@ class TestScaling:
         with pytest.raises(NiftiMagicError, match="scl_inter"):
             read_nifti(path)
 
-    def test_round_on_load(self, tmp_path):
-        data = np.array([[[0.5, -0.5], [2.49, -2.5]], [[1.0, 0.0], [3.5, -0.49]]])
-        image = create_image((2, 2, 2), (1.0, 1.0, 1.0), data)
-        path = tmp_path / "vol.nii"
-        write_nifti(image, path, "f64")
-        back, _ = read_nifti(path, round_values=True)
-        np.testing.assert_array_equal(
-            back.data,
-            np.array([[[1.0, -1.0], [2.0, -3.0]], [[1.0, 0.0], [4.0, -0.0]]]),
-        )
-
 
 class TestErrors:
     def _valid_file(self, tmp_path):

@@ -41,6 +41,11 @@ one path.
   its own; ``np.pad`` is used nowhere, since ``boundary._window`` builds
   every halo from its index maps.  So no module grows a private slab loop
   or halo again.
+* ``image.round_half_away`` is used only in ``image``, in ``pipeline``,
+  whose configuration rounding step is the one rounding of a read image,
+  and in ``cli``, whose ``phantom`` command rounds before an integer
+  write.  So no second rounding path, such as a rounding reader, comes
+  back unseen.
 * Only ``pipeline._check_keys`` uses ``difflib`` or reads a ``required``
   attribute, so one function decides which keys are unknown, switched off
   or missing, for configuration files and ``voxfilt filter``'s flags alike.
@@ -121,14 +126,15 @@ def violations(source: str, module: str) -> set:
 
 
 # The only modules that may use each of these names
-USE_HOMES = {"axis_pass": {"convolve", "rotinv"}, "np.pad": set()}
+USE_HOMES = {"axis_pass": {"convolve", "rotinv"}, "np.pad": set(),
+             "round_half_away": {"image", "pipeline", "cli"}}
 
 
 def _restricted(name: str):
     """The ``USE_HOMES`` key a dotted name refers to, or None."""
     path = name.split(".")
-    if path[-1] == "axis_pass":
-        return "axis_pass"
+    if path[-1] in USE_HOMES:
+        return path[-1]
     return "np.pad" if len(path) == 2 and path[0] in NUMPY and path[1] == "pad" else None
 
 
@@ -158,18 +164,24 @@ import numpy as np
 from numpy import pad
 from .convolve import axis_pass
 from . import convolve
+from .image import round_half_away
+from . import image
 
 def smooth(x, g):
     block = np.pad(x, 2, mode="wrap")
     block = numpy.pad(block, 1)
     block = convolve.axis_pass(block, -1, g)
+    x = image.round_half_away(round_half_away(x)) + rounded(x)
     return axis_pass(block, -2, g), np.padding, pad_to(x)
 """
-    misplaced = {("np.pad", 3), ("axis_pass", 4), ("np.pad", 8), ("np.pad", 9),
-                 ("axis_pass", 10), ("axis_pass", 11)}
+    misplaced = {("np.pad", 3), ("axis_pass", 4), ("round_half_away", 6), ("np.pad", 10),
+                 ("np.pad", 11), ("axis_pass", 12), ("round_half_away", 13), ("axis_pass", 14)}
     assert misplaced_uses(sample, "riesz") == misplaced
-    assert misplaced_uses(sample, "rotinv") == {u for u in misplaced if u[0] == "np.pad"}
+    assert misplaced_uses(sample, "nifti") == misplaced
+    assert misplaced_uses(sample, "rotinv") == {u for u in misplaced if u[0] != "axis_pass"}
     assert misplaced_uses(sample, "boundary") == misplaced
+    for home in ("image", "pipeline", "cli"):
+        assert misplaced_uses(sample, home) == {u for u in misplaced if u[0] != "round_half_away"}
 
 
 def _gzip_writes(call) -> bool:
